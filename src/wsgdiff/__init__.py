@@ -14,14 +14,14 @@ Module map:
 - :mod:`wsgdiff.weights`   — weight sequences and their sign/monotonicity
   properties;
 - :mod:`wsgdiff.operators` — Toeplitz assembly, stencil application,
-  boundary columns, FFT matvec;
+  boundary columns, direct and FFT matvec;
 - :mod:`wsgdiff.spectral`  — generating functions, sign scans,
   negative-definiteness certification;
 - :mod:`wsgdiff.problems`  — benchmark catalog, norms, convergence rates;
 - :mod:`wsgdiff.solve1d`   — steady third-order solve and theta-weighted
   time stepping;
-- :mod:`wsgdiff.solve2d`   — splitting steppers (three ADI variants, LOD,
-  dense oracle);
+- :mod:`wsgdiff.solve2d`   — splitting steppers (one factored ADI scheme
+  under three names, LOD, dense oracle);
 - :mod:`wsgdiff.cli`       — the ``wsgdiff`` command.
 """
 
@@ -54,7 +54,6 @@ from .operators import (
     assemble_shifted_pair_matrix,
     assemble_wsgd_matrix,
     boundary_columns,
-    boundary_vector,
     operator_weights,
     toeplitz_matvec_direct,
     toeplitz_matvec_fft,
@@ -83,7 +82,6 @@ from .solve1d import (
     SolverConfig1D,
     assemble_cn_system,
     cn_wsgd_run,
-    cn_wsgd_run_variable,
     steady_solve_3wsgd,
 )
 from .solve2d import (
@@ -91,8 +89,6 @@ from .solve2d import (
     Solution2D,
     SolverConfig2D,
     build_directional_operators,
-    douglas_adi_step,
-    dyakonov_adi_step,
     full_cn_kron_solve,
     lod_step,
     pr_adi_step,
@@ -126,7 +122,6 @@ __all__ = [
     "assemble_shifted_pair_matrix",
     "assemble_wsgd_matrix",
     "boundary_columns",
-    "boundary_vector",
     "operator_weights",
     "toeplitz_matvec_direct",
     "toeplitz_matvec_fft",
@@ -149,14 +144,11 @@ __all__ = [
     "SolverConfig1D",
     "assemble_cn_system",
     "cn_wsgd_run",
-    "cn_wsgd_run_variable",
     "steady_solve_3wsgd",
     "SPLITTINGS",
     "Solution2D",
     "SolverConfig2D",
     "build_directional_operators",
-    "douglas_adi_step",
-    "dyakonov_adi_step",
     "full_cn_kron_solve",
     "lod_step",
     "pr_adi_step",

@@ -54,14 +54,12 @@ from .problems import (
     attach_rates,
     make_example,
 )
-from .solve1d import SolverConfig1D, cn_wsgd_run, steady_solve_3wsgd
+from .solve1d import SOURCE_SAMPLING, SolverConfig1D, cn_wsgd_run, steady_solve_3wsgd
 from .solve2d import SPLITTINGS, SolverConfig2D, run_2d
 from .spectral import generating_function, scan_sign
 
 __all__ = ["StudyConfig", "main", "read_report_csv"]
 
-_SOLVE_SCHEMES = (wt.P1Q0, wt.P1QM1)
-_ALL_SCHEMES = (wt.GL, wt.P1Q0, wt.P1QM1, wt.PQR)
 _SPECTRUM_SCHEMES = (wt.P1Q0, wt.P1QM1, wt.PQR)
 _FORMATS = ("csv", "md")
 
@@ -443,10 +441,10 @@ def _resolve_study(args: argparse.Namespace) -> StudyConfig:
     splittings_raw = pick(args.splitting, "splitting")
     schemes = tuple(_split_list(schemes_raw))
     for scheme in schemes:
-        if scheme not in _SOLVE_SCHEMES:
+        if scheme not in wt.PAIR_SCHEMES:
             raise ParameterError(
                 f"unsupported scheme {scheme!r} for solver studies;"
-                f" expected one of {_SOLVE_SCHEMES!r}"
+                f" expected one of {wt.PAIR_SCHEMES!r}"
             )
     splittings = tuple(_split_list(splittings_raw)) if splittings_raw else ()
     for splitting in splittings:
@@ -494,7 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeffs", help="dump a weight sequence")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--scheme", choices=_ALL_SCHEMES, default=wt.P1Q0)
+    p.add_argument("--scheme", choices=wt.SCHEME_TAGS, default=wt.P1Q0)
     p.add_argument("--count", type=int, default=8)
     p.add_argument("--format", choices=_FORMATS, default="csv")
     p.add_argument("--out", default=None)
@@ -510,11 +508,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve1d", help="run a 1D benchmark at one resolution")
     p.add_argument("--example", required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--scheme", choices=_SOLVE_SCHEMES, default=wt.P1Q0)
+    p.add_argument("--scheme", choices=wt.PAIR_SCHEMES, default=wt.P1Q0)
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--m", type=int, default=None, help="time steps (defaults to N)")
     p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--source-sampling", choices=("average", "midpoint"), default="average")
+    p.add_argument("--source-sampling", choices=SOURCE_SAMPLING, default="average")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cli_solve1d)
 
@@ -522,7 +520,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--example", default="ex4")
     p.add_argument("--alpha", type=float, default=1.2)
     p.add_argument("--beta", type=float, default=1.8)
-    p.add_argument("--scheme", choices=_SOLVE_SCHEMES, default=wt.P1Q0)
+    p.add_argument("--scheme", choices=wt.PAIR_SCHEMES, default=wt.P1Q0)
     p.add_argument("--splitting", choices=SPLITTINGS, default="pr")
     p.add_argument("--n", type=int, default=16)
     p.add_argument("--m", type=int, default=None, help="time steps (defaults to N)")

@@ -7,8 +7,8 @@ matrix entry at (i, j) is ``w_{i-j+1}``, so the superdiagonal carries
 ``w_0`` and the main diagonal ``w_1``.  This module assembles those
 matrices, applies the left/right operators directly to grid functions
 (stencil-wise, without forming a matrix — the redundancy lets tests catch
-indexing mistakes), builds the boundary contribution vector for two-level
-time stepping, and provides quadratic-cost and FFT-accelerated Toeplitz
+indexing mistakes), gives the stencil columns that multiply the Dirichlet
+end values, and provides quadratic-cost and FFT-accelerated Toeplitz
 matrix-vector products.
 """
 
@@ -31,7 +31,6 @@ __all__ = [
     "operator_weights",
     "apply_left_wsgd",
     "apply_right_wsgd",
-    "boundary_vector",
     "toeplitz_matvec_direct",
     "toeplitz_matvec_fft",
 ]
@@ -105,7 +104,7 @@ def operator_weights(alpha: float, scheme: str, count: int) -> np.ndarray:
     """
     if scheme == wt.GL:
         return wt.grunwald_coefficients(alpha, count).values
-    if scheme in (wt.P1Q0, wt.P1QM1):
+    if scheme in wt.PAIR_SCHEMES:
         return wt.wsgd2_weights(alpha, scheme, count).values
     if scheme == wt.PQR:
         return wt.wsgd3_weights(alpha, count).values
@@ -132,7 +131,7 @@ def assemble_wsgd_matrix(alpha: float, scheme: str, n: int) -> ToeplitzOperator:
     """
     if n < 2:
         raise ParameterError(f"matrix order must be at least 2, got {n}")
-    if scheme not in (wt.P1Q0, wt.P1QM1):
+    if scheme not in wt.PAIR_SCHEMES:
         raise ParameterError(f"expected scheme {wt.P1Q0!r} or {wt.P1QM1!r}, got {scheme!r}")
     w = wt.wsgd2_weights(alpha, scheme, n + 1).values
     return _shift_one_toeplitz(w, n)
@@ -216,30 +215,6 @@ def boundary_columns(alpha: float, scheme: str, n: int) -> tuple[np.ndarray, np.
     return left_u0, right_u0, left_uN, right_uN
 
 
-def boundary_vector(
-    alpha: float,
-    scheme: str,
-    n: int,
-    K1: float,
-    K2: float,
-    u0_sum: float,
-    uN_sum: float,
-    tau: float,
-    h: float,
-) -> np.ndarray:
-    """Boundary contribution to one two-level time step.
-
-    With ``u0_sum = U_0^n + U_0^{n+1}`` and ``uN_sum = U_N^n + U_N^{n+1}``,
-    returns ``tau / (2 h^alpha) * (c0 * u0_sum + cN * uN_sum)`` where ``c0``
-    and ``cN`` combine the endpoint stencil columns of the left and right
-    operators weighted by the diffusion coefficients.
-    """
-    left_u0, right_u0, left_uN, right_uN = boundary_columns(alpha, scheme, n)
-    c0 = K1 * left_u0 + K2 * right_u0
-    cN = K1 * left_uN + K2 * right_uN
-    return tau / (2.0 * h**alpha) * (c0 * u0_sum + cN * uN_sum)
-
-
 def toeplitz_matvec_direct(T: ToeplitzOperator, v: np.ndarray) -> np.ndarray:
     """Exact quadratic-cost Toeplitz matrix-vector product."""
     v = np.asarray(v, dtype=float)
@@ -250,28 +225,13 @@ def toeplitz_matvec_direct(T: ToeplitzOperator, v: np.ndarray) -> np.ndarray:
     return np.convolve(diags, v)[n - 1:2 * n - 1]
 
 
-def _next_pow2(m: int) -> int:
-    return 1 << (m - 1).bit_length()
-
-
 def toeplitz_matvec_fft(T: ToeplitzOperator, v: np.ndarray) -> np.ndarray:
     """Toeplitz matrix-vector product via circulant embedding and the FFT.
 
-    The operator is embedded in a circulant of length ``2**ceil(log2(2n-1))``
-    whose action is diagonal in Fourier space.  Agrees with
+    Delegates to :func:`scipy.linalg.matmul_toeplitz`.  Agrees with
     :func:`toeplitz_matvec_direct` to high relative accuracy.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size != T.n:
         raise ParameterError(f"vector length {v.size} does not match operator order {T.n}")
-    n = T.n
-    if n == 1:
-        return T.first_col[0] * v
-    L = _next_pow2(2 * n - 1)
-    c = np.zeros(L)
-    c[:n] = T.first_col
-    c[L - (n - 1):] = T.first_row[1:][::-1]
-    vv = np.zeros(L)
-    vv[:n] = v
-    y = np.fft.irfft(np.fft.rfft(c) * np.fft.rfft(vv), L)
-    return y[:n]
+    return scipy.linalg.matmul_toeplitz((T.first_col, T.first_row), v)

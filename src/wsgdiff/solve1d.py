@@ -6,8 +6,8 @@ Two entry points cover the 1D catalog:
   ``-(left derivative of order alpha) u = s`` with the third-order
   three-shift operator and Dirichlet end values folded in through the
   stencil's boundary columns.
-- :func:`cn_wsgd_run` / :func:`cn_wsgd_run_variable` integrate the
-  time-dependent diffusion problem with second-order shifted weights in
+- :func:`cn_wsgd_run` integrates the time-dependent diffusion problem, with
+  constant or variable diffusivities, using second-order shifted weights in
   space and a theta-weighted two-level scheme in time (theta = 1/2 is the
   trapezoidal scheme used for all reference tables).
 
@@ -45,11 +45,10 @@ __all__ = [
     "steady_solve_3wsgd",
     "assemble_cn_system",
     "cn_wsgd_run",
-    "cn_wsgd_run_variable",
 ]
 
 #: Shift schemes backed by the unconditional-stability theory of the solver.
-SOLVER_SCHEMES = (wt.P1Q0, wt.P1QM1)
+SOLVER_SCHEMES = wt.PAIR_SCHEMES
 
 #: How the source term is sampled on each time slab: trapezoidal average of
 #: the endpoint values, or the midpoint value.
@@ -77,13 +76,15 @@ class SolverConfig1D:
                 f"unsupported scheme {self.scheme!r} for the time stepper;"
                 f" expected one of {SOLVER_SCHEMES!r}"
             )
-        if not self.T > 0.0:
-            raise ParameterError(f"final time must be positive, got {self.T}")
+        if not (np.isfinite(self.T) and self.T > 0.0):
+            raise ParameterError(f"final time must be positive and finite, got {self.T}")
         if self.source_sampling not in SOURCE_SAMPLING:
             raise ParameterError(
                 f"unknown source sampling {self.source_sampling!r};"
                 f" expected one of {SOURCE_SAMPLING!r}"
             )
+        if not np.isfinite(self.theta):
+            raise ParameterError(f"theta must be finite, got {self.theta}")
         if not 0.5 <= self.theta <= 1.0:
             warnings.warn(
                 f"theta={self.theta} lies outside the proven stability window"
@@ -162,11 +163,7 @@ def steady_solve_3wsgd(problem: Problem1D, N: int) -> Solution1D:
     h, x, xi = _grid(problem, N)
     n = N - 1
     G = assemble_3wsgd_matrix(problem.alpha, n).to_dense()
-    mu = wt.wsgd3_weights(problem.alpha, N + 1).values
-    # Coefficients of the known end values u(a), u(b) in rows i = 1..N-1.
-    col_left = mu[2 : N + 1].copy()
-    col_right = np.zeros(n)
-    col_right[-1] = mu[0]
+    col_left, _, col_right, _ = boundary_columns(problem.alpha, wt.PQR, n)
     ua = float(problem.left_boundary(0.0))
     ub = float(problem.right_boundary(0.0))
     s = np.asarray(problem.source(xi, 0.0), dtype=float)
@@ -200,7 +197,12 @@ def assemble_cn_system(problem: Problem1D, config: SolverConfig1D):
     return eye - config.theta * B, eye + (1.0 - config.theta) * B
 
 
-def _run_theta_scheme(problem: Problem1D, config: SolverConfig1D) -> Solution1D:
+def cn_wsgd_run(problem: Problem1D, config: SolverConfig1D) -> Solution1D:
+    """Integrate a (constant- or variable-coefficient) 1D problem in time.
+
+    Each step solves ``(I - theta*B) U_next = (I + (1-theta)*B) U + tau*F +
+    boundary terms`` with the once-factored left-hand side.
+    """
     if problem.steady:
         raise ParameterError("time stepping expects a time-dependent problem")
     h, x, xi = _grid(problem, config.N)
@@ -228,15 +230,18 @@ def _run_theta_scheme(problem: Problem1D, config: SolverConfig1D) -> Solution1D:
         e0 = U - np.asarray(problem.exact(xi, 0.0), dtype=float)
         running_max = max_norm(e0)
 
+    average = config.source_sampling == "average"
+    if average:
+        f_next = np.asarray(problem.source(xi, 0.0), dtype=float)
     t_next = 0.0
     for step in range(config.M):
         t_now = step * tau
         t_next = (step + 1) * tau
-        if config.source_sampling == "average":
-            fv = 0.5 * (
-                np.asarray(problem.source(xi, t_now), dtype=float)
-                + np.asarray(problem.source(xi, t_next), dtype=float)
-            )
+        if average:
+            # The slab's right-end value is the next slab's left-end value.
+            f_now = f_next
+            f_next = np.asarray(problem.source(xi, t_next), dtype=float)
+            fv = 0.5 * (f_now + f_next)
         else:
             fv = np.asarray(problem.source(xi, t_now + 0.5 * tau), dtype=float)
         ga_now = float(problem.left_boundary(t_now))
@@ -250,6 +255,8 @@ def _run_theta_scheme(problem: Problem1D, config: SolverConfig1D) -> Solution1D:
         rhs = rhs_matrix @ U + tau * fv + bvec
         U = _solve(lu, piv, rhs, "time step")
         norm_history[step + 1] = l2_norm(U, h)
+        if not np.isfinite(norm_history[step + 1]):
+            raise SolverError(f"non-finite solution at step {step + 1} (t={t_next!r})")
         if problem.exact is not None:
             e = U - np.asarray(problem.exact(xi, t_next), dtype=float)
             running_max = max(running_max, max_norm(e))
@@ -275,27 +282,3 @@ def _run_theta_scheme(problem: Problem1D, config: SolverConfig1D) -> Solution1D:
         sol.l2_err_final = l2_norm(e, h)
         sol.max_err_running = running_max
     return sol
-
-
-def cn_wsgd_run(problem: Problem1D, config: SolverConfig1D) -> Solution1D:
-    """Integrate a (constant- or variable-coefficient) 1D problem in time.
-
-    Each step solves ``(I - theta*B) U_next = (I + (1-theta)*B) U + tau*F +
-    boundary terms`` with the once-factored left-hand side.
-    """
-    return _run_theta_scheme(problem, config)
-
-
-def cn_wsgd_run_variable(problem: Problem1D, config: SolverConfig1D) -> Solution1D:
-    """Variable-coefficient entry point; requires callable diffusivities.
-
-    The stepping is shared with :func:`cn_wsgd_run`, so coefficient
-    functions that happen to be constants reproduce the constant-coefficient
-    trajectory bit for bit.
-    """
-    if not problem.has_variable_coefficients:
-        raise ParameterError(
-            "cn_wsgd_run_variable expects callable diffusivities;"
-            " use cn_wsgd_run for constant coefficients"
-        )
-    return _run_theta_scheme(problem, config)

@@ -3,12 +3,16 @@
 The 2D problem couples one-dimensional two-sided operators in x and y.  A
 trapezoidal two-level scheme in time factors (up to a commuting
 second-order-in-time perturbation) into one-dimensional solves along rows
-and columns; this module implements four classical realizations of that
-factorization plus a dense small-grid oracle:
+and columns.  This module implements that factored scheme once, plus a
+locally-one-dimensional variant and a dense small-grid oracle:
 
-- ``pr``       : two half-step sweeps (x then y), source split evenly;
-- ``douglas``  : correction form with an explicit y-term carried over;
-- ``dyakonov`` : explicit product right-hand side, then two sweeps;
+- ``pr``       : the factored scheme as two half-step sweeps (x then y),
+                 source split evenly;
+- ``douglas``, ``dyakonov`` : names for the same factored scheme.  The
+                 correction form and the product-right-hand-side form are
+                 algebraically identical to ``pr``, so both names run its
+                 stepper; they are kept so that the paper's tables, which
+                 list each name, reproduce;
 - ``lod``      : fully decoupled sweeps with source terms swept along, the
                  only variant whose factorization error shows up in the
                  source handling;
@@ -24,10 +28,10 @@ per run and reused across steps and right-hand-side columns.
 Boundary handling: all splittings require vanishing Dirichlet data on the
 x-boundaries (the sweep order makes intermediate variables carry their
 values there, which only stays consistent when those lines hold zero).  The
-three ADI variants accept time-dependent data on the y-boundaries through
-the stencil's boundary columns; the LOD and dense variants require fully
-homogeneous data.  The source term is sampled at the half-step midpoint
-throughout.
+factored scheme accepts time-dependent data on the y-boundaries through the
+stencil's boundary columns; the LOD and dense variants require fully
+homogeneous data, and LOD also one spacing shared by both axes.  The source
+term is sampled at the half-step midpoint throughout.
 
 Error norms for reference-table reproduction are evaluated at the final
 time (both maximum and grid-weighted L2), over interior nodes.
@@ -52,21 +56,16 @@ __all__ = [
     "Solution2D",
     "build_directional_operators",
     "pr_adi_step",
-    "douglas_adi_step",
-    "dyakonov_adi_step",
     "lod_step",
     "full_cn_kron_solve",
     "run_2d",
 ]
 
-SOLVER_SCHEMES = (wt.P1Q0, wt.P1QM1)
+SOLVER_SCHEMES = wt.PAIR_SCHEMES
 
-#: Splitting strategies: three ADI variants, the LOD scheme, and the dense
-#: unfactored oracle.
+#: Splitting strategies: the factored scheme under its three names, the LOD
+#: scheme, and the dense unfactored oracle.
 SPLITTINGS = ("pr", "douglas", "dyakonov", "lod", "full")
-
-#: Splittings whose published form assumes one spacing shared by both axes.
-_EQUAL_SPACING = ("douglas", "dyakonov", "lod")
 
 #: Grid-size cap for the dense Kronecker oracle.
 _FULL_MAX_N = 16
@@ -98,8 +97,8 @@ class SolverConfig2D:
             raise ParameterError(
                 f"unknown splitting {self.splitting!r}; expected one of {SPLITTINGS!r}"
             )
-        if not self.T > 0.0:
-            raise ParameterError(f"final time must be positive, got {self.T}")
+        if not (np.isfinite(self.T) and self.T > 0.0):
+            raise ParameterError(f"final time must be positive and finite, got {self.T}")
         if self.splitting == "full" and max(self.Nx, self.Ny) > _FULL_MAX_N:
             raise ParameterError(
                 f"the dense oracle is capped at N={_FULL_MAX_N} per axis"
@@ -215,7 +214,7 @@ def _boundary_is_zero(problem: Problem2D, axis: str, times) -> bool:
 def _build_workspace(problem: Problem2D, config: SolverConfig2D) -> _Workspace2D:
     hx = (problem.bx - problem.ax) / config.Nx
     hy = (problem.by - problem.ay) / config.Ny
-    if config.splitting in _EQUAL_SPACING and abs(hx - hy) > 1e-13 * max(hx, hy):
+    if config.splitting == "lod" and abs(hx - hy) > 1e-13 * max(hx, hy):
         raise ParameterError(
             f"splitting {config.splitting!r} assumes one spacing for both axes;"
             f" got hx={hx!r}, hy={hy!r}"
@@ -291,7 +290,8 @@ def pr_adi_step(
     Stage 1 solves ``(I - tau/2 dx) V = (I + tau/2 dy) U + tau/2 F`` down
     the x direction; stage 2 solves ``(I - tau/2 dy) U_next =
     (I + tau/2 dx) V + tau/2 F`` across y, with the midpoint source shared
-    by both stages.
+    by both stages.  This is the stepper of all three names of the factored
+    scheme: ``pr``, ``douglas`` and ``dyakonov``.
     """
     ws = workspace if workspace is not None else _build_workspace(problem, config)
     a = 0.5 * ws.tau
@@ -300,51 +300,6 @@ def pr_adi_step(
     V = _solve_x(ws, U + a * _dy_apply(ws, problem, U, t_n) + a * F)
     rhs2 = V + a * (ws.Dx @ V) + a * F + a * _y_boundary_terms(ws, problem, t_next)
     return _solve_y(ws, rhs2)
-
-
-def douglas_adi_step(
-    U: np.ndarray,
-    t_n: float,
-    problem: Problem2D,
-    config: SolverConfig2D,
-    *,
-    workspace: Optional[_Workspace2D] = None,
-) -> np.ndarray:
-    """One step of the correction-form splitting.
-
-    Stage 1 solves ``(I - tau/2 dx) V = (I + tau/2 dx + tau dy) U + tau F``;
-    stage 2 solves ``(I - tau/2 dy) U_next = V - tau/2 dy U``.
-    """
-    ws = workspace if workspace is not None else _build_workspace(problem, config)
-    a = 0.5 * ws.tau
-    t_next = t_n + ws.tau
-    F = _midpoint_source(ws, problem, t_n)
-    dy_now = _dy_apply(ws, problem, U, t_n)
-    V = _solve_x(ws, U + a * (ws.Dx @ U) + ws.tau * dy_now + ws.tau * F)
-    rhs2 = V - a * dy_now + a * _y_boundary_terms(ws, problem, t_next)
-    return _solve_y(ws, rhs2)
-
-
-def dyakonov_adi_step(
-    U: np.ndarray,
-    t_n: float,
-    problem: Problem2D,
-    config: SolverConfig2D,
-    *,
-    workspace: Optional[_Workspace2D] = None,
-) -> np.ndarray:
-    """One step of the product-right-hand-side splitting.
-
-    Stage 1 solves ``(I - tau/2 dx) V = (I + tau/2 dx)(I + tau/2 dy) U +
-    tau F``; stage 2 solves ``(I - tau/2 dy) U_next = V``.
-    """
-    ws = workspace if workspace is not None else _build_workspace(problem, config)
-    a = 0.5 * ws.tau
-    t_next = t_n + ws.tau
-    F = _midpoint_source(ws, problem, t_n)
-    W = U + a * _dy_apply(ws, problem, U, t_n)
-    V = _solve_x(ws, W + a * (ws.Dx @ W) + ws.tau * F)
-    return _solve_y(ws, V + a * _y_boundary_terms(ws, problem, t_next))
 
 
 def lod_step(
@@ -430,8 +385,8 @@ def full_cn_kron_solve(
 
 _STEPPERS: dict[str, Callable] = {
     "pr": pr_adi_step,
-    "douglas": douglas_adi_step,
-    "dyakonov": dyakonov_adi_step,
+    "douglas": pr_adi_step,
+    "dyakonov": pr_adi_step,
     "lod": lod_step,
     "full": full_cn_kron_solve,
 }
@@ -450,6 +405,8 @@ def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution2D:
         U = step(U, n * ws.tau, problem, config, workspace=ws)
         t_next = (n + 1) * ws.tau
         norm_history[n + 1] = l2_norm(U, ws.hx, ws.hy)
+        if not np.isfinite(norm_history[n + 1]):
+            raise SolverError(f"non-finite solution at step {n + 1} (t={t_next!r})")
 
     x_full = problem.ax + ws.hx * np.arange(config.Nx + 1)
     y_full = problem.ay + ws.hy * np.arange(config.Ny + 1)

@@ -37,6 +37,7 @@ __all__ = [
     "P1QM1",
     "PQR",
     "SCHEME_TAGS",
+    "PAIR_SCHEMES",
     "WeightSequence",
     "PropertyCheck",
     "PropertyReport",
@@ -56,6 +57,9 @@ PQR = "pqr"
 
 #: Scheme tags accepted by the weight routines.
 SCHEME_TAGS = (GL, P1Q0, P1QM1, PQR)
+
+#: Second-order shift pairs, the schemes the time steppers accept.
+PAIR_SCHEMES = (P1Q0, P1QM1)
 
 #: Tolerance for "equals zero" checks; sign checks get the same slack so a
 #: quantity that is exactly zero in exact arithmetic (e.g. the third weight

@@ -5,10 +5,15 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wsgdiff
 from wsgdiff import ParameterError
 from wsgdiff.cli import main, read_report_csv
 
@@ -396,6 +401,22 @@ def test_version_flag(capsys):
     rc = main(["--version"])
     assert rc == 0
     assert "wsgdiff" in capsys.readouterr().out
+
+
+def test_module_entry_point_runs(tmp_path):
+    # run the package the tests import, wherever it was loaded from
+    paths = (str(Path(wsgdiff.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run(
+        [sys.executable, "-m", "wsgdiff", "--version"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == f"wsgdiff {wsgdiff.__version__}"
 
 
 def test_missing_subcommand_is_usage_error():

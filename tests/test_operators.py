@@ -12,6 +12,7 @@ from wsgdiff import (
     GridFunction1D,
     P1Q0,
     P1QM1,
+    PQR,
     ParameterError,
     ToeplitzOperator,
     apply_left_wsgd,
@@ -19,7 +20,6 @@ from wsgdiff import (
     assemble_3wsgd_matrix,
     assemble_shifted_pair_matrix,
     assemble_wsgd_matrix,
-    boundary_vector,
     operator_weights,
     toeplitz_matvec_direct,
     toeplitz_matvec_fft,
@@ -227,11 +227,11 @@ def test_left_right_reflection_symmetry(scheme):
 
 
 # ---------------------------------------------------------------------------
-# Boundary columns and the two-level boundary vector
+# Boundary columns
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("scheme", PAIR_SCHEMES)
+@pytest.mark.parametrize("scheme", PAIR_SCHEMES + (PQR,))
 def test_boundary_columns_definitions(scheme):
     alpha = 1.5
     n = 7
@@ -241,33 +241,6 @@ def test_boundary_columns_definitions(scheme):
     np.testing.assert_array_equal(r_un, w[2 : n + 2][::-1])
     assert r_u0[0] == w[0] and np.all(r_u0[1:] == 0.0)
     assert l_un[-1] == w[0] and np.all(l_un[:-1] == 0.0)
-
-
-def test_boundary_vector_zero_data_is_zero():
-    out = boundary_vector(1.5, P1Q0, 6, 1.0, 1.0, 0.0, 0.0, 0.01, 0.125)
-    np.testing.assert_array_equal(out, np.zeros(6))
-
-
-def test_boundary_vector_left_only():
-    alpha, n, tau, h = 1.5, 6, 0.02, 0.125
-    l_u0, _, _, _ = boundary_columns(alpha, P1Q0, n)
-    got = boundary_vector(alpha, P1Q0, n, 2.0, 0.0, 3.0, 0.0, tau, h)
-    want = tau / (2.0 * h**alpha) * 2.0 * l_u0 * 3.0
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
-
-
-def test_boundary_vector_combines_sides():
-    alpha, n, tau, h = 1.3, 5, 0.1, 0.2
-    k1, k2 = 0.7, 1.9
-    u0s, uns = -1.2, 0.8
-    l_u0, r_u0, l_un, r_un = boundary_columns(alpha, P1QM1, n)
-    want = (
-        tau
-        / (2.0 * h**alpha)
-        * ((k1 * l_u0 + k2 * r_u0) * u0s + (k1 * l_un + k2 * r_un) * uns)
-    )
-    got = boundary_vector(alpha, P1QM1, n, k1, k2, u0s, uns, tau, h)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

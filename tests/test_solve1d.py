@@ -3,6 +3,8 @@ agreement, discrete stability, and configuration validation."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,9 @@ from wsgdiff import (
     ParameterError,
     Problem1D,
     SolverConfig1D,
+    SolverError,
     assemble_cn_system,
     cn_wsgd_run,
-    cn_wsgd_run_variable,
     convergence_rate,
     make_example,
     steady_solve_3wsgd,
@@ -101,25 +103,11 @@ def test_left_sided_anchor():
 
 
 def test_variable_coefficient_anchor():
-    sol = cn_wsgd_run_variable(
+    sol = cn_wsgd_run(
         make_example("ex3", 1.5), SolverConfig1D(N=64, M=64, scheme=P1Q0)
     )
     assert sol.max_err_running == pytest.approx(1.10524e-05, rel=5e-4)
     assert sol.l2_err_final == pytest.approx(3.61334e-06, rel=5e-4)
-
-
-def test_variable_driver_matches_generic_driver_bitwise():
-    p = make_example("ex3", 1.7)
-    cfg = SolverConfig1D(N=16, M=8, scheme=P1QM1)
-    a = cn_wsgd_run(p, cfg)
-    b = cn_wsgd_run_variable(p, cfg)
-    np.testing.assert_array_equal(a.values, b.values)
-    assert a.max_err_running == b.max_err_running
-
-
-def test_variable_driver_rejects_constant_coefficients():
-    with pytest.raises(ParameterError, match="callable diffusivities"):
-        cn_wsgd_run_variable(make_example("ex1", 1.5), SolverConfig1D(N=8, M=4))
 
 
 def test_running_max_dominates_final_max():
@@ -235,6 +223,18 @@ def test_theta_outside_window_warns():
         SolverConfig1D(N=8, M=4, theta=0.3)
 
 
+@pytest.mark.parametrize("sampling", ["average", "midpoint"])
+def test_non_finite_solution_raises_with_step_and_time(sampling):
+    # a source that turns NaN on the third slab must stop the run there
+    # instead of reporting a finite running error
+    base = make_example("ex1", 1.5)
+    p = dataclasses.replace(
+        base, source=lambda x, t: np.where(t > 0.6, np.nan, base.source(x, t))
+    )
+    with pytest.raises(SolverError, match=r"step 3 \(t=0\.75\)"):
+        cn_wsgd_run(p, SolverConfig1D(N=8, M=4, source_sampling=sampling))
+
+
 # ---------------------------------------------------------------------------
 # Observed time-dependent convergence stays in the second-order band
 # ---------------------------------------------------------------------------
@@ -277,4 +277,9 @@ def test_config_validation():
         SolverConfig1D(N=8, M=4, T=0.0)
     with pytest.raises(ParameterError, match="source sampling"):
         SolverConfig1D(N=8, M=4, source_sampling="left")
+    with pytest.raises(ParameterError, match="theta"):
+        SolverConfig1D(N=8, M=4, theta=float("nan"))
+    for T in (float("inf"), float("nan")):
+        with pytest.raises(ParameterError, match="final time"):
+            SolverConfig1D(N=8, M=4, T=T)
     assert SolverConfig1D(N=8, M=4, T=2.0).tau == pytest.approx(0.5)
