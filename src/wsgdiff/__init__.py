@@ -20,8 +20,8 @@ Module map:
 - :mod:`wsgdiff.problems`  — benchmark catalog, norms, convergence rates;
 - :mod:`wsgdiff.solve1d`   — steady third-order solve and theta-weighted
   time stepping;
-- :mod:`wsgdiff.solve2d`   — splitting steppers (one factored ADI scheme
-  under three names, LOD, dense oracle);
+- :mod:`wsgdiff.solve2d`   — splitting stepper factories, each set up once
+  per run (one factored ADI scheme under three names, LOD, dense oracle);
 - :mod:`wsgdiff.cli`       — the ``wsgdiff`` command.
 """
 
@@ -89,9 +89,9 @@ from .solve2d import (
     Solution2D,
     SolverConfig2D,
     build_directional_operators,
-    full_cn_kron_solve,
-    lod_step,
-    pr_adi_step,
+    full_cn_kron_stepper,
+    lod_stepper,
+    pr_adi_stepper,
     run_2d,
 )
 
@@ -149,8 +149,8 @@ __all__ = [
     "Solution2D",
     "SolverConfig2D",
     "build_directional_operators",
-    "full_cn_kron_solve",
-    "lod_step",
-    "pr_adi_step",
+    "full_cn_kron_stepper",
+    "lod_stepper",
+    "pr_adi_stepper",
     "run_2d",
 ]

@@ -14,7 +14,9 @@ Subcommands
   markdown.  This is the command that regenerates the reference tables.
 
 Conventions shared by all subcommands: ``--out PATH`` writes the main
-output to a file (stdout otherwise); CSV cells for real numbers use full
+output to a file (stdout otherwise), and human-facing text — summary lines,
+study progress, errors — always goes to stderr, so stdout carries nothing
+but the main output; CSV cells for real numbers use full
 ``repr`` precision so reports can be parsed back losslessly, while human-
 facing summaries and markdown tables use 6-significant-digit scientific
 notation.  Exit codes: 0 on success, 2 for usage/parameter errors, 1 for
@@ -56,11 +58,10 @@ from .problems import (
 )
 from .solve1d import SOURCE_SAMPLING, SolverConfig1D, cn_wsgd_run, steady_solve_3wsgd
 from .solve2d import SPLITTINGS, SolverConfig2D, run_2d
-from .spectral import generating_function, scan_sign
+from .spectral import SPECTRAL_SCHEMES, generating_function, scan_sign
 
 __all__ = ["StudyConfig", "main", "read_report_csv"]
 
-_SPECTRUM_SCHEMES = (wt.P1Q0, wt.P1QM1, wt.PQR)
 _FORMATS = ("csv", "md")
 
 #: Column order of convergence-report CSV files.
@@ -118,6 +119,11 @@ class StudyConfig:
             raise ParameterError(f"unknown format {self.fmt!r}; expected one of {_FORMATS!r}")
         if self.example is ExampleId.TWO_DIMENSIONAL and not self.splittings:
             raise ParameterError("2D studies need at least one splitting")
+        if self.source_sampling not in SOURCE_SAMPLING:
+            raise ParameterError(
+                f"unknown source sampling {self.source_sampling!r};"
+                f" expected one of {SOURCE_SAMPLING!r}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +195,7 @@ def cmd_spectrum(alpha: float, scheme: str, samples: int) -> tuple[str, str]:
 def _cli_spectrum(args: argparse.Namespace) -> int:
     body, summary = cmd_spectrum(args.alpha, args.scheme, args.samples)
     _emit(body, args.out)
-    sys.stdout.write(summary)
+    sys.stderr.write(summary)
     return 0
 
 
@@ -220,7 +226,7 @@ def _cli_solve1d(args: argparse.Namespace) -> int:
     )
     _emit(body, args.out)
     if sol.max_err_final is not None:
-        sys.stdout.write(
+        sys.stderr.write(
             f"max error {_sci(sol.max_err_final)}; l2 error {_sci(sol.l2_err_final)}\n"
         )
     return 0
@@ -245,7 +251,7 @@ def _cli_solve2d(args: argparse.Namespace) -> int:
             rows.append((repr(float(xv)), repr(float(yv)), repr(float(sol.values[i, j]))))
     _emit(_csv_text(("x", "y", "u"), rows), args.out)
     if sol.max_err_final is not None:
-        sys.stdout.write(
+        sys.stderr.write(
             f"max error {_sci(sol.max_err_final)}; l2 error {_sci(sol.l2_err_final)}\n"
         )
     return 0
@@ -302,7 +308,7 @@ def _study_blocks(config: StudyConfig):
                         config, alpha, scheme, splitting, n
                     )
                     records.append(ErrorRecord(n, n, max_err, l2_err))
-                    sys.stdout.write(
+                    sys.stderr.write(
                         f"[{config.example.value}"
                         f"{'/' + splitting if splitting else ''}"
                         f" {scheme} alpha={alpha:g}] N={n} done\n"
@@ -430,13 +436,15 @@ def _resolve_study(args: argparse.Namespace) -> StudyConfig:
     resolutions_raw = pick(args.resolutions, "resolutions")
     if resolutions_raw is None:
         raise ParameterError("converge needs a resolution list")
+    beta_raw = pick(args.beta, "beta")
+    theta_raw = pick(args.theta, "theta")
     try:
         alphas = tuple(float(a) for a in _split_list(alphas_raw))
         resolutions = tuple(int(r) for r in _split_list(resolutions_raw))
+        beta = float(beta_raw) if beta_raw is not None else None
+        theta = float(theta_raw) if theta_raw is not None else 0.5
     except ValueError as exc:
-        raise ParameterError(f"malformed numeric list: {exc}") from None
-    beta_raw = pick(args.beta, "beta")
-    theta_raw = pick(args.theta, "theta")
+        raise ParameterError(f"malformed number: {exc}") from None
     schemes_raw = pick(args.scheme, "scheme") or wt.P1Q0
     splittings_raw = pick(args.splitting, "splitting")
     schemes = tuple(_split_list(schemes_raw))
@@ -457,9 +465,9 @@ def _resolve_study(args: argparse.Namespace) -> StudyConfig:
         alphas=alphas,
         schemes=schemes,
         resolutions=resolutions,
-        beta=float(beta_raw) if beta_raw is not None else None,
+        beta=beta,
         splittings=splittings,
-        theta=float(theta_raw) if theta_raw is not None else 0.5,
+        theta=theta,
         source_sampling=pick(args.source_sampling, "source-sampling") or "average",
         fmt=pick(args.format, "format") or "csv",
         out=pick(args.out, "out"),
@@ -500,7 +508,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="sample a generating function on [0, pi]")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--scheme", choices=_SPECTRUM_SCHEMES, default=wt.P1Q0)
+    p.add_argument("--scheme", choices=SPECTRAL_SCHEMES, default=wt.P1Q0)
     p.add_argument("--samples", type=int, default=1024)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cli_spectrum)

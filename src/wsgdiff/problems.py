@@ -288,29 +288,32 @@ def _cubic_bump(x):
     return x**3 * (1.0 - x) ** 3
 
 
-def _two_sided_source_terms(alpha: float, fractional: bool):
-    """Shared source builder for the cubic-bump examples.
+def _mirrored_fractional_profile(order: float, shift: float):
+    """Profile of the two-sided order-``order`` derivative of the cubic bump.
 
-    With ``fractional=True`` the mirrored powers carry exponent ``k - alpha``
-    (constant-coefficient case); with ``fractional=False`` they stay integer
-    powers ``k`` (the variable-coefficient case, where the coefficient
-    profiles absorb the fractional scaling).
+    The mirrored powers carry exponent ``k - shift``: ``shift = order`` for
+    constant diffusivities, ``shift = 0`` for the variable-coefficient case,
+    whose diffusivity profiles absorb the fractional scaling.
     """
-    c3 = gamma(4.0) / gamma(4.0 - alpha)
-    c4 = 3.0 * gamma(5.0) / gamma(5.0 - alpha)
-    c5 = 3.0 * gamma(6.0) / gamma(6.0 - alpha)
-    c6 = gamma(7.0) / gamma(7.0 - alpha)
-    shift = alpha if fractional else 0.0
+    c3 = gamma(4.0) / gamma(4.0 - order)
+    c4 = 3.0 * gamma(5.0) / gamma(5.0 - order)
+    c5 = 3.0 * gamma(6.0) / gamma(6.0 - order)
+    c6 = gamma(7.0) / gamma(7.0 - order)
 
-    def mirrored(x, k):
-        return x ** (k - shift) + (1.0 - x) ** (k - shift)
+    def profile(s):
+        s = np.asarray(s, dtype=float)
 
-    def source(x, t):
-        x = np.asarray(x, dtype=float)
-        s = c3 * mirrored(x, 3) - c4 * mirrored(x, 4) + c5 * mirrored(x, 5) - c6 * mirrored(x, 6)
-        return -np.exp(-t) * (_cubic_bump(x) + s)
+        def mirrored(k):
+            return s ** (k - shift) + (1.0 - s) ** (k - shift)
 
-    return source
+        return c3 * mirrored(3) - c4 * mirrored(4) + c5 * mirrored(5) - c6 * mirrored(6)
+
+    return profile
+
+
+def _cubic_bump_source(profile):
+    """Source of the 1D cubic-bump examples for a given derivative profile."""
+    return lambda x, t: -np.exp(-t) * (_cubic_bump(x) + profile(x))
 
 
 def _two_sided_cubic(alpha: float) -> Problem1D:
@@ -320,7 +323,7 @@ def _two_sided_cubic(alpha: float) -> Problem1D:
         alpha=alpha,
         left_diffusivity=1.0,
         right_diffusivity=1.0,
-        source=_two_sided_source_terms(alpha, fractional=True),
+        source=_cubic_bump_source(_mirrored_fractional_profile(alpha, alpha)),
         initial=_cubic_bump,
         left_boundary=lambda t: 0.0,
         right_boundary=lambda t: 0.0,
@@ -335,7 +338,7 @@ def _variable_coeff_cubic(alpha: float) -> Problem1D:
         alpha=alpha,
         left_diffusivity=lambda x: np.asarray(x, dtype=float) ** alpha,
         right_diffusivity=lambda x: (1.0 - np.asarray(x, dtype=float)) ** alpha,
-        source=_two_sided_source_terms(alpha, fractional=False),
+        source=_cubic_bump_source(_mirrored_fractional_profile(alpha, 0.0)),
         initial=_cubic_bump,
         left_boundary=lambda t: 0.0,
         right_boundary=lambda t: 0.0,
@@ -343,28 +346,10 @@ def _variable_coeff_cubic(alpha: float) -> Problem1D:
     )
 
 
-def _mirrored_fractional_profile(order: float):
-    """x-profile of the source generated by a two-sided derivative of a cubic bump."""
-    c3 = gamma(4.0) / gamma(4.0 - order)
-    c4 = 3.0 * gamma(5.0) / gamma(5.0 - order)
-    c5 = 3.0 * gamma(6.0) / gamma(6.0 - order)
-    c6 = gamma(7.0) / gamma(7.0 - order)
-
-    def profile(s):
-        s = np.asarray(s, dtype=float)
-
-        def mirrored(k):
-            return s ** (k - order) + (1.0 - s) ** (k - order)
-
-        return c3 * mirrored(3) - c4 * mirrored(4) + c5 * mirrored(5) - c6 * mirrored(6)
-
-    return profile
-
-
 def _two_dim_cubic(alpha: float, beta: float) -> Problem2D:
     """2D two-sided diffusion, exact exp(-t) x**3 (1-x)**3 y**3 (1-y)**3."""
-    xprofile = _mirrored_fractional_profile(alpha)
-    yprofile = _mirrored_fractional_profile(beta)
+    xprofile = _mirrored_fractional_profile(alpha, alpha)
+    yprofile = _mirrored_fractional_profile(beta, beta)
 
     def source(x, y, t):
         x = np.asarray(x, dtype=float)

@@ -16,14 +16,17 @@ locally-one-dimensional variant and a dense small-grid oracle:
 - ``lod``      : fully decoupled sweeps with source terms swept along, the
                  only variant whose factorization error shows up in the
                  source handling;
-- ``full``     : dense Kronecker-product assembly of the unfactored
-                 two-level scheme, restricted to small grids and used as an
-                 equivalence oracle by the test suite.
+- ``full``     : the same factored two-level scheme, its Kronecker product
+                 assembled and solved densely, restricted to small grids and
+                 used as an equivalence oracle by the test suite.
 
-Interior unknowns are stored as arrays of shape ``(Nx-1, Ny-1)`` with the
-x index on axis 0, so a vectorization with x varying fastest corresponds to
-column-major flattening.  Each direction's implicit matrix is factored once
-per run and reused across steps and right-hand-side columns.
+Each splitting is a factory ``stepper(problem, config)`` that checks its
+preconditions and does its setup once — directional operators, and the
+factorization of each direction's implicit matrix (or of the dense product
+for ``full``) — and returns ``step(U, t_n) -> U_next``, which reuses that
+setup across steps and right-hand-side columns.  Interior unknowns are
+stored as arrays of shape ``(Nx-1, Ny-1)`` with the x index on axis 0, so a
+vectorization with x varying fastest corresponds to column-major flattening.
 
 Boundary handling: all splittings require vanishing Dirichlet data on the
 x-boundaries (the sweep order makes intermediate variables carry their
@@ -55,20 +58,23 @@ __all__ = [
     "SolverConfig2D",
     "Solution2D",
     "build_directional_operators",
-    "pr_adi_step",
-    "lod_step",
-    "full_cn_kron_solve",
+    "pr_adi_stepper",
+    "lod_stepper",
+    "full_cn_kron_stepper",
     "run_2d",
 ]
 
 SOLVER_SCHEMES = wt.PAIR_SCHEMES
 
 #: Splitting strategies: the factored scheme under its three names, the LOD
-#: scheme, and the dense unfactored oracle.
+#: scheme, and the dense Kronecker oracle of the factored scheme.
 SPLITTINGS = ("pr", "douglas", "dyakonov", "lod", "full")
 
 #: Grid-size cap for the dense Kronecker oracle.
 _FULL_MAX_N = 16
+
+#: One time step ``step(U, t_n) -> U_next`` of a set-up splitting.
+Stepper = Callable[[np.ndarray, float], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -149,25 +155,39 @@ def build_directional_operators(
     return dx, dy
 
 
-@dataclass
-class _Workspace2D:
-    """Per-run factorizations and grid data shared by the step functions."""
+def _grid(problem: Problem2D, config: SolverConfig2D):
+    """Spacings, interior x-nodes and interior mesh ``(hx, hy, xi, Xg, Yg)``."""
+    hx = (problem.bx - problem.ax) / config.Nx
+    hy = (problem.by - problem.ay) / config.Ny
+    xi = problem.ax + hx * np.arange(1, config.Nx)
+    yj = problem.ay + hy * np.arange(1, config.Ny)
+    return (hx, hy, xi, *np.meshgrid(xi, yj, indexing="ij"))
 
-    hx: float
-    hy: float
-    tau: float
-    xi: np.ndarray
-    yj: np.ndarray
-    Xg: np.ndarray
-    Yg: np.ndarray
-    Dx: np.ndarray
-    Dy: np.ndarray
-    lu_x: np.ndarray
-    piv_x: np.ndarray
-    lu_y: np.ndarray
-    piv_y: np.ndarray
-    cy0: np.ndarray
-    cyN: np.ndarray
+
+def _boundary_is_zero(problem: Problem2D, axis: str, T: float) -> bool:
+    """Sample the Dirichlet data on one pair of sides at the start, middle and end."""
+    nprobe = 13
+    if axis == "x":
+        span = np.linspace(problem.ay, problem.by, nprobe)
+        lines = ((np.full(nprobe, problem.ax), span), (np.full(nprobe, problem.bx), span))
+    else:
+        span = np.linspace(problem.ax, problem.bx, nprobe)
+        lines = ((span, np.full(nprobe, problem.ay)), (span, np.full(nprobe, problem.by)))
+    for t in (0.0, 0.5 * T, T):
+        for xs, ys in lines:
+            if np.max(np.abs(np.asarray(problem.boundary(xs, ys, t), dtype=float))) > 1e-14:
+                return False
+    return True
+
+
+def _check_boundaries(problem: Problem2D, T: float, homogeneous_for: str = "") -> None:
+    """Reject nonzero x-boundary data, and nonzero data on any side for a named variant."""
+    if not _boundary_is_zero(problem, "x", T):
+        raise ParameterError(
+            "the splitting steppers require vanishing Dirichlet data on the x-boundaries"
+        )
+    if homogeneous_for and not _boundary_is_zero(problem, "y", T):
+        raise ParameterError(f"{homogeneous_for} requires fully homogeneous Dirichlet data")
 
 
 def _factor(matrix: np.ndarray, context: str):
@@ -179,138 +199,69 @@ def _factor(matrix: np.ndarray, context: str):
     return lu, piv
 
 
-def _solve_x(ws: _Workspace2D, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - tau/2 Dx) along axis 0 for every y-column at once."""
-    out, info = lapack.dgetrs(ws.lu_x, ws.piv_x, rhs)
+def _solve(lu: np.ndarray, piv: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
+    out, info = lapack.dgetrs(lu, piv, rhs)
     if info != 0:  # pragma: no cover
-        raise SolverError(f"x-direction solve failed (code {info})")
+        raise SolverError(f"{context} solve failed (code {info})")
     return out
 
 
-def _solve_y(ws: _Workspace2D, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - tau/2 Dy) along axis 1 for every x-row at once."""
-    out, info = lapack.dgetrs(ws.lu_y, ws.piv_y, np.ascontiguousarray(rhs.T))
-    if info != 0:  # pragma: no cover
-        raise SolverError(f"y-direction solve failed (code {info})")
-    return out.T
-
-
-def _boundary_is_zero(problem: Problem2D, axis: str, times) -> bool:
-    """Sample the Dirichlet data on one pair of sides at a few times."""
-    nprobe = 13
-    if axis == "x":
-        span = np.linspace(problem.ay, problem.by, nprobe)
-        lines = ((np.full(nprobe, problem.ax), span), (np.full(nprobe, problem.bx), span))
-    else:
-        span = np.linspace(problem.ax, problem.bx, nprobe)
-        lines = ((span, np.full(nprobe, problem.ay)), (span, np.full(nprobe, problem.by)))
-    for t in times:
-        for xs, ys in lines:
-            if np.max(np.abs(np.asarray(problem.boundary(xs, ys, t), dtype=float))) > 1e-14:
-                return False
-    return True
-
-
-def _build_workspace(problem: Problem2D, config: SolverConfig2D) -> _Workspace2D:
-    hx = (problem.bx - problem.ax) / config.Nx
-    hy = (problem.by - problem.ay) / config.Ny
-    if config.splitting == "lod" and abs(hx - hy) > 1e-13 * max(hx, hy):
-        raise ParameterError(
-            f"splitting {config.splitting!r} assumes one spacing for both axes;"
-            f" got hx={hx!r}, hy={hy!r}"
-        )
-    times = (0.0, 0.5 * config.T, config.T)
-    if not _boundary_is_zero(problem, "x", times):
-        raise ParameterError(
-            "the splitting steppers require vanishing Dirichlet data on the x-boundaries"
-        )
-    if config.splitting in ("lod", "full") and not _boundary_is_zero(problem, "y", times):
-        raise ParameterError(
-            f"splitting {config.splitting!r} requires fully homogeneous Dirichlet data"
-        )
-    xi = problem.ax + hx * np.arange(1, config.Nx)
-    yj = problem.ay + hy * np.arange(1, config.Ny)
-    Xg, Yg = np.meshgrid(xi, yj, indexing="ij")
-    dx_op, dy_op = build_directional_operators(problem, config)
+def _sweeps(problem: Problem2D, config: SolverConfig2D, dx: np.ndarray, dy: np.ndarray):
+    """Factor both half-step systems once; return the x-sweep, the y-sweep and
+    the y-direction boundary columns ``(cy0, cyN)``."""
     a = 0.5 * config.tau
-    lu_x, piv_x = _factor(np.eye(config.Nx - 1) - a * dx_op, "x-direction factor")
-    lu_y, piv_y = _factor(np.eye(config.Ny - 1) - a * dy_op, "y-direction factor")
+    lu_x, piv_x = _factor(np.eye(config.Nx - 1) - a * dx, "x-direction factor")
+    lu_y, piv_y = _factor(np.eye(config.Ny - 1) - a * dy, "y-direction factor")
+
+    def solve_x(rhs: np.ndarray) -> np.ndarray:
+        """Solve (I - tau/2 Dx) along axis 0 for every y-column at once."""
+        return _solve(lu_x, piv_x, rhs, "x-direction")
+
+    def solve_y(rhs: np.ndarray) -> np.ndarray:
+        """Solve (I - tau/2 Dy) along axis 1 for every x-row at once."""
+        return _solve(lu_y, piv_y, np.ascontiguousarray(rhs.T), "y-direction").T
+
+    hy_beta = ((problem.by - problem.ay) / config.Ny) ** problem.beta
     left0, right0, left1, right1 = boundary_columns(problem.beta, config.scheme, config.Ny - 1)
-    cy0 = (problem.y_left_diffusivity * left0 + problem.y_right_diffusivity * right0) / (
-        hy**problem.beta
-    )
-    cyN = (problem.y_left_diffusivity * left1 + problem.y_right_diffusivity * right1) / (
-        hy**problem.beta
-    )
-    return _Workspace2D(
-        hx=hx,
-        hy=hy,
-        tau=config.tau,
-        xi=xi,
-        yj=yj,
-        Xg=Xg,
-        Yg=Yg,
-        Dx=dx_op,
-        Dy=dy_op,
-        lu_x=lu_x,
-        piv_x=piv_x,
-        lu_y=lu_y,
-        piv_y=piv_y,
-        cy0=cy0,
-        cyN=cyN,
-    )
+    cy0 = (problem.y_left_diffusivity * left0 + problem.y_right_diffusivity * right0) / hy_beta
+    cyN = (problem.y_left_diffusivity * left1 + problem.y_right_diffusivity * right1) / hy_beta
+    return solve_x, solve_y, cy0, cyN
 
 
-def _y_boundary_terms(ws: _Workspace2D, problem: Problem2D, t: float) -> np.ndarray:
-    """Boundary-column contribution of the y-direction Dirichlet data."""
-    g0 = np.asarray(problem.boundary(ws.xi, np.full_like(ws.xi, problem.ay), t), dtype=float)
-    g1 = np.asarray(problem.boundary(ws.xi, np.full_like(ws.xi, problem.by), t), dtype=float)
-    return g0[:, None] * ws.cy0[None, :] + g1[:, None] * ws.cyN[None, :]
-
-
-def _dy_apply(ws: _Workspace2D, problem: Problem2D, W: np.ndarray, t: float) -> np.ndarray:
-    """Full y-direction operator action, boundary data included."""
-    return W @ ws.Dy.T + _y_boundary_terms(ws, problem, t)
-
-
-def _midpoint_source(ws: _Workspace2D, problem: Problem2D, t_n: float) -> np.ndarray:
-    return np.asarray(problem.source(ws.Xg, ws.Yg, t_n + 0.5 * ws.tau), dtype=float)
-
-
-def pr_adi_step(
-    U: np.ndarray,
-    t_n: float,
-    problem: Problem2D,
-    config: SolverConfig2D,
-    *,
-    workspace: Optional[_Workspace2D] = None,
-) -> np.ndarray:
-    """One step of the two-half-sweep splitting.
+def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
+    """Set up the two-half-sweep splitting once; return its ``step(U, t_n)``.
 
     Stage 1 solves ``(I - tau/2 dx) V = (I + tau/2 dy) U + tau/2 F`` down
     the x direction; stage 2 solves ``(I - tau/2 dy) U_next =
     (I + tau/2 dx) V + tau/2 F`` across y, with the midpoint source shared
     by both stages.  This is the stepper of all three names of the factored
-    scheme: ``pr``, ``douglas`` and ``dyakonov``.
+    scheme: ``pr``, ``douglas`` and ``dyakonov``.  Accepts unequal spacings
+    and time-dependent data on the y-boundaries.
     """
-    ws = workspace if workspace is not None else _build_workspace(problem, config)
-    a = 0.5 * ws.tau
-    t_next = t_n + ws.tau
-    F = _midpoint_source(ws, problem, t_n)
-    V = _solve_x(ws, U + a * _dy_apply(ws, problem, U, t_n) + a * F)
-    rhs2 = V + a * (ws.Dx @ V) + a * F + a * _y_boundary_terms(ws, problem, t_next)
-    return _solve_y(ws, rhs2)
+    _, _, xi, Xg, Yg = _grid(problem, config)
+    _check_boundaries(problem, config.T)
+    dx, dy = build_directional_operators(problem, config)
+    solve_x, solve_y, cy0, cyN = _sweeps(problem, config, dx, dy)
+    tau = config.tau
+    a = 0.5 * tau
+    y_low, y_high = np.full_like(xi, problem.ay), np.full_like(xi, problem.by)
+
+    def y_boundary_terms(t: float) -> np.ndarray:
+        """Boundary-column contribution of the y-direction Dirichlet data."""
+        g0 = np.asarray(problem.boundary(xi, y_low, t), dtype=float)
+        g1 = np.asarray(problem.boundary(xi, y_high, t), dtype=float)
+        return g0[:, None] * cy0[None, :] + g1[:, None] * cyN[None, :]
+
+    def step(U: np.ndarray, t_n: float) -> np.ndarray:
+        F = np.asarray(problem.source(Xg, Yg, t_n + a), dtype=float)
+        V = solve_x(U + a * (U @ dy.T + y_boundary_terms(t_n)) + a * F)
+        return solve_y(V + a * (dx @ V) + a * F + a * y_boundary_terms(t_n + tau))
+
+    return step
 
 
-def lod_step(
-    U: np.ndarray,
-    t_n: float,
-    problem: Problem2D,
-    config: SolverConfig2D,
-    *,
-    workspace: Optional[_Workspace2D] = None,
-) -> np.ndarray:
-    """One step of the fully decoupled splitting.
+def lod_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
+    """Set up the fully decoupled splitting once; return its ``step(U, t_n)``.
 
     Stage 1 solves ``(I - tau/2 dx) V = (I + tau/2 dx)(U + tau/2 F)`` down
     x; stage 2 solves ``(I - tau/2 dy) U_next = (I + tau/2 dy) V + tau/2
@@ -318,98 +269,98 @@ def lod_step(
     the interior stencil only, while stage 2's y-operator is boundary-aware:
     stage 1 is also applied along the two y-boundary lines (where the
     solution vanishes but the source does not), and those swept lines feed
-    the y-direction boundary columns of stage 2.  Requires fully
-    homogeneous Dirichlet data.
+    the y-direction boundary columns of stage 2.  Requires one spacing for
+    both axes and fully homogeneous Dirichlet data.
     """
-    ws = workspace if workspace is not None else _build_workspace(problem, config)
-    a = 0.5 * ws.tau
-    t_mid = t_n + a
-    F = _midpoint_source(ws, problem, t_n)
-    f_low = np.asarray(
-        problem.source(ws.xi, np.full_like(ws.xi, problem.ay), t_mid), dtype=float
-    )
-    f_high = np.asarray(
-        problem.source(ws.xi, np.full_like(ws.xi, problem.by), t_mid), dtype=float
-    )
-    V = _solve_x(ws, U + a * (ws.Dx @ U) + a * (F + a * (ws.Dx @ F)))
-    v_low = _solve_x(ws, a * (f_low + a * (ws.Dx @ f_low)))
-    v_high = _solve_x(ws, a * (f_high + a * (ws.Dx @ f_high)))
-    dy_v = V @ ws.Dy.T + v_low[:, None] * ws.cy0[None, :] + v_high[:, None] * ws.cyN[None, :]
-    dy_f = F @ ws.Dy.T + f_low[:, None] * ws.cy0[None, :] + f_high[:, None] * ws.cyN[None, :]
-    rhs2 = V + a * dy_v + a * (F - a * dy_f)
-    return _solve_y(ws, rhs2)
+    hx, hy, xi, Xg, Yg = _grid(problem, config)
+    if abs(hx - hy) > 1e-13 * max(hx, hy):
+        raise ParameterError(
+            f"splitting 'lod' assumes one spacing for both axes; got hx={hx!r}, hy={hy!r}"
+        )
+    _check_boundaries(problem, config.T, homogeneous_for="splitting 'lod'")
+    dx, dy = build_directional_operators(problem, config)
+    solve_x, solve_y, cy0, cyN = _sweeps(problem, config, dx, dy)
+    a = 0.5 * config.tau
+    y_low, y_high = np.full_like(xi, problem.ay), np.full_like(xi, problem.by)
+
+    def step(U: np.ndarray, t_n: float) -> np.ndarray:
+        t_mid = t_n + a
+        F = np.asarray(problem.source(Xg, Yg, t_mid), dtype=float)
+        f_low = np.asarray(problem.source(xi, y_low, t_mid), dtype=float)
+        f_high = np.asarray(problem.source(xi, y_high, t_mid), dtype=float)
+        V = solve_x(U + a * (dx @ U) + a * (F + a * (dx @ F)))
+        v_low = solve_x(a * (f_low + a * (dx @ f_low)))
+        v_high = solve_x(a * (f_high + a * (dx @ f_high)))
+        dy_v = V @ dy.T + v_low[:, None] * cy0[None, :] + v_high[:, None] * cyN[None, :]
+        dy_f = F @ dy.T + f_low[:, None] * cy0[None, :] + f_high[:, None] * cyN[None, :]
+        return solve_y(V + a * dy_v + a * (F - a * dy_f))
+
+    return step
 
 
-def full_cn_kron_solve(
-    U: np.ndarray,
-    t_n: float,
-    problem: Problem2D,
-    config: SolverConfig2D,
-    *,
-    workspace: Optional[_Workspace2D] = None,
-) -> np.ndarray:
-    """One step of the unfactored two-level scheme via dense Kronecker assembly.
+def full_cn_kron_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
+    """Set up the factored two-level scheme as one dense system; return its ``step``.
 
-    Builds ``(I - tau/2 Kx)(I - tau/2 Ky)`` and ``(I + tau/2 Kx)(I + tau/2
-    Ky)`` as dense matrices of order ``(Nx-1)(Ny-1)`` — where ``Kx``/``Ky``
-    are the Kronecker liftings of the directional operators under x-fastest
-    vectorization — and solves directly.  Capped at 16 intervals per axis;
-    requires fully homogeneous Dirichlet data.
+    Builds ``(I + tau/2 Kx)(I + tau/2 Ky)`` and factors
+    ``(I - tau/2 Kx)(I - tau/2 Ky)`` once, as dense matrices of order
+    ``(Nx-1)(Ny-1)`` — where ``Kx``/``Ky`` are the Kronecker liftings of the
+    directional operators under x-fastest vectorization — so each step is
+    one product and one direct solve of the same factored product the sweeps
+    split.  Capped at 16 intervals per axis; requires fully homogeneous
+    Dirichlet data.
     """
     if max(config.Nx, config.Ny) > _FULL_MAX_N:
         raise ParameterError(
             f"the dense oracle is capped at N={_FULL_MAX_N} per axis"
             f" (got {config.Nx}x{config.Ny})"
         )
-    ws = workspace if workspace is not None else _build_workspace(problem, config)
-    times = (t_n, t_n + ws.tau)
-    if not (_boundary_is_zero(problem, "x", times) and _boundary_is_zero(problem, "y", times)):
-        raise ParameterError("the dense oracle requires fully homogeneous Dirichlet data")
-    nx = config.Nx - 1
-    ny = config.Ny - 1
-    a = 0.5 * ws.tau
-    kx = np.kron(np.eye(ny), ws.Dx)
-    ky = np.kron(ws.Dy, np.eye(nx))
+    _, _, _, Xg, Yg = _grid(problem, config)
+    _check_boundaries(problem, config.T, homogeneous_for="the dense oracle")
+    dx, dy = build_directional_operators(problem, config)
+    nx, ny = config.Nx - 1, config.Ny - 1
+    tau = config.tau
+    a = 0.5 * tau
+    kx = np.kron(np.eye(ny), dx)
+    ky = np.kron(dy, np.eye(nx))
     eye = np.eye(nx * ny)
-    lhs = (eye - a * kx) @ (eye - a * ky)
+    lu, piv = _factor((eye - a * kx) @ (eye - a * ky), "dense two-level solve")
     rhs_mat = (eye + a * kx) @ (eye + a * ky)
-    F = _midpoint_source(ws, problem, t_n)
-    u_vec = U.flatten(order="F")
-    rhs = rhs_mat @ u_vec + ws.tau * F.flatten(order="F")
-    lu, piv = _factor(lhs, "dense two-level solve")
-    out, info = lapack.dgetrs(lu, piv, rhs)
-    if info != 0:  # pragma: no cover
-        raise SolverError(f"dense two-level solve failed (code {info})")
-    return out.reshape((nx, ny), order="F")
+
+    def step(U: np.ndarray, t_n: float) -> np.ndarray:
+        F = np.asarray(problem.source(Xg, Yg, t_n + a), dtype=float)
+        rhs = rhs_mat @ U.flatten(order="F") + tau * F.flatten(order="F")
+        return _solve(lu, piv, rhs, "dense two-level").reshape((nx, ny), order="F")
+
+    return step
 
 
-_STEPPERS: dict[str, Callable] = {
-    "pr": pr_adi_step,
-    "douglas": pr_adi_step,
-    "dyakonov": pr_adi_step,
-    "lod": lod_step,
-    "full": full_cn_kron_solve,
+_STEPPERS: dict[str, Callable[[Problem2D, SolverConfig2D], Stepper]] = {
+    "pr": pr_adi_stepper,
+    "douglas": pr_adi_stepper,
+    "dyakonov": pr_adi_stepper,
+    "lod": lod_stepper,
+    "full": full_cn_kron_stepper,
 }
 
 
 def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution2D:
     """Integrate a 2D problem from its initial state to the final time."""
-    ws = _build_workspace(problem, config)
-    step = _STEPPERS[config.splitting]
+    step = _STEPPERS[config.splitting](problem, config)
+    hx, hy, _, Xg, Yg = _grid(problem, config)
     U = np.empty((config.Nx - 1, config.Ny - 1))
-    U[:, :] = problem.initial(ws.Xg, ws.Yg)
+    U[:, :] = problem.initial(Xg, Yg)
     norm_history = np.empty(config.M + 1)
-    norm_history[0] = l2_norm(U, ws.hx, ws.hy)
+    norm_history[0] = l2_norm(U, hx, hy)
     t_next = 0.0
     for n in range(config.M):
-        U = step(U, n * ws.tau, problem, config, workspace=ws)
-        t_next = (n + 1) * ws.tau
-        norm_history[n + 1] = l2_norm(U, ws.hx, ws.hy)
+        U = step(U, n * config.tau)
+        t_next = (n + 1) * config.tau
+        norm_history[n + 1] = l2_norm(U, hx, hy)
         if not np.isfinite(norm_history[n + 1]):
             raise SolverError(f"non-finite solution at step {n + 1} (t={t_next!r})")
 
-    x_full = problem.ax + ws.hx * np.arange(config.Nx + 1)
-    y_full = problem.ay + ws.hy * np.arange(config.Ny + 1)
+    x_full = problem.ax + hx * np.arange(config.Nx + 1)
+    y_full = problem.ay + hy * np.arange(config.Ny + 1)
     values = np.empty((config.Nx + 1, config.Ny + 1))
     values[1 : config.Nx, 1 : config.Ny] = U
     values[0, :] = problem.boundary(np.full_like(y_full, problem.ax), y_full, t_next)
@@ -426,7 +377,7 @@ def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution2D:
         norm_history=norm_history,
     )
     if problem.exact is not None:
-        e = U - np.asarray(problem.exact(ws.Xg, ws.Yg, t_next), dtype=float)
+        e = U - np.asarray(problem.exact(Xg, Yg, t_next), dtype=float)
         sol.max_err_final = max_norm(e)
-        sol.l2_err_final = l2_norm(e, ws.hx, ws.hy)
+        sol.l2_err_final = l2_norm(e, hx, hy)
     return sol

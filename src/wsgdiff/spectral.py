@@ -26,6 +26,7 @@ from .errors import ParameterError
 from .operators import ToeplitzOperator
 
 __all__ = [
+    "SPECTRAL_SCHEMES",
     "GeneratingFunctionScan",
     "CertificationResult",
     "generating_function",
@@ -35,7 +36,7 @@ __all__ = [
 ]
 
 #: Schemes with a closed-form generating function.
-_SCHEMES = (wt.P1Q0, wt.P1QM1, wt.PQR)
+SPECTRAL_SCHEMES = (wt.P1Q0, wt.P1QM1, wt.PQR)
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,9 @@ def generating_function(alpha: float, scheme: str, x):
         lam1, lam2, lam3 = wt.wsgd3_lambdas(alpha, 1, 0, -1)
         bracket = lam1 * np.cos(theta - xs) + lam2 * np.cos(theta) + lam3 * np.cos(theta + xs)
     else:
-        raise ParameterError(f"unsupported scheme {scheme!r}; expected one of {_SCHEMES!r}")
+        raise ParameterError(
+            f"unsupported scheme {scheme!r}; expected one of {SPECTRAL_SCHEMES!r}"
+        )
     out = np.where(xs == 0.0, 0.0, s * bracket)
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 

@@ -32,11 +32,11 @@ from wsgdiff import (
     build_directional_operators,
     certify_negative_definite,
     cn_wsgd_run,
-    full_cn_kron_solve,
-    lod_step,
+    full_cn_kron_stepper,
+    lod_stepper,
     make_example,
     operator_weights,
-    pr_adi_step,
+    pr_adi_stepper,
     rayleigh_bound_check,
     run_2d,
     steady_solve_3wsgd,
@@ -277,7 +277,7 @@ def test_criterion_7_zero_source_stability():
     # 2D: both splitting steppers, random initial data, 200 steps
     n2 = 16
     h2 = 1.0 / n2
-    steppers = (pr_adi_step, lod_step)
+    steppers = (pr_adi_stepper, lod_stepper)
     rng = np.random.default_rng(21)
     for ratio in (1.0, 10.0):
         for alpha, beta in ((1.2, 1.8), (1.5, 1.5), (1.9, 1.1)):
@@ -298,10 +298,11 @@ def test_criterion_7_zero_source_stability():
             cfg2 = SolverConfig2D(Nx=n2, Ny=n2, M=steps2, T=steps2 * tau)
             u0 = rng.standard_normal((n2 - 1, n2 - 1))
             for step_fn in steppers:
+                step = step_fn(problem, cfg2)
                 u = u0.copy()
                 norm0 = l2_norm(u, h2, h2)
                 for k in range(steps2):
-                    u = step_fn(u, k * tau, problem, cfg2)
+                    u = step(u, k * tau)
                     assert l2_norm(u, h2, h2) <= norm0 * (1.0 + 1e-10), (
                         ratio,
                         alpha,
@@ -372,8 +373,8 @@ def test_criterion_8_cross_validation():
     cfg_full = SolverConfig2D(Nx=8, Ny=8, M=10, splitting="full")
     u0 = rng.standard_normal((7, 7))
     t_n = 0.3
-    want = full_cn_kron_solve(u0, t_n, problem, cfg_full)
-    got = pr_adi_step(u0, t_n, problem, cfg)
+    want = full_cn_kron_stepper(problem, cfg_full)(u0, t_n)
+    got = pr_adi_stepper(problem, cfg)(u0, t_n)
     assert np.max(np.abs(got - want)) < 1e-10
 
     #     the decoupled splitting against the corrected factored oracle, on a
@@ -398,7 +399,7 @@ def test_criterion_8_cross_validation():
     xi = np.linspace(0.0, 1.0, 9)[1:-1]
     xg, yg = np.meshgrid(xi, xi, indexing="ij")
     f_mid = lod_problem.source(xg, yg, t_n + 0.5 * cfg_lod.tau)
-    got_lod = lod_step(u0, t_n, lod_problem, cfg_lod)
+    got_lod = lod_stepper(lod_problem, cfg_lod)(u0, t_n)
     want_lod = kron_two_level_step(
         dx, dy, u0, f_mid, cfg_lod.tau, lod_source_correction=True
     )
@@ -446,7 +447,7 @@ def test_criterion_8_cross_validation():
     u0_2d = rng.standard_normal((7, 7))
     xg2, yg2 = np.meshgrid(xi1, xi1, indexing="ij")
     f_mid2 = heat2.source(xg2, yg2, t_n + 0.5 * cfg2.tau)
-    got_2d = pr_adi_step(u0_2d, t_n, heat2, cfg2)
+    got_2d = pr_adi_stepper(heat2, cfg2)(u0_2d, t_n)
     want_2d = classical_pr_adi_heat_step(u0_2d, f_mid2, cfg2.tau, 0.125, 0.125)
     assert np.max(np.abs(got_2d - want_2d)) < 1e-11
 

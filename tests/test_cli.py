@@ -81,8 +81,8 @@ def test_coeffs_rejects_out_of_range_order(capsys):
 def test_spectrum_degenerate_order_upwind_pair(capsys):
     rc = main(["spectrum", "--alpha", "1.0", "--scheme", "p1q0", "--samples", "128"])
     assert rc == 0
-    out = capsys.readouterr().out
-    body, summary = out.rsplit("\n", 2)[0], out.splitlines()[-1]
+    captured = capsys.readouterr()
+    body, summary = captured.out, captured.err
     fs = [abs(float(r[1])) for r in _parse_csv(body)[1:]]
     assert max(fs) <= 1e-14
     assert "sign change: no" in summary
@@ -91,8 +91,8 @@ def test_spectrum_degenerate_order_upwind_pair(capsys):
 def test_spectrum_degenerate_order_centered_pair(capsys):
     rc = main(["spectrum", "--alpha", "1.0", "--scheme", "p1qm1", "--samples", "256"])
     assert rc == 0
-    out = capsys.readouterr().out
-    rows = _parse_csv("\n".join(out.splitlines()[:-1]))[1:]
+    rows = _parse_csv(capsys.readouterr().out)[1:]
+    assert len(rows) == 256
     xs = np.array([float(r[0]) for r in rows])
     fs = np.array([float(r[1]) for r in rows])
     np.testing.assert_allclose(fs, -2.0 * np.sin(xs / 2.0) ** 4, rtol=0, atol=1e-12)
@@ -104,7 +104,7 @@ def test_spectrum_triple_scheme_reports_sign_change(tmp_path, capsys):
         ["spectrum", "--alpha", "1.5", "--scheme", "pqr", "--samples", "4096", "--out", str(target)]
     )
     assert rc == 0
-    summary = capsys.readouterr().out
+    summary = capsys.readouterr().err
     assert "sign change: yes" in summary
     assert "max 3.53553E-01" in summary
     assert len(_parse_csv(target.read_text())) == 4097
@@ -127,7 +127,7 @@ def test_solve1d_steady_summary_and_solution(tmp_path, capsys):
         ["solve1d", "--example", "ex0", "--alpha", "1.1", "--n", "8", "--out", str(target)]
     )
     assert rc == 0
-    summary = capsys.readouterr().out
+    summary = capsys.readouterr().err
     assert summary.startswith("max error ")
     max_err = float(summary.split("max error ")[1].split(";")[0])
     l2_err = float(summary.split("l2 error ")[1].strip())
@@ -144,9 +144,9 @@ def test_solve1d_steady_summary_and_solution(tmp_path, capsys):
 def test_solve1d_time_dependent_runs(capsys):
     rc = main(["solve1d", "--example", "ex1", "--alpha", "1.5", "--n", "16", "--m", "8"])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "max error" in out
-    rows = _parse_csv("\n".join(out.splitlines()[:-1]))
+    captured = capsys.readouterr()
+    assert "max error" in captured.err
+    rows = _parse_csv(captured.out)
     assert len(rows) == 18  # header + 17 nodes
 
 
@@ -166,7 +166,7 @@ def test_solve2d_full_grid_output(tmp_path, capsys):
     target = tmp_path / "u2.csv"
     rc = main(["solve2d", "--n", "8", "--m", "4", "--out", str(target)])
     assert rc == 0
-    assert "max error" in capsys.readouterr().out
+    assert "max error" in capsys.readouterr().err
     rows = _parse_csv(target.read_text())
     assert rows[0] == ["x", "y", "u"]
     assert len(rows) == 1 + 81
@@ -196,7 +196,7 @@ def test_converge_steady_reproduces_reference_rows(tmp_path, capsys):
         ]
     )
     assert rc == 0
-    progress = capsys.readouterr().out
+    progress = capsys.readouterr().err
     assert "[ex0 pqr alpha=1.1] N=8 done" in progress
     assert "[ex0 pqr alpha=1.1] N=32 done" in progress
     records = read_report_csv(str(report))
@@ -252,6 +252,56 @@ def test_converge_report_roundtrip_is_exact(tmp_path):
     assert first[1].rate_max is not None
 
 
+def test_converge_stdout_is_only_the_report(tmp_path, capsys):
+    # progress goes to stderr, so `wsgdiff converge ... > t.csv` parses back
+    args = ["converge", "--example", "ex1", "--alpha", "1.5", "--resolutions", "8,16"]
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    assert "[ex1 p1q0 alpha=1.5] N=16 done" in captured.err
+    piped, written = tmp_path / "piped.csv", tmp_path / "written.csv"
+    piped.write_text(captured.out)
+    assert main(args + ["--out", str(written)]) == 0
+    assert piped.read_text() == written.read_text()
+    assert [rec.N for rec in read_report_csv(str(piped))] == [8, 16]
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--theta", "abc"), ("--beta", "xyz"), ("--alpha", "1.5,x")]
+)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_converge_malformed_number_is_usage_error(tmp_path, capsys, flag, value, source):
+    args = ["converge", "--example", "ex4", "--splitting", "pr", "--resolutions", "8,16"]
+    settings = {"--alpha": "1.2", flag: value}
+    if source == "flag":
+        args += [item for pair in settings.items() for item in pair]
+    else:
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("".join(f"{key[2:]} = {val}\n" for key, val in settings.items()))
+        args += ["--config", str(cfg)]
+    assert main(args) == 2
+    assert "malformed number" in capsys.readouterr().err
+
+
+def test_converge_rejects_unknown_source_sampling(capsys):
+    rc = main(
+        [
+            "converge",
+            "--example",
+            "ex4",
+            "--alpha",
+            "1.2",
+            "--splitting",
+            "pr",
+            "--resolutions",
+            "8,16",
+            "--source-sampling",
+            "bogus",
+        ]
+    )
+    assert rc == 2
+    assert "unknown source sampling" in capsys.readouterr().err
+
+
 def test_converge_markdown_output(capsys):
     rc = main(
         [
@@ -292,7 +342,7 @@ def test_converge_2d_study_includes_splitting_column(tmp_path, capsys):
         ]
     )
     assert rc == 0
-    assert "[ex4/pr p1q0 alpha=1.2] N=16 done" in capsys.readouterr().out
+    assert "[ex4/pr p1q0 alpha=1.2] N=16 done" in capsys.readouterr().err
     with open(report, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert all(row["splitting"] == "pr" for row in rows)

@@ -5,10 +5,12 @@ discrete stability, and the frozen 2D benchmark anchors."""
 from __future__ import annotations
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
 
+from wsgdiff import solve2d
 from wsgdiff import (
     P1Q0,
     ParameterError,
@@ -17,10 +19,10 @@ from wsgdiff import (
     SolverConfig2D,
     build_directional_operators,
     convergence_rate,
-    full_cn_kron_solve,
-    lod_step,
+    full_cn_kron_stepper,
+    lod_stepper,
     make_example,
-    pr_adi_step,
+    pr_adi_stepper,
     run_2d,
 )
 
@@ -89,19 +91,19 @@ def test_directional_operators_respect_orders_and_spacing():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("step_fn", [pr_adi_step])
+@pytest.mark.parametrize("step_fn", [pr_adi_stepper])
 def test_adi_steps_match_dense_factored_solve(step_fn):
     p = make_example("ex4", 1.2, 1.8)
     cfg = SolverConfig2D(Nx=8, Ny=8, M=10)
     rng = np.random.default_rng(11)
     u0 = rng.standard_normal((7, 7))
     t_n = 0.3
-    got = step_fn(u0, t_n, p, cfg)
-    want = full_cn_kron_solve(u0, t_n, p, SolverConfig2D(Nx=8, Ny=8, M=10, splitting="full"))
+    got = step_fn(p, cfg)(u0, t_n)
+    want = full_cn_kron_stepper(p, SolverConfig2D(Nx=8, Ny=8, M=10, splitting="full"))(u0, t_n)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
-@pytest.mark.parametrize("step_fn", [pr_adi_step])
+@pytest.mark.parametrize("step_fn", [pr_adi_stepper])
 def test_adi_steps_match_independent_kron_oracle(step_fn):
     p = make_example("ex4", 1.5, 1.3)
     cfg = SolverConfig2D(Nx=8, Ny=8, M=8)
@@ -111,7 +113,7 @@ def test_adi_steps_match_independent_kron_oracle(step_fn):
     t_n = 0.125
     xg, yg = _interior_grid(p, 8, 8)
     f_mid = p.source(xg, yg, t_n + 0.5 * cfg.tau)
-    got = step_fn(u0, t_n, p, cfg)
+    got = step_fn(p, cfg)(u0, t_n)
     want = kron_two_level_step(dx, dy, u0, f_mid, cfg.tau)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
 
@@ -131,7 +133,7 @@ def test_lod_step_matches_corrected_kron_oracle():
     t_n = 0.2
     xg, yg = _interior_grid(p, 8, 8)
     f_mid = p.source(xg, yg, t_n + 0.5 * cfg.tau)
-    got = lod_step(u0, t_n, p, cfg)
+    got = lod_stepper(p, cfg)(u0, t_n)
     want = kron_two_level_step(dx, dy, u0, f_mid, cfg.tau, lod_source_correction=True)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
     # without the correction the two disagree beyond roundoff
@@ -149,7 +151,7 @@ def test_lod_boundary_sweep_matters_when_source_touches_boundary():
     u0 = np.zeros((7, 7))
     xg, yg = _interior_grid(p, 8, 8)
     f_mid = p.source(xg, yg, 0.5 * cfg.tau)
-    got = lod_step(u0, 0.0, p, cfg)
+    got = lod_stepper(p, cfg)(u0, 0.0)
     naive = kron_two_level_step(dx, dy, u0, f_mid, cfg.tau, lod_source_correction=True)
     assert np.max(np.abs(got - naive)) > 1e-12
 
@@ -173,7 +175,7 @@ def test_classical_limit_matches_heat_adi_oracle():
     t_n = 0.3
     xg, yg = _interior_grid(p, 8, 8)
     f_mid = p.source(xg, yg, t_n + 0.5 * cfg.tau)
-    got = pr_adi_step(u0, t_n, p, cfg)
+    got = pr_adi_stepper(p, cfg)(u0, t_n)
     want = classical_pr_adi_heat_step(u0, f_mid, cfg.tau, 0.125, 0.125)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
 
@@ -321,6 +323,41 @@ def test_non_finite_solution_raises_with_step_and_time(splitting):
     )
     with pytest.raises(SolverError, match=r"step 3 \(t=0\.75\)"):
         run_2d(p, SolverConfig2D(Nx=8, Ny=8, M=4, splitting=splitting))
+
+
+@pytest.mark.parametrize("splitting", ["pr", "douglas", "dyakonov", "lod"])
+def test_steppers_check_their_own_preconditions(splitting):
+    # each factory checks what its own scheme needs, whatever splitting the
+    # config names; the two-half-sweep stepper accepts both problems
+    cfg = SolverConfig2D(Nx=8, Ny=8, M=2, splitting=splitting)
+    skewed = _custom_2d(by=2.0)
+    y_data = _custom_2d(
+        boundary=lambda x, y, t: np.asarray(x) * (1.0 - np.asarray(x)) + 0.0 * np.asarray(y)
+    )
+    with pytest.raises(ParameterError, match="one spacing"):
+        lod_stepper(skewed, cfg)
+    with pytest.raises(ParameterError, match="fully homogeneous"):
+        lod_stepper(y_data, cfg)
+    with pytest.raises(ParameterError, match="fully homogeneous"):
+        full_cn_kron_stepper(y_data, cfg)
+    with pytest.raises(ParameterError, match="capped"):
+        full_cn_kron_stepper(_custom_2d(), dataclasses.replace(cfg, Nx=32, Ny=32))
+    for p in (skewed, y_data):
+        assert pr_adi_stepper(p, cfg)(np.zeros((7, 7)), 0.0).shape == (7, 7)
+
+
+def test_full_factors_once_per_run(monkeypatch):
+    real = solve2d.lapack
+    shapes = []
+
+    def dgetrf(matrix):
+        shapes.append(matrix.shape)
+        return real.dgetrf(matrix)
+
+    monkeypatch.setattr(solve2d, "lapack", types.SimpleNamespace(dgetrf=dgetrf, dgetrs=real.dgetrs))
+    sol = run_2d(make_example("ex4", 1.2, 1.8), SolverConfig2D(Nx=8, Ny=8, M=6, splitting="full"))
+    assert shapes == [(49, 49)]
+    assert sol.norm_history.size == 7
 
 
 def test_full_solver_size_cap():
