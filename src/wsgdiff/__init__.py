@@ -11,11 +11,11 @@ tables; see the README for usage.
 
 Module map:
 
-- :mod:`wsgdiff.weights`   — weight sequences and their sign/monotonicity
-  properties;
-- :mod:`wsgdiff.operators` — Toeplitz assembly, stencil application,
-  boundary columns, direct and FFT matvec;
-- :mod:`wsgdiff.spectral`  — generating functions, sign scans,
+- :mod:`wsgdiff.weights`   — the scheme table ``SHIFTS``, every weight
+  sequence as one weighted-shifted sum, sign/monotonicity properties;
+- :mod:`wsgdiff.operators` — one Toeplitz layout for every scheme, stencil
+  application, boundary columns, direct and FFT matvec;
+- :mod:`wsgdiff.spectral`  — one generating-function formula, sign scans,
   negative-definiteness certification;
 - :mod:`wsgdiff.problems`  — benchmark catalog, norms, convergence rates;
 - :mod:`wsgdiff.solve1d`   — steady third-order solve and theta-weighted
@@ -50,7 +50,6 @@ from .operators import (
     ToeplitzOperator,
     apply_left_wsgd,
     apply_right_wsgd,
-    assemble_3wsgd_matrix,
     assemble_shifted_pair_matrix,
     assemble_wsgd_matrix,
     boundary_columns,
@@ -118,7 +117,6 @@ __all__ = [
     "ToeplitzOperator",
     "apply_left_wsgd",
     "apply_right_wsgd",
-    "assemble_3wsgd_matrix",
     "assemble_shifted_pair_matrix",
     "assemble_wsgd_matrix",
     "boundary_columns",

@@ -42,6 +42,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -91,7 +92,11 @@ def _rate_str(rate: Optional[float]) -> str:
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Fully resolved configuration of one convergence study."""
+    """Fully resolved configuration of one convergence study.
+
+    Settings the example would ignore are rejected: ``beta`` or splittings
+    in 1D, and any scheme but ``"pqr"`` for ``ex0``.
+    """
 
     example: ExampleId
     alphas: tuple[float, ...]
@@ -115,10 +120,31 @@ class StudyConfig:
                 )
         if not self.alphas:
             raise ParameterError("need at least one alpha")
+        if not self.schemes:
+            raise ParameterError("need at least one scheme")
         if self.fmt not in _FORMATS:
             raise ParameterError(f"unknown format {self.fmt!r}; expected one of {_FORMATS!r}")
-        if self.example is ExampleId.TWO_DIMENSIONAL and not self.splittings:
-            raise ParameterError("2D studies need at least one splitting")
+        allowed = (wt.PQR,) if self.example is ExampleId.STEADY else wt.PAIR_SCHEMES
+        for scheme in self.schemes:
+            if scheme not in allowed:
+                raise ParameterError(
+                    f"unsupported scheme {scheme!r} for {self.example.value} studies;"
+                    f" expected one of {allowed!r}"
+                )
+        for splitting in self.splittings:
+            if splitting not in SPLITTINGS:
+                raise ParameterError(
+                    f"unknown splitting {splitting!r}; expected one of {SPLITTINGS!r}"
+                )
+        if self.example is ExampleId.TWO_DIMENSIONAL:
+            if not self.splittings:
+                raise ParameterError("2D studies need at least one splitting")
+        elif self.beta is not None or self.splittings:
+            raise ParameterError(
+                f"example {self.example.value} is 1D; beta and splittings do not apply"
+            )
+        if not math.isfinite(self.theta):
+            raise ParameterError(f"theta must be finite, got {self.theta}")
         if self.source_sampling not in SOURCE_SAMPLING:
             raise ParameterError(
                 f"unknown source sampling {self.source_sampling!r};"
@@ -266,18 +292,16 @@ def _study_case_errors(
     config: StudyConfig, alpha: float, scheme: str, splitting: Optional[str], n: int
 ) -> tuple[float, float]:
     """Run one (alpha, scheme, splitting, N) cell and return its error pair."""
+    problem = make_example(config.example, alpha, config.beta)
     if config.example is ExampleId.STEADY:
-        problem = make_example(config.example, alpha)
         sol = steady_solve_3wsgd(problem, n)
         return sol.max_err_final, sol.l2_err_final
     if config.example is ExampleId.TWO_DIMENSIONAL:
-        problem = make_example(config.example, alpha, config.beta)
         sol2 = run_2d(
             problem,
             SolverConfig2D(Nx=n, Ny=n, M=n, scheme=scheme, splitting=splitting),
         )
         return sol2.max_err_final, sol2.l2_err_final
-    problem = make_example(config.example, alpha)
     sol1 = cn_wsgd_run(
         problem,
         SolverConfig1D(
@@ -293,14 +317,8 @@ def _study_case_errors(
 
 def _study_blocks(config: StudyConfig):
     """Yield (block label fields, records) per (splitting, scheme, alpha)."""
-    splittings: tuple[Optional[str], ...]
-    if config.example is ExampleId.TWO_DIMENSIONAL:
-        splittings = config.splittings
-    else:
-        splittings = (None,)
-    schemes = ("pqr",) if config.example is ExampleId.STEADY else config.schemes
-    for splitting in splittings:
-        for scheme in schemes:
+    for splitting in config.splittings or (None,):
+        for scheme in config.schemes:
             for alpha in config.alphas:
                 records = []
                 for n in config.resolutions:
@@ -427,9 +445,10 @@ def _resolve_study(args: argparse.Namespace) -> StudyConfig:
     def pick(flag_value, key: str):
         return flag_value if flag_value is not None else file_entries.get(key)
 
-    example = pick(args.example, "example")
-    if example is None:
+    example_raw = pick(args.example, "example")
+    if example_raw is None:
         raise ParameterError("converge needs an example (flag --example or config key)")
+    example = ExampleId.from_tag(example_raw)
     alphas_raw = pick(args.alpha, "alpha")
     if alphas_raw is None:
         raise ParameterError("converge needs at least one alpha")
@@ -445,28 +464,15 @@ def _resolve_study(args: argparse.Namespace) -> StudyConfig:
         theta = float(theta_raw) if theta_raw is not None else 0.5
     except ValueError as exc:
         raise ParameterError(f"malformed number: {exc}") from None
-    schemes_raw = pick(args.scheme, "scheme") or wt.P1Q0
+    default_scheme = wt.PQR if example is ExampleId.STEADY else wt.P1Q0
     splittings_raw = pick(args.splitting, "splitting")
-    schemes = tuple(_split_list(schemes_raw))
-    for scheme in schemes:
-        if scheme not in wt.PAIR_SCHEMES:
-            raise ParameterError(
-                f"unsupported scheme {scheme!r} for solver studies;"
-                f" expected one of {wt.PAIR_SCHEMES!r}"
-            )
-    splittings = tuple(_split_list(splittings_raw)) if splittings_raw else ()
-    for splitting in splittings:
-        if splitting not in SPLITTINGS:
-            raise ParameterError(
-                f"unknown splitting {splitting!r}; expected one of {SPLITTINGS!r}"
-            )
     return StudyConfig(
-        example=ExampleId.from_tag(example),
+        example=example,
         alphas=alphas,
-        schemes=schemes,
+        schemes=tuple(_split_list(pick(args.scheme, "scheme") or default_scheme)),
         resolutions=resolutions,
         beta=beta,
-        splittings=splittings,
+        splittings=tuple(_split_list(splittings_raw)) if splittings_raw else (),
         theta=theta,
         source_sampling=pick(args.source_sampling, "source-sampling") or "average",
         fmt=pick(args.format, "format") or "csv",

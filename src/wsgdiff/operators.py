@@ -1,15 +1,15 @@
 """Toeplitz difference matrices and grid-operator application.
 
 The weighted-shifted difference approximations act on a uniform grid
-``x_i = a + i h`` as lower-Hessenberg Toeplitz matrices: with diagonal-shift
-one (all schemes used by the solvers have largest shift ``p = 1``), the
-matrix entry at (i, j) is ``w_{i-j+1}``, so the superdiagonal carries
-``w_0`` and the main diagonal ``w_1``.  This module assembles those
-matrices, applies the left/right operators directly to grid functions
-(stencil-wise, without forming a matrix — the redundancy lets tests catch
-indexing mistakes), gives the stencil columns that multiply the Dirichlet
-end values, and provides quadratic-cost and FFT-accelerated Toeplitz
-matrix-vector products.
+``x_i = a + i h`` as Toeplitz matrices with entry ``w_{i-j+p}`` at (i, j),
+where ``p`` is the scheme's largest shift (``weights.SHIFTS``).  Every
+scheme tag has ``p = 1``, so its matrix is lower Hessenberg: the
+superdiagonal carries ``w_0`` and the main diagonal ``w_1``.  This module
+assembles those matrices, applies the left/right operators directly to
+grid functions (stencil-wise, without forming a matrix — the redundancy
+lets tests catch indexing mistakes), gives the stencil columns that
+multiply the Dirichlet end values, and provides quadratic-cost and
+FFT-accelerated Toeplitz matrix-vector products.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "GridFunction1D",
     "ToeplitzOperator",
     "assemble_wsgd_matrix",
-    "assemble_3wsgd_matrix",
     "assemble_shifted_pair_matrix",
     "operator_weights",
     "apply_left_wsgd",
@@ -111,38 +110,31 @@ def operator_weights(alpha: float, scheme: str, count: int) -> np.ndarray:
     raise ParameterError(f"unsupported scheme {scheme!r}; expected one of {wt.SCHEME_TAGS!r}")
 
 
-def _shift_one_toeplitz(w: np.ndarray, n: int) -> ToeplitzOperator:
-    """Toeplitz matrix with entry (i, j) = w_{i-j+1} (shift-one layout)."""
-    if w.size < n + 1:
-        raise ParameterError("not enough weights for the requested matrix order")
-    col = w[1:n + 1].copy()
-    row = np.zeros(n)
-    row[0] = w[1]
-    if n > 1:
-        row[1] = w[0]
-    return ToeplitzOperator(col, row)
+def _toeplitz(v: np.ndarray, n: int, p: int) -> ToeplitzOperator:
+    """Toeplitz matrix of order n with entry (i, j) = ``v_{i-j+p}``, zero off v's range."""
+    k = np.arange(n)
+
+    def pick(idx: np.ndarray) -> np.ndarray:
+        return np.where((idx >= 0) & (idx < v.size), v[np.clip(idx, 0, v.size - 1)], 0.0)
+
+    return ToeplitzOperator(pick(k + p), pick(p - k))
 
 
 def assemble_wsgd_matrix(alpha: float, scheme: str, n: int) -> ToeplitzOperator:
-    """Second-order difference matrix of order n: entry (i, j) = ``w_{i-j+1}``.
+    """Difference matrix of order n for a pair or ``"pqr"``: entry (i, j) = ``w_{i-j+1}``.
 
     The superdiagonal carries ``w_0``, the main diagonal ``w_1``, the k-th
     subdiagonal ``w_{k+1}``; everything above the superdiagonal is zero.
+    A pair needs ``n >= 2`` and ``"pqr"`` needs ``n >= 3``.
     """
-    if n < 2:
-        raise ParameterError(f"matrix order must be at least 2, got {n}")
-    if scheme not in wt.PAIR_SCHEMES:
-        raise ParameterError(f"expected scheme {wt.P1Q0!r} or {wt.P1QM1!r}, got {scheme!r}")
-    w = wt.wsgd2_weights(alpha, scheme, n + 1).values
-    return _shift_one_toeplitz(w, n)
-
-
-def assemble_3wsgd_matrix(alpha: float, n: int) -> ToeplitzOperator:
-    """Third-order difference matrix for shifts (1, 0, -1), same layout."""
-    if n < 3:
-        raise ParameterError(f"matrix order must be at least 3, got {n}")
-    mu = wt.wsgd3_weights(alpha, n + 1).values
-    return _shift_one_toeplitz(mu, n)
+    if scheme not in (*wt.PAIR_SCHEMES, wt.PQR):
+        raise ParameterError(
+            f"expected scheme {wt.P1Q0!r}, {wt.P1QM1!r} or {wt.PQR!r}, got {scheme!r}"
+        )
+    shifts = wt.SHIFTS[scheme]
+    if n < len(shifts):
+        raise ParameterError(f"matrix order must be at least {len(shifts)}, got {n}")
+    return _toeplitz(operator_weights(alpha, scheme, n + 1), n, shifts[0])
 
 
 def assemble_shifted_pair_matrix(alpha: float, p: int, q: int, n: int) -> ToeplitzOperator:
@@ -155,14 +147,7 @@ def assemble_shifted_pair_matrix(alpha: float, p: int, q: int, n: int) -> Toepli
         raise ParameterError(f"matrix order must be at least 2, got {n}")
     p, q = int(p), int(q)
     count = max(n + p, n, 3 + abs(p - q))
-    v = wt.shifted_pair_weights(alpha, p, q, count).values
-
-    def entry(idx: int) -> float:
-        return v[idx] if 0 <= idx < v.size else 0.0
-
-    col = np.array([entry(k + p) for k in range(n)])
-    row = np.array([entry(p - k) for k in range(n)])
-    return ToeplitzOperator(col, row)
+    return _toeplitz(wt.shifted_pair_weights(alpha, p, q, count).values, n, p)
 
 
 def _scheme_weights_for_grid(alpha: float, scheme: str, count: int) -> np.ndarray:

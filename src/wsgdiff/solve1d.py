@@ -32,11 +32,7 @@ from scipy.linalg import lapack
 
 from . import weights as wt
 from .errors import ParameterError, SolverError
-from .operators import (
-    assemble_3wsgd_matrix,
-    assemble_wsgd_matrix,
-    boundary_columns,
-)
+from .operators import assemble_wsgd_matrix, boundary_columns
 from .problems import Problem1D, l2_norm, max_norm
 
 __all__ = [
@@ -46,9 +42,6 @@ __all__ = [
     "assemble_cn_system",
     "cn_wsgd_run",
 ]
-
-#: Shift schemes backed by the unconditional-stability theory of the solver.
-SOLVER_SCHEMES = wt.PAIR_SCHEMES
 
 #: How the source term is sampled on each time slab: trapezoidal average of
 #: the endpoint values, or the midpoint value.
@@ -71,10 +64,10 @@ class SolverConfig1D:
             raise ParameterError(f"need at least N=4 spatial intervals, got {self.N}")
         if int(self.M) != self.M or self.M < 1:
             raise ParameterError(f"need at least M=1 time steps, got {self.M}")
-        if self.scheme not in SOLVER_SCHEMES:
+        if self.scheme not in wt.PAIR_SCHEMES:
             raise ParameterError(
                 f"unsupported scheme {self.scheme!r} for the time stepper;"
-                f" expected one of {SOLVER_SCHEMES!r}"
+                f" expected one of {wt.PAIR_SCHEMES!r}"
             )
         if not (np.isfinite(self.T) and self.T > 0.0):
             raise ParameterError(f"final time must be positive and finite, got {self.T}")
@@ -162,7 +155,7 @@ def steady_solve_3wsgd(problem: Problem1D, N: int) -> Solution1D:
     N = int(N)
     h, x, xi = _grid(problem, N)
     n = N - 1
-    G = assemble_3wsgd_matrix(problem.alpha, n).to_dense()
+    G = assemble_wsgd_matrix(problem.alpha, wt.PQR, n).to_dense()
     col_left, _, col_right, _ = boundary_columns(problem.alpha, wt.PQR, n)
     ua = float(problem.left_boundary(0.0))
     ub = float(problem.right_boundary(0.0))

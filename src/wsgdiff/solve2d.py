@@ -64,8 +64,6 @@ __all__ = [
     "run_2d",
 ]
 
-SOLVER_SCHEMES = wt.PAIR_SCHEMES
-
 #: Splitting strategies: the factored scheme under its three names, the LOD
 #: scheme, and the dense Kronecker oracle of the factored scheme.
 SPLITTINGS = ("pr", "douglas", "dyakonov", "lod", "full")
@@ -94,10 +92,10 @@ class SolverConfig2D:
                 raise ParameterError(f"need at least {label}=4 intervals, got {value}")
         if int(self.M) != self.M or self.M < 1:
             raise ParameterError(f"need at least M=1 time steps, got {self.M}")
-        if self.scheme not in SOLVER_SCHEMES:
+        if self.scheme not in wt.PAIR_SCHEMES:
             raise ParameterError(
                 f"unsupported scheme {self.scheme!r} for the 2D steppers;"
-                f" expected one of {SOLVER_SCHEMES!r}"
+                f" expected one of {wt.PAIR_SCHEMES!r}"
             )
         if self.splitting not in SPLITTINGS:
             raise ParameterError(

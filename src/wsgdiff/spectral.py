@@ -5,10 +5,11 @@ real, even generating function ``f(alpha; x)`` — the cosine series whose
 coefficients are the weights.  Classical Toeplitz spectral bounds place
 every Rayleigh quotient of the symmetric part inside ``[min f, max f]``, so
 the sign of ``f`` on ``[0, pi]`` decides definiteness and, through it,
-unconditional stability of the solvers.  This module evaluates the closed
-forms of ``f`` for the named schemes, scans their sign, certifies negative
-definiteness of assembled matrices by attempted Cholesky factorization, and
-spot-checks the spectral bounds with random Rayleigh quotients.
+unconditional stability of the solvers.  This module evaluates the one
+closed form of ``f`` for every shift scheme, scans its sign, certifies
+negative definiteness of assembled matrices by attempted Cholesky
+factorization, and spot-checks the spectral bounds with random Rayleigh
+quotients.
 
 No eigensolver is used anywhere: factorization success/failure and sampled
 Rayleigh quotients carry all the spectral content the package needs.
@@ -73,37 +74,28 @@ def generating_function(alpha: float, scheme: str, x):
 
     For weights ``w_k`` laid out with diagonal shift one, the symmetric part
     of the assembled matrix has generating function
-    ``f(alpha; x) = sum_k w_k cos((k-1) x)``, which sums to
+    ``f(alpha; x) = sum_k w_k cos((k-1) x)``.  For a scheme with shifts
+    ``s_j`` and combination weights ``lambda_j`` (``weights.SHIFTS``) it sums
+    to the one closed form
 
-    - ``(2 sin(x/2))**alpha * ((alpha/2) cos(alpha/2 (x-pi) - x)
-      + ((2-alpha)/2) cos(alpha/2 (x-pi)))`` for the (1, 0) pair,
-    - ``(2 sin(x/2))**alpha * ((alpha/2) sin(alpha/2 (x-pi)) sin(x)
-      + cos(alpha/2 (x-pi)) cos(x))`` for the (1, -1) pair,
-    - the analogous three-cosine combination with the third-order
-      combination weights for shifts (1, 0, -1).
+        ``f = (2 sin(x/2))**alpha * sum_j lambda_j cos(alpha (x - pi)/2 - s_j x)``.
 
     ``x`` may be a scalar or an array within ``[0, pi]``; the ``x = 0``
     endpoint returns the analytic limit 0 exactly.
     """
     alpha = wt._check_alpha(alpha, 0.0, 2.0)
+    if scheme not in SPECTRAL_SCHEMES:
+        raise ParameterError(
+            f"unsupported scheme {scheme!r}; expected one of {SPECTRAL_SCHEMES!r}"
+        )
     xs = np.asarray(x, dtype=float)
     if np.any(xs < -1e-15) or np.any(xs > np.pi + 1e-12):
         raise ParameterError("generating functions are evaluated on [0, pi]")
     xs = np.clip(xs, 0.0, np.pi)
-    s = (2.0 * np.sin(xs / 2.0)) ** alpha
     theta = 0.5 * alpha * (xs - np.pi)
-    if scheme == wt.P1Q0:
-        bracket = 0.5 * alpha * np.cos(theta - xs) + 0.5 * (2.0 - alpha) * np.cos(theta)
-    elif scheme == wt.P1QM1:
-        bracket = 0.5 * alpha * np.sin(theta) * np.sin(xs) + np.cos(theta) * np.cos(xs)
-    elif scheme == wt.PQR:
-        lam1, lam2, lam3 = wt.wsgd3_lambdas(alpha, 1, 0, -1)
-        bracket = lam1 * np.cos(theta - xs) + lam2 * np.cos(theta) + lam3 * np.cos(theta + xs)
-    else:
-        raise ParameterError(
-            f"unsupported scheme {scheme!r}; expected one of {SPECTRAL_SCHEMES!r}"
-        )
-    out = np.where(xs == 0.0, 0.0, s * bracket)
+    shifts = wt.SHIFTS[scheme]
+    terms = [lam * np.cos(theta - s * xs) for lam, s in zip(wt._lambdas(alpha, shifts), shifts)]
+    out = np.where(xs == 0.0, 0.0, (2.0 * np.sin(xs / 2.0)) ** alpha * sum(terms))
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 

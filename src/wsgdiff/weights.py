@@ -8,19 +8,14 @@ Riemann-Liouville derivative to first order; weighted combinations of two
 and reach second (or third) order.  This module computes those weight
 sequences and checks their sign/monotonicity properties.
 
-Scheme tags used throughout the package:
-
-``"gl"``
-    raw GL coefficients (first-order building block),
-``"p1q0"``
-    two-term combination with shifts (1, 0),
-``"p1qm1"``
-    two-term combination with shifts (1, -1),
-``"pqr"``
-    three-term combination with shifts (1, 0, -1), third-order accurate.
-
-Arbitrary integer shift pairs are supported by :func:`shifted_pair_weights`;
-the solvers only accept the tags above.
+Every weight sequence is one weighted-shifted sum: for shifts
+``s_0, s_1, ...`` with combination weights ``lambda_j``,
+``v_k = sum_j lambda_j g_{k - (s_0 - s_j)}`` (g at negative index is zero).
+This is the only module that says which shifts (:data:`SHIFTS`) and which
+lambdas a scheme tag has: ``"gl"`` is the raw GL coefficients (shift 1),
+``"p1q0"`` and ``"p1qm1"`` are the second-order pairs, and ``"pqr"`` is the
+third-order triple.  Arbitrary integer shift pairs are supported by
+:func:`shifted_pair_weights`; the solvers only accept the tags above.
 """
 
 from __future__ import annotations
@@ -38,6 +33,7 @@ __all__ = [
     "PQR",
     "SCHEME_TAGS",
     "PAIR_SCHEMES",
+    "SHIFTS",
     "WeightSequence",
     "PropertyCheck",
     "PropertyReport",
@@ -60,6 +56,10 @@ SCHEME_TAGS = (GL, P1Q0, P1QM1, PQR)
 
 #: Second-order shift pairs, the schemes the time steppers accept.
 PAIR_SCHEMES = (P1Q0, P1QM1)
+
+#: Shifts of each scheme tag, largest first; the largest is the diagonal
+#: shift of the assembled matrix.
+SHIFTS = {GL: (1,), P1Q0: (1, 0), P1QM1: (1, -1), PQR: (1, 0, -1)}
 
 #: Tolerance for "equals zero" checks; sign checks get the same slack so a
 #: quantity that is exactly zero in exact arithmetic (e.g. the third weight
@@ -168,20 +168,6 @@ def shifted_pair_lambdas(alpha: float, p: int, q: int) -> tuple[float, float]:
     return lam1, lam2
 
 
-def _pair_values(alpha: float, p: int, q: int, count: int) -> np.ndarray:
-    """Weights ``v_k = lambda_1 g_k + lambda_2 g_{k-(p-q)}`` (g at negative
-    index is zero)."""
-    lam1, lam2 = shifted_pair_lambdas(alpha, p, q)
-    g = _gl_values(alpha, count)
-    v = lam1 * g
-    off = p - q
-    if off > 0:
-        v[off:] += lam2 * g[:-off]
-    else:
-        v[:off] += lam2 * g[-off:]
-    return v
-
-
 def shifted_pair_weights(alpha: float, p: int, q: int, count: int) -> WeightSequence:
     """Weight sequence for an arbitrary two-term shift pair (p, q).
 
@@ -191,7 +177,7 @@ def shifted_pair_weights(alpha: float, p: int, q: int, count: int) -> WeightSequ
     matrix fails for e.g. (0, -1)).
     """
     count = _check_count(count, max(3, abs(int(p) - int(q)) + 1))
-    return WeightSequence(alpha, f"p{p}q{q}", _pair_values(alpha, p, q, count))
+    return WeightSequence(alpha, f"p{p}q{q}", _shifted_sum(alpha, (int(p), int(q)), count))
 
 
 def wsgd2_weights(alpha: float, scheme: str, count: int) -> WeightSequence:
@@ -218,15 +204,11 @@ def wsgd2_weights(alpha: float, scheme: str, count: int) -> WeightSequence:
     """
     alpha = _check_alpha(alpha, 1.0, 2.0, low_open=False)
     count = _check_count(count, 3)
-    if scheme == P1Q0:
-        values = _pair_values(alpha, 1, 0, count)
-    elif scheme == P1QM1:
-        values = _pair_values(alpha, 1, -1, count)
-    else:
+    if scheme not in PAIR_SCHEMES:
         raise ParameterError(
             f"unsupported scheme {scheme!r}; expected {P1Q0!r} or {P1QM1!r}"
         )
-    return WeightSequence(alpha, scheme, values)
+    return WeightSequence(alpha, scheme, _shifted_sum(alpha, SHIFTS[scheme], count))
 
 
 def wsgd3_lambdas(alpha: float, p: int, q: int, r: int) -> tuple[float, float, float]:
@@ -252,26 +234,37 @@ def wsgd3_lambdas(alpha: float, p: int, q: int, r: int) -> tuple[float, float, f
     return lam1, lam2, lam3
 
 
-def _mu_values(alpha: float, count: int) -> np.ndarray:
-    """Third-order weights ``mu_k`` for shifts (1, 0, -1).
+def _lambdas(alpha: float, shifts: tuple[int, ...]) -> tuple[float, ...]:
+    """Combination weights of one, two or three shifted GL sums."""
+    if len(shifts) == 1:
+        return (1.0,)
+    return (shifted_pair_lambdas if len(shifts) == 2 else wsgd3_lambdas)(alpha, *shifts)
 
-    ``mu_k = lambda_1 g_k + lambda_2 g_{k-1} + lambda_3 g_{k-2}`` with g at
-    negative index taken as zero; ``mu_0`` sits on the superdiagonal of the
-    assembled matrix, ``mu_1`` on the main diagonal.
+
+def _shifted_sum(alpha: float, shifts: tuple[int, ...], count: int) -> np.ndarray:
+    """Weights ``v_k = sum_j lambda_j g_{k - (s_0 - s_j)}``, g at negative index zero.
+
+    ``lambda_0 g`` comes first and each shifted term is added in shift
+    order, so every sequence is summed in one fixed order.
     """
-    lam1, lam2, lam3 = wsgd3_lambdas(alpha, 1, 0, -1)
-    g = _gl_values(alpha, count)
-    mu = lam1 * g
-    mu[1:] += lam2 * g[:-1]
-    mu[2:] += lam3 * g[:-2]
-    return mu
+    lams = _lambdas(alpha, shifts)
+    # a shift above s_0 reads g past the last weight: w_{count-1} needs g_{count-1+s_j-s_0}
+    g = _gl_values(alpha, count + max(shifts) - shifts[0])
+    v = lams[0] * g[:count]
+    for lam, shift in zip(lams[1:], shifts[1:]):
+        off = shifts[0] - shift
+        if off > 0:
+            v[off:] += lam * g[:count - off]
+        else:
+            v += lam * g[-off:count - off]
+    return v
 
 
 def wsgd3_weights(alpha: float, count: int) -> WeightSequence:
     """Third-order weight sequence ``mu_0 .. mu_{count-1}`` for shifts (1, 0, -1)."""
     alpha = _check_alpha(alpha, 0.0, 2.0)
     count = _check_count(count, 4)
-    return WeightSequence(alpha, PQR, _mu_values(alpha, count))
+    return WeightSequence(alpha, PQR, _shifted_sum(alpha, SHIFTS[PQR], count))
 
 
 @dataclass(frozen=True)
@@ -347,27 +340,27 @@ def verify_weight_properties(alpha: float, scheme: str, count: int) -> PropertyR
     """
     alpha = _check_alpha(alpha, 1.0, 2.0)
     count = _check_count(count, 5)
+    if scheme not in (GL, *PAIR_SCHEMES):
+        raise ParameterError(
+            f"unsupported scheme {scheme!r}; expected one of {(GL, *PAIR_SCHEMES)!r}"
+        )
+    w = _shifted_sum(alpha, SHIFTS[scheme], count)
+    sums = np.cumsum(w)
     checks: list[PropertyCheck]
     if scheme == GL:
-        g = _gl_values(alpha, count)
-        sums = np.cumsum(g)
         checks = [
-            PropertyCheck("g1_equals_minus_alpha", abs(g[1] + alpha) <= ZERO_TOL, float(g[1])),
-            PropertyCheck("g1_negative", g[1] < ZERO_TOL, float(g[1])),
-            _chain_check("tail_in_unit_interval_nonincreasing", g, float(g[2]), [], 3),
+            PropertyCheck("g1_equals_minus_alpha", abs(w[1] + alpha) <= ZERO_TOL, float(w[1])),
+            PropertyCheck("g1_negative", w[1] < ZERO_TOL, float(w[1])),
+            _chain_check("tail_in_unit_interval_nonincreasing", w, float(w[2]), [], 3),
             _sums_check("partial_sums_negative", sums, np.arange(1, count)),
         ]
     elif scheme == P1Q0:
-        w = _pair_values(alpha, 1, 0, count)
-        sums = np.cumsum(w)
         checks = [
             PropertyCheck("w1_negative", w[1] < ZERO_TOL, float(w[1])),
             _chain_check("chain_w0_w3_onward", w, float(w[0]), [3], 4),
             _sums_check("partial_sums_negative_from_m2", sums, np.arange(2, count)),
         ]
-    elif scheme == P1QM1:
-        w = _pair_values(alpha, 1, -1, count)
-        sums = np.cumsum(w)
+    else:
         ms = np.concatenate(([1], np.arange(3, count)))
         checks = [
             PropertyCheck("w1_negative", w[1] < ZERO_TOL, float(w[1])),
@@ -376,8 +369,4 @@ def verify_weight_properties(alpha: float, scheme: str, count: int) -> PropertyR
             _chain_check("chain_w0_w2_w4_onward", w, float(w[0]), [2], 4),
             _sums_check("partial_sums_negative_m1_and_from_m3", sums, ms),
         ]
-    else:
-        raise ParameterError(
-            f"unsupported scheme {scheme!r}; expected one of {(GL, P1Q0, P1QM1)!r}"
-        )
     return PropertyReport(alpha, scheme, tuple(checks))

@@ -15,7 +15,8 @@ import pytest
 
 import wsgdiff
 from wsgdiff import ParameterError
-from wsgdiff.cli import main, read_report_csv
+from wsgdiff.cli import StudyConfig, main, read_report_csv
+from wsgdiff.problems import ExampleId
 
 from oracles import binomial_gl
 from _tables import STEADY
@@ -387,6 +388,55 @@ def test_converge_rejects_triple_scheme_for_studies(capsys):
     )
     assert rc == 2
     assert "unsupported scheme" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "example,extra,message",
+    [
+        ("ex1", ["--beta", "1.7"], "beta and splittings"),
+        ("ex2", ["--splitting", "pr"], "beta and splittings"),
+        ("ex4", ["--splitting", "pr", "--theta", "nan"], "theta must be finite"),
+        ("ex0", ["--scheme", "p1qm1"], "unsupported scheme"),
+        ("ex1", ["--scheme", ","], "at least one scheme"),
+    ],
+)
+def test_converge_rejects_settings_the_example_ignores(capsys, example, extra, message):
+    # each of these used to run, ignore the setting (or run nothing), and exit 0
+    rc = main(["converge", "--example", example, "--alpha", "1.5", "--resolutions", "8,16", *extra])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_study_config_checks_direct_construction():
+    # configs built without the CLI, as a script or benchmark would
+    def study(example, **kw):
+        fields = dict(alphas=(1.5,), schemes=("p1q0",), resolutions=(8, 16)) | kw
+        return StudyConfig(example=ExampleId.from_tag(example), **fields)
+
+    study("ex0", schemes=("pqr",))
+    study("ex4", alphas=(1.2,), beta=1.8, splittings=("pr",))
+    study("ex2", schemes=("p1q0", "p1qm1"))
+    for bad in (
+        dict(example="ex0"),
+        dict(example="ex1", schemes=()),
+        dict(example="ex0", schemes=("pqr", "p1q0")),
+        dict(example="ex1", schemes=("pqr",)),
+        dict(example="ex1", beta=1.7),
+        dict(example="ex3", theta=float("inf")),
+        dict(example="ex4", splittings=("pr", "bogus")),
+        dict(example="ex4", splittings=("pr",), theta=float("nan")),
+    ):
+        with pytest.raises(ParameterError):
+            study(**bad)
+
+
+def test_converge_steady_accepts_explicit_triple_scheme(capsys):
+    args = ["converge", "--example", "ex0", "--alpha", "1.5", "--resolutions", "8,16"]
+    rc = main(args + ["--scheme", "pqr"])
+    assert rc == 0
+    assert all(row[1] == "pqr" for row in _parse_csv(capsys.readouterr().out)[1:])
 
 
 def test_read_report_rejects_foreign_csv(tmp_path):

@@ -17,7 +17,6 @@ from wsgdiff import (
     ToeplitzOperator,
     apply_left_wsgd,
     apply_right_wsgd,
-    assemble_3wsgd_matrix,
     assemble_shifted_pair_matrix,
     assemble_wsgd_matrix,
     operator_weights,
@@ -97,7 +96,7 @@ def test_assemble_wsgd_matches_double_loop(scheme, p, q, alpha, n):
 @pytest.mark.parametrize("alpha", [0.5, 1.1, 1.5, 1.9])
 @pytest.mark.parametrize("n", [3, 6, 11])
 def test_assemble_3wsgd_matches_double_loop(alpha, n):
-    got = assemble_3wsgd_matrix(alpha, n).to_dense()
+    got = assemble_wsgd_matrix(alpha, "pqr", n).to_dense()
     want = dense_triple_sum_matrix(alpha, n)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
@@ -136,9 +135,11 @@ def test_assemble_validation():
     with pytest.raises(ParameterError):
         assemble_wsgd_matrix(1.5, P1Q0, 1)
     with pytest.raises(ParameterError):
-        assemble_3wsgd_matrix(1.5, 2)
+        assemble_wsgd_matrix(1.5, "pqr", 2)
     with pytest.raises(ParameterError):
         assemble_wsgd_matrix(2.5, P1Q0, 4)
+    with pytest.raises(ParameterError):
+        assemble_wsgd_matrix(1.5, "gl", 4)
 
 
 def test_operator_weights_returns_plain_array():

@@ -13,7 +13,6 @@ from wsgdiff import (
     PQR,
     ParameterError,
     ToeplitzOperator,
-    assemble_3wsgd_matrix,
     assemble_shifted_pair_matrix,
     assemble_wsgd_matrix,
     certify_negative_definite,
@@ -166,7 +165,7 @@ def test_triple_matrix_fails_certification_mid_range():
     # the third-order symbol takes both signs at alpha = 1.5, and the failure
     # shows up at matrix size four independent of n
     for n in (4, 16, 64):
-        result = certify_negative_definite(assemble_3wsgd_matrix(1.5, n))
+        result = certify_negative_definite(assemble_wsgd_matrix(1.5, "pqr", n))
         assert not result.negative_definite
         assert result.failing_minor == 4
 

@@ -180,6 +180,14 @@ def test_shifted_pair_custom_shifts():
     assert w.values[0] == pytest.approx((alpha + 2.0) / 2.0, abs=1e-15)
 
 
+def test_shifted_pair_last_weight_is_complete_when_q_exceeds_p():
+    # for shifts (0, 1), w_k = lambda_1 g_k + lambda_2 g_{k+1}: the last of
+    # four weights needs g_4, one coefficient past the sequence
+    w = shifted_pair_weights(1.5, 0, 1, 4).values
+    want = pair_weights_from_binomial(1.5, 0, 1, 8)[:4]
+    np.testing.assert_allclose(w, want, rtol=0, atol=1e-14)
+
+
 def test_wsgd2_validation():
     with pytest.raises(ParameterError):
         wsgd2_weights(0.9, P1Q0, 4)
