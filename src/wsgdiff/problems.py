@@ -175,7 +175,8 @@ class Problem2D:
     two-sided derivative of order ``beta`` in y, plus ``source(x, y, t)``,
     on the rectangle ``(ax, bx) x (ay, by)`` with Dirichlet data
     ``boundary(x, y, t)`` and initial state ``initial(x, y)``.  All grid
-    callables broadcast over numpy arrays.
+    callables broadcast over numpy arrays; the 2D solvers pass broadcast axes
+    ``x[:, None]``, ``y[None, :]`` and fill the grid from a one-axis result.
     """
 
     name: str

@@ -28,6 +28,11 @@ setup across steps and right-hand-side columns.  Interior unknowns are
 stored as arrays of shape ``(Nx-1, Ny-1)`` with the x index on axis 0, so a
 vectorization with x varying fastest corresponds to column-major flattening.
 
+Each ``pr``/``lod`` step stays inside scipy's BLAS/LAPACK (``dgemm``/``dgemv``
+on operators stored in Fortran order at setup, then ``dgetrs``): numpy's ``@``
+would bring a second OpenBLAS thread pool that contends with scipy's.  Grid
+callables are evaluated on the broadcast axes ``x[:, None]``, ``y[None, :]``.
+
 Boundary handling: all splittings require vanishing Dirichlet data on the
 x-boundaries (the sweep order makes intermediate variables carry their
 values there, which only stays consistent when those lines hold zero).  The
@@ -46,7 +51,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from . import weights as wt
 from .errors import ParameterError, SolverError
@@ -154,12 +159,18 @@ def build_directional_operators(
 
 
 def _grid(problem: Problem2D, config: SolverConfig2D):
-    """Spacings, interior x-nodes and interior mesh ``(hx, hy, xi, Xg, Yg)``."""
+    """Spacings, interior x-nodes and broadcast axes ``(hx, hy, xi, xi[:, None], yj[None, :])``."""
     hx = (problem.bx - problem.ax) / config.Nx
     hy = (problem.by - problem.ay) / config.Ny
     xi = problem.ax + hx * np.arange(1, config.Nx)
     yj = problem.ay + hy * np.arange(1, config.Ny)
-    return (hx, hy, xi, *np.meshgrid(xi, yj, indexing="ij"))
+    return hx, hy, xi, xi[:, None], yj[None, :]
+
+
+def _on_grid(fn: Callable[..., np.ndarray], x, y, *t: float) -> np.ndarray:
+    """``fn(x, y, *t)`` as floats of the shape of ``x`` and ``y`` broadcast together."""
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    return np.broadcast_to(np.asarray(fn(x, y, *t), dtype=float), shape)
 
 
 def _boundary_is_zero(problem: Problem2D, axis: str, T: float) -> bool:
@@ -204,9 +215,11 @@ def _solve(lu: np.ndarray, piv: np.ndarray, rhs: np.ndarray, context: str) -> np
     return out
 
 
-def _sweeps(problem: Problem2D, config: SolverConfig2D, dx: np.ndarray, dy: np.ndarray):
-    """Factor both half-step systems once; return the x-sweep, the y-sweep and
-    the y-direction boundary columns ``(cy0, cyN)``."""
+def _sweeps(problem: Problem2D, config: SolverConfig2D):
+    """Build both directional operators (in Fortran order, so no BLAS call copies
+    them) and factor both half-step systems once; return the operators, the
+    x-sweep, the y-sweep and the y-direction boundary columns ``(cy0, cyN)``."""
+    dx, dy = build_directional_operators(problem, config)
     a = 0.5 * config.tau
     lu_x, piv_x = _factor(np.eye(config.Nx - 1) - a * dx, "x-direction factor")
     lu_y, piv_y = _factor(np.eye(config.Ny - 1) - a * dy, "y-direction factor")
@@ -223,7 +236,7 @@ def _sweeps(problem: Problem2D, config: SolverConfig2D, dx: np.ndarray, dy: np.n
     left0, right0, left1, right1 = boundary_columns(problem.beta, config.scheme, config.Ny - 1)
     cy0 = (problem.y_left_diffusivity * left0 + problem.y_right_diffusivity * right0) / hy_beta
     cyN = (problem.y_left_diffusivity * left1 + problem.y_right_diffusivity * right1) / hy_beta
-    return solve_x, solve_y, cy0, cyN
+    return np.asfortranarray(dx), np.asfortranarray(dy), solve_x, solve_y, cy0, cyN
 
 
 def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
@@ -236,24 +249,23 @@ def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
     scheme: ``pr``, ``douglas`` and ``dyakonov``.  Accepts unequal spacings
     and time-dependent data on the y-boundaries.
     """
-    _, _, xi, Xg, Yg = _grid(problem, config)
+    _, _, xi, X, Y = _grid(problem, config)
     _check_boundaries(problem, config.T)
-    dx, dy = build_directional_operators(problem, config)
-    solve_x, solve_y, cy0, cyN = _sweeps(problem, config, dx, dy)
+    dx, dy, solve_x, solve_y, cy0, cyN = _sweeps(problem, config)
     tau = config.tau
     a = 0.5 * tau
     y_low, y_high = np.full_like(xi, problem.ay), np.full_like(xi, problem.by)
 
     def y_boundary_terms(t: float) -> np.ndarray:
         """Boundary-column contribution of the y-direction Dirichlet data."""
-        g0 = np.asarray(problem.boundary(xi, y_low, t), dtype=float)
-        g1 = np.asarray(problem.boundary(xi, y_high, t), dtype=float)
+        g0 = _on_grid(problem.boundary, xi, y_low, t)
+        g1 = _on_grid(problem.boundary, xi, y_high, t)
         return g0[:, None] * cy0[None, :] + g1[:, None] * cyN[None, :]
 
     def step(U: np.ndarray, t_n: float) -> np.ndarray:
-        F = np.asarray(problem.source(Xg, Yg, t_n + a), dtype=float)
-        V = solve_x(U + a * (U @ dy.T + y_boundary_terms(t_n)) + a * F)
-        return solve_y(V + a * (dx @ V) + a * F + a * y_boundary_terms(t_n + tau))
+        F = _on_grid(problem.source, X, Y, t_n + a)
+        V = solve_x(U + a * (blas.dgemm(1.0, U, dy, trans_b=1) + y_boundary_terms(t_n)) + a * F)
+        return solve_y(V + a * blas.dgemm(1.0, dx, V) + a * F + a * y_boundary_terms(t_n + tau))
 
     return step
 
@@ -270,27 +282,26 @@ def lod_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
     the y-direction boundary columns of stage 2.  Requires one spacing for
     both axes and fully homogeneous Dirichlet data.
     """
-    hx, hy, xi, Xg, Yg = _grid(problem, config)
+    hx, hy, xi, X, Y = _grid(problem, config)
     if abs(hx - hy) > 1e-13 * max(hx, hy):
         raise ParameterError(
             f"splitting 'lod' assumes one spacing for both axes; got hx={hx!r}, hy={hy!r}"
         )
     _check_boundaries(problem, config.T, homogeneous_for="splitting 'lod'")
-    dx, dy = build_directional_operators(problem, config)
-    solve_x, solve_y, cy0, cyN = _sweeps(problem, config, dx, dy)
+    dx, dy, solve_x, solve_y, cy0, cyN = _sweeps(problem, config)
     a = 0.5 * config.tau
     y_low, y_high = np.full_like(xi, problem.ay), np.full_like(xi, problem.by)
 
     def step(U: np.ndarray, t_n: float) -> np.ndarray:
         t_mid = t_n + a
-        F = np.asarray(problem.source(Xg, Yg, t_mid), dtype=float)
-        f_low = np.asarray(problem.source(xi, y_low, t_mid), dtype=float)
-        f_high = np.asarray(problem.source(xi, y_high, t_mid), dtype=float)
-        V = solve_x(U + a * (dx @ U) + a * (F + a * (dx @ F)))
-        v_low = solve_x(a * (f_low + a * (dx @ f_low)))
-        v_high = solve_x(a * (f_high + a * (dx @ f_high)))
-        dy_v = V @ dy.T + v_low[:, None] * cy0[None, :] + v_high[:, None] * cyN[None, :]
-        dy_f = F @ dy.T + f_low[:, None] * cy0[None, :] + f_high[:, None] * cyN[None, :]
+        F = _on_grid(problem.source, X, Y, t_mid)
+        f_low = _on_grid(problem.source, xi, y_low, t_mid)
+        f_high = _on_grid(problem.source, xi, y_high, t_mid)
+        V = solve_x(U + a * blas.dgemm(1.0, dx, U) + a * (F + a * blas.dgemm(1.0, dx, F)))
+        v_low = solve_x(a * (f_low + a * blas.dgemv(1.0, dx, f_low)))
+        v_high = solve_x(a * (f_high + a * blas.dgemv(1.0, dx, f_high)))
+        dy_v = blas.dgemm(1.0, V, dy, trans_b=1) + v_low[:, None] * cy0 + v_high[:, None] * cyN
+        dy_f = blas.dgemm(1.0, F, dy, trans_b=1) + f_low[:, None] * cy0 + f_high[:, None] * cyN
         return solve_y(V + a * dy_v + a * (F - a * dy_f))
 
     return step
@@ -312,7 +323,7 @@ def full_cn_kron_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
             f"the dense oracle is capped at N={_FULL_MAX_N} per axis"
             f" (got {config.Nx}x{config.Ny})"
         )
-    _, _, _, Xg, Yg = _grid(problem, config)
+    _, _, _, X, Y = _grid(problem, config)
     _check_boundaries(problem, config.T, homogeneous_for="the dense oracle")
     dx, dy = build_directional_operators(problem, config)
     nx, ny = config.Nx - 1, config.Ny - 1
@@ -325,7 +336,7 @@ def full_cn_kron_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
     rhs_mat = (eye + a * kx) @ (eye + a * ky)
 
     def step(U: np.ndarray, t_n: float) -> np.ndarray:
-        F = np.asarray(problem.source(Xg, Yg, t_n + a), dtype=float)
+        F = _on_grid(problem.source, X, Y, t_n + a)
         rhs = rhs_mat @ U.flatten(order="F") + tau * F.flatten(order="F")
         return _solve(lu, piv, rhs, "dense two-level").reshape((nx, ny), order="F")
 
@@ -344,9 +355,8 @@ _STEPPERS: dict[str, Callable[[Problem2D, SolverConfig2D], Stepper]] = {
 def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution2D:
     """Integrate a 2D problem from its initial state to the final time."""
     step = _STEPPERS[config.splitting](problem, config)
-    hx, hy, _, Xg, Yg = _grid(problem, config)
-    U = np.empty((config.Nx - 1, config.Ny - 1))
-    U[:, :] = problem.initial(Xg, Yg)
+    hx, hy, _, X, Y = _grid(problem, config)
+    U = np.array(_on_grid(problem.initial, X, Y))
     norm_history = np.empty(config.M + 1)
     norm_history[0] = l2_norm(U, hx, hy)
     t_next = 0.0
@@ -375,7 +385,7 @@ def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution2D:
         norm_history=norm_history,
     )
     if problem.exact is not None:
-        e = U - np.asarray(problem.exact(Xg, Yg, t_next), dtype=float)
+        e = U - _on_grid(problem.exact, X, Y, t_next)
         sol.max_err_final = max_norm(e)
         sol.l2_err_final = l2_norm(e, hx, hy)
     return sol

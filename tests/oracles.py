@@ -56,15 +56,19 @@ def pair_lambdas(alpha: float, p: int, q: int) -> tuple[float, float]:
 
 
 def pair_weights_from_binomial(alpha: float, p: int, q: int, count: int) -> np.ndarray:
-    """Two-shift weights built on the log-gamma coefficients (no recursion)."""
+    """Two-shift weights built on the log-gamma coefficients (no recursion).
+
+    w_k = lam1 g_k + lam2 g_{k-p+q}; for q > p the second term reaches
+    q - p coefficients past ``count``, so those are generated too.
+    """
     lam1, lam2 = pair_lambdas(alpha, p, q)
-    g = binomial_gl(alpha, count)
-    w = lam1 * g.copy()
     off = p - q
+    g = binomial_gl(alpha, count + max(0, -off))
+    w = lam1 * g[:count]
     if off > 0:
         w[off:] += lam2 * g[:-off]
     else:
-        w[: count + off] += lam2 * g[-off:]
+        w += lam2 * g[-off:]
     return w
 
 

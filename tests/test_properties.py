@@ -1,11 +1,16 @@
 """Property tests over random orders, shifts and sizes: weights and assembled
 matrices against the log-gamma oracles, the closed-form generating function
-against its defining series, FFT against direct Toeplitz products, and the
-documented sign/partial-sum properties.
+against its defining series, FFT against direct Toeplitz products, the
+documented sign/partial-sum properties, one step of each 2D splitting
+against the dense Kronecker oracle, and convergence reports through their
+CSV form.
 
 Runs are derandomized, so every run draws the same examples."""
 
 from __future__ import annotations
+
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
@@ -17,19 +22,27 @@ from wsgdiff import (
     P1Q0,
     P1QM1,
     PQR,
+    Problem2D,
+    SolverConfig2D,
     ToeplitzOperator,
     assemble_shifted_pair_matrix,
+    build_directional_operators,
     generating_function,
+    lod_stepper,
     operator_weights,
+    pr_adi_stepper,
     shifted_pair_weights,
     toeplitz_matvec_direct,
     toeplitz_matvec_fft,
     verify_weight_properties,
 )
+from wsgdiff.cli import ExampleId, StudyConfig, _study_blocks, cmd_converge, read_report_csv
+from wsgdiff.solve1d import SOURCE_SAMPLING
 
 from oracles import (
     binomial_gl,
     dense_shift_matrix,
+    kron_two_level_step,
     pair_weights_from_binomial,
     series_generating_function,
     triple_weights_from_binomial,
@@ -59,10 +72,19 @@ def test_shifted_pair_weights_match_oracle(alpha, pq, extra):
     count = max(3, abs(p - q) + 1) + extra
     got = shifted_pair_weights(alpha, p, q, count)
     assert got.scheme == f"p{p}q{q}"
-    # for q > p the oracle's own last q - p entries miss the g terms past its
-    # length, so compare against the prefix of a longer oracle sequence
-    want = pair_weights_from_binomial(alpha, p, q, count + abs(p - q))[:count]
+    want = pair_weights_from_binomial(alpha, p, q, count)
     np.testing.assert_allclose(got.values, want, rtol=0, atol=1e-12)
+
+
+@_PROFILE
+@given(alpha=_ORDERS, pq=_SHIFT_PAIRS, count=st.integers(1, 40), extra=st.integers(1, 8))
+def test_pair_oracle_is_prefix_stable(alpha, pq, count, extra):
+    # every weight is complete at any length, also the last q - p ones when
+    # the second shift reaches past the requested count
+    p, q = pq
+    short = pair_weights_from_binomial(alpha, p, q, count)
+    longer = pair_weights_from_binomial(alpha, p, q, count + extra)
+    np.testing.assert_allclose(short, longer[:count], rtol=0, atol=1e-14)
 
 
 @_PROFILE
@@ -125,3 +147,90 @@ def test_fft_matvec_matches_direct(data, n):
 def test_weight_properties_hold_above_order_one(scheme, alpha, count):
     report = verify_weight_properties(alpha, scheme, count)
     assert report.all_passed, report.failures()
+
+
+def _zero(x, y, *t):
+    return np.zeros(np.broadcast(x, y).shape)
+
+
+def _split_step_gap(data, stepper, nx, ny, bx, by, **oracle) -> float:
+    """Relative gap between one stepper step and the dense Kronecker step on
+    a random problem whose source vanishes on the two y-boundary lines."""
+    alpha, beta = data.draw(st.floats(1.1, 1.9)), data.draw(st.floats(1.1, 1.9))
+    kappa = [data.draw(st.floats(0.1, 2.0)) for _ in range(4)]
+    k = data.draw(st.floats(0.5, 4.0))
+
+    def source(x, y, t):
+        return (1.0 + t) * np.sin(k * x) * (y * (by - y)) ** 2
+
+    problem = Problem2D(
+        name="random",
+        alpha=alpha,
+        beta=beta,
+        x_left_diffusivity=kappa[0],
+        x_right_diffusivity=kappa[1],
+        y_left_diffusivity=kappa[2],
+        y_right_diffusivity=kappa[3],
+        source=source,
+        initial=_zero,
+        boundary=_zero,
+        bx=bx,
+        by=by,
+    )
+    cfg = SolverConfig2D(
+        Nx=nx, Ny=ny, M=data.draw(st.integers(1, 16)), T=data.draw(st.floats(0.1, 2.0))
+    )
+    u0 = data.draw(hnp.arrays(float, (nx - 1, ny - 1), elements=_UNIT))
+    t_n = data.draw(st.floats(0.0, 1.0))
+    xg, yg = np.meshgrid(bx / nx * np.arange(1, nx), by / ny * np.arange(1, ny), indexing="ij")
+    dx, dy = build_directional_operators(problem, cfg)
+    want = kron_two_level_step(
+        dx, dy, u0, source(xg, yg, t_n + 0.5 * cfg.tau), cfg.tau, **oracle
+    )
+    got = stepper(problem, cfg)(u0, t_n)
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+_SIDES = st.floats(0.5, 2.0)
+
+
+@_PROFILE
+@given(data=st.data(), nx=st.integers(4, 12), ny=st.integers(4, 12), bx=_SIDES, by=_SIDES)
+def test_pr_step_matches_kron_oracle(data, nx, ny, bx, by):
+    # unequal spacings and unequal left/right diffusivities make both
+    # directional operators nonsymmetric, so a transposed product shows
+    assert _split_step_gap(data, pr_adi_stepper, nx, ny, bx, by) <= 1e-12
+
+
+@_PROFILE
+@given(data=st.data(), n=st.integers(4, 12), side=_SIDES)
+def test_lod_step_matches_corrected_kron_oracle(data, n, side):
+    gap = _split_step_gap(data, lod_stepper, n, n, side, side, lod_source_correction=True)
+    assert gap <= 1e-12
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=25)
+@given(
+    example=st.sampled_from((ExampleId.LEFT_SIDED, ExampleId.TWO_SIDED, ExampleId.VARIABLE_COEFF)),
+    alphas=st.lists(st.floats(1.1, 1.9), min_size=1, max_size=2),
+    schemes=st.lists(st.sampled_from((P1Q0, P1QM1)), min_size=1, max_size=2, unique=True),
+    start=st.sampled_from((4, 8)),
+    rungs=st.integers(1, 3),
+    sampling=st.sampled_from(SOURCE_SAMPLING),
+)
+def test_converge_report_round_trips_through_csv(
+    example, alphas, schemes, start, rungs, sampling
+):
+    config = StudyConfig(
+        example=example,
+        alphas=tuple(alphas),
+        schemes=tuple(schemes),
+        resolutions=tuple(start * 2**i for i in range(rungs)),
+        source_sampling=sampling,
+    )
+    want = [rec for _, records in _study_blocks(config) for rec in records]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write(cmd_converge(config))
+        assert read_report_csv(path) == want

@@ -201,6 +201,32 @@ def test_three_adi_variants_agree_at_every_step():
             assert runs[name].max_err_final == runs["pr"].max_err_final
 
 
+@pytest.mark.parametrize("splitting", solve2d.SPLITTINGS)
+def test_one_axis_callables_fill_the_grid(splitting):
+    # on the broadcast axes x[:, None], y[None, :] each of these returns an
+    # (Nx-1, 1) or (1, Ny-1) array; the run must equal one whose callables
+    # are evaluated on the full meshgrids
+    def source(x, y, t):
+        return np.exp(-t) * x * (1.0 - x)
+
+    def initial(x, y):
+        return np.sin(np.pi * y)
+
+    def exact(x, y, t):
+        return np.exp(-t) * np.sin(np.pi * x)
+
+    def on_mesh(fn):
+        return lambda x, y, *t: fn(*np.broadcast_arrays(x, y), *t)
+
+    thin = _custom_2d(source=source, initial=initial, exact=exact)
+    mesh = _custom_2d(source=on_mesh(source), initial=on_mesh(initial), exact=on_mesh(exact))
+    cfg = SolverConfig2D(Nx=8, Ny=8, M=4, splitting=splitting)
+    got, want = run_2d(thin, cfg), run_2d(mesh, cfg)
+    np.testing.assert_array_equal(got.values, want.values)
+    np.testing.assert_array_equal(got.norm_history, want.norm_history)
+    assert (got.max_err_final, got.l2_err_final) == (want.max_err_final, want.l2_err_final)
+
+
 # ---------------------------------------------------------------------------
 # Per-direction contraction of the half-step transfer operators
 # ---------------------------------------------------------------------------
