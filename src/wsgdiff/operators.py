@@ -63,6 +63,12 @@ class GridFunction1D:
         return (self.b - self.a) / self.n_intervals
 
 
+#: Largest order :meth:`ToeplitzOperator.to_dense` forms.  One float64 array
+#: of this order takes 512 MiB and a dense solver holds several, so a larger
+#: one fails with ``ParameterError`` before anything is allocated.
+DENSE_MAX_ORDER = 8192
+
+
 @dataclass(frozen=True)
 class ToeplitzOperator:
     """A Toeplitz matrix stored by its first column and first row."""
@@ -85,6 +91,12 @@ class ToeplitzOperator:
         return self.first_col.size
 
     def to_dense(self) -> np.ndarray:
+        """The full matrix; orders above ``DENSE_MAX_ORDER`` are refused."""
+        if self.n > DENSE_MAX_ORDER:
+            raise ParameterError(
+                f"a dense matrix of order {self.n} ({8 * self.n**2 / 2**30:.1f} GiB) exceeds"
+                f" the cap of order {DENSE_MAX_ORDER}"
+            )
         return scipy.linalg.toeplitz(self.first_col, self.first_row)
 
     def transpose(self) -> "ToeplitzOperator":

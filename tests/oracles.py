@@ -270,6 +270,58 @@ def kron_two_level_step(
     return out.reshape((nx, ny), order="F")
 
 
+def lod_boundary_swept_step(
+    wx: np.ndarray,
+    wy: np.ndarray,
+    x_diffusivities: tuple[float, float],
+    y_diffusivities: tuple[float, float],
+    alpha: float,
+    beta: float,
+    h: float,
+    u: np.ndarray,
+    f_lines: np.ndarray,
+    tau: float,
+) -> np.ndarray:
+    """One locally-one-dimensional step, stage 1 swept along every y-line.
+
+    ``u`` holds the interior unknowns, shaped (nx, ny); ``f_lines`` the
+    midpoint source at the interior x-nodes on all ny + 2 y-lines, the two
+    boundary lines included.  Stage 1 solves (I - a Dx) V = (I + a Dx)(U +
+    a F) on every line, with U = 0 on the two boundary lines.  Stage 2
+    solves (I - a Dy) U' = (I + a Dy) V + a (I - a Dy) F across y, where
+    Dy acts on all ny + 2 lines through its literal (ny) x (ny + 2) rows,
+    so the boundary lines enter through its first and last columns.
+    Operators are double-loop fills of w_{i-j+1} and its transpose
+    pattern, a = tau/2 and one spacing h serves both axes.
+    """
+    nx, ny = u.shape
+    a = 0.5 * tau
+    dx = np.zeros((nx, nx))
+    for i in range(nx):
+        for j in range(nx):
+            for k, kappa in ((i - j + 1, x_diffusivities[0]), (j - i + 1, x_diffusivities[1])):
+                if 0 <= k < wx.size:
+                    dx[i, j] += kappa * wx[k]
+    dx /= h**alpha
+    dy = np.zeros((ny, ny + 2))
+    for i in range(ny):  # row i is node i + 1 of the ny + 2 nodes
+        for j in range(ny + 2):
+            for k, kappa in ((i - j + 2, y_diffusivities[0]), (j - i, y_diffusivities[1])):
+                if 0 <= k < wy.size:
+                    dy[i, j] += kappa * wy[k]
+    dy /= h**beta
+    u_lines = np.zeros((nx, ny + 2))
+    u_lines[:, 1:-1] = u
+    eye_x = np.eye(nx)
+    v_lines = dense_solve(eye_x - a * dx, (eye_x + a * dx) @ (u_lines + a * f_lines))
+    rhs = (
+        v_lines[:, 1:-1]
+        + a * (v_lines @ dy.T)
+        + a * (f_lines[:, 1:-1] - a * (f_lines @ dy.T))
+    )
+    return dense_solve(np.eye(ny) - a * dy[:, 1:-1], rhs.T).T
+
+
 def pinned_row_cn_step(
     weights: np.ndarray,
     dl: np.ndarray,

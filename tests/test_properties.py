@@ -1,9 +1,10 @@
 """Property tests over random orders, shifts and sizes: weights and assembled
 matrices against the log-gamma oracles, the closed-form generating function
 against its defining series, FFT against direct Toeplitz products, the
-documented sign/partial-sum properties, one step of each 2D splitting
-against the dense Kronecker oracle, and convergence reports through their
-CSV form.
+documented sign/partial-sum properties, the 1D Gohberg–Semencul step
+system against dense matrices built from the oracle weights, one step of
+each 2D splitting against the dense Kronecker oracle, and convergence
+reports through their CSV form.
 
 Runs are derandomized, so every run draws the same examples."""
 
@@ -22,7 +23,9 @@ from wsgdiff import (
     P1Q0,
     P1QM1,
     PQR,
+    Problem1D,
     Problem2D,
+    SolverConfig1D,
     SolverConfig2D,
     ToeplitzOperator,
     assemble_shifted_pair_matrix,
@@ -37,6 +40,7 @@ from wsgdiff import (
     verify_weight_properties,
 )
 from wsgdiff.cli import ExampleId, StudyConfig, _study_blocks, cmd_converge, read_report_csv
+from wsgdiff import solve1d
 from wsgdiff.solve1d import SOURCE_SAMPLING
 
 from oracles import (
@@ -147,6 +151,53 @@ def test_fft_matvec_matches_direct(data, n):
 def test_weight_properties_hold_above_order_one(scheme, alpha, count):
     report = verify_weight_properties(alpha, scheme, count)
     assert report.all_passed, report.failures()
+
+
+_SHIFT_PAIR_OF = {P1Q0: (1, 0), P1QM1: (1, -1)}
+
+
+@_PROFILE
+@given(
+    data=st.data(),
+    big_n=st.integers(4, 70),
+    scheme=st.sampled_from((P1Q0, P1QM1)),
+    alpha=st.floats(1.1, 1.9),
+    theta=st.floats(0.5, 1.0),
+)
+def test_gs_step_system_matches_dense_oracle(data, big_n, scheme, alpha, theta):
+    # constant left/right diffusivities, either one possibly zero
+    kl = data.draw(st.sampled_from((0.0, 0.3, 1.0, 2.5)))
+    kr = data.draw(st.sampled_from((0.3, 1.0, 2.5) if kl == 0.0 else (0.0, 0.3, 1.0, 2.5)))
+    length = data.draw(st.floats(0.5, 3.0))
+    problem = Problem1D(
+        name="random",
+        alpha=alpha,
+        left_diffusivity=kl,
+        right_diffusivity=kr,
+        source=lambda x, t: np.zeros_like(x),
+        initial=lambda x: np.zeros_like(x),
+        left_boundary=lambda t: 0.0,
+        right_boundary=lambda t: 0.0,
+        b=length,
+    )
+    cfg = SolverConfig1D(
+        N=big_n,
+        M=data.draw(st.integers(1, 64)),
+        theta=theta,
+        scheme=scheme,
+        T=data.draw(st.floats(0.1, 4.0)),
+    )
+    n = big_n - 1
+    p, q = _SHIFT_PAIR_OF[scheme]
+    a = dense_shift_matrix(pair_weights_from_binomial(alpha, p, q, n + 1), n, p)
+    b = cfg.tau / (length / big_n) ** alpha * (kl * a + kr * a.T)
+    v = data.draw(hnp.arrays(float, n, elements=_UNIT).filter(lambda v: np.any(v != 0.0)))
+    rhs_product, solve = solve1d._gs_steps(problem, cfg)
+    want_product = v + (1.0 - theta) * (b @ v)
+    want_solve = np.linalg.solve(np.eye(n) - theta * b, v)
+    gap_product = np.max(np.abs(rhs_product(v) - want_product)) / np.max(np.abs(want_product))
+    gap_solve = np.max(np.abs(solve(v) - want_solve)) / np.max(np.abs(want_solve))
+    assert gap_product <= 1e-10 and gap_solve <= 1e-10, (gap_product, gap_solve)
 
 
 def _zero(x, y, *t):

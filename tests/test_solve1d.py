@@ -1,5 +1,6 @@
 """One-dimensional solvers: frozen benchmark anchors, classical-limit oracle
-agreement, discrete stability, and configuration validation."""
+agreement, discrete stability, configuration validation, the
+Gohberg–Semencul backend against dense LU, and the dense size guard."""
 
 from __future__ import annotations
 
@@ -7,18 +8,23 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from wsgdiff import operators, solve1d
 from wsgdiff import (
     P1Q0,
     P1QM1,
     ParameterError,
     Problem1D,
     SolverConfig1D,
+    SolverConfig2D,
     SolverError,
     assemble_cn_system,
+    assemble_wsgd_matrix,
     cn_wsgd_run,
     convergence_rate,
     make_example,
+    run_2d,
     steady_solve_3wsgd,
 )
 
@@ -283,3 +289,157 @@ def test_config_validation():
         with pytest.raises(ParameterError, match="final time"):
             SolverConfig1D(N=8, M=4, T=T)
     assert SolverConfig1D(N=8, M=4, T=2.0).tau == pytest.approx(0.5)
+
+
+# ---------------------------------------------------------------------------
+# Gohberg–Semencul backend against the dense-LU oracle
+# ---------------------------------------------------------------------------
+
+
+def _constant_problem(name, kl, kr, alpha):
+    """Constant unequal diffusivities with nonzero end data on both sides."""
+    return Problem1D(
+        name=name,
+        alpha=alpha,
+        left_diffusivity=kl,
+        right_diffusivity=kr,
+        source=lambda x, t: np.sin(np.pi * np.asarray(x)) * np.exp(-t) + 0.3 * t,
+        initial=lambda x: np.asarray(x) * (1.0 - np.asarray(x)) + 0.4,
+        left_boundary=lambda t: 0.4 + 0.5 * t,
+        right_boundary=lambda t: 0.4 * np.cos(t),
+        allow_nonzero_boundary=True,
+    )
+
+
+_GS_PROBLEMS = {
+    "ex1": lambda alpha: make_example("ex1", alpha),
+    "ex2": lambda alpha: make_example("ex2", alpha),
+    "unequal": lambda alpha: _constant_problem("unequal", 0.7, 0.2, alpha),
+    "left-zero": lambda alpha: _constant_problem("left-zero", 0.0, 1.3, alpha),
+}
+
+
+def _run_with(monkeypatch, min_n, problem, config):
+    with monkeypatch.context() as m:
+        m.setattr(solve1d, "_GS_MIN_N", min_n)
+        return cn_wsgd_run(problem, config)
+
+
+@pytest.mark.parametrize("sampling", ["average", "midpoint"])
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+@pytest.mark.parametrize("name", sorted(_GS_PROBLEMS))
+def test_gs_run_matches_dense_run(monkeypatch, name, alpha, theta, sampling):
+    # the Toeplitz path forced at a small grid against the dense-LU oracle;
+    # errors near 1e-6 inherit the values' absolute differences, so they
+    # are compared on the scale of the solution
+    p = _GS_PROBLEMS[name](alpha)
+    cfg = SolverConfig1D(N=24, M=12, theta=theta, scheme=P1QM1, source_sampling=sampling)
+    gs = _run_with(monkeypatch, 0, p, cfg)
+    dense = _run_with(monkeypatch, 10**9, p, cfg)
+    scale = np.max(np.abs(dense.values))
+    np.testing.assert_allclose(gs.values, dense.values, rtol=0, atol=1e-10 * scale)
+    np.testing.assert_allclose(
+        gs.norm_history, dense.norm_history, rtol=0, atol=1e-10 * np.max(dense.norm_history)
+    )
+    for field in ("max_err_running", "max_err_final", "l2_err_final"):
+        got, want = getattr(gs, field), getattr(dense, field)
+        if want is None:
+            assert got is None
+        else:
+            assert abs(got - want) <= 1e-10 * scale, (field, got, want)
+    assert gs.values[0] == dense.values[0] and gs.values[-1] == dense.values[-1]
+
+
+@pytest.mark.filterwarnings("ignore:theta=0.0 lies outside")
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("N", [4, 5, 9, 33])
+def test_gs_setup_is_the_dense_system(N, theta):
+    # product and solve of the set-up Toeplitz system against the dense
+    # matrices, below the size where runs pick it
+    rng = np.random.default_rng(N)
+    p = _constant_problem("unequal", 0.9, 0.35, 1.7)
+    cfg = SolverConfig1D(N=N, M=3, theta=theta, T=0.5)
+    lhs, rhs_matrix = assemble_cn_system(p, cfg)
+    rhs_product, solve = solve1d._gs_steps(p, cfg)
+    for _ in range(3):
+        v = rng.standard_normal(N - 1)
+        np.testing.assert_allclose(rhs_product(v), rhs_matrix @ v, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(solve(v), np.linalg.solve(lhs, v), rtol=0, atol=1e-12)
+
+
+def _spy_backends(monkeypatch):
+    picked = []
+    for name in ("_dense_steps", "_gs_steps"):
+        original = getattr(solve1d, name)
+
+        def spy(problem, config, original=original, name=name):
+            picked.append(name)
+            return original(problem, config)
+
+        monkeypatch.setattr(solve1d, name, spy)
+    return picked
+
+
+def test_backend_is_picked_from_the_input(monkeypatch):
+    picked = _spy_backends(monkeypatch)
+    large = SolverConfig1D(N=512, M=2)
+    cases = [
+        (make_example("ex2", 1.5), large, "_gs_steps"),
+        (make_example("ex1", 1.5), dataclasses.replace(large, theta=1.0), "_gs_steps"),
+        (make_example("ex3", 1.5), large, "_dense_steps"),
+        (make_example("ex2", 1.5), SolverConfig1D(N=64, M=2), "_dense_steps"),
+    ]
+    with pytest.warns(UserWarning, match="stability window"):
+        negative = SolverConfig1D(N=512, M=2, theta=-0.1)
+    cases.append((make_example("ex2", 1.5), negative, "_dense_steps"))
+    for problem, config, want in cases:
+        solve1d._cn_steps(problem, config)
+        assert picked.pop() == want, (problem.name, config)
+    # the crossover itself is on the Toeplitz side
+    solve1d._cn_steps(make_example("ex2", 1.5), SolverConfig1D(N=solve1d._GS_MIN_N, M=2))
+    assert picked == ["_gs_steps"]
+
+
+@pytest.mark.parametrize("sampling", ["average", "midpoint"])
+def test_gs_non_finite_solution_raises_with_step_and_time(monkeypatch, sampling):
+    base = make_example("ex2", 1.5)
+    p = dataclasses.replace(
+        base, source=lambda x, t: np.where(t > 0.6, np.nan, base.source(x, t))
+    )
+    with pytest.raises(SolverError, match=r"step 3 \(t=0\.75\)"):
+        _run_with(monkeypatch, 0, p, SolverConfig1D(N=8, M=4, source_sampling=sampling))
+
+
+# ---------------------------------------------------------------------------
+# Dense size guard
+# ---------------------------------------------------------------------------
+
+
+def test_dense_paths_refuse_huge_orders_before_allocating(monkeypatch):
+    def no_dense(*args, **kwargs):
+        raise AssertionError("a dense matrix was formed")
+
+    monkeypatch.setattr(scipy.linalg, "toeplitz", no_dense)
+    big = 2**15
+    with pytest.raises(ParameterError, match="cap"):
+        assemble_wsgd_matrix(1.5, P1Q0, big - 1).to_dense()
+    with pytest.raises(ParameterError, match="cap"):
+        cn_wsgd_run(make_example("ex3", 1.5), SolverConfig1D(N=big, M=1))
+    with pytest.raises(ParameterError, match="cap"):
+        steady_solve_3wsgd(make_example("ex0", 1.5), big)
+    with pytest.raises(ParameterError, match="cap"):
+        run_2d(make_example("ex4", 1.2, 1.8), SolverConfig2D(Nx=big, Ny=8, M=1))
+
+
+def test_toeplitz_path_forms_no_dense_matrix_and_is_not_capped(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Toeplitz path must not form dense matrices")
+
+    monkeypatch.setattr(solve1d, "assemble_cn_system", forbidden)
+    monkeypatch.setattr(solve1d, "lapack", None)
+    monkeypatch.setattr(scipy.linalg, "toeplitz", forbidden)
+    n_big = operators.DENSE_MAX_ORDER + 2
+    sol = cn_wsgd_run(make_example("ex2", 1.5), SolverConfig1D(N=n_big, M=2))
+    assert sol.values.size == n_big + 1
+    assert np.all(np.isfinite(sol.values)) and sol.max_err_running < 1e-4

@@ -29,6 +29,8 @@ from wsgdiff import (
 from oracles import (
     classical_pr_adi_heat_step,
     kron_two_level_step,
+    lod_boundary_swept_step,
+    pair_weights_from_binomial,
     tridiag_second_difference,
 )
 from _tables import EX4
@@ -154,6 +156,49 @@ def test_lod_boundary_sweep_matters_when_source_touches_boundary():
     got = lod_stepper(p, cfg)(u0, 0.0)
     naive = kron_two_level_step(dx, dy, u0, f_mid, cfg.tau, lod_source_correction=True)
     assert np.max(np.abs(got - naive)) > 1e-12
+
+
+@pytest.mark.parametrize("scheme,shifts", [("p1q0", (1, 0)), ("p1qm1", (1, -1))])
+def test_lod_boundary_line_sweep_matches_dense_oracle(scheme, shifts):
+    # unequal x left/right diffusivities make dx nonsymmetric, and the
+    # source is nonzero on both y-boundary lines, so the sweep of f_low and
+    # f_high through stage 1 is visible in the step
+    def source(x, y, t):
+        return (1.0 + t) * np.sin(np.pi * x) * (1.0 + 2.0 * y)
+
+    n = 10
+    p = _custom_2d(
+        alpha=1.3,
+        beta=1.7,
+        source=source,
+        x_left_diffusivity=1.6,
+        x_right_diffusivity=0.2,
+        y_left_diffusivity=0.5,
+        y_right_diffusivity=1.1,
+    )
+    cfg = SolverConfig2D(Nx=n, Ny=n, M=5, scheme=scheme, splitting="lod")
+    rng = np.random.default_rng(21)
+    u0 = rng.standard_normal((n - 1, n - 1))
+    t_n = 0.4
+    h = 1.0 / n
+    x = h * np.arange(1, n)[:, None]
+    y_lines = h * np.arange(0, n + 1)[None, :]
+    f_lines = source(x, y_lines, t_n + 0.5 * cfg.tau)
+    assert np.min(np.abs(f_lines[:, [0, -1]])) > 0.1
+    want = lod_boundary_swept_step(
+        pair_weights_from_binomial(1.3, *shifts, n + 1),
+        pair_weights_from_binomial(1.7, *shifts, n + 1),
+        (1.6, 0.2),
+        (0.5, 1.1),
+        1.3,
+        1.7,
+        h,
+        u0,
+        f_lines,
+        cfg.tau,
+    )
+    got = lod_stepper(p, cfg)(u0, t_n)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
 
 def test_classical_limit_matches_heat_adi_oracle():
