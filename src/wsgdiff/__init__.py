@@ -14,14 +14,14 @@ Module map:
 - :mod:`wsgdiff.weights`   — the scheme table ``SHIFTS``, every weight
   sequence as one weighted-shifted sum, sign/monotonicity properties;
 - :mod:`wsgdiff.operators` — one Toeplitz layout for every scheme, stencil
-  application, boundary columns, direct and FFT matvec;
+  application, boundary columns, FFT matvec;
 - :mod:`wsgdiff.spectral`  — one generating-function formula, sign scans,
   negative-definiteness certification;
 - :mod:`wsgdiff.problems`  — benchmark catalog, norms, convergence rates;
 - :mod:`wsgdiff.solve1d`   — steady third-order solve and theta-weighted
   time stepping;
 - :mod:`wsgdiff.solve2d`   — splitting stepper factories, each set up once
-  per run (one factored ADI scheme under three names, LOD, dense oracle);
+  per run (one factored ADI scheme under three names, and LOD);
 - :mod:`wsgdiff.cli`       — the ``wsgdiff`` command.
 """
 
@@ -54,7 +54,6 @@ from .operators import (
     assemble_wsgd_matrix,
     boundary_columns,
     operator_weights,
-    toeplitz_matvec_direct,
     toeplitz_matvec_fft,
 )
 from .spectral import (
@@ -88,7 +87,6 @@ from .solve2d import (
     Solution2D,
     SolverConfig2D,
     build_directional_operators,
-    full_cn_kron_stepper,
     lod_stepper,
     pr_adi_stepper,
     run_2d,
@@ -121,7 +119,6 @@ __all__ = [
     "assemble_wsgd_matrix",
     "boundary_columns",
     "operator_weights",
-    "toeplitz_matvec_direct",
     "toeplitz_matvec_fft",
     "CertificationResult",
     "GeneratingFunctionScan",
@@ -147,7 +144,6 @@ __all__ = [
     "Solution2D",
     "SolverConfig2D",
     "build_directional_operators",
-    "full_cn_kron_stepper",
     "lod_stepper",
     "pr_adi_stepper",
     "run_2d",

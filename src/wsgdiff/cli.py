@@ -234,18 +234,22 @@ def _cli_solve1d(args: argparse.Namespace) -> int:
     example = ExampleId.from_tag(args.example)
     if example is ExampleId.TWO_DIMENSIONAL:
         raise ParameterError("example ex4 is two-dimensional; use the solve2d subcommand")
+    # Unset stepping flags stay None, so SolverConfig1D's defaults apply and
+    # the steady solve can tell a given flag from an absent one.
+    stepping = {
+        name: getattr(args, name)
+        for name in ("m", "theta", "scheme", "source_sampling")
+        if getattr(args, name) is not None
+    }
     problem = make_example(example, args.alpha)
     if example is ExampleId.STEADY:
+        if stepping:
+            flags = ", ".join("--" + name.replace("_", "-") for name in stepping)
+            raise ParameterError(f"example ex0 is the steady pqr solve; {flags} do not apply")
         sol = steady_solve_3wsgd(problem, args.n)
     else:
-        config = SolverConfig1D(
-            N=args.n,
-            M=args.m if args.m is not None else args.n,
-            theta=args.theta,
-            scheme=args.scheme,
-            source_sampling=args.source_sampling,
-        )
-        sol = cn_wsgd_run(problem, config)
+        stepping["M"] = stepping.pop("m", args.n)
+        sol = cn_wsgd_run(problem, SolverConfig1D(N=args.n, **stepping))
     body = _csv_text(
         ("x", "u"),
         ((repr(float(x)), repr(float(u))) for x, u in zip(sol.x, sol.values)),
@@ -522,11 +526,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve1d", help="run a 1D benchmark at one resolution")
     p.add_argument("--example", required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--scheme", choices=wt.PAIR_SCHEMES, default=wt.P1Q0)
+    p.add_argument("--scheme", choices=wt.PAIR_SCHEMES, default=None)
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--m", type=int, default=None, help="time steps (defaults to N)")
-    p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--source-sampling", choices=SOURCE_SAMPLING, default="average")
+    p.add_argument("--theta", type=float, default=None)
+    p.add_argument("--source-sampling", choices=SOURCE_SAMPLING, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cli_solve1d)
 

@@ -8,8 +8,8 @@ superdiagonal carries ``w_0`` and the main diagonal ``w_1``.  This module
 assembles those matrices, applies the left/right operators directly to
 grid functions (stencil-wise, without forming a matrix — the redundancy
 lets tests catch indexing mistakes), gives the stencil columns that
-multiply the Dirichlet end values, and provides quadratic-cost and
-FFT-accelerated Toeplitz matrix-vector products.
+multiply the Dirichlet end values, and provides an FFT-accelerated
+Toeplitz matrix-vector product.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "operator_weights",
     "apply_left_wsgd",
     "apply_right_wsgd",
-    "toeplitz_matvec_direct",
     "toeplitz_matvec_fft",
 ]
 
@@ -212,21 +211,10 @@ def boundary_columns(alpha: float, scheme: str, n: int) -> tuple[np.ndarray, np.
     return left_u0, right_u0, left_uN, right_uN
 
 
-def toeplitz_matvec_direct(T: ToeplitzOperator, v: np.ndarray) -> np.ndarray:
-    """Exact quadratic-cost Toeplitz matrix-vector product."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size != T.n:
-        raise ParameterError(f"vector length {v.size} does not match operator order {T.n}")
-    n = T.n
-    diags = np.concatenate((T.first_row[::-1], T.first_col[1:]))
-    return np.convolve(diags, v)[n - 1:2 * n - 1]
-
-
 def toeplitz_matvec_fft(T: ToeplitzOperator, v: np.ndarray) -> np.ndarray:
     """Toeplitz matrix-vector product via circulant embedding and the FFT.
 
-    Delegates to :func:`scipy.linalg.matmul_toeplitz`.  Agrees with
-    :func:`toeplitz_matvec_direct` to high relative accuracy.
+    Delegates to :func:`scipy.linalg.matmul_toeplitz`.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size != T.n:

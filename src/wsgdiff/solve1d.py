@@ -141,20 +141,26 @@ def _grid(problem: Problem1D, N: int):
     return h, x, x[1:N]
 
 
-def _factor(matrix: np.ndarray, context: str):
+def lu_solver(matrix: np.ndarray, context: str) -> Callable[[np.ndarray], np.ndarray]:
+    """Factor ``matrix`` once by partial-pivoting LU; return ``solve(rhs)``.
+
+    ``solve`` takes one right-hand side or a block of columns.  Both LAPACK
+    calls go through this module's ``lapack``, so the 1D and 2D solvers
+    share one factor/solve path.
+    """
     lu, piv, info = lapack.dgetrf(matrix)
     if info > 0:
         raise SolverError(f"{context}: singular system (zero pivot at index {info})")
     if info < 0:  # pragma: no cover - illegal argument, not reachable via API
         raise SolverError(f"{context}: factorization rejected argument {-info}")
-    return lu, piv
 
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        out, code = lapack.dgetrs(lu, piv, rhs)
+        if code != 0:  # pragma: no cover - dgetrs only fails on bad arguments
+            raise SolverError(f"{context}: triangular solve failed (code {code})")
+        return out
 
-def _solve(lu, piv, rhs: np.ndarray, context: str) -> np.ndarray:
-    out, info = lapack.dgetrs(lu, piv, rhs)
-    if info != 0:  # pragma: no cover - dgetrs only fails on bad arguments
-        raise SolverError(f"{context}: triangular solve failed (code {info})")
-    return out
+    return solve
 
 
 def steady_solve_3wsgd(problem: Problem1D, N: int) -> Solution1D:
@@ -182,8 +188,7 @@ def steady_solve_3wsgd(problem: Problem1D, N: int) -> Solution1D:
     ub = float(problem.right_boundary(0.0))
     s = np.asarray(problem.source(xi, 0.0), dtype=float)
     rhs = -(h**problem.alpha) * s - col_left * ua - col_right * ub
-    lu, piv = _factor(G, "steady solve")
-    u_int = _solve(lu, piv, rhs, "steady solve")
+    u_int = lu_solver(G, "steady solve")(rhs)
     values = np.concatenate(([ua], u_int, [ub]))
     sol = Solution1D(x=x, values=values, problem_name=problem.name, t_final=None)
     if problem.exact is not None:
@@ -214,8 +219,7 @@ def assemble_cn_system(problem: Problem1D, config: SolverConfig1D):
 def _dense_steps(problem: Problem1D, config: SolverConfig1D) -> Steps:
     """Both step matrices dense, the left one LU-factored once."""
     lhs, rhs_matrix = assemble_cn_system(problem, config)
-    lu, piv = _factor(lhs, "time step")
-    return (lambda U: rhs_matrix @ U), (lambda rhs: _solve(lu, piv, rhs, "time step"))
+    return (lambda U: rhs_matrix @ U), lu_solver(lhs, "time step")
 
 
 def _gs_steps(problem: Problem1D, config: SolverConfig1D) -> Steps:

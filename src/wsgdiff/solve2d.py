@@ -4,7 +4,7 @@ The 2D problem couples one-dimensional two-sided operators in x and y.  A
 trapezoidal two-level scheme in time factors (up to a commuting
 second-order-in-time perturbation) into one-dimensional solves along rows
 and columns.  This module implements that factored scheme once, plus a
-locally-one-dimensional variant and a dense small-grid oracle:
+locally-one-dimensional variant:
 
 - ``pr``       : the factored scheme as two half-step sweeps (x then y),
                  source split evenly;
@@ -15,31 +15,29 @@ locally-one-dimensional variant and a dense small-grid oracle:
                  list each name, reproduce;
 - ``lod``      : fully decoupled sweeps with source terms swept along, the
                  only variant whose factorization error shows up in the
-                 source handling;
-- ``full``     : the same factored two-level scheme, its Kronecker product
-                 assembled and solved densely, restricted to small grids and
-                 used as an equivalence oracle by the test suite.
+                 source handling.
 
 Each splitting is a factory ``stepper(problem, config)`` that checks its
 preconditions and does its setup once — directional operators, and the
-factorization of each direction's implicit matrix (or of the dense product
-for ``full``) — and returns ``step(U, t_n) -> U_next``, which reuses that
-setup across steps and right-hand-side columns.  Interior unknowns are
-stored as arrays of shape ``(Nx-1, Ny-1)`` with the x index on axis 0, so a
-vectorization with x varying fastest corresponds to column-major flattening.
+factorization of each direction's implicit matrix — and returns
+``step(U, t_n) -> U_next``, which reuses that setup across steps and
+right-hand-side columns.  Interior unknowns are stored as arrays of shape
+``(Nx-1, Ny-1)`` with the x index on axis 0, so a vectorization with x
+varying fastest corresponds to column-major flattening.
 
 Each ``pr``/``lod`` step stays inside scipy's BLAS/LAPACK (``dgemm``/``dgemv``
-on operators stored in Fortran order at setup, then ``dgetrs``): numpy's ``@``
-would bring a second OpenBLAS thread pool that contends with scipy's.  Grid
-callables are evaluated on the broadcast axes ``x[:, None]``, ``y[None, :]``.
+on operators stored in Fortran order at setup, then ``dgetrs`` through
+``solve1d.lu_solver``): numpy's ``@`` would bring a second OpenBLAS thread
+pool that contends with scipy's.  Grid callables are evaluated on the
+broadcast axes ``x[:, None]``, ``y[None, :]``.
 
 Boundary handling: all splittings require vanishing Dirichlet data on the
 x-boundaries (the sweep order makes intermediate variables carry their
 values there, which only stays consistent when those lines hold zero).  The
 factored scheme accepts time-dependent data on the y-boundaries through the
-stencil's boundary columns; the LOD and dense variants require fully
-homogeneous data, and LOD also one spacing shared by both axes.  The source
-term is sampled at the half-step midpoint throughout.
+stencil's boundary columns; LOD requires fully homogeneous data and one
+spacing shared by both axes.  The source term is sampled at the half-step
+midpoint throughout.
 
 Error norms for reference-table reproduction are evaluated at the final
 time (both maximum and grid-weighted L2), over interior nodes.
@@ -51,12 +49,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import blas, lapack
+from scipy.linalg import blas
 
 from . import weights as wt
 from .errors import ParameterError, SolverError
 from .operators import assemble_wsgd_matrix, boundary_columns
 from .problems import Problem2D, l2_norm, max_norm
+from .solve1d import lu_solver
 
 __all__ = [
     "SPLITTINGS",
@@ -65,16 +64,12 @@ __all__ = [
     "build_directional_operators",
     "pr_adi_stepper",
     "lod_stepper",
-    "full_cn_kron_stepper",
     "run_2d",
 ]
 
-#: Splitting strategies: the factored scheme under its three names, the LOD
-#: scheme, and the dense Kronecker oracle of the factored scheme.
-SPLITTINGS = ("pr", "douglas", "dyakonov", "lod", "full")
-
-#: Grid-size cap for the dense Kronecker oracle.
-_FULL_MAX_N = 16
+#: Splitting strategies: the factored scheme under its three names, and the
+#: LOD scheme.
+SPLITTINGS = ("pr", "douglas", "dyakonov", "lod")
 
 #: One time step ``step(U, t_n) -> U_next`` of a set-up splitting.
 Stepper = Callable[[np.ndarray, float], np.ndarray]
@@ -108,11 +103,6 @@ class SolverConfig2D:
             )
         if not (np.isfinite(self.T) and self.T > 0.0):
             raise ParameterError(f"final time must be positive and finite, got {self.T}")
-        if self.splitting == "full" and max(self.Nx, self.Ny) > _FULL_MAX_N:
-            raise ParameterError(
-                f"the dense oracle is capped at N={_FULL_MAX_N} per axis"
-                f" (got {self.Nx}x{self.Ny}); use a splitting stepper instead"
-            )
 
     @property
     def tau(self) -> float:
@@ -189,30 +179,12 @@ def _boundary_is_zero(problem: Problem2D, axis: str, T: float) -> bool:
     return True
 
 
-def _check_boundaries(problem: Problem2D, T: float, homogeneous_for: str = "") -> None:
-    """Reject nonzero x-boundary data, and nonzero data on any side for a named variant."""
+def _check_x_boundaries(problem: Problem2D, T: float) -> None:
+    """Reject nonzero Dirichlet data on the x-boundaries."""
     if not _boundary_is_zero(problem, "x", T):
         raise ParameterError(
             "the splitting steppers require vanishing Dirichlet data on the x-boundaries"
         )
-    if homogeneous_for and not _boundary_is_zero(problem, "y", T):
-        raise ParameterError(f"{homogeneous_for} requires fully homogeneous Dirichlet data")
-
-
-def _factor(matrix: np.ndarray, context: str):
-    lu, piv, info = lapack.dgetrf(matrix)
-    if info > 0:
-        raise SolverError(f"{context}: singular system (zero pivot at index {info})")
-    if info < 0:  # pragma: no cover - illegal argument, not reachable via API
-        raise SolverError(f"{context}: factorization rejected argument {-info}")
-    return lu, piv
-
-
-def _solve(lu: np.ndarray, piv: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
-    out, info = lapack.dgetrs(lu, piv, rhs)
-    if info != 0:  # pragma: no cover
-        raise SolverError(f"{context} solve failed (code {info})")
-    return out
 
 
 def _sweeps(problem: Problem2D, config: SolverConfig2D):
@@ -221,16 +193,12 @@ def _sweeps(problem: Problem2D, config: SolverConfig2D):
     x-sweep, the y-sweep and the y-direction boundary columns ``(cy0, cyN)``."""
     dx, dy = build_directional_operators(problem, config)
     a = 0.5 * config.tau
-    lu_x, piv_x = _factor(np.eye(config.Nx - 1) - a * dx, "x-direction factor")
-    lu_y, piv_y = _factor(np.eye(config.Ny - 1) - a * dy, "y-direction factor")
-
-    def solve_x(rhs: np.ndarray) -> np.ndarray:
-        """Solve (I - tau/2 Dx) along axis 0 for every y-column at once."""
-        return _solve(lu_x, piv_x, rhs, "x-direction")
+    solve_x = lu_solver(np.eye(config.Nx - 1) - a * dx, "x-direction")
+    solve_dy = lu_solver(np.eye(config.Ny - 1) - a * dy, "y-direction")
 
     def solve_y(rhs: np.ndarray) -> np.ndarray:
         """Solve (I - tau/2 Dy) along axis 1 for every x-row at once."""
-        return _solve(lu_y, piv_y, np.ascontiguousarray(rhs.T), "y-direction").T
+        return solve_dy(np.ascontiguousarray(rhs.T)).T
 
     hy_beta = ((problem.by - problem.ay) / config.Ny) ** problem.beta
     left0, right0, left1, right1 = boundary_columns(problem.beta, config.scheme, config.Ny - 1)
@@ -250,7 +218,7 @@ def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
     and time-dependent data on the y-boundaries.
     """
     _, _, xi, X, Y = _grid(problem, config)
-    _check_boundaries(problem, config.T)
+    _check_x_boundaries(problem, config.T)
     dx, dy, solve_x, solve_y, cy0, cyN = _sweeps(problem, config)
     tau = config.tau
     a = 0.5 * tau
@@ -287,7 +255,9 @@ def lod_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
         raise ParameterError(
             f"splitting 'lod' assumes one spacing for both axes; got hx={hx!r}, hy={hy!r}"
         )
-    _check_boundaries(problem, config.T, homogeneous_for="splitting 'lod'")
+    _check_x_boundaries(problem, config.T)
+    if not _boundary_is_zero(problem, "y", config.T):
+        raise ParameterError("splitting 'lod' requires fully homogeneous Dirichlet data")
     dx, dy, solve_x, solve_y, cy0, cyN = _sweeps(problem, config)
     a = 0.5 * config.tau
     y_low, y_high = np.full_like(xi, problem.ay), np.full_like(xi, problem.by)
@@ -307,48 +277,11 @@ def lod_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
     return step
 
 
-def full_cn_kron_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
-    """Set up the factored two-level scheme as one dense system; return its ``step``.
-
-    Builds ``(I + tau/2 Kx)(I + tau/2 Ky)`` and factors
-    ``(I - tau/2 Kx)(I - tau/2 Ky)`` once, as dense matrices of order
-    ``(Nx-1)(Ny-1)`` — where ``Kx``/``Ky`` are the Kronecker liftings of the
-    directional operators under x-fastest vectorization — so each step is
-    one product and one direct solve of the same factored product the sweeps
-    split.  Capped at 16 intervals per axis; requires fully homogeneous
-    Dirichlet data.
-    """
-    if max(config.Nx, config.Ny) > _FULL_MAX_N:
-        raise ParameterError(
-            f"the dense oracle is capped at N={_FULL_MAX_N} per axis"
-            f" (got {config.Nx}x{config.Ny})"
-        )
-    _, _, _, X, Y = _grid(problem, config)
-    _check_boundaries(problem, config.T, homogeneous_for="the dense oracle")
-    dx, dy = build_directional_operators(problem, config)
-    nx, ny = config.Nx - 1, config.Ny - 1
-    tau = config.tau
-    a = 0.5 * tau
-    kx = np.kron(np.eye(ny), dx)
-    ky = np.kron(dy, np.eye(nx))
-    eye = np.eye(nx * ny)
-    lu, piv = _factor((eye - a * kx) @ (eye - a * ky), "dense two-level solve")
-    rhs_mat = (eye + a * kx) @ (eye + a * ky)
-
-    def step(U: np.ndarray, t_n: float) -> np.ndarray:
-        F = _on_grid(problem.source, X, Y, t_n + a)
-        rhs = rhs_mat @ U.flatten(order="F") + tau * F.flatten(order="F")
-        return _solve(lu, piv, rhs, "dense two-level").reshape((nx, ny), order="F")
-
-    return step
-
-
 _STEPPERS: dict[str, Callable[[Problem2D, SolverConfig2D], Stepper]] = {
     "pr": pr_adi_stepper,
     "douglas": pr_adi_stepper,
     "dyakonov": pr_adi_stepper,
     "lod": lod_stepper,
-    "full": full_cn_kron_stepper,
 }
 
 

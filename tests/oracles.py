@@ -3,8 +3,9 @@
 Everything here is computed by a different route than the package under
 test: binomial coefficients through log-gamma instead of the recursion,
 matrices through literal double loops instead of Toeplitz constructors,
-time steps through pinned-row or Kronecker assemblies instead of the
-eliminated interior systems.  Agreement between the two routes is the
+Toeplitz products through a direct convolution instead of the FFT, time
+steps through pinned-row or Kronecker assemblies instead of the eliminated
+interior systems.  Agreement between the two routes is the
 point of most tests, so nothing in this module may import solver logic.
 """
 
@@ -115,6 +116,17 @@ def dense_triple_sum_matrix(alpha: float, n: int) -> np.ndarray:
         + lam2 * dense_shift_matrix(g, n, 0)
         + lam3 * dense_shift_matrix(g, n, -1)
     )
+
+
+def toeplitz_matvec_direct(t, v: np.ndarray) -> np.ndarray:
+    """Exact quadratic-cost product of a Toeplitz matrix with a vector.
+
+    ``t`` is anything with ``first_col`` and ``first_row``; the product is
+    one full convolution of the diagonals with ``v``, no FFT involved.
+    """
+    n = t.first_col.size
+    diags = np.concatenate((t.first_row[::-1], t.first_col[1:]))
+    return np.convolve(diags, np.asarray(v, dtype=float))[n - 1 : 2 * n - 1]
 
 
 # ---------------------------------------------------------------------------

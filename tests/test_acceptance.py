@@ -32,7 +32,6 @@ from wsgdiff import (
     build_directional_operators,
     certify_negative_definite,
     cn_wsgd_run,
-    full_cn_kron_stepper,
     lod_stepper,
     make_example,
     operator_weights,
@@ -40,7 +39,6 @@ from wsgdiff import (
     rayleigh_bound_check,
     run_2d,
     steady_solve_3wsgd,
-    toeplitz_matvec_direct,
     toeplitz_matvec_fft,
     verify_weight_properties,
     l2_norm,
@@ -50,6 +48,7 @@ from oracles import (
     classical_cn_heat_run,
     classical_pr_adi_heat_step,
     kron_two_level_step,
+    toeplitz_matvec_direct,
 )
 from _tables import EX1, EX2, EX3, EX4, STEADY
 
@@ -370,10 +369,13 @@ def test_criterion_8_cross_validation():
     # (c) the factored 2D step == dense Kronecker two-level solve at N=8
     problem = make_example("ex4", 1.2, 1.8)
     cfg = SolverConfig2D(Nx=8, Ny=8, M=10)
-    cfg_full = SolverConfig2D(Nx=8, Ny=8, M=10, splitting="full")
     u0 = rng.standard_normal((7, 7))
     t_n = 0.3
-    want = full_cn_kron_stepper(problem, cfg_full)(u0, t_n)
+    xi = np.linspace(0.0, 1.0, 9)[1:-1]
+    xg, yg = np.meshgrid(xi, xi, indexing="ij")
+    dx, dy = build_directional_operators(problem, cfg)
+    f_mid = problem.source(xg, yg, t_n + 0.5 * cfg.tau)
+    want = kron_two_level_step(dx, dy, u0, f_mid, cfg.tau)
     got = pr_adi_stepper(problem, cfg)(u0, t_n)
     assert np.max(np.abs(got - want)) < 1e-10
 
@@ -396,8 +398,6 @@ def test_criterion_8_cross_validation():
     )
     cfg_lod = SolverConfig2D(Nx=8, Ny=8, M=10, splitting="lod")
     dx, dy = build_directional_operators(lod_problem, cfg_lod)
-    xi = np.linspace(0.0, 1.0, 9)[1:-1]
-    xg, yg = np.meshgrid(xi, xi, indexing="ij")
     f_mid = lod_problem.source(xg, yg, t_n + 0.5 * cfg_lod.tau)
     got_lod = lod_stepper(lod_problem, cfg_lod)(u0, t_n)
     want_lod = kron_two_level_step(

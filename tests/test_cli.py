@@ -176,6 +176,43 @@ def test_solve2d_full_grid_output(tmp_path, capsys):
     assert corner_vals and all(v == 0.0 for v in corner_vals)
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [["--scheme", "p1qm1"], ["--theta", "0.2"], ["--m", "4"], ["--source-sampling", "midpoint"]],
+)
+def test_solve1d_rejects_stepping_flags_for_steady_example(capsys, extra):
+    # the steady pqr solve used to ignore each of these and exit 0
+    rc = main(["solve1d", "--example", "ex0", "--alpha", "1.5", "--n", "8", *extra])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert f"{extra[0]} do not apply" in captured.err
+    assert captured.out == ""
+
+
+def test_solve1d_explicit_defaults_match_omitted_flags(capsys):
+    base = ["solve1d", "--example", "ex1", "--alpha", "1.5", "--n", "16"]
+    assert main(base) == 0
+    omitted = capsys.readouterr()
+    defaults = ["--m", "16", "--theta", "0.5", "--scheme", "p1q0", "--source-sampling", "average"]
+    assert main([*base, *defaults]) == 0
+    assert capsys.readouterr() == omitted
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["solve2d", "--n", "8"],
+        ["converge", "--example", "ex4", "--alpha", "1.2", "--beta", "1.8", "--resolutions", "8,16"],
+    ],
+)
+def test_full_splitting_is_a_usage_error(capsys, command):
+    # the dense Kronecker splitting is gone; both commands used to run it for N <= 16
+    assert main([*command, "--splitting", "full"]) == 2
+    captured = capsys.readouterr()
+    assert "'full'" in captured.err
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # converge
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from wsgdiff import (
     assemble_shifted_pair_matrix,
     assemble_wsgd_matrix,
     operator_weights,
-    toeplitz_matvec_direct,
     toeplitz_matvec_fft,
     wsgd2_weights,
     wsgd3_weights,
@@ -31,6 +30,7 @@ from oracles import (
     dense_shift_matrix,
     dense_triple_sum_matrix,
     pair_weights_from_binomial,
+    toeplitz_matvec_direct,
     tridiag_second_difference,
 )
 

@@ -35,7 +35,6 @@ from wsgdiff import (
     operator_weights,
     pr_adi_stepper,
     shifted_pair_weights,
-    toeplitz_matvec_direct,
     toeplitz_matvec_fft,
     verify_weight_properties,
 )
@@ -49,6 +48,7 @@ from oracles import (
     kron_two_level_step,
     pair_weights_from_binomial,
     series_generating_function,
+    toeplitz_matvec_direct,
     triple_weights_from_binomial,
 )
 

@@ -5,7 +5,6 @@ discrete stability, and the frozen 2D benchmark anchors."""
 from __future__ import annotations
 
 import dataclasses
-import types
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from wsgdiff import (
     SolverConfig2D,
     build_directional_operators,
     convergence_rate,
-    full_cn_kron_stepper,
     lod_stepper,
     make_example,
     pr_adi_stepper,
@@ -91,18 +89,6 @@ def test_directional_operators_respect_orders_and_spacing():
 # ---------------------------------------------------------------------------
 # One-step equivalence with the dense Kronecker two-level oracle
 # ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("step_fn", [pr_adi_stepper])
-def test_adi_steps_match_dense_factored_solve(step_fn):
-    p = make_example("ex4", 1.2, 1.8)
-    cfg = SolverConfig2D(Nx=8, Ny=8, M=10)
-    rng = np.random.default_rng(11)
-    u0 = rng.standard_normal((7, 7))
-    t_n = 0.3
-    got = step_fn(p, cfg)(u0, t_n)
-    want = full_cn_kron_stepper(p, SolverConfig2D(Nx=8, Ny=8, M=10, splitting="full"))(u0, t_n)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("step_fn", [pr_adi_stepper])
@@ -386,7 +372,7 @@ def test_lod_requires_fully_homogeneous_data():
         run_2d(p, SolverConfig2D(Nx=8, Ny=8, M=2, splitting="lod"))
 
 
-@pytest.mark.parametrize("splitting", ["pr", "lod", "full"])
+@pytest.mark.parametrize("splitting", ["pr", "lod"])
 def test_non_finite_solution_raises_with_step_and_time(splitting):
     base = make_example("ex4", 1.2, 1.8)
     p = dataclasses.replace(
@@ -409,31 +395,8 @@ def test_steppers_check_their_own_preconditions(splitting):
         lod_stepper(skewed, cfg)
     with pytest.raises(ParameterError, match="fully homogeneous"):
         lod_stepper(y_data, cfg)
-    with pytest.raises(ParameterError, match="fully homogeneous"):
-        full_cn_kron_stepper(y_data, cfg)
-    with pytest.raises(ParameterError, match="capped"):
-        full_cn_kron_stepper(_custom_2d(), dataclasses.replace(cfg, Nx=32, Ny=32))
     for p in (skewed, y_data):
         assert pr_adi_stepper(p, cfg)(np.zeros((7, 7)), 0.0).shape == (7, 7)
-
-
-def test_full_factors_once_per_run(monkeypatch):
-    real = solve2d.lapack
-    shapes = []
-
-    def dgetrf(matrix):
-        shapes.append(matrix.shape)
-        return real.dgetrf(matrix)
-
-    monkeypatch.setattr(solve2d, "lapack", types.SimpleNamespace(dgetrf=dgetrf, dgetrs=real.dgetrs))
-    sol = run_2d(make_example("ex4", 1.2, 1.8), SolverConfig2D(Nx=8, Ny=8, M=6, splitting="full"))
-    assert shapes == [(49, 49)]
-    assert sol.norm_history.size == 7
-
-
-def test_full_solver_size_cap():
-    with pytest.raises(ParameterError, match="capped"):
-        SolverConfig2D(Nx=32, Ny=8, M=2, splitting="full")
 
 
 def test_config_validation():
