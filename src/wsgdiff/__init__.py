@@ -5,8 +5,9 @@ order between 1 and 2 with weighted combinations of shifted first-order
 difference operators (second-order two-shift weights and third-order
 three-shift weights), assembles the resulting Toeplitz-structured
 operators, certifies their definiteness through generating functions, and
-solves 1D and 2D diffusion problems with once-factored dense linear
-algebra.  A command-line front end regenerates the reference convergence
+solves 1D and 2D diffusion problems with systems set up once per run
+(dense LU, or a Gohberg–Semencul Toeplitz inverse for constant 1D
+coefficients).  A command-line front end regenerates the reference convergence
 tables; see the README for usage.
 
 Module map:
@@ -18,8 +19,8 @@ Module map:
 - :mod:`wsgdiff.spectral`  — one generating-function formula, sign scans,
   negative-definiteness certification;
 - :mod:`wsgdiff.problems`  — benchmark catalog, norms, convergence rates;
-- :mod:`wsgdiff.solve1d`   — steady third-order solve and theta-weighted
-  time stepping;
+- :mod:`wsgdiff.solve1d`   — steady third-order solve, the theta-weighted
+  stepper, the one time loop ``march`` and the ``Solution`` record;
 - :mod:`wsgdiff.solve2d`   — splitting stepper factories, each set up once
   per run (one factored ADI scheme under three names, and LOD);
 - :mod:`wsgdiff.cli`       — the ``wsgdiff`` command.
@@ -76,7 +77,7 @@ from .problems import (
     max_norm,
 )
 from .solve1d import (
-    Solution1D,
+    Solution,
     SolverConfig1D,
     assemble_cn_system,
     cn_wsgd_run,
@@ -84,7 +85,6 @@ from .solve1d import (
 )
 from .solve2d import (
     SPLITTINGS,
-    Solution2D,
     SolverConfig2D,
     build_directional_operators,
     lod_stepper,
@@ -135,13 +135,12 @@ __all__ = [
     "l2_norm",
     "make_example",
     "max_norm",
-    "Solution1D",
+    "Solution",
     "SolverConfig1D",
     "assemble_cn_system",
     "cn_wsgd_run",
     "steady_solve_3wsgd",
     "SPLITTINGS",
-    "Solution2D",
     "SolverConfig2D",
     "build_directional_operators",
     "lod_stepper",

@@ -95,7 +95,8 @@ class StudyConfig:
     """Fully resolved configuration of one convergence study.
 
     Settings the example would ignore are rejected: ``beta`` or splittings
-    in 1D, and any scheme but ``"pqr"`` for ``ex0``.
+    in 1D, any scheme but ``"pqr"`` for ``ex0``, and ``theta`` or
+    ``source_sampling`` (``None``: the solver's default) for ``ex0``/``ex4``.
     """
 
     example: ExampleId
@@ -104,8 +105,8 @@ class StudyConfig:
     resolutions: tuple[int, ...]
     beta: Optional[float] = None
     splittings: tuple[str, ...] = ()
-    theta: float = 0.5
-    source_sampling: str = "average"
+    theta: Optional[float] = None
+    source_sampling: Optional[str] = None
     fmt: str = "csv"
     out: Optional[str] = None
 
@@ -143,12 +144,19 @@ class StudyConfig:
             raise ParameterError(
                 f"example {self.example.value} is 1D; beta and splittings do not apply"
             )
-        if not math.isfinite(self.theta):
+        if self.theta is not None and not math.isfinite(self.theta):
             raise ParameterError(f"theta must be finite, got {self.theta}")
-        if self.source_sampling not in SOURCE_SAMPLING:
+        if self.source_sampling not in (None, *SOURCE_SAMPLING):
             raise ParameterError(
                 f"unknown source sampling {self.source_sampling!r};"
                 f" expected one of {SOURCE_SAMPLING!r}"
+            )
+        if self.example in (ExampleId.STEADY, ExampleId.TWO_DIMENSIONAL) and (
+            self.theta is not None or self.source_sampling is not None
+        ):
+            raise ParameterError(
+                f"example {self.example.value} has no theta-weighted 1D stepping;"
+                " theta and source sampling do not apply"
             )
 
 
@@ -306,14 +314,14 @@ def _study_case_errors(
             SolverConfig2D(Nx=n, Ny=n, M=n, scheme=scheme, splitting=splitting),
         )
         return sol2.max_err_final, sol2.l2_err_final
+    stepping = {"theta": config.theta, "source_sampling": config.source_sampling}
     sol1 = cn_wsgd_run(
         problem,
         SolverConfig1D(
             N=n,
             M=n,
-            theta=config.theta,
             scheme=scheme,
-            source_sampling=config.source_sampling,
+            **{name: value for name, value in stepping.items() if value is not None},
         ),
     )
     return sol1.max_err_running, sol1.l2_err_final
@@ -465,7 +473,7 @@ def _resolve_study(args: argparse.Namespace) -> StudyConfig:
         alphas = tuple(float(a) for a in _split_list(alphas_raw))
         resolutions = tuple(int(r) for r in _split_list(resolutions_raw))
         beta = float(beta_raw) if beta_raw is not None else None
-        theta = float(theta_raw) if theta_raw is not None else 0.5
+        theta = float(theta_raw) if theta_raw is not None else None
     except ValueError as exc:
         raise ParameterError(f"malformed number: {exc}") from None
     default_scheme = wt.PQR if example is ExampleId.STEADY else wt.P1Q0
@@ -478,7 +486,7 @@ def _resolve_study(args: argparse.Namespace) -> StudyConfig:
         beta=beta,
         splittings=tuple(_split_list(splittings_raw)) if splittings_raw else (),
         theta=theta,
-        source_sampling=pick(args.source_sampling, "source-sampling") or "average",
+        source_sampling=pick(args.source_sampling, "source-sampling") or None,
         fmt=pick(args.format, "format") or "csv",
         out=pick(args.out, "out"),
     )

@@ -26,7 +26,7 @@ All callables are vectorized over numpy arrays and accept scalars.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gamma, log2
 from typing import Callable, Optional, Union
 
@@ -442,23 +442,11 @@ def attach_rates(records: list[ErrorRecord]) -> list[ErrorRecord]:
     The first record keeps ``None`` rates; each later one gets
     ``log2(previous error / its error)`` per norm.
     """
-    out: list[ErrorRecord] = []
-    prev: Optional[ErrorRecord] = None
-    for rec in records:
-        if prev is None:
-            out.append(
-                ErrorRecord(rec.N, rec.M, rec.max_err, rec.l2_err, None, None)
-            )
-        else:
-            out.append(
-                ErrorRecord(
-                    rec.N,
-                    rec.M,
-                    rec.max_err,
-                    rec.l2_err,
-                    convergence_rate(prev.max_err, rec.max_err),
-                    convergence_rate(prev.l2_err, rec.l2_err),
-                )
-            )
-        prev = rec
-    return out
+    return [replace(rec, rate_max=None, rate_l2=None) for rec in records[:1]] + [
+        replace(
+            rec,
+            rate_max=convergence_rate(prev.max_err, rec.max_err),
+            rate_l2=convergence_rate(prev.l2_err, rec.l2_err),
+        )
+        for prev, rec in zip(records, records[1:])
+    ]

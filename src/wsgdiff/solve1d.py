@@ -1,6 +1,6 @@
-"""One-dimensional solvers: steady third-order solve and theta-weighted stepping.
+"""One-dimensional solvers, and the time loop that every 1D and 2D run shares.
 
-Two entry points cover the 1D catalog:
+Two entry points cover the 1D catalog, and both return a :class:`Solution`:
 
 - :func:`steady_solve_3wsgd` solves the time-independent problem
   ``-(left derivative of order alpha) u = s`` with the third-order
@@ -9,7 +9,9 @@ Two entry points cover the 1D catalog:
 - :func:`cn_wsgd_run` integrates the time-dependent diffusion problem, with
   constant or variable diffusivities, using second-order shifted weights in
   space and a theta-weighted two-level scheme in time (theta = 1/2 is the
-  trapezoidal scheme used for all reference tables).
+  trapezoidal scheme used for all reference tables).  It is
+  :func:`cn_stepper`, whose ``step(U, t_n)`` is the contract of the 2D
+  splittings too, stepped by :func:`march`, the one time loop of every run.
 
 The steady solve factors its system once by dense partial-pivoting LU.
 The time stepper sets up its two step matrices once per run and then makes
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,7 +52,7 @@ from .problems import Problem1D, l2_norm, max_norm
 
 __all__ = [
     "SolverConfig1D",
-    "Solution1D",
+    "Solution",
     "steady_solve_3wsgd",
     "assemble_cn_system",
     "cn_wsgd_run",
@@ -67,6 +70,9 @@ _GS_MIN_N = 384
 #: ``(rhs_product, solve)`` of a set-up time-stepping system: ``rhs_product(U)``
 #: applies the explicit matrix, ``solve(rhs)`` the inverse of the implicit one.
 Steps = tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]
+
+#: One time step ``step(U, t_n) -> U_next`` of a set-up scheme, 1D or 2D.
+Stepper = Callable[[np.ndarray, float], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -112,23 +118,25 @@ class SolverConfig1D:
 
 
 @dataclass
-class Solution1D:
-    """Result of a 1D solve: final-time grid values plus error diagnostics.
+class Solution:
+    """Result of a 1D or 2D solve: final-time grid values plus error diagnostics.
 
-    ``values`` holds all ``N+1`` nodes including the boundary entries at the
-    final time (steady solves report their single level with
-    ``t_final=None``).  When the problem has a known exact solution,
-    ``max_err_running`` is the maximum-norm error maximized over every time
-    level, ``max_err_final``/``l2_err_final`` are measured at the final time
-    only, all over interior nodes.  ``norm_history`` records the discrete L2
-    norm of the interior solution at each time level.
+    ``values`` holds every node including the boundary entries at the final
+    time, on ``x`` in 1D and on ``x`` by ``y`` in 2D (steady solves report
+    their single level with ``t_final=None``).  When the problem has a known
+    exact solution, ``max_err_final``/``l2_err_final`` are measured at the
+    final time and, in 1D, ``max_err_running`` is the maximum-norm error
+    maximized over every time level, all over interior nodes.
+    ``norm_history`` records the discrete L2 norm of the interior solution
+    at each time level.
     """
 
     x: np.ndarray
     values: np.ndarray
     problem_name: str
     t_final: Optional[float]
-    config: Optional[SolverConfig1D] = None
+    config: Optional[object] = None
+    y: Optional[np.ndarray] = None
     max_err_running: Optional[float] = None
     max_err_final: Optional[float] = None
     l2_err_final: Optional[float] = None
@@ -163,7 +171,7 @@ def lu_solver(matrix: np.ndarray, context: str) -> Callable[[np.ndarray], np.nda
     return solve
 
 
-def steady_solve_3wsgd(problem: Problem1D, N: int) -> Solution1D:
+def steady_solve_3wsgd(problem: Problem1D, N: int) -> Solution:
     """Solve the steady problem with the third-order three-shift operator.
 
     Discretizes ``-(left derivative of order alpha) u = source`` on ``N``
@@ -190,7 +198,7 @@ def steady_solve_3wsgd(problem: Problem1D, N: int) -> Solution1D:
     rhs = -(h**problem.alpha) * s - col_left * ua - col_right * ub
     u_int = lu_solver(G, "steady solve")(rhs)
     values = np.concatenate(([ua], u_int, [ub]))
-    sol = Solution1D(x=x, values=values, problem_name=problem.name, t_final=None)
+    sol = Solution(x=x, values=values, problem_name=problem.name, t_final=None)
     if problem.exact is not None:
         e = u_int - np.asarray(problem.exact(xi, 0.0), dtype=float)
         sol.max_err_final = max_norm(e)
@@ -284,15 +292,45 @@ def _cn_steps(problem: Problem1D, config: SolverConfig1D) -> Steps:
     return _dense_steps(problem, config)
 
 
-def cn_wsgd_run(problem: Problem1D, config: SolverConfig1D) -> Solution1D:
-    """Integrate a (constant- or variable-coefficient) 1D problem in time.
+def march(
+    step: Stepper,
+    U: np.ndarray,
+    config,
+    norm: Callable[[np.ndarray], float],
+    exact: Optional[Callable[[float], np.ndarray]] = None,
+) -> tuple[np.ndarray, np.ndarray, Optional[float]]:
+    """Step ``U`` from ``t = 0`` through the ``config.M`` steps of a 1D or 2D run.
+
+    Returns the final state, ``norm`` at every time level and, given the
+    exact interior values ``exact(t)``, the maximum-norm error maximized
+    over every level (else ``None``).  A non-finite norm is a
+    :class:`SolverError`.
+    """
+    norm_history = np.empty(config.M + 1)
+    norm_history[0] = norm(U)
+    running_max = None if exact is None else max_norm(U - exact(0.0))
+    for n in range(config.M):
+        U = step(U, n * config.tau)
+        t_next = (n + 1) * config.tau
+        norm_history[n + 1] = norm(U)
+        if not np.isfinite(norm_history[n + 1]):
+            raise SolverError(f"non-finite solution at step {n + 1} (t={t_next!r})")
+        if exact is not None:
+            running_max = max(running_max, max_norm(U - exact(t_next)))
+    return U, norm_history, running_max
+
+
+def cn_stepper(problem: Problem1D, config: SolverConfig1D) -> Stepper:
+    """Set up the theta-weighted scheme once; return its ``step(U, t_n)``.
 
     Each step solves ``(I - theta*B) U_next = (I + (1-theta)*B) U + tau*F +
     boundary terms`` with the system set up once by :func:`_cn_steps`.
+    With ``"average"`` sampling a slab's right-end source value is kept and
+    reused as the left-end value of the next call that starts at that time.
     """
     if problem.steady:
         raise ParameterError("time stepping expects a time-dependent problem")
-    h, x, xi = _grid(problem, config.N)
+    h, _, xi = _grid(problem, config.N)
     n = config.N - 1
     tau = config.tau
     theta = config.theta
@@ -307,63 +345,54 @@ def cn_wsgd_run(problem: Problem1D, config: SolverConfig1D) -> Solution1D:
     col_b = dl * left_uN + dr * right_uN
     scale = tau / h**problem.alpha
 
-    U = np.empty(n)
-    U[:] = problem.initial(xi)  # accepts per-node arrays or a constant
-    norm_history = np.empty(config.M + 1)
-    norm_history[0] = l2_norm(U, h)
-    running_max = 0.0
-    if problem.exact is not None:
-        e0 = U - np.asarray(problem.exact(xi, 0.0), dtype=float)
-        running_max = max_norm(e0)
-
     average = config.source_sampling == "average"
-    if average:
-        f_next = np.asarray(problem.source(xi, 0.0), dtype=float)
-    t_next = 0.0
-    for step in range(config.M):
-        t_now = step * tau
-        t_next = (step + 1) * tau
+    t_end, f_end = None, None
+
+    def step(U: np.ndarray, t_n: float) -> np.ndarray:
+        nonlocal t_end, f_end
+        t_next = t_n + tau
         if average:
-            # The slab's right-end value is the next slab's left-end value.
-            f_now = f_next
-            f_next = np.asarray(problem.source(xi, t_next), dtype=float)
-            fv = 0.5 * (f_now + f_next)
+            f_now = f_end if t_n == t_end else np.asarray(problem.source(xi, t_n), dtype=float)
+            t_end, f_end = t_next, np.asarray(problem.source(xi, t_next), dtype=float)
+            fv = 0.5 * (f_now + f_end)
         else:
-            fv = np.asarray(problem.source(xi, t_now + 0.5 * tau), dtype=float)
-        ga_now = float(problem.left_boundary(t_now))
+            fv = np.asarray(problem.source(xi, t_n + 0.5 * tau), dtype=float)
+        ga_now = float(problem.left_boundary(t_n))
         ga_next = float(problem.left_boundary(t_next))
-        gb_now = float(problem.right_boundary(t_now))
+        gb_now = float(problem.right_boundary(t_n))
         gb_next = float(problem.right_boundary(t_next))
         bvec = scale * (
             col_a * (theta * ga_next + (1.0 - theta) * ga_now)
             + col_b * (theta * gb_next + (1.0 - theta) * gb_now)
         )
-        U = solve(rhs_product(U) + tau * fv + bvec)
-        norm_history[step + 1] = l2_norm(U, h)
-        if not np.isfinite(norm_history[step + 1]):
-            raise SolverError(f"non-finite solution at step {step + 1} (t={t_next!r})")
-        if problem.exact is not None:
-            e = U - np.asarray(problem.exact(xi, t_next), dtype=float)
-            running_max = max(running_max, max_norm(e))
+        return solve(rhs_product(U) + tau * fv + bvec)
 
-    values = np.concatenate(
-        (
-            [float(problem.left_boundary(t_next))],
-            U,
-            [float(problem.right_boundary(t_next))],
-        )
-    )
-    sol = Solution1D(
+    return step
+
+
+def cn_wsgd_run(problem: Problem1D, config: SolverConfig1D) -> Solution:
+    """Integrate a (constant- or variable-coefficient) 1D problem in time."""
+    step = cn_stepper(problem, config)
+    h, x, xi = _grid(problem, config.N)
+    U = np.empty(config.N - 1)
+    U[:] = problem.initial(xi)  # accepts per-node arrays or a constant
+    exact = None if problem.exact is None else partial(problem.exact, xi)
+    U, norm_history, running_max = march(step, U, config, lambda V: l2_norm(V, h), exact)
+    t_final = config.M * config.tau
+    values = np.empty(config.N + 1)
+    values[1:-1] = U
+    values[0], values[-1] = problem.left_boundary(t_final), problem.right_boundary(t_final)
+    sol = Solution(
         x=x,
         values=values,
         problem_name=problem.name,
-        t_final=t_next,
+        t_final=t_final,
         config=config,
+        max_err_running=running_max,
         norm_history=norm_history,
     )
-    if problem.exact is not None:
-        e = U - np.asarray(problem.exact(xi, t_next), dtype=float)
+    if exact is not None:
+        e = U - exact(t_final)
         sol.max_err_final = max_norm(e)
         sol.l2_err_final = l2_norm(e, h)
-        sol.max_err_running = running_max
     return sol

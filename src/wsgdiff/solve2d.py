@@ -46,21 +46,20 @@ time (both maximum and grid-weighted L2), over interior nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import blas
 
 from . import weights as wt
-from .errors import ParameterError, SolverError
+from .errors import ParameterError
 from .operators import assemble_wsgd_matrix, boundary_columns
 from .problems import Problem2D, l2_norm, max_norm
-from .solve1d import lu_solver
+from .solve1d import Solution, Stepper, lu_solver, march
 
 __all__ = [
     "SPLITTINGS",
     "SolverConfig2D",
-    "Solution2D",
     "build_directional_operators",
     "pr_adi_stepper",
     "lod_stepper",
@@ -70,9 +69,6 @@ __all__ = [
 #: Splitting strategies: the factored scheme under its three names, and the
 #: LOD scheme.
 SPLITTINGS = ("pr", "douglas", "dyakonov", "lod")
-
-#: One time step ``step(U, t_n) -> U_next`` of a set-up splitting.
-Stepper = Callable[[np.ndarray, float], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -107,21 +103,6 @@ class SolverConfig2D:
     @property
     def tau(self) -> float:
         return self.T / self.M
-
-
-@dataclass
-class Solution2D:
-    """Result of a 2D run: full final-time grid plus error diagnostics."""
-
-    x: np.ndarray
-    y: np.ndarray
-    values: np.ndarray
-    problem_name: str
-    t_final: float
-    config: Optional[SolverConfig2D] = None
-    max_err_final: Optional[float] = None
-    l2_err_final: Optional[float] = None
-    norm_history: Optional[np.ndarray] = None
 
 
 def build_directional_operators(
@@ -285,21 +266,13 @@ _STEPPERS: dict[str, Callable[[Problem2D, SolverConfig2D], Stepper]] = {
 }
 
 
-def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution2D:
+def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution:
     """Integrate a 2D problem from its initial state to the final time."""
     step = _STEPPERS[config.splitting](problem, config)
     hx, hy, _, X, Y = _grid(problem, config)
     U = np.array(_on_grid(problem.initial, X, Y))
-    norm_history = np.empty(config.M + 1)
-    norm_history[0] = l2_norm(U, hx, hy)
-    t_next = 0.0
-    for n in range(config.M):
-        U = step(U, n * config.tau)
-        t_next = (n + 1) * config.tau
-        norm_history[n + 1] = l2_norm(U, hx, hy)
-        if not np.isfinite(norm_history[n + 1]):
-            raise SolverError(f"non-finite solution at step {n + 1} (t={t_next!r})")
-
+    U, norm_history, _ = march(step, U, config, lambda V: l2_norm(V, hx, hy))
+    t_next = config.M * config.tau
     x_full = problem.ax + hx * np.arange(config.Nx + 1)
     y_full = problem.ay + hy * np.arange(config.Ny + 1)
     values = np.empty((config.Nx + 1, config.Ny + 1))
@@ -308,7 +281,7 @@ def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution2D:
     values[-1, :] = problem.boundary(np.full_like(y_full, problem.bx), y_full, t_next)
     values[:, 0] = problem.boundary(x_full, np.full_like(x_full, problem.ay), t_next)
     values[:, -1] = problem.boundary(x_full, np.full_like(x_full, problem.by), t_next)
-    sol = Solution2D(
+    sol = Solution(
         x=x_full,
         y=y_full,
         values=values,

@@ -15,7 +15,7 @@ import pytest
 
 import wsgdiff
 from wsgdiff import ParameterError
-from wsgdiff.cli import StudyConfig, main, read_report_csv
+from wsgdiff.cli import StudyConfig, cmd_converge, main, read_report_csv
 from wsgdiff.problems import ExampleId
 
 from oracles import binomial_gl
@@ -467,6 +467,56 @@ def test_study_config_checks_direct_construction():
     ):
         with pytest.raises(ParameterError):
             study(**bad)
+
+
+_STEPPING_STUDIES = {
+    "ex0": ["--example", "ex0", "--alpha", "1.5"],
+    "ex4": ["--example", "ex4", "--alpha", "1.2", "--beta", "1.8", "--splitting", "pr"],
+}
+
+
+@pytest.mark.parametrize(
+    "setting", [("theta", "0.2"), ("source-sampling", "midpoint")], ids=["theta", "sampling"]
+)
+@pytest.mark.parametrize("example", sorted(_STEPPING_STUDIES))
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_converge_rejects_stepping_settings_without_1d_stepping(
+    tmp_path, capsys, source, example, setting
+):
+    # the steady solve and the 2D splittings never read theta or the source
+    # sampling; both used to be accepted, ignored, and exit 0
+    key, value = setting
+    args = ["converge", *_STEPPING_STUDIES[example], "--resolutions", "8,16"]
+    if source == "flag":
+        args += [f"--{key}", value]
+    else:
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        args += ["--config", str(cfg)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert "theta and source sampling do not apply" in captured.err
+    assert captured.out == ""
+
+
+def test_study_config_passes_only_set_stepping_settings():
+    def study(example, **kw):
+        fields = dict(alphas=(1.5,), schemes=("p1q0",), resolutions=(8, 16)) | kw
+        return StudyConfig(example=ExampleId.from_tag(example), **fields)
+
+    for bad in (
+        dict(example="ex0", schemes=("pqr",), theta=0.5),
+        dict(example="ex0", schemes=("pqr",), source_sampling="average"),
+        dict(example="ex4", alphas=(1.2,), beta=1.8, splittings=("pr",), theta=0.5),
+        dict(example="ex4", alphas=(1.2,), beta=1.8, splittings=("pr",), source_sampling="midpoint"),
+    ):
+        with pytest.raises(ParameterError, match="do not apply"):
+            study(**bad)
+    # unset settings take the solver's defaults; set ones reach the solver
+    default = cmd_converge(study("ex1"))
+    assert cmd_converge(study("ex1", theta=0.5, source_sampling="average")) == default
+    assert cmd_converge(study("ex1", theta=1.0)) != default
+    assert cmd_converge(study("ex1", source_sampling="midpoint")) != default
 
 
 def test_converge_steady_accepts_explicit_triple_scheme(capsys):

@@ -411,6 +411,42 @@ def test_gs_non_finite_solution_raises_with_step_and_time(monkeypatch, sampling)
         _run_with(monkeypatch, 0, p, SolverConfig1D(N=8, M=4, source_sampling=sampling))
 
 
+@pytest.mark.parametrize("min_n", [0, 10**9], ids=["gs", "dense"])
+@pytest.mark.parametrize("sampling", ["average", "midpoint"])
+def test_stepper_reuses_its_source_value_only_at_the_slab_end(monkeypatch, sampling, min_n):
+    # a step from t_n is the same whether the stepper is fresh, has just
+    # stepped to t_n (the kept slab-end source value is reused), or has
+    # stepped somewhere else (the value is evaluated again)
+    monkeypatch.setattr(solve1d, "_GS_MIN_N", min_n)
+    base = _constant_problem("unequal", 0.7, 0.2, 1.6)
+    calls = []
+
+    def source(x, t):
+        calls.append(t)
+        return base.source(x, t)
+
+    p = dataclasses.replace(base, source=source)
+    cfg = SolverConfig1D(N=24, M=4, source_sampling=sampling)
+    tau, t_n = cfg.tau, 0.5
+    U = np.linspace(0.1, 0.9, cfg.N - 1)
+    fresh = solve1d.cn_stepper(p, cfg)
+    arrived = solve1d.cn_stepper(p, cfg)
+    arrived(U, t_n - tau)
+    elsewhere = solve1d.cn_stepper(p, cfg)
+    elsewhere(U, 0.0)
+    if sampling == "average":
+        want_calls = ([t_n, t_n + tau], [t_n + tau], [t_n, t_n + tau])
+    else:
+        want_calls = ([t_n + 0.5 * tau],) * 3
+    results = []
+    for step, want in zip((fresh, arrived, elsewhere), want_calls):
+        calls.clear()
+        results.append(step(U, t_n))
+        assert calls == want
+    assert np.array_equal(results[0], results[1])
+    assert np.array_equal(results[0], results[2])
+
+
 # ---------------------------------------------------------------------------
 # Dense size guard
 # ---------------------------------------------------------------------------
