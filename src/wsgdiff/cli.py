@@ -13,6 +13,10 @@ Subcommands
   convergence table (N, max error, rate, L2 error, rate) as CSV or
   markdown.  This is the command that regenerates the reference tables.
 
+The last three share one runner, ``_solve``, the only code that turns a cell
+(one alpha, scheme, splitting and N) into a solver call; a single solve is a
+one-cell study, so it passes the :class:`StudyConfig` checks too.
+
 Conventions shared by all subcommands: ``--out PATH`` writes the main
 output to a file (stdout otherwise), and human-facing text — summary lines,
 study progress, errors — always goes to stderr, so stdout carries nothing
@@ -42,6 +46,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -52,12 +57,13 @@ from . import weights as wt
 from .errors import ParameterError, SolverError
 from .operators import operator_weights
 from .problems import (
+    EX4_ORDERS,
     ErrorRecord,
     ExampleId,
     attach_rates,
     make_example,
 )
-from .solve1d import SOURCE_SAMPLING, SolverConfig1D, cn_wsgd_run, steady_solve_3wsgd
+from .solve1d import SOURCE_SAMPLING, Solution, SolverConfig1D, cn_wsgd_run, steady_solve_3wsgd
 from .solve2d import SPLITTINGS, SolverConfig2D, run_2d
 from .spectral import SPECTRAL_SCHEMES, generating_function, scan_sign
 
@@ -97,6 +103,7 @@ class StudyConfig:
     Settings the example would ignore are rejected: ``beta`` or splittings
     in 1D, any scheme but ``"pqr"`` for ``ex0``, and ``theta`` or
     ``source_sampling`` (``None``: the solver's default) for ``ex0``/``ex4``.
+    An ``ex4`` study without ``beta`` runs with, and reports, the catalog's.
     """
 
     example: ExampleId
@@ -140,6 +147,8 @@ class StudyConfig:
         if self.example is ExampleId.TWO_DIMENSIONAL:
             if not self.splittings:
                 raise ParameterError("2D studies need at least one splitting")
+            if self.beta is None:
+                object.__setattr__(self, "beta", EX4_ORDERS[1])
         elif self.beta is not None or self.splittings:
             raise ParameterError(
                 f"example {self.example.value} is 1D; beta and splittings do not apply"
@@ -196,10 +205,9 @@ def cmd_coeffs(alpha: float, scheme: str, count: int, fmt: str = "csv") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cli_coeffs(args: argparse.Namespace) -> int:
+def _cli_coeffs(args: argparse.Namespace) -> None:
     text = cmd_coeffs(args.alpha, args.scheme, args.count, args.format)
     _emit(text, args.out)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -226,73 +234,85 @@ def cmd_spectrum(alpha: float, scheme: str, samples: int) -> tuple[str, str]:
     return body, summary
 
 
-def _cli_spectrum(args: argparse.Namespace) -> int:
+def _cli_spectrum(args: argparse.Namespace) -> None:
     body, summary = cmd_spectrum(args.alpha, args.scheme, args.samples)
     _emit(body, args.out)
     sys.stderr.write(summary)
-    return 0
 
 
 # ---------------------------------------------------------------------------
-# solve1d / solve2d
+# The cell runner, and solve1d / solve2d
 # ---------------------------------------------------------------------------
 
 
-def _cli_solve1d(args: argparse.Namespace) -> int:
+def _solve(
+    config: StudyConfig, alpha: float, scheme: str, splitting: Optional[str], n: int, m=None
+) -> Solution:
+    """Run one (alpha, scheme, splitting, N) cell of ``config`` with ``m`` steps (default N).
+
+    The solvers are called as ``(problem, N)`` or ``(problem, config)``
+    through this module's attributes, where a tracer can rebind them.
+    """
+    problem = make_example(config.example, alpha, config.beta)
+    m = n if m is None else m
+    if config.example is ExampleId.STEADY:
+        return steady_solve_3wsgd(problem, n)
+    if config.example is ExampleId.TWO_DIMENSIONAL:
+        return run_2d(problem, SolverConfig2D(Nx=n, Ny=n, M=m, scheme=scheme, splitting=splitting))
+    stepping = {"theta": config.theta, "source_sampling": config.source_sampling}
+    stepping = {name: value for name, value in stepping.items() if value is not None}
+    return cn_wsgd_run(problem, SolverConfig1D(N=n, M=m, scheme=scheme, **stepping))
+
+
+def _write_solution(sol: Solution, out: Optional[str]) -> None:
+    """Emit ``x,u`` (1D) or ``x,y,u`` (2D) rows and the error summary line."""
+    if sol.y is None:
+        header, rows = ("x", "u"), zip(sol.x, sol.values)
+    else:
+        header = ("x", "y", "u")
+        rows = ((x, y, u) for (x, y), u in zip(itertools.product(sol.x, sol.y), sol.values.flat))
+    _emit(_csv_text(header, (tuple(repr(float(v)) for v in row) for row in rows)), out)
+    if sol.max_err_final is not None:
+        summary = f"max error {_sci(sol.max_err_final)}; l2 error {_sci(sol.l2_err_final)}"
+        sys.stderr.write(summary + "\n")
+
+
+def _cli_solve1d(args: argparse.Namespace) -> None:
     example = ExampleId.from_tag(args.example)
     if example is ExampleId.TWO_DIMENSIONAL:
         raise ParameterError("example ex4 is two-dimensional; use the solve2d subcommand")
-    # Unset stepping flags stay None, so SolverConfig1D's defaults apply and
-    # the steady solve can tell a given flag from an absent one.
-    stepping = {
-        name: getattr(args, name)
-        for name in ("m", "theta", "scheme", "source_sampling")
-        if getattr(args, name) is not None
-    }
-    problem = make_example(example, args.alpha)
     if example is ExampleId.STEADY:
-        if stepping:
-            flags = ", ".join("--" + name.replace("_", "-") for name in stepping)
+        names = ("m", "theta", "scheme", "source_sampling")
+        given = [name for name in names if getattr(args, name) is not None]
+        if given:
+            flags = ", ".join("--" + name.replace("_", "-") for name in given)
             raise ParameterError(f"example ex0 is the steady pqr solve; {flags} do not apply")
-        sol = steady_solve_3wsgd(problem, args.n)
-    else:
-        stepping["M"] = stepping.pop("m", args.n)
-        sol = cn_wsgd_run(problem, SolverConfig1D(N=args.n, **stepping))
-    body = _csv_text(
-        ("x", "u"),
-        ((repr(float(x)), repr(float(u))) for x, u in zip(sol.x, sol.values)),
+    config = StudyConfig(
+        example=example,
+        alphas=(args.alpha,),
+        schemes=(args.scheme or (wt.PQR if example is ExampleId.STEADY else wt.P1Q0),),
+        resolutions=(args.n,),
+        theta=args.theta,
+        source_sampling=args.source_sampling,
     )
-    _emit(body, args.out)
-    if sol.max_err_final is not None:
-        sys.stderr.write(
-            f"max error {_sci(sol.max_err_final)}; l2 error {_sci(sol.l2_err_final)}\n"
-        )
-    return 0
+    sol = _solve(config, args.alpha, config.schemes[0], None, args.n, args.m)
+    _write_solution(sol, args.out)
 
 
-def _cli_solve2d(args: argparse.Namespace) -> int:
+def _cli_solve2d(args: argparse.Namespace) -> None:
     example = ExampleId.from_tag(args.example)
     if example is not ExampleId.TWO_DIMENSIONAL:
         raise ParameterError(f"example {example.value} is one-dimensional; use solve1d")
-    problem = make_example(example, args.alpha, args.beta)
-    config = SolverConfig2D(
-        Nx=args.n,
-        Ny=args.n,
-        M=args.m if args.m is not None else args.n,
-        scheme=args.scheme,
-        splitting=args.splitting,
+    config = StudyConfig(
+        example=example,
+        alphas=(args.alpha,),
+        schemes=(args.scheme,),
+        resolutions=(args.n,),
+        beta=args.beta,
+        splittings=(args.splitting,),
     )
-    sol = run_2d(problem, config)
-    rows = []
-    for i, xv in enumerate(sol.x):
-        for j, yv in enumerate(sol.y):
-            rows.append((repr(float(xv)), repr(float(yv)), repr(float(sol.values[i, j]))))
-    _emit(_csv_text(("x", "y", "u"), rows), args.out)
-    if sol.max_err_final is not None:
-        sys.stderr.write(
-            f"max error {_sci(sol.max_err_final)}; l2 error {_sci(sol.l2_err_final)}\n"
-        )
-    return 0
+    sol = _solve(config, args.alpha, args.scheme, args.splitting, args.n, args.m)
+    _write_solution(sol, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -300,44 +320,19 @@ def _cli_solve2d(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _study_case_errors(
-    config: StudyConfig, alpha: float, scheme: str, splitting: Optional[str], n: int
-) -> tuple[float, float]:
-    """Run one (alpha, scheme, splitting, N) cell and return its error pair."""
-    problem = make_example(config.example, alpha, config.beta)
-    if config.example is ExampleId.STEADY:
-        sol = steady_solve_3wsgd(problem, n)
-        return sol.max_err_final, sol.l2_err_final
-    if config.example is ExampleId.TWO_DIMENSIONAL:
-        sol2 = run_2d(
-            problem,
-            SolverConfig2D(Nx=n, Ny=n, M=n, scheme=scheme, splitting=splitting),
-        )
-        return sol2.max_err_final, sol2.l2_err_final
-    stepping = {"theta": config.theta, "source_sampling": config.source_sampling}
-    sol1 = cn_wsgd_run(
-        problem,
-        SolverConfig1D(
-            N=n,
-            M=n,
-            scheme=scheme,
-            **{name: value for name, value in stepping.items() if value is not None},
-        ),
-    )
-    return sol1.max_err_running, sol1.l2_err_final
-
-
 def _study_blocks(config: StudyConfig):
-    """Yield (block label fields, records) per (splitting, scheme, alpha)."""
+    """Yield (block label fields, records) per (splitting, scheme, alpha); a record's
+    max error is the running one where the run tracked it, else the final-time one."""
     for splitting in config.splittings or (None,):
         for scheme in config.schemes:
             for alpha in config.alphas:
                 records = []
                 for n in config.resolutions:
-                    max_err, l2_err = _study_case_errors(
-                        config, alpha, scheme, splitting, n
-                    )
-                    records.append(ErrorRecord(n, n, max_err, l2_err))
+                    sol = _solve(config, alpha, scheme, splitting, n)
+                    max_err = sol.max_err_running
+                    if max_err is None:
+                        max_err = sol.max_err_final
+                    records.append(ErrorRecord(n, n, max_err, sol.l2_err_final))
                     sys.stderr.write(
                         f"[{config.example.value}"
                         f"{'/' + splitting if splitting else ''}"
@@ -415,20 +410,23 @@ def read_report_csv(path: str) -> list[ErrorRecord]:
     return records
 
 
+#: Keys of a study's config file, the long names of the ``converge`` flags.
+_STUDY_KEYS = (
+    "example",
+    "alpha",
+    "beta",
+    "scheme",
+    "splitting",
+    "resolutions",
+    "theta",
+    "source-sampling",
+    "format",
+    "out",
+)
+
+
 def _load_config_file(path: str) -> dict[str, str]:
     """Parse the flat key-value study config grammar."""
-    known = {
-        "example",
-        "alpha",
-        "beta",
-        "scheme",
-        "splitting",
-        "resolutions",
-        "theta",
-        "source-sampling",
-        "format",
-        "out",
-    }
     entries: dict[str, str] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -438,9 +436,9 @@ def _load_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ParameterError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in known:
+            if key not in _STUDY_KEYS:
                 raise ParameterError(
-                    f"{path}:{lineno}: unknown key {key!r}; known keys: {sorted(known)}"
+                    f"{path}:{lineno}: unknown key {key!r}; known keys: {sorted(_STUDY_KEYS)}"
                 )
             entries[key] = value
     return entries
@@ -452,54 +450,45 @@ def _split_list(text: str) -> list[str]:
 
 def _resolve_study(args: argparse.Namespace) -> StudyConfig:
     """Merge config-file entries and flags (flags win) into a StudyConfig."""
-    file_entries = _load_config_file(args.config) if args.config else {}
-
-    def pick(flag_value, key: str):
-        return flag_value if flag_value is not None else file_entries.get(key)
-
-    example_raw = pick(args.example, "example")
-    if example_raw is None:
+    settings = _load_config_file(args.config) if args.config else {}
+    flags = {key: getattr(args, key.replace("-", "_")) for key in _STUDY_KEYS}
+    settings.update((key, value) for key, value in flags.items() if value is not None)
+    if "example" not in settings:
         raise ParameterError("converge needs an example (flag --example or config key)")
-    example = ExampleId.from_tag(example_raw)
-    alphas_raw = pick(args.alpha, "alpha")
-    if alphas_raw is None:
+    example = ExampleId.from_tag(settings["example"])
+    if "alpha" not in settings:
         raise ParameterError("converge needs at least one alpha")
-    resolutions_raw = pick(args.resolutions, "resolutions")
-    if resolutions_raw is None:
+    if "resolutions" not in settings:
         raise ParameterError("converge needs a resolution list")
-    beta_raw = pick(args.beta, "beta")
-    theta_raw = pick(args.theta, "theta")
     try:
-        alphas = tuple(float(a) for a in _split_list(alphas_raw))
-        resolutions = tuple(int(r) for r in _split_list(resolutions_raw))
-        beta = float(beta_raw) if beta_raw is not None else None
-        theta = float(theta_raw) if theta_raw is not None else None
+        alphas = tuple(float(a) for a in _split_list(settings["alpha"]))
+        resolutions = tuple(int(r) for r in _split_list(settings["resolutions"]))
+        beta = float(settings["beta"]) if "beta" in settings else None
+        theta = float(settings["theta"]) if "theta" in settings else None
     except ValueError as exc:
         raise ParameterError(f"malformed number: {exc}") from None
     default_scheme = wt.PQR if example is ExampleId.STEADY else wt.P1Q0
-    splittings_raw = pick(args.splitting, "splitting")
     return StudyConfig(
         example=example,
         alphas=alphas,
-        schemes=tuple(_split_list(pick(args.scheme, "scheme") or default_scheme)),
+        schemes=tuple(_split_list(settings.get("scheme") or default_scheme)),
         resolutions=resolutions,
         beta=beta,
-        splittings=tuple(_split_list(splittings_raw)) if splittings_raw else (),
+        splittings=tuple(_split_list(settings.get("splitting", ""))),
         theta=theta,
-        source_sampling=pick(args.source_sampling, "source-sampling") or None,
-        fmt=pick(args.format, "format") or "csv",
-        out=pick(args.out, "out"),
+        source_sampling=settings.get("source-sampling") or None,
+        fmt=settings.get("format") or "csv",
+        out=settings.get("out"),
     )
 
 
-def _cli_converge(args: argparse.Namespace) -> int:
+def _cli_converge(args: argparse.Namespace) -> None:
     config = _resolve_study(args)
     try:
         report = cmd_converge(config)
     except (ParameterError, SolverError) as exc:
         raise type(exc)(f"{exc} (example={config.example.value})") from exc
     _emit(report, config.out)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +533,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve2d", help="run the 2D benchmark at one resolution")
     p.add_argument("--example", default="ex4")
-    p.add_argument("--alpha", type=float, default=1.2)
-    p.add_argument("--beta", type=float, default=1.8)
+    p.add_argument("--alpha", type=float, default=EX4_ORDERS[0])
+    p.add_argument("--beta", type=float, default=EX4_ORDERS[1])
     p.add_argument("--scheme", choices=wt.PAIR_SCHEMES, default=wt.P1Q0)
     p.add_argument("--splitting", choices=SPLITTINGS, default="pr")
     p.add_argument("--n", type=int, default=16)
@@ -579,16 +568,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else (0 if code is None else 2)
     try:
-        return args.func(args)
+        args.func(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SolverError as exc:
+    except (SolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

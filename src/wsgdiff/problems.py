@@ -379,6 +379,10 @@ def _two_dim_cubic(alpha: float, beta: float) -> Problem2D:
     )
 
 
+#: The orders ``(alpha, beta)`` of ``ex4`` unless given; the 2D tables use them.
+EX4_ORDERS = (1.2, 1.8)
+
+
 def make_example(
     example: "ExampleId | str",
     alpha: Optional[float] = None,
@@ -387,11 +391,12 @@ def make_example(
     """Build a catalog problem by id.
 
     ``alpha`` is required for the one-dimensional examples.  The 2D example
-    defaults to orders (1.2, 1.8) but accepts overrides for either axis.
+    defaults to the orders ``EX4_ORDERS`` but accepts overrides for either axis.
     """
     example = ExampleId.from_tag(example)
     if example is ExampleId.TWO_DIMENSIONAL:
-        return _two_dim_cubic(1.2 if alpha is None else alpha, 1.8 if beta is None else beta)
+        alpha, beta = (d if v is None else v for v, d in zip((alpha, beta), EX4_ORDERS))
+        return _two_dim_cubic(alpha, beta)
     if alpha is None:
         raise ParameterError(f"example {example.value!r} requires alpha")
     if beta is not None:

@@ -75,6 +75,13 @@ Steps = tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndar
 Stepper = Callable[[np.ndarray, float], np.ndarray]
 
 
+def count_at_least(name: str, value, least: int, what: str) -> int:
+    """``value`` as an ``int``; a non-finite, fractional or too small one is a ParameterError."""
+    if not np.isfinite(value) or int(value) != value or value < least:
+        raise ParameterError(f"need at least {name}={least} {what}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SolverConfig1D:
     """Resolution and scheme selection for a 1D time-dependent run."""
@@ -87,10 +94,8 @@ class SolverConfig1D:
     source_sampling: str = "average"
 
     def __post_init__(self) -> None:
-        if int(self.N) != self.N or self.N < 4:
-            raise ParameterError(f"need at least N=4 spatial intervals, got {self.N}")
-        if int(self.M) != self.M or self.M < 1:
-            raise ParameterError(f"need at least M=1 time steps, got {self.M}")
+        for name, least, what in (("N", 4, "spatial intervals"), ("M", 1, "time steps")):
+            object.__setattr__(self, name, count_at_least(name, getattr(self, name), least, what))
         if self.scheme not in wt.PAIR_SCHEMES:
             raise ParameterError(
                 f"unsupported scheme {self.scheme!r} for the time stepper;"
@@ -185,9 +190,7 @@ def steady_solve_3wsgd(problem: Problem1D, N: int) -> Solution:
         raise ParameterError(
             f"the steady solver covers orders strictly between 1 and 2, got {problem.alpha}"
         )
-    if int(N) != N or N < 4:
-        raise ParameterError(f"need at least N=4 intervals, got {N}")
-    N = int(N)
+    N = count_at_least("N", N, 4, "intervals")
     h, x, xi = _grid(problem, N)
     n = N - 1
     G = assemble_wsgd_matrix(problem.alpha, wt.PQR, n).to_dense()
@@ -197,6 +200,8 @@ def steady_solve_3wsgd(problem: Problem1D, N: int) -> Solution:
     s = np.asarray(problem.source(xi, 0.0), dtype=float)
     rhs = -(h**problem.alpha) * s - col_left * ua - col_right * ub
     u_int = lu_solver(G, "steady solve")(rhs)
+    if not np.isfinite(u_int).all():
+        raise SolverError("steady solve: non-finite solution")
     values = np.concatenate(([ua], u_int, [ub]))
     sol = Solution(x=x, values=values, problem_name=problem.name, t_final=None)
     if problem.exact is not None:
@@ -294,18 +299,21 @@ def _cn_steps(problem: Problem1D, config: SolverConfig1D) -> Steps:
 
 def march(
     step: Stepper,
-    U: np.ndarray,
+    initial: Callable[[], np.ndarray],
     config,
     norm: Callable[[np.ndarray], float],
     exact: Optional[Callable[[float], np.ndarray]] = None,
 ) -> tuple[np.ndarray, np.ndarray, Optional[float]]:
-    """Step ``U`` from ``t = 0`` through the ``config.M`` steps of a 1D or 2D run.
+    """Step the state ``initial()`` from ``t = 0`` through the ``config.M``
+    steps of a 1D or 2D run; the loop holds the only reference to that first
+    state, so it is freed once the first step returns.
 
     Returns the final state, ``norm`` at every time level and, given the
     exact interior values ``exact(t)``, the maximum-norm error maximized
     over every level (else ``None``).  A non-finite norm is a
     :class:`SolverError`.
     """
+    U = initial()
     norm_history = np.empty(config.M + 1)
     norm_history[0] = norm(U)
     running_max = None if exact is None else max_norm(U - exact(0.0))
@@ -374,10 +382,10 @@ def cn_wsgd_run(problem: Problem1D, config: SolverConfig1D) -> Solution:
     """Integrate a (constant- or variable-coefficient) 1D problem in time."""
     step = cn_stepper(problem, config)
     h, x, xi = _grid(problem, config.N)
-    U = np.empty(config.N - 1)
-    U[:] = problem.initial(xi)  # accepts per-node arrays or a constant
+    # problem.initial may return per-node values or a constant.
+    initial = lambda: np.full(config.N - 1, problem.initial(xi), dtype=float)
     exact = None if problem.exact is None else partial(problem.exact, xi)
-    U, norm_history, running_max = march(step, U, config, lambda V: l2_norm(V, h), exact)
+    U, norm_history, running_max = march(step, initial, config, lambda V: l2_norm(V, h), exact)
     t_final = config.M * config.tau
     values = np.empty(config.N + 1)
     values[1:-1] = U

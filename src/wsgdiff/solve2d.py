@@ -55,7 +55,7 @@ from . import weights as wt
 from .errors import ParameterError
 from .operators import assemble_wsgd_matrix, boundary_columns
 from .problems import Problem2D, l2_norm, max_norm
-from .solve1d import Solution, Stepper, lu_solver, march
+from .solve1d import Solution, Stepper, count_at_least, lu_solver, march
 
 __all__ = [
     "SPLITTINGS",
@@ -83,11 +83,9 @@ class SolverConfig2D:
     T: float = 1.0
 
     def __post_init__(self) -> None:
-        for label, value in (("Nx", self.Nx), ("Ny", self.Ny)):
-            if int(value) != value or value < 4:
-                raise ParameterError(f"need at least {label}=4 intervals, got {value}")
-        if int(self.M) != self.M or self.M < 1:
-            raise ParameterError(f"need at least M=1 time steps, got {self.M}")
+        counts = (("Nx", 4, "intervals"), ("Ny", 4, "intervals"), ("M", 1, "time steps"))
+        for name, least, what in counts:
+            object.__setattr__(self, name, count_at_least(name, getattr(self, name), least, what))
         if self.scheme not in wt.PAIR_SCHEMES:
             raise ParameterError(
                 f"unsupported scheme {self.scheme!r} for the 2D steppers;"
@@ -270,8 +268,8 @@ def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution:
     """Integrate a 2D problem from its initial state to the final time."""
     step = _STEPPERS[config.splitting](problem, config)
     hx, hy, _, X, Y = _grid(problem, config)
-    U = np.array(_on_grid(problem.initial, X, Y))
-    U, norm_history, _ = march(step, U, config, lambda V: l2_norm(V, hx, hy))
+    initial = lambda: np.array(_on_grid(problem.initial, X, Y))
+    U, norm_history, _ = march(step, initial, config, lambda V: l2_norm(V, hx, hy))
     t_next = config.M * config.tau
     x_full = problem.ax + hx * np.arange(config.Nx + 1)
     y_full = problem.ay + hy * np.arange(config.Ny + 1)

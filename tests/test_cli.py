@@ -4,6 +4,7 @@ report round-trips, and determinism."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import os
 import subprocess
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import wsgdiff
-from wsgdiff import ParameterError
+from wsgdiff import ParameterError, cli
 from wsgdiff.cli import StudyConfig, cmd_converge, main, read_report_csv
 from wsgdiff.problems import ExampleId
 
@@ -387,6 +388,27 @@ def test_converge_2d_study_includes_splitting_column(tmp_path, capsys):
     assert all(row["beta"] == "1.8" for row in rows)
 
 
+def test_converge_2d_study_reports_the_default_beta(capsys):
+    # without --beta the cells run with the catalog's beta=1.8; the report
+    # used to leave the beta cell empty and the markdown title without it
+    args = ["converge", "--example", "ex4", "--alpha", "1.2", "--splitting", "pr"]
+    args += ["--resolutions", "8,16"]
+    for fmt in ("csv", "md"):
+        assert main([*args, "--format", fmt]) == 0
+        default = capsys.readouterr().out
+        assert main([*args, "--format", fmt, "--beta", "1.8"]) == 0
+        assert capsys.readouterr().out == default
+    assert "## ex4 p1q0 alpha=1.2 splitting=pr beta=1.8" in default
+    config = StudyConfig(
+        example=ExampleId.TWO_DIMENSIONAL,
+        alphas=(1.2,),
+        schemes=("p1q0",),
+        resolutions=(8,),
+        splittings=("pr",),
+    )
+    assert config.beta == 1.8
+
+
 def test_converge_rejects_2d_without_splitting(capsys):
     rc = main(
         ["converge", "--example", "ex4", "--alpha", "1.2", "--resolutions", "8,16"]
@@ -524,6 +546,78 @@ def test_converge_steady_accepts_explicit_triple_scheme(capsys):
     rc = main(args + ["--scheme", "pqr"])
     assert rc == 0
     assert all(row[1] == "pqr" for row in _parse_csv(capsys.readouterr().out)[1:])
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["solve1d", "--example", "ex0", "--alpha", "1.5", "--n", "16"],
+        ["converge", "--example", "ex0", "--alpha", "1.5", "--resolutions", "8,16"],
+    ],
+    ids=["solve1d", "converge"],
+)
+def test_steady_non_finite_solution_is_a_runtime_error(monkeypatch, capsys, command):
+    # a NaN source used to print a NaN solution and "max error NAN" with exit 0
+    make = cli.make_example
+
+    def nan_source(*args):
+        problem = make(*args)
+        return dataclasses.replace(problem, source=lambda x, t=0.0: np.full_like(x, np.nan))
+
+    monkeypatch.setattr(cli, "make_example", nan_source)
+    assert main(command) == 1
+    captured = capsys.readouterr()
+    assert "error: steady solve: non-finite solution" in captured.err
+    assert captured.out == ""
+
+
+_CELL_STUDIES = [
+    dict(example=ExampleId.STEADY, schemes=("pqr",), alphas=(1.1, 1.9)),
+    dict(example=ExampleId.TWO_SIDED, schemes=("p1q0", "p1qm1"), alphas=(1.5,)),
+    dict(
+        example=ExampleId.TWO_DIMENSIONAL,
+        schemes=("p1q0",),
+        alphas=(1.2,),
+        beta=1.8,
+        splittings=("pr", "lod"),
+    ),
+]
+
+
+@pytest.mark.parametrize("fields", _CELL_STUDIES, ids=lambda f: f["example"].value)
+def test_converge_calls_one_solver_per_cell_through_the_module(monkeypatch, fields):
+    # the benchmark's tracer rebinds these wsgdiff.cli attributes and reads
+    # each cell's grid size from a positional (problem, N) or (problem, config)
+    calls = []
+
+    def spy(name):
+        solver = getattr(cli, name)
+
+        def call(*args, **kwargs):
+            calls.append((name, args, kwargs))
+            return solver(*args, **kwargs)
+
+        return call
+
+    for name in ("steady_solve_3wsgd", "cn_wsgd_run", "run_2d"):
+        monkeypatch.setattr(cli, name, spy(name))
+    config = StudyConfig(resolutions=(8, 16), **fields)
+    cmd_converge(config)
+    want = {
+        ExampleId.STEADY: "steady_solve_3wsgd",
+        ExampleId.TWO_SIDED: "cn_wsgd_run",
+        ExampleId.TWO_DIMENSIONAL: "run_2d",
+    }[config.example]
+    cells = len(config.splittings or (None,)) * len(config.schemes) * len(config.alphas)
+    assert [name for name, _, _ in calls] == [want] * (cells * 2)
+    sizes = []
+    for _, args, kwargs in calls:
+        assert len(args) == 2 and not kwargs
+        cell = args[1]
+        size = cell if isinstance(cell, int) else getattr(cell, "Nx", getattr(cell, "N", None))
+        assert getattr(cell, "M", size) == size  # studies run N = M
+        sizes.append(size)
+    assert sizes == [8, 16] * cells
 
 
 def test_read_report_rejects_foreign_csv(tmp_path):

@@ -5,12 +5,13 @@ Gohberg–Semencul backend against dense LU, and the dense size guard."""
 from __future__ import annotations
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from wsgdiff import operators, solve1d
+from wsgdiff import operators, solve1d, solve2d
 from wsgdiff import (
     P1Q0,
     P1QM1,
@@ -93,6 +94,20 @@ def test_steady_solver_rejections():
         steady_solve_3wsgd(p2, 8)
     with pytest.raises(ParameterError, match="N=4"):
         steady_solve_3wsgd(make_example("ex0", 1.5), 3)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "no-exact"])
+def test_steady_non_finite_solution_raises(exact):
+    # a NaN source used to give 15 NaN values at N=16 and max_err_final=nan,
+    # or, without an exact solution, no sign of trouble at all
+    base = make_example("ex0", 1.5)
+    p = dataclasses.replace(
+        base,
+        source=lambda x, t=0.0: np.where(np.asarray(x) > 0.5, np.nan, base.source(x, t)),
+        exact=base.exact if exact else None,
+    )
+    with pytest.raises(SolverError, match="steady solve: non-finite solution"):
+        steady_solve_3wsgd(p, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +306,31 @@ def test_config_validation():
     assert SolverConfig1D(N=8, M=4, T=2.0).tau == pytest.approx(0.5)
 
 
+def test_config_stores_integral_floats_as_int():
+    # N=8.0 used to pass the checks and then fail the run with a TypeError
+    # (slice indices), as did M=4.0 (in np.empty)
+    config = SolverConfig1D(N=8.0, M=4.0)
+    assert (type(config.N), type(config.M)) == (int, int)
+    p = make_example("ex2", 1.5)
+    got = cn_wsgd_run(p, config)
+    want = cn_wsgd_run(p, SolverConfig1D(N=8, M=4))
+    np.testing.assert_array_equal(got.values, want.values)
+    assert got.max_err_running == want.max_err_running
+    for bad, message in (
+        (dict(N=8.5, M=4), "need at least N=4 spatial intervals, got 8.5"),
+        (dict(N=3.0, M=4), "need at least N=4 spatial intervals, got 3.0"),
+        (dict(N=8, M=2.5), "need at least M=1 time steps, got 2.5"),
+        (dict(N=8, M=0.0), "need at least M=1 time steps, got 0.0"),
+        # these used to escape as ValueError/OverflowError from int()
+        (dict(N=float("nan"), M=4), "need at least N=4 spatial intervals, got nan"),
+        (dict(N=8, M=float("inf")), "need at least M=1 time steps, got inf"),
+    ):
+        with pytest.raises(ParameterError, match=message):
+            SolverConfig1D(**bad)
+    with pytest.raises(ParameterError, match="need at least N=4 intervals, got nan"):
+        steady_solve_3wsgd(make_example("ex0", 1.5), float("nan"))
+
+
 # ---------------------------------------------------------------------------
 # Gohberg–Semencul backend against the dense-LU oracle
 # ---------------------------------------------------------------------------
@@ -479,3 +519,45 @@ def test_toeplitz_path_forms_no_dense_matrix_and_is_not_capped(monkeypatch):
     sol = cn_wsgd_run(make_example("ex2", 1.5), SolverConfig1D(N=n_big, M=2))
     assert sol.values.size == n_big + 1
     assert np.all(np.isfinite(sol.values)) and sol.max_err_running < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# The time loop
+# ---------------------------------------------------------------------------
+
+
+def _spy_march(monkeypatch, module):
+    """Route ``module.march`` through a spy that takes a weak reference to the
+    initial state and records, at each step, whether it is still alive."""
+    alive = []
+    march = solve1d.march
+
+    def spy(step, initial, config, norm, exact=None):
+        first = []
+
+        def initial_spy():
+            U = initial()
+            first.append(weakref.ref(U))
+            return U
+
+        def step_spy(U, t_n):
+            alive.append(first[0]() is not None)
+            return step(U, t_n)
+
+        return march(step_spy, initial_spy, config, norm, exact)
+
+    monkeypatch.setattr(module, "march", spy)
+    return alive
+
+
+@pytest.mark.parametrize("dim", ["1d", "2d"])
+def test_runs_free_the_initial_state_once_the_first_step_returns(monkeypatch, dim):
+    # the runs used to pass march the initial array and keep their own
+    # reference to it, one state array more for the whole run
+    if dim == "1d":
+        alive = _spy_march(monkeypatch, solve1d)
+        cn_wsgd_run(make_example("ex2", 1.5), SolverConfig1D(N=16, M=4))
+    else:
+        alive = _spy_march(monkeypatch, solve2d)
+        run_2d(make_example("ex4"), SolverConfig2D(Nx=8, Ny=8, M=4))
+    assert alive == [True, False, False, False]

@@ -412,3 +412,21 @@ def test_config_validation():
         with pytest.raises(ParameterError, match="final time"):
             SolverConfig2D(Nx=8, Ny=8, M=2, T=T)
     assert SolverConfig2D(Nx=8, Ny=8, M=4, T=2.0).tau == pytest.approx(0.5)
+
+
+def test_config_stores_integral_floats_as_int():
+    # Nx=8.0 used to pass the checks and then fail the run with an
+    # IndexError, and M=4.0 with a TypeError
+    config = SolverConfig2D(Nx=8.0, Ny=8.0, M=4.0)
+    assert (type(config.Nx), type(config.Ny), type(config.M)) == (int, int, int)
+    p = make_example("ex4")
+    got = run_2d(p, config)
+    np.testing.assert_array_equal(got.values, run_2d(p, SolverConfig2D(Nx=8, Ny=8, M=4)).values)
+    for bad, message in (
+        (dict(Nx=8.5, Ny=8, M=4), "need at least Nx=4 intervals, got 8.5"),
+        (dict(Nx=8, Ny=2.0, M=4), "need at least Ny=4 intervals, got 2.0"),
+        (dict(Nx=8, Ny=8, M=0.5), "need at least M=1 time steps, got 0.5"),
+        (dict(Nx=float("nan"), Ny=8, M=4), "need at least Nx=4 intervals, got nan"),
+    ):
+        with pytest.raises(ParameterError, match=message):
+            SolverConfig2D(**bad)
