@@ -12,10 +12,11 @@ tables; see the README for usage.
 
 Module map:
 
+- :mod:`wsgdiff.errors`    — the two exception types and the one count check;
 - :mod:`wsgdiff.weights`   — the scheme table ``SHIFTS``, every weight
   sequence as one weighted-shifted sum, sign/monotonicity properties;
 - :mod:`wsgdiff.operators` — one Toeplitz layout for every scheme, stencil
-  application, boundary columns, FFT matvec;
+  application, boundary columns, the FFT Toeplitz product;
 - :mod:`wsgdiff.spectral`  — one generating-function formula, sign scans,
   negative-definiteness certification;
 - :mod:`wsgdiff.problems`  — benchmark catalog, norms, convergence rates;
@@ -28,122 +29,22 @@ Module map:
 
 __version__ = "0.1.0"
 
-from .errors import ParameterError, SolverError
-from .weights import (
-    GL,
-    P1Q0,
-    P1QM1,
-    PQR,
-    SCHEME_TAGS,
-    PropertyCheck,
-    PropertyReport,
-    WeightSequence,
-    grunwald_coefficients,
-    shifted_pair_lambdas,
-    shifted_pair_weights,
-    verify_weight_properties,
-    wsgd2_weights,
-    wsgd3_lambdas,
-    wsgd3_weights,
-)
-from .operators import (
-    GridFunction1D,
-    ToeplitzOperator,
-    apply_left_wsgd,
-    apply_right_wsgd,
-    assemble_shifted_pair_matrix,
-    assemble_wsgd_matrix,
-    boundary_columns,
-    operator_weights,
-    toeplitz_matvec_fft,
-)
-from .spectral import (
-    CertificationResult,
-    GeneratingFunctionScan,
-    certify_negative_definite,
-    generating_function,
-    rayleigh_bound_check,
-    scan_sign,
-)
-from .problems import (
-    ErrorRecord,
-    ExampleId,
-    Problem1D,
-    Problem2D,
-    attach_rates,
-    convergence_rate,
-    l2_norm,
-    make_example,
-    max_norm,
-)
-from .solve1d import (
-    Solution,
-    SolverConfig1D,
-    assemble_cn_system,
-    cn_wsgd_run,
-    steady_solve_3wsgd,
-)
-from .solve2d import (
-    SPLITTINGS,
-    SolverConfig2D,
-    build_directional_operators,
-    lod_stepper,
-    pr_adi_stepper,
-    run_2d,
-)
+from . import errors, weights, operators, spectral, problems, solve1d, solve2d
+from .errors import *
+from .weights import *
+from .operators import *
+from .spectral import *
+from .problems import *
+from .solve1d import *
+from .solve2d import *
 
 __all__ = [
     "__version__",
-    "ParameterError",
-    "SolverError",
-    "GL",
-    "P1Q0",
-    "P1QM1",
-    "PQR",
-    "SCHEME_TAGS",
-    "PropertyCheck",
-    "PropertyReport",
-    "WeightSequence",
-    "grunwald_coefficients",
-    "shifted_pair_lambdas",
-    "shifted_pair_weights",
-    "verify_weight_properties",
-    "wsgd2_weights",
-    "wsgd3_lambdas",
-    "wsgd3_weights",
-    "GridFunction1D",
-    "ToeplitzOperator",
-    "apply_left_wsgd",
-    "apply_right_wsgd",
-    "assemble_shifted_pair_matrix",
-    "assemble_wsgd_matrix",
-    "boundary_columns",
-    "operator_weights",
-    "toeplitz_matvec_fft",
-    "CertificationResult",
-    "GeneratingFunctionScan",
-    "certify_negative_definite",
-    "generating_function",
-    "rayleigh_bound_check",
-    "scan_sign",
-    "ErrorRecord",
-    "ExampleId",
-    "Problem1D",
-    "Problem2D",
-    "attach_rates",
-    "convergence_rate",
-    "l2_norm",
-    "make_example",
-    "max_norm",
-    "Solution",
-    "SolverConfig1D",
-    "assemble_cn_system",
-    "cn_wsgd_run",
-    "steady_solve_3wsgd",
-    "SPLITTINGS",
-    "SolverConfig2D",
-    "build_directional_operators",
-    "lod_stepper",
-    "pr_adi_stepper",
-    "run_2d",
+    *errors.__all__,
+    *weights.__all__,
+    *operators.__all__,
+    *spectral.__all__,
+    *problems.__all__,
+    *solve1d.__all__,
+    *solve2d.__all__,
 ]

@@ -8,19 +8,21 @@ superdiagonal carries ``w_0`` and the main diagonal ``w_1``.  This module
 assembles those matrices, applies the left/right operators directly to
 grid functions (stencil-wise, without forming a matrix — the redundancy
 lets tests catch indexing mistakes), gives the stencil columns that
-multiply the Dirichlet end values, and provides an FFT-accelerated
-Toeplitz matrix-vector product.
+multiply the Dirichlet end values, and builds the FFT Toeplitz product
+that the Gohberg–Semencul time stepper runs: the spectrum of the matrix's
+circulant embedding is taken once, so a product is two real FFTs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
 
 from . import weights as wt
-from .errors import ParameterError
+from .errors import ParameterError, count_at_least
 
 __all__ = [
     "GridFunction1D",
@@ -30,7 +32,8 @@ __all__ = [
     "operator_weights",
     "apply_left_wsgd",
     "apply_right_wsgd",
-    "toeplitz_matvec_fft",
+    "boundary_columns",
+    "toeplitz_product",
 ]
 
 
@@ -98,12 +101,9 @@ class ToeplitzOperator:
             )
         return scipy.linalg.toeplitz(self.first_col, self.first_row)
 
-    def transpose(self) -> "ToeplitzOperator":
-        return ToeplitzOperator(self.first_row, self.first_col)
-
     @property
     def T(self) -> "ToeplitzOperator":
-        return self.transpose()
+        return ToeplitzOperator(self.first_row, self.first_col)
 
 
 def operator_weights(alpha: float, scheme: str, count: int) -> np.ndarray:
@@ -113,11 +113,11 @@ def operator_weights(alpha: float, scheme: str, count: int) -> np.ndarray:
     other tags give the second/third-order combinations.
     """
     if scheme == wt.GL:
-        return wt.grunwald_coefficients(alpha, count).values
+        return wt.grunwald_coefficients(alpha, count)
     if scheme in wt.PAIR_SCHEMES:
-        return wt.wsgd2_weights(alpha, scheme, count).values
+        return wt.wsgd2_weights(alpha, scheme, count)
     if scheme == wt.PQR:
-        return wt.wsgd3_weights(alpha, count).values
+        return wt.wsgd3_weights(alpha, count)
     raise ParameterError(f"unsupported scheme {scheme!r}; expected one of {wt.SCHEME_TAGS!r}")
 
 
@@ -143,8 +143,7 @@ def assemble_wsgd_matrix(alpha: float, scheme: str, n: int) -> ToeplitzOperator:
             f"expected scheme {wt.P1Q0!r}, {wt.P1QM1!r} or {wt.PQR!r}, got {scheme!r}"
         )
     shifts = wt.SHIFTS[scheme]
-    if n < len(shifts):
-        raise ParameterError(f"matrix order must be at least {len(shifts)}, got {n}")
+    n = count_at_least("n", n, len(shifts), "rows")
     return _toeplitz(operator_weights(alpha, scheme, n + 1), n, shifts[0])
 
 
@@ -154,11 +153,10 @@ def assemble_shifted_pair_matrix(alpha: float, p: int, q: int, n: int) -> Toepli
     Weights with negative index are zero, so ``p`` controls how many
     superdiagonals are populated.
     """
-    if n < 2:
-        raise ParameterError(f"matrix order must be at least 2, got {n}")
+    n = count_at_least("n", n, 2, "rows")
     p, q = int(p), int(q)
     count = max(n + p, n, 3 + abs(p - q))
-    return _toeplitz(wt.shifted_pair_weights(alpha, p, q, count).values, n, p)
+    return _toeplitz(wt.shifted_pair_weights(alpha, p, q, count), n, p)
 
 
 def _scheme_weights_for_grid(alpha: float, scheme: str, count: int) -> np.ndarray:
@@ -199,8 +197,7 @@ def boundary_columns(alpha: float, scheme: str, n: int) -> tuple[np.ndarray, np.
     last row through ``w_0``; the right-sided operator mirrors this.
     Returns ``(left_of_u0, right_of_u0, left_of_uN, right_of_uN)``.
     """
-    if n < 1:
-        raise ParameterError(f"interior size must be positive, got {n}")
+    n = count_at_least("n", n, 1, "interior nodes")
     w = _scheme_weights_for_grid(alpha, scheme, n + 2)
     left_u0 = w[2:n + 2].copy()
     right_u0 = np.zeros(n)
@@ -211,12 +208,27 @@ def boundary_columns(alpha: float, scheme: str, n: int) -> tuple[np.ndarray, np.
     return left_u0, right_u0, left_uN, right_uN
 
 
-def toeplitz_matvec_fft(T: ToeplitzOperator, v: np.ndarray) -> np.ndarray:
-    """Toeplitz matrix-vector product via circulant embedding and the FFT.
+def _circulant_size(n: int) -> int:
+    """Power-of-two length ``>= 2n - 1`` of an order-n Toeplitz circulant embedding."""
+    return 1 << (2 * n - 2).bit_length()
 
-    Delegates to :func:`scipy.linalg.matmul_toeplitz`.
+
+def toeplitz_product(T: ToeplitzOperator) -> Callable[[np.ndarray], np.ndarray]:
+    """Return ``product(v) = T @ v`` by circulant embedding and the real FFT.
+
+    The embedding's spectrum is taken here, once, at the length
+    :func:`_circulant_size` gives, so each product is two real FFTs.
     """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size != T.n:
-        raise ParameterError(f"vector length {v.size} does not match operator order {T.n}")
-    return scipy.linalg.matmul_toeplitz((T.first_col, T.first_row), v)
+    n = T.n
+    size = _circulant_size(n)
+    embedding = np.zeros(size)
+    embedding[:n] = T.first_col
+    embedding[size - n + 1 :] = T.first_row[:0:-1]
+    spectrum = np.fft.rfft(embedding)
+
+    def product(v: np.ndarray) -> np.ndarray:
+        if np.shape(v) != (n,):
+            raise ParameterError(f"vector shape {np.shape(v)} does not match operator order {n}")
+        return np.fft.irfft(np.fft.rfft(v, size) * spectrum, size)[:n]
+
+    return product

@@ -46,8 +46,14 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 from . import weights as wt
-from .errors import ParameterError, SolverError
-from .operators import assemble_wsgd_matrix, boundary_columns
+from .errors import ParameterError, SolverError, count_at_least
+from .operators import (
+    ToeplitzOperator,
+    _circulant_size,
+    assemble_wsgd_matrix,
+    boundary_columns,
+    toeplitz_product,
+)
 from .problems import Problem1D, l2_norm, max_norm
 
 __all__ = [
@@ -73,13 +79,6 @@ Steps = tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndar
 
 #: One time step ``step(U, t_n) -> U_next`` of a set-up scheme, 1D or 2D.
 Stepper = Callable[[np.ndarray, float], np.ndarray]
-
-
-def count_at_least(name: str, value, least: int, what: str) -> int:
-    """``value`` as an ``int``; a non-finite, fractional or too small one is a ParameterError."""
-    if not np.isfinite(value) or int(value) != value or value < least:
-        raise ParameterError(f"need at least {name}={least} {what}, got {value}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -244,10 +243,10 @@ def _gs_steps(problem: Problem1D, config: SolverConfig1D) -> Steps:
     the lower/upper triangular Toeplitz matrices with the given first
     column/row, ``J`` reverses and ``Z`` shifts down by one.  The spectra of
     the four generators and of the right-hand-side matrix's circulant
-    embedding are cached at one power-of-two length ``>= 2n - 1``, so a
-    solve is six real FFTs and a product two.  The symmetric part of ``L``
-    is positive definite, so every leading minor is nonsingular and
-    ``x_0 > 0``.
+    embedding (:func:`~wsgdiff.operators.toeplitz_product`) are cached at
+    one power-of-two length ``>= 2n - 1``, so a solve is six real FFTs and a
+    product two.  The symmetric part of ``L`` is positive definite, so every
+    leading minor is nonsingular and ``x_0 > 0``.
     """
     h, _, _ = _grid(problem, config.N)
     n = config.N - 1
@@ -267,17 +266,13 @@ def _gs_steps(problem: Problem1D, config: SolverConfig1D) -> Steps:
         raise SolverError(f"time step: Levinson solve failed ({exc})") from None
     x, y = xy[:, 0], xy[:, 1]
 
-    size = 1 << (2 * n - 2).bit_length()
+    size = _circulant_size(n)
     rfft, irfft = np.fft.rfft, np.fft.irfft
     upper = rfft(np.stack((y[::-1], np.concatenate(([0.0], x[:0:-1])))), size)
     lower = rfft(np.stack((x, -np.concatenate(([0.0], y[:-1])))) / x[0], size)
-    embedding = np.zeros(size)
-    embedding[:n] = unit + (1.0 - theta) * b_col
-    embedding[size - n + 1 :] = (1.0 - theta) * b_row[:0:-1]
-    rhs_spectrum = rfft(embedding)
-
-    def rhs_product(U: np.ndarray) -> np.ndarray:
-        return irfft(rfft(U, size) * rhs_spectrum, size)[:n]
+    rhs_product = toeplitz_product(
+        ToeplitzOperator(unit + (1.0 - theta) * b_col, unit + (1.0 - theta) * b_row)
+    )
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         up = irfft(rfft(rhs[::-1], size) * upper, size)[:, n - 1 :: -1]

@@ -52,10 +52,10 @@ import numpy as np
 from scipy.linalg import blas
 
 from . import weights as wt
-from .errors import ParameterError
+from .errors import ParameterError, count_at_least
 from .operators import assemble_wsgd_matrix, boundary_columns
 from .problems import Problem2D, l2_norm, max_norm
-from .solve1d import Solution, Stepper, count_at_least, lu_solver, march
+from .solve1d import Solution, Stepper, lu_solver, march
 
 __all__ = [
     "SPLITTINGS",

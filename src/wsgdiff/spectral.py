@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from . import weights as wt
-from .errors import ParameterError
+from .errors import ParameterError, count_at_least
 from .operators import ToeplitzOperator
 
 __all__ = [
@@ -101,16 +101,15 @@ def generating_function(alpha: float, scheme: str, x):
 
 def scan_sign(alpha: float, scheme: str, samples: int) -> GeneratingFunctionScan:
     """Sample the generating function uniformly on [0, pi] and report extrema."""
-    if samples < 64:
-        raise ParameterError(f"need at least 64 samples, got {samples}")
-    xs = np.linspace(0.0, np.pi, int(samples))
+    samples = count_at_least("samples", samples, 64, "samples")
+    xs = np.linspace(0.0, np.pi, samples)
     f = generating_function(alpha, scheme, xs)
     imin = int(np.argmin(f))
     imax = int(np.argmax(f))
     return GeneratingFunctionScan(
         alpha=alpha,
         scheme=scheme,
-        samples=int(samples),
+        samples=samples,
         min_value=float(f[imin]),
         max_value=float(f[imax]),
         argmin=float(xs[imin]),
@@ -151,14 +150,14 @@ def rayleigh_bound_check(
     lie inside ``[min f, max f]`` (widened by ``1e-10``), where the range
     comes from :func:`scan_sign` with at least 4096 samples.
     """
-    if trials < 1:
-        raise ParameterError(f"need at least one trial, got {trials}")
-    scan = scan_sign(alpha, scheme, max(int(samples), 4096))
+    trials = count_at_least("trials", trials, 1, "trial")
+    # max keeps a NaN ``samples`` first, so scan_sign refuses it
+    scan = scan_sign(alpha, scheme, max(samples, 4096))
     lo, hi = scan.min_value - 1e-10, scan.max_value + 1e-10
     dense = T.to_dense()
     s = (dense + dense.T) / 2.0
     rng = np.random.default_rng(seed)
-    for _ in range(int(trials)):
+    for _ in range(trials):
         v = rng.standard_normal(T.n)
         v /= np.linalg.norm(v)
         q = float(v @ s @ v)

@@ -6,7 +6,8 @@ of ``(1 - z)**alpha``.  A single shifted GL sum approximates a
 Riemann-Liouville derivative to first order; weighted combinations of two
 (or three) sums with distinct integer shifts cancel the leading error term
 and reach second (or third) order.  This module computes those weight
-sequences and checks their sign/monotonicity properties.
+sequences, each returned as a plain float array, and checks their
+sign/monotonicity properties.
 
 Every weight sequence is one weighted-shifted sum: for shifts
 ``s_0, s_1, ...`` with combination weights ``lambda_j``,
@@ -20,11 +21,11 @@ third-order triple.  Arbitrary integer shift pairs are supported by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, count_at_least
 
 __all__ = [
     "GL",
@@ -34,7 +35,6 @@ __all__ = [
     "SCHEME_TAGS",
     "PAIR_SCHEMES",
     "SHIFTS",
-    "WeightSequence",
     "PropertyCheck",
     "PropertyReport",
     "grunwald_coefficients",
@@ -80,46 +80,6 @@ def _check_alpha(alpha: float, low: float, high: float, *, low_open: bool = True
     return alpha
 
 
-def _check_count(count: int, minimum: int) -> int:
-    if int(count) != count or count < minimum:
-        raise ParameterError(f"count must be an integer >= {minimum}, got {count!r}")
-    return int(count)
-
-
-@dataclass(frozen=True)
-class WeightSequence:
-    """A finite prefix of difference weights for one order and scheme.
-
-    Attributes
-    ----------
-    alpha:
-        Fractional order the weights discretize.
-    scheme:
-        Scheme tag (see module docstring) or ``"p{p}q{q}"`` for custom pairs.
-    values:
-        Array ``w_0 .. w_{n}`` (``g_0 .. g_n`` for the raw GL case).
-    """
-
-    alpha: float
-    scheme: str
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size < 1:
-            raise ParameterError("a weight sequence needs at least one entry")
-        if not np.all(np.isfinite(values)):
-            raise ParameterError("weight sequences must be finite")
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    def partial_sums(self) -> np.ndarray:
-        """Running sums ``S_m = sum_{k<=m} w_k``."""
-        return np.cumsum(self.values)
-
-
 def _gl_values(alpha: float, count: int) -> np.ndarray:
     """GL coefficients by the stable downward recursion."""
     g = np.empty(count)
@@ -129,7 +89,7 @@ def _gl_values(alpha: float, count: int) -> np.ndarray:
     return g
 
 
-def grunwald_coefficients(alpha: float, count: int) -> WeightSequence:
+def grunwald_coefficients(alpha: float, count: int) -> np.ndarray:
     """Return the GL coefficients ``g_0 .. g_{count-1}``.
 
     They satisfy ``g_0 = 1`` and ``g_k = (1 - (alpha+1)/k) g_{k-1}``; for
@@ -144,8 +104,7 @@ def grunwald_coefficients(alpha: float, count: int) -> WeightSequence:
         Number of coefficients (at least 1).
     """
     alpha = _check_alpha(alpha, 0.0, 2.0)
-    count = _check_count(count, 1)
-    return WeightSequence(alpha, GL, _gl_values(alpha, count))
+    return _gl_values(alpha, count_at_least("count", count, 1, "coefficients"))
 
 
 def shifted_pair_lambdas(alpha: float, p: int, q: int) -> tuple[float, float]:
@@ -168,7 +127,7 @@ def shifted_pair_lambdas(alpha: float, p: int, q: int) -> tuple[float, float]:
     return lam1, lam2
 
 
-def shifted_pair_weights(alpha: float, p: int, q: int, count: int) -> WeightSequence:
+def shifted_pair_weights(alpha: float, p: int, q: int, count: int) -> np.ndarray:
     """Weight sequence for an arbitrary two-term shift pair (p, q).
 
     Only (1, 0) and (1, -1) are accepted by the solvers; other pairs exist
@@ -176,11 +135,11 @@ def shifted_pair_weights(alpha: float, p: int, q: int, count: int) -> WeightSequ
     second-order accurate for any pair, but definiteness of the assembled
     matrix fails for e.g. (0, -1)).
     """
-    count = _check_count(count, max(3, abs(int(p) - int(q)) + 1))
-    return WeightSequence(alpha, f"p{p}q{q}", _shifted_sum(alpha, (int(p), int(q)), count))
+    count = count_at_least("count", count, max(3, abs(int(p) - int(q)) + 1), "weights")
+    return _shifted_sum(alpha, (int(p), int(q)), count)
 
 
-def wsgd2_weights(alpha: float, scheme: str, count: int) -> WeightSequence:
+def wsgd2_weights(alpha: float, scheme: str, count: int) -> np.ndarray:
     """Second-order weights for the named shift pairs.
 
     For ``"p1q0"``::
@@ -203,12 +162,12 @@ def wsgd2_weights(alpha: float, scheme: str, count: int) -> WeightSequence:
         Number of weights (at least 3).
     """
     alpha = _check_alpha(alpha, 1.0, 2.0, low_open=False)
-    count = _check_count(count, 3)
+    count = count_at_least("count", count, 3, "weights")
     if scheme not in PAIR_SCHEMES:
         raise ParameterError(
             f"unsupported scheme {scheme!r}; expected {P1Q0!r} or {P1QM1!r}"
         )
-    return WeightSequence(alpha, scheme, _shifted_sum(alpha, SHIFTS[scheme], count))
+    return _shifted_sum(alpha, SHIFTS[scheme], count)
 
 
 def wsgd3_lambdas(alpha: float, p: int, q: int, r: int) -> tuple[float, float, float]:
@@ -260,11 +219,11 @@ def _shifted_sum(alpha: float, shifts: tuple[int, ...], count: int) -> np.ndarra
     return v
 
 
-def wsgd3_weights(alpha: float, count: int) -> WeightSequence:
+def wsgd3_weights(alpha: float, count: int) -> np.ndarray:
     """Third-order weight sequence ``mu_0 .. mu_{count-1}`` for shifts (1, 0, -1)."""
     alpha = _check_alpha(alpha, 0.0, 2.0)
-    count = _check_count(count, 4)
-    return WeightSequence(alpha, PQR, _shifted_sum(alpha, SHIFTS[PQR], count))
+    count = count_at_least("count", count, 4, "weights")
+    return _shifted_sum(alpha, SHIFTS[PQR], count)
 
 
 @dataclass(frozen=True)
@@ -339,7 +298,7 @@ def verify_weight_properties(alpha: float, scheme: str, count: int) -> PropertyR
     not raised as an error.
     """
     alpha = _check_alpha(alpha, 1.0, 2.0)
-    count = _check_count(count, 5)
+    count = count_at_least("count", count, 5, "weights")
     if scheme not in (GL, *PAIR_SCHEMES):
         raise ParameterError(
             f"unsupported scheme {scheme!r}; expected one of {(GL, *PAIR_SCHEMES)!r}"

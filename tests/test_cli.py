@@ -431,6 +431,27 @@ def test_converge_requires_core_settings(capsys):
     assert "resolution list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args,config,message",
+    [
+        (["--alpha", "1.5", "--resolutions", "8,16"], "", "needs an example"),
+        (["--example", "ex0", "--alpha", ",", "--resolutions", "8,16"], "", "one alpha"),
+        (["--example", "ex0", "--alpha", "1.5", "--resolutions", ","], "", "must not be empty"),
+        (["--example", "ex0", "--alpha", "1.5", "--resolutions", "8,16"], "format = xml\n", "'xml'"),
+    ],
+    ids=["no-example", "empty-alpha", "empty-resolutions", "config-format"],
+)
+def test_converge_rejects_missing_or_empty_settings(tmp_path, capsys, args, config, message):
+    if config:
+        path = tmp_path / "study.cfg"
+        path.write_text(config)
+        args = [*args, "--config", str(path)]
+    assert main(["converge", *args]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_converge_rejects_triple_scheme_for_studies(capsys):
     rc = main(
         [

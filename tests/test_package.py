@@ -1,0 +1,69 @@
+"""The package surface, and the count check every module shares."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+import wsgdiff
+from wsgdiff import errors, operators, problems, solve1d, solve2d, spectral, weights
+from wsgdiff import (
+    P1Q0,
+    ParameterError,
+    assemble_shifted_pair_matrix,
+    assemble_wsgd_matrix,
+    boundary_columns,
+    grunwald_coefficients,
+    rayleigh_bound_check,
+    scan_sign,
+    shifted_pair_weights,
+    verify_weight_properties,
+    wsgd2_weights,
+    wsgd3_weights,
+)
+
+MODULES = (errors, weights, operators, spectral, problems, solve1d, solve2d)
+
+
+def test_package_exports_each_module_list_once():
+    want = ["__version__", *(name for module in MODULES for name in module.__all__)]
+    assert wsgdiff.__all__ == want
+    assert len(set(want)) == len(want)
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(wsgdiff, name) is getattr(module, name), (module.__name__, name)
+
+
+_T = assemble_wsgd_matrix(1.5, P1Q0, 8)
+
+#: Every count a weight, operator or spectral routine takes, as (argument name, call).
+_COUNTED = {
+    "grunwald_coefficients": ("count", lambda n: grunwald_coefficients(1.5, n)),
+    "wsgd2_weights": ("count", lambda n: wsgd2_weights(1.5, P1Q0, n)),
+    "wsgd3_weights": ("count", lambda n: wsgd3_weights(1.5, n)),
+    "shifted_pair_weights": ("count", lambda n: shifted_pair_weights(1.5, 1, 0, n)),
+    "verify_weight_properties": ("count", lambda n: verify_weight_properties(1.5, P1Q0, n)),
+    "assemble_wsgd_matrix": ("n", lambda n: assemble_wsgd_matrix(1.5, P1Q0, n).to_dense()),
+    "assemble_shifted_pair_matrix": (
+        "n",
+        lambda n: assemble_shifted_pair_matrix(1.5, 1, 0, n).to_dense(),
+    ),
+    "boundary_columns": ("n", lambda n: boundary_columns(1.5, P1Q0, n)),
+    "scan_sign": ("samples", lambda n: scan_sign(1.5, P1Q0, n)),
+    "rayleigh_bound_check": ("trials", lambda n: rayleigh_bound_check(_T, 1.5, P1Q0, n)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 100.5, 100.0])
+@pytest.mark.parametrize("routine", sorted(_COUNTED))
+def test_counts_go_through_one_check(routine, value):
+    # non-finite and fractional counts used to escape as numpy errors, crash
+    # or be truncated; an integral float is the integer it equals
+    name, call = _COUNTED[routine]
+    if value == 100.0:
+        np.testing.assert_equal(call(value), call(100))
+    else:
+        with pytest.raises(ParameterError, match=f"{name}=.*got {value}"):
+            call(value)

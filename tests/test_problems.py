@@ -272,6 +272,8 @@ def test_problem2d_validation():
         _minimal_2d(y_left_diffusivity=-0.1)
     with pytest.raises(ParameterError, match="y direction"):
         _minimal_2d(y_left_diffusivity=0.0, y_right_diffusivity=0.0)
+    with pytest.raises(ParameterError, match="x direction"):
+        _minimal_2d(x_left_diffusivity=0.0, x_right_diffusivity=0.0)
     with pytest.raises(ParameterError, match="domain"):
         _minimal_2d(bx=0.0)
 

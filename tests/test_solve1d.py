@@ -110,6 +110,11 @@ def test_steady_non_finite_solution_raises(exact):
         steady_solve_3wsgd(p, 16)
 
 
+def test_lu_solver_rejects_a_singular_matrix():
+    with pytest.raises(SolverError, match="check: singular system"):
+        solve1d.lu_solver(np.array([[1.0, 2.0], [2.0, 4.0]]), "check")
+
+
 # ---------------------------------------------------------------------------
 # Time-dependent benchmark anchors (frozen table values)
 # ---------------------------------------------------------------------------
@@ -406,6 +411,26 @@ def test_gs_setup_is_the_dense_system(N, theta):
         v = rng.standard_normal(N - 1)
         np.testing.assert_allclose(rhs_product(v), rhs_matrix @ v, rtol=0, atol=1e-12)
         np.testing.assert_allclose(solve(v), np.linalg.solve(lhs, v), rtol=0, atol=1e-12)
+
+
+def test_gs_run_steps_through_the_shared_toeplitz_product(monkeypatch):
+    # every right-hand-side product of a Gohberg–Semencul run is the one
+    # that operators.toeplitz_product builds, so its tests test this path
+    lengths = []
+
+    def spy(T):
+        product = operators.toeplitz_product(T)
+
+        def counted(v):
+            lengths.append(v.size)
+            return product(v)
+
+        return counted
+
+    monkeypatch.setattr(solve1d, "toeplitz_product", spy)
+    cfg = SolverConfig1D(N=24, M=5)
+    _run_with(monkeypatch, 0, make_example("ex2", 1.5), cfg)
+    assert lengths == [cfg.N - 1] * cfg.M
 
 
 def _spy_backends(monkeypatch):
