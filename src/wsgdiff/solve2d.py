@@ -18,18 +18,24 @@ locally-one-dimensional variant:
                  source handling.
 
 Each splitting is a factory ``stepper(problem, config)`` that checks its
-preconditions and does its setup once — directional operators, and the
-factorization of each direction's implicit matrix — and returns
-``step(U, t_n) -> U_next``, which reuses that setup across steps and
-right-hand-side columns.  Interior unknowns are stored as arrays of shape
-``(Nx-1, Ny-1)`` with the x index on axis 0, so a vectorization with x
-varying fastest corresponds to column-major flattening.
+preconditions and does its setup once — directional operators, and each
+direction's half-step matrices — and returns ``step(U, t_n) -> U_next``,
+which reuses that setup across steps.  Interior unknowns are stored as
+C-ordered arrays of shape ``(Nx-1, Ny-1)`` with the x index on axis 0, so a
+vectorization with x varying fastest corresponds to column-major flattening.
 
-Each ``pr``/``lod`` step stays inside scipy's BLAS/LAPACK (``dgemm``/``dgemv``
-on operators stored in Fortran order at setup, then ``dgetrs`` through
-``solve1d.lu_solver``): numpy's ``@`` would bring a second OpenBLAS thread
-pool that contends with scipy's.  Grid callables are evaluated on the
-broadcast axes ``x[:, None]``, ``y[None, :]``.
+With ``a = tau/2``, setup forms the Cayley factor ``Cx = (I - a Dx)^-1
+(I + a Dx)`` (and ``Cy`` for ``lod``) and, for ``pr``, ``(I - a Dy)^-1``,
+once per run by one solve each through ``solve1d.lu_solver``.  Each Cayley
+factor is a contraction, so these matrices are well conditioned, and a step
+is then a few ``dgemm``/``dgemv`` products on matrices stored in Fortran
+order, written into work arrays allocated once per run: no triangular solve
+and no transposed copy.  A state ``U`` is passed to BLAS as its
+Fortran-ordered transpose ``U.T``, and a step's result is the transpose of
+one fresh ``dgemm`` product.  Everything stays inside scipy's BLAS: numpy's
+``@`` would bring a second OpenBLAS thread pool that contends with scipy's.
+Grid callables are evaluated on the broadcast axes ``x[:, None]``,
+``y[None, :]``.
 
 Boundary handling: all splittings require vanishing Dirichlet data on the
 x-boundaries (the sweep order makes intermediate variables carry their
@@ -167,23 +173,34 @@ def _check_x_boundaries(problem: Problem2D, T: float) -> None:
 
 
 def _sweeps(problem: Problem2D, config: SolverConfig2D):
-    """Build both directional operators (in Fortran order, so no BLAS call copies
-    them) and factor both half-step systems once; return the operators, the
-    x-sweep, the y-sweep and the y-direction boundary columns ``(cy0, cyN)``."""
+    """Half-step matrices shared by both steppers, with ``a = tau/2``: the
+    x-direction Cayley factor ``Cx = (I - a Dx)^-1 (I + a Dx)``, formed by one
+    solve, then ``I - a Dy``, ``I + a Dy`` and the y-direction boundary columns
+    ``[cy0, cyN]`` of shape ``(Ny-1, 2)``, all in Fortran order."""
     dx, dy = build_directional_operators(problem, config)
     a = 0.5 * config.tau
-    solve_x = lu_solver(np.eye(config.Nx - 1) - a * dx, "x-direction")
-    solve_dy = lu_solver(np.eye(config.Ny - 1) - a * dy, "y-direction")
-
-    def solve_y(rhs: np.ndarray) -> np.ndarray:
-        """Solve (I - tau/2 Dy) along axis 1 for every x-row at once."""
-        return solve_dy(np.ascontiguousarray(rhs.T)).T
-
+    ix, iy = np.eye(config.Nx - 1), np.eye(config.Ny - 1)
+    cx = lu_solver(ix - a * dx, "x-direction")(ix + a * dx)
     hy_beta = ((problem.by - problem.ay) / config.Ny) ** problem.beta
     left0, right0, left1, right1 = boundary_columns(problem.beta, config.scheme, config.Ny - 1)
-    cy0 = (problem.y_left_diffusivity * left0 + problem.y_right_diffusivity * right0) / hy_beta
-    cyN = (problem.y_left_diffusivity * left1 + problem.y_right_diffusivity * right1) / hy_beta
-    return np.asfortranarray(dx), np.asfortranarray(dy), solve_x, solve_y, cy0, cyN
+    cy0 = problem.y_left_diffusivity * left0 + problem.y_right_diffusivity * right0
+    cyN = problem.y_left_diffusivity * left1 + problem.y_right_diffusivity * right1
+    cols = np.asfortranarray(np.column_stack((cy0, cyN)) / hy_beta)
+    return cx, iy - a * dy, np.asfortranarray(iy + a * dy), cols
+
+
+def _y_lines(fn: Callable[..., np.ndarray], problem: Problem2D, xi, t: float) -> np.ndarray:
+    """``fn`` at time ``t`` on the lines ``y = ay`` and ``y = by`` at the interior
+    x-nodes ``xi``, as the rows of a ``(2, Nx-1)`` array."""
+    return np.stack([_on_grid(fn, xi, np.full_like(xi, y), t) for y in (problem.ay, problem.by)])
+
+
+def _add_outer(c: np.ndarray, cols: np.ndarray, g: np.ndarray, alpha: float) -> None:
+    """``c += alpha * cols @ g`` in place on the Fortran-ordered ``c``: the
+    rank-2 term of the two y-boundary lines ``g``, of shape ``(2, Nx-1)``.
+    Skipped when ``g`` is zero, judged from the sampled lines themselves."""
+    if g.any():
+        blas.dgemm(alpha, cols, g, beta=1.0, c=c, overwrite_c=1)
 
 
 def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
@@ -192,27 +209,31 @@ def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
     Stage 1 solves ``(I - tau/2 dx) V = (I + tau/2 dy) U + tau/2 F`` down
     the x direction; stage 2 solves ``(I - tau/2 dy) U_next =
     (I + tau/2 dx) V + tau/2 F`` across y, with the midpoint source shared
-    by both stages.  This is the stepper of all three names of the factored
-    scheme: ``pr``, ``douglas`` and ``dyakonov``.  Accepts unequal spacings
-    and time-dependent data on the y-boundaries.
+    by both stages.  With ``W`` the right side of stage 1, stage 2's right
+    side is ``Cx W + tau/2 F``, so a step is three ``dgemm`` calls:
+    ``W^T = (I + a Dy) U^T + a F^T``, ``W2^T = W^T Cx^T + a F^T`` and
+    ``U_next^T = (I - a Dy)^-1 W2^T``.  This is the stepper of all three
+    names of the factored scheme: ``pr``, ``douglas`` and ``dyakonov``.
+    Accepts unequal spacings and time-dependent data on the y-boundaries,
+    whose boundary-column terms join ``W`` and ``W2``.
     """
     _, _, xi, X, Y = _grid(problem, config)
     _check_x_boundaries(problem, config.T)
-    dx, dy, solve_x, solve_y, cy0, cyN = _sweeps(problem, config)
+    cx, ay, ey, cols = _sweeps(problem, config)
+    ay_inv = lu_solver(ay, "y-direction")(np.eye(config.Ny - 1))
     tau = config.tau
     a = 0.5 * tau
-    y_low, y_high = np.full_like(xi, problem.ay), np.full_like(xi, problem.by)
-
-    def y_boundary_terms(t: float) -> np.ndarray:
-        """Boundary-column contribution of the y-direction Dirichlet data."""
-        g0 = _on_grid(problem.boundary, xi, y_low, t)
-        g1 = _on_grid(problem.boundary, xi, y_high, t)
-        return g0[:, None] * cy0[None, :] + g1[:, None] * cyN[None, :]
+    w, w2 = np.empty((2, config.Nx - 1, config.Ny - 1))
 
     def step(U: np.ndarray, t_n: float) -> np.ndarray:
         F = _on_grid(problem.source, X, Y, t_n + a)
-        V = solve_x(U + a * (blas.dgemm(1.0, U, dy, trans_b=1) + y_boundary_terms(t_n)) + a * F)
-        return solve_y(V + a * blas.dgemm(1.0, dx, V) + a * F + a * y_boundary_terms(t_n + tau))
+        np.multiply(F, a, out=w)
+        np.multiply(F, a, out=w2)
+        _add_outer(w.T, cols, _y_lines(problem.boundary, problem, xi, t_n), a)
+        _add_outer(w2.T, cols, _y_lines(problem.boundary, problem, xi, t_n + tau), a)
+        blas.dgemm(1.0, ey, U.T, beta=1.0, c=w.T, overwrite_c=1)
+        blas.dgemm(1.0, w.T, cx, trans_b=1, beta=1.0, c=w2.T, overwrite_c=1)
+        return blas.dgemm(1.0, ay_inv, w2.T).T
 
     return step
 
@@ -226,8 +247,12 @@ def lod_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
     the interior stencil only, while stage 2's y-operator is boundary-aware:
     stage 1 is also applied along the two y-boundary lines (where the
     solution vanishes but the source does not), and those swept lines feed
-    the y-direction boundary columns of stage 2.  Requires one spacing for
-    both axes and fully homogeneous Dirichlet data.
+    the y-direction boundary columns of stage 2.  In Cayley form, with
+    ``a = tau/2``, a step is ``V = Cx (U + a F)`` and ``U_next = V Cy^T + a F
+    + g_low (x) (I - a Dy)^-1 cy0 + g_high (x) (I - a Dy)^-1 cyN``, where
+    ``g = a^2 (Cx f - f)`` on each boundary line: two ``dgemm`` and two
+    ``dgemv`` calls.  Requires one spacing for both axes and fully
+    homogeneous Dirichlet data.
     """
     hx, hy, xi, X, Y = _grid(problem, config)
     if abs(hx - hy) > 1e-13 * max(hx, hy):
@@ -237,21 +262,25 @@ def lod_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
     _check_x_boundaries(problem, config.T)
     if not _boundary_is_zero(problem, "y", config.T):
         raise ParameterError("splitting 'lod' requires fully homogeneous Dirichlet data")
-    dx, dy, solve_x, solve_y, cy0, cyN = _sweeps(problem, config)
+    cx, ay, ey, cols = _sweeps(problem, config)
+    ny = config.Ny - 1
+    # one solve gives Cy = (I - a Dy)^-1 (I + a Dy) and (I - a Dy)^-1 [cy0, cyN]
+    y_factors = lu_solver(ay, "y-direction")(np.hstack((ey, cols)))
+    cy, ay_cols = y_factors[:, :ny], y_factors[:, ny:]
     a = 0.5 * config.tau
-    y_low, y_high = np.full_like(xi, problem.ay), np.full_like(xi, problem.by)
+    af, w, v = np.empty((3, config.Nx - 1, ny))
 
     def step(U: np.ndarray, t_n: float) -> np.ndarray:
         t_mid = t_n + a
         F = _on_grid(problem.source, X, Y, t_mid)
-        f_low = _on_grid(problem.source, xi, y_low, t_mid)
-        f_high = _on_grid(problem.source, xi, y_high, t_mid)
-        V = solve_x(U + a * blas.dgemm(1.0, dx, U) + a * (F + a * blas.dgemm(1.0, dx, F)))
-        v_low = solve_x(a * (f_low + a * blas.dgemv(1.0, dx, f_low)))
-        v_high = solve_x(a * (f_high + a * blas.dgemv(1.0, dx, f_high)))
-        dy_v = blas.dgemm(1.0, V, dy, trans_b=1) + v_low[:, None] * cy0 + v_high[:, None] * cyN
-        dy_f = blas.dgemm(1.0, F, dy, trans_b=1) + f_low[:, None] * cy0 + f_high[:, None] * cyN
-        return solve_y(V + a * dy_v + a * (F - a * dy_f))
+        np.multiply(F, a, out=af)
+        np.add(U, af, out=w)
+        blas.dgemm(1.0, w.T, cx, trans_b=1, c=v.T, overwrite_c=1)
+        out = blas.dgemm(1.0, cy, v.T, beta=1.0, c=af.T)
+        f = _y_lines(problem.source, problem, xi, t_mid)
+        g = np.stack([blas.dgemv(a * a, cx, row, beta=-a * a, y=row) for row in f])
+        _add_outer(out, ay_cols, g, 1.0)
+        return out.T
 
     return step
 

@@ -282,6 +282,64 @@ def kron_two_level_step(
     return out.reshape((nx, ny), order="F")
 
 
+def line_operator(
+    w: np.ndarray, diffusivities: tuple[float, float], order: float, h: float, n: int
+) -> np.ndarray:
+    """Rows of a two-sided operator at the n interior nodes of a line, over
+    all n + 2 of its nodes, boundary nodes included.
+
+    Row i is node i + 1; entry (i, j) is a double-loop fill of
+    kl * w_{i-j+2} + kr * w_{j-i} with ``(kl, kr) = diffusivities``, divided
+    by ``h**order``.  Columns 1..n are the interior operator, and columns 0
+    and n + 1 act on the boundary values.
+    """
+    op = np.zeros((n, n + 2))
+    for i in range(n):
+        for j in range(n + 2):
+            for k, kappa in ((i - j + 2, diffusivities[0]), (j - i, diffusivities[1])):
+                if 0 <= k < w.size:
+                    op[i, j] += kappa * w[k]
+    return op / h**order
+
+
+def pr_boundary_lines_step(
+    wx: np.ndarray,
+    wy: np.ndarray,
+    x_diffusivities: tuple[float, float],
+    y_diffusivities: tuple[float, float],
+    alpha: float,
+    beta: float,
+    hx: float,
+    hy: float,
+    u: np.ndarray,
+    f_mid: np.ndarray,
+    g_now: np.ndarray,
+    g_next: np.ndarray,
+    tau: float,
+) -> np.ndarray:
+    """One factored two-half-sweep step with Dirichlet data on the y-boundaries.
+
+    ``u`` and ``f_mid`` hold interior values, shaped (nx, ny); ``g_now`` and
+    ``g_next`` the data on the lines y = ay and y = by at the interior
+    x-nodes, shaped (nx, 2), at t_n and t_n + tau.  Dy acts on all ny + 2
+    y-lines through its literal ny x (ny + 2) rows (:func:`line_operator`),
+    so the data enter through its first and last columns: stage 1 solves
+    (I - a Dx) V = U + a Dy [g_now, U] + a F, and stage 2 solves
+    (I - a Dy) [g_next, U'] = (I + a Dx) V + a F on the interior nodes,
+    with a = tau/2.
+    """
+    nx, ny = u.shape
+    a = 0.5 * tau
+    dx = line_operator(wx, x_diffusivities, alpha, hx, nx)[:, 1:-1]
+    dy = line_operator(wy, y_diffusivities, beta, hy, ny)
+    lines_now = np.column_stack((g_now[:, 0], u, g_now[:, 1]))
+    v = dense_solve(np.eye(nx) - a * dx, u + a * (lines_now @ dy.T) + a * f_mid)
+    lines_next = np.zeros((nx, ny + 2))
+    lines_next[:, [0, -1]] = g_next
+    rhs = v + a * (dx @ v) + a * f_mid + a * (lines_next @ dy.T)
+    return dense_solve(np.eye(ny) - a * dy[:, 1:-1], rhs.T).T
+
+
 def lod_boundary_swept_step(
     wx: np.ndarray,
     wy: np.ndarray,
@@ -301,27 +359,14 @@ def lod_boundary_swept_step(
     boundary lines included.  Stage 1 solves (I - a Dx) V = (I + a Dx)(U +
     a F) on every line, with U = 0 on the two boundary lines.  Stage 2
     solves (I - a Dy) U' = (I + a Dy) V + a (I - a Dy) F across y, where
-    Dy acts on all ny + 2 lines through its literal (ny) x (ny + 2) rows,
-    so the boundary lines enter through its first and last columns.
-    Operators are double-loop fills of w_{i-j+1} and its transpose
-    pattern, a = tau/2 and one spacing h serves both axes.
+    Dy acts on all ny + 2 lines through its literal (ny) x (ny + 2) rows
+    (:func:`line_operator`), so the boundary lines enter through its first
+    and last columns.  a = tau/2, and one spacing h serves both axes.
     """
     nx, ny = u.shape
     a = 0.5 * tau
-    dx = np.zeros((nx, nx))
-    for i in range(nx):
-        for j in range(nx):
-            for k, kappa in ((i - j + 1, x_diffusivities[0]), (j - i + 1, x_diffusivities[1])):
-                if 0 <= k < wx.size:
-                    dx[i, j] += kappa * wx[k]
-    dx /= h**alpha
-    dy = np.zeros((ny, ny + 2))
-    for i in range(ny):  # row i is node i + 1 of the ny + 2 nodes
-        for j in range(ny + 2):
-            for k, kappa in ((i - j + 2, y_diffusivities[0]), (j - i, y_diffusivities[1])):
-                if 0 <= k < wy.size:
-                    dy[i, j] += kappa * wy[k]
-    dy /= h**beta
+    dx = line_operator(wx, x_diffusivities, alpha, h, nx)[:, 1:-1]
+    dy = line_operator(wy, y_diffusivities, beta, h, ny)
     u_lines = np.zeros((nx, ny + 2))
     u_lines[:, 1:-1] = u
     eye_x = np.eye(nx)

@@ -67,3 +67,31 @@ def test_counts_go_through_one_check(routine, value):
     else:
         with pytest.raises(ParameterError, match=f"{name}=.*got {value}"):
             call(value)
+
+
+@pytest.mark.parametrize("value", ["8", None, [8], 8 + 0j])
+@pytest.mark.parametrize("routine", sorted(_COUNTED))
+def test_non_numeric_counts_are_parameter_errors(routine, value):
+    # np.isfinite used to raise numpy's TypeError for these
+    name, call = _COUNTED[routine]
+    with pytest.raises(ParameterError, match=rf"{name}=.*\(not a number\)"):
+        call(value)
+
+
+def test_non_numeric_solver_config_counts_name_the_argument():
+    with pytest.raises(ParameterError, match=r"N=4 spatial intervals, got '8' \(not a number\)"):
+        solve1d.SolverConfig1D(N="8", M=2)
+    with pytest.raises(ParameterError, match=r"Nx=4 intervals, got '8' \(not a number\)"):
+        solve2d.SolverConfig2D(Nx="8", Ny=8, M=2)
+    with pytest.raises(ParameterError, match=r"M=1 time steps, got None \(not a number\)"):
+        solve2d.SolverConfig2D(Nx=8, Ny=8, M=None)
+
+
+def test_fractional_count_says_so():
+    with pytest.raises(ParameterError) as caught:
+        wsgd2_weights(1.5, P1Q0, 8.5)
+    assert str(caught.value) == "need at least count=3 weights, got 8.5 (not a whole number)"
+    for value in (2.0, math.nan):
+        with pytest.raises(ParameterError) as caught:
+            wsgd2_weights(1.5, P1Q0, value)
+        assert "whole number" not in str(caught.value)

@@ -9,7 +9,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wsgdiff import solve2d
+from wsgdiff import solve1d, solve2d
 from wsgdiff import (
     P1Q0,
     ParameterError,
@@ -29,6 +29,7 @@ from oracles import (
     kron_two_level_step,
     lod_boundary_swept_step,
     pair_weights_from_binomial,
+    pr_boundary_lines_step,
     tridiag_second_difference,
 )
 from _tables import EX4
@@ -187,6 +188,89 @@ def test_lod_boundary_line_sweep_matches_dense_oracle(scheme, shifts):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
 
+def _ramp_boundary(x, y, t):
+    return np.asarray(x) * (1.0 - np.asarray(x)) * (1.0 + np.asarray(y)) * (1.0 + t)
+
+
+def _probe_blind_boundary(x, y, t):
+    # zero at x = k/12, where the setup probe samples the y-lines, but not
+    # at the grid's x-nodes in between
+    x = np.asarray(x)
+    return x * (1.0 - x) * np.sin(12.0 * np.pi * x) * np.asarray(y) * (1.0 + t)
+
+
+@pytest.mark.parametrize("boundary", [_ramp_boundary, _probe_blind_boundary])
+@pytest.mark.parametrize("scheme,shifts", [("p1q0", (1, 0)), ("p1qm1", (1, -1))])
+def test_pr_step_with_y_boundary_data_matches_dense_oracle(scheme, shifts, boundary):
+    # unequal spacings and diffusivities, a source and time-dependent data
+    # on both y-boundary lines; the step must add the boundary terms from the
+    # lines it samples, whatever the setup probe saw
+    def source(x, y, t):
+        return (1.0 + t) * np.sin(np.pi * x) * (1.0 + y)
+
+    nx, ny = 10, 8
+    p = _custom_2d(
+        alpha=1.3,
+        beta=1.7,
+        source=source,
+        boundary=boundary,
+        by=2.0,
+        x_left_diffusivity=1.6,
+        x_right_diffusivity=0.2,
+        y_left_diffusivity=0.5,
+        y_right_diffusivity=1.1,
+    )
+    cfg = SolverConfig2D(Nx=nx, Ny=ny, M=5, scheme=scheme)
+    hx, hy = 1.0 / nx, 2.0 / ny
+    x = hx * np.arange(1, nx)[:, None]
+    y_lines = np.array([[0.0, 2.0]])
+    rng = np.random.default_rng(22)
+    u0 = rng.standard_normal((nx - 1, ny - 1))
+    t_n = 0.4
+    g_now, g_next = boundary(x, y_lines, t_n), boundary(x, y_lines, t_n + cfg.tau)
+    assert np.max(np.abs(g_next)) > 0.1
+    if boundary is _probe_blind_boundary:
+        assert solve2d._boundary_is_zero(p, "y", cfg.T)
+    xg, yg = _interior_grid(p, nx, ny)
+    want = pr_boundary_lines_step(
+        pair_weights_from_binomial(1.3, *shifts, nx + 1),
+        pair_weights_from_binomial(1.7, *shifts, ny + 1),
+        (1.6, 0.2),
+        (0.5, 1.1),
+        1.3,
+        1.7,
+        hx,
+        hy,
+        u0,
+        source(xg, yg, t_n + 0.5 * cfg.tau),
+        g_now,
+        g_next,
+        cfg.tau,
+    )
+    got = pr_adi_stepper(p, cfg)(u0, t_n)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("splitting", ["pr", "lod"])
+def test_steps_match_kron_oracle_at_the_largest_time_step(splitting):
+    # M=1 is the largest tau a run can take, where I - tau/2 D is worst
+    # conditioned; the source vanishes on the y-boundary lines so that the
+    # decoupled splitting's swept boundary terms drop out
+    def source(x, y, t):
+        return np.sin(np.pi * x) * (y * (1.0 - y)) ** 2 * (1.0 + t)
+
+    p = _custom_2d(alpha=1.4, beta=1.7, source=source, x_right_diffusivity=0.3)
+    cfg = SolverConfig2D(Nx=16, Ny=16, M=1, splitting=splitting)
+    dx, dy = build_directional_operators(p, cfg)
+    u0 = np.random.default_rng(16).standard_normal((15, 15))
+    xg, yg = _interior_grid(p, 16, 16)
+    got = solve2d._STEPPERS[splitting](p, cfg)(u0, 0.0)
+    want = kron_two_level_step(
+        dx, dy, u0, source(xg, yg, 0.5), cfg.tau, lod_source_correction=splitting == "lod"
+    )
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+
 def test_classical_limit_matches_heat_adi_oracle():
     def source(x, y, t):
         return np.exp(-t) * x * (1.0 - x) * np.sin(np.pi * y)
@@ -336,6 +420,44 @@ def test_observed_order_in_band():
     ]
     rate = convergence_rate(errs[0], errs[1])
     assert 1.6 <= rate <= 2.3, (errs, rate)
+
+
+# ---------------------------------------------------------------------------
+# The step contract: inverses formed once, fresh C-ordered results
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("M", [1, 7])
+@pytest.mark.parametrize("splitting", ["pr", "lod"])
+def test_run_makes_two_triangular_solves_at_setup(monkeypatch, splitting, M):
+    # setup forms the half-step matrices with one solve per direction; a
+    # step is products only
+    calls = []
+    dgetrs = solve1d.lapack.dgetrs
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return dgetrs(*args, **kwargs)
+
+    monkeypatch.setattr(solve1d.lapack, "dgetrs", spy)
+    run_2d(make_example("ex4", 1.2, 1.8), SolverConfig2D(Nx=8, Ny=8, M=M, splitting=splitting))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("splitting", ["pr", "lod"])
+def test_step_returns_a_fresh_c_ordered_array(splitting):
+    p = make_example("ex4", 1.2, 1.8)
+    step = solve2d._STEPPERS[splitting](p, SolverConfig2D(Nx=12, Ny=12, M=4, splitting=splitting))
+    U = np.random.default_rng(17).standard_normal((11, 11))
+    kept = U.copy()
+    first = step(U, 0.25)
+    np.testing.assert_array_equal(U, kept)
+    assert first.flags.c_contiguous and first.shape == (11, 11)
+    second = step(U, 0.25)
+    assert not np.shares_memory(first, second)
+    np.testing.assert_array_equal(first, second)
+    step(first, 0.5)
+    np.testing.assert_array_equal(second, step(U, 0.25))
 
 
 # ---------------------------------------------------------------------------
