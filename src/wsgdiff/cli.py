@@ -104,6 +104,8 @@ class StudyConfig:
     in 1D, any scheme but ``"pqr"`` for ``ex0``, and ``theta`` or
     ``source_sampling`` (``None``: the solver's default) for ``ex0``/``ex4``.
     An ``ex4`` study without ``beta`` runs with, and reports, the catalog's.
+    Each alpha's problem is built once here, so an order the example refuses
+    stops the study before its first solve.
     """
 
     example: ExampleId
@@ -167,6 +169,8 @@ class StudyConfig:
                 f"example {self.example.value} has no theta-weighted 1D stepping;"
                 " theta and source sampling do not apply"
             )
+        for alpha in self.alphas:
+            make_example(self.example, alpha, self.beta)
 
 
 # ---------------------------------------------------------------------------

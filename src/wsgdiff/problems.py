@@ -82,8 +82,8 @@ class Problem1D:
 
     on ``(a, b)`` with Dirichlet data ``left_boundary(t)``/``right_boundary(t)``
     and initial state ``initial(x)``.  ``dl``/``dr`` are the two diffusivities,
-    either nonnegative constants or callables of ``x`` (both must be the same
-    kind).  ``steady=True`` marks the time-independent variant
+    either nonnegative finite constants or callables of ``x`` (both must be
+    the same kind).  ``steady=True`` marks the time-independent variant
     ``-(left derivative of u) = source``, where only the left diffusivity,
     boundary values at ``t=0``, and a one-argument reading of the source
     matter.  ``exact`` is the known solution when available (``None`` for
@@ -106,8 +106,8 @@ class Problem1D:
 
     def __post_init__(self) -> None:
         wt._check_alpha(self.alpha, 1.0, 2.0)
-        if not self.b > self.a:
-            raise ParameterError(f"domain must satisfy b > a, got [{self.a}, {self.b}]")
+        if not (np.isfinite([self.a, self.b]).all() and self.b > self.a):
+            raise ParameterError(f"domain must be finite with b > a, got [{self.a}, {self.b}]")
         lcall = callable(self.left_diffusivity)
         rcall = callable(self.right_diffusivity)
         if lcall != rcall:
@@ -115,8 +115,10 @@ class Problem1D:
         if not lcall:
             kl = float(self.left_diffusivity)
             kr = float(self.right_diffusivity)
-            if kl < 0.0 or kr < 0.0:
-                raise ParameterError("diffusivities must be nonnegative")
+            if not (0.0 <= kl < np.inf and 0.0 <= kr < np.inf):
+                raise ParameterError(
+                    f"diffusivities must be nonnegative and finite, got {kl} and {kr}"
+                )
             if kl == 0.0 and kr == 0.0:
                 raise ParameterError("at least one diffusivity must be positive")
         if not self.steady and self.initial is None:
@@ -131,8 +133,7 @@ class Problem1D:
         (and symmetrically on the right): the operator's memory extends to
         the endpoint, and nonzero data there falls outside the setting the
         time-dependent theory covers.  ``allow_nonzero_boundary=True`` skips
-        the check for problems (like the steady benchmark) that use the end
-        values purely as stencil data.
+        the check for problems that use the end values purely as stencil data.
         """
         lcall = callable(self.left_diffusivity)
         left_active = lcall or float(self.left_diffusivity) != 0.0
@@ -154,12 +155,15 @@ class Problem1D:
         return callable(self.left_diffusivity)
 
     def diffusivity_values(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Evaluate both diffusivities on a grid, validating nonnegativity."""
+        """Evaluate both diffusivities on a grid, validating that they are
+        finite and nonnegative."""
         if self.has_variable_coefficients:
             dl = np.asarray(self.left_diffusivity(x), dtype=float)
             dr = np.asarray(self.right_diffusivity(x), dtype=float)
-            if np.any(dl < 0.0) or np.any(dr < 0.0):
-                raise ParameterError("variable diffusivities must be nonnegative on the grid")
+            if not all(np.all((0.0 <= d) & (d < np.inf)) for d in (dl, dr)):
+                raise ParameterError(
+                    "variable diffusivities must be finite and nonnegative on the grid"
+                )
         else:
             dl = np.full_like(np.asarray(x, dtype=float), float(self.left_diffusivity))
             dr = np.full_like(np.asarray(x, dtype=float), float(self.right_diffusivity))
@@ -198,16 +202,17 @@ class Problem2D:
     def __post_init__(self) -> None:
         wt._check_alpha(self.alpha, 1.0, 2.0)
         wt._check_alpha(self.beta, 1.0, 2.0)
-        if not (self.bx > self.ax and self.by > self.ay):
-            raise ParameterError("domain must satisfy bx > ax and by > ay")
+        ends = [self.ax, self.bx, self.ay, self.by]
+        if not (np.isfinite(ends).all() and self.bx > self.ax and self.by > self.ay):
+            raise ParameterError(f"domain must be finite with bx > ax and by > ay, got {ends}")
         for label, k in (
             ("x_left", self.x_left_diffusivity),
             ("x_right", self.x_right_diffusivity),
             ("y_left", self.y_left_diffusivity),
             ("y_right", self.y_right_diffusivity),
         ):
-            if float(k) < 0.0:
-                raise ParameterError(f"{label} diffusivity must be nonnegative, got {k}")
+            if not 0.0 <= float(k) < np.inf:
+                raise ParameterError(f"{label} diffusivity must be nonnegative and finite, got {k}")
         if self.x_left_diffusivity == 0.0 and self.x_right_diffusivity == 0.0:
             raise ParameterError("x direction needs at least one positive diffusivity")
         if self.y_left_diffusivity == 0.0 and self.y_right_diffusivity == 0.0:
@@ -256,7 +261,6 @@ def _steady_monomial(alpha: float) -> Problem1D:
         right_boundary=lambda t: 1.0,
         exact=exact,
         steady=True,
-        allow_nonzero_boundary=True,
     )
 
 

@@ -37,13 +37,14 @@ one fresh ``dgemm`` product.  Everything stays inside scipy's BLAS: numpy's
 Grid callables are evaluated on the broadcast axes ``x[:, None]``,
 ``y[None, :]``.
 
-Boundary handling: all splittings require vanishing Dirichlet data on the
-x-boundaries (the sweep order makes intermediate variables carry their
-values there, which only stays consistent when those lines hold zero).  The
-factored scheme accepts time-dependent data on the y-boundaries through the
-stencil's boundary columns; LOD requires fully homogeneous data and one
-spacing shared by both axes.  The source term is sampled at the half-step
-midpoint throughout.
+Boundary handling: Dirichlet data are read only on the run's own boundary
+nodes.  The factored scheme carries time-dependent data on the y-sides,
+through the stencil's boundary columns, and LOD carries none.  On the sides
+a splitting cannot carry (the x-sides, where the sweep order would make
+intermediate variables carry the data, or all four) the data must vanish to
+``1e-14`` at every level ``k*tau``, or its factory raises ``ParameterError``
+naming the side and the time.  LOD also needs one spacing for both axes.
+The source term is sampled at the half-step midpoint throughout.
 
 Error norms for reference-table reproduction are evaluated at the final
 time (both maximum and grid-weighted L2), over interior nodes.
@@ -134,12 +135,20 @@ def build_directional_operators(
 
 
 def _grid(problem: Problem2D, config: SolverConfig2D):
-    """Spacings, interior x-nodes and broadcast axes ``(hx, hy, xi, xi[:, None], yj[None, :])``."""
+    """Spacings, all nodes ``x``, ``y``, interior axes ``X = x[1:-1, None]``,
+    ``Y = y[None, 1:-1]`` and ``sides(fn, t)``: ``fn`` at time ``t`` on the sides
+    ``x = ax, bx`` (all nodes) and ``y = ay, by`` (interior x-nodes) as ``(2,
+    Ny+1)`` and ``(2, Nx-1)`` arrays, one broadcast call per pair of sides."""
     hx = (problem.bx - problem.ax) / config.Nx
     hy = (problem.by - problem.ay) / config.Ny
-    xi = problem.ax + hx * np.arange(1, config.Nx)
-    yj = problem.ay + hy * np.arange(1, config.Ny)
-    return hx, hy, xi, xi[:, None], yj[None, :]
+    x = problem.ax + hx * np.arange(config.Nx + 1)
+    y = problem.ay + hy * np.arange(config.Ny + 1)
+    x_ends, y_ends = np.array([[problem.ax], [problem.bx]]), np.array([[problem.ay], [problem.by]])
+
+    def sides(fn: Callable[..., np.ndarray], t: float) -> tuple[np.ndarray, np.ndarray]:
+        return _on_grid(fn, x_ends, y, t), _on_grid(fn, x[1:-1], y_ends, t)
+
+    return hx, hy, x, y, x[1:-1, None], y[None, 1:-1], sides
 
 
 def _on_grid(fn: Callable[..., np.ndarray], x, y, *t: float) -> np.ndarray:
@@ -148,28 +157,18 @@ def _on_grid(fn: Callable[..., np.ndarray], x, y, *t: float) -> np.ndarray:
     return np.broadcast_to(np.asarray(fn(x, y, *t), dtype=float), shape)
 
 
-def _boundary_is_zero(problem: Problem2D, axis: str, T: float) -> bool:
-    """Sample the Dirichlet data on one pair of sides at the start, middle and end."""
-    nprobe = 13
-    if axis == "x":
-        span = np.linspace(problem.ay, problem.by, nprobe)
-        lines = ((np.full(nprobe, problem.ax), span), (np.full(nprobe, problem.bx), span))
-    else:
-        span = np.linspace(problem.ax, problem.bx, nprobe)
-        lines = ((span, np.full(nprobe, problem.ay)), (span, np.full(nprobe, problem.by)))
-    for t in (0.0, 0.5 * T, T):
-        for xs, ys in lines:
-            if np.max(np.abs(np.asarray(problem.boundary(xs, ys, t), dtype=float))) > 1e-14:
-                return False
-    return True
-
-
-def _check_x_boundaries(problem: Problem2D, T: float) -> None:
-    """Reject nonzero Dirichlet data on the x-boundaries."""
-    if not _boundary_is_zero(problem, "x", T):
-        raise ParameterError(
-            "the splitting steppers require vanishing Dirichlet data on the x-boundaries"
-        )
+def _require_zero_data(problem: Problem2D, config: SolverConfig2D, sides, pairs, rule) -> None:
+    """Raise ``ParameterError`` naming a side and a time unless the Dirichlet
+    data vanish, to ``1e-14``, at every level ``k*tau`` on the first ``pairs``
+    pairs of ``sides``: the x-sides, then the y-sides."""
+    ends = ((problem.ax, problem.bx), (problem.ay, problem.by))
+    for t in (k * config.tau for k in range(config.M + 1)):
+        for axis, pair, data in zip("xy"[:pairs], ends, sides(problem.boundary, t)):
+            for end, peak in zip(pair, np.max(np.abs(data), axis=1)):
+                if not peak <= 1e-14:
+                    raise ParameterError(
+                        f"{rule}; they reach {peak:.3g} on {axis} = {end:g} at t = {t:g}"
+                    )
 
 
 def _sweeps(problem: Problem2D, config: SolverConfig2D):
@@ -187,12 +186,6 @@ def _sweeps(problem: Problem2D, config: SolverConfig2D):
     cyN = problem.y_left_diffusivity * left1 + problem.y_right_diffusivity * right1
     cols = np.asfortranarray(np.column_stack((cy0, cyN)) / hy_beta)
     return cx, iy - a * dy, np.asfortranarray(iy + a * dy), cols
-
-
-def _y_lines(fn: Callable[..., np.ndarray], problem: Problem2D, xi, t: float) -> np.ndarray:
-    """``fn`` at time ``t`` on the lines ``y = ay`` and ``y = by`` at the interior
-    x-nodes ``xi``, as the rows of a ``(2, Nx-1)`` array."""
-    return np.stack([_on_grid(fn, xi, np.full_like(xi, y), t) for y in (problem.ay, problem.by)])
 
 
 def _add_outer(c: np.ndarray, cols: np.ndarray, g: np.ndarray, alpha: float) -> None:
@@ -217,8 +210,9 @@ def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
     Accepts unequal spacings and time-dependent data on the y-boundaries,
     whose boundary-column terms join ``W`` and ``W2``.
     """
-    _, _, xi, X, Y = _grid(problem, config)
-    _check_x_boundaries(problem, config.T)
+    *_, X, Y, sides = _grid(problem, config)
+    rule = "the factored scheme requires vanishing Dirichlet data on the x-boundaries"
+    _require_zero_data(problem, config, sides, 1, rule)
     cx, ay, ey, cols = _sweeps(problem, config)
     ay_inv = lu_solver(ay, "y-direction")(np.eye(config.Ny - 1))
     tau = config.tau
@@ -229,8 +223,8 @@ def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
         F = _on_grid(problem.source, X, Y, t_n + a)
         np.multiply(F, a, out=w)
         np.multiply(F, a, out=w2)
-        _add_outer(w.T, cols, _y_lines(problem.boundary, problem, xi, t_n), a)
-        _add_outer(w2.T, cols, _y_lines(problem.boundary, problem, xi, t_n + tau), a)
+        _add_outer(w.T, cols, sides(problem.boundary, t_n)[1], a)
+        _add_outer(w2.T, cols, sides(problem.boundary, t_n + tau)[1], a)
         blas.dgemm(1.0, ey, U.T, beta=1.0, c=w.T, overwrite_c=1)
         blas.dgemm(1.0, w.T, cx, trans_b=1, beta=1.0, c=w2.T, overwrite_c=1)
         return blas.dgemm(1.0, ay_inv, w2.T).T
@@ -254,14 +248,13 @@ def lod_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
     ``dgemv`` calls.  Requires one spacing for both axes and fully
     homogeneous Dirichlet data.
     """
-    hx, hy, xi, X, Y = _grid(problem, config)
+    hx, hy, _, _, X, Y, sides = _grid(problem, config)
     if abs(hx - hy) > 1e-13 * max(hx, hy):
         raise ParameterError(
             f"splitting 'lod' assumes one spacing for both axes; got hx={hx!r}, hy={hy!r}"
         )
-    _check_x_boundaries(problem, config.T)
-    if not _boundary_is_zero(problem, "y", config.T):
-        raise ParameterError("splitting 'lod' requires fully homogeneous Dirichlet data")
+    rule = "splitting 'lod' requires fully homogeneous Dirichlet data"
+    _require_zero_data(problem, config, sides, 2, rule)
     cx, ay, ey, cols = _sweeps(problem, config)
     ny = config.Ny - 1
     # one solve gives Cy = (I - a Dy)^-1 (I + a Dy) and (I - a Dy)^-1 [cy0, cyN]
@@ -277,7 +270,7 @@ def lod_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
         np.add(U, af, out=w)
         blas.dgemm(1.0, w.T, cx, trans_b=1, c=v.T, overwrite_c=1)
         out = blas.dgemm(1.0, cy, v.T, beta=1.0, c=af.T)
-        f = _y_lines(problem.source, problem, xi, t_mid)
+        f = sides(problem.source, t_mid)[1]
         g = np.stack([blas.dgemv(a * a, cx, row, beta=-a * a, y=row) for row in f])
         _add_outer(out, ay_cols, g, 1.0)
         return out.T
@@ -296,21 +289,17 @@ _STEPPERS: dict[str, Callable[[Problem2D, SolverConfig2D], Stepper]] = {
 def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution:
     """Integrate a 2D problem from its initial state to the final time."""
     step = _STEPPERS[config.splitting](problem, config)
-    hx, hy, _, X, Y = _grid(problem, config)
+    hx, hy, x, y, X, Y, sides = _grid(problem, config)
     initial = lambda: np.array(_on_grid(problem.initial, X, Y))
     U, norm_history, _ = march(step, initial, config, lambda V: l2_norm(V, hx, hy))
     t_next = config.M * config.tau
-    x_full = problem.ax + hx * np.arange(config.Nx + 1)
-    y_full = problem.ay + hy * np.arange(config.Ny + 1)
     values = np.empty((config.Nx + 1, config.Ny + 1))
-    values[1 : config.Nx, 1 : config.Ny] = U
-    values[0, :] = problem.boundary(np.full_like(y_full, problem.ax), y_full, t_next)
-    values[-1, :] = problem.boundary(np.full_like(y_full, problem.bx), y_full, t_next)
-    values[:, 0] = problem.boundary(x_full, np.full_like(x_full, problem.ay), t_next)
-    values[:, -1] = problem.boundary(x_full, np.full_like(x_full, problem.by), t_next)
+    values[1:-1, 1:-1] = U
+    x_sides, y_sides = sides(problem.boundary, t_next)
+    values[[0, -1], :], values[1:-1, [0, -1]] = x_sides, y_sides.T
     sol = Solution(
-        x=x_full,
-        y=y_full,
+        x=x,
+        y=y,
         values=values,
         problem_name=problem.name,
         t_final=t_next,

@@ -135,28 +135,19 @@ def certify_negative_definite(T: ToeplitzOperator) -> CertificationResult:
     return CertificationResult(False, failing_minor=int(info))
 
 
-def rayleigh_bound_check(
-    T: ToeplitzOperator,
-    alpha: float,
-    scheme: str,
-    trials: int,
-    *,
-    samples: int = 4096,
-    seed: int = 0,
-) -> bool:
+def rayleigh_bound_check(T: ToeplitzOperator, alpha: float, scheme: str, trials: int) -> bool:
     """Check sampled Rayleigh quotients against the generating-function range.
 
-    For random unit vectors ``v``, the quotient ``v^T ((T + T^T)/2) v`` must
-    lie inside ``[min f, max f]`` (widened by ``1e-10``), where the range
-    comes from :func:`scan_sign` with at least 4096 samples.
+    For ``trials`` random unit vectors ``v`` (seed 0), the quotient
+    ``v^T ((T + T^T)/2) v`` must lie inside ``[min f, max f]`` (widened by
+    ``1e-10``), where the range comes from :func:`scan_sign` with 4096 samples.
     """
     trials = count_at_least("trials", trials, 1, "trial")
-    # max keeps a NaN ``samples`` first, so scan_sign refuses it
-    scan = scan_sign(alpha, scheme, max(samples, 4096))
+    scan = scan_sign(alpha, scheme, 4096)
     lo, hi = scan.min_value - 1e-10, scan.max_value + 1e-10
     dense = T.to_dense()
     s = (dense + dense.T) / 2.0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     for _ in range(trials):
         v = rng.standard_normal(T.n)
         v /= np.linalg.norm(v)

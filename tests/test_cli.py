@@ -641,6 +641,18 @@ def test_converge_calls_one_solver_per_cell_through_the_module(monkeypatch, fiel
     assert sizes == [8, 16] * cells
 
 
+def test_converge_checks_every_alpha_before_the_first_solve(monkeypatch, capsys):
+    # alpha=2.5 is out of range; the alpha=1.5 ladder must not run first
+    calls, solver = [], cli.cn_wsgd_run
+    monkeypatch.setattr(cli, "cn_wsgd_run", lambda *args: calls.append(args) or solver(*args))
+    argv = ["converge", "--example", "ex2", "--alpha", "1.5,2.5", "--resolutions", "8,16"]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2 and calls == []
+    assert "done" not in captured.out + captured.err
+    assert "2.5" in captured.err
+
+
 def test_read_report_rejects_foreign_csv(tmp_path):
     bogus = tmp_path / "other.csv"
     bogus.write_text("a,b\n1,2\n")

@@ -247,6 +247,31 @@ def test_problem1d_variable_diffusivity_sign_checked_on_grid():
         p.diffusivity_values(np.linspace(0.0, 1.0, 9))
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("left_diffusivity", float("nan")),
+        ("left_diffusivity", float("inf")),
+        ("right_diffusivity", float("inf")),
+        ("a", float("-inf")),
+        ("b", float("inf")),
+    ],
+)
+def test_problem1d_rejects_non_finite_numbers(field, value):
+    # each used to pass construction and fail the run at step 1
+    with pytest.raises(ParameterError, match="finite"):
+        _minimal_1d(**{field: value})
+
+
+def test_problem1d_variable_diffusivity_checked_finite_on_grid():
+    p = _minimal_1d(
+        left_diffusivity=lambda x: np.where(x > 0.7, np.inf, 1.0),
+        right_diffusivity=lambda x: np.ones_like(x),
+    )
+    with pytest.raises(ParameterError, match="finite and nonnegative on the grid"):
+        p.diffusivity_values(np.linspace(0.0, 1.0, 9))
+
+
 def _minimal_2d(**overrides):
     kwargs = dict(
         name="custom2d",
@@ -276,6 +301,24 @@ def test_problem2d_validation():
         _minimal_2d(x_left_diffusivity=0.0, x_right_diffusivity=0.0)
     with pytest.raises(ParameterError, match="domain"):
         _minimal_2d(bx=0.0)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("x_left_diffusivity", float("inf")),
+        ("x_right_diffusivity", float("nan")),
+        ("y_left_diffusivity", float("nan")),
+        ("y_right_diffusivity", float("inf")),
+        ("ax", float("-inf")),
+        ("bx", float("inf")),
+        ("ay", float("-inf")),
+        ("by", float("inf")),
+    ],
+)
+def test_problem2d_rejects_non_finite_numbers(field, value):
+    with pytest.raises(ParameterError, match="finite"):
+        _minimal_2d(**{field: value})
 
 
 # ---------------------------------------------------------------------------

@@ -193,8 +193,8 @@ def _ramp_boundary(x, y, t):
 
 
 def _probe_blind_boundary(x, y, t):
-    # zero at x = k/12, where the setup probe samples the y-lines, but not
-    # at the grid's x-nodes in between
+    # zero at x = k/12 but not at the grid's x-nodes in between, so a check
+    # that samples off the grid would take it for zero data
     x = np.asarray(x)
     return x * (1.0 - x) * np.sin(12.0 * np.pi * x) * np.asarray(y) * (1.0 + t)
 
@@ -204,7 +204,7 @@ def _probe_blind_boundary(x, y, t):
 def test_pr_step_with_y_boundary_data_matches_dense_oracle(scheme, shifts, boundary):
     # unequal spacings and diffusivities, a source and time-dependent data
     # on both y-boundary lines; the step must add the boundary terms from the
-    # lines it samples, whatever the setup probe saw
+    # lines it samples, also for data that vanish at many points off the grid
     def source(x, y, t):
         return (1.0 + t) * np.sin(np.pi * x) * (1.0 + y)
 
@@ -229,8 +229,6 @@ def test_pr_step_with_y_boundary_data_matches_dense_oracle(scheme, shifts, bound
     t_n = 0.4
     g_now, g_next = boundary(x, y_lines, t_n), boundary(x, y_lines, t_n + cfg.tau)
     assert np.max(np.abs(g_next)) > 0.1
-    if boundary is _probe_blind_boundary:
-        assert solve2d._boundary_is_zero(p, "y", cfg.T)
     xg, yg = _interior_grid(p, nx, ny)
     want = pr_boundary_lines_step(
         pair_weights_from_binomial(1.3, *shifts, nx + 1),
@@ -480,6 +478,49 @@ def test_nonzero_x_boundary_rejected():
     p = _custom_2d(boundary=lambda x, y, t: np.ones(np.broadcast(x, y).shape))
     with pytest.raises(ParameterError, match="x-boundaries"):
         run_2d(p, SolverConfig2D(Nx=8, Ny=8, M=2, splitting="pr"))
+
+
+@pytest.mark.parametrize(
+    "splitting,boundary,side",
+    [
+        ("lod", _probe_blind_boundary, "y = 1"),
+        ("pr", lambda x, y, t: _probe_blind_boundary(y, x, t), "x = 1"),
+        ("pr", lambda x, y, t: np.full(np.broadcast(x, y).shape, np.nan), "x = 0"),
+    ],
+)
+def test_data_a_splitting_cannot_carry_are_judged_on_the_grid(splitting, boundary, side):
+    # the first two vanish at the points k/12 of the side but not at its
+    # grid nodes; NaN data are no more zero than data of 0.4
+    p = _custom_2d(boundary=boundary)
+    with pytest.raises(ParameterError, match=rf"reach \S+ on {side} at t = 0$"):
+        run_2d(p, SolverConfig2D(Nx=10, Ny=10, M=10, splitting=splitting))
+
+
+@pytest.mark.parametrize("factory", [pr_adi_stepper, lod_stepper])
+def test_factories_reject_a_constant_x_side_before_any_step(factory):
+    p = _custom_2d(boundary=lambda x, y, t: np.full(np.broadcast(x, y).shape, 0.5))
+    with pytest.raises(ParameterError, match="reach 0.5 on x = 0 at t = 0"):
+        factory(p, SolverConfig2D(Nx=8, Ny=8, M=2))
+
+
+def test_data_checked_at_every_level_name_the_first_nonzero_time():
+    # zero, to roundoff, at t = 0, 1/2 and 1 but not at t = 1/4
+    def boundary(x, y, t):
+        return np.sin(2.0 * np.pi * t) * np.asarray(x) + 0.0 * np.asarray(y)
+
+    with pytest.raises(ParameterError, match="on x = 1 at t = 0.25"):
+        run_2d(_custom_2d(boundary=boundary), SolverConfig2D(Nx=8, Ny=8, M=4))
+
+
+@pytest.mark.parametrize("splitting", ["pr", "lod"])
+def test_data_at_roundoff_on_the_grid_count_as_zero(splitting):
+    # sin(pi x) evaluates to 1.2e-16 on x = 1, under the check's 1e-14
+    def boundary(x, y, t):
+        return np.sin(np.pi * np.asarray(x)) * np.sin(np.pi * np.asarray(y)) * (1.0 + t)
+
+    cfg = SolverConfig2D(Nx=8, Ny=8, M=4, splitting=splitting)
+    sol = run_2d(_custom_2d(boundary=boundary), cfg)
+    assert 0.0 < np.max(np.abs(sol.values[-1, :])) < 1e-14
 
 
 def test_lod_requires_fully_homogeneous_data():
