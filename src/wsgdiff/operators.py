@@ -52,8 +52,8 @@ class GridFunction1D:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size < 3:
             raise ParameterError("a 1D grid function needs at least 3 nodes (N >= 2)")
-        if not self.b > self.a:
-            raise ParameterError(f"domain must satisfy b > a, got [{self.a}, {self.b}]")
+        if not (np.isfinite([self.a, self.b]).all() and self.b > self.a):
+            raise ParameterError(f"domain must be finite with b > a, got [{self.a}, {self.b}]")
         object.__setattr__(self, "values", values)
 
     @property

@@ -88,6 +88,13 @@ class Problem1D:
     boundary values at ``t=0``, and a one-argument reading of the source
     matter.  ``exact`` is the known solution when available (``None`` for
     user-supplied problems without one).
+
+    ``source(x, t)`` and ``exact(x, t)`` broadcast over numpy arrays: the
+    time stepper passes the broadcast axes ``x[:, None]`` and ``t[None, :]``
+    and expects a result that broadcasts to ``(x.size, t.size)``, so a
+    callable may depend on one axis only; any other result is a
+    ``ParameterError`` naming the callable and both shapes.  The boundary
+    callables take a scalar ``t`` and return a scalar.
     """
 
     name: str
@@ -124,31 +131,37 @@ class Problem1D:
         if not self.steady and self.initial is None:
             raise ParameterError("time-dependent problems need an initial state")
         if not self.allow_nonzero_boundary:
-            self._check_boundary_compatibility()
+            # the record knows no run's levels; a run checks its own
+            self.boundary_values(np.array([0.0, 0.5, 1.0]))
 
-    def _check_boundary_compatibility(self) -> None:
-        """Reject boundary data incompatible with an active one-sided operator.
+    def boundary_values(self, times: np.ndarray) -> np.ndarray:
+        """Both Dirichlet data at each of ``times``, one scalar call each, as
+        the rows of a ``(2, len(times))`` array: left end, then right end.
 
-        An active left-sided derivative needs a vanishing left boundary value
-        (and symmetrically on the right): the operator's memory extends to
-        the endpoint, and nonzero data there falls outside the setting the
-        time-dependent theory covers.  ``allow_nonzero_boundary=True`` skips
-        the check for problems that use the end values purely as stencil data.
+        Rejects data incompatible with an active one-sided operator: an
+        active left-sided derivative needs a vanishing left boundary value
+        (and symmetrically on the right), because the operator's memory
+        extends to the endpoint, and nonzero data there fall outside the
+        setting the time-dependent theory covers.  Data above ``1e-14`` at an
+        active end are a :class:`ParameterError` naming the end and the time,
+        unless ``allow_nonzero_boundary=True``, which problems that use the
+        end values purely as stencil data set.
         """
+        ends = (self.left_boundary, self.right_boundary)
+        g = np.array([[float(fn(t)) for t in times] for fn in ends])
+        if self.allow_nonzero_boundary:
+            return g
         lcall = callable(self.left_diffusivity)
-        left_active = lcall or float(self.left_diffusivity) != 0.0
-        right_active = lcall or float(self.right_diffusivity) != 0.0
-        for t in (0.0, 0.5, 1.0):
-            if left_active and abs(float(self.left_boundary(t))) > 1e-14:
+        active = [lcall or float(k) != 0.0 for k in (self.left_diffusivity, self.right_diffusivity)]
+        for side, on, data in zip(("left", "right"), active, g):
+            bad = np.flatnonzero(~(np.abs(data) <= 1e-14)) if on else []
+            if len(bad):
                 raise ParameterError(
-                    "an active left-sided derivative requires zero left boundary data"
-                    " (set allow_nonzero_boundary=True to override)"
+                    f"an active {side}-sided derivative requires zero {side} boundary data"
+                    f" (set allow_nonzero_boundary=True to override); it is"
+                    f" {data[bad[0]]:.3g} at t = {times[bad[0]]:g}"
                 )
-            if right_active and abs(float(self.right_boundary(t))) > 1e-14:
-                raise ParameterError(
-                    "an active right-sided derivative requires zero right boundary data"
-                    " (set allow_nonzero_boundary=True to override)"
-                )
+        return g
 
     @property
     def has_variable_coefficients(self) -> bool:

@@ -14,18 +14,27 @@ Two entry points cover the 1D catalog, and both return a :class:`Solution`:
   splittings too, stepped by :func:`march`, the one time loop of every run.
 
 The steady solve factors its system once by dense partial-pivoting LU.
-The time stepper sets up its two step matrices once per run and then makes
-one right-hand-side product and one solve per step, with one of two
-backends chosen from the input alone:
+The time stepper sets up its two step matrices ``L`` (implicit) and ``R``
+(explicit) once per run, with one of two backends chosen from the input
+alone:
 
 - dense LU (the default, and the oracle): both matrices assembled densely,
-  the left one factored once with partial pivoting;
+  ``L`` factored once with partial pivoting, and ``C = L^-1 R`` formed once
+  in Fortran order, so a step is one scipy ``dgemv`` ``C U`` plus the
+  lifted known terms, and stays inside scipy's BLAS;
 - Gohberg–Semencul, for constant diffusivities, ``theta >= 0`` and
-  ``N >= 384``: both matrices are then Toeplitz, and the left one, whose
+  ``N >= 384``: both matrices are then Toeplitz, and ``L``, whose
   symmetric part is positive definite, is inverted through two Levinson
   solves and its Gohberg–Semencul formula, so a step is eight real FFTs
-  instead of two O(N^2) dense passes (Gohberg & Semencul 1972; Wang, Wang
-  & Sircar, J. Comput. Phys. 229 (2010) 8095).
+  instead of O(N^2) dense work (Gohberg & Semencul 1972; Wang, Wang &
+  Sircar, J. Comput. Phys. 229 (2010) 8095).
+
+Everything a step needs besides ``U`` is known before the run starts.  The
+boundary data are read once per level ``k*tau``; the source (and, for the
+running error, the exact solution) is sampled for a block of ``B`` levels
+in one call on the broadcast axes ``x[:, None]``, ``t[None, :]``, with
+``B*n <= 2**15`` on ``n`` interior nodes; and the dense backend applies
+``L^-1`` to a block's known terms in one ``dgetrs`` call.
 
 Error-norm conventions (matching the reference convergence tables): the
 maximum norm is tracked as a running maximum over *all* time levels, while
@@ -38,12 +47,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from . import weights as wt
 from .errors import ParameterError, SolverError, count_at_least
@@ -73,9 +81,20 @@ SOURCE_SAMPLING = ("average", "midpoint")
 #: between N=256 and N=512 on a 2-vCPU x86-64 machine.
 _GS_MIN_N = 384
 
-#: ``(rhs_product, solve)`` of a set-up time-stepping system: ``rhs_product(U)``
-#: applies the explicit matrix, ``solve(rhs)`` the inverse of the implicit one.
-Steps = tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]
+#: Float64 entries of one sampled block: a 1D run samples its known terms
+#: ``B = 2**15 // n`` levels at a time on ``n`` interior nodes (256 KiB an
+#: array), at most ``M``.  Blocks of 1 MiB raised the peak RSS of a run of
+#: the paper's small tables by 8%.
+_BLOCK_ENTRIES = 2**15
+
+#: ``(lift, advance)`` of a set-up time-stepping system: ``lift(f, b)`` maps
+#: columns of the known right-hand-side terms, ``f = tau*F`` and the boundary
+#: terms ``b``, to an array whose last axis runs over the columns, and
+#: ``advance(U, v)`` makes the step ``U -> U_next`` with one entry ``v`` of it.
+Steps = tuple[
+    Callable[[np.ndarray, np.ndarray], np.ndarray],
+    Callable[[np.ndarray, np.ndarray], np.ndarray],
+]
 
 #: One time step ``step(U, t_n) -> U_next`` of a set-up scheme, 1D or 2D.
 Stepper = Callable[[np.ndarray, float], np.ndarray]
@@ -156,9 +175,10 @@ def _grid(problem: Problem1D, N: int):
 def lu_solver(matrix: np.ndarray, context: str) -> Callable[[np.ndarray], np.ndarray]:
     """Factor ``matrix`` once by partial-pivoting LU; return ``solve(rhs)``.
 
-    ``solve`` takes one right-hand side or a block of columns.  Both LAPACK
-    calls go through this module's ``lapack``, so the 1D and 2D solvers
-    share one factor/solve path.
+    ``solve`` takes one right-hand side or a block of columns, and writes
+    its result over a right-hand side that is a vector or a Fortran-ordered
+    block.  Both LAPACK calls go through this module's ``lapack``, so the 1D
+    and 2D solvers share one factor/solve path.
     """
     lu, piv, info = lapack.dgetrf(matrix)
     if info > 0:
@@ -167,7 +187,7 @@ def lu_solver(matrix: np.ndarray, context: str) -> Callable[[np.ndarray], np.nda
         raise SolverError(f"{context}: factorization rejected argument {-info}")
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        out, code = lapack.dgetrs(lu, piv, rhs)
+        out, code = lapack.dgetrs(lu, piv, rhs, overwrite_b=1)
         if code != 0:  # pragma: no cover - dgetrs only fails on bad arguments
             raise SolverError(f"{context}: triangular solve failed (code {code})")
         return out
@@ -229,12 +249,24 @@ def assemble_cn_system(problem: Problem1D, config: SolverConfig1D):
 
 
 def _dense_steps(problem: Problem1D, config: SolverConfig1D) -> Steps:
-    """Both step matrices dense, the left one LU-factored once."""
+    """Both step matrices dense: ``L`` LU-factored once, and ``C = L^-1 R``
+    formed once by one solve with ``R`` as right-hand sides.
+
+    ``R`` goes to the solve in Fortran order, so ``C`` overwrites it and
+    ``dgemv`` reads ``C`` without a copy.  ``lift`` is ``L^-1 (f + b)``, one
+    ``dgetrs`` for a block of columns, and a step is one ``dgemv``:
+    ``U_next = C U + v``.
+    """
     lhs, rhs_matrix = assemble_cn_system(problem, config)
-    return (lambda U: rhs_matrix @ U), lu_solver(lhs, "time step")
+    solve = lu_solver(lhs, "time step")
+    c = solve(np.asfortranarray(rhs_matrix))
+    advance = lambda U, v: blas.dgemv(1.0, c, U, beta=1.0, y=v)
+    return (lambda f, b: solve(f + b)), advance
 
 
-def _gs_steps(problem: Problem1D, config: SolverConfig1D) -> Steps:
+def _gs_steps(
+    problem: Problem1D, config: SolverConfig1D
+) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
     """Both step matrices as Toeplitz spectra; constant diffusivities, ``theta >= 0``.
 
     With ``x = L^-1 e_1`` and ``y = L^-1 e_n`` from two Levinson solves, the
@@ -246,7 +278,9 @@ def _gs_steps(problem: Problem1D, config: SolverConfig1D) -> Steps:
     embedding (:func:`~wsgdiff.operators.toeplitz_product`) are cached at
     one power-of-two length ``>= 2n - 1``, so a solve is six real FFTs and a
     product two.  The symmetric part of ``L`` is positive definite, so every
-    leading minor is nonsingular and ``x_0 > 0``.
+    leading minor is nonsingular and ``x_0 > 0``.  Returns ``(rhs_product,
+    solve)``: the products with the right matrix and with the left one's
+    inverse.
     """
     h, _, _ = _grid(problem, config.N)
     n = config.N - 1
@@ -282,14 +316,75 @@ def _gs_steps(problem: Problem1D, config: SolverConfig1D) -> Steps:
 
 
 def _cn_steps(problem: Problem1D, config: SolverConfig1D) -> Steps:
-    """Set up the step system once, Gohberg–Semencul where it applies and pays."""
+    """Set up the step system once, Gohberg–Semencul where it applies and pays.
+
+    The Gohberg–Semencul step adds the known terms before its solve, ``tau*F``
+    and then the boundary terms, the order that keeps its runs bit-identical
+    to a step that samples its own terms; its ``lift`` only stacks them.
+    """
     if (
         not problem.has_variable_coefficients
         and config.theta >= 0.0
         and config.N >= _GS_MIN_N
     ):
-        return _gs_steps(problem, config)
+        rhs_product, solve = _gs_steps(problem, config)
+        advance = lambda U, v: solve(rhs_product(U) + v[0] + v[1])
+        return (lambda f, b: np.stack((f, b))), advance
     return _dense_steps(problem, config)
+
+
+def _sampled(fn: Callable, name: str, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``fn`` on the broadcast axes ``x[:, None]``, ``t[None, :]`` as floats of
+    shape ``(x.size, t.size)``.
+
+    A result that does not broadcast to that shape is a
+    :class:`ParameterError`, and so is a one-axis result, which would
+    broadcast along ``t`` whatever it holds.
+    """
+    shape = (x.size, t.size)
+    value = np.asarray(fn(x[:, None], t[None, :]), dtype=float)
+    if value.ndim != 1:
+        try:
+            return np.broadcast_to(value, shape)
+        except ValueError:
+            pass
+    raise ParameterError(
+        f"problem.{name} returned shape {value.shape}, which does not broadcast to"
+        f" {shape} on the axes x[:, None], t[None, :]"
+    )
+
+
+def _by_level(
+    tau: float,
+    levels: int,
+    width: int,
+    block: Callable[[int, int], np.ndarray],
+    direct: Callable[[float], np.ndarray],
+) -> Callable[[float], np.ndarray]:
+    """Look up a run's known terms by time; return ``at(t)``.
+
+    At a level ``t == k*tau`` with ``0 <= k < levels``, ``at`` returns
+    entry ``k - k0`` along the last axis of the block ``block(k0, count)``,
+    sampled for the ``count <= width`` levels from ``k0 = k`` when ``k`` lies
+    outside the last block.  At any other ``t`` it returns ``direct(t)``.
+    """
+    k0, cached = 0, np.empty((0, 0))
+
+    def at(t: float) -> np.ndarray:
+        nonlocal k0, cached
+        k = round(t / tau)
+        if not (t == k * tau and 0 <= k < levels):
+            return direct(t)
+        if not k0 <= k < k0 + cached.shape[-1]:
+            k0, cached = k, block(k, min(width, levels - k))
+        return cached[..., k - k0]
+
+    return at
+
+
+def _block_width(config: SolverConfig1D) -> int:
+    """Levels of one sampled block: ``B*n <= _BLOCK_ENTRIES``, at least 1, at most ``M``."""
+    return max(1, min(config.M, _BLOCK_ENTRIES // (config.N - 1)))
 
 
 def march(
@@ -327,9 +422,14 @@ def cn_stepper(problem: Problem1D, config: SolverConfig1D) -> Stepper:
     """Set up the theta-weighted scheme once; return its ``step(U, t_n)``.
 
     Each step solves ``(I - theta*B) U_next = (I + (1-theta)*B) U + tau*F +
-    boundary terms`` with the system set up once by :func:`_cn_steps`.
-    With ``"average"`` sampling a slab's right-end source value is kept and
-    reused as the left-end value of the next call that starts at that time.
+    boundary terms`` with the system set up once by :func:`_cn_steps`.  The
+    boundary data are read once per level ``k*tau``, at setup, and checked
+    there (:meth:`~wsgdiff.problems.Problem1D.boundary_values`).  The known
+    terms ``tau*F + boundary terms`` of a step from a level are sampled for
+    a block of :func:`_block_width` levels at once, the source in one call
+    at levels ``k*tau`` (``"average"``) or ``k*tau + tau/2``
+    (``"midpoint"``), and lifted in one call; a step from any other time
+    samples its own terms.
     """
     if problem.steady:
         raise ParameterError("time stepping expects a time-dependent problem")
@@ -337,40 +437,42 @@ def cn_stepper(problem: Problem1D, config: SolverConfig1D) -> Stepper:
     n = config.N - 1
     tau = config.tau
     theta = config.theta
-    rhs_product, solve = _cn_steps(problem, config)
+    lift, advance = _cn_steps(problem, config)
 
     # Known-end-value coefficient columns, diffusivity-weighted per row.
     left_u0, right_u0, left_uN, right_uN = boundary_columns(
         problem.alpha, config.scheme, n
     )
     dl, dr = problem.diffusivity_values(xi)
-    col_a = dl * left_u0 + dr * right_u0
-    col_b = dl * left_uN + dr * right_uN
+    col_a = (dl * left_u0 + dr * right_u0)[:, None]
+    col_b = (dl * left_uN + dr * right_uN)[:, None]
     scale = tau / h**problem.alpha
-
     average = config.source_sampling == "average"
-    t_end, f_end = None, None
+    g = problem.boundary_values(tau * np.arange(config.M + 1))
 
-    def step(U: np.ndarray, t_n: float) -> np.ndarray:
-        nonlocal t_end, f_end
-        t_next = t_n + tau
+    def known(ends: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``tau*F`` and the boundary terms of the slabs between successive
+        ``ends``, given both ends' Dirichlet ``data`` there, one column a slab."""
         if average:
-            f_now = f_end if t_n == t_end else np.asarray(problem.source(xi, t_n), dtype=float)
-            t_end, f_end = t_next, np.asarray(problem.source(xi, t_next), dtype=float)
-            fv = 0.5 * (f_now + f_end)
+            f = _sampled(problem.source, "source", xi, ends)
+            fv = 0.5 * (f[:, :-1] + f[:, 1:])
         else:
-            fv = np.asarray(problem.source(xi, t_n + 0.5 * tau), dtype=float)
-        ga_now = float(problem.left_boundary(t_n))
-        ga_next = float(problem.left_boundary(t_next))
-        gb_now = float(problem.right_boundary(t_n))
-        gb_next = float(problem.right_boundary(t_next))
-        bvec = scale * (
-            col_a * (theta * ga_next + (1.0 - theta) * ga_now)
-            + col_b * (theta * gb_next + (1.0 - theta) * gb_now)
-        )
-        return solve(rhs_product(U) + tau * fv + bvec)
+            fv = _sampled(problem.source, "source", xi, ends[:-1] + 0.5 * tau)
+        f = tau * fv
+        if not data.any():  # skip the (n, B) products for vanishing data
+            return f, np.zeros_like(f)
+        mix = theta * data[:, 1:] + (1.0 - theta) * data[:, :-1]
+        return f, scale * (col_a * mix[0] + col_b * mix[1])
 
-    return step
+    def block(k: int, count: int) -> np.ndarray:
+        return lift(*known(tau * np.arange(k, k + count + 1), g[:, k : k + count + 1]))
+
+    def direct(t_n: float) -> np.ndarray:
+        ends = np.array([t_n, t_n + tau])
+        return lift(*known(ends, problem.boundary_values(ends)))[..., 0]
+
+    terms = _by_level(tau, config.M, _block_width(config), block, direct)
+    return lambda U, t_n: advance(U, terms(t_n))
 
 
 def cn_wsgd_run(problem: Problem1D, config: SolverConfig1D) -> Solution:
@@ -379,7 +481,16 @@ def cn_wsgd_run(problem: Problem1D, config: SolverConfig1D) -> Solution:
     h, x, xi = _grid(problem, config.N)
     # problem.initial may return per-node values or a constant.
     initial = lambda: np.full(config.N - 1, problem.initial(xi), dtype=float)
-    exact = None if problem.exact is None else partial(problem.exact, xi)
+    exact = None
+    if problem.exact is not None:
+        sample = lambda t: _sampled(problem.exact, "exact", xi, t)
+        exact = _by_level(
+            config.tau,
+            config.M + 1,
+            _block_width(config),
+            lambda k, count: sample(config.tau * np.arange(k, k + count)),
+            lambda t: sample(np.array([t]))[:, 0],
+        )
     U, norm_history, running_max = march(step, initial, config, lambda V: l2_norm(V, h), exact)
     t_final = config.M * config.tau
     values = np.empty(config.N + 1)

@@ -57,6 +57,13 @@ def test_grid_function_validation():
         GridFunction1D(np.zeros(5), a=1.0, b=1.0)
 
 
+@pytest.mark.parametrize("a,b", [(0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan)])
+def test_grid_function_rejects_non_finite_ends(a, b):
+    # an infinite end gave h = inf, and the left operator seven silent zeros
+    with pytest.raises(ParameterError, match="finite"):
+        GridFunction1D(np.linspace(0.0, 1.0, 9) ** 2, a=a, b=b)
+
+
 def test_toeplitz_operator_dense_and_transpose():
     col = np.array([2.0, 3.0, 4.0])
     row = np.array([2.0, -1.0, -5.0])

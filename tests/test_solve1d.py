@@ -479,9 +479,9 @@ def test_gs_non_finite_solution_raises_with_step_and_time(monkeypatch, sampling)
 @pytest.mark.parametrize("min_n", [0, 10**9], ids=["gs", "dense"])
 @pytest.mark.parametrize("sampling", ["average", "midpoint"])
 def test_stepper_reuses_its_source_value_only_at_the_slab_end(monkeypatch, sampling, min_n):
-    # a step from t_n is the same whether the stepper is fresh, has just
-    # stepped to t_n (the kept slab-end source value is reused), or has
-    # stepped somewhere else (the value is evaluated again)
+    # a step from t_n is the same whether the stepper is fresh (it samples a
+    # block of levels from t_n), has just stepped to t_n, or has stepped from
+    # an earlier level (the block sampled there covers t_n)
     monkeypatch.setattr(solve1d, "_GS_MIN_N", min_n)
     base = _constant_problem("unequal", 0.7, 0.2, 1.6)
     calls = []
@@ -499,17 +499,94 @@ def test_stepper_reuses_its_source_value_only_at_the_slab_end(monkeypatch, sampl
     arrived(U, t_n - tau)
     elsewhere = solve1d.cn_stepper(p, cfg)
     elsewhere(U, 0.0)
-    if sampling == "average":
-        want_calls = ([t_n, t_n + tau], [t_n + tau], [t_n, t_n + tau])
-    else:
-        want_calls = ([t_n + 0.5 * tau],) * 3
     results = []
-    for step, want in zip((fresh, arrived, elsewhere), want_calls):
+    for step, want in zip((fresh, arrived, elsewhere), (1, 0, 0)):
         calls.clear()
         results.append(step(U, t_n))
-        assert calls == want
+        assert len(calls) == want
     assert np.array_equal(results[0], results[1])
     assert np.array_equal(results[0], results[2])
+
+
+@pytest.mark.parametrize("M", [7, 2049])
+def test_run_samples_source_and_exact_once_a_block(M):
+    # an average-sampled run used to evaluate the source twice at each slab
+    # end where n*tau + tau != (n+1)*tau: 9 calls at N=33, M=7
+    base = make_example("ex2", 1.5)
+    calls = {"source": 0, "exact": 0}
+
+    def counted(name):
+        def fn(x, t):
+            calls[name] += 1
+            return getattr(base, name)(x, t)
+
+        return fn
+
+    p = dataclasses.replace(base, source=counted("source"), exact=counted("exact"))
+    cfg = SolverConfig1D(N=33, M=M, T=0.7)
+    width = solve1d._block_width(cfg)
+    want = cn_wsgd_run(base, cfg)
+    got = cn_wsgd_run(p, cfg)
+    assert calls == {"source": -(-M // width), "exact": -(-(M + 1) // width)}
+    assert (width, calls["source"]) == ((7, 1) if M == 7 else (1024, 3))
+    np.testing.assert_array_equal(got.values, want.values)
+
+
+def test_dense_run_solves_once_a_block(monkeypatch):
+    # one dgetrs forms C = L^-1 R, and one more lifts each block's known
+    # terms; a step itself is one dgemv on the Fortran-ordered C, which
+    # BLAS would otherwise copy on every call
+    solves, products = [], []
+
+    def spy(module, name, log, record):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            log.append(record(*args))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(solve1d.lapack, "dgetrs", solves, lambda lu, piv, rhs: rhs.shape)
+    spy(solve1d.blas, "dgemv", products, lambda alpha, a, x: a.flags.f_contiguous)
+    cfg = SolverConfig1D(N=64, M=1100)
+    sol = cn_wsgd_run(make_example("ex3", 1.5), cfg)
+    assert solve1d._block_width(cfg) == 520
+    assert solves == [(63, 63), (63, 520), (63, 520), (63, 60)]
+    assert products == [True] * cfg.M
+    assert sol.max_err_final < 1e-4
+
+
+def test_run_checks_boundary_data_at_every_level():
+    # the record checks its data at t = 0, 0.5 and 1 only, where sin(2 pi t)
+    # vanishes; the run used to end with left value 1.0
+    p = dataclasses.replace(
+        make_example("ex2", 1.5), left_boundary=lambda t: float(np.sin(2.0 * np.pi * t))
+    )
+    cfg = SolverConfig1D(N=16, M=16, T=0.25)
+    with pytest.raises(ParameterError, match=r"active left-sided .* 0\.098 at t = 0\.015625"):
+        cn_wsgd_run(p, cfg)
+    # data an inactive side carries, or that the override admits, still run
+    cn_wsgd_run(dataclasses.replace(p, allow_nonzero_boundary=True), cfg)
+    one_sided = dataclasses.replace(p, left_diffusivity=0.0, right_diffusivity=1.0)
+    assert cn_wsgd_run(one_sided, cfg).values[0] == 1.0
+
+
+def test_callables_broadcast_over_space_and_time_axes():
+    base = make_example("ex2", 1.5)
+    cfg = SolverConfig1D(N=16, M=8)
+    # a t-independent source, and a constant one, broadcast along t
+    for source in (lambda x, t: np.zeros_like(x), lambda x, t: 0.0):
+        sol = cn_wsgd_run(dataclasses.replace(base, source=source), cfg)
+        assert np.all(np.isfinite(sol.values))
+    # a one-axis result would broadcast along t whatever it holds
+    flat = dataclasses.replace(base, source=lambda x, t: np.sin(np.ravel(x)))
+    with pytest.raises(ParameterError, match=r"problem.source returned shape \(15,\),.* \(15, 9\)"):
+        cn_wsgd_run(flat, cfg)
+    time_major = dataclasses.replace(base, exact=lambda x, t: (np.exp(-t) * x).T)
+    message = r"problem.exact returned shape \(8, 15\),.* \(15, 8\)"
+    with pytest.raises(ParameterError, match=message):
+        cn_wsgd_run(time_major, cfg)
 
 
 # ---------------------------------------------------------------------------
