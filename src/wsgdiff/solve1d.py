@@ -175,10 +175,9 @@ def _grid(problem: Problem1D, N: int):
 def lu_solver(matrix: np.ndarray, context: str) -> Callable[[np.ndarray], np.ndarray]:
     """Factor ``matrix`` once by partial-pivoting LU; return ``solve(rhs)``.
 
-    ``solve`` takes one right-hand side or a block of columns, and writes
-    its result over a right-hand side that is a vector or a Fortran-ordered
-    block.  Both LAPACK calls go through this module's ``lapack``, so the 1D
-    and 2D solvers share one factor/solve path.
+    ``solve`` takes one right-hand side or a block of columns and leaves it
+    unchanged.  Both LAPACK calls go through this module's ``lapack``, so the
+    1D and 2D solvers share one factor/solve path.
     """
     lu, piv, info = lapack.dgetrf(matrix)
     if info > 0:
@@ -187,7 +186,7 @@ def lu_solver(matrix: np.ndarray, context: str) -> Callable[[np.ndarray], np.nda
         raise SolverError(f"{context}: factorization rejected argument {-info}")
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        out, code = lapack.dgetrs(lu, piv, rhs, overwrite_b=1)
+        out, code = lapack.dgetrs(lu, piv, rhs)
         if code != 0:  # pragma: no cover - dgetrs only fails on bad arguments
             raise SolverError(f"{context}: triangular solve failed (code {code})")
         return out
@@ -252,14 +251,13 @@ def _dense_steps(problem: Problem1D, config: SolverConfig1D) -> Steps:
     """Both step matrices dense: ``L`` LU-factored once, and ``C = L^-1 R``
     formed once by one solve with ``R`` as right-hand sides.
 
-    ``R`` goes to the solve in Fortran order, so ``C`` overwrites it and
-    ``dgemv`` reads ``C`` without a copy.  ``lift`` is ``L^-1 (f + b)``, one
-    ``dgetrs`` for a block of columns, and a step is one ``dgemv``:
-    ``U_next = C U + v``.
+    The solve returns ``C`` in Fortran order, so ``dgemv`` reads it without
+    a copy.  ``lift`` is ``L^-1 (f + b)``, one ``dgetrs`` for a block of
+    columns, and a step is one ``dgemv``: ``U_next = C U + v``.
     """
     lhs, rhs_matrix = assemble_cn_system(problem, config)
     solve = lu_solver(lhs, "time step")
-    c = solve(np.asfortranarray(rhs_matrix))
+    c = solve(rhs_matrix)
     advance = lambda U, v: blas.dgemv(1.0, c, U, beta=1.0, y=v)
     return (lambda f, b: solve(f + b)), advance
 
@@ -459,8 +457,6 @@ def cn_stepper(problem: Problem1D, config: SolverConfig1D) -> Stepper:
         else:
             fv = _sampled(problem.source, "source", xi, ends[:-1] + 0.5 * tau)
         f = tau * fv
-        if not data.any():  # skip the (n, B) products for vanishing data
-            return f, np.zeros_like(f)
         mix = theta * data[:, 1:] + (1.0 - theta) * data[:, :-1]
         return f, scale * (col_a * mix[0] + col_b * mix[1])
 
