@@ -8,9 +8,11 @@ superdiagonal carries ``w_0`` and the main diagonal ``w_1``.  This module
 assembles those matrices, applies the left/right operators directly to
 grid functions (stencil-wise, without forming a matrix — the redundancy
 lets tests catch indexing mistakes), gives the stencil columns that
-multiply the Dirichlet end values, and builds the FFT Toeplitz product
-that the Gohberg–Semencul time stepper runs: the spectrum of the matrix's
-circulant embedding is taken once, so a product is two real FFTs.
+multiply the Dirichlet end values, and builds an FFT Toeplitz product:
+the spectrum of the matrix's circulant embedding is taken once, so a
+product is two real FFTs.  No solver runs that product (the
+Gohberg–Semencul time stepper needs only its left matrix's inverse);
+criterion 8(a) checks it against the direct product.
 """
 
 from __future__ import annotations
@@ -217,7 +219,8 @@ def toeplitz_product(T: ToeplitzOperator) -> Callable[[np.ndarray], np.ndarray]:
     """Return ``product(v) = T @ v`` by circulant embedding and the real FFT.
 
     The embedding's spectrum is taken here, once, at the length
-    :func:`_circulant_size` gives, so each product is two real FFTs.
+    :func:`_circulant_size` gives, so each product is two real FFTs.  No
+    solver calls it; the Gohberg–Semencul solve shares only that length.
     """
     n = T.n
     size = _circulant_size(n)

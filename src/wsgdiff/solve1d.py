@@ -22,12 +22,16 @@ alone:
   ``L`` factored once with partial pivoting, and ``C = L^-1 R`` formed once
   in Fortran order, so a step is one scipy ``dgemv`` ``C U`` plus the
   lifted known terms, and stays inside scipy's BLAS;
-- Gohberg–Semencul, for constant diffusivities, ``theta >= 0`` and
-  ``N >= 384``: both matrices are then Toeplitz, and ``L``, whose
-  symmetric part is positive definite, is inverted through two Levinson
-  solves and its Gohberg–Semencul formula, so a step is eight real FFTs
-  instead of O(N^2) dense work (Gohberg & Semencul 1972; Wang, Wang &
-  Sircar, J. Comput. Phys. 229 (2010) 8095).
+- Gohberg–Semencul, for constant diffusivities, ``theta >= 1/2`` and
+  ``N >= 384``: ``L`` is then Toeplitz, and, with its symmetric part
+  positive definite, is inverted through two Levinson solves and its
+  Gohberg–Semencul formula (Gohberg & Semencul 1972; Wang, Wang & Sircar,
+  J. Comput. Phys. 229 (2010) 8095).  Both matrices are polynomials in
+  ``B``, so ``L^-1 R = (L^-1 - (1-theta) I) / theta`` (the Cayley form),
+  and a step is one such solve, six real FFTs, plus an axpy instead of
+  O(N^2) dense work.  Below ``theta = 1/2`` that form's rounding grows
+  like ``eps/theta`` a step, so those runs step densely, and a run with
+  ``theta < 1/2`` and ``N > 8192`` meets the dense cap.
 
 Everything a step needs besides ``U`` is known before the run starts.  The
 boundary data are read once per level ``k*tau``; the source (and, for the
@@ -55,13 +59,7 @@ from scipy.linalg import blas, lapack
 
 from . import weights as wt
 from .errors import ParameterError, SolverError, count_at_least
-from .operators import (
-    ToeplitzOperator,
-    _circulant_size,
-    assemble_wsgd_matrix,
-    boundary_columns,
-    toeplitz_product,
-)
+from .operators import _circulant_size, assemble_wsgd_matrix, boundary_columns
 from .problems import Problem1D, l2_norm, max_norm
 
 __all__ = [
@@ -262,23 +260,19 @@ def _dense_steps(problem: Problem1D, config: SolverConfig1D) -> Steps:
     return (lambda f, b: solve(f + b)), advance
 
 
-def _gs_steps(
-    problem: Problem1D, config: SolverConfig1D
-) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
-    """Both step matrices as Toeplitz spectra; constant diffusivities, ``theta >= 0``.
+def _gs_steps(problem: Problem1D, config: SolverConfig1D) -> Callable[[np.ndarray], np.ndarray]:
+    """The left step matrix's inverse as Toeplitz spectra; constant diffusivities.
 
     With ``x = L^-1 e_1`` and ``y = L^-1 e_n`` from two Levinson solves, the
     Gohberg–Semencul formula writes the inverse of the left matrix as
     ``(low(x) up(Jy) - low(Zy) up(ZJx)) / x_0``, where ``low``/``up`` are
     the lower/upper triangular Toeplitz matrices with the given first
     column/row, ``J`` reverses and ``Z`` shifts down by one.  The spectra of
-    the four generators and of the right-hand-side matrix's circulant
-    embedding (:func:`~wsgdiff.operators.toeplitz_product`) are cached at
-    one power-of-two length ``>= 2n - 1``, so a solve is six real FFTs and a
-    product two.  The symmetric part of ``L`` is positive definite, so every
-    leading minor is nonsingular and ``x_0 > 0``.  Returns ``(rhs_product,
-    solve)``: the products with the right matrix and with the left one's
-    inverse.
+    the four generators are cached at one power-of-two length ``>= 2n - 1``,
+    so a solve is six real FFTs.  For ``theta >= 0`` the symmetric part of
+    ``L`` is positive definite, so every leading minor is nonsingular and
+    ``x_0 > 0``.  Returns ``solve(rhs) = L^-1 rhs``; the right matrix is
+    never formed, since :func:`_cn_steps` steps in Cayley form.
     """
     h, _, _ = _grid(problem, config.N)
     n = config.N - 1
@@ -302,32 +296,38 @@ def _gs_steps(
     rfft, irfft = np.fft.rfft, np.fft.irfft
     upper = rfft(np.stack((y[::-1], np.concatenate(([0.0], x[:0:-1])))), size)
     lower = rfft(np.stack((x, -np.concatenate(([0.0], y[:-1])))) / x[0], size)
-    rhs_product = toeplitz_product(
-        ToeplitzOperator(unit + (1.0 - theta) * b_col, unit + (1.0 - theta) * b_row)
-    )
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         up = irfft(rfft(rhs[::-1], size) * upper, size)[:, n - 1 :: -1]
         return irfft((rfft(up, size) * lower).sum(axis=0), size)[:n]
 
-    return rhs_product, solve
+    return solve
 
 
 def _cn_steps(problem: Problem1D, config: SolverConfig1D) -> Steps:
     """Set up the step system once, Gohberg–Semencul where it applies and pays.
 
-    The Gohberg–Semencul step adds the known terms before its solve, ``tau*F``
-    and then the boundary terms, the order that keeps its runs bit-identical
-    to a step that samples its own terms; its ``lift`` only stacks them.
+    ``L = I - theta*B`` and ``R = I + (1-theta)*B`` give ``theta R = I -
+    (1-theta) L``, so the Gohberg–Semencul step is ``U_next = L^-1 (U/theta
+    + v) - ((1-theta)/theta) U`` with ``v = f + b``: one solve, six real
+    FFTs, and no product with ``R``.  Its rounding grows like
+    ``(2-theta)/theta`` units of ``eps |U|`` a step, 3 at ``theta = 1/2``,
+    so it runs only inside the stability window ``theta >= 1/2``.
     """
     if (
         not problem.has_variable_coefficients
-        and config.theta >= 0.0
+        and config.theta >= 0.5
         and config.N >= _GS_MIN_N
     ):
-        rhs_product, solve = _gs_steps(problem, config)
-        advance = lambda U, v: solve(rhs_product(U) + v[0] + v[1])
-        return (lambda f, b: np.stack((f, b))), advance
+        solve = _gs_steps(problem, config)
+        inv, ratio = 1.0 / config.theta, (1.0 - config.theta) / config.theta
+
+        def advance(U: np.ndarray, v: np.ndarray) -> np.ndarray:
+            out = solve(inv * U + v)
+            out -= ratio * U
+            return out
+
+        return np.add, advance
     return _dense_steps(problem, config)
 
 

@@ -188,14 +188,6 @@ def _sweeps(problem: Problem2D, config: SolverConfig2D):
     return cx, iy - a * dy, np.asfortranarray(iy + a * dy), cols
 
 
-def _add_outer(c: np.ndarray, cols: np.ndarray, g: np.ndarray, alpha: float) -> None:
-    """``c += alpha * cols @ g`` in place on the Fortran-ordered ``c``: the
-    rank-2 term of the two y-boundary lines ``g``, of shape ``(2, Nx-1)``.
-    Skipped when ``g`` is zero, judged from the sampled lines themselves."""
-    if g.any():
-        blas.dgemm(alpha, cols, g, beta=1.0, c=c, overwrite_c=1)
-
-
 def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
     """Set up the two-half-sweep splitting once; return its ``step(U, t_n)``.
 
@@ -208,7 +200,8 @@ def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
     ``U_next^T = (I - a Dy)^-1 W2^T``.  This is the stepper of all three
     names of the factored scheme: ``pr``, ``douglas`` and ``dyakonov``.
     Accepts unequal spacings and time-dependent data on the y-boundaries,
-    whose boundary-column terms join ``W`` and ``W2``.
+    whose boundary-column terms join ``W`` and ``W2`` by one rank-2
+    ``dgemm`` each, made on every step whatever the data.
     """
     *_, X, Y, sides = _grid(problem, config)
     rule = "the factored scheme requires vanishing Dirichlet data on the x-boundaries"
@@ -223,8 +216,8 @@ def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
         F = _on_grid(problem.source, X, Y, t_n + a)
         np.multiply(F, a, out=w)
         np.multiply(F, a, out=w2)
-        _add_outer(w.T, cols, sides(problem.boundary, t_n)[1], a)
-        _add_outer(w2.T, cols, sides(problem.boundary, t_n + tau)[1], a)
+        for t, c in ((t_n, w), (t_n + tau, w2)):
+            blas.dgemm(a, cols, sides(problem.boundary, t)[1], beta=1.0, c=c.T, overwrite_c=1)
         blas.dgemm(1.0, ey, U.T, beta=1.0, c=w.T, overwrite_c=1)
         blas.dgemm(1.0, w.T, cx, trans_b=1, beta=1.0, c=w2.T, overwrite_c=1)
         return blas.dgemm(1.0, ay_inv, w2.T).T
@@ -245,8 +238,8 @@ def lod_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
     ``a = tau/2``, a step is ``V = Cx (U + a F)`` and ``U_next = V Cy^T + a F
     + g_low (x) (I - a Dy)^-1 cy0 + g_high (x) (I - a Dy)^-1 cyN``, where
     ``g = a^2 (Cx f - f)`` on each boundary line: two ``dgemm`` and two
-    ``dgemv`` calls.  Requires one spacing for both axes and fully
-    homogeneous Dirichlet data.
+    ``dgemv`` calls, and one rank-2 ``dgemm`` for the ``g`` terms.  Requires
+    one spacing for both axes and fully homogeneous Dirichlet data.
     """
     hx, hy, _, _, X, Y, sides = _grid(problem, config)
     if abs(hx - hy) > 1e-13 * max(hx, hy):
@@ -272,7 +265,7 @@ def lod_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
         out = blas.dgemm(1.0, cy, v.T, beta=1.0, c=af.T)
         f = sides(problem.source, t_mid)[1]
         g = np.stack([blas.dgemv(a * a, cx, row, beta=-a * a, y=row) for row in f])
-        _add_outer(out, ay_cols, g, 1.0)
+        blas.dgemm(1.0, ay_cols, g, beta=1.0, c=out, overwrite_c=1)
         return out.T
 
     return step

@@ -8,6 +8,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from wsgdiff import problems
 from wsgdiff import (
     ErrorRecord,
     ExampleId,
@@ -97,6 +98,29 @@ def test_two_dimensional_example_residual(alpha, beta):
     flux_y = np.exp(-t) * bump(x) * (bump_rl_left(beta, y) + bump_rl_right(beta, y))
     residual = u_t - flux_x - flux_y - p.source(x, y, t)
     assert np.max(np.abs(residual)) < 1e-10
+
+
+@pytest.mark.parametrize("alpha,beta", [(1.2, 1.8), (1.9, 1.1)])
+def test_two_dimensional_source_is_the_three_term_formula(alpha, beta):
+    # the source is two outer products with exp(-t) folded into the one-axis
+    # factors; it equals -exp(-t) (bx by + px by + py bx) on the interior
+    # axes of a run and on the side lines a run samples
+    p = make_example("ex4", alpha, beta)
+    bump_of, px, py = (
+        problems._cubic_bump,
+        problems._mirrored_fractional_profile(alpha, alpha),
+        problems._mirrored_fractional_profile(beta, beta),
+    )
+    x = np.linspace(0.0, 1.0, 65)
+    ends = np.array([[0.0], [1.0]])
+    for xs, ys in ((x[1:-1, None], x[None, 1:-1]), (x[1:-1], ends), (ends, x)):
+        for t in (0.0, 0.37, 1.0):
+            bx, by = bump_of(xs), bump_of(ys)
+            want = -np.exp(-t) * (bx * by + px(xs) * by + py(ys) * bx)
+            got = p.source(xs, ys, t)
+            assert got.shape == np.broadcast_shapes(np.shape(xs), np.shape(ys))
+            gap = np.max(np.abs(got - want)) / np.max(np.abs(want))
+            assert gap <= 1e-15, (np.shape(xs), t, gap)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -190,13 +191,20 @@ def test_gs_step_system_matches_dense_oracle(data, big_n, scheme, alpha, theta):
     p, q = _SHIFT_PAIR_OF[scheme]
     a = dense_shift_matrix(pair_weights_from_binomial(alpha, p, q, n + 1), n, p)
     b = cfg.tau / (length / big_n) ** alpha * (kl * a + kr * a.T)
-    v = data.draw(hnp.arrays(float, n, elements=_UNIT).filter(lambda v: np.any(v != 0.0)))
-    rhs_product, solve = solve1d._gs_steps(problem, cfg)
-    want_product = v + (1.0 - theta) * (b @ v)
-    want_solve = np.linalg.solve(np.eye(n) - theta * b, v)
-    gap_product = np.max(np.abs(rhs_product(v) - want_product)) / np.max(np.abs(want_product))
-    gap_solve = np.max(np.abs(solve(v) - want_solve)) / np.max(np.abs(want_solve))
-    assert gap_product <= 1e-10 and gap_solve <= 1e-10, (gap_product, gap_solve)
+    nonzero = hnp.arrays(float, n, elements=_UNIT).filter(lambda v: np.any(v != 0.0))
+    v, u, f, g = (data.draw(nonzero) for _ in range(4))
+    lhs = np.eye(n) - theta * b
+    want_solve = np.linalg.solve(lhs, v)
+    gap_solve = np.max(np.abs(solve1d._gs_steps(problem, cfg)(v) - want_solve))
+    # the whole Cayley-form step against L^-1 (R u + f + g)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solve1d, "_GS_MIN_N", 0)
+        m.setattr(solve1d, "_dense_steps", None)
+        lift, advance = solve1d._cn_steps(problem, cfg)
+    want_step = np.linalg.solve(lhs, u + (1.0 - theta) * (b @ u) + f + g)
+    gap_step = np.max(np.abs(advance(u, lift(f, g)) - want_step))
+    gaps = gap_solve / np.max(np.abs(want_solve)), gap_step / np.max(np.abs(want_step))
+    assert max(gaps) <= 1e-10, gaps
 
 
 def _zero(x, y, *t):

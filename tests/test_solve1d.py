@@ -399,38 +399,57 @@ def test_gs_run_matches_dense_run(monkeypatch, name, alpha, theta, sampling):
 @pytest.mark.filterwarnings("ignore:theta=0.0 lies outside")
 @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("N", [4, 5, 9, 33])
-def test_gs_setup_is_the_dense_system(N, theta):
-    # product and solve of the set-up Toeplitz system against the dense
-    # matrices, below the size where runs pick it
+def test_gs_setup_is_the_dense_system(monkeypatch, N, theta):
+    # the set-up Toeplitz solve against the dense matrix and, for the
+    # theta >= 1/2 that runs pick it at, the Cayley-form step against the
+    # dense step, below the size where runs pick it
     rng = np.random.default_rng(N)
     p = _constant_problem("unequal", 0.9, 0.35, 1.7)
     cfg = SolverConfig1D(N=N, M=3, theta=theta, T=0.5)
-    lhs, rhs_matrix = assemble_cn_system(p, cfg)
-    rhs_product, solve = solve1d._gs_steps(p, cfg)
+    lhs, _ = assemble_cn_system(p, cfg)
+    solve = solve1d._gs_steps(p, cfg)
     for _ in range(3):
         v = rng.standard_normal(N - 1)
-        np.testing.assert_allclose(rhs_product(v), rhs_matrix @ v, rtol=0, atol=1e-12)
         np.testing.assert_allclose(solve(v), np.linalg.solve(lhs, v), rtol=0, atol=1e-12)
+    if theta < 0.5:
+        return
+    dense_lift, dense_advance = solve1d._dense_steps(p, cfg)
+    with monkeypatch.context() as m:
+        m.setattr(solve1d, "_GS_MIN_N", 0)
+        m.setattr(solve1d, "_dense_steps", None)
+        lift, advance = solve1d._cn_steps(p, cfg)
+    U, f, b = rng.standard_normal((3, N - 1, 4))
+    got, want = lift(f, b), dense_lift(f, b)
+    for j, u in enumerate(U.T):
+        step, dense_step = advance(u, got[:, j]), dense_advance(u, want[:, j])
+        gap = np.max(np.abs(step - dense_step)) / np.max(np.abs(dense_step))
+        assert gap <= 1e-10, (j, gap)
 
 
-def test_gs_run_steps_through_the_shared_toeplitz_product(monkeypatch):
-    # every right-hand-side product of a Gohberg–Semencul run is the one
-    # that operators.toeplitz_product builds, so its tests test this path
-    lengths = []
+def test_gs_step_makes_six_real_transforms(monkeypatch):
+    # a Gohberg–Semencul step is one solve, six rows of real transforms,
+    # and no product with the right matrix, which would add two more
+    rows = []
 
-    def spy(T):
-        product = operators.toeplitz_product(T)
+    def spy(name):
+        original = getattr(np.fft, name)
 
-        def counted(v):
-            lengths.append(v.size)
-            return product(v)
+        def counted(a, *args, **kwargs):
+            rows.append(int(np.prod(np.shape(a)[:-1])))
+            return original(a, *args, **kwargs)
 
-        return counted
+        monkeypatch.setattr(np.fft, name, counted)
 
-    monkeypatch.setattr(solve1d, "toeplitz_product", spy)
-    cfg = SolverConfig1D(N=24, M=5)
-    _run_with(monkeypatch, 0, make_example("ex2", 1.5), cfg)
-    assert lengths == [cfg.N - 1] * cfg.M
+    spy("rfft")
+    spy("irfft")
+    monkeypatch.setattr(operators, "toeplitz_product", None)
+    monkeypatch.setattr(solve1d, "_dense_steps", None)
+    counts = []
+    for M in (5, 6):
+        rows.clear()
+        _run_with(monkeypatch, 0, make_example("ex2", 1.5), SolverConfig1D(N=24, M=M))
+        counts.append(sum(rows))
+    assert counts[1] - counts[0] == 6
 
 
 def _spy_backends(monkeypatch):
@@ -464,6 +483,27 @@ def test_backend_is_picked_from_the_input(monkeypatch):
     # the crossover itself is on the Toeplitz side
     solve1d._cn_steps(make_example("ex2", 1.5), SolverConfig1D(N=solve1d._GS_MIN_N, M=2))
     assert picked == ["_gs_steps"]
+
+
+def test_gs_backend_runs_only_inside_the_stability_window(monkeypatch):
+    # below theta = 1/2 the Cayley-form step's rounding grows like
+    # eps/theta a step, so those runs step densely, and meet the dense cap
+    picked = _spy_backends(monkeypatch)
+    with pytest.warns(UserWarning, match="stability window"):
+        low = SolverConfig1D(N=512, M=2, theta=0.3)
+    for config, want in ((low, "_dense_steps"), (SolverConfig1D(N=512, M=2), "_gs_steps")):
+        solve1d._cn_steps(make_example("ex2", 1.5), config)
+        assert picked.pop() == want, config.theta
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("a dense matrix was formed")
+
+    monkeypatch.setattr(scipy.linalg, "toeplitz", no_dense)
+    with pytest.warns(UserWarning, match="stability window"):
+        huge = SolverConfig1D(N=operators.DENSE_MAX_ORDER + 2, M=1, theta=0.3)
+    with pytest.raises(ParameterError, match="cap"):
+        cn_wsgd_run(make_example("ex2", 1.5), huge)
+    assert picked == ["_dense_steps"]
 
 
 @pytest.mark.parametrize("sampling", ["average", "midpoint"])
