@@ -70,6 +70,29 @@ class ExampleId(enum.Enum):
             raise ParameterError(f"unknown example {tag!r}; expected one of: {valid}") from None
 
 
+def on_grid(problem: "Problem1D | Problem2D", name: str, *axes) -> np.ndarray:
+    """``problem.<name>(*axes)`` as floats of the shape of ``axes`` broadcast
+    together.
+
+    Every solver reads a problem's grid callables through this function.  A
+    result that does not broadcast to that shape is a :class:`ParameterError`
+    naming the callable and both shapes, and so is a result with some of the
+    axes but not all of them, which would broadcast along the missing axes
+    whatever it holds.  A 0-d result (a constant) fills the grid.
+    """
+    shape = np.broadcast_shapes(*map(np.shape, axes))
+    value = np.asarray(getattr(problem, name)(*axes), dtype=float)
+    if value.ndim in (0, len(shape)):
+        try:
+            return np.broadcast_to(value, shape)
+        except ValueError:
+            pass
+    raise ParameterError(
+        f"problem.{name} returned shape {value.shape}, which does not broadcast to"
+        f" {shape}, the broadcast shape of its arguments {[np.shape(a) for a in axes]}"
+    )
+
+
 @dataclass(frozen=True)
 class Problem1D:
     """A one-dimensional two-sided fractional diffusion problem.
@@ -89,12 +112,12 @@ class Problem1D:
     matter.  ``exact`` is the known solution when available (``None`` for
     user-supplied problems without one).
 
-    ``source(x, t)`` and ``exact(x, t)`` broadcast over numpy arrays: the
-    time stepper passes the broadcast axes ``x[:, None]`` and ``t[None, :]``
-    and expects a result that broadcasts to ``(x.size, t.size)``, so a
-    callable may depend on one axis only; any other result is a
-    ``ParameterError`` naming the callable and both shapes.  The boundary
-    callables take a scalar ``t`` and return a scalar.
+    The grid callables ``source(x, t)``, ``exact(x, t)``, ``initial(x)``
+    and callable diffusivities broadcast over numpy arrays and follow the one
+    shape rule of :func:`on_grid`: the time stepper passes the broadcast
+    axes ``x[:, None]`` and ``t[None, :]``, the steady solve the nodes ``x``
+    and ``t = 0``.  The boundary callables take a scalar ``t`` and return a
+    scalar.
     """
 
     name: str
@@ -171,8 +194,8 @@ class Problem1D:
         """Evaluate both diffusivities on a grid, validating that they are
         finite and nonnegative."""
         if self.has_variable_coefficients:
-            dl = np.asarray(self.left_diffusivity(x), dtype=float)
-            dr = np.asarray(self.right_diffusivity(x), dtype=float)
+            dl = on_grid(self, "left_diffusivity", x)
+            dr = on_grid(self, "right_diffusivity", x)
             if not all(np.all((0.0 <= d) & (d < np.inf)) for d in (dl, dr)):
                 raise ParameterError(
                     "variable diffusivities must be finite and nonnegative on the grid"
@@ -192,8 +215,10 @@ class Problem2D:
     two-sided derivative of order ``beta`` in y, plus ``source(x, y, t)``,
     on the rectangle ``(ax, bx) x (ay, by)`` with Dirichlet data
     ``boundary(x, y, t)`` and initial state ``initial(x, y)``.  All grid
-    callables broadcast over numpy arrays; the 2D solvers pass broadcast axes
-    ``x[:, None]``, ``y[None, :]`` and fill the grid from a one-axis result.
+    callables broadcast over numpy arrays and follow the one shape rule of
+    :func:`on_grid`: the 2D solvers pass the broadcast axes ``x[:, None]``,
+    ``y[None, :]`` of the interior, and ``boundary`` gets 2-D axes of each
+    pair of sides, one row a side.
     """
 
     name: str

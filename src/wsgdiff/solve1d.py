@@ -11,7 +11,8 @@ Two entry points cover the 1D catalog, and both return a :class:`Solution`:
   space and a theta-weighted two-level scheme in time (theta = 1/2 is the
   trapezoidal scheme used for all reference tables).  It is
   :func:`cn_stepper`, whose ``step(U, t_n)`` is the contract of the 2D
-  splittings too, stepped by :func:`march`, the one time loop of every run.
+  splittings too (here ``t_n`` must be a level ``k*tau``), stepped by
+  :func:`march`, the one time loop of every run.
 
 The steady solve factors its system once by dense partial-pivoting LU.
 The time stepper sets up its two step matrices ``L`` (implicit) and ``R``
@@ -33,12 +34,14 @@ alone:
   like ``eps/theta`` a step, so those runs step densely, and a run with
   ``theta < 1/2`` and ``N > 8192`` meets the dense cap.
 
-Everything a step needs besides ``U`` is known before the run starts.  The
-boundary data are read once per level ``k*tau``; the source (and, for the
-running error, the exact solution) is sampled for a block of ``B`` levels
-in one call on the broadcast axes ``x[:, None]``, ``t[None, :]``, with
-``B*n <= 2**15`` on ``n`` interior nodes; and the dense backend applies
-``L^-1`` to a block's known terms in one ``dgetrs`` call.
+Everything a step needs besides ``U`` is known before the run starts, so a
+step is taken only from a level ``k*tau``.  The boundary data are read once
+per level; the source (and, for the running error, the exact solution) is
+sampled for a block of ``B`` levels in one call on the broadcast axes
+``x[:, None]``, ``t[None, :]``, with ``B*n <= 2**15`` on ``n`` interior
+nodes; and the dense backend applies ``L^-1`` to a block's known terms in
+one ``dgetrs`` call.  Every grid callable is read through
+:func:`~wsgdiff.problems.on_grid`.
 
 Error-norm conventions (matching the reference convergence tables): the
 maximum norm is tracked as a running maximum over *all* time levels, while
@@ -60,7 +63,7 @@ from scipy.linalg import blas, lapack
 from . import weights as wt
 from .errors import ParameterError, SolverError, count_at_least
 from .operators import _circulant_size, assemble_wsgd_matrix, boundary_columns
-from .problems import Problem1D, l2_norm, max_norm
+from .problems import Problem1D, l2_norm, max_norm, on_grid
 
 __all__ = [
     "SolverConfig1D",
@@ -213,7 +216,7 @@ def steady_solve_3wsgd(problem: Problem1D, N: int) -> Solution:
     col_left, _, col_right, _ = boundary_columns(problem.alpha, wt.PQR, n)
     ua = float(problem.left_boundary(0.0))
     ub = float(problem.right_boundary(0.0))
-    s = np.asarray(problem.source(xi, 0.0), dtype=float)
+    s = on_grid(problem, "source", xi, 0.0)
     rhs = -(h**problem.alpha) * s - col_left * ua - col_right * ub
     u_int = lu_solver(G, "steady solve")(rhs)
     if not np.isfinite(u_int).all():
@@ -221,7 +224,7 @@ def steady_solve_3wsgd(problem: Problem1D, N: int) -> Solution:
     values = np.concatenate(([ua], u_int, [ub]))
     sol = Solution(x=x, values=values, problem_name=problem.name, t_final=None)
     if problem.exact is not None:
-        e = u_int - np.asarray(problem.exact(xi, 0.0), dtype=float)
+        e = u_int - on_grid(problem, "exact", xi, 0.0)
         sol.max_err_final = max_norm(e)
         sol.max_err_running = sol.max_err_final
         sol.l2_err_final = l2_norm(e, h)
@@ -331,40 +334,15 @@ def _cn_steps(problem: Problem1D, config: SolverConfig1D) -> Steps:
     return _dense_steps(problem, config)
 
 
-def _sampled(fn: Callable, name: str, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """``fn`` on the broadcast axes ``x[:, None]``, ``t[None, :]`` as floats of
-    shape ``(x.size, t.size)``.
-
-    A result that does not broadcast to that shape is a
-    :class:`ParameterError`, and so is a one-axis result, which would
-    broadcast along ``t`` whatever it holds.
-    """
-    shape = (x.size, t.size)
-    value = np.asarray(fn(x[:, None], t[None, :]), dtype=float)
-    if value.ndim != 1:
-        try:
-            return np.broadcast_to(value, shape)
-        except ValueError:
-            pass
-    raise ParameterError(
-        f"problem.{name} returned shape {value.shape}, which does not broadcast to"
-        f" {shape} on the axes x[:, None], t[None, :]"
-    )
-
-
 def _by_level(
-    tau: float,
-    levels: int,
-    width: int,
-    block: Callable[[int, int], np.ndarray],
-    direct: Callable[[float], np.ndarray],
+    tau: float, levels: int, width: int, block: Callable[[int, int], np.ndarray]
 ) -> Callable[[float], np.ndarray]:
     """Look up a run's known terms by time; return ``at(t)``.
 
     At a level ``t == k*tau`` with ``0 <= k < levels``, ``at`` returns
     entry ``k - k0`` along the last axis of the block ``block(k0, count)``,
     sampled for the ``count <= width`` levels from ``k0 = k`` when ``k`` lies
-    outside the last block.  At any other ``t`` it returns ``direct(t)``.
+    outside the last block.  Any other ``t`` is a :class:`ParameterError`.
     """
     k0, cached = 0, np.empty((0, 0))
 
@@ -372,7 +350,9 @@ def _by_level(
         nonlocal k0, cached
         k = round(t / tau)
         if not (t == k * tau and 0 <= k < levels):
-            return direct(t)
+            raise ParameterError(
+                f"t = {float(t)!r} is not one of the levels k*tau, 0 <= k < {levels}, of this run"
+            )
         if not k0 <= k < k0 + cached.shape[-1]:
             k0, cached = k, block(k, min(width, levels - k))
         return cached[..., k - k0]
@@ -426,8 +406,9 @@ def cn_stepper(problem: Problem1D, config: SolverConfig1D) -> Stepper:
     terms ``tau*F + boundary terms`` of a step from a level are sampled for
     a block of :func:`_block_width` levels at once, the source in one call
     at levels ``k*tau`` (``"average"``) or ``k*tau + tau/2``
-    (``"midpoint"``), and lifted in one call; a step from any other time
-    samples its own terms.
+    (``"midpoint"``), and lifted in one call.  A step is taken only from a
+    level ``k*tau``, ``0 <= k < M``: any other ``t_n`` is a
+    :class:`ParameterError`.
     """
     if problem.steady:
         raise ParameterError("time stepping expects a time-dependent problem")
@@ -448,26 +429,20 @@ def cn_stepper(problem: Problem1D, config: SolverConfig1D) -> Stepper:
     average = config.source_sampling == "average"
     g = problem.boundary_values(tau * np.arange(config.M + 1))
 
-    def known(ends: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``tau*F`` and the boundary terms of the slabs between successive
-        ``ends``, given both ends' Dirichlet ``data`` there, one column a slab."""
+    def block(k: int, count: int) -> np.ndarray:
+        """``lift`` of ``tau*F`` and the boundary terms of the ``count`` slabs
+        from level ``k``, one column a slab."""
+        ends = tau * np.arange(k, k + count + 1)[None, :]
         if average:
-            f = _sampled(problem.source, "source", xi, ends)
+            f = on_grid(problem, "source", xi[:, None], ends)
             fv = 0.5 * (f[:, :-1] + f[:, 1:])
         else:
-            fv = _sampled(problem.source, "source", xi, ends[:-1] + 0.5 * tau)
-        f = tau * fv
+            fv = on_grid(problem, "source", xi[:, None], ends[:, :-1] + 0.5 * tau)
+        data = g[:, k : k + count + 1]
         mix = theta * data[:, 1:] + (1.0 - theta) * data[:, :-1]
-        return f, scale * (col_a * mix[0] + col_b * mix[1])
+        return lift(tau * fv, scale * (col_a * mix[0] + col_b * mix[1]))
 
-    def block(k: int, count: int) -> np.ndarray:
-        return lift(*known(tau * np.arange(k, k + count + 1), g[:, k : k + count + 1]))
-
-    def direct(t_n: float) -> np.ndarray:
-        ends = np.array([t_n, t_n + tau])
-        return lift(*known(ends, problem.boundary_values(ends)))[..., 0]
-
-    terms = _by_level(tau, config.M, _block_width(config), block, direct)
+    terms = _by_level(tau, config.M, _block_width(config), block)
     return lambda U, t_n: advance(U, terms(t_n))
 
 
@@ -475,18 +450,12 @@ def cn_wsgd_run(problem: Problem1D, config: SolverConfig1D) -> Solution:
     """Integrate a (constant- or variable-coefficient) 1D problem in time."""
     step = cn_stepper(problem, config)
     h, x, xi = _grid(problem, config.N)
-    # problem.initial may return per-node values or a constant.
-    initial = lambda: np.full(config.N - 1, problem.initial(xi), dtype=float)
+    initial = lambda: np.array(on_grid(problem, "initial", xi))
     exact = None
     if problem.exact is not None:
-        sample = lambda t: _sampled(problem.exact, "exact", xi, t)
-        exact = _by_level(
-            config.tau,
-            config.M + 1,
-            _block_width(config),
-            lambda k, count: sample(config.tau * np.arange(k, k + count)),
-            lambda t: sample(np.array([t]))[:, 0],
-        )
+        levels = lambda k, count: config.tau * np.arange(k, k + count)[None, :]
+        block = lambda k, count: on_grid(problem, "exact", xi[:, None], levels(k, count))
+        exact = _by_level(config.tau, config.M + 1, _block_width(config), block)
     U, norm_history, running_max = march(step, initial, config, lambda V: l2_norm(V, h), exact)
     t_final = config.M * config.tau
     values = np.empty(config.N + 1)

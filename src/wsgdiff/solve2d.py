@@ -34,8 +34,10 @@ and no transposed copy.  A state ``U`` is passed to BLAS as its
 Fortran-ordered transpose ``U.T``, and a step's result is the transpose of
 one fresh ``dgemm`` product.  Everything stays inside scipy's BLAS: numpy's
 ``@`` would bring a second OpenBLAS thread pool that contends with scipy's.
-Grid callables are evaluated on the broadcast axes ``x[:, None]``,
-``y[None, :]``.
+Grid callables are read through :func:`~wsgdiff.problems.on_grid`, on the
+broadcast axes ``x[:, None]``, ``y[None, :]`` of the interior or, for the
+y-lines and the Dirichlet data, of one pair of sides at a time, and only
+on the pairs a step or check uses.
 
 Boundary handling: Dirichlet data are read only on the run's own boundary
 nodes.  The factored scheme carries time-dependent data on the y-sides,
@@ -61,7 +63,7 @@ from scipy.linalg import blas
 from . import weights as wt
 from .errors import ParameterError, count_at_least
 from .operators import assemble_wsgd_matrix, boundary_columns
-from .problems import Problem2D, l2_norm, max_norm
+from .problems import Problem2D, l2_norm, max_norm, on_grid
 from .solve1d import Solution, Stepper, lu_solver, march
 
 __all__ = [
@@ -136,35 +138,31 @@ def build_directional_operators(
 
 def _grid(problem: Problem2D, config: SolverConfig2D):
     """Spacings, all nodes ``x``, ``y``, interior axes ``X = x[1:-1, None]``,
-    ``Y = y[None, 1:-1]`` and ``sides(fn, t)``: ``fn`` at time ``t`` on the sides
-    ``x = ax, bx`` (all nodes) and ``y = ay, by`` (interior x-nodes) as ``(2,
-    Ny+1)`` and ``(2, Nx-1)`` arrays, one broadcast call per pair of sides."""
+    ``Y = y[None, 1:-1]`` and ``sides``, the broadcast axes of each pair of
+    sides by axis: ``sides["x"]`` spans ``x = ax, bx`` at all y-nodes, a ``(2,
+    Ny+1)`` grid, and ``sides["y"]`` spans ``y = ay, by`` at the interior
+    x-nodes, a ``(2, Nx-1)`` grid, one row a side."""
     hx = (problem.bx - problem.ax) / config.Nx
     hy = (problem.by - problem.ay) / config.Ny
     x = problem.ax + hx * np.arange(config.Nx + 1)
     y = problem.ay + hy * np.arange(config.Ny + 1)
-    x_ends, y_ends = np.array([[problem.ax], [problem.bx]]), np.array([[problem.ay], [problem.by]])
-
-    def sides(fn: Callable[..., np.ndarray], t: float) -> tuple[np.ndarray, np.ndarray]:
-        return _on_grid(fn, x_ends, y, t), _on_grid(fn, x[1:-1], y_ends, t)
-
+    sides = {
+        "x": (np.array([[problem.ax], [problem.bx]]), y[None, :]),
+        "y": (x[None, 1:-1], np.array([[problem.ay], [problem.by]])),
+    }
     return hx, hy, x, y, x[1:-1, None], y[None, 1:-1], sides
 
 
-def _on_grid(fn: Callable[..., np.ndarray], x, y, *t: float) -> np.ndarray:
-    """``fn(x, y, *t)`` as floats of the shape of ``x`` and ``y`` broadcast together."""
-    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-    return np.broadcast_to(np.asarray(fn(x, y, *t), dtype=float), shape)
-
-
-def _require_zero_data(problem: Problem2D, config: SolverConfig2D, sides, pairs, rule) -> None:
+def _require_zero_data(problem: Problem2D, config: SolverConfig2D, sides, axes, rule) -> None:
     """Raise ``ParameterError`` naming a side and a time unless the Dirichlet
-    data vanish, to ``1e-14``, at every level ``k*tau`` on the first ``pairs``
-    pairs of ``sides``: the x-sides, then the y-sides."""
-    ends = ((problem.ax, problem.bx), (problem.ay, problem.by))
+    data vanish, to ``1e-14``, at every level ``k*tau`` on the pair of
+    ``sides`` of each of ``axes`` (``"x"`` or ``"xy"``); the ends of a pair
+    are its own axis along ``axis``."""
     for t in (k * config.tau for k in range(config.M + 1)):
-        for axis, pair, data in zip("xy"[:pairs], ends, sides(problem.boundary, t)):
-            for end, peak in zip(pair, np.max(np.abs(data), axis=1)):
+        for axis in axes:
+            data = on_grid(problem, "boundary", *sides[axis], t)
+            ends = sides[axis]["xy".index(axis)][:, 0]
+            for end, peak in zip(ends, np.max(np.abs(data), axis=1)):
                 if not peak <= 1e-14:
                     raise ParameterError(
                         f"{rule}; they reach {peak:.3g} on {axis} = {end:g} at t = {t:g}"
@@ -205,7 +203,7 @@ def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
     """
     *_, X, Y, sides = _grid(problem, config)
     rule = "the factored scheme requires vanishing Dirichlet data on the x-boundaries"
-    _require_zero_data(problem, config, sides, 1, rule)
+    _require_zero_data(problem, config, sides, "x", rule)
     cx, ay, ey, cols = _sweeps(problem, config)
     ay_inv = lu_solver(ay, "y-direction")(np.eye(config.Ny - 1))
     tau = config.tau
@@ -213,11 +211,12 @@ def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
     w, w2 = np.empty((2, config.Nx - 1, config.Ny - 1))
 
     def step(U: np.ndarray, t_n: float) -> np.ndarray:
-        F = _on_grid(problem.source, X, Y, t_n + a)
+        F = on_grid(problem, "source", X, Y, t_n + a)
         np.multiply(F, a, out=w)
         np.multiply(F, a, out=w2)
         for t, c in ((t_n, w), (t_n + tau, w2)):
-            blas.dgemm(a, cols, sides(problem.boundary, t)[1], beta=1.0, c=c.T, overwrite_c=1)
+            g = on_grid(problem, "boundary", *sides["y"], t)
+            blas.dgemm(a, cols, g, beta=1.0, c=c.T, overwrite_c=1)
         blas.dgemm(1.0, ey, U.T, beta=1.0, c=w.T, overwrite_c=1)
         blas.dgemm(1.0, w.T, cx, trans_b=1, beta=1.0, c=w2.T, overwrite_c=1)
         return blas.dgemm(1.0, ay_inv, w2.T).T
@@ -247,7 +246,7 @@ def lod_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
             f"splitting 'lod' assumes one spacing for both axes; got hx={hx!r}, hy={hy!r}"
         )
     rule = "splitting 'lod' requires fully homogeneous Dirichlet data"
-    _require_zero_data(problem, config, sides, 2, rule)
+    _require_zero_data(problem, config, sides, "xy", rule)
     cx, ay, ey, cols = _sweeps(problem, config)
     ny = config.Ny - 1
     # one solve gives Cy = (I - a Dy)^-1 (I + a Dy) and (I - a Dy)^-1 [cy0, cyN]
@@ -258,12 +257,12 @@ def lod_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
 
     def step(U: np.ndarray, t_n: float) -> np.ndarray:
         t_mid = t_n + a
-        F = _on_grid(problem.source, X, Y, t_mid)
+        F = on_grid(problem, "source", X, Y, t_mid)
         np.multiply(F, a, out=af)
         np.add(U, af, out=w)
         blas.dgemm(1.0, w.T, cx, trans_b=1, c=v.T, overwrite_c=1)
         out = blas.dgemm(1.0, cy, v.T, beta=1.0, c=af.T)
-        f = sides(problem.source, t_mid)[1]
+        f = on_grid(problem, "source", *sides["y"], t_mid)
         g = np.stack([blas.dgemv(a * a, cx, row, beta=-a * a, y=row) for row in f])
         blas.dgemm(1.0, ay_cols, g, beta=1.0, c=out, overwrite_c=1)
         return out.T
@@ -283,12 +282,12 @@ def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution:
     """Integrate a 2D problem from its initial state to the final time."""
     step = _STEPPERS[config.splitting](problem, config)
     hx, hy, x, y, X, Y, sides = _grid(problem, config)
-    initial = lambda: np.array(_on_grid(problem.initial, X, Y))
+    initial = lambda: np.array(on_grid(problem, "initial", X, Y))
     U, norm_history, _ = march(step, initial, config, lambda V: l2_norm(V, hx, hy))
     t_next = config.M * config.tau
     values = np.empty((config.Nx + 1, config.Ny + 1))
     values[1:-1, 1:-1] = U
-    x_sides, y_sides = sides(problem.boundary, t_next)
+    x_sides, y_sides = (on_grid(problem, "boundary", *sides[k], t_next) for k in "xy")
     values[[0, -1], :], values[1:-1, [0, -1]] = x_sides, y_sides.T
     sol = Solution(
         x=x,
@@ -300,7 +299,7 @@ def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution:
         norm_history=norm_history,
     )
     if problem.exact is not None:
-        e = U - _on_grid(problem.exact, X, Y, t_next)
+        e = U - on_grid(problem, "exact", X, Y, t_next)
         sol.max_err_final = max_norm(e)
         sol.l2_err_final = l2_norm(e, hx, hy)
     return sol

@@ -5,21 +5,29 @@ helpers must reproduce hand values."""
 
 from __future__ import annotations
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
-from wsgdiff import problems
+from wsgdiff import problems, solve1d, solve2d
 from wsgdiff import (
     ErrorRecord,
     ExampleId,
     ParameterError,
     Problem1D,
     Problem2D,
+    SolverConfig1D,
+    SolverConfig2D,
     attach_rates,
+    cn_wsgd_run,
     convergence_rate,
     l2_norm,
     make_example,
     max_norm,
+    run_2d,
+    steady_solve_3wsgd,
 )
 
 from oracles import bump, bump_rl_left, bump_rl_right, rl_left_monomial
@@ -343,6 +351,104 @@ def test_problem2d_validation():
 def test_problem2d_rejects_non_finite_numbers(field, value):
     with pytest.raises(ParameterError, match="finite"):
         _minimal_2d(**{field: value})
+
+
+# ---------------------------------------------------------------------------
+# The one grid sampler
+# ---------------------------------------------------------------------------
+
+
+def _example(example):
+    return make_example(example, None if example == "ex4" else 1.5)
+
+
+def _solve(example, **changes):
+    """Solve ``example`` with the given callables replaced, on N = 8 (ex0,
+    ex3) or Nx = Ny = 8 (ex4)."""
+    p = dataclasses.replace(_example(example), **changes)
+    if example == "ex0":
+        return steady_solve_3wsgd(p, 8)
+    if example == "ex4":
+        return run_2d(p, SolverConfig2D(Nx=8, Ny=8, M=2))
+    return cn_wsgd_run(p, SolverConfig1D(N=8, M=2))
+
+
+_BAD_SHAPES = [
+    # 2D, interior (7, 7): a wrong shape, and a one-axis result that numpy
+    # would broadcast along x (or y) whatever it holds
+    ("ex4", "source", lambda x, y, t: np.ones(5), (5,)),
+    ("ex4", "source", lambda x, y, t: np.exp(-t) * np.ravel(x), (7,)),
+    ("ex4", "initial", lambda x, y: np.ones(3), (3,)),
+    ("ex4", "initial", lambda x, y: np.ravel(y), (7,)),
+    ("ex4", "exact", lambda x, y, t: np.ones(5), (5,)),
+    ("ex4", "exact", lambda x, y, t: np.ravel(x), (7,)),
+    # the boundary is read first on the x-sides, a (2, 9) grid
+    ("ex4", "boundary", lambda x, y, t: np.zeros(5), (5,)),
+    ("ex4", "boundary", lambda x, y, t: 0.0 * np.ravel(y), (9,)),
+    # callables of one axis, on the 7 interior nodes
+    ("ex3", "initial", lambda x: np.ones(3), (3,)),
+    ("ex3", "initial", lambda x: x[:, None], (7, 1)),
+    ("ex3", "left_diffusivity", lambda x: np.ones(3), (3,)),
+    ("ex0", "source", lambda x, t=0.0: np.ones(3), (3,)),
+    ("ex0", "exact", lambda x, t=0.0: np.ones(3), (3,)),
+]
+
+
+@pytest.mark.parametrize(
+    "example,name,fn,shape",
+    _BAD_SHAPES,
+    ids=[f"{case[0]}-{case[1]}-{case[3]}" for case in _BAD_SHAPES],
+)
+def test_grid_callables_of_the_wrong_shape_are_parameter_errors(example, name, fn, shape):
+    # these used to end in numpy's ValueError, or ran on and reported an
+    # error for a problem nobody posed
+    message = rf"problem\.{name} returned shape {re.escape(str(shape))}"
+    with pytest.raises(ParameterError, match=message):
+        _solve(example, **{name: fn})
+
+
+def test_every_grid_callable_is_read_through_the_one_sampler(monkeypatch):
+    # each problem callable records whether it runs inside problems.on_grid
+    inside, outside, seen = [False], [], set()
+    sampler = problems.on_grid
+
+    def spy(*args):
+        inside[0] = True
+        try:
+            return sampler(*args)
+        finally:
+            inside[0] = False
+
+    for module in (problems, solve1d, solve2d):
+        monkeypatch.setattr(module, "on_grid", spy)
+
+    def watched(example, *names):
+        p = _example(example)
+
+        def wrap(name, fn):
+            def wrapped(*args):
+                seen.add(name)
+                if not inside[0]:
+                    outside.append(name)
+                return fn(*args)
+
+            return wrapped
+
+        return dataclasses.replace(p, **{k: wrap(k, getattr(p, k)) for k in names})
+
+    monkeypatch.setattr(solve1d, "_GS_MIN_N", 8)
+    for example in ("ex2", "ex3"):  # Gohberg–Semencul, then dense
+        diffusivities = ("left_diffusivity", "right_diffusivity") if example == "ex3" else ()
+        p = watched(example, "source", "exact", "initial", *diffusivities)
+        cn_wsgd_run(p, SolverConfig1D(N=16, M=4))
+    steady_solve_3wsgd(watched("ex0", "source", "exact"), 16)
+    for splitting in ("pr", "lod"):
+        p = watched("ex4", "source", "exact", "initial", "boundary")
+        run_2d(p, SolverConfig2D(Nx=8, Ny=8, M=4, splitting=splitting))
+    assert outside == []
+    assert seen == {
+        "source", "exact", "initial", "boundary", "left_diffusivity", "right_diffusivity"
+    }
 
 
 # ---------------------------------------------------------------------------

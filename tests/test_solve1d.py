@@ -548,6 +548,20 @@ def test_stepper_reuses_its_source_value_only_at_the_slab_end(monkeypatch, sampl
     assert np.array_equal(results[0], results[2])
 
 
+@pytest.mark.parametrize("min_n", [0, 10**9], ids=["gs", "dense"])
+def test_stepper_steps_only_from_levels(monkeypatch, min_n):
+    # a step from any other time used to sample its own terms; it is not
+    # rounded to the nearest level either
+    monkeypatch.setattr(solve1d, "_GS_MIN_N", min_n)
+    cfg = SolverConfig1D(N=16, M=4)
+    step = solve1d.cn_stepper(make_example("ex2", 1.5), cfg)
+    U = np.linspace(0.1, 0.9, cfg.N - 1)
+    step(U, 0.25)
+    for t_n in (0.1, float(np.nextafter(0.25, 1.0)), -0.25, 1.0):
+        with pytest.raises(ParameterError, match=rf"t = {t_n!r} is not one of the levels"):
+            step(U, t_n)
+
+
 @pytest.mark.parametrize("M", [7, 2049])
 def test_run_samples_source_and_exact_once_a_block(M):
     # an average-sampled run used to evaluate the source twice at each slab

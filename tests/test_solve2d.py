@@ -443,6 +443,36 @@ def test_run_makes_two_triangular_solves_at_setup(monkeypatch, splitting, M):
 
 
 @pytest.mark.parametrize("splitting", ["pr", "lod"])
+def test_callables_are_read_only_on_the_nodes_a_splitting_uses(splitting):
+    # the factories and steps used to read every boundary-side callable on
+    # both pairs of sides: a pr step the boundary data, a lod step the source
+    base = make_example("ex4", 1.2, 1.8)
+    points = {"source": 0, "boundary": 0}
+
+    def counted(name):
+        def fn(*args):
+            points[name] += np.broadcast(*args).size
+            return getattr(base, name)(*args)
+
+        return fn
+
+    p = dataclasses.replace(base, source=counted("source"), boundary=counted("boundary"))
+    nx, ny = (8, 12) if splitting == "pr" else (8, 8)
+    cfg = SolverConfig2D(Nx=nx, Ny=ny, M=3, splitting=splitting)
+    step = solve2d._STEPPERS[splitting](p, cfg)
+    setup = dict(points)
+    points.update(source=0, boundary=0)
+    step(np.zeros((nx - 1, ny - 1)), cfg.tau)
+    x_sides, y_sides, interior = 2 * (ny + 1), 2 * (nx - 1), (nx - 1) * (ny - 1)
+    if splitting == "pr":
+        assert setup == {"source": 0, "boundary": (cfg.M + 1) * x_sides}
+        assert points == {"source": interior, "boundary": 2 * y_sides}
+    else:
+        assert setup == {"source": 0, "boundary": (cfg.M + 1) * (x_sides + y_sides)}
+        assert points == {"source": interior + y_sides, "boundary": 0}
+
+
+@pytest.mark.parametrize("splitting", ["pr", "lod"])
 def test_step_returns_a_fresh_c_ordered_array(splitting):
     p = make_example("ex4", 1.2, 1.8)
     step = solve2d._STEPPERS[splitting](p, SolverConfig2D(Nx=12, Ny=12, M=4, splitting=splitting))
