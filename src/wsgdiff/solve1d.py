@@ -10,9 +10,9 @@ Two entry points cover the 1D catalog, and both return a :class:`Solution`:
   constant or variable diffusivities, using second-order shifted weights in
   space and a theta-weighted two-level scheme in time (theta = 1/2 is the
   trapezoidal scheme used for all reference tables).  It is
-  :func:`cn_stepper`, whose ``step(U, t_n)`` is the contract of the 2D
-  splittings too (here ``t_n`` must be a level ``k*tau``), stepped by
-  :func:`march`, the one time loop of every run.
+  :func:`cn_stepper`, whose block stepper ``steps(U, k, count)`` takes the
+  levels ``k+1 ... k+count`` at once, stepped by :func:`march`, the one
+  time loop of every run (a 2D run steps blocks of one level).
 
 The steady solve factors its system once by dense partial-pivoting LU.
 The time stepper sets up its two step matrices ``L`` (implicit) and ``R``
@@ -35,13 +35,14 @@ alone:
   ``theta < 1/2`` and ``N > 8192`` meets the dense cap.
 
 Everything a step needs besides ``U`` is known before the run starts, so a
-step is taken only from a level ``k*tau``.  The boundary data are read once
-per level; the source (and, for the running error, the exact solution) is
-sampled for a block of ``B`` levels in one call on the broadcast axes
-``x[:, None]``, ``t[None, :]``, with ``B*n <= 2**15`` on ``n`` interior
-nodes; and the dense backend applies ``L^-1`` to a block's known terms in
-one ``dgetrs`` call.  Every grid callable is read through
-:func:`~wsgdiff.problems.on_grid`.
+1D run steps a block of ``B`` levels a pass, with ``B*n <= 2**15`` on ``n``
+interior nodes.  The boundary data are read once per level; the source
+(and, for the running error, the exact solution) is sampled for a block in
+one call on the broadcast axes ``x[:, None]``, ``t[None, :]``; the dense
+backend applies ``L^-1`` to a block's known terms in one ``dgetrs`` call;
+and the block's states, written into one ``(B, n)`` buffer, get their
+norms and running error in one reduction each.  Every grid callable is
+read through :func:`~wsgdiff.problems.on_grid`.
 
 Error-norm conventions (matching the reference convergence tables): the
 maximum norm is tracked as a running maximum over *all* time levels, while
@@ -82,9 +83,9 @@ SOURCE_SAMPLING = ("average", "midpoint")
 #: between N=256 and N=512 on a 2-vCPU x86-64 machine.
 _GS_MIN_N = 384
 
-#: Float64 entries of one sampled block: a 1D run samples its known terms
-#: ``B = 2**15 // n`` levels at a time on ``n`` interior nodes (256 KiB an
-#: array), at most ``M``.  Blocks of 1 MiB raised the peak RSS of a run of
+#: Float64 entries of one block: a 1D run samples its known terms, steps and
+#: reduces ``B = 2**15 // n`` levels at a time on ``n`` interior nodes (256
+#: KiB an array), at most ``M``.  Blocks of 1 MiB raised the peak RSS of a run of
 #: the paper's small tables by 8%.
 _BLOCK_ENTRIES = 2**15
 
@@ -97,8 +98,10 @@ Steps = tuple[
     Callable[[np.ndarray, np.ndarray], np.ndarray],
 ]
 
-#: One time step ``step(U, t_n) -> U_next`` of a set-up scheme, 1D or 2D.
-Stepper = Callable[[np.ndarray, float], np.ndarray]
+#: ``steps(U, k, count)`` of a set-up scheme: the states of the levels ``k+1
+#: ... k+count`` stepped from ``U`` at level ``k``, as the rows of one
+#: C-ordered ``(count, *U.shape)`` buffer.
+BlockStepper = Callable[[np.ndarray, int, int], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -334,81 +337,72 @@ def _cn_steps(problem: Problem1D, config: SolverConfig1D) -> Steps:
     return _dense_steps(problem, config)
 
 
-def _by_level(
-    tau: float, levels: int, width: int, block: Callable[[int, int], np.ndarray]
-) -> Callable[[float], np.ndarray]:
-    """Look up a run's known terms by time; return ``at(t)``.
-
-    At a level ``t == k*tau`` with ``0 <= k < levels``, ``at`` returns
-    entry ``k - k0`` along the last axis of the block ``block(k0, count)``,
-    sampled for the ``count <= width`` levels from ``k0 = k`` when ``k`` lies
-    outside the last block.  Any other ``t`` is a :class:`ParameterError`.
-    """
-    k0, cached = 0, np.empty((0, 0))
-
-    def at(t: float) -> np.ndarray:
-        nonlocal k0, cached
-        k = round(t / tau)
-        if not (t == k * tau and 0 <= k < levels):
-            raise ParameterError(
-                f"t = {float(t)!r} is not one of the levels k*tau, 0 <= k < {levels}, of this run"
-            )
-        if not k0 <= k < k0 + cached.shape[-1]:
-            k0, cached = k, block(k, min(width, levels - k))
-        return cached[..., k - k0]
-
-    return at
-
-
 def _block_width(config: SolverConfig1D) -> int:
-    """Levels of one sampled block: ``B*n <= _BLOCK_ENTRIES``, at least 1, at most ``M``."""
+    """Levels of one block: ``B*n <= _BLOCK_ENTRIES``, at least 1, at most ``M``."""
     return max(1, min(config.M, _BLOCK_ENTRIES // (config.N - 1)))
 
 
 def march(
-    step: Stepper,
+    steps: BlockStepper,
+    width: int,
     initial: Callable[[], np.ndarray],
     config,
-    norm: Callable[[np.ndarray], float],
-    exact: Optional[Callable[[float], np.ndarray]] = None,
-) -> tuple[np.ndarray, np.ndarray, Optional[float]]:
+    norm: Callable[[np.ndarray], np.ndarray],
+    exact: Optional[Callable[[int, int], np.ndarray]] = None,
+) -> tuple[np.ndarray, np.ndarray, Optional[float], Optional[np.ndarray]]:
     """Step the state ``initial()`` from ``t = 0`` through the ``config.M``
-    steps of a 1D or 2D run; the loop holds the only reference to that first
-    state, so it is freed once the first step returns.
+    steps of a 1D or 2D run, in blocks ``steps(U, k, count)`` of at most
+    ``width`` levels; the loop holds the only reference to that first state,
+    so it is freed once the first block returns.
 
-    Returns the final state, ``norm`` at every time level and, given the
-    exact interior values ``exact(t)``, the maximum-norm error maximized
-    over every level (else ``None``).  A non-finite norm is a
-    :class:`SolverError`.
+    ``norm`` maps a ``(count, *U.shape)`` block of states to their
+    ``count`` norms, and ``exact(k, count)``, if given, gives the exact
+    interior values of the levels ``k ... k+count-1`` in the same layout.
+    Both reduce a block at once, level 0 with the first.  Returns the final
+    state, the norm at every level and, given ``exact``, the maximum-norm
+    error maximized over every level and the error at the final level (else
+    ``None`` twice).  A non-finite norm is a :class:`SolverError` naming
+    the first such step.
     """
-    U = initial()
     norm_history = np.empty(config.M + 1)
-    norm_history[0] = norm(U)
-    running_max = None if exact is None else max_norm(U - exact(0.0))
-    for n in range(config.M):
-        U = step(U, n * config.tau)
-        t_next = (n + 1) * config.tau
-        norm_history[n + 1] = norm(U)
-        if not np.isfinite(norm_history[n + 1]):
-            raise SolverError(f"non-finite solution at step {n + 1} (t={t_next!r})")
-        if exact is not None:
-            running_max = max(running_max, max_norm(U - exact(t_next)))
-    return U, norm_history, running_max
+    running_max = None
+    levels = initial()[None]
+    for k in range(0, config.M, width):
+        count = min(width, config.M - k)
+        if k == 0:  # level 0 is reduced with the first block
+            levels = np.concatenate((levels, steps(levels[-1], k, count)))
+        else:
+            levels = steps(levels[-1], k, count)
+        expected = None if exact is None else exact(k + 1, count)
+        if k == 0 and exact is not None:
+            expected = np.concatenate((exact(0, 1), expected))
+        # a blow-up overflows here; it is reported below, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm_history[k + count + 1 - len(levels) : k + count + 1] = norm(levels)
+            if exact is not None:
+                block_max = float(np.max(np.abs(levels - expected)))
+                running_max = block_max if running_max is None else max(running_max, block_max)
+        finite = np.isfinite(norm_history[k + 1 : k + count + 1])
+        if not finite.all():
+            n = k + 1 + int(np.argmin(finite))
+            raise SolverError(f"non-finite solution at step {n} (t={n * config.tau!r})")
+    error = None if exact is None else levels[-1] - expected[-1]
+    return levels[-1], norm_history, running_max, error
 
 
-def cn_stepper(problem: Problem1D, config: SolverConfig1D) -> Stepper:
-    """Set up the theta-weighted scheme once; return its ``step(U, t_n)``.
+def cn_stepper(problem: Problem1D, config: SolverConfig1D) -> BlockStepper:
+    """Set up the theta-weighted scheme once; return its ``steps(U, k, count)``.
 
     Each step solves ``(I - theta*B) U_next = (I + (1-theta)*B) U + tau*F +
     boundary terms`` with the system set up once by :func:`_cn_steps`.  The
     boundary data are read once per level ``k*tau``, at setup, and checked
-    there (:meth:`~wsgdiff.problems.Problem1D.boundary_values`).  The known
-    terms ``tau*F + boundary terms`` of a step from a level are sampled for
-    a block of :func:`_block_width` levels at once, the source in one call
-    at levels ``k*tau`` (``"average"``) or ``k*tau + tau/2``
-    (``"midpoint"``), and lifted in one call.  A step is taken only from a
-    level ``k*tau``, ``0 <= k < M``: any other ``t_n`` is a
-    :class:`ParameterError`.
+    there (:meth:`~wsgdiff.problems.Problem1D.boundary_values`).  A block of
+    ``count`` steps from level ``k`` samples its known terms ``tau*F +
+    boundary terms`` at once, the source in one call at levels ``k*tau``
+    (``"average"``) or ``k*tau + tau/2`` (``"midpoint"``), lifts them in one
+    call, and steps through their columns, writing each state into its row
+    of the returned buffer.  A block must start at a level ``0 <= k < M``
+    and end by level ``M``: any other is a :class:`ParameterError`.
     """
     if problem.steady:
         raise ParameterError("time stepping expects a time-dependent problem")
@@ -442,21 +436,34 @@ def cn_stepper(problem: Problem1D, config: SolverConfig1D) -> Stepper:
         mix = theta * data[:, 1:] + (1.0 - theta) * data[:, :-1]
         return lift(tau * fv, scale * (col_a * mix[0] + col_b * mix[1]))
 
-    terms = _by_level(tau, config.M, _block_width(config), block)
-    return lambda U, t_n: advance(U, terms(t_n))
+    def steps(U: np.ndarray, k: int, count: int) -> np.ndarray:
+        if k not in range(config.M) or not 0 < count <= config.M - k:
+            raise ParameterError(
+                f"a block of {count!r} steps from level {k!r} does not lie within"
+                f" the levels 0 ... {config.M} of this run"
+            )
+        terms = block(k, count)
+        out = np.empty((count, n))
+        for j in range(count):
+            U = out[j] = advance(U, terms[:, j])
+        return out
+
+    return steps
 
 
 def cn_wsgd_run(problem: Problem1D, config: SolverConfig1D) -> Solution:
     """Integrate a (constant- or variable-coefficient) 1D problem in time."""
-    step = cn_stepper(problem, config)
+    steps = cn_stepper(problem, config)
     h, x, xi = _grid(problem, config.N)
     initial = lambda: np.array(on_grid(problem, "initial", xi))
     exact = None
     if problem.exact is not None:
         levels = lambda k, count: config.tau * np.arange(k, k + count)[None, :]
-        block = lambda k, count: on_grid(problem, "exact", xi[:, None], levels(k, count))
-        exact = _by_level(config.tau, config.M + 1, _block_width(config), block)
-    U, norm_history, running_max = march(step, initial, config, lambda V: l2_norm(V, h), exact)
+        exact = lambda k, count: on_grid(problem, "exact", xi[:, None], levels(k, count)).T
+    norm = lambda V: np.sqrt(h * np.sum(V * V, axis=1))
+    U, norm_history, running_max, error = march(
+        steps, _block_width(config), initial, config, norm, exact
+    )
     t_final = config.M * config.tau
     values = np.empty(config.N + 1)
     values[1:-1] = U
@@ -470,8 +477,7 @@ def cn_wsgd_run(problem: Problem1D, config: SolverConfig1D) -> Solution:
         max_err_running=running_max,
         norm_history=norm_history,
     )
-    if exact is not None:
-        e = U - exact(t_final)
-        sol.max_err_final = max_norm(e)
-        sol.l2_err_final = l2_norm(e, h)
+    if error is not None:
+        sol.max_err_final = max_norm(error)
+        sol.l2_err_final = l2_norm(error, h)
     return sol

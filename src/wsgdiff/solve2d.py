@@ -20,7 +20,8 @@ locally-one-dimensional variant:
 Each splitting is a factory ``stepper(problem, config)`` that checks its
 preconditions and does its setup once — directional operators, and each
 direction's half-step matrices — and returns ``step(U, t_n) -> U_next``,
-which reuses that setup across steps.  Interior unknowns are stored as
+which reuses that setup across steps at any ``t_n``; :func:`run_2d` steps it
+through ``solve1d.march`` in blocks of one level.  Interior unknowns are stored as
 C-ordered arrays of shape ``(Nx-1, Ny-1)`` with the x index on axis 0, so a
 vectorization with x varying fastest corresponds to column-major flattening.
 
@@ -64,7 +65,7 @@ from . import weights as wt
 from .errors import ParameterError, count_at_least
 from .operators import assemble_wsgd_matrix, boundary_columns
 from .problems import Problem2D, l2_norm, max_norm, on_grid
-from .solve1d import Solution, Stepper, lu_solver, march
+from .solve1d import Solution, lu_solver, march
 
 __all__ = [
     "SPLITTINGS",
@@ -78,6 +79,9 @@ __all__ = [
 #: Splitting strategies: the factored scheme under its three names, and the
 #: LOD scheme.
 SPLITTINGS = ("pr", "douglas", "dyakonov", "lod")
+
+#: One time step ``step(U, t_n) -> U_next`` of a set-up splitting.
+Stepper = Callable[[np.ndarray, float], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -283,7 +287,9 @@ def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution:
     step = _STEPPERS[config.splitting](problem, config)
     hx, hy, x, y, X, Y, sides = _grid(problem, config)
     initial = lambda: np.array(on_grid(problem, "initial", X, Y))
-    U, norm_history, _ = march(step, initial, config, lambda V: l2_norm(V, hx, hy))
+    steps = lambda U, k, count: step(U, k * config.tau)[None]
+    norm = lambda V: [l2_norm(S, hx, hy) for S in V]
+    U, norm_history, _, _ = march(steps, 1, initial, config, norm)
     t_next = config.M * config.tau
     values = np.empty((config.Nx + 1, config.Ny + 1))
     values[1:-1, 1:-1] = U

@@ -5,6 +5,7 @@ Gohberg–Semencul backend against dense LU, and the dense size guard."""
 from __future__ import annotations
 
 import dataclasses
+import warnings
 import weakref
 
 import numpy as np
@@ -519,53 +520,50 @@ def test_gs_non_finite_solution_raises_with_step_and_time(monkeypatch, sampling)
 @pytest.mark.parametrize("min_n", [0, 10**9], ids=["gs", "dense"])
 @pytest.mark.parametrize("sampling", ["average", "midpoint"])
 def test_stepper_reuses_its_source_value_only_at_the_slab_end(monkeypatch, sampling, min_n):
-    # a step from t_n is the same whether the stepper is fresh (it samples a
-    # block of levels from t_n), has just stepped to t_n, or has stepped from
-    # an earlier level (the block sampled there covers t_n)
+    # a block samples the source once, so an average-sampled block of count
+    # steps reads count + 1 levels and shares each inner one between two
+    # slabs; the states are the same whether the levels are stepped as one
+    # block or as two
     monkeypatch.setattr(solve1d, "_GS_MIN_N", min_n)
     base = _constant_problem("unequal", 0.7, 0.2, 1.6)
     calls = []
 
     def source(x, t):
-        calls.append(t)
+        calls.append(np.size(t))
         return base.source(x, t)
 
     p = dataclasses.replace(base, source=source)
     cfg = SolverConfig1D(N=24, M=4, source_sampling=sampling)
-    tau, t_n = cfg.tau, 0.5
+    steps = solve1d.cn_stepper(p, cfg)
     U = np.linspace(0.1, 0.9, cfg.N - 1)
-    fresh = solve1d.cn_stepper(p, cfg)
-    arrived = solve1d.cn_stepper(p, cfg)
-    arrived(U, t_n - tau)
-    elsewhere = solve1d.cn_stepper(p, cfg)
-    elsewhere(U, 0.0)
-    results = []
-    for step, want in zip((fresh, arrived, elsewhere), (1, 0, 0)):
-        calls.clear()
-        results.append(step(U, t_n))
-        assert len(calls) == want
-    assert np.array_equal(results[0], results[1])
-    assert np.array_equal(results[0], results[2])
+    whole = steps(U, 0, 4)
+    assert whole.shape == (4, cfg.N - 1) and whole.flags.c_contiguous
+    assert calls == [5 if sampling == "average" else 4]
+    halves = [steps(U, 0, 2)]
+    halves.append(steps(halves[0][-1], 2, 2))
+    assert len(calls) == 3
+    assert np.array_equal(whole, np.concatenate(halves))
 
 
 @pytest.mark.parametrize("min_n", [0, 10**9], ids=["gs", "dense"])
 def test_stepper_steps_only_from_levels(monkeypatch, min_n):
-    # a step from any other time used to sample its own terms; it is not
-    # rounded to the nearest level either
+    # a 1D stepper used to take one step from a time t_n; its block must
+    # start at a level 0 <= k < M and end by level M
     monkeypatch.setattr(solve1d, "_GS_MIN_N", min_n)
     cfg = SolverConfig1D(N=16, M=4)
-    step = solve1d.cn_stepper(make_example("ex2", 1.5), cfg)
+    steps = solve1d.cn_stepper(make_example("ex2", 1.5), cfg)
     U = np.linspace(0.1, 0.9, cfg.N - 1)
-    step(U, 0.25)
-    for t_n in (0.1, float(np.nextafter(0.25, 1.0)), -0.25, 1.0):
-        with pytest.raises(ParameterError, match=rf"t = {t_n!r} is not one of the levels"):
-            step(U, t_n)
+    assert steps(U, 3, 1).shape == (1, cfg.N - 1)
+    for k, count in ((4, 1), (5, 1), (-1, 1), (-1, 2), (0.5, 1), (0, 5), (3, 2), (0, 0)):
+        with pytest.raises(ParameterError, match=rf"block of {count} steps from level {k}"):
+            steps(U, k, count)
 
 
 @pytest.mark.parametrize("M", [7, 2049])
 def test_run_samples_source_and_exact_once_a_block(M):
     # an average-sampled run used to evaluate the source twice at each slab
-    # end where n*tau + tau != (n+1)*tau: 9 calls at N=33, M=7
+    # end where n*tau + tau != (n+1)*tau: 9 calls at N=33, M=7; the exact
+    # solution is sampled for each block's stepped levels, and once at t = 0
     base = make_example("ex2", 1.5)
     calls = {"source": 0, "exact": 0}
 
@@ -581,7 +579,7 @@ def test_run_samples_source_and_exact_once_a_block(M):
     width = solve1d._block_width(cfg)
     want = cn_wsgd_run(base, cfg)
     got = cn_wsgd_run(p, cfg)
-    assert calls == {"source": -(-M // width), "exact": -(-(M + 1) // width)}
+    assert calls == {"source": -(-M // width), "exact": -(-M // width) + 1}
     assert (width, calls["source"]) == ((7, 1) if M == 7 else (1024, 3))
     np.testing.assert_array_equal(got.values, want.values)
 
@@ -684,11 +682,12 @@ def test_toeplitz_path_forms_no_dense_matrix_and_is_not_capped(monkeypatch):
 
 def _spy_march(monkeypatch, module):
     """Route ``module.march`` through a spy that takes a weak reference to the
-    initial state and records, at each step, whether it is still alive."""
+    initial state and records, at each block step and each norm reduction,
+    whether it is still alive."""
     alive = []
     march = solve1d.march
 
-    def spy(step, initial, config, norm, exact=None):
+    def spy(steps, width, initial, config, norm, exact=None):
         first = []
 
         def initial_spy():
@@ -696,11 +695,15 @@ def _spy_march(monkeypatch, module):
             first.append(weakref.ref(U))
             return U
 
-        def step_spy(U, t_n):
+        def steps_spy(U, k, count):
             alive.append(first[0]() is not None)
-            return step(U, t_n)
+            return steps(U, k, count)
 
-        return march(step_spy, initial_spy, config, norm, exact)
+        def norm_spy(V):
+            alive.append(first[0]() is not None)
+            return norm(V)
+
+        return march(steps_spy, width, initial_spy, config, norm_spy, exact)
 
     monkeypatch.setattr(module, "march", spy)
     return alive
@@ -709,11 +712,93 @@ def _spy_march(monkeypatch, module):
 @pytest.mark.parametrize("dim", ["1d", "2d"])
 def test_runs_free_the_initial_state_once_the_first_step_returns(monkeypatch, dim):
     # the runs used to pass march the initial array and keep their own
-    # reference to it, one state array more for the whole run
+    # reference to it, one state array more for the whole run; the first
+    # block's reduction, which takes level 0 with it, works on a copy
     if dim == "1d":
+        monkeypatch.setattr(solve1d, "_BLOCK_ENTRIES", 2 * 15)
         alive = _spy_march(monkeypatch, solve1d)
         cn_wsgd_run(make_example("ex2", 1.5), SolverConfig1D(N=16, M=4))
     else:
         alive = _spy_march(monkeypatch, solve2d)
         run_2d(make_example("ex4"), SolverConfig2D(Nx=8, Ny=8, M=4))
-    assert alive == [True, False, False, False]
+    blocks = 2 if dim == "1d" else 4
+    assert alive == [True] + [False] * (2 * blocks - 1)
+
+
+def test_run_reduces_norms_once_a_block(monkeypatch):
+    # march used to take one norm a level, M + 1 calls; it now reduces each
+    # block of states at once, level 0 with the first
+    reductions = []
+    march = solve1d.march
+
+    def spy(steps, width, initial, config, norm, exact=None):
+        def counted(V):
+            reductions.append(len(V))
+            return norm(V)
+
+        return march(steps, width, initial, config, counted, exact)
+
+    monkeypatch.setattr(solve1d, "march", spy)
+    cfg = SolverConfig1D(N=33, M=2049, T=0.7)
+    sol = cn_wsgd_run(make_example("ex2", 1.5), cfg)
+    assert solve1d._block_width(cfg) == 1024
+    assert reductions == [1025, 1024, 1]
+    assert sol.norm_history.size == cfg.M + 1 and np.all(np.isfinite(sol.norm_history))
+
+
+@pytest.mark.parametrize(
+    "sampling,step",
+    [("average", r"step 5 \(t=0\.625\)"), ("midpoint", r"step 6 \(t=0\.75\)")],
+    ids=["average", "midpoint"],
+)
+def test_non_finite_step_inside_a_block_is_named(monkeypatch, sampling, step):
+    # blocks of three levels: the first non-finite norm of the second block
+    # names its step, as the level-by-level loop did
+    monkeypatch.setattr(solve1d, "_BLOCK_ENTRIES", 3 * 15)
+    base = make_example("ex1", 1.5)
+    p = dataclasses.replace(
+        base, source=lambda x, t: np.where(t > 0.6, np.nan, base.source(x, t))
+    )
+    cfg = SolverConfig1D(N=16, M=8, source_sampling=sampling)
+    assert solve1d._block_width(cfg) == 3
+    with pytest.raises(SolverError, match=step):
+        cn_wsgd_run(p, cfg)
+
+
+@pytest.mark.parametrize(
+    "name,step",
+    [("ex2", r"step 49 \(t=6\.125\)"), ("ex3", r"step 55 \(t=6\.875\)")],
+    ids=["ex2", "ex3"],
+)
+def test_blow_up_is_one_solver_error_without_warnings(name, step):
+    # an unstable run used to overflow in l2_norm's v * v first, and the
+    # RuntimeWarning, an error under this suite's filters, hid the SolverError
+    with pytest.warns(UserWarning, match="stability window"):
+        cfg = SolverConfig1D(N=64, M=400, T=50.0, theta=0.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SolverError, match=step):
+            cn_wsgd_run(make_example(name, 1.9), cfg)
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("sampling", ["average", "midpoint"])
+@pytest.mark.parametrize(
+    "name,min_n,narrow",
+    [("ex1", 0, 1), ("ex2", 0, 1), ("ex1", 10**9, 2), ("ex2", 10**9, 2), ("ex3", 10**9, 2)],
+    ids=["ex1-gs", "ex2-gs", "ex1-dense", "ex2-dense", "ex3-dense"],
+)
+def test_blocked_run_matches_a_run_of_narrow_blocks(monkeypatch, name, min_n, narrow, sampling):
+    # blocking the loop changes no bit: a run in blocks of B = 258 levels
+    # (M = 300 is no multiple of it) against blocks of one level, or of two
+    # on the dense backend, whose one-column dgetrs takes another BLAS kernel
+    monkeypatch.setattr(solve1d, "_GS_MIN_N", min_n)
+    problem = make_example(name, 1.5)
+    cfg = SolverConfig1D(N=128, M=300, source_sampling=sampling)
+    assert solve1d._block_width(cfg) == 258
+    blocked = cn_wsgd_run(problem, cfg)
+    monkeypatch.setattr(solve1d, "_BLOCK_ENTRIES", narrow * (cfg.N - 1))
+    assert solve1d._block_width(cfg) == narrow
+    stepped = cn_wsgd_run(problem, cfg)
+    for field in ("values", "norm_history", "max_err_running", "max_err_final", "l2_err_final"):
+        assert np.array_equal(getattr(blocked, field), getattr(stepped, field)), field
