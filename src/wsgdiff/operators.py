@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from . import weights as wt
 from .errors import ParameterError, count_at_least
@@ -95,13 +94,19 @@ class ToeplitzOperator:
         return self.first_col.size
 
     def to_dense(self) -> np.ndarray:
-        """The full matrix; orders above ``DENSE_MAX_ORDER`` are refused."""
+        """The full matrix, C-ordered; orders above ``DENSE_MAX_ORDER`` are refused.
+
+        Row ``i`` is the window ``n-1-i`` of the first column reversed and
+        followed by the rest of the first row, so the matrix is a copy of
+        ``n`` overlapping windows of one array.
+        """
         if self.n > DENSE_MAX_ORDER:
             raise ParameterError(
                 f"a dense matrix of order {self.n} ({8 * self.n**2 / 2**30:.1f} GiB) exceeds"
                 f" the cap of order {DENSE_MAX_ORDER}"
             )
-        return scipy.linalg.toeplitz(self.first_col, self.first_row)
+        line = np.concatenate((self.first_col[::-1], self.first_row[1:]))
+        return np.lib.stride_tricks.sliding_window_view(line, self.n)[::-1].copy()
 
     @property
     def T(self) -> "ToeplitzOperator":

@@ -14,35 +14,34 @@ Two entry points cover the 1D catalog, and both return a :class:`Solution`:
   levels ``k+1 ... k+count`` at once, stepped by :func:`march`, the one
   time loop of every run (a 2D run steps blocks of one level).
 
-The steady solve factors its system once by dense partial-pivoting LU.
-The time stepper sets up its two step matrices ``L`` (implicit) and ``R``
-(explicit) once per run, with one of two backends chosen from the input
-alone:
+The steady solve is one dense partial-pivoting LU solve.  The time
+stepper sets up its two step matrices ``L = I - theta*B`` (implicit) and
+``R = I + (1-theta)*B`` (explicit) once per run.  Both are polynomials in
+``B``, so ``theta R = I - (1-theta) L`` and each backend steps in that
+Cayley form.  The backend is chosen from the input alone:
 
-- dense LU (the default, and the oracle): both matrices assembled densely,
-  ``L`` factored once with partial pivoting, and ``C = L^-1 R`` formed once
-  in Fortran order, so a step is one scipy ``dgemv`` ``C U`` plus the
-  lifted known terms, and stays inside scipy's BLAS;
+- dense LU (the default, and the oracle): both matrices assembled densely
+  and ``C = L^-1 R`` formed by one solve, so ``L^-1 = theta C +
+  (1-theta) I`` and a step ``U_next = C (U + theta v) + (1-theta) v`` is
+  one matrix-vector product, exact for every ``theta``;
 - Gohberg–Semencul, for constant diffusivities, ``theta >= 1/2`` and
   ``N >= 384``: ``L`` is then Toeplitz, and, with its symmetric part
-  positive definite, is inverted through two Levinson solves and its
+  positive definite, is inverted through one Levinson recursion and its
   Gohberg–Semencul formula (Gohberg & Semencul 1972; Wang, Wang & Sircar,
-  J. Comput. Phys. 229 (2010) 8095).  Both matrices are polynomials in
-  ``B``, so ``L^-1 R = (L^-1 - (1-theta) I) / theta`` (the Cayley form),
-  and a step is one such solve, six real FFTs, plus an axpy instead of
-  O(N^2) dense work.  Below ``theta = 1/2`` that form's rounding grows
-  like ``eps/theta`` a step, so those runs step densely, and a run with
-  ``theta < 1/2`` and ``N > 8192`` meets the dense cap.
+  J. Comput. Phys. 229 (2010) 8095).  ``L^-1 R = (L^-1 - (1-theta) I) /
+  theta``, so a step is one such solve, six real FFTs, plus an axpy
+  instead of O(N^2) dense work.  Below ``theta = 1/2`` that form's
+  rounding grows like ``eps/theta`` a step, so those runs step densely,
+  and a run with ``theta < 1/2`` and ``N > 8192`` meets the dense cap.
 
 Everything a step needs besides ``U`` is known before the run starts, so a
 1D run steps a block of ``B`` levels a pass, with ``B*n <= 2**15`` on ``n``
 interior nodes.  The boundary data are read once per level; the source
 (and, for the running error, the exact solution) is sampled for a block in
-one call on the broadcast axes ``x[:, None]``, ``t[None, :]``; the dense
-backend applies ``L^-1`` to a block's known terms in one ``dgetrs`` call;
-and the block's states, written into one ``(B, n)`` buffer, get their
-norms and running error in one reduction each.  Every grid callable is
-read through :func:`~wsgdiff.problems.on_grid`.
+one call on the broadcast axes ``x[:, None]``, ``t[None, :]``; and the
+block's states, written into one ``(B, n)`` buffer, get their norms and
+running error in one reduction each.  Every grid callable is read through
+:func:`~wsgdiff.problems.on_grid`.  All linear algebra is numpy's.
 
 Error-norm conventions (matching the reference convergence tables): the
 maximum norm is tracked as a running maximum over *all* time levels, while
@@ -58,8 +57,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import blas, lapack
 
 from . import weights as wt
 from .errors import ParameterError, SolverError, count_at_least
@@ -89,14 +86,10 @@ _GS_MIN_N = 384
 #: the paper's small tables by 8%.
 _BLOCK_ENTRIES = 2**15
 
-#: ``(lift, advance)`` of a set-up time-stepping system: ``lift(f, b)`` maps
-#: columns of the known right-hand-side terms, ``f = tau*F`` and the boundary
-#: terms ``b``, to an array whose last axis runs over the columns, and
-#: ``advance(U, v)`` makes the step ``U -> U_next`` with one entry ``v`` of it.
-Steps = tuple[
-    Callable[[np.ndarray, np.ndarray], np.ndarray],
-    Callable[[np.ndarray, np.ndarray], np.ndarray],
-]
+#: ``advance(U, v)`` of a set-up time-stepping system: the step ``U ->
+#: U_next`` with the known right-hand-side terms ``v = tau*F + boundary
+#: terms`` of its slab.
+Advance = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 #: ``steps(U, k, count)`` of a set-up scheme: the states of the levels ``k+1
 #: ... k+count`` stepped from ``U`` at level ``k``, as the rows of one
@@ -176,26 +169,17 @@ def _grid(problem: Problem1D, N: int):
     return h, x, x[1:N]
 
 
-def lu_solver(matrix: np.ndarray, context: str) -> Callable[[np.ndarray], np.ndarray]:
-    """Factor ``matrix`` once by partial-pivoting LU; return ``solve(rhs)``.
+def solve(matrix: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
+    """``matrix^-1 rhs`` by partial-pivoting LU, for one right-hand side or a
+    block of columns; a singular ``matrix`` is a :class:`SolverError`.
 
-    ``solve`` takes one right-hand side or a block of columns and leaves it
-    unchanged.  Both LAPACK calls go through this module's ``lapack``, so the
-    1D and 2D solvers share one factor/solve path.
+    Every dense solve of the 1D and 2D solvers goes through here, and each
+    factorization serves one call.
     """
-    lu, piv, info = lapack.dgetrf(matrix)
-    if info > 0:
-        raise SolverError(f"{context}: singular system (zero pivot at index {info})")
-    if info < 0:  # pragma: no cover - illegal argument, not reachable via API
-        raise SolverError(f"{context}: factorization rejected argument {-info}")
-
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        out, code = lapack.dgetrs(lu, piv, rhs)
-        if code != 0:  # pragma: no cover - dgetrs only fails on bad arguments
-            raise SolverError(f"{context}: triangular solve failed (code {code})")
-        return out
-
-    return solve
+    try:
+        return np.linalg.solve(matrix, rhs)
+    except np.linalg.LinAlgError:
+        raise SolverError(f"{context}: singular system") from None
 
 
 def steady_solve_3wsgd(problem: Problem1D, N: int) -> Solution:
@@ -221,7 +205,7 @@ def steady_solve_3wsgd(problem: Problem1D, N: int) -> Solution:
     ub = float(problem.right_boundary(0.0))
     s = on_grid(problem, "source", xi, 0.0)
     rhs = -(h**problem.alpha) * s - col_left * ua - col_right * ub
-    u_int = lu_solver(G, "steady solve")(rhs)
+    u_int = solve(G, rhs, "steady solve")
     if not np.isfinite(u_int).all():
         raise SolverError("steady solve: non-finite solution")
     values = np.concatenate(([ua], u_int, [ub]))
@@ -251,33 +235,66 @@ def assemble_cn_system(problem: Problem1D, config: SolverConfig1D):
     return eye - config.theta * B, eye + (1.0 - config.theta) * B
 
 
-def _dense_steps(problem: Problem1D, config: SolverConfig1D) -> Steps:
-    """Both step matrices dense: ``L`` LU-factored once, and ``C = L^-1 R``
-    formed once by one solve with ``R`` as right-hand sides.
+def _dense_steps(problem: Problem1D, config: SolverConfig1D) -> Advance:
+    """Both step matrices dense, and ``C = L^-1 R`` formed by one solve.
 
-    The solve returns ``C`` in Fortran order, so ``dgemv`` reads it without
-    a copy.  ``lift`` is ``L^-1 (f + b)``, one ``dgetrs`` for a block of
-    columns, and a step is one ``dgemv``: ``U_next = C U + v``.
+    ``L^-1 = theta C + (1-theta) I``, so a step ``U_next = C U + L^-1 v`` is
+    ``C (U + theta v) + (1-theta) v``: one matrix-vector product, and no
+    solve after setup.
     """
     lhs, rhs_matrix = assemble_cn_system(problem, config)
-    solve = lu_solver(lhs, "time step")
-    c = solve(rhs_matrix)
-    advance = lambda U, v: blas.dgemv(1.0, c, U, beta=1.0, y=v)
-    return (lambda f, b: solve(f + b)), advance
+    c = solve(lhs, rhs_matrix, "time step")
+    theta = config.theta
+
+    def advance(U: np.ndarray, v: np.ndarray) -> np.ndarray:
+        out = c @ (U + theta * v)
+        out += (1.0 - theta) * v
+        return out
+
+    return advance
+
+
+def _levinson_ends(col: np.ndarray, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x = T^-1 e_1`` and ``y = T^-1 e_n`` of the Toeplitz matrix ``T`` with
+    first column ``col`` and first row ``row``, by the Levinson recursion.
+
+    At order ``m`` the two rows of one ``(2, n)`` array hold the forward
+    vector ``f`` (``T_m f = e_1``) and the reversed backward vector ``b``
+    (``T_m b = e_m``), so both inner products, ``eps``, are one product and
+    one pairwise sum, and both updates ``([f; 0] - eps_f [0; b]) / d`` and
+    ``([0; b] - eps_b [f; 0]) / d`` are one array expression, where ``d = 1
+    - eps_f eps_b`` is the order's pivot.  A vanishing pivot, the sign of a
+    singular leading minor, is a :class:`SolverError`.
+    """
+    n = col.size
+    gen = np.stack((col, row))
+    w = np.zeros((2, n))
+    if col[0] == 0.0:
+        raise SolverError("time step: Levinson recursion broke down at order 1")
+    w[:, 0] = 1.0 / col[0]
+    for m in range(1, n):
+        eps = (gen[:, m:0:-1] * w[:, :m]).sum(axis=1)
+        d = 1.0 - eps[0] * eps[1]
+        if d == 0.0:
+            raise SolverError(f"time step: Levinson recursion broke down at order {m + 1}")
+        head = w[:, : m + 1]
+        head -= eps[:, None] * w[::-1, m::-1]
+        head /= d
+    return w[0], w[1, ::-1]
 
 
 def _gs_steps(problem: Problem1D, config: SolverConfig1D) -> Callable[[np.ndarray], np.ndarray]:
     """The left step matrix's inverse as Toeplitz spectra; constant diffusivities.
 
-    With ``x = L^-1 e_1`` and ``y = L^-1 e_n`` from two Levinson solves, the
-    Gohberg–Semencul formula writes the inverse of the left matrix as
+    With ``x = L^-1 e_1`` and ``y = L^-1 e_n`` from one Levinson recursion,
+    the Gohberg–Semencul formula writes the inverse of the left matrix as
     ``(low(x) up(Jy) - low(Zy) up(ZJx)) / x_0``, where ``low``/``up`` are
     the lower/upper triangular Toeplitz matrices with the given first
     column/row, ``J`` reverses and ``Z`` shifts down by one.  The spectra of
     the four generators are cached at one power-of-two length ``>= 2n - 1``,
     so a solve is six real FFTs.  For ``theta >= 0`` the symmetric part of
     ``L`` is positive definite, so every leading minor is nonsingular and
-    ``x_0 > 0``.  Returns ``solve(rhs) = L^-1 rhs``; the right matrix is
+    ``x_0 > 0``.  Returns ``inverse(rhs) = L^-1 rhs``; the right matrix is
     never formed, since :func:`_cn_steps` steps in Cayley form.
     """
     h, _, _ = _grid(problem, config.N)
@@ -290,50 +307,43 @@ def _gs_steps(problem: Problem1D, config: SolverConfig1D) -> Callable[[np.ndarra
     b_row = scale * (kl * A.first_row + kr * A.first_col)
     unit = np.zeros(n)
     unit[0] = 1.0
-    ends = np.zeros((n, 2))
-    ends[0, 0] = ends[-1, 1] = 1.0
-    try:
-        xy = scipy.linalg.solve_toeplitz((unit - theta * b_col, unit - theta * b_row), ends)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - definite, see above
-        raise SolverError(f"time step: Levinson solve failed ({exc})") from None
-    x, y = xy[:, 0], xy[:, 1]
+    x, y = _levinson_ends(unit - theta * b_col, unit - theta * b_row)
 
     size = _circulant_size(n)
     rfft, irfft = np.fft.rfft, np.fft.irfft
     upper = rfft(np.stack((y[::-1], np.concatenate(([0.0], x[:0:-1])))), size)
     lower = rfft(np.stack((x, -np.concatenate(([0.0], y[:-1])))) / x[0], size)
 
-    def solve(rhs: np.ndarray) -> np.ndarray:
+    def inverse(rhs: np.ndarray) -> np.ndarray:
         up = irfft(rfft(rhs[::-1], size) * upper, size)[:, n - 1 :: -1]
         return irfft((rfft(up, size) * lower).sum(axis=0), size)[:n]
 
-    return solve
+    return inverse
 
 
-def _cn_steps(problem: Problem1D, config: SolverConfig1D) -> Steps:
+def _cn_steps(problem: Problem1D, config: SolverConfig1D) -> Advance:
     """Set up the step system once, Gohberg–Semencul where it applies and pays.
 
-    ``L = I - theta*B`` and ``R = I + (1-theta)*B`` give ``theta R = I -
-    (1-theta) L``, so the Gohberg–Semencul step is ``U_next = L^-1 (U/theta
-    + v) - ((1-theta)/theta) U`` with ``v = f + b``: one solve, six real
-    FFTs, and no product with ``R``.  Its rounding grows like
-    ``(2-theta)/theta`` units of ``eps |U|`` a step, 3 at ``theta = 1/2``,
-    so it runs only inside the stability window ``theta >= 1/2``.
+    ``theta R = I - (1-theta) L``, so the Gohberg–Semencul step is ``U_next
+    = L^-1 (U/theta + v) - ((1-theta)/theta) U``: one solve, six real FFTs,
+    and no product with ``R``.  Its rounding grows like ``(2-theta)/theta``
+    units of ``eps |U|`` a step, 3 at ``theta = 1/2``, so it runs only
+    inside the stability window ``theta >= 1/2``.
     """
     if (
         not problem.has_variable_coefficients
         and config.theta >= 0.5
         and config.N >= _GS_MIN_N
     ):
-        solve = _gs_steps(problem, config)
+        inverse = _gs_steps(problem, config)
         inv, ratio = 1.0 / config.theta, (1.0 - config.theta) / config.theta
 
         def advance(U: np.ndarray, v: np.ndarray) -> np.ndarray:
-            out = solve(inv * U + v)
+            out = inverse(inv * U + v)
             out -= ratio * U
             return out
 
-        return np.add, advance
+        return advance
     return _dense_steps(problem, config)
 
 
@@ -353,35 +363,40 @@ def march(
     """Step the state ``initial()`` from ``t = 0`` through the ``config.M``
     steps of a 1D or 2D run, in blocks ``steps(U, k, count)`` of at most
     ``width`` levels; the loop holds the only reference to that first state,
-    so it is freed once the first block returns.
+    so it is freed once the first block returns, and each block's buffer
+    once the next block returns.
 
     ``norm`` maps a ``(count, *U.shape)`` block of states to their
     ``count`` norms, and ``exact(k, count)``, if given, gives the exact
     interior values of the levels ``k ... k+count-1`` in the same layout.
-    Both reduce a block at once, level 0 with the first.  Returns the final
-    state, the norm at every level and, given ``exact``, the maximum-norm
-    error maximized over every level and the error at the final level (else
-    ``None`` twice).  A non-finite norm is a :class:`SolverError` naming
-    the first such step.
+    Both reduce a block at once, and level 0 as a block of one.  Returns
+    the final state, the norm at every level and, given ``exact``, the
+    maximum-norm error maximized over every level and the error at the
+    final level (else ``None`` twice).  A non-finite norm is a
+    :class:`SolverError` naming the first such step.
     """
     norm_history = np.empty(config.M + 1)
     running_max = None
-    levels = initial()[None]
-    for k in range(0, config.M, width):
-        count = min(width, config.M - k)
-        if k == 0:  # level 0 is reduced with the first block
-            levels = np.concatenate((levels, steps(levels[-1], k, count)))
-        else:
-            levels = steps(levels[-1], k, count)
-        expected = None if exact is None else exact(k + 1, count)
-        if k == 0 and exact is not None:
-            expected = np.concatenate((exact(0, 1), expected))
+
+    def reduce(levels: np.ndarray, k: int) -> Optional[np.ndarray]:
+        """Norms and running error of the levels ``k ... k+len(levels)-1``;
+        returns their exact values, if any."""
+        nonlocal running_max
+        expected = None if exact is None else exact(k, len(levels))
         # a blow-up overflows here; it is reported below, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            norm_history[k + count + 1 - len(levels) : k + count + 1] = norm(levels)
+            norm_history[k : k + len(levels)] = norm(levels)
             if exact is not None:
                 block_max = float(np.max(np.abs(levels - expected)))
                 running_max = block_max if running_max is None else max(running_max, block_max)
+        return expected
+
+    levels = initial()[None]
+    expected = reduce(levels, 0)
+    for k in range(0, config.M, width):
+        count = min(width, config.M - k)
+        levels = steps(levels[-1], k, count)
+        expected = reduce(levels, k + 1)
         finite = np.isfinite(norm_history[k + 1 : k + count + 1])
         if not finite.all():
             n = k + 1 + int(np.argmin(finite))
@@ -399,10 +414,13 @@ def cn_stepper(problem: Problem1D, config: SolverConfig1D) -> BlockStepper:
     there (:meth:`~wsgdiff.problems.Problem1D.boundary_values`).  A block of
     ``count`` steps from level ``k`` samples its known terms ``tau*F +
     boundary terms`` at once, the source in one call at levels ``k*tau``
-    (``"average"``) or ``k*tau + tau/2`` (``"midpoint"``), lifts them in one
-    call, and steps through their columns, writing each state into its row
-    of the returned buffer.  A block must start at a level ``0 <= k < M``
-    and end by level ``M``: any other is a :class:`ParameterError`.
+    (``"average"``) or ``k*tau + tau/2`` (``"midpoint"``), and steps through
+    their columns, writing each state into its row of the returned buffer.
+    The steps run under ``np.errstate``, so a blow-up is left to
+    :func:`march` to name; the sampling runs outside it, so a problem
+    callable's own warnings still show.  A block must start at a level ``0
+    <= k < M`` and end by level ``M``: any other is a
+    :class:`ParameterError`.
     """
     if problem.steady:
         raise ParameterError("time stepping expects a time-dependent problem")
@@ -410,7 +428,7 @@ def cn_stepper(problem: Problem1D, config: SolverConfig1D) -> BlockStepper:
     n = config.N - 1
     tau = config.tau
     theta = config.theta
-    lift, advance = _cn_steps(problem, config)
+    advance = _cn_steps(problem, config)
 
     # Known-end-value coefficient columns, diffusivity-weighted per row.
     left_u0, right_u0, left_uN, right_uN = boundary_columns(
@@ -424,8 +442,8 @@ def cn_stepper(problem: Problem1D, config: SolverConfig1D) -> BlockStepper:
     g = problem.boundary_values(tau * np.arange(config.M + 1))
 
     def block(k: int, count: int) -> np.ndarray:
-        """``lift`` of ``tau*F`` and the boundary terms of the ``count`` slabs
-        from level ``k``, one column a slab."""
+        """``tau*F`` plus the boundary terms of the ``count`` slabs from level
+        ``k``, one column a slab."""
         ends = tau * np.arange(k, k + count + 1)[None, :]
         if average:
             f = on_grid(problem, "source", xi[:, None], ends)
@@ -434,7 +452,7 @@ def cn_stepper(problem: Problem1D, config: SolverConfig1D) -> BlockStepper:
             fv = on_grid(problem, "source", xi[:, None], ends[:, :-1] + 0.5 * tau)
         data = g[:, k : k + count + 1]
         mix = theta * data[:, 1:] + (1.0 - theta) * data[:, :-1]
-        return lift(tau * fv, scale * (col_a * mix[0] + col_b * mix[1]))
+        return tau * fv + scale * (col_a * mix[0] + col_b * mix[1])
 
     def steps(U: np.ndarray, k: int, count: int) -> np.ndarray:
         if k not in range(config.M) or not 0 < count <= config.M - k:
@@ -444,8 +462,9 @@ def cn_stepper(problem: Problem1D, config: SolverConfig1D) -> BlockStepper:
             )
         terms = block(k, count)
         out = np.empty((count, n))
-        for j in range(count):
-            U = out[j] = advance(U, terms[:, j])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(count):
+                U = out[j] = advance(U, terms[:, j])
         return out
 
     return steps

@@ -27,15 +27,12 @@ vectorization with x varying fastest corresponds to column-major flattening.
 
 With ``a = tau/2``, setup forms the Cayley factor ``Cx = (I - a Dx)^-1
 (I + a Dx)`` (and ``Cy`` for ``lod``) and, for ``pr``, ``(I - a Dy)^-1``,
-once per run by one solve each through ``solve1d.lu_solver``.  Each Cayley
+once per run by one solve each through ``solve1d.solve``.  Each Cayley
 factor is a contraction, so these matrices are well conditioned, and a step
-is then a few ``dgemm``/``dgemv`` products on matrices stored in Fortran
-order, written into work arrays allocated once per run: no triangular solve
-and no transposed copy.  A state ``U`` is passed to BLAS as its
-Fortran-ordered transpose ``U.T``, and a step's result is the transpose of
-one fresh ``dgemm`` product.  Everything stays inside scipy's BLAS: numpy's
-``@`` would bring a second OpenBLAS thread pool that contends with scipy's.
-Grid callables are read through :func:`~wsgdiff.problems.on_grid`, on the
+is then two or three matrix products written into C-ordered work arrays
+allocated once per run: no triangular solve.  The rank-2 boundary-column
+terms ride in a product, on two extra columns of one operand and two extra
+rows of the other, and a step's result is one fresh C-ordered product.  Grid callables are read through :func:`~wsgdiff.problems.on_grid`, on the
 broadcast axes ``x[:, None]``, ``y[None, :]`` of the interior or, for the
 y-lines and the Dirichlet data, of one pair of sides at a time, and only
 on the pairs a step or check uses.
@@ -59,13 +56,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import blas
 
 from . import weights as wt
 from .errors import ParameterError, count_at_least
 from .operators import assemble_wsgd_matrix, boundary_columns
 from .problems import Problem2D, l2_norm, max_norm, on_grid
-from .solve1d import Solution, lu_solver, march
+from .solve1d import Solution, march, solve
 
 __all__ = [
     "SPLITTINGS",
@@ -176,18 +172,18 @@ def _require_zero_data(problem: Problem2D, config: SolverConfig2D, sides, axes, 
 def _sweeps(problem: Problem2D, config: SolverConfig2D):
     """Half-step matrices shared by both steppers, with ``a = tau/2``: the
     x-direction Cayley factor ``Cx = (I - a Dx)^-1 (I + a Dx)``, formed by one
-    solve, then ``I - a Dy``, ``I + a Dy`` and the y-direction boundary columns
-    ``[cy0, cyN]`` of shape ``(Ny-1, 2)``, all in Fortran order."""
+    solve, then ``I + a Dy``, ``I - a Dy`` and the y-direction boundary columns
+    ``[cy0, cyN]`` of shape ``(Ny-1, 2)``."""
     dx, dy = build_directional_operators(problem, config)
     a = 0.5 * config.tau
     ix, iy = np.eye(config.Nx - 1), np.eye(config.Ny - 1)
-    cx = lu_solver(ix - a * dx, "x-direction")(ix + a * dx)
+    cx = solve(ix - a * dx, ix + a * dx, "x-direction")
     hy_beta = ((problem.by - problem.ay) / config.Ny) ** problem.beta
     left0, right0, left1, right1 = boundary_columns(problem.beta, config.scheme, config.Ny - 1)
     cy0 = problem.y_left_diffusivity * left0 + problem.y_right_diffusivity * right0
     cyN = problem.y_left_diffusivity * left1 + problem.y_right_diffusivity * right1
-    cols = np.asfortranarray(np.column_stack((cy0, cyN)) / hy_beta)
-    return cx, iy - a * dy, np.asfortranarray(iy + a * dy), cols
+    cols = np.column_stack((cy0, cyN)) / hy_beta
+    return cx, iy + a * dy, iy - a * dy, cols
 
 
 def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
@@ -197,33 +193,40 @@ def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
     the x direction; stage 2 solves ``(I - tau/2 dy) U_next =
     (I + tau/2 dx) V + tau/2 F`` across y, with the midpoint source shared
     by both stages.  With ``W`` the right side of stage 1, stage 2's right
-    side is ``Cx W + tau/2 F``, so a step is three ``dgemm`` calls:
-    ``W^T = (I + a Dy) U^T + a F^T``, ``W2^T = W^T Cx^T + a F^T`` and
-    ``U_next^T = (I - a Dy)^-1 W2^T``.  This is the stepper of all three
-    names of the factored scheme: ``pr``, ``douglas`` and ``dyakonov``.
-    Accepts unequal spacings and time-dependent data on the y-boundaries,
-    whose boundary-column terms join ``W`` and ``W2`` by one rank-2
-    ``dgemm`` each, made on every step whatever the data.
+    side is ``Cx W + tau/2 F``, so a step is three products: ``W = U (I + a
+    Dy)^T + a F``, ``W2 = Cx W + a F`` and ``U_next = W2 (I - a Dy)^-T``.
+    This is the stepper of all three names of the factored scheme: ``pr``,
+    ``douglas`` and ``dyakonov``.  Accepts unequal spacings and
+    time-dependent data ``g`` on the y-boundaries, whose boundary-column
+    terms ``a g^T [cy0, cyN]^T`` join ``W`` and ``W2``; both ride in the
+    second product, made on every step whatever the data.
     """
     *_, X, Y, sides = _grid(problem, config)
     rule = "the factored scheme requires vanishing Dirichlet data on the x-boundaries"
     _require_zero_data(problem, config, sides, "x", rule)
-    cx, ay, ey, cols = _sweeps(problem, config)
-    ay_inv = lu_solver(ay, "y-direction")(np.eye(config.Ny - 1))
+    cx, ey, ay, cols = _sweeps(problem, config)
+    nx, ny = config.Nx - 1, config.Ny - 1
     tau = config.tau
     a = 0.5 * tau
-    w, w2 = np.empty((2, config.Nx - 1, config.Ny - 1))
+    # W and W2 are carried divided by a, so F joins them unscaled
+    first = ey.T / a
+    last = a * solve(ay, np.eye(ny), "y-direction").T
+    # stage 1's boundary term reaches stage 2 only through Cx, so both ride
+    # in the second product: [Cx | G] @ [W/a; cols^T] = Cx W/a + G cols^T,
+    # with G = Cx g(t_n)^T + g(t_n + tau)^T on two extra columns
+    cx_aug = np.hstack((cx, np.empty((nx, 2))))
+    w_aug = np.vstack((np.empty((nx, ny)), cols.T))
+    cx, g, w = cx_aug[:, :nx], cx_aug[:, nx:], w_aug[:nx]
+    w2 = np.empty((nx, ny))
 
     def step(U: np.ndarray, t_n: float) -> np.ndarray:
         F = on_grid(problem, "source", X, Y, t_n + a)
-        np.multiply(F, a, out=w)
-        np.multiply(F, a, out=w2)
-        for t, c in ((t_n, w), (t_n + tau, w2)):
-            g = on_grid(problem, "boundary", *sides["y"], t)
-            blas.dgemm(a, cols, g, beta=1.0, c=c.T, overwrite_c=1)
-        blas.dgemm(1.0, ey, U.T, beta=1.0, c=w.T, overwrite_c=1)
-        blas.dgemm(1.0, w.T, cx, trans_b=1, beta=1.0, c=w2.T, overwrite_c=1)
-        return blas.dgemm(1.0, ay_inv, w2.T).T
+        g0, g1 = (on_grid(problem, "boundary", *sides["y"], t).T for t in (t_n, t_n + tau))
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add(np.matmul(U, first, out=w), F, out=w)
+            np.add(np.matmul(cx, g0, out=g), g1, out=g)
+            np.add(np.matmul(cx_aug, w_aug, out=w2), F, out=w2)
+            return w2 @ last
 
     return step
 
@@ -240,9 +243,10 @@ def lod_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
     the y-direction boundary columns of stage 2.  In Cayley form, with
     ``a = tau/2``, a step is ``V = Cx (U + a F)`` and ``U_next = V Cy^T + a F
     + g_low (x) (I - a Dy)^-1 cy0 + g_high (x) (I - a Dy)^-1 cyN``, where
-    ``g = a^2 (Cx f - f)`` on each boundary line: two ``dgemm`` and two
-    ``dgemv`` calls, and one rank-2 ``dgemm`` for the ``g`` terms.  Requires
-    one spacing for both axes and fully homogeneous Dirichlet data.
+    ``g = a^2 (Cx f - f)`` on each boundary line: two products, the first
+    sweeping the two lines ``f^T`` along with ``U + a F`` and the second
+    carrying the ``g`` terms on their two columns.  Requires one spacing for
+    both axes and fully homogeneous Dirichlet data.
     """
     hx, hy, _, _, X, Y, sides = _grid(problem, config)
     if abs(hx - hy) > 1e-13 * max(hx, hy):
@@ -251,25 +255,30 @@ def lod_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
         )
     rule = "splitting 'lod' requires fully homogeneous Dirichlet data"
     _require_zero_data(problem, config, sides, "xy", rule)
-    cx, ay, ey, cols = _sweeps(problem, config)
-    ny = config.Ny - 1
-    # one solve gives Cy = (I - a Dy)^-1 (I + a Dy) and (I - a Dy)^-1 [cy0, cyN]
-    y_factors = lu_solver(ay, "y-direction")(np.hstack((ey, cols)))
-    cy, ay_cols = y_factors[:, :ny], y_factors[:, ny:]
+    cx, ey, ay, cols = _sweeps(problem, config)
+    # last = [Cy^T; (Ay^-1 cols)^T], with Cy = Ay^-1 Ey
+    last = solve(ay, np.hstack((ey, cols)), "y-direction").T
     a = 0.5 * config.tau
-    af, w, v = np.empty((3, config.Nx - 1, ny))
+    nx, ny = config.Nx - 1, config.Ny - 1
+    af = np.empty((nx, ny))
+    # [U + a F | f^T] swept by Cx into [V | Cx f^T]
+    w_aug, v_aug = np.empty((2, nx, ny + 2))
 
     def step(U: np.ndarray, t_n: float) -> np.ndarray:
         t_mid = t_n + a
         F = on_grid(problem, "source", X, Y, t_mid)
-        np.multiply(F, a, out=af)
-        np.add(U, af, out=w)
-        blas.dgemm(1.0, w.T, cx, trans_b=1, c=v.T, overwrite_c=1)
-        out = blas.dgemm(1.0, cy, v.T, beta=1.0, c=af.T)
-        f = on_grid(problem, "source", *sides["y"], t_mid)
-        g = np.stack([blas.dgemv(a * a, cx, row, beta=-a * a, y=row) for row in f])
-        blas.dgemm(1.0, ay_cols, g, beta=1.0, c=out, overwrite_c=1)
-        return out.T
+        f = on_grid(problem, "source", *sides["y"], t_mid).T
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(F, a, out=af)
+            np.add(U, af, out=w_aug[:, :ny])
+            w_aug[:, ny:] = f
+            np.matmul(cx, w_aug, out=v_aug)
+            g = v_aug[:, ny:]
+            g -= f
+            g *= a * a
+            out = v_aug @ last
+            out += af
+            return out
 
     return step
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import weights as wt
 from .errors import ParameterError, count_at_least
@@ -117,6 +116,35 @@ def scan_sign(alpha: float, scheme: str, samples: int) -> GeneratingFunctionScan
     )
 
 
+def _failing_minor(s: np.ndarray) -> int | None:
+    """Order of the first leading minor of the symmetric ``s`` that is not
+    positive definite, or ``None`` if ``s`` is positive definite.
+
+    Every leading minor of a positive definite matrix is positive definite,
+    so after one Cholesky factorization of ``s`` the order is found by
+    bisection over leading minors: at most ``ceil(log2 n) + 1``
+    factorizations in all.
+    """
+
+    def definite(k: int) -> bool:
+        try:
+            np.linalg.cholesky(s[:k, :k])
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    good, bad = 0, len(s)  # the leading minor of order good is definite, of bad not
+    if definite(bad):
+        return None
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if definite(mid):
+            good = mid
+        else:
+            bad = mid
+    return bad
+
+
 def certify_negative_definite(T: ToeplitzOperator) -> CertificationResult:
     """Certify that a matrix is negative definite via its symmetric part.
 
@@ -126,13 +154,8 @@ def certify_negative_definite(T: ToeplitzOperator) -> CertificationResult:
     the order of the first non-positive-definite leading minor as witness.
     """
     dense = T.to_dense()
-    s = -(dense + dense.T) / 2.0
-    _, info = lapack.dpotrf(s, lower=1)
-    if info == 0:
-        return CertificationResult(True)
-    if info < 0:  # pragma: no cover - illegal argument, not reachable via API
-        raise ParameterError(f"factorization rejected argument {-info}")
-    return CertificationResult(False, failing_minor=int(info))
+    minor = _failing_minor(-(dense + dense.T) / 2.0)
+    return CertificationResult(minor is None, failing_minor=minor)
 
 
 def rayleigh_bound_check(T: ToeplitzOperator, alpha: float, scheme: str, trials: int) -> bool:

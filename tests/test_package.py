@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,3 +99,40 @@ def test_fractional_count_says_so():
         with pytest.raises(ParameterError) as caught:
             wsgd2_weights(1.5, P1Q0, value)
         assert "whole number" not in str(caught.value)
+
+
+_NUMPY_ONLY_RUN = """
+import sys
+from wsgdiff import (
+    P1QM1, PQR, SolverConfig1D, SolverConfig2D, assemble_wsgd_matrix,
+    certify_negative_definite, cli, cn_wsgd_run, make_example, run_2d,
+    steady_solve_3wsgd,
+)
+from wsgdiff import solve1d
+
+cn_wsgd_run(make_example("ex2", 1.5), SolverConfig1D(N=solve1d._GS_MIN_N, M=4))
+cn_wsgd_run(make_example("ex3", 1.5), SolverConfig1D(N=16, M=4, scheme=P1QM1))
+steady_solve_3wsgd(make_example("ex0", 1.5), 16)
+for splitting in ("pr", "lod"):
+    run_2d(make_example("ex4", 1.2, 1.8), SolverConfig2D(Nx=8, Ny=8, M=2, splitting=splitting))
+assert not certify_negative_definite(assemble_wsgd_matrix(1.5, PQR, 16))
+assert cli.main(["converge", "--example", "ex1", "--alpha", "1.5", "--resolutions", "8,16"]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_solvers_run_on_numpy_alone(tmp_path):
+    # every LAPACK, BLAS and FFT call goes through numpy, so a process that
+    # runs each solver, the certification and a study loads no scipy
+    paths = (str(Path(wsgdiff.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_ONLY_RUN],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -200,9 +200,9 @@ def test_gs_step_system_matches_dense_oracle(data, big_n, scheme, alpha, theta):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(solve1d, "_GS_MIN_N", 0)
         m.setattr(solve1d, "_dense_steps", None)
-        lift, advance = solve1d._cn_steps(problem, cfg)
+        advance = solve1d._cn_steps(problem, cfg)
     want_step = np.linalg.solve(lhs, u + (1.0 - theta) * (b @ u) + f + g)
-    gap_step = np.max(np.abs(advance(u, lift(f, g)) - want_step))
+    gap_step = np.max(np.abs(advance(u, f + g) - want_step))
     gaps = gap_solve / np.max(np.abs(want_solve)), gap_step / np.max(np.abs(want_step))
     assert max(gaps) <= 1e-10, gaps
 

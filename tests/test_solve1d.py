@@ -112,8 +112,8 @@ def test_steady_non_finite_solution_raises(exact):
 
 
 def test_lu_solver_rejects_a_singular_matrix():
-    with pytest.raises(SolverError, match="check: singular system"):
-        solve1d.lu_solver(np.array([[1.0, 2.0], [2.0, 4.0]]), "check")
+    with pytest.raises(SolverError, match="^check: singular system$"):
+        solve1d.solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2), "check")
 
 
 # ---------------------------------------------------------------------------
@@ -414,17 +414,52 @@ def test_gs_setup_is_the_dense_system(monkeypatch, N, theta):
         np.testing.assert_allclose(solve(v), np.linalg.solve(lhs, v), rtol=0, atol=1e-12)
     if theta < 0.5:
         return
-    dense_lift, dense_advance = solve1d._dense_steps(p, cfg)
+    dense_advance = solve1d._dense_steps(p, cfg)
     with monkeypatch.context() as m:
         m.setattr(solve1d, "_GS_MIN_N", 0)
         m.setattr(solve1d, "_dense_steps", None)
-        lift, advance = solve1d._cn_steps(p, cfg)
+        advance = solve1d._cn_steps(p, cfg)
     U, f, b = rng.standard_normal((3, N - 1, 4))
-    got, want = lift(f, b), dense_lift(f, b)
     for j, u in enumerate(U.T):
-        step, dense_step = advance(u, got[:, j]), dense_advance(u, want[:, j])
+        v = f[:, j] + b[:, j]
+        step, dense_step = advance(u, v), dense_advance(u, v)
         gap = np.max(np.abs(step - dense_step)) / np.max(np.abs(dense_step))
         assert gap <= 1e-10, (j, gap)
+
+
+def _left_generators(alpha, scheme, n, kl=0.8, kr=0.3, theta=0.5):
+    """First column and row of ``L = I - theta*B`` for constant unequal
+    diffusivities, with the scale ``tau/h**alpha`` of ``N = tau^-1 = n + 1``."""
+    A = assemble_wsgd_matrix(alpha, scheme, max(n, 2))
+    scale = (n + 1.0) ** (alpha - 1.0)
+    unit = np.zeros(A.n)
+    unit[0] = 1.0
+    col = unit - theta * scale * (kl * A.first_col + kr * A.first_row)
+    row = unit - theta * scale * (kl * A.first_row + kr * A.first_col)
+    return col[:n], row[:n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 31, 511])
+@pytest.mark.parametrize("scheme", [P1Q0, P1QM1])
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+def test_levinson_ends_match_scipy_toeplitz_solve(alpha, scheme, n):
+    # the Gohberg–Semencul setup's two Levinson solves, L^-1 e_1 and
+    # L^-1 e_n, against scipy's Levinson solver
+    col, row = _left_generators(alpha, scheme, n)
+    ends = np.zeros((n, 2))
+    ends[0, 0] = ends[-1, 1] = 1.0
+    want = scipy.linalg.solve_toeplitz((col, row), ends)
+    for got, ref in zip(solve1d._levinson_ends(col, row), want.T):
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "col,row,order", [([0.0, 1.0], [0.0, 2.0], 1), ([1.0, 1.0, 0.5], [1.0, 1.0, 3.0], 2)]
+)
+def test_levinson_ends_refuse_a_singular_leading_minor(col, row, order):
+    with pytest.raises(SolverError, match=rf"Levinson recursion broke down at order {order}$"):
+        solve1d._levinson_ends(np.array(col), np.array(row))
 
 
 def test_gs_step_makes_six_real_transforms(monkeypatch):
@@ -496,15 +531,12 @@ def test_gs_backend_runs_only_inside_the_stability_window(monkeypatch):
         solve1d._cn_steps(make_example("ex2", 1.5), config)
         assert picked.pop() == want, config.theta
 
-    def no_dense(*args, **kwargs):
-        raise AssertionError("a dense matrix was formed")
-
-    monkeypatch.setattr(scipy.linalg, "toeplitz", no_dense)
+    orders = _refuse_dense(monkeypatch)
     with pytest.warns(UserWarning, match="stability window"):
         huge = SolverConfig1D(N=operators.DENSE_MAX_ORDER + 2, M=1, theta=0.3)
     with pytest.raises(ParameterError, match="cap"):
         cn_wsgd_run(make_example("ex2", 1.5), huge)
-    assert picked == ["_dense_steps"]
+    assert picked == ["_dense_steps"] and orders == [huge.N - 1]
 
 
 @pytest.mark.parametrize("sampling", ["average", "midpoint"])
@@ -585,27 +617,26 @@ def test_run_samples_source_and_exact_once_a_block(M):
 
 
 def test_dense_run_solves_once_a_block(monkeypatch):
-    # one dgetrs forms C = L^-1 R, and one more lifts each block's known
-    # terms; a step itself is one dgemv on the Fortran-ordered C, which
-    # BLAS would otherwise copy on every call
-    solves, products = [], []
+    # one solve forms C = L^-1 R at setup, and no block solves again: a block
+    # used to lift its known terms by L^-1 with one more solve, but in Cayley
+    # form L^-1 = theta C + (1 - theta) I, so a step is one product with C
+    contexts, shapes = [], []
+    helper, linalg_solve = solve1d.solve, np.linalg.solve
 
-    def spy(module, name, log, record):
-        original = getattr(module, name)
+    def counted_helper(*args):
+        contexts.append(args[-1])
+        return helper(*args)
 
-        def counted(*args, **kwargs):
-            log.append(record(*args))
-            return original(*args, **kwargs)
+    def counted_solve(a, b):
+        shapes.append(np.shape(b))
+        return linalg_solve(a, b)
 
-        monkeypatch.setattr(module, name, counted)
-
-    spy(solve1d.lapack, "dgetrs", solves, lambda lu, piv, rhs: rhs.shape)
-    spy(solve1d.blas, "dgemv", products, lambda alpha, a, x: a.flags.f_contiguous)
+    monkeypatch.setattr(solve1d, "solve", counted_helper)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
     cfg = SolverConfig1D(N=64, M=1100)
     sol = cn_wsgd_run(make_example("ex3", 1.5), cfg)
     assert solve1d._block_width(cfg) == 520
-    assert solves == [(63, 63), (63, 520), (63, 520), (63, 60)]
-    assert products == [True] * cfg.M
+    assert contexts == ["time step"] and shapes == [(63, 63)]
     assert sol.max_err_final < 1e-4
 
 
@@ -636,7 +667,7 @@ def test_callables_broadcast_over_space_and_time_axes():
     with pytest.raises(ParameterError, match=r"problem.source returned shape \(15,\),.* \(15, 9\)"):
         cn_wsgd_run(flat, cfg)
     time_major = dataclasses.replace(base, exact=lambda x, t: (np.exp(-t) * x).T)
-    message = r"problem.exact returned shape \(8, 15\),.* \(15, 8\)"
+    message = r"problem.exact returned shape \(1, 15\),.* \(15, 1\)"
     with pytest.raises(ParameterError, match=message):
         cn_wsgd_run(time_major, cfg)
 
@@ -646,11 +677,24 @@ def test_callables_broadcast_over_space_and_time_axes():
 # ---------------------------------------------------------------------------
 
 
-def test_dense_paths_refuse_huge_orders_before_allocating(monkeypatch):
-    def no_dense(*args, **kwargs):
+def _refuse_dense(monkeypatch) -> list[int]:
+    """Route ``ToeplitzOperator.to_dense`` through a guard that lets it refuse
+    an order above the cap and fails the test if it forms a matrix; returns
+    the orders it was asked for."""
+    orders = []
+    to_dense = operators.ToeplitzOperator.to_dense
+
+    def refusing(self):
+        orders.append(self.n)
+        to_dense(self)
         raise AssertionError("a dense matrix was formed")
 
-    monkeypatch.setattr(scipy.linalg, "toeplitz", no_dense)
+    monkeypatch.setattr(operators.ToeplitzOperator, "to_dense", refusing)
+    return orders
+
+
+def test_dense_paths_refuse_huge_orders_before_allocating(monkeypatch):
+    orders = _refuse_dense(monkeypatch)
     big = 2**15
     with pytest.raises(ParameterError, match="cap"):
         assemble_wsgd_matrix(1.5, P1Q0, big - 1).to_dense()
@@ -660,6 +704,8 @@ def test_dense_paths_refuse_huge_orders_before_allocating(monkeypatch):
         steady_solve_3wsgd(make_example("ex0", 1.5), big)
     with pytest.raises(ParameterError, match="cap"):
         run_2d(make_example("ex4", 1.2, 1.8), SolverConfig2D(Nx=big, Ny=8, M=1))
+    # each refusal is the cap's, before any other dense work
+    assert orders == [big - 1] * 4
 
 
 def test_toeplitz_path_forms_no_dense_matrix_and_is_not_capped(monkeypatch):
@@ -667,8 +713,8 @@ def test_toeplitz_path_forms_no_dense_matrix_and_is_not_capped(monkeypatch):
         raise AssertionError("the Toeplitz path must not form dense matrices")
 
     monkeypatch.setattr(solve1d, "assemble_cn_system", forbidden)
-    monkeypatch.setattr(solve1d, "lapack", None)
-    monkeypatch.setattr(scipy.linalg, "toeplitz", forbidden)
+    monkeypatch.setattr(solve1d, "solve", forbidden)
+    monkeypatch.setattr(operators.ToeplitzOperator, "to_dense", forbidden)
     n_big = operators.DENSE_MAX_ORDER + 2
     sol = cn_wsgd_run(make_example("ex2", 1.5), SolverConfig1D(N=n_big, M=2))
     assert sol.values.size == n_big + 1
@@ -712,8 +758,8 @@ def _spy_march(monkeypatch, module):
 @pytest.mark.parametrize("dim", ["1d", "2d"])
 def test_runs_free_the_initial_state_once_the_first_step_returns(monkeypatch, dim):
     # the runs used to pass march the initial array and keep their own
-    # reference to it, one state array more for the whole run; the first
-    # block's reduction, which takes level 0 with it, works on a copy
+    # reference to it, one state array more for the whole run; level 0 is
+    # reduced on its own, before the first block
     if dim == "1d":
         monkeypatch.setattr(solve1d, "_BLOCK_ENTRIES", 2 * 15)
         alive = _spy_march(monkeypatch, solve1d)
@@ -722,12 +768,34 @@ def test_runs_free_the_initial_state_once_the_first_step_returns(monkeypatch, di
         alive = _spy_march(monkeypatch, solve2d)
         run_2d(make_example("ex4"), SolverConfig2D(Nx=8, Ny=8, M=4))
     blocks = 2 if dim == "1d" else 4
-    assert alive == [True] + [False] * (2 * blocks - 1)
+    assert alive == [True, True] + [False] * (2 * blocks - 1)
+
+
+def test_2d_run_hands_no_block_a_view_into_several_states(monkeypatch):
+    # level 0 used to be reduced with the first block by concatenating the
+    # two states, and the second block stepped from a view into that buffer,
+    # which kept one extra state alive
+    held = []
+    march = solve2d.march
+
+    def spy(steps, width, initial, config, norm, exact=None):
+        def steps_spy(U, k, count):
+            base = U
+            while base.base is not None:
+                base = base.base
+            held.append(base.size // U.size)
+            return steps(U, k, count)
+
+        return march(steps_spy, width, initial, config, norm, exact)
+
+    monkeypatch.setattr(solve2d, "march", spy)
+    run_2d(make_example("ex4"), SolverConfig2D(Nx=8, Ny=8, M=4))
+    assert held == [1, 1, 1, 1]
 
 
 def test_run_reduces_norms_once_a_block(monkeypatch):
     # march used to take one norm a level, M + 1 calls; it now reduces each
-    # block of states at once, level 0 with the first
+    # block of states at once, and level 0 as a block of one
     reductions = []
     march = solve1d.march
 
@@ -742,7 +810,7 @@ def test_run_reduces_norms_once_a_block(monkeypatch):
     cfg = SolverConfig1D(N=33, M=2049, T=0.7)
     sol = cn_wsgd_run(make_example("ex2", 1.5), cfg)
     assert solve1d._block_width(cfg) == 1024
-    assert reductions == [1025, 1024, 1]
+    assert reductions == [1, 1024, 1024, 1]
     assert sol.norm_history.size == cfg.M + 1 and np.all(np.isfinite(sol.norm_history))
 
 
@@ -784,21 +852,22 @@ def test_blow_up_is_one_solver_error_without_warnings(name, step):
 
 @pytest.mark.parametrize("sampling", ["average", "midpoint"])
 @pytest.mark.parametrize(
-    "name,min_n,narrow",
-    [("ex1", 0, 1), ("ex2", 0, 1), ("ex1", 10**9, 2), ("ex2", 10**9, 2), ("ex3", 10**9, 2)],
+    "name,min_n",
+    [("ex1", 0), ("ex2", 0), ("ex1", 10**9), ("ex2", 10**9), ("ex3", 10**9)],
     ids=["ex1-gs", "ex2-gs", "ex1-dense", "ex2-dense", "ex3-dense"],
 )
-def test_blocked_run_matches_a_run_of_narrow_blocks(monkeypatch, name, min_n, narrow, sampling):
+def test_blocked_run_matches_a_run_of_narrow_blocks(monkeypatch, name, min_n, sampling):
     # blocking the loop changes no bit: a run in blocks of B = 258 levels
-    # (M = 300 is no multiple of it) against blocks of one level, or of two
-    # on the dense backend, whose one-column dgetrs takes another BLAS kernel
+    # (M = 300 is no multiple of it) against blocks of one level, on both
+    # backends; a dense block used to lift its known terms by one solve, whose
+    # one-column form took another BLAS kernel
     monkeypatch.setattr(solve1d, "_GS_MIN_N", min_n)
     problem = make_example(name, 1.5)
     cfg = SolverConfig1D(N=128, M=300, source_sampling=sampling)
     assert solve1d._block_width(cfg) == 258
     blocked = cn_wsgd_run(problem, cfg)
-    monkeypatch.setattr(solve1d, "_BLOCK_ENTRIES", narrow * (cfg.N - 1))
-    assert solve1d._block_width(cfg) == narrow
+    monkeypatch.setattr(solve1d, "_BLOCK_ENTRIES", cfg.N - 1)
+    assert solve1d._block_width(cfg) == 1
     stepped = cn_wsgd_run(problem, cfg)
     for field in ("values", "norm_history", "max_err_running", "max_err_final", "l2_err_final"):
         assert np.array_equal(getattr(blocked, field), getattr(stepped, field)), field

@@ -9,7 +9,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wsgdiff import solve1d, solve2d
+from wsgdiff import solve2d
 from wsgdiff import (
     P1Q0,
     ParameterError,
@@ -431,15 +431,15 @@ def test_run_makes_two_triangular_solves_at_setup(monkeypatch, splitting, M):
     # setup forms the half-step matrices with one solve per direction; a
     # step is products only
     calls = []
-    dgetrs = solve1d.lapack.dgetrs
+    solve = solve2d.solve
 
     def spy(*args, **kwargs):
-        calls.append(args)
-        return dgetrs(*args, **kwargs)
+        calls.append(args[-1])
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(solve1d.lapack, "dgetrs", spy)
+    monkeypatch.setattr(solve2d, "solve", spy)
     run_2d(make_example("ex4", 1.2, 1.8), SolverConfig2D(Nx=8, Ny=8, M=M, splitting=splitting))
-    assert len(calls) == 2
+    assert calls == ["x-direction", "y-direction"]
 
 
 @pytest.mark.parametrize("splitting", ["pr", "lod"])

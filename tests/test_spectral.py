@@ -6,7 +6,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from wsgdiff import spectral
 from wsgdiff import (
     P1Q0,
     P1QM1,
@@ -168,6 +170,25 @@ def test_triple_matrix_fails_certification_mid_range():
         result = certify_negative_definite(assemble_wsgd_matrix(1.5, "pqr", n))
         assert not result.negative_definite
         assert result.failing_minor == 4
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 257])
+def test_failing_minor_bisection_matches_cholesky_info(n):
+    # the bisection over leading minors against LAPACK's dpotrf, whose info
+    # is the order of the first leading minor that is not positive definite:
+    # S = L D L^T with unit lower-triangular L has leading minors of
+    # determinant d_1 ... d_k, so a first negative d_k plants the failure
+    rng = np.random.default_rng(n)
+    lower = np.tril(rng.uniform(-0.5, 0.5, (n, n)), -1) + np.eye(n)
+    for planted in sorted({1, 2, n // 2 + 1, n, n + 1} - {0}):
+        d = rng.uniform(0.5, 2.0, n)
+        if planted <= n:
+            d[planted - 1] = -rng.uniform(0.5, 2.0)
+        s = (lower * d) @ lower.T
+        s = (s + s.T) / 2.0
+        info = scipy.linalg.lapack.dpotrf(s, lower=1)[1]
+        assert info == (0 if planted > n else planted)
+        assert spectral._failing_minor(s) == (info or None)
 
 
 # ---------------------------------------------------------------------------
