@@ -326,8 +326,28 @@ def _left_sided_monomial(alpha: float) -> Problem1D:
     )
 
 
+def _last_axis_memo(factor):
+    """An elementwise one-axis ``factor`` of a catalog callable, memoized on
+    the content of the last axis it saw: one entry, keyed on the axis's
+    bytes as floats, so an equal axis in any shape (the run's ``x[:, None]``
+    or a side line's ``x[None, :]``) reuses it and an axis changed in place
+    does not.  The stored values are read-only."""
+    last = {}
+
+    def memo(s):
+        s = np.asarray(s, dtype=float)
+        key = s.tobytes()
+        if last.get("key") != key:
+            value = np.array(factor(s), order="C")
+            value.flags.writeable = False
+            last.update(key=key, value=value)
+        return last["value"].reshape(s.shape)
+
+    return memo
+
+
+@_last_axis_memo
 def _cubic_bump(x):
-    x = np.asarray(x, dtype=float)
     return x**3 * (1.0 - x) ** 3
 
 
@@ -343,9 +363,8 @@ def _mirrored_fractional_profile(order: float, shift: float):
     c5 = 3.0 * gamma(6.0) / gamma(6.0 - order)
     c6 = gamma(7.0) / gamma(7.0 - order)
 
+    @_last_axis_memo
     def profile(s):
-        s = np.asarray(s, dtype=float)
-
         def mirrored(k):
             return s ** (k - shift) + (1.0 - s) ** (k - shift)
 

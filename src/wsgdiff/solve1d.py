@@ -86,9 +86,10 @@ _GS_MIN_N = 384
 #: the paper's small tables by 8%.
 _BLOCK_ENTRIES = 2**15
 
-#: ``advance(U, v)`` of a set-up time-stepping system: the step ``U ->
-#: U_next`` with the known right-hand-side terms ``v = tau*F + boundary
-#: terms`` of its slab.
+#: ``advance(U, terms)`` of a set-up time-stepping system: the states stepped
+#: from ``U`` through the slabs whose known right-hand-side terms ``v =
+#: tau*F + boundary terms`` are the rows of ``terms`` (a vector is one slab),
+#: as the rows of one C-ordered ``(count, n)`` buffer.
 Advance = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 #: ``steps(U, k, count)`` of a set-up scheme: the states of the levels ``k+1
@@ -240,15 +241,21 @@ def _dense_steps(problem: Problem1D, config: SolverConfig1D) -> Advance:
 
     ``L^-1 = theta C + (1-theta) I``, so a step ``U_next = C U + L^-1 v`` is
     ``C (U + theta v) + (1-theta) v``: one matrix-vector product, and no
-    solve after setup.
+    solve after setup.  A block's terms are scaled by ``theta`` and
+    ``1-theta`` once, elementwise, so a step is three numpy calls and its
+    bits do not depend on the block width.
     """
     lhs, rhs_matrix = assemble_cn_system(problem, config)
     c = solve(lhs, rhs_matrix, "time step")
     theta = config.theta
 
-    def advance(U: np.ndarray, v: np.ndarray) -> np.ndarray:
-        out = c @ (U + theta * v)
-        out += (1.0 - theta) * v
+    def advance(U: np.ndarray, terms: np.ndarray) -> np.ndarray:
+        terms = np.atleast_2d(terms)
+        lifted = np.multiply(terms, theta, order="C")
+        kept = np.multiply(terms, 1.0 - theta, order="C")
+        out = np.empty(terms.shape)
+        for row, up, rest in zip(out, lifted, kept):
+            U = np.add(np.matmul(c, np.add(up, U, out=up), out=row), rest, out=row)
         return out
 
     return advance
@@ -338,9 +345,12 @@ def _cn_steps(problem: Problem1D, config: SolverConfig1D) -> Advance:
         inverse = _gs_steps(problem, config)
         inv, ratio = 1.0 / config.theta, (1.0 - config.theta) / config.theta
 
-        def advance(U: np.ndarray, v: np.ndarray) -> np.ndarray:
-            out = inverse(inv * U + v)
-            out -= ratio * U
+        def advance(U: np.ndarray, terms: np.ndarray) -> np.ndarray:
+            terms = np.atleast_2d(terms)
+            out = np.empty(terms.shape)
+            for row, v in zip(out, terms):
+                row[:] = inverse(inv * U + v)
+                U = np.subtract(row, ratio * U, out=row)
             return out
 
         return advance
@@ -414,8 +424,9 @@ def cn_stepper(problem: Problem1D, config: SolverConfig1D) -> BlockStepper:
     there (:meth:`~wsgdiff.problems.Problem1D.boundary_values`).  A block of
     ``count`` steps from level ``k`` samples its known terms ``tau*F +
     boundary terms`` at once, the source in one call at levels ``k*tau``
-    (``"average"``) or ``k*tau + tau/2`` (``"midpoint"``), and steps through
-    their columns, writing each state into its row of the returned buffer.
+    (``"average"``) or ``k*tau + tau/2`` (``"midpoint"``), and hands them to
+    the backend's ``advance``, which writes each state into its row of the
+    returned buffer.
     The steps run under ``np.errstate``, so a blow-up is left to
     :func:`march` to name; the sampling runs outside it, so a problem
     callable's own warnings still show.  A block must start at a level ``0
@@ -461,11 +472,8 @@ def cn_stepper(problem: Problem1D, config: SolverConfig1D) -> BlockStepper:
                 f" the levels 0 ... {config.M} of this run"
             )
         terms = block(k, count)
-        out = np.empty((count, n))
         with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(count):
-                U = out[j] = advance(U, terms[:, j])
-        return out
+            return advance(U, terms.T)
 
     return steps
 

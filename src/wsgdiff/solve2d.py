@@ -32,7 +32,13 @@ factor is a contraction, so these matrices are well conditioned, and a step
 is then two or three matrix products written into C-ordered work arrays
 allocated once per run: no triangular solve.  The rank-2 boundary-column
 terms ride in a product, on two extra columns of one operand and two extra
-rows of the other, and a step's result is one fresh C-ordered product.  Grid callables are read through :func:`~wsgdiff.problems.on_grid`, on the
+rows of the other, and a step's result is one fresh C-ordered product.  A
+``pr`` step's first product only rebuilds, from ``U``, the y-sweep product
+that the previous step left in its work array, so :func:`run_2d`, which
+steps each level from the one before, carries that array instead and makes
+two products a step after its first; the public ``step`` keeps no state
+between calls and makes three.  Grid callables are read through
+:func:`~wsgdiff.problems.on_grid`, on the
 broadcast axes ``x[:, None]``, ``y[None, :]`` of the interior or, for the
 y-lines and the Dirichlet data, of one pair of sides at a time, and only
 on the pairs a step or check uses.
@@ -200,6 +206,26 @@ def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
     time-dependent data ``g`` on the y-boundaries, whose boundary-column
     terms ``a g^T [cy0, cyN]^T`` join ``W`` and ``W2``; both ride in the
     second product, made on every step whatever the data.
+
+    The step is stateless: it makes all three products whatever ``U`` is.
+    :func:`run_2d`, which hands each step the state the previous one
+    returned, carries ``W2`` between steps instead and makes two.
+    """
+    advance = _pr_advance(problem, config)
+    return lambda U, t_n: advance(U, t_n, False)
+
+
+def _pr_advance(
+    problem: Problem2D, config: SolverConfig2D
+) -> Callable[[np.ndarray, float, bool], np.ndarray]:
+    """The set-up ``pr`` step as ``advance(U, t_n, carried)``.
+
+    Since ``(I + a Dy) = 2I - (I - a Dy)`` and a step leaves ``W2/a =
+    U_next (I - a Dy)^T / a`` in its work array, boundary terms included,
+    the next step's ``W/a = 2U/a - W2/a + F`` is three elementwise passes
+    instead of the first product.  ``carried=True`` takes that path, and is
+    valid only when ``U`` is the untouched result of this ``advance``'s
+    previous call; ``carried=False`` makes the product.
     """
     *_, X, Y, sides = _grid(problem, config)
     rule = "the factored scheme requires vanishing Dirichlet data on the x-boundaries"
@@ -219,16 +245,19 @@ def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
     cx, g, w = cx_aug[:, :nx], cx_aug[:, nx:], w_aug[:nx]
     w2 = np.empty((nx, ny))
 
-    def step(U: np.ndarray, t_n: float) -> np.ndarray:
+    def advance(U: np.ndarray, t_n: float, carried: bool) -> np.ndarray:
         F = on_grid(problem, "source", X, Y, t_n + a)
         g0, g1 = (on_grid(problem, "boundary", *sides["y"], t).T for t in (t_n, t_n + tau))
         with np.errstate(over="ignore", invalid="ignore"):
-            np.add(np.matmul(U, first, out=w), F, out=w)
+            if carried:
+                np.add(np.subtract(np.multiply(U, 2.0 / a, out=w), w2, out=w), F, out=w)
+            else:
+                np.add(np.matmul(U, first, out=w), F, out=w)
             np.add(np.matmul(cx, g0, out=g), g1, out=g)
             np.add(np.matmul(cx_aug, w_aug, out=w2), F, out=w2)
             return w2 @ last
 
-    return step
+    return advance
 
 
 def lod_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
@@ -292,11 +321,24 @@ _STEPPERS: dict[str, Callable[[Problem2D, SolverConfig2D], Stepper]] = {
 
 
 def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution:
-    """Integrate a 2D problem from its initial state to the final time."""
-    step = _STEPPERS[config.splitting](problem, config)
+    """Integrate a 2D problem from its initial state to the final time.
+
+    A ``pr`` (``douglas``, ``dyakonov``) run makes two matrix products a step
+    after its first: each step starts from the state the previous one
+    returned, untouched, so the y-sweep product that step left behind stands
+    in for the first product (see :func:`pr_adi_stepper`).  Only this loop
+    knows that order of calls, so the carried product lives here and the
+    public steppers stay stateless.
+    """
+    if config.splitting == "lod":
+        step = lod_stepper(problem, config)
+        advance = lambda U, t_n, carried: step(U, t_n)
+    else:
+        advance = _pr_advance(problem, config)
     hx, hy, x, y, X, Y, sides = _grid(problem, config)
     initial = lambda: np.array(on_grid(problem, "initial", X, Y))
-    steps = lambda U, k, count: step(U, k * config.tau)[None]
+    # march hands block k > 0 the untouched state of block k - 1
+    steps = lambda U, k, count: advance(U, k * config.tau, k > 0)[None]
     norm = lambda V: [l2_norm(S, hx, hy) for S in V]
     U, norm_history, _, _ = march(steps, 1, initial, config, norm)
     t_next = config.M * config.tau

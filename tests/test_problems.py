@@ -108,6 +108,27 @@ def test_two_dimensional_example_residual(alpha, beta):
     assert np.max(np.abs(residual)) < 1e-10
 
 
+@pytest.mark.parametrize("factor", ["profile", "bump"])
+def test_one_axis_factors_are_kept_for_the_last_axis(factor):
+    # the fractional powers of the catalog's one-axis factors are computed
+    # once per axis: an equal axis, in any shape, gets the stored read-only
+    # values back, and an axis changed in place gets fresh ones
+    if factor == "bump":
+        fn, reference = problems._cubic_bump, lambda s: s**3 * (1.0 - s) ** 3
+    else:
+        fn = problems._mirrored_fractional_profile(1.5, 1.5)
+        reference = problems._mirrored_fractional_profile(1.5, 1.5)
+    x = np.linspace(0.0, 1.0, 33)[1:-1]
+    first = fn(x[:, None])
+    assert first.shape == (31, 1) and not first.flags.writeable
+    again = fn(x.copy()[None, :])
+    assert again.shape == (1, 31) and np.shares_memory(first, again)
+    x[3] = 0.5
+    fresh = fn(x)
+    assert not np.shares_memory(first, fresh)
+    np.testing.assert_array_equal(fresh, reference(x.copy()))
+
+
 @pytest.mark.parametrize("alpha,beta", [(1.2, 1.8), (1.9, 1.1)])
 def test_two_dimensional_source_is_the_three_term_formula(alpha, beta):
     # the source is two outer products with exp(-t) folded into the one-axis

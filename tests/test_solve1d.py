@@ -427,6 +427,25 @@ def test_gs_setup_is_the_dense_system(monkeypatch, N, theta):
         assert gap <= 1e-10, (j, gap)
 
 
+@pytest.mark.parametrize("theta", [0.5, 0.8])
+@pytest.mark.parametrize("backend", ["_dense_steps", "_gs_steps"])
+def test_backend_steps_a_block_as_its_slabs_one_at_a_time(monkeypatch, backend, theta):
+    # a backend scales a block's known terms once, elementwise, so a block
+    # of slabs gives the bits of stepping them one slab at a time
+    monkeypatch.setattr(solve1d, "_GS_MIN_N", 0 if backend == "_gs_steps" else 10**9)
+    picked = _spy_backends(monkeypatch)
+    p = _constant_problem("unequal", 0.9, 0.35, 1.7)
+    advance = solve1d._cn_steps(p, SolverConfig1D(N=33, M=5, theta=theta))
+    assert picked == [backend]
+    rng = np.random.default_rng(33)
+    U, terms = rng.standard_normal(32), rng.standard_normal((5, 32))
+    block = advance(U, terms)
+    assert block.shape == (5, 32) and block.flags.c_contiguous
+    for v, want in zip(terms, block):
+        (U,) = advance(U, v)
+        np.testing.assert_array_equal(U, want)
+
+
 def _left_generators(alpha, scheme, n, kl=0.8, kr=0.3, theta=0.5):
     """First column and row of ``L = I - theta*B`` for constant unequal
     diffusivities, with the scale ``tau/h**alpha`` of ``N = tau^-1 = n + 1``."""

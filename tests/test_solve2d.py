@@ -314,6 +314,81 @@ def test_three_adi_variants_agree_at_every_step():
             assert runs[name].max_err_final == runs["pr"].max_err_final
 
 
+def _skewed_problem():
+    """Unequal spacings and diffusivities, and nonzero y-boundary data."""
+
+    def boundary(x, y, t):
+        return np.asarray(x) * (1.0 - np.asarray(x)) * np.asarray(y) * (1.0 + t)
+
+    return _custom_2d(alpha=1.3, beta=1.7, boundary=boundary, by=2.0, y_right_diffusivity=0.3)
+
+
+def _public_pr_levels(p, cfg):
+    """The final interior state and the norm of every level, stepped level by
+    level through the public (stateless) ``pr`` stepper."""
+    step = pr_adi_stepper(p, cfg)
+    hx, hy = (p.bx - p.ax) / cfg.Nx, (p.by - p.ay) / cfg.Ny
+    U = np.array(p.initial(*_interior_grid(p, cfg.Nx, cfg.Ny)), dtype=float)
+    norms = [np.sqrt(hx * hy * np.sum(U * U))]
+    for k in range(cfg.M):
+        U = step(U, k * cfg.tau)
+        norms.append(np.sqrt(hx * hy * np.sum(U * U)))
+    return U, np.array(norms)
+
+
+@pytest.mark.parametrize(
+    "case,nx,ny,M", [("ex4", 64, 64, 64), ("skewed", 64, 48, 200), ("skewed", 12, 16, 9)]
+)
+def test_pr_run_matches_stepping_the_public_stepper(case, nx, ny, M):
+    # run_2d carries the y-sweep product W2 from one step into the next
+    # instead of making the first product again; that differs from the
+    # public stepper by roundoff only, boundary-column terms included
+    p = make_example("ex4", 1.2, 1.8) if case == "ex4" else _skewed_problem()
+    cfg = SolverConfig2D(Nx=nx, Ny=ny, M=M)
+    sol = run_2d(p, cfg)
+    U, norms = _public_pr_levels(p, cfg)
+    scale = np.max(np.abs(U))
+    assert np.max(np.abs(sol.values[1:-1, 1:-1] - U)) <= 1e-13 * scale
+    assert np.max(np.abs(sol.norm_history - norms)) <= 1e-13 * np.max(norms)
+
+
+@pytest.mark.parametrize("alpha,beta", [(1.2, 1.8), (1.5, 1.5), (1.9, 1.1)])
+@pytest.mark.parametrize("ratio", [1.0, 10.0])
+def test_pr_run_norms_never_increase(alpha, beta, ratio):
+    # zero data, a random start: every level's norm is at most the one
+    # before, on the carried path as on the public stepper
+    n, steps = 16, 200
+    start = np.random.default_rng(19).standard_normal((n - 1, n - 1))
+    p = _custom_2d(alpha=alpha, beta=beta, initial=lambda x, y: start)
+    sol = run_2d(p, SolverConfig2D(Nx=n, Ny=n, M=steps, T=steps * ratio / n))
+    history = sol.norm_history
+    assert np.all(history[1:] <= history[:-1] * (1.0 + 1e-10))
+
+
+@pytest.mark.parametrize("M", [1, 2, 7])
+def test_pr_run_makes_one_product_a_step_after_the_first(monkeypatch, M):
+    # an n-by-n product carries the first step's y-sweep; later steps
+    # reuse the previous step's W2, so a run makes M + 1, while the public
+    # stepper makes two every step (the solve against I - a Dy is an @)
+    nx, ny = 8, 12
+    shapes = []
+    matmul = np.matmul
+
+    def spy(*args, **kwargs):
+        out = matmul(*args, **kwargs)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(np, "matmul", spy)
+    p = _skewed_problem()
+    cfg = SolverConfig2D(Nx=nx, Ny=ny, M=M)
+    run_2d(p, cfg)
+    assert shapes.count((nx - 1, ny - 1)) == M + 1
+    shapes.clear()
+    _public_pr_levels(p, cfg)
+    assert shapes.count((nx - 1, ny - 1)) == 2 * M
+
+
 @pytest.mark.parametrize("splitting", solve2d.SPLITTINGS)
 def test_one_axis_callables_fill_the_grid(splitting):
     # on the broadcast axes x[:, None], y[None, :] each of these returns an
