@@ -269,8 +269,11 @@ class ErrorRecord:
     rate_l2: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.max_err < 0.0 or self.l2_err < 0.0:
-            raise ParameterError("error norms are nonnegative by definition")
+        if not (0.0 <= self.max_err < np.inf and 0.0 <= self.l2_err < np.inf):
+            raise ParameterError(
+                "error norms are nonnegative and finite by definition,"
+                f" got max_err={self.max_err!r} and l2_err={self.l2_err!r}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +417,17 @@ def _two_dim_cubic(alpha: float, beta: float) -> Problem2D:
     yprofile = _mirrored_fractional_profile(beta, beta)
 
     def source(x, y, t):
-        # -exp(-t) (bx by + px by + py bx) as two outer products, with the
-        # time factor folded into the one-axis factors
-        bx = _cubic_bump(x)
+        # -exp(-t) (bx by + px by + py bx), with e = -exp(-t) folded into the
+        # one-axis factors.  On a step's interior axes (x a column, y a row,
+        # t a scalar) it is one rank-2 product [e (bx + px) | bx] @ [by; e py],
+        # which writes the grid once; any other shape takes two outer products
+        bx, by = _cubic_bump(x), _cubic_bump(y)
         e = -np.exp(-t)
-        out = (e * (bx + xprofile(x))) * _cubic_bump(y)
+        column_row = np.ndim(x) == np.ndim(y) == 2 and np.shape(x)[1] == np.shape(y)[0] == 1
+        if column_row and np.ndim(t) == 0:
+            left = np.hstack((e * (bx + xprofile(x)), bx))
+            return np.matmul(left, np.vstack((by, e * yprofile(y))))
+        out = (e * (bx + xprofile(x))) * by
         out += bx * (e * yprofile(y))
         return out
 
@@ -490,15 +499,18 @@ def l2_norm(v, h: float, h2: Optional[float] = None) -> float:
     if arr.size == 0:
         raise ParameterError("l2_norm of an empty grid function is undefined")
     weight = float(h) if h2 is None else float(h) * float(h2)
-    if weight <= 0.0:
-        raise ParameterError("grid weights must be positive")
+    if not 0.0 < weight < np.inf:
+        raise ParameterError(f"grid weights must be positive and finite, got {weight!r}")
     return float(np.sqrt(weight * np.sum(arr * arr)))
 
 
 def convergence_rate(err_coarse: float, err_fine: float) -> float:
     """Observed order under grid doubling: log2(err_coarse / err_fine)."""
-    if err_coarse <= 0.0 or err_fine <= 0.0:
-        raise ParameterError("convergence rates need strictly positive errors")
+    if not (0.0 < err_coarse < np.inf and 0.0 < err_fine < np.inf):
+        raise ParameterError(
+            "convergence rates need strictly positive, finite errors,"
+            f" got {err_coarse!r} and {err_fine!r}"
+        )
     return log2(err_coarse / err_fine)
 
 

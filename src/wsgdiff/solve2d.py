@@ -328,7 +328,10 @@ def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution:
     returned, untouched, so the y-sweep product that step left behind stands
     in for the first product (see :func:`pr_adi_stepper`).  Only this loop
     knows that order of calls, so the carried product lives here and the
-    public steppers stay stateless.
+    public steppers stay stateless.  Each level's norm is the grid-weighted
+    L2 norm of :func:`~wsgdiff.problems.l2_norm`, ``sqrt(hx hy sum U^2)``,
+    taken as one dot product of the state with itself, so it makes no
+    squared temporary; a non-finite state still gives a non-finite norm.
     """
     if config.splitting == "lod":
         step = lod_stepper(problem, config)
@@ -339,7 +342,7 @@ def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution:
     initial = lambda: np.array(on_grid(problem, "initial", X, Y))
     # march hands block k > 0 the untouched state of block k - 1
     steps = lambda U, k, count: advance(U, k * config.tau, k > 0)[None]
-    norm = lambda V: [l2_norm(S, hx, hy) for S in V]
+    norm = lambda V: [np.sqrt(hx * hy * np.vdot(S, S)) for S in V]
     U, norm_history, _, _ = march(steps, 1, initial, config, norm)
     t_next = config.M * config.tau
     values = np.empty((config.Nx + 1, config.Ny + 1))

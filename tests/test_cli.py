@@ -660,6 +660,23 @@ def test_read_report_rejects_foreign_csv(tmp_path):
         read_report_csv(str(bogus))
 
 
+@pytest.mark.parametrize("column", ["max_err", "l2_err"])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_read_report_rejects_non_finite_errors(tmp_path, column, bad):
+    report = tmp_path / "report.csv"
+    argv = ["converge", "--example", "ex0", "--alpha", "1.1", "--resolutions", "8,16"]
+    assert main(argv + ["--out", str(report)]) == 0
+    with open(report, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    rows[1][column] = bad
+    with open(report, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    with pytest.raises(ParameterError, match="finite"):
+        read_report_csv(str(report))
+
+
 # ---------------------------------------------------------------------------
 # config files
 # ---------------------------------------------------------------------------

@@ -152,6 +152,28 @@ def test_two_dimensional_source_is_the_three_term_formula(alpha, beta):
             assert gap <= 1e-15, (np.shape(xs), t, gap)
 
 
+@pytest.mark.parametrize("alpha,beta", [(1.2, 1.8), (1.9, 1.1)])
+def test_two_dimensional_source_on_interior_axes_is_one_product(monkeypatch, alpha, beta):
+    # on a step's interior axes (x a column, y a row, t a scalar) the source
+    # is one rank-2 np.matmul; on full meshgrids it keeps the broadcast form,
+    # and the two agree to roundoff
+    calls = []
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda *a, **k: calls.append(a) or matmul(*a, **k))
+    source = make_example("ex4", alpha, beta).source
+    x = np.linspace(0.0, 1.0, 65)
+    X, Y = x[1:-1, None], x[None, 1:-1]
+    for t in (0.0, 0.37, 1.0):
+        calls.clear()
+        got = source(X, Y, t)
+        assert len(calls) == 1 and got.shape == (63, 63)
+        calls.clear()
+        want = source(*np.broadcast_arrays(X, Y), t)
+        assert calls == []
+        gap = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert gap <= 1e-15, (t, gap)
+
+
 # ---------------------------------------------------------------------------
 # Data consistency: exact vs. initial vs. boundary
 # ---------------------------------------------------------------------------
@@ -518,3 +540,18 @@ def test_error_record_and_attach_rates():
     assert [r.N for r in out] == [8, 16, 32]
     with pytest.raises(ParameterError):
         ErrorRecord(8, 8, -1.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_norms_rates_and_records_reject_non_finite_numbers(bad):
+    # NaN compares false with everything, so each check names the finite
+    # range it accepts rather than the values it refuses
+    with pytest.raises(ParameterError, match="positive and finite"):
+        l2_norm(np.ones(3), bad)
+    with pytest.raises(ParameterError, match="positive and finite"):
+        l2_norm(np.ones((3, 3)), 0.5, bad)
+    for errs in ((bad, 1e-3), (1e-3, bad)):
+        with pytest.raises(ParameterError, match="finite"):
+            convergence_rate(*errs)
+        with pytest.raises(ParameterError, match="finite"):
+            ErrorRecord(8, 8, *errs)

@@ -18,6 +18,7 @@ from wsgdiff import (
     SolverConfig2D,
     build_directional_operators,
     convergence_rate,
+    l2_norm,
     lod_stepper,
     make_example,
     pr_adi_stepper,
@@ -350,6 +351,22 @@ def test_pr_run_matches_stepping_the_public_stepper(case, nx, ny, M):
     scale = np.max(np.abs(U))
     assert np.max(np.abs(sol.values[1:-1, 1:-1] - U)) <= 1e-13 * scale
     assert np.max(np.abs(sol.norm_history - norms)) <= 1e-13 * np.max(norms)
+
+
+@pytest.mark.parametrize("n,M", [(16, 9), (64, 64)])
+def test_lod_run_norms_are_the_l2_norms_of_its_levels(n, M):
+    # run_2d takes each level's norm as one dot product; stepping the public
+    # lod stepper and taking l2_norm of each level gives the same history
+    p = make_example("ex4", 1.2, 1.8)
+    cfg = SolverConfig2D(Nx=n, Ny=n, M=M, splitting="lod")
+    step, h = lod_stepper(p, cfg), 1.0 / n
+    U = np.array(p.initial(*_interior_grid(p, n, n)), dtype=float)
+    norms = [l2_norm(U, h, h)]
+    for k in range(M):
+        U = step(U, k * cfg.tau)
+        norms.append(l2_norm(U, h, h))
+    history = run_2d(p, cfg).norm_history
+    assert np.max(np.abs(history - norms)) <= 1e-14 * max(norms)
 
 
 @pytest.mark.parametrize("alpha,beta", [(1.2, 1.8), (1.5, 1.5), (1.9, 1.1)])
