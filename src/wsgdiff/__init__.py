@@ -12,7 +12,7 @@ tables; see the README for usage.
 
 Module map:
 
-- :mod:`wsgdiff.errors`    — the two exception types and the one count check;
+- :mod:`wsgdiff.errors`    — the two exception types, the count and real checks;
 - :mod:`wsgdiff.weights`   — the scheme table ``SHIFTS``, every weight
   sequence as one weighted-shifted sum, sign/monotonicity properties;
 - :mod:`wsgdiff.operators` — one Toeplitz layout for every scheme, stencil
@@ -22,8 +22,8 @@ Module map:
 - :mod:`wsgdiff.problems`  — benchmark catalog, norms, convergence rates;
 - :mod:`wsgdiff.solve1d`   — steady third-order solve, the theta-weighted
   stepper, the one time loop ``march`` and the ``Solution`` record;
-- :mod:`wsgdiff.solve2d`   — splitting stepper factories, each set up once
-  per run (one factored ADI scheme under three names, and LOD);
+- :mod:`wsgdiff.solve2d`   — one block-stepper factory per splitting, set up
+  once per run (one factored ADI scheme under three names, and LOD);
 - :mod:`wsgdiff.cli`       — the ``wsgdiff`` command.
 """
 

@@ -47,14 +47,13 @@ import argparse
 import csv
 import io
 import itertools
-import math
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import __version__
 from . import weights as wt
-from .errors import ParameterError, SolverError
+from .errors import ParameterError, SolverError, real_number
 from .operators import operator_weights
 from .problems import (
     EX4_ORDERS,
@@ -155,8 +154,8 @@ class StudyConfig:
             raise ParameterError(
                 f"example {self.example.value} is 1D; beta and splittings do not apply"
             )
-        if self.theta is not None and not math.isfinite(self.theta):
-            raise ParameterError(f"theta must be finite, got {self.theta}")
+        if self.theta is not None:
+            real_number("theta", self.theta)
         if self.source_sampling not in (None, *SOURCE_SAMPLING):
             raise ParameterError(
                 f"unknown source sampling {self.source_sampling!r};"

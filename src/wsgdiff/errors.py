@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the one count check."""
+"""Exception types shared across the package, and the count and real-number checks."""
+
+import numbers
 
 import numpy as np
 
@@ -28,3 +30,14 @@ def count_at_least(name: str, value, least: int, what: str) -> int:
     if not enough:
         raise ParameterError(f"{need}, got {value}")
     return int(value)
+
+
+def real_number(name: str, value, positive: bool = False) -> float:
+    """``value`` as a ``float``; a non-real (a string, ``None``, a complex), non-finite
+    or, given ``positive``, non-positive one is a ParameterError naming the argument."""
+    need = f"{name} must be {'positive and ' if positive else ''}finite"
+    if not isinstance(value, numbers.Real):
+        raise ParameterError(f"{need}, got {value!r} (not a real number)")
+    if not (np.isfinite(value) and (value > 0 or not positive)):
+        raise ParameterError(f"{need}, got {value}")
+    return float(value)

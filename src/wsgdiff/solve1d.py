@@ -12,7 +12,7 @@ Two entry points cover the 1D catalog, and both return a :class:`Solution`:
   trapezoidal scheme used for all reference tables).  It is
   :func:`cn_stepper`, whose block stepper ``steps(U, k, count)`` takes the
   levels ``k+1 ... k+count`` at once, stepped by :func:`march`, the one
-  time loop of every run (a 2D run steps blocks of one level).
+  time loop of every 1D and 2D run.
 
 The steady solve is one dense partial-pivoting LU solve.  The time
 stepper sets up its two step matrices ``L = I - theta*B`` (implicit) and
@@ -35,11 +35,11 @@ Cayley form.  The backend is chosen from the input alone:
   and a run with ``theta < 1/2`` and ``N > 8192`` meets the dense cap.
 
 Everything a step needs besides ``U`` is known before the run starts, so a
-1D run steps a block of ``B`` levels a pass, with ``B*n <= 2**15`` on ``n``
-interior nodes.  The boundary data are read once per level; the source
-(and, for the running error, the exact solution) is sampled for a block in
-one call on the broadcast axes ``x[:, None]``, ``t[None, :]``; and the
-block's states, written into one ``(B, n)`` buffer, get their norms and
+run, 1D or 2D, steps a block of ``B`` levels a pass, with ``B*n <= 2**15``
+on ``n`` unknowns a state.  A 1D run reads its boundary data once per level
+and samples its source (and, for the running error, the exact solution) for
+a block in one call on the broadcast axes ``x[:, None]``, ``t[None, :]``;
+the block's states, written into one ``(B, n)`` buffer, get their norms and
 running error in one reduction each.  Every grid callable is read through
 :func:`~wsgdiff.problems.on_grid`.  All linear algebra is numpy's.
 
@@ -59,7 +59,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import weights as wt
-from .errors import ParameterError, SolverError, count_at_least
+from .errors import ParameterError, SolverError, count_at_least, real_number
 from .operators import _circulant_size, assemble_wsgd_matrix, boundary_columns
 from .problems import Problem1D, l2_norm, max_norm, on_grid
 
@@ -80,10 +80,10 @@ SOURCE_SAMPLING = ("average", "midpoint")
 #: between N=256 and N=512 on a 2-vCPU x86-64 machine.
 _GS_MIN_N = 384
 
-#: Float64 entries of one block: a 1D run samples its known terms, steps and
-#: reduces ``B = 2**15 // n`` levels at a time on ``n`` interior nodes (256
-#: KiB an array), at most ``M``.  Blocks of 1 MiB raised the peak RSS of a run of
-#: the paper's small tables by 8%.
+#: Float64 entries of one block: a run samples its known terms, steps and
+#: reduces ``B = 2**15 // n`` levels at a time on ``n`` interior unknowns a
+#: state (256 KiB an array), at most ``M``.  Blocks of 1 MiB raised the peak
+#: RSS of a run of the paper's small tables by 8%.
 _BLOCK_ENTRIES = 2**15
 
 #: ``advance(U, terms)`` of a set-up time-stepping system: the states stepped
@@ -117,15 +117,13 @@ class SolverConfig1D:
                 f"unsupported scheme {self.scheme!r} for the time stepper;"
                 f" expected one of {wt.PAIR_SCHEMES!r}"
             )
-        if not (np.isfinite(self.T) and self.T > 0.0):
-            raise ParameterError(f"final time must be positive and finite, got {self.T}")
+        object.__setattr__(self, "T", real_number("final time T", self.T, positive=True))
+        object.__setattr__(self, "theta", real_number("theta", self.theta))
         if self.source_sampling not in SOURCE_SAMPLING:
             raise ParameterError(
                 f"unknown source sampling {self.source_sampling!r};"
                 f" expected one of {SOURCE_SAMPLING!r}"
             )
-        if not np.isfinite(self.theta):
-            raise ParameterError(f"theta must be finite, got {self.theta}")
         if not 0.5 <= self.theta <= 1.0:
             warnings.warn(
                 f"theta={self.theta} lies outside the proven stability window"
@@ -357,9 +355,20 @@ def _cn_steps(problem: Problem1D, config: SolverConfig1D) -> Advance:
     return _dense_steps(problem, config)
 
 
-def _block_width(config: SolverConfig1D) -> int:
-    """Levels of one block: ``B*n <= _BLOCK_ENTRIES``, at least 1, at most ``M``."""
-    return max(1, min(config.M, _BLOCK_ENTRIES // (config.N - 1)))
+def _block_width(entries: int, M: int) -> int:
+    """Levels of one block of states of ``entries`` floats each: ``B*entries
+    <= _BLOCK_ENTRIES``, at least 1, at most ``M``."""
+    return max(1, min(M, _BLOCK_ENTRIES // entries))
+
+
+def _check_block(k: int, count: int, M: int) -> None:
+    """A block of ``count`` steps must start at a level ``0 <= k < M`` and end
+    by level ``M``: any other is a :class:`ParameterError`."""
+    if k not in range(M) or not 0 < count <= M - k:
+        raise ParameterError(
+            f"a block of {count!r} steps from level {k!r} does not lie within"
+            f" the levels 0 ... {M} of this run"
+        )
 
 
 def march(
@@ -382,8 +391,8 @@ def march(
     Both reduce a block at once, and level 0 as a block of one.  Returns
     the final state, the norm at every level and, given ``exact``, the
     maximum-norm error maximized over every level and the error at the
-    final level (else ``None`` twice).  A non-finite norm is a
-    :class:`SolverError` naming the first such step.
+    final level (else ``None`` twice).  A non-finite norm, level 0's
+    included, is a :class:`SolverError` naming the first such step.
     """
     norm_history = np.empty(config.M + 1)
     running_max = None
@@ -399,6 +408,10 @@ def march(
             if exact is not None:
                 block_max = float(np.max(np.abs(levels - expected)))
                 running_max = block_max if running_max is None else max(running_max, block_max)
+        finite = np.isfinite(norm_history[k : k + len(levels)])
+        if not finite.all():
+            n = k + int(np.argmin(finite))
+            raise SolverError(f"non-finite solution at step {n} (t={n * config.tau!r})")
         return expected
 
     levels = initial()[None]
@@ -407,10 +420,6 @@ def march(
         count = min(width, config.M - k)
         levels = steps(levels[-1], k, count)
         expected = reduce(levels, k + 1)
-        finite = np.isfinite(norm_history[k + 1 : k + count + 1])
-        if not finite.all():
-            n = k + 1 + int(np.argmin(finite))
-            raise SolverError(f"non-finite solution at step {n} (t={n * config.tau!r})")
     error = None if exact is None else levels[-1] - expected[-1]
     return levels[-1], norm_history, running_max, error
 
@@ -430,8 +439,7 @@ def cn_stepper(problem: Problem1D, config: SolverConfig1D) -> BlockStepper:
     The steps run under ``np.errstate``, so a blow-up is left to
     :func:`march` to name; the sampling runs outside it, so a problem
     callable's own warnings still show.  A block must start at a level ``0
-    <= k < M`` and end by level ``M``: any other is a
-    :class:`ParameterError`.
+    <= k < M`` and end by level ``M`` (:func:`_check_block`).
     """
     if problem.steady:
         raise ParameterError("time stepping expects a time-dependent problem")
@@ -466,11 +474,7 @@ def cn_stepper(problem: Problem1D, config: SolverConfig1D) -> BlockStepper:
         return tau * fv + scale * (col_a * mix[0] + col_b * mix[1])
 
     def steps(U: np.ndarray, k: int, count: int) -> np.ndarray:
-        if k not in range(config.M) or not 0 < count <= config.M - k:
-            raise ParameterError(
-                f"a block of {count!r} steps from level {k!r} does not lie within"
-                f" the levels 0 ... {config.M} of this run"
-            )
+        _check_block(k, count, config.M)
         terms = block(k, count)
         with np.errstate(over="ignore", invalid="ignore"):
             return advance(U, terms.T)
@@ -489,7 +493,7 @@ def cn_wsgd_run(problem: Problem1D, config: SolverConfig1D) -> Solution:
         exact = lambda k, count: on_grid(problem, "exact", xi[:, None], levels(k, count)).T
     norm = lambda V: np.sqrt(h * np.sum(V * V, axis=1))
     U, norm_history, running_max, error = march(
-        steps, _block_width(config), initial, config, norm, exact
+        steps, _block_width(config.N - 1, config.M), initial, config, norm, exact
     )
     t_final = config.M * config.tau
     values = np.empty(config.N + 1)

@@ -17,31 +17,28 @@ locally-one-dimensional variant:
                  only variant whose factorization error shows up in the
                  source handling.
 
-Each splitting is a factory ``stepper(problem, config)`` that checks its
+Each splitting is one factory ``stepper(problem, config)`` that checks its
 preconditions and does its setup once — directional operators, and each
-direction's half-step matrices — and returns ``step(U, t_n) -> U_next``,
-which reuses that setup across steps at any ``t_n``; :func:`run_2d` steps it
-through ``solve1d.march`` in blocks of one level.  Interior unknowns are stored as
-C-ordered arrays of shape ``(Nx-1, Ny-1)`` with the x index on axis 0, so a
-vectorization with x varying fastest corresponds to column-major flattening.
+direction's half-step matrices — and returns a block stepper ``steps(U, k,
+count)`` of ``solve1d.cn_stepper``'s contract: the levels ``k+1 ...
+k+count`` stepped from ``U`` at level ``k``, as the rows of one fresh
+C-ordered ``(count, Nx-1, Ny-1)`` buffer; :func:`run_2d` steps it through
+``solve1d.march``.  Interior unknowns are stored as C-ordered arrays of
+shape ``(Nx-1, Ny-1)`` with the x index on axis 0, so a vectorization with x
+varying fastest corresponds to column-major flattening.
 
 With ``a = tau/2``, setup forms the Cayley factor ``Cx = (I - a Dx)^-1
 (I + a Dx)`` (and ``Cy`` for ``lod``) and, for ``pr``, ``(I - a Dy)^-1``,
 once per run by one solve each through ``solve1d.solve``.  Each Cayley
 factor is a contraction, so these matrices are well conditioned, and a step
-is then two or three matrix products written into C-ordered work arrays
-allocated once per run: no triangular solve.  The rank-2 boundary-column
+is then two matrix products (the first ``pr`` step three, see
+:func:`pr_adi_stepper`) into C-ordered work arrays allocated once per run
+and its row of the block: no triangular solve.  The rank-2 boundary-column
 terms ride in a product, on two extra columns of one operand and two extra
-rows of the other, and a step's result is one fresh C-ordered product.  A
-``pr`` step's first product only rebuilds, from ``U``, the y-sweep product
-that the previous step left in its work array, so :func:`run_2d`, which
-steps each level from the one before, carries that array instead and makes
-two products a step after its first; the public ``step`` keeps no state
-between calls and makes three.  Grid callables are read through
-:func:`~wsgdiff.problems.on_grid`, on the
-broadcast axes ``x[:, None]``, ``y[None, :]`` of the interior or, for the
-y-lines and the Dirichlet data, of one pair of sides at a time, and only
-on the pairs a step or check uses.
+rows of the other.  Grid callables are read through
+:func:`~wsgdiff.problems.on_grid`, on the broadcast axes ``x[:, None]``,
+``y[None, :]`` of the interior or, for the y-lines and the Dirichlet data,
+of one pair of sides at a time, and only on the pairs a step or check uses.
 
 Boundary handling: Dirichlet data are read only on the run's own boundary
 nodes.  The factored scheme carries time-dependent data on the y-sides,
@@ -59,15 +56,14 @@ time (both maximum and grid-weighted L2), over interior nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import weights as wt
-from .errors import ParameterError, count_at_least
+from .errors import ParameterError, count_at_least, real_number
 from .operators import assemble_wsgd_matrix, boundary_columns
 from .problems import Problem2D, l2_norm, max_norm, on_grid
-from .solve1d import Solution, march, solve
+from .solve1d import BlockStepper, Solution, _block_width, _check_block, march, solve
 
 __all__ = [
     "SPLITTINGS",
@@ -81,9 +77,6 @@ __all__ = [
 #: Splitting strategies: the factored scheme under its three names, and the
 #: LOD scheme.
 SPLITTINGS = ("pr", "douglas", "dyakonov", "lod")
-
-#: One time step ``step(U, t_n) -> U_next`` of a set-up splitting.
-Stepper = Callable[[np.ndarray, float], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -110,8 +103,7 @@ class SolverConfig2D:
             raise ParameterError(
                 f"unknown splitting {self.splitting!r}; expected one of {SPLITTINGS!r}"
             )
-        if not (np.isfinite(self.T) and self.T > 0.0):
-            raise ParameterError(f"final time must be positive and finite, got {self.T}")
+        object.__setattr__(self, "T", real_number("final time T", self.T, positive=True))
 
     @property
     def tau(self) -> float:
@@ -129,8 +121,7 @@ def build_directional_operators(
     ``identity (x) Dx`` and ``Dy (x) identity`` under x-fastest vectorization
     and are applied row-/column-wise rather than materialized.
     """
-    hx = (problem.bx - problem.ax) / config.Nx
-    hy = (problem.by - problem.ay) / config.Ny
+    hx, hy, *_ = _grid(problem, config)
     ax_mat = assemble_wsgd_matrix(problem.alpha, config.scheme, config.Nx - 1).to_dense()
     ay_mat = assemble_wsgd_matrix(problem.beta, config.scheme, config.Ny - 1).to_dense()
     dx = (problem.x_left_diffusivity * ax_mat + problem.x_right_diffusivity * ax_mat.T) / (
@@ -192,8 +183,8 @@ def _sweeps(problem: Problem2D, config: SolverConfig2D):
     return cx, iy + a * dy, iy - a * dy, cols
 
 
-def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
-    """Set up the two-half-sweep splitting once; return its ``step(U, t_n)``.
+def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> BlockStepper:
+    """Set up the two-half-sweep splitting once; return its ``steps(U, k, count)``.
 
     Stage 1 solves ``(I - tau/2 dx) V = (I + tau/2 dy) U + tau/2 F`` down
     the x direction; stage 2 solves ``(I - tau/2 dy) U_next =
@@ -207,25 +198,14 @@ def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
     terms ``a g^T [cy0, cyN]^T`` join ``W`` and ``W2``; both ride in the
     second product, made on every step whatever the data.
 
-    The step is stateless: it makes all three products whatever ``U`` is.
-    :func:`run_2d`, which hands each step the state the previous one
-    returned, carries ``W2`` between steps instead and makes two.
-    """
-    advance = _pr_advance(problem, config)
-    return lambda U, t_n: advance(U, t_n, False)
-
-
-def _pr_advance(
-    problem: Problem2D, config: SolverConfig2D
-) -> Callable[[np.ndarray, float, bool], np.ndarray]:
-    """The set-up ``pr`` step as ``advance(U, t_n, carried)``.
-
     Since ``(I + a Dy) = 2I - (I - a Dy)`` and a step leaves ``W2/a =
     U_next (I - a Dy)^T / a`` in its work array, boundary terms included,
     the next step's ``W/a = 2U/a - W2/a + F`` is three elementwise passes
-    instead of the first product.  ``carried=True`` takes that path, and is
-    valid only when ``U`` is the untouched result of this ``advance``'s
-    previous call; ``carried=False`` makes the product.
+    instead of the first product.  That path steps a block after its first
+    step, and from the start of a block at the level where the last block
+    ended, which ``march`` hands that block's untouched last state; any
+    other block starts with the product.  The y-side data ``g`` are carried
+    alike, so each level is read once.
     """
     *_, X, Y, sides = _grid(problem, config)
     rule = "the factored scheme requires vanishing Dirichlet data on the x-boundaries"
@@ -239,29 +219,41 @@ def _pr_advance(
     last = a * solve(ay, np.eye(ny), "y-direction").T
     # stage 1's boundary term reaches stage 2 only through Cx, so both ride
     # in the second product: [Cx | G] @ [W/a; cols^T] = Cx W/a + G cols^T,
-    # with G = Cx g(t_n)^T + g(t_n + tau)^T on two extra columns
+    # with G = Cx g(k tau)^T + g((k+1) tau)^T on two extra columns
     cx_aug = np.hstack((cx, np.empty((nx, 2))))
     w_aug = np.vstack((np.empty((nx, ny)), cols.T))
     cx, g, w = cx_aug[:, :nx], cx_aug[:, nx:], w_aug[:nx]
     w2 = np.empty((nx, ny))
+    # the level where the last block ended, whose W2/a is in w2, and its data
+    end, g_now = None, None
 
-    def advance(U: np.ndarray, t_n: float, carried: bool) -> np.ndarray:
-        F = on_grid(problem, "source", X, Y, t_n + a)
-        g0, g1 = (on_grid(problem, "boundary", *sides["y"], t).T for t in (t_n, t_n + tau))
-        with np.errstate(over="ignore", invalid="ignore"):
-            if carried:
-                np.add(np.subtract(np.multiply(U, 2.0 / a, out=w), w2, out=w), F, out=w)
-            else:
-                np.add(np.matmul(U, first, out=w), F, out=w)
-            np.add(np.matmul(cx, g0, out=g), g1, out=g)
-            np.add(np.matmul(cx_aug, w_aug, out=w2), F, out=w2)
-            return w2 @ last
+    def steps(U: np.ndarray, k: int, count: int) -> np.ndarray:
+        nonlocal end, g_now
+        _check_block(k, count, config.M)
+        carry, end = k == end, None
+        if not carry:
+            g_now = on_grid(problem, "boundary", *sides["y"], k * tau).T
+        out = np.empty((count, nx, ny))
+        for j, row in zip(range(k, k + count), out):
+            F = on_grid(problem, "source", X, Y, j * tau + a)
+            g_next = on_grid(problem, "boundary", *sides["y"], (j + 1) * tau).T
+            with np.errstate(over="ignore", invalid="ignore"):
+                if carry:
+                    np.add(np.subtract(np.multiply(U, 2.0 / a, out=w), w2, out=w), F, out=w)
+                else:
+                    np.add(np.matmul(U, first, out=w), F, out=w)
+                np.add(np.matmul(cx, g_now, out=g), g_next, out=g)
+                np.add(np.matmul(cx_aug, w_aug, out=w2), F, out=w2)
+                U = np.matmul(w2, last, out=row)
+            carry, g_now = True, g_next
+        end = k + count
+        return out
 
-    return advance
+    return steps
 
 
-def lod_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
-    """Set up the fully decoupled splitting once; return its ``step(U, t_n)``.
+def lod_stepper(problem: Problem2D, config: SolverConfig2D) -> BlockStepper:
+    """Set up the fully decoupled splitting once; return its ``steps(U, k, count)``.
 
     Stage 1 solves ``(I - tau/2 dx) V = (I + tau/2 dx)(U + tau/2 F)`` down
     x; stage 2 solves ``(I - tau/2 dy) U_next = (I + tau/2 dy) V + tau/2
@@ -274,8 +266,9 @@ def lod_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
     + g_low (x) (I - a Dy)^-1 cy0 + g_high (x) (I - a Dy)^-1 cyN``, where
     ``g = a^2 (Cx f - f)`` on each boundary line: two products, the first
     sweeping the two lines ``f^T`` along with ``U + a F`` and the second
-    carrying the ``g`` terms on their two columns.  Requires one spacing for
-    both axes and fully homogeneous Dirichlet data.
+    carrying the ``g`` terms on their two columns.  A step keeps nothing
+    for the next, so a block may start at any level.  Requires one spacing
+    for both axes and fully homogeneous Dirichlet data.
     """
     hx, hy, _, _, X, Y, sides = _grid(problem, config)
     if abs(hx - hy) > 1e-13 * max(hx, hy):
@@ -287,63 +280,53 @@ def lod_stepper(problem: Problem2D, config: SolverConfig2D) -> Stepper:
     cx, ey, ay, cols = _sweeps(problem, config)
     # last = [Cy^T; (Ay^-1 cols)^T], with Cy = Ay^-1 Ey
     last = solve(ay, np.hstack((ey, cols)), "y-direction").T
-    a = 0.5 * config.tau
+    tau = config.tau
+    a = 0.5 * tau
     nx, ny = config.Nx - 1, config.Ny - 1
     af = np.empty((nx, ny))
     # [U + a F | f^T] swept by Cx into [V | Cx f^T]
     w_aug, v_aug = np.empty((2, nx, ny + 2))
 
-    def step(U: np.ndarray, t_n: float) -> np.ndarray:
-        t_mid = t_n + a
-        F = on_grid(problem, "source", X, Y, t_mid)
-        f = on_grid(problem, "source", *sides["y"], t_mid).T
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(F, a, out=af)
-            np.add(U, af, out=w_aug[:, :ny])
-            w_aug[:, ny:] = f
-            np.matmul(cx, w_aug, out=v_aug)
-            g = v_aug[:, ny:]
-            g -= f
-            g *= a * a
-            out = v_aug @ last
-            out += af
-            return out
+    def steps(U: np.ndarray, k: int, count: int) -> np.ndarray:
+        _check_block(k, count, config.M)
+        out = np.empty((count, nx, ny))
+        for j, row in zip(range(k, k + count), out):
+            t_mid = j * tau + a
+            F = on_grid(problem, "source", X, Y, t_mid)
+            f = on_grid(problem, "source", *sides["y"], t_mid).T
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.multiply(F, a, out=af)
+                np.add(U, af, out=w_aug[:, :ny])
+                w_aug[:, ny:] = f
+                np.matmul(cx, w_aug, out=v_aug)
+                g = v_aug[:, ny:]
+                g -= f
+                g *= a * a
+                U = np.add(np.matmul(v_aug, last, out=row), af, out=row)
+        return out
 
-    return step
-
-
-_STEPPERS: dict[str, Callable[[Problem2D, SolverConfig2D], Stepper]] = {
-    "pr": pr_adi_stepper,
-    "douglas": pr_adi_stepper,
-    "dyakonov": pr_adi_stepper,
-    "lod": lod_stepper,
-}
+    return steps
 
 
 def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution:
     """Integrate a 2D problem from its initial state to the final time.
 
-    A ``pr`` (``douglas``, ``dyakonov``) run makes two matrix products a step
-    after its first: each step starts from the state the previous one
-    returned, untouched, so the y-sweep product that step left behind stands
-    in for the first product (see :func:`pr_adi_stepper`).  Only this loop
-    knows that order of calls, so the carried product lives here and the
-    public steppers stay stateless.  Each level's norm is the grid-weighted
-    L2 norm of :func:`~wsgdiff.problems.l2_norm`, ``sqrt(hx hy sum U^2)``,
-    taken as one dot product of the state with itself, so it makes no
-    squared temporary; a non-finite state still gives a non-finite norm.
+    The splitting's block stepper goes straight to
+    :func:`~wsgdiff.solve1d.march`, in blocks of ``B`` levels with ``B
+    (Nx-1)(Ny-1) <= 2**15``: 8 at ``N = 64``, 2 at 128 and 1 from 256.
+    Each level's norm is the
+    grid-weighted L2 norm of :func:`~wsgdiff.problems.l2_norm`, ``sqrt(hx hy
+    sum U^2)``, taken as one dot product of the state with itself, so it
+    makes no squared temporary; a non-finite state still gives a non-finite
+    norm.
     """
-    if config.splitting == "lod":
-        step = lod_stepper(problem, config)
-        advance = lambda U, t_n, carried: step(U, t_n)
-    else:
-        advance = _pr_advance(problem, config)
+    factory = lod_stepper if config.splitting == "lod" else pr_adi_stepper
+    steps = factory(problem, config)
     hx, hy, x, y, X, Y, sides = _grid(problem, config)
     initial = lambda: np.array(on_grid(problem, "initial", X, Y))
-    # march hands block k > 0 the untouched state of block k - 1
-    steps = lambda U, k, count: advance(U, k * config.tau, k > 0)[None]
     norm = lambda V: [np.sqrt(hx * hy * np.vdot(S, S)) for S in V]
-    U, norm_history, _, _ = march(steps, 1, initial, config, norm)
+    width = _block_width((config.Nx - 1) * (config.Ny - 1), config.M)
+    U, norm_history, _, _ = march(steps, width, initial, config, norm)
     t_next = config.M * config.tau
     values = np.empty((config.Nx + 1, config.Ny + 1))
     values[1:-1, 1:-1] = U

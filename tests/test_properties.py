@@ -239,13 +239,13 @@ def _split_step_gap(data, stepper, nx, ny, bx, by, **oracle) -> float:
         Nx=nx, Ny=ny, M=data.draw(st.integers(1, 16)), T=data.draw(st.floats(0.1, 2.0))
     )
     u0 = data.draw(hnp.arrays(float, (nx - 1, ny - 1), elements=_UNIT))
-    t_n = data.draw(st.floats(0.0, 1.0))
+    level = data.draw(st.integers(0, cfg.M - 1))
     xg, yg = np.meshgrid(bx / nx * np.arange(1, nx), by / ny * np.arange(1, ny), indexing="ij")
     dx, dy = build_directional_operators(problem, cfg)
     want = kron_two_level_step(
-        dx, dy, u0, source(xg, yg, t_n + 0.5 * cfg.tau), cfg.tau, **oracle
+        dx, dy, u0, source(xg, yg, level * cfg.tau + 0.5 * cfg.tau), cfg.tau, **oracle
     )
-    got = stepper(problem, cfg)(u0, t_n)
+    got = stepper(problem, cfg)(u0, level, 1)[0]
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 

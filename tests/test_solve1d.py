@@ -312,6 +312,17 @@ def test_config_validation():
     assert SolverConfig1D(N=8, M=4, T=2.0).tau == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize(
+    "field,value,message",
+    [("T", "1", r"final time T .*'1' \(not a real"), ("theta", "0.5", r"theta .*'0.5' \(not a real")],
+    ids=["T", "theta"],
+)
+def test_non_real_config_values_name_the_field(field, value, message):
+    # these used to escape as numpy's TypeError from np.isfinite
+    with pytest.raises(ParameterError, match=message):
+        SolverConfig1D(N=8, M=2, **{field: value})
+
+
 def test_config_stores_integral_floats_as_int():
     # N=8.0 used to pass the checks and then fail the run with a TypeError
     # (slice indices), as did M=4.0 (in np.empty)
@@ -627,7 +638,7 @@ def test_run_samples_source_and_exact_once_a_block(M):
 
     p = dataclasses.replace(base, source=counted("source"), exact=counted("exact"))
     cfg = SolverConfig1D(N=33, M=M, T=0.7)
-    width = solve1d._block_width(cfg)
+    width = solve1d._block_width(cfg.N - 1, cfg.M)
     want = cn_wsgd_run(base, cfg)
     got = cn_wsgd_run(p, cfg)
     assert calls == {"source": -(-M // width), "exact": -(-M // width) + 1}
@@ -654,7 +665,7 @@ def test_dense_run_solves_once_a_block(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
     cfg = SolverConfig1D(N=64, M=1100)
     sol = cn_wsgd_run(make_example("ex3", 1.5), cfg)
-    assert solve1d._block_width(cfg) == 520
+    assert solve1d._block_width(cfg.N - 1, cfg.M) == 520
     assert contexts == ["time step"] and shapes == [(63, 63)]
     assert sol.max_err_final < 1e-4
 
@@ -778,22 +789,23 @@ def _spy_march(monkeypatch, module):
 def test_runs_free_the_initial_state_once_the_first_step_returns(monkeypatch, dim):
     # the runs used to pass march the initial array and keep their own
     # reference to it, one state array more for the whole run; level 0 is
-    # reduced on its own, before the first block
+    # reduced on its own, before the first block (two blocks of two levels)
     if dim == "1d":
         monkeypatch.setattr(solve1d, "_BLOCK_ENTRIES", 2 * 15)
         alive = _spy_march(monkeypatch, solve1d)
         cn_wsgd_run(make_example("ex2", 1.5), SolverConfig1D(N=16, M=4))
     else:
+        monkeypatch.setattr(solve1d, "_BLOCK_ENTRIES", 2 * 49)
         alive = _spy_march(monkeypatch, solve2d)
         run_2d(make_example("ex4"), SolverConfig2D(Nx=8, Ny=8, M=4))
-    blocks = 2 if dim == "1d" else 4
-    assert alive == [True, True] + [False] * (2 * blocks - 1)
+    assert alive == [True, True] + [False] * 3
 
 
 def test_2d_run_hands_no_block_a_view_into_several_states(monkeypatch):
     # level 0 used to be reduced with the first block by concatenating the
     # two states, and the second block stepped from a view into that buffer,
-    # which kept one extra state alive
+    # which kept one extra state alive; blocks of one level, as then
+    monkeypatch.setattr(solve1d, "_BLOCK_ENTRIES", 49)
     held = []
     march = solve2d.march
 
@@ -828,7 +840,7 @@ def test_run_reduces_norms_once_a_block(monkeypatch):
     monkeypatch.setattr(solve1d, "march", spy)
     cfg = SolverConfig1D(N=33, M=2049, T=0.7)
     sol = cn_wsgd_run(make_example("ex2", 1.5), cfg)
-    assert solve1d._block_width(cfg) == 1024
+    assert solve1d._block_width(cfg.N - 1, cfg.M) == 1024
     assert reductions == [1, 1024, 1024, 1]
     assert sol.norm_history.size == cfg.M + 1 and np.all(np.isfinite(sol.norm_history))
 
@@ -847,9 +859,17 @@ def test_non_finite_step_inside_a_block_is_named(monkeypatch, sampling, step):
         base, source=lambda x, t: np.where(t > 0.6, np.nan, base.source(x, t))
     )
     cfg = SolverConfig1D(N=16, M=8, source_sampling=sampling)
-    assert solve1d._block_width(cfg) == 3
+    assert solve1d._block_width(cfg.N - 1, cfg.M) == 3
     with pytest.raises(SolverError, match=step):
         cn_wsgd_run(p, cfg)
+
+
+def test_non_finite_initial_state_is_step_zero():
+    # level 0 used to go unchecked, so a NaN start was named as step 1
+    base = make_example("ex2", 1.5)
+    p = dataclasses.replace(base, initial=lambda x: np.full(np.shape(x), np.nan))
+    with pytest.raises(SolverError, match=r"step 0 \(t=0\.0\)"):
+        cn_wsgd_run(p, SolverConfig1D(N=8, M=4))
 
 
 @pytest.mark.parametrize(
@@ -883,10 +903,10 @@ def test_blocked_run_matches_a_run_of_narrow_blocks(monkeypatch, name, min_n, sa
     monkeypatch.setattr(solve1d, "_GS_MIN_N", min_n)
     problem = make_example(name, 1.5)
     cfg = SolverConfig1D(N=128, M=300, source_sampling=sampling)
-    assert solve1d._block_width(cfg) == 258
+    assert solve1d._block_width(cfg.N - 1, cfg.M) == 258
     blocked = cn_wsgd_run(problem, cfg)
     monkeypatch.setattr(solve1d, "_BLOCK_ENTRIES", cfg.N - 1)
-    assert solve1d._block_width(cfg) == 1
+    assert solve1d._block_width(cfg.N - 1, cfg.M) == 1
     stepped = cn_wsgd_run(problem, cfg)
     for field in ("values", "norm_history", "max_err_running", "max_err_final", "l2_err_final"):
         assert np.array_equal(getattr(blocked, field), getattr(stepped, field)), field

@@ -9,7 +9,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wsgdiff import solve2d
+from wsgdiff import solve1d, solve2d
 from wsgdiff import (
     P1Q0,
     ParameterError,
@@ -34,6 +34,8 @@ from oracles import (
     tridiag_second_difference,
 )
 from _tables import EX4
+
+_STEPPER = {"pr": pr_adi_stepper, "lod": lod_stepper}
 
 
 def _interior_grid(problem, nx, ny):
@@ -100,10 +102,10 @@ def test_adi_steps_match_independent_kron_oracle(step_fn):
     dx, dy = build_directional_operators(p, cfg)
     rng = np.random.default_rng(12)
     u0 = rng.standard_normal((7, 7))
-    t_n = 0.125
+    k = 1
     xg, yg = _interior_grid(p, 8, 8)
-    f_mid = p.source(xg, yg, t_n + 0.5 * cfg.tau)
-    got = step_fn(p, cfg)(u0, t_n)
+    f_mid = p.source(xg, yg, k * cfg.tau + 0.5 * cfg.tau)
+    got = step_fn(p, cfg)(u0, k, 1)[0]
     want = kron_two_level_step(dx, dy, u0, f_mid, cfg.tau)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
 
@@ -120,10 +122,10 @@ def test_lod_step_matches_corrected_kron_oracle():
     dx, dy = build_directional_operators(p, cfg)
     rng = np.random.default_rng(13)
     u0 = rng.standard_normal((7, 7))
-    t_n = 0.2
+    k = 2
     xg, yg = _interior_grid(p, 8, 8)
-    f_mid = p.source(xg, yg, t_n + 0.5 * cfg.tau)
-    got = lod_stepper(p, cfg)(u0, t_n)
+    f_mid = p.source(xg, yg, k * cfg.tau + 0.5 * cfg.tau)
+    got = lod_stepper(p, cfg)(u0, k, 1)[0]
     want = kron_two_level_step(dx, dy, u0, f_mid, cfg.tau, lod_source_correction=True)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
     # without the correction the two disagree beyond roundoff
@@ -141,7 +143,7 @@ def test_lod_boundary_sweep_matters_when_source_touches_boundary():
     u0 = np.zeros((7, 7))
     xg, yg = _interior_grid(p, 8, 8)
     f_mid = p.source(xg, yg, 0.5 * cfg.tau)
-    got = lod_stepper(p, cfg)(u0, 0.0)
+    got = lod_stepper(p, cfg)(u0, 0, 1)[0]
     naive = kron_two_level_step(dx, dy, u0, f_mid, cfg.tau, lod_source_correction=True)
     assert np.max(np.abs(got - naive)) > 1e-12
 
@@ -167,11 +169,11 @@ def test_lod_boundary_line_sweep_matches_dense_oracle(scheme, shifts):
     cfg = SolverConfig2D(Nx=n, Ny=n, M=5, scheme=scheme, splitting="lod")
     rng = np.random.default_rng(21)
     u0 = rng.standard_normal((n - 1, n - 1))
-    t_n = 0.4
+    k = 2
     h = 1.0 / n
     x = h * np.arange(1, n)[:, None]
     y_lines = h * np.arange(0, n + 1)[None, :]
-    f_lines = source(x, y_lines, t_n + 0.5 * cfg.tau)
+    f_lines = source(x, y_lines, k * cfg.tau + 0.5 * cfg.tau)
     assert np.min(np.abs(f_lines[:, [0, -1]])) > 0.1
     want = lod_boundary_swept_step(
         pair_weights_from_binomial(1.3, *shifts, n + 1),
@@ -185,7 +187,7 @@ def test_lod_boundary_line_sweep_matches_dense_oracle(scheme, shifts):
         f_lines,
         cfg.tau,
     )
-    got = lod_stepper(p, cfg)(u0, t_n)
+    got = lod_stepper(p, cfg)(u0, k, 1)[0]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
 
@@ -227,8 +229,8 @@ def test_pr_step_with_y_boundary_data_matches_dense_oracle(scheme, shifts, bound
     y_lines = np.array([[0.0, 2.0]])
     rng = np.random.default_rng(22)
     u0 = rng.standard_normal((nx - 1, ny - 1))
-    t_n = 0.4
-    g_now, g_next = boundary(x, y_lines, t_n), boundary(x, y_lines, t_n + cfg.tau)
+    k = 2
+    g_now, g_next = boundary(x, y_lines, k * cfg.tau), boundary(x, y_lines, (k + 1) * cfg.tau)
     assert np.max(np.abs(g_next)) > 0.1
     xg, yg = _interior_grid(p, nx, ny)
     want = pr_boundary_lines_step(
@@ -241,12 +243,12 @@ def test_pr_step_with_y_boundary_data_matches_dense_oracle(scheme, shifts, bound
         hx,
         hy,
         u0,
-        source(xg, yg, t_n + 0.5 * cfg.tau),
+        source(xg, yg, k * cfg.tau + 0.5 * cfg.tau),
         g_now,
         g_next,
         cfg.tau,
     )
-    got = pr_adi_stepper(p, cfg)(u0, t_n)
+    got = pr_adi_stepper(p, cfg)(u0, k, 1)[0]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
 
@@ -263,9 +265,69 @@ def test_steps_match_kron_oracle_at_the_largest_time_step(splitting):
     dx, dy = build_directional_operators(p, cfg)
     u0 = np.random.default_rng(16).standard_normal((15, 15))
     xg, yg = _interior_grid(p, 16, 16)
-    got = solve2d._STEPPERS[splitting](p, cfg)(u0, 0.0)
+    got = _STEPPER[splitting](p, cfg)(u0, 0, 1)[0]
     want = kron_two_level_step(
         dx, dy, u0, source(xg, yg, 0.5), cfg.tau, lod_source_correction=splitting == "lod"
+    )
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+
+def _y_vanishing_source(x, y, t):
+    return np.sin(np.pi * x) * (y * (1.0 - y)) ** 2 * (1.0 + t)
+
+
+@pytest.mark.parametrize("splitting", ["pr", "lod"])
+def test_continuation_block_matches_kron_oracle(splitting):
+    # a block that starts where the stepper's last one ended steps from that
+    # block's last state; for pr it takes the carried path
+    p = _custom_2d(alpha=1.4, beta=1.7, source=_y_vanishing_source, x_right_diffusivity=0.3)
+    # lod needs one spacing for both axes
+    cfg = SolverConfig2D(Nx=8, Ny=8 if splitting == "lod" else 10, M=6, splitting=splitting)
+    dx, dy = build_directional_operators(p, cfg)
+    steps = _STEPPER[splitting](p, cfg)
+    out = steps(np.random.default_rng(23).standard_normal((7, cfg.Ny - 1)), 2, 1)
+    got = steps(out[-1], 3, 1)[0]
+    xg, yg = _interior_grid(p, cfg.Nx, cfg.Ny)
+    f_mid = _y_vanishing_source(xg, yg, 3 * cfg.tau + 0.5 * cfg.tau)
+    want = kron_two_level_step(
+        dx, dy, out[-1], f_mid, cfg.tau, lod_source_correction=splitting == "lod"
+    )
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
+
+
+def test_pr_continuation_block_carries_the_y_boundary_data():
+    # the second block reuses the data its first step read at level 3
+    nx, ny = 10, 8
+    p = _custom_2d(
+        alpha=1.3,
+        beta=1.7,
+        boundary=_ramp_boundary,
+        by=2.0,
+        x_left_diffusivity=1.6,
+        x_right_diffusivity=0.2,
+        y_left_diffusivity=0.5,
+        y_right_diffusivity=1.1,
+    )
+    cfg = SolverConfig2D(Nx=nx, Ny=ny, M=5)
+    steps = pr_adi_stepper(p, cfg)
+    out = steps(np.random.default_rng(24).standard_normal((nx - 1, ny - 1)), 1, 2)
+    got = steps(out[-1], 3, 2)[0]
+    hx, hy = 1.0 / nx, 2.0 / ny
+    x, y_lines = hx * np.arange(1, nx)[:, None], np.array([[0.0, 2.0]])
+    want = pr_boundary_lines_step(
+        pair_weights_from_binomial(1.3, 1, 0, nx + 1),
+        pair_weights_from_binomial(1.7, 1, 0, ny + 1),
+        (1.6, 0.2),
+        (0.5, 1.1),
+        1.3,
+        1.7,
+        hx,
+        hy,
+        out[-1],
+        np.zeros((nx - 1, ny - 1)),
+        _ramp_boundary(x, y_lines, 3 * cfg.tau),
+        _ramp_boundary(x, y_lines, 4 * cfg.tau),
+        cfg.tau,
     )
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
@@ -286,10 +348,10 @@ def test_classical_limit_matches_heat_adi_oracle():
     cfg = SolverConfig2D(Nx=8, Ny=8, M=10)
     rng = np.random.default_rng(14)
     u0 = rng.standard_normal((7, 7))
-    t_n = 0.3
+    k = 3
     xg, yg = _interior_grid(p, 8, 8)
-    f_mid = p.source(xg, yg, t_n + 0.5 * cfg.tau)
-    got = pr_adi_stepper(p, cfg)(u0, t_n)
+    f_mid = p.source(xg, yg, k * cfg.tau + 0.5 * cfg.tau)
+    got = pr_adi_stepper(p, cfg)(u0, k, 1)[0]
     want = classical_pr_adi_heat_step(u0, f_mid, cfg.tau, 0.125, 0.125)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
 
@@ -326,13 +388,14 @@ def _skewed_problem():
 
 def _public_pr_levels(p, cfg):
     """The final interior state and the norm of every level, stepped level by
-    level through the public (stateless) ``pr`` stepper."""
-    step = pr_adi_stepper(p, cfg)
+    level on the three-product path: two ``pr`` steppers take turns, so no
+    block starts at the level where its stepper's last block ended."""
+    steppers = (pr_adi_stepper(p, cfg), pr_adi_stepper(p, cfg))
     hx, hy = (p.bx - p.ax) / cfg.Nx, (p.by - p.ay) / cfg.Ny
     U = np.array(p.initial(*_interior_grid(p, cfg.Nx, cfg.Ny)), dtype=float)
     norms = [np.sqrt(hx * hy * np.sum(U * U))]
     for k in range(cfg.M):
-        U = step(U, k * cfg.tau)
+        U = steppers[k % 2](U, k, 1)[0]
         norms.append(np.sqrt(hx * hy * np.sum(U * U)))
     return U, np.array(norms)
 
@@ -343,7 +406,7 @@ def _public_pr_levels(p, cfg):
 def test_pr_run_matches_stepping_the_public_stepper(case, nx, ny, M):
     # run_2d carries the y-sweep product W2 from one step into the next
     # instead of making the first product again; that differs from the
-    # public stepper by roundoff only, boundary-column terms included
+    # three-product step by roundoff only, boundary-column terms included
     p = make_example("ex4", 1.2, 1.8) if case == "ex4" else _skewed_problem()
     cfg = SolverConfig2D(Nx=nx, Ny=ny, M=M)
     sol = run_2d(p, cfg)
@@ -363,7 +426,7 @@ def test_lod_run_norms_are_the_l2_norms_of_its_levels(n, M):
     U = np.array(p.initial(*_interior_grid(p, n, n)), dtype=float)
     norms = [l2_norm(U, h, h)]
     for k in range(M):
-        U = step(U, k * cfg.tau)
+        U = step(U, k, 1)[0]
         norms.append(l2_norm(U, h, h))
     history = run_2d(p, cfg).norm_history
     assert np.max(np.abs(history - norms)) <= 1e-14 * max(norms)
@@ -385,8 +448,8 @@ def test_pr_run_norms_never_increase(alpha, beta, ratio):
 @pytest.mark.parametrize("M", [1, 2, 7])
 def test_pr_run_makes_one_product_a_step_after_the_first(monkeypatch, M):
     # an n-by-n product carries the first step's y-sweep; later steps
-    # reuse the previous step's W2, so a run makes M + 1, while the public
-    # stepper makes two every step (the solve against I - a Dy is an @)
+    # reuse the previous step's W2, so a run makes M + 1 besides the M
+    # solves against I - a Dy, while the three-product step makes three
     nx, ny = 8, 12
     shapes = []
     matmul = np.matmul
@@ -400,10 +463,44 @@ def test_pr_run_makes_one_product_a_step_after_the_first(monkeypatch, M):
     p = _skewed_problem()
     cfg = SolverConfig2D(Nx=nx, Ny=ny, M=M)
     run_2d(p, cfg)
-    assert shapes.count((nx - 1, ny - 1)) == M + 1
+    assert shapes.count((nx - 1, ny - 1)) == 2 * M + 1
     shapes.clear()
     _public_pr_levels(p, cfg)
-    assert shapes.count((nx - 1, ny - 1)) == 2 * M
+    assert shapes.count((nx - 1, ny - 1)) == 3 * M
+
+
+@pytest.mark.parametrize("splitting", ["pr", "lod"])
+def test_run_matches_a_run_of_blocks_of_one_level(monkeypatch, splitting):
+    # blocks of B = 16 levels (the whole run) against blocks of one level;
+    # the pr stepper carries W2 and the y-side data across blocks as within
+    p = make_example("ex4", 1.2, 1.8)
+    cfg = SolverConfig2D(Nx=16, Ny=16, M=16, splitting=splitting)
+    assert solve2d._block_width(15 * 15, cfg.M) == 16
+    blocked = run_2d(p, cfg)
+    monkeypatch.setattr(solve1d, "_BLOCK_ENTRIES", 15 * 15)
+    assert solve2d._block_width(15 * 15, cfg.M) == 1
+    stepped = run_2d(p, cfg)
+    for field in ("values", "norm_history", "max_err_final", "l2_err_final"):
+        assert np.array_equal(getattr(blocked, field), getattr(stepped, field)), field
+
+
+@pytest.mark.parametrize("entries", [7 * 11, 3 * 7 * 11, 2**15])
+def test_pr_run_reads_each_level_of_y_side_data_once(monkeypatch, entries):
+    # a step used to read the y-sides at t_n and t_n + tau, 3M + 3 reads a
+    # run with the x-side check and the final frame; now 2(M + 1) + 2, in
+    # blocks of 1, 3 and all 7 levels
+    calls = []
+    base = _skewed_problem()
+
+    def boundary(x, y, t):
+        calls.append(t)
+        return base.boundary(x, y, t)
+
+    monkeypatch.setattr(solve1d, "_BLOCK_ENTRIES", entries)
+    cfg = SolverConfig2D(Nx=8, Ny=12, M=7)
+    run_2d(dataclasses.replace(base, boundary=boundary), cfg)
+    assert len(calls) == 2 * (cfg.M + 1) + 2
+    assert sorted(set(calls)) == [k * cfg.tau for k in range(cfg.M + 1)]
 
 
 @pytest.mark.parametrize("splitting", solve2d.SPLITTINGS)
@@ -551,10 +648,10 @@ def test_callables_are_read_only_on_the_nodes_a_splitting_uses(splitting):
     p = dataclasses.replace(base, source=counted("source"), boundary=counted("boundary"))
     nx, ny = (8, 12) if splitting == "pr" else (8, 8)
     cfg = SolverConfig2D(Nx=nx, Ny=ny, M=3, splitting=splitting)
-    step = solve2d._STEPPERS[splitting](p, cfg)
+    steps = _STEPPER[splitting](p, cfg)
     setup = dict(points)
     points.update(source=0, boundary=0)
-    step(np.zeros((nx - 1, ny - 1)), cfg.tau)
+    first = steps(np.zeros((nx - 1, ny - 1)), 1, 1)
     x_sides, y_sides, interior = 2 * (ny + 1), 2 * (nx - 1), (nx - 1) * (ny - 1)
     if splitting == "pr":
         assert setup == {"source": 0, "boundary": (cfg.M + 1) * x_sides}
@@ -562,22 +659,27 @@ def test_callables_are_read_only_on_the_nodes_a_splitting_uses(splitting):
     else:
         assert setup == {"source": 0, "boundary": (cfg.M + 1) * (x_sides + y_sides)}
         assert points == {"source": interior + y_sides, "boundary": 0}
+    # a pr block that starts where the last one ended reads only the new level
+    points.update(source=0, boundary=0)
+    steps(first[-1], 2, 1)
+    y_reads = y_sides if splitting == "pr" else 0
+    assert points == {"source": interior + y_sides - y_reads, "boundary": y_reads}
 
 
 @pytest.mark.parametrize("splitting", ["pr", "lod"])
 def test_step_returns_a_fresh_c_ordered_array(splitting):
     p = make_example("ex4", 1.2, 1.8)
-    step = solve2d._STEPPERS[splitting](p, SolverConfig2D(Nx=12, Ny=12, M=4, splitting=splitting))
+    steps = _STEPPER[splitting](p, SolverConfig2D(Nx=12, Ny=12, M=4, splitting=splitting))
     U = np.random.default_rng(17).standard_normal((11, 11))
     kept = U.copy()
-    first = step(U, 0.25)
+    first = steps(U, 1, 1)
     np.testing.assert_array_equal(U, kept)
-    assert first.flags.c_contiguous and first.shape == (11, 11)
-    second = step(U, 0.25)
+    assert first.flags.c_contiguous and first.shape == (1, 11, 11)
+    second = steps(U, 1, 1)
     assert not np.shares_memory(first, second)
     np.testing.assert_array_equal(first, second)
-    step(first, 0.5)
-    np.testing.assert_array_equal(second, step(U, 0.25))
+    steps(first[-1], 2, 1)
+    np.testing.assert_array_equal(second, steps(U, 1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +769,25 @@ def test_non_finite_solution_raises_with_step_and_time(splitting):
         run_2d(p, SolverConfig2D(Nx=8, Ny=8, M=4, splitting=splitting))
 
 
+@pytest.mark.parametrize("splitting", ["pr", "lod"])
+def test_non_finite_initial_state_is_step_zero(splitting):
+    # level 0 used to go unchecked, so a NaN start was named as step 1
+    p = _custom_2d(initial=lambda x, y: np.full(np.broadcast(x, y).shape, np.nan))
+    with pytest.raises(SolverError, match=r"step 0 \(t=0\.0\)"):
+        run_2d(p, SolverConfig2D(Nx=8, Ny=8, M=4, splitting=splitting))
+
+
+@pytest.mark.parametrize("splitting", ["pr", "lod"])
+def test_2d_block_must_lie_within_the_run(splitting):
+    cfg = SolverConfig2D(Nx=8, Ny=8, M=4, splitting=splitting)
+    steps = _STEPPER[splitting](make_example("ex4", 1.2, 1.8), cfg)
+    U = np.zeros((7, 7))
+    assert steps(U, 3, 1).shape == (1, 7, 7)
+    for k, count in ((4, 1), (-1, 1), (0, 0), (2, 3), (0, 5)):
+        with pytest.raises(ParameterError, match=rf"block of {count} steps from level {k}"):
+            steps(U, k, count)
+
+
 @pytest.mark.parametrize("splitting", ["pr", "douglas", "dyakonov", "lod"])
 def test_steppers_check_their_own_preconditions(splitting):
     # each factory checks what its own scheme needs, whatever splitting the
@@ -681,7 +802,7 @@ def test_steppers_check_their_own_preconditions(splitting):
     with pytest.raises(ParameterError, match="fully homogeneous"):
         lod_stepper(y_data, cfg)
     for p in (skewed, y_data):
-        assert pr_adi_stepper(p, cfg)(np.zeros((7, 7)), 0.0).shape == (7, 7)
+        assert pr_adi_stepper(p, cfg)(np.zeros((7, 7)), 0, 1).shape == (1, 7, 7)
 
 
 def test_config_validation():
@@ -697,6 +818,12 @@ def test_config_validation():
         with pytest.raises(ParameterError, match="final time"):
             SolverConfig2D(Nx=8, Ny=8, M=2, T=T)
     assert SolverConfig2D(Nx=8, Ny=8, M=4, T=2.0).tau == pytest.approx(0.5)
+
+
+def test_non_real_final_time_names_the_field():
+    # it used to escape as numpy's TypeError from np.isfinite
+    with pytest.raises(ParameterError, match=r"final time T .*None \(not a real"):
+        SolverConfig2D(Nx=8, Ny=8, M=2, T=None)
 
 
 def test_config_stores_integral_floats_as_int():
