@@ -121,7 +121,8 @@ def build_directional_operators(
     ``identity (x) Dx`` and ``Dy (x) identity`` under x-fastest vectorization
     and are applied row-/column-wise rather than materialized.
     """
-    hx, hy, *_ = _grid(problem, config)
+    hx = (problem.bx - problem.ax) / config.Nx
+    hy = (problem.by - problem.ay) / config.Ny
     ax_mat = assemble_wsgd_matrix(problem.alpha, config.scheme, config.Nx - 1).to_dense()
     ay_mat = assemble_wsgd_matrix(problem.beta, config.scheme, config.Ny - 1).to_dense()
     dx = (problem.x_left_diffusivity * ax_mat + problem.x_right_diffusivity * ax_mat.T) / (
@@ -202,10 +203,11 @@ def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> BlockStepper:
     U_next (I - a Dy)^T / a`` in its work array, boundary terms included,
     the next step's ``W/a = 2U/a - W2/a + F`` is three elementwise passes
     instead of the first product.  That path steps a block after its first
-    step, and from the start of a block at the level where the last block
-    ended, which ``march`` hands that block's untouched last state; any
-    other block starts with the product.  The y-side data ``g`` are carried
-    alike, so each level is read once.
+    step, and a block that starts where the last block ended from that
+    block's own last row, as ``march`` hands it; any other block, from a copy
+    or another state, starts with the product.  The y-side data ``g`` are
+    carried under the same test, so a run reads each level once.  Stepping
+    from a returned row after writing into it is outside this contract.
     """
     *_, X, Y, sides = _grid(problem, config)
     rule = "the factored scheme requires vanishing Dirichlet data on the x-boundaries"
@@ -224,13 +226,15 @@ def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> BlockStepper:
     w_aug = np.vstack((np.empty((nx, ny)), cols.T))
     cx, g, w = cx_aug[:, :nx], cx_aug[:, nx:], w_aug[:nx]
     w2 = np.empty((nx, ny))
-    # the level where the last block ended, whose W2/a is in w2, and its data
-    end, g_now = None, None
+    # w2 holds W2/a and g_now the y-side data of the last row of prev, the
+    # last block returned, which ended at level end: carried only from that row
+    prev, end, g_now = None, None, None
 
     def steps(U: np.ndarray, k: int, count: int) -> np.ndarray:
-        nonlocal end, g_now
+        nonlocal prev, end, g_now
         _check_block(k, count, config.M)
-        carry, end = k == end, None
+        carry = k == end and getattr(U, "base", None) is prev
+        carry, end = carry and U.__array_interface__ == prev[-1].__array_interface__, None
         if not carry:
             g_now = on_grid(problem, "boundary", *sides["y"], k * tau).T
         out = np.empty((count, nx, ny))
@@ -246,7 +250,7 @@ def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> BlockStepper:
                 np.add(np.matmul(cx_aug, w_aug, out=w2), F, out=w2)
                 U = np.matmul(w2, last, out=row)
             carry, g_now = True, g_next
-        end = k + count
+        prev, end = out, k + count
         return out
 
     return steps

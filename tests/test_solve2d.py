@@ -295,6 +295,26 @@ def test_continuation_block_matches_kron_oracle(splitting):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
 
 
+@pytest.mark.parametrize("start", ["fresh", "edited", "first_row"])
+def test_pr_block_from_another_state_where_the_last_ended_matches_kron_oracle(start):
+    # the carried W2 belongs to the last row of the last block; a block that
+    # starts at the level where that block ended from any other state, a
+    # fresh one, an edited copy or another row of the block, makes the
+    # first product
+    p = make_example("ex4", 1.5, 1.3)
+    cfg = SolverConfig2D(Nx=8, Ny=10, M=6)
+    dx, dy = build_directional_operators(p, cfg)
+    rng = np.random.default_rng(25)
+    steps = pr_adi_stepper(p, cfg)
+    out = steps(rng.standard_normal((7, 9)), 1, 2)
+    U = {"fresh": rng.standard_normal((7, 9)), "edited": out[-1] + 1.0, "first_row": out[0]}
+    got = steps(U[start], 3, 1)[0]
+    xg, yg = _interior_grid(p, cfg.Nx, cfg.Ny)
+    f_mid = p.source(xg, yg, 3 * cfg.tau + 0.5 * cfg.tau)
+    want = kron_two_level_step(dx, dy, U[start], f_mid, cfg.tau)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
+
+
 def test_pr_continuation_block_carries_the_y_boundary_data():
     # the second block reuses the data its first step read at level 3
     nx, ny = 10, 8
@@ -388,14 +408,14 @@ def _skewed_problem():
 
 def _public_pr_levels(p, cfg):
     """The final interior state and the norm of every level, stepped level by
-    level on the three-product path: two ``pr`` steppers take turns, so no
-    block starts at the level where its stepper's last block ended."""
-    steppers = (pr_adi_stepper(p, cfg), pr_adi_stepper(p, cfg))
+    level on the three-product path: each block starts from a copy of the
+    last state, not from the row the stepper returned."""
+    steps = pr_adi_stepper(p, cfg)
     hx, hy = (p.bx - p.ax) / cfg.Nx, (p.by - p.ay) / cfg.Ny
     U = np.array(p.initial(*_interior_grid(p, cfg.Nx, cfg.Ny)), dtype=float)
     norms = [np.sqrt(hx * hy * np.sum(U * U))]
     for k in range(cfg.M):
-        U = steppers[k % 2](U, k, 1)[0]
+        U = steps(U.copy(), k, 1)[0]
         norms.append(np.sqrt(hx * hy * np.sum(U * U)))
     return U, np.array(norms)
 
@@ -669,7 +689,8 @@ def test_callables_are_read_only_on_the_nodes_a_splitting_uses(splitting):
 @pytest.mark.parametrize("splitting", ["pr", "lod"])
 def test_step_returns_a_fresh_c_ordered_array(splitting):
     p = make_example("ex4", 1.2, 1.8)
-    steps = _STEPPER[splitting](p, SolverConfig2D(Nx=12, Ny=12, M=4, splitting=splitting))
+    cfg = SolverConfig2D(Nx=12, Ny=12, M=4, splitting=splitting)
+    steps = _STEPPER[splitting](p, cfg)
     U = np.random.default_rng(17).standard_normal((11, 11))
     kept = U.copy()
     first = steps(U, 1, 1)
@@ -680,6 +701,8 @@ def test_step_returns_a_fresh_c_ordered_array(splitting):
     np.testing.assert_array_equal(first, second)
     steps(first[-1], 2, 1)
     np.testing.assert_array_equal(second, steps(U, 1, 1))
+    # from another state at the level where the last block ended, as fresh
+    np.testing.assert_array_equal(steps(U, 2, 1), _STEPPER[splitting](p, cfg)(U, 2, 1))
 
 
 # ---------------------------------------------------------------------------
