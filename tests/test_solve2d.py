@@ -276,42 +276,26 @@ def _y_vanishing_source(x, y, t):
     return np.sin(np.pi * x) * (y * (1.0 - y)) ** 2 * (1.0 + t)
 
 
+@pytest.mark.parametrize("start", ["last_row", "fresh", "edited", "first_row"])
 @pytest.mark.parametrize("splitting", ["pr", "lod"])
-def test_continuation_block_matches_kron_oracle(splitting):
-    # a block that starts where the stepper's last one ended steps from that
-    # block's last state; for pr it takes the carried path
+def test_continuation_block_matches_kron_oracle(splitting, start):
+    # a block that starts where the stepper's last one ended steps from the
+    # state it is handed: pr takes the carried path from that block's last
+    # row only, and makes the first product again from any other state, a
+    # fresh one, an edited copy or another row of the block
     p = _custom_2d(alpha=1.4, beta=1.7, source=_y_vanishing_source, x_right_diffusivity=0.3)
     # lod needs one spacing for both axes
     cfg = SolverConfig2D(Nx=8, Ny=8 if splitting == "lod" else 10, M=6, splitting=splitting)
     dx, dy = build_directional_operators(p, cfg)
     steps = _STEPPER[splitting](p, cfg)
-    out = steps(np.random.default_rng(23).standard_normal((7, cfg.Ny - 1)), 2, 1)
-    got = steps(out[-1], 3, 1)[0]
+    rng = np.random.default_rng(23)
+    out = steps(rng.standard_normal((7, cfg.Ny - 1)), 1, 2)
+    fresh = rng.standard_normal((7, cfg.Ny - 1))
+    U = dict(last_row=out[-1], fresh=fresh, edited=out[-1] + 1.0, first_row=out[0])[start]
+    got = steps(U, 3, 1)[0]
     xg, yg = _interior_grid(p, cfg.Nx, cfg.Ny)
     f_mid = _y_vanishing_source(xg, yg, 3 * cfg.tau + 0.5 * cfg.tau)
-    want = kron_two_level_step(
-        dx, dy, out[-1], f_mid, cfg.tau, lod_source_correction=splitting == "lod"
-    )
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
-
-
-@pytest.mark.parametrize("start", ["fresh", "edited", "first_row"])
-def test_pr_block_from_another_state_where_the_last_ended_matches_kron_oracle(start):
-    # the carried W2 belongs to the last row of the last block; a block that
-    # starts at the level where that block ended from any other state, a
-    # fresh one, an edited copy or another row of the block, makes the
-    # first product
-    p = make_example("ex4", 1.5, 1.3)
-    cfg = SolverConfig2D(Nx=8, Ny=10, M=6)
-    dx, dy = build_directional_operators(p, cfg)
-    rng = np.random.default_rng(25)
-    steps = pr_adi_stepper(p, cfg)
-    out = steps(rng.standard_normal((7, 9)), 1, 2)
-    U = {"fresh": rng.standard_normal((7, 9)), "edited": out[-1] + 1.0, "first_row": out[0]}
-    got = steps(U[start], 3, 1)[0]
-    xg, yg = _interior_grid(p, cfg.Nx, cfg.Ny)
-    f_mid = p.source(xg, yg, 3 * cfg.tau + 0.5 * cfg.tau)
-    want = kron_two_level_step(dx, dy, U[start], f_mid, cfg.tau)
+    want = kron_two_level_step(dx, dy, U, f_mid, cfg.tau, lod_source_correction=splitting == "lod")
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
 
 
