@@ -21,7 +21,8 @@ Module map:
   negative-definiteness certification;
 - :mod:`wsgdiff.problems`  — benchmark catalog, norms, convergence rates;
 - :mod:`wsgdiff.solve1d`   — steady third-order solve, the theta-weighted
-  stepper, the one time loop ``march`` and the ``Solution`` record;
+  stepper, the one time loop ``march`` over a stepper's generator of blocks
+  of levels, and the ``Solution`` record;
 - :mod:`wsgdiff.solve2d`   — one block-stepper factory per splitting, set up
   once per run (one factored ADI scheme under three names, and LOD);
 - :mod:`wsgdiff.cli`       — the ``wsgdiff`` command.

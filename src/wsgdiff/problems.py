@@ -33,7 +33,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import weights as wt
-from .errors import ParameterError
+from .errors import ParameterError, real_number
 
 __all__ = [
     "ExampleId",
@@ -78,10 +78,14 @@ def on_grid(problem: "Problem1D | Problem2D", name: str, *axes) -> np.ndarray:
     result that does not broadcast to that shape is a :class:`ParameterError`
     naming the callable and both shapes, and so is a result with some of the
     axes but not all of them, which would broadcast along the missing axes
-    whatever it holds.  A 0-d result (a constant) fills the grid.
+    whatever it holds.  A 0-d result (a constant) fills the grid.  A result
+    that is not real numbers (complex, text) is a :class:`ParameterError` too.
     """
     shape = np.broadcast_shapes(*map(np.shape, axes))
-    value = np.asarray(getattr(problem, name)(*axes), dtype=float)
+    value = np.asarray(getattr(problem, name)(*axes))
+    if value.dtype.kind not in "biuf":
+        raise ParameterError(f"problem.{name} returned {value.dtype} values, not real numbers")
+    value = value.astype(float, copy=False)
     if value.ndim in (0, len(shape)):
         try:
             return np.broadcast_to(value, shape)
@@ -91,6 +95,14 @@ def on_grid(problem: "Problem1D | Problem2D", name: str, *axes) -> np.ndarray:
         f"problem.{name} returned shape {value.shape}, which does not broadcast to"
         f" {shape}, the broadcast shape of its arguments {[np.shape(a) for a in axes]}"
     )
+
+
+def _store_reals(record, *names: str) -> None:
+    """Store each field ``names`` of the frozen ``record`` as a float, through
+    :func:`~wsgdiff.errors.real_number`: a non-real or non-finite value is a
+    :class:`ParameterError` naming the field."""
+    for name in names:
+        object.__setattr__(record, name, real_number(f"problem.{name}", getattr(record, name)))
 
 
 @dataclass(frozen=True)
@@ -135,20 +147,19 @@ class Problem1D:
     allow_nonzero_boundary: bool = False
 
     def __post_init__(self) -> None:
-        wt._check_alpha(self.alpha, 1.0, 2.0)
-        if not (np.isfinite([self.a, self.b]).all() and self.b > self.a):
-            raise ParameterError(f"domain must be finite with b > a, got [{self.a}, {self.b}]")
+        object.__setattr__(self, "alpha", wt._check_alpha(self.alpha, 1.0, 2.0))
+        _store_reals(self, "a", "b")
+        if not self.b > self.a:
+            raise ParameterError(f"domain must have b > a, got [{self.a}, {self.b}]")
         lcall = callable(self.left_diffusivity)
         rcall = callable(self.right_diffusivity)
         if lcall != rcall:
             raise ParameterError("diffusivities must be both constants or both callables")
         if not lcall:
-            kl = float(self.left_diffusivity)
-            kr = float(self.right_diffusivity)
-            if not (0.0 <= kl < np.inf and 0.0 <= kr < np.inf):
-                raise ParameterError(
-                    f"diffusivities must be nonnegative and finite, got {kl} and {kr}"
-                )
+            _store_reals(self, "left_diffusivity", "right_diffusivity")
+            kl, kr = self.left_diffusivity, self.right_diffusivity
+            if not (kl >= 0.0 and kr >= 0.0):
+                raise ParameterError(f"diffusivities must be nonnegative, got {kl} and {kr}")
             if kl == 0.0 and kr == 0.0:
                 raise ParameterError("at least one diffusivity must be positive")
         if not self.steady and self.initial is None:
@@ -175,7 +186,7 @@ class Problem1D:
         if self.allow_nonzero_boundary:
             return g
         lcall = callable(self.left_diffusivity)
-        active = [lcall or float(k) != 0.0 for k in (self.left_diffusivity, self.right_diffusivity)]
+        active = [lcall or k != 0.0 for k in (self.left_diffusivity, self.right_diffusivity)]
         for side, on, data in zip(("left", "right"), active, g):
             bad = np.flatnonzero(~(np.abs(data) <= 1e-14)) if on else []
             if len(bad):
@@ -201,8 +212,8 @@ class Problem1D:
                     "variable diffusivities must be finite and nonnegative on the grid"
                 )
         else:
-            dl = np.full_like(np.asarray(x, dtype=float), float(self.left_diffusivity))
-            dr = np.full_like(np.asarray(x, dtype=float), float(self.right_diffusivity))
+            dl = np.full_like(np.asarray(x, dtype=float), self.left_diffusivity)
+            dr = np.full_like(np.asarray(x, dtype=float), self.right_diffusivity)
         return dl, dr
 
 
@@ -238,19 +249,17 @@ class Problem2D:
     by: float = 1.0
 
     def __post_init__(self) -> None:
-        wt._check_alpha(self.alpha, 1.0, 2.0)
-        wt._check_alpha(self.beta, 1.0, 2.0)
-        ends = [self.ax, self.bx, self.ay, self.by]
-        if not (np.isfinite(ends).all() and self.bx > self.ax and self.by > self.ay):
-            raise ParameterError(f"domain must be finite with bx > ax and by > ay, got {ends}")
-        for label, k in (
-            ("x_left", self.x_left_diffusivity),
-            ("x_right", self.x_right_diffusivity),
-            ("y_left", self.y_left_diffusivity),
-            ("y_right", self.y_right_diffusivity),
-        ):
-            if not 0.0 <= float(k) < np.inf:
-                raise ParameterError(f"{label} diffusivity must be nonnegative and finite, got {k}")
+        for name in ("alpha", "beta"):
+            object.__setattr__(self, name, wt._check_alpha(getattr(self, name), 1.0, 2.0))
+        sides = ("x_left", "x_right", "y_left", "y_right")
+        _store_reals(self, "ax", "bx", "ay", "by", *(f"{side}_diffusivity" for side in sides))
+        if not (self.bx > self.ax and self.by > self.ay):
+            ends = [self.ax, self.bx, self.ay, self.by]
+            raise ParameterError(f"domain must have bx > ax and by > ay, got {ends}")
+        for side in sides:
+            k = getattr(self, f"{side}_diffusivity")
+            if not k >= 0.0:
+                raise ParameterError(f"{side} diffusivity must be nonnegative, got {k}")
         if self.x_left_diffusivity == 0.0 and self.x_right_diffusivity == 0.0:
             raise ParameterError("x direction needs at least one positive diffusivity")
         if self.y_left_diffusivity == 0.0 and self.y_right_diffusivity == 0.0:

@@ -10,9 +10,9 @@ Two entry points cover the 1D catalog, and both return a :class:`Solution`:
   constant or variable diffusivities, using second-order shifted weights in
   space and a theta-weighted two-level scheme in time (theta = 1/2 is the
   trapezoidal scheme used for all reference tables).  It is
-  :func:`cn_stepper`, whose block stepper ``steps(U, k, count)`` takes the
-  levels ``k+1 ... k+count`` at once, stepped by :func:`march`, the one
-  time loop of every 1D and 2D run.
+  :func:`cn_stepper`, whose block stepper ``steps(U, k)`` yields the levels
+  ``k+1 ... M`` a block at a time, iterated by :func:`march`, the one time
+  loop of every 1D and 2D run.
 
 The steady solve is one dense partial-pivoting LU solve.  The time
 stepper sets up its two step matrices ``L = I - theta*B`` (implicit) and
@@ -36,11 +36,11 @@ Cayley form.  The backend is chosen from the input alone:
 
 Everything a step needs besides ``U`` is known before the run starts, so a
 run, 1D or 2D, steps a block of ``B`` levels a pass, with ``B*n <= 2**15``
-on ``n`` unknowns a state.  A 1D run reads its boundary data once per level
-and samples its source (and, for the running error, the exact solution) for
-a block in one call on the broadcast axes ``x[:, None]``, ``t[None, :]``;
-the block's states, written into one ``(B, n)`` buffer, get their norms and
-running error in one reduction each.  Every grid callable is read through
+on ``n`` unknowns a state (:func:`_blocks`).  A 1D run reads its boundary
+data once per level and samples its source (and, for the running error, the
+exact solution) for a block in one call on the broadcast axes ``x[:, None]``,
+``t[None, :]``; the block's states, written into one ``(B, n)`` buffer, get
+their norms and running error in one reduction each.  Every grid callable is read through
 :func:`~wsgdiff.problems.on_grid`.  All linear algebra is numpy's.
 
 Error-norm conventions (matching the reference convergence tables): the
@@ -54,7 +54,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from numbers import Integral
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -92,10 +93,11 @@ _BLOCK_ENTRIES = 2**15
 #: as the rows of one C-ordered ``(count, n)`` buffer.
 Advance = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-#: ``steps(U, k, count)`` of a set-up scheme: the states of the levels ``k+1
-#: ... k+count`` stepped from ``U`` at level ``k``, as the rows of one
-#: C-ordered ``(count, *U.shape)`` buffer.
-BlockStepper = Callable[[np.ndarray, int, int], np.ndarray]
+#: ``steps(U, k)`` of a set-up scheme: a generator of the states of the levels
+#: ``k+1 ... M`` stepped from ``U`` at level ``k``, as the rows of read-only
+#: C-ordered ``(count, *U.shape)`` blocks of :func:`_blocks`.  Each call owns
+#: what it carries from step to step.
+BlockStepper = Callable[[np.ndarray, int], Iterator[np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -306,7 +308,7 @@ def _gs_steps(problem: Problem1D, config: SolverConfig1D) -> Callable[[np.ndarra
     n = config.N - 1
     theta = config.theta
     A = assemble_wsgd_matrix(problem.alpha, config.scheme, n)
-    kl, kr = float(problem.left_diffusivity), float(problem.right_diffusivity)
+    kl, kr = problem.left_diffusivity, problem.right_diffusivity
     scale = config.tau / h**problem.alpha
     b_col = scale * (kl * A.first_col + kr * A.first_row)
     b_row = scale * (kl * A.first_row + kr * A.first_col)
@@ -355,35 +357,27 @@ def _cn_steps(problem: Problem1D, config: SolverConfig1D) -> Advance:
     return _dense_steps(problem, config)
 
 
-def _block_width(entries: int, M: int) -> int:
-    """Levels of one block of states of ``entries`` floats each: ``B*entries
-    <= _BLOCK_ENTRIES``, at least 1, at most ``M``."""
-    return max(1, min(M, _BLOCK_ENTRIES // entries))
-
-
-def _check_block(k: int, count: int, M: int) -> None:
-    """A block of ``count`` steps must start at a level ``0 <= k < M`` and end
-    by level ``M``: any other is a :class:`ParameterError`."""
-    if k not in range(M) or not 0 < count <= M - k:
-        raise ParameterError(
-            f"a block of {count!r} steps from level {k!r} does not lie within"
-            f" the levels 0 ... {M} of this run"
-        )
+def _blocks(k: int, M: int, entries: int) -> Iterator[tuple[int, int]]:
+    """``(start, count)`` of each block of the levels ``k+1 ... M`` of states of
+    ``entries`` floats each, ``count*entries <= _BLOCK_ENTRIES`` or one level;
+    a start outside ``0 <= k < M`` is a :class:`ParameterError`, at the call."""
+    if not (isinstance(k, Integral) and 0 <= k < M):
+        raise ParameterError(f"a run of levels 0 ... {M} cannot step from level {k!r}")
+    width = max(1, _BLOCK_ENTRIES // entries)
+    return ((start, min(width, M - start)) for start in range(k, M, width))
 
 
 def march(
     steps: BlockStepper,
-    width: int,
     initial: Callable[[], np.ndarray],
     config,
     norm: Callable[[np.ndarray], np.ndarray],
     exact: Optional[Callable[[int, int], np.ndarray]] = None,
 ) -> tuple[np.ndarray, np.ndarray, Optional[float], Optional[np.ndarray]]:
     """Step the state ``initial()`` from ``t = 0`` through the ``config.M``
-    steps of a 1D or 2D run, in blocks ``steps(U, k, count)`` of at most
-    ``width`` levels; the loop holds the only reference to that first state,
-    so it is freed once the first block returns, and each block's buffer
-    once the next block returns.
+    steps of a 1D or 2D run, one block of ``steps(U, 0)`` at a time; the loop
+    holds the only reference to that first state, so it is freed once the
+    first block returns, and each block once the next block returns.
 
     ``norm`` maps a ``(count, *U.shape)`` block of states to their
     ``count`` norms, and ``exact(k, count)``, if given, gives the exact
@@ -416,16 +410,16 @@ def march(
 
     levels = initial()[None]
     expected = reduce(levels, 0)
-    for k in range(0, config.M, width):
-        count = min(width, config.M - k)
-        levels = steps(levels[-1], k, count)
-        expected = reduce(levels, k + 1)
+    k = 1
+    for levels in steps(levels[-1], 0):
+        expected = reduce(levels, k)
+        k += len(levels)
     error = None if exact is None else levels[-1] - expected[-1]
     return levels[-1], norm_history, running_max, error
 
 
 def cn_stepper(problem: Problem1D, config: SolverConfig1D) -> BlockStepper:
-    """Set up the theta-weighted scheme once; return its ``steps(U, k, count)``.
+    """Set up the theta-weighted scheme once; return its ``steps(U, k)``.
 
     Each step solves ``(I - theta*B) U_next = (I + (1-theta)*B) U + tau*F +
     boundary terms`` with the system set up once by :func:`_cn_steps`.  The
@@ -435,11 +429,10 @@ def cn_stepper(problem: Problem1D, config: SolverConfig1D) -> BlockStepper:
     boundary terms`` at once, the source in one call at levels ``k*tau``
     (``"average"``) or ``k*tau + tau/2`` (``"midpoint"``), and hands them to
     the backend's ``advance``, which writes each state into its row of the
-    returned buffer.
+    yielded block.
     The steps run under ``np.errstate``, so a blow-up is left to
     :func:`march` to name; the sampling runs outside it, so a problem
-    callable's own warnings still show.  A block must start at a level ``0
-    <= k < M`` and end by level ``M`` (:func:`_check_block`).
+    callable's own warnings still show.
     """
     if problem.steady:
         raise ParameterError("time stepping expects a time-dependent problem")
@@ -473,11 +466,14 @@ def cn_stepper(problem: Problem1D, config: SolverConfig1D) -> BlockStepper:
         mix = theta * data[:, 1:] + (1.0 - theta) * data[:, :-1]
         return tau * fv + scale * (col_a * mix[0] + col_b * mix[1])
 
-    def steps(U: np.ndarray, k: int, count: int) -> np.ndarray:
-        _check_block(k, count, config.M)
-        terms = block(k, count)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return advance(U, terms.T)
+    def steps(U: np.ndarray, k: int) -> Iterator[np.ndarray]:
+        for start, count in _blocks(k, config.M, n):
+            terms = block(start, count)
+            with np.errstate(over="ignore", invalid="ignore"):
+                levels = advance(U, terms.T)
+            levels.flags.writeable = False
+            U = levels[-1]
+            yield levels
 
     return steps
 
@@ -492,9 +488,7 @@ def cn_wsgd_run(problem: Problem1D, config: SolverConfig1D) -> Solution:
         levels = lambda k, count: config.tau * np.arange(k, k + count)[None, :]
         exact = lambda k, count: on_grid(problem, "exact", xi[:, None], levels(k, count)).T
     norm = lambda V: np.sqrt(h * np.sum(V * V, axis=1))
-    U, norm_history, running_max, error = march(
-        steps, _block_width(config.N - 1, config.M), initial, config, norm, exact
-    )
+    U, norm_history, running_max, error = march(steps, initial, config, norm, exact)
     t_final = config.M * config.tau
     values = np.empty(config.N + 1)
     values[1:-1] = U

@@ -19,10 +19,10 @@ locally-one-dimensional variant:
 
 Each splitting is one factory ``stepper(problem, config)`` that checks its
 preconditions and does its setup once — directional operators, and each
-direction's half-step matrices — and returns a block stepper ``steps(U, k,
-count)`` of ``solve1d.cn_stepper``'s contract: the levels ``k+1 ...
-k+count`` stepped from ``U`` at level ``k``, as the rows of one fresh
-C-ordered ``(count, Nx-1, Ny-1)`` buffer; :func:`run_2d` steps it through
+direction's half-step matrices — and returns a block stepper ``steps(U, k)``
+of ``solve1d.cn_stepper``'s contract: a generator of the levels ``k+1 ...
+M`` stepped from ``U`` at level ``k``, as the rows of read-only C-ordered
+``(count, Nx-1, Ny-1)`` blocks; :func:`run_2d` hands it to
 ``solve1d.march``.  Interior unknowns are stored as C-ordered arrays of
 shape ``(Nx-1, Ny-1)`` with the x index on axis 0, so a vectorization with x
 varying fastest corresponds to column-major flattening.
@@ -56,6 +56,7 @@ time (both maximum and grid-weighted L2), over interior nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -63,7 +64,7 @@ from . import weights as wt
 from .errors import ParameterError, count_at_least, real_number
 from .operators import assemble_wsgd_matrix, boundary_columns
 from .problems import Problem2D, l2_norm, max_norm, on_grid
-from .solve1d import BlockStepper, Solution, _block_width, _check_block, march, solve
+from .solve1d import BlockStepper, Solution, _blocks, march, solve
 
 __all__ = [
     "SPLITTINGS",
@@ -185,7 +186,7 @@ def _sweeps(problem: Problem2D, config: SolverConfig2D):
 
 
 def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> BlockStepper:
-    """Set up the two-half-sweep splitting once; return its ``steps(U, k, count)``.
+    """Set up the two-half-sweep splitting once; return its ``steps(U, k)``.
 
     Stage 1 solves ``(I - tau/2 dx) V = (I + tau/2 dy) U + tau/2 F`` down
     the x direction; stage 2 solves ``(I - tau/2 dy) U_next =
@@ -202,12 +203,9 @@ def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> BlockStepper:
     Since ``(I + a Dy) = 2I - (I - a Dy)`` and a step leaves ``W2/a =
     U_next (I - a Dy)^T / a`` in its work array, boundary terms included,
     the next step's ``W/a = 2U/a - W2/a + F`` is three elementwise passes
-    instead of the first product.  That path steps a block after its first
-    step, and a block that starts where the last block ended from that
-    block's own last row, as ``march`` hands it; any other block, from a copy
-    or another state, starts with the product.  The y-side data ``g`` are
-    carried under the same test, so a run reads each level once.  Stepping
-    from a returned row after writing into it is outside this contract.
+    instead of the first product.  ``W2`` and the y-side data ``g`` of the
+    last level are carried by one call of ``steps``, which starts with the
+    product, so a run reads each level of ``g`` once.
     """
     *_, X, Y, sides = _grid(problem, config)
     rule = "the factored scheme requires vanishing Dirichlet data on the x-boundaries"
@@ -221,43 +219,39 @@ def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> BlockStepper:
     last = a * solve(ay, np.eye(ny), "y-direction").T
     # stage 1's boundary term reaches stage 2 only through Cx, so both ride
     # in the second product: [Cx | G] @ [W/a; cols^T] = Cx W/a + G cols^T,
-    # with G = Cx g(k tau)^T + g((k+1) tau)^T on two extra columns
+    # with G = Cx g(k tau)^T + g((k+1) tau)^T on two extra columns; a step
+    # writes both before it reads them, so calls of steps may share them
     cx_aug = np.hstack((cx, np.empty((nx, 2))))
     w_aug = np.vstack((np.empty((nx, ny)), cols.T))
     cx, g, w = cx_aug[:, :nx], cx_aug[:, nx:], w_aug[:nx]
-    w2 = np.empty((nx, ny))
-    # w2 holds W2/a and g_now the y-side data of the last row of prev, the
-    # last block returned, which ended at level end: carried only from that row
-    prev, end, g_now = None, None, None
 
-    def steps(U: np.ndarray, k: int, count: int) -> np.ndarray:
-        nonlocal prev, end, g_now
-        _check_block(k, count, config.M)
-        carry = k == end and getattr(U, "base", None) is prev
-        carry, end = carry and U.__array_interface__ == prev[-1].__array_interface__, None
-        if not carry:
-            g_now = on_grid(problem, "boundary", *sides["y"], k * tau).T
-        out = np.empty((count, nx, ny))
-        for j, row in zip(range(k, k + count), out):
-            F = on_grid(problem, "source", X, Y, j * tau + a)
-            g_next = on_grid(problem, "boundary", *sides["y"], (j + 1) * tau).T
-            with np.errstate(over="ignore", invalid="ignore"):
-                if carry:
-                    np.add(np.subtract(np.multiply(U, 2.0 / a, out=w), w2, out=w), F, out=w)
-                else:
-                    np.add(np.matmul(U, first, out=w), F, out=w)
-                np.add(np.matmul(cx, g_now, out=g), g_next, out=g)
-                np.add(np.matmul(cx_aug, w_aug, out=w2), F, out=w2)
-                U = np.matmul(w2, last, out=row)
-            carry, g_now = True, g_next
-        prev, end = out, k + count
-        return out
+    def steps(U: np.ndarray, k: int) -> Iterator[np.ndarray]:
+        blocks = _blocks(k, config.M, nx * ny)  # checks k before any read
+        # w2 holds W2/a, and g_now the y-side data of the level of U
+        w2, carry = np.empty((nx, ny)), False
+        g_now = on_grid(problem, "boundary", *sides["y"], k * tau).T
+        for start, count in blocks:
+            out = np.empty((count, nx, ny))
+            for j, row in zip(range(start, start + count), out):
+                F = on_grid(problem, "source", X, Y, j * tau + a)
+                g_next = on_grid(problem, "boundary", *sides["y"], (j + 1) * tau).T
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if carry:
+                        np.add(np.subtract(np.multiply(U, 2.0 / a, out=w), w2, out=w), F, out=w)
+                    else:
+                        np.add(np.matmul(U, first, out=w), F, out=w)
+                    np.add(np.matmul(cx, g_now, out=g), g_next, out=g)
+                    np.add(np.matmul(cx_aug, w_aug, out=w2), F, out=w2)
+                    U = np.matmul(w2, last, out=row)
+                carry, g_now = True, g_next
+            out.flags.writeable = False
+            yield out
 
     return steps
 
 
 def lod_stepper(problem: Problem2D, config: SolverConfig2D) -> BlockStepper:
-    """Set up the fully decoupled splitting once; return its ``steps(U, k, count)``.
+    """Set up the fully decoupled splitting once; return its ``steps(U, k)``.
 
     Stage 1 solves ``(I - tau/2 dx) V = (I + tau/2 dx)(U + tau/2 F)`` down
     x; stage 2 solves ``(I - tau/2 dy) U_next = (I + tau/2 dy) V + tau/2
@@ -270,8 +264,7 @@ def lod_stepper(problem: Problem2D, config: SolverConfig2D) -> BlockStepper:
     + g_low (x) (I - a Dy)^-1 cy0 + g_high (x) (I - a Dy)^-1 cyN``, where
     ``g = a^2 (Cx f - f)`` on each boundary line: two products, the first
     sweeping the two lines ``f^T`` along with ``U + a F`` and the second
-    carrying the ``g`` terms on their two columns.  A step keeps nothing
-    for the next, so a block may start at any level.  Requires one spacing
+    carrying the ``g`` terms on their two columns.  Requires one spacing
     for both axes and fully homogeneous Dirichlet data.
     """
     hx, hy, _, _, X, Y, sides = _grid(problem, config)
@@ -291,23 +284,24 @@ def lod_stepper(problem: Problem2D, config: SolverConfig2D) -> BlockStepper:
     # [U + a F | f^T] swept by Cx into [V | Cx f^T]
     w_aug, v_aug = np.empty((2, nx, ny + 2))
 
-    def steps(U: np.ndarray, k: int, count: int) -> np.ndarray:
-        _check_block(k, count, config.M)
-        out = np.empty((count, nx, ny))
-        for j, row in zip(range(k, k + count), out):
-            t_mid = j * tau + a
-            F = on_grid(problem, "source", X, Y, t_mid)
-            f = on_grid(problem, "source", *sides["y"], t_mid).T
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.multiply(F, a, out=af)
-                np.add(U, af, out=w_aug[:, :ny])
-                w_aug[:, ny:] = f
-                np.matmul(cx, w_aug, out=v_aug)
-                g = v_aug[:, ny:]
-                g -= f
-                g *= a * a
-                U = np.add(np.matmul(v_aug, last, out=row), af, out=row)
-        return out
+    def steps(U: np.ndarray, k: int) -> Iterator[np.ndarray]:
+        for start, count in _blocks(k, config.M, nx * ny):
+            out = np.empty((count, nx, ny))
+            for j, row in zip(range(start, start + count), out):
+                t_mid = j * tau + a
+                F = on_grid(problem, "source", X, Y, t_mid)
+                f = on_grid(problem, "source", *sides["y"], t_mid).T
+                with np.errstate(over="ignore", invalid="ignore"):
+                    np.multiply(F, a, out=af)
+                    np.add(U, af, out=w_aug[:, :ny])
+                    w_aug[:, ny:] = f
+                    np.matmul(cx, w_aug, out=v_aug)
+                    g = v_aug[:, ny:]
+                    g -= f
+                    g *= a * a
+                    U = np.add(np.matmul(v_aug, last, out=row), af, out=row)
+            out.flags.writeable = False
+            yield out
 
     return steps
 
@@ -316,8 +310,8 @@ def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution:
     """Integrate a 2D problem from its initial state to the final time.
 
     The splitting's block stepper goes straight to
-    :func:`~wsgdiff.solve1d.march`, in blocks of ``B`` levels with ``B
-    (Nx-1)(Ny-1) <= 2**15``: 8 at ``N = 64``, 2 at 128 and 1 from 256.
+    :func:`~wsgdiff.solve1d.march`, and yields blocks of ``B`` levels with
+    ``B (Nx-1)(Ny-1) <= 2**15``: 8 at ``N = 64``, 2 at 128 and 1 from 256.
     Each level's norm is the
     grid-weighted L2 norm of :func:`~wsgdiff.problems.l2_norm`, ``sqrt(hx hy
     sum U^2)``, taken as one dot product of the state with itself, so it
@@ -329,8 +323,7 @@ def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution:
     hx, hy, x, y, X, Y, sides = _grid(problem, config)
     initial = lambda: np.array(on_grid(problem, "initial", X, Y))
     norm = lambda V: [np.sqrt(hx * hy * np.vdot(S, S)) for S in V]
-    width = _block_width((config.Nx - 1) * (config.Ny - 1), config.M)
-    U, norm_history, _, _ = march(steps, width, initial, config, norm)
+    U, norm_history, _, _ = march(steps, initial, config, norm)
     t_next = config.M * config.tau
     values = np.empty((config.Nx + 1, config.Ny + 1))
     values[1:-1, 1:-1] = U

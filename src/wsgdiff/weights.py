@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, count_at_least
+from .errors import ParameterError, count_at_least, real_number
 
 __all__ = [
     "GL",
@@ -68,9 +68,7 @@ ZERO_TOL = 1e-13
 
 
 def _check_alpha(alpha: float, low: float, high: float, *, low_open: bool = True) -> float:
-    alpha = float(alpha)
-    if not np.isfinite(alpha):
-        raise ParameterError(f"fractional order must be finite, got {alpha!r}")
+    alpha = real_number("fractional order", alpha)
     ok = (alpha > low if low_open else alpha >= low) and alpha <= high
     if not ok:
         bracket = "(" if low_open else "["

@@ -396,6 +396,34 @@ def test_problem2d_rejects_non_finite_numbers(field, value):
         _minimal_2d(**{field: value})
 
 
+_REAL_FIELDS = {
+    "1d": ("alpha", "left_diffusivity", "right_diffusivity", "a", "b"),
+    "2d": ("alpha", "beta", "x_left_diffusivity", "y_right_diffusivity", "ax", "by"),
+}
+
+
+@pytest.mark.parametrize("value", ["1.5", None], ids=["text", "none"])
+@pytest.mark.parametrize(
+    "dim,field", [(dim, field) for dim, fields in _REAL_FIELDS.items() for field in fields]
+)
+def test_problem_records_reject_non_real_numbers(dim, field, value):
+    # alpha="1.5" used to build a problem that failed inside numpy, a text
+    # diffusivity ended run_2d in a UFuncTypeError, and None in a TypeError
+    name = "fractional order" if field in ("alpha", "beta") else f"problem.{field}"
+    with pytest.raises(ParameterError, match=rf"{re.escape(name)} .*\(not a real number\)"):
+        (_minimal_1d if dim == "1d" else _minimal_2d)(**{field: value})
+
+
+def test_problem_records_store_their_real_fields_as_floats():
+    # the orders, constant diffusivities and domain ends used to keep the
+    # type they were given
+    p1 = _minimal_1d(alpha=np.float64(1.5), left_diffusivity=1, right_diffusivity=np.int64(0), b=2)
+    p2 = _minimal_2d(beta=2, x_left_diffusivity=np.float32(0.5), ax=-1, by=np.int64(3))
+    for p, fields in ((p1, _REAL_FIELDS["1d"]), (p2, _REAL_FIELDS["2d"])):
+        assert {field: type(getattr(p, field)) for field in fields} == dict.fromkeys(fields, float)
+    assert (p1.b, p2.beta, p2.x_left_diffusivity, p2.ax, p2.by) == (2.0, 2.0, 0.5, -1.0, 3.0)
+
+
 # ---------------------------------------------------------------------------
 # The one grid sampler
 # ---------------------------------------------------------------------------
@@ -448,6 +476,20 @@ def test_grid_callables_of_the_wrong_shape_are_parameter_errors(example, name, f
     message = rf"problem\.{name} returned shape {re.escape(str(shape))}"
     with pytest.raises(ParameterError, match=message):
         _solve(example, **{name: fn})
+
+
+@pytest.mark.parametrize("kind", ["array", "scalar"])
+@pytest.mark.parametrize("example", ["ex2", "ex4"])
+def test_non_real_grid_callables_are_parameter_errors(example, kind):
+    # a complex source used to be cast to its real part with a ComplexWarning
+    # only, so ex2 ran to completion; a complex scalar ended in a TypeError
+    base = _example(example)
+
+    def source(*args):
+        return base.source(*args) * (1.0 + 1.0j) if kind == "array" else 1.0j
+
+    with pytest.raises(ParameterError, match=r"problem\.source returned complex"):
+        _solve(example, source=source)
 
 
 def test_every_grid_callable_is_read_through_the_one_sampler(monkeypatch):

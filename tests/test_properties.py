@@ -245,7 +245,7 @@ def _split_step_gap(data, stepper, nx, ny, bx, by, **oracle) -> float:
     want = kron_two_level_step(
         dx, dy, u0, source(xg, yg, level * cfg.tau + 0.5 * cfg.tau), cfg.tau, **oracle
     )
-    got = stepper(problem, cfg)(u0, level, 1)[0]
+    got = next(stepper(problem, cfg)(u0, level))[0]
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 

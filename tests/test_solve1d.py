@@ -584,8 +584,8 @@ def test_gs_non_finite_solution_raises_with_step_and_time(monkeypatch, sampling)
 def test_stepper_reuses_its_source_value_only_at_the_slab_end(monkeypatch, sampling, min_n):
     # a block samples the source once, so an average-sampled block of count
     # steps reads count + 1 levels and shares each inner one between two
-    # slabs; the states are the same whether the levels are stepped as one
-    # block or as two
+    # slabs; the states are the same whether the levels come as one block or
+    # as two
     monkeypatch.setattr(solve1d, "_GS_MIN_N", min_n)
     base = _constant_problem("unequal", 0.7, 0.2, 1.6)
     calls = []
@@ -598,27 +598,27 @@ def test_stepper_reuses_its_source_value_only_at_the_slab_end(monkeypatch, sampl
     cfg = SolverConfig1D(N=24, M=4, source_sampling=sampling)
     steps = solve1d.cn_stepper(p, cfg)
     U = np.linspace(0.1, 0.9, cfg.N - 1)
-    whole = steps(U, 0, 4)
+    (whole,) = steps(U, 0)
     assert whole.shape == (4, cfg.N - 1) and whole.flags.c_contiguous
     assert calls == [5 if sampling == "average" else 4]
-    halves = [steps(U, 0, 2)]
-    halves.append(steps(halves[0][-1], 2, 2))
+    monkeypatch.setattr(solve1d, "_BLOCK_ENTRIES", 2 * (cfg.N - 1))
+    halves = list(steps(U, 0))
     assert len(calls) == 3
     assert np.array_equal(whole, np.concatenate(halves))
 
 
 @pytest.mark.parametrize("min_n", [0, 10**9], ids=["gs", "dense"])
 def test_stepper_steps_only_from_levels(monkeypatch, min_n):
-    # a 1D stepper used to take one step from a time t_n; its block must
-    # start at a level 0 <= k < M and end by level M
+    # a 1D stepper used to take one step from a time t_n; it must start at
+    # a level 0 <= k < M
     monkeypatch.setattr(solve1d, "_GS_MIN_N", min_n)
     cfg = SolverConfig1D(N=16, M=4)
     steps = solve1d.cn_stepper(make_example("ex2", 1.5), cfg)
     U = np.linspace(0.1, 0.9, cfg.N - 1)
-    assert steps(U, 3, 1).shape == (1, cfg.N - 1)
-    for k, count in ((4, 1), (5, 1), (-1, 1), (-1, 2), (0.5, 1), (0, 5), (3, 2), (0, 0)):
-        with pytest.raises(ParameterError, match=rf"block of {count} steps from level {k}"):
-            steps(U, k, count)
+    assert next(steps(U, 3)).shape == (1, cfg.N - 1)
+    for k in (4, 5, -1, 0.5, 3.0):
+        with pytest.raises(ParameterError, match=rf"cannot step from level {k}"):
+            next(steps(U, k))
 
 
 @pytest.mark.parametrize("M", [7, 2049])
@@ -638,7 +638,7 @@ def test_run_samples_source_and_exact_once_a_block(M):
 
     p = dataclasses.replace(base, source=counted("source"), exact=counted("exact"))
     cfg = SolverConfig1D(N=33, M=M, T=0.7)
-    width = solve1d._block_width(cfg.N - 1, cfg.M)
+    width = next(solve1d._blocks(0, cfg.M, cfg.N - 1))[1]
     want = cn_wsgd_run(base, cfg)
     got = cn_wsgd_run(p, cfg)
     assert calls == {"source": -(-M // width), "exact": -(-M // width) + 1}
@@ -665,7 +665,7 @@ def test_dense_run_solves_once_a_block(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
     cfg = SolverConfig1D(N=64, M=1100)
     sol = cn_wsgd_run(make_example("ex3", 1.5), cfg)
-    assert solve1d._block_width(cfg.N - 1, cfg.M) == 520
+    assert next(solve1d._blocks(0, cfg.M, cfg.N - 1)) == (0, 520)
     assert contexts == ["time step"] and shapes == [(63, 63)]
     assert sol.max_err_final < 1e-4
 
@@ -758,12 +758,12 @@ def test_toeplitz_path_forms_no_dense_matrix_and_is_not_capped(monkeypatch):
 
 def _spy_march(monkeypatch, module):
     """Route ``module.march`` through a spy that takes a weak reference to the
-    initial state and records, at each block step and each norm reduction,
-    whether it is still alive."""
+    initial state and records, as each block returns and at each norm
+    reduction, whether it is still alive."""
     alive = []
     march = solve1d.march
 
-    def spy(steps, width, initial, config, norm, exact=None):
+    def spy(steps, initial, config, norm, exact=None):
         first = []
 
         def initial_spy():
@@ -771,15 +771,17 @@ def _spy_march(monkeypatch, module):
             first.append(weakref.ref(U))
             return U
 
-        def steps_spy(U, k, count):
-            alive.append(first[0]() is not None)
-            return steps(U, k, count)
+        def recorded(blocks):
+            for block in blocks:
+                alive.append(first[0]() is not None)
+                yield block
 
         def norm_spy(V):
             alive.append(first[0]() is not None)
             return norm(V)
 
-        return march(steps_spy, width, initial_spy, config, norm_spy, exact)
+        steps_spy = lambda U, k: recorded(steps(U, k))
+        return march(steps_spy, initial_spy, config, norm_spy, exact)
 
     monkeypatch.setattr(module, "march", spy)
     return alive
@@ -804,20 +806,27 @@ def test_runs_free_the_initial_state_once_the_first_step_returns(monkeypatch, di
 def test_2d_run_hands_no_block_a_view_into_several_states(monkeypatch):
     # level 0 used to be reduced with the first block by concatenating the
     # two states, and the second block stepped from a view into that buffer,
-    # which kept one extra state alive; blocks of one level, as then
+    # which kept one extra state alive; blocks of one level, as then, each
+    # stepped from the state march hands over or the last row of the block
+    # before it
     monkeypatch.setattr(solve1d, "_BLOCK_ENTRIES", 49)
     held = []
     march = solve2d.march
 
-    def spy(steps, width, initial, config, norm, exact=None):
-        def steps_spy(U, k, count):
-            base = U
-            while base.base is not None:
-                base = base.base
-            held.append(base.size // U.size)
-            return steps(U, k, count)
+    def states(U):
+        base = U
+        while base.base is not None:
+            base = base.base
+        return base.size // U.size
 
-        return march(steps_spy, width, initial, config, norm, exact)
+    def spy(steps, initial, config, norm, exact=None):
+        def steps_spy(U, k):
+            for block in steps(U, k):
+                held.append(states(U))
+                U = block[-1]
+                yield block
+
+        return march(steps_spy, initial, config, norm, exact)
 
     monkeypatch.setattr(solve2d, "march", spy)
     run_2d(make_example("ex4"), SolverConfig2D(Nx=8, Ny=8, M=4))
@@ -830,17 +839,17 @@ def test_run_reduces_norms_once_a_block(monkeypatch):
     reductions = []
     march = solve1d.march
 
-    def spy(steps, width, initial, config, norm, exact=None):
+    def spy(steps, initial, config, norm, exact=None):
         def counted(V):
             reductions.append(len(V))
             return norm(V)
 
-        return march(steps, width, initial, config, counted, exact)
+        return march(steps, initial, config, counted, exact)
 
     monkeypatch.setattr(solve1d, "march", spy)
     cfg = SolverConfig1D(N=33, M=2049, T=0.7)
     sol = cn_wsgd_run(make_example("ex2", 1.5), cfg)
-    assert solve1d._block_width(cfg.N - 1, cfg.M) == 1024
+    assert next(solve1d._blocks(0, cfg.M, cfg.N - 1)) == (0, 1024)
     assert reductions == [1, 1024, 1024, 1]
     assert sol.norm_history.size == cfg.M + 1 and np.all(np.isfinite(sol.norm_history))
 
@@ -859,7 +868,7 @@ def test_non_finite_step_inside_a_block_is_named(monkeypatch, sampling, step):
         base, source=lambda x, t: np.where(t > 0.6, np.nan, base.source(x, t))
     )
     cfg = SolverConfig1D(N=16, M=8, source_sampling=sampling)
-    assert solve1d._block_width(cfg.N - 1, cfg.M) == 3
+    assert next(solve1d._blocks(0, cfg.M, cfg.N - 1)) == (0, 3)
     with pytest.raises(SolverError, match=step):
         cn_wsgd_run(p, cfg)
 
@@ -903,10 +912,10 @@ def test_blocked_run_matches_a_run_of_narrow_blocks(monkeypatch, name, min_n, sa
     monkeypatch.setattr(solve1d, "_GS_MIN_N", min_n)
     problem = make_example(name, 1.5)
     cfg = SolverConfig1D(N=128, M=300, source_sampling=sampling)
-    assert solve1d._block_width(cfg.N - 1, cfg.M) == 258
+    assert next(solve1d._blocks(0, cfg.M, cfg.N - 1)) == (0, 258)
     blocked = cn_wsgd_run(problem, cfg)
     monkeypatch.setattr(solve1d, "_BLOCK_ENTRIES", cfg.N - 1)
-    assert solve1d._block_width(cfg.N - 1, cfg.M) == 1
+    assert next(solve1d._blocks(0, cfg.M, cfg.N - 1)) == (0, 1)
     stepped = cn_wsgd_run(problem, cfg)
     for field in ("values", "norm_history", "max_err_running", "max_err_final", "l2_err_final"):
         assert np.array_equal(getattr(blocked, field), getattr(stepped, field)), field

@@ -15,6 +15,7 @@ from wsgdiff import (
     ParameterError,
     Problem2D,
     SolverError,
+    SolverConfig1D,
     SolverConfig2D,
     build_directional_operators,
     convergence_rate,
@@ -105,7 +106,7 @@ def test_adi_steps_match_independent_kron_oracle(step_fn):
     k = 1
     xg, yg = _interior_grid(p, 8, 8)
     f_mid = p.source(xg, yg, k * cfg.tau + 0.5 * cfg.tau)
-    got = step_fn(p, cfg)(u0, k, 1)[0]
+    got = next(step_fn(p, cfg)(u0, k))[0]
     want = kron_two_level_step(dx, dy, u0, f_mid, cfg.tau)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
 
@@ -125,7 +126,7 @@ def test_lod_step_matches_corrected_kron_oracle():
     k = 2
     xg, yg = _interior_grid(p, 8, 8)
     f_mid = p.source(xg, yg, k * cfg.tau + 0.5 * cfg.tau)
-    got = lod_stepper(p, cfg)(u0, k, 1)[0]
+    got = next(lod_stepper(p, cfg)(u0, k))[0]
     want = kron_two_level_step(dx, dy, u0, f_mid, cfg.tau, lod_source_correction=True)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
     # without the correction the two disagree beyond roundoff
@@ -143,7 +144,7 @@ def test_lod_boundary_sweep_matters_when_source_touches_boundary():
     u0 = np.zeros((7, 7))
     xg, yg = _interior_grid(p, 8, 8)
     f_mid = p.source(xg, yg, 0.5 * cfg.tau)
-    got = lod_stepper(p, cfg)(u0, 0, 1)[0]
+    got = next(lod_stepper(p, cfg)(u0, 0))[0]
     naive = kron_two_level_step(dx, dy, u0, f_mid, cfg.tau, lod_source_correction=True)
     assert np.max(np.abs(got - naive)) > 1e-12
 
@@ -187,7 +188,7 @@ def test_lod_boundary_line_sweep_matches_dense_oracle(scheme, shifts):
         f_lines,
         cfg.tau,
     )
-    got = lod_stepper(p, cfg)(u0, k, 1)[0]
+    got = next(lod_stepper(p, cfg)(u0, k))[0]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
 
@@ -248,7 +249,7 @@ def test_pr_step_with_y_boundary_data_matches_dense_oracle(scheme, shifts, bound
         g_next,
         cfg.tau,
     )
-    got = pr_adi_stepper(p, cfg)(u0, k, 1)[0]
+    got = next(pr_adi_stepper(p, cfg)(u0, k))[0]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
 
@@ -265,7 +266,7 @@ def test_steps_match_kron_oracle_at_the_largest_time_step(splitting):
     dx, dy = build_directional_operators(p, cfg)
     u0 = np.random.default_rng(16).standard_normal((15, 15))
     xg, yg = _interior_grid(p, 16, 16)
-    got = _STEPPER[splitting](p, cfg)(u0, 0, 1)[0]
+    got = next(_STEPPER[splitting](p, cfg)(u0, 0))[0]
     want = kron_two_level_step(
         dx, dy, u0, source(xg, yg, 0.5), cfg.tau, lod_source_correction=splitting == "lod"
     )
@@ -279,28 +280,28 @@ def _y_vanishing_source(x, y, t):
 @pytest.mark.parametrize("start", ["last_row", "fresh", "edited", "first_row"])
 @pytest.mark.parametrize("splitting", ["pr", "lod"])
 def test_continuation_block_matches_kron_oracle(splitting, start):
-    # a block that starts where the stepper's last one ended steps from the
-    # state it is handed: pr takes the carried path from that block's last
-    # row only, and makes the first product again from any other state, a
-    # fresh one, an edited copy or another row of the block
+    # a call of steps owns what it carries, so a fresh call from any state at
+    # level 3 steps from that state: the row of level 3 another call yielded,
+    # a fresh state, an edited copy or the row of level 2
     p = _custom_2d(alpha=1.4, beta=1.7, source=_y_vanishing_source, x_right_diffusivity=0.3)
     # lod needs one spacing for both axes
     cfg = SolverConfig2D(Nx=8, Ny=8 if splitting == "lod" else 10, M=6, splitting=splitting)
     dx, dy = build_directional_operators(p, cfg)
     steps = _STEPPER[splitting](p, cfg)
     rng = np.random.default_rng(23)
-    out = steps(rng.standard_normal((7, cfg.Ny - 1)), 1, 2)
+    out = next(steps(rng.standard_normal((7, cfg.Ny - 1)), 1))[:2]
     fresh = rng.standard_normal((7, cfg.Ny - 1))
     U = dict(last_row=out[-1], fresh=fresh, edited=out[-1] + 1.0, first_row=out[0])[start]
-    got = steps(U, 3, 1)[0]
+    got = next(steps(U, 3))[0]
     xg, yg = _interior_grid(p, cfg.Nx, cfg.Ny)
     f_mid = _y_vanishing_source(xg, yg, 3 * cfg.tau + 0.5 * cfg.tau)
     want = kron_two_level_step(dx, dy, U, f_mid, cfg.tau, lod_source_correction=splitting == "lod")
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
 
 
-def test_pr_continuation_block_carries_the_y_boundary_data():
-    # the second block reuses the data its first step read at level 3
+def test_pr_continuation_block_carries_the_y_boundary_data(monkeypatch):
+    # in blocks of two levels, the second block reuses the data its first
+    # step read at level 3
     nx, ny = 10, 8
     p = _custom_2d(
         alpha=1.3,
@@ -313,9 +314,10 @@ def test_pr_continuation_block_carries_the_y_boundary_data():
         y_right_diffusivity=1.1,
     )
     cfg = SolverConfig2D(Nx=nx, Ny=ny, M=5)
-    steps = pr_adi_stepper(p, cfg)
-    out = steps(np.random.default_rng(24).standard_normal((nx - 1, ny - 1)), 1, 2)
-    got = steps(out[-1], 3, 2)[0]
+    monkeypatch.setattr(solve1d, "_BLOCK_ENTRIES", 2 * (nx - 1) * (ny - 1))
+    blocks = pr_adi_stepper(p, cfg)(np.random.default_rng(24).standard_normal((nx - 1, ny - 1)), 1)
+    out = next(blocks)
+    got = next(blocks)[0]
     hx, hy = 1.0 / nx, 2.0 / ny
     x, y_lines = hx * np.arange(1, nx)[:, None], np.array([[0.0, 2.0]])
     want = pr_boundary_lines_step(
@@ -355,7 +357,7 @@ def test_classical_limit_matches_heat_adi_oracle():
     k = 3
     xg, yg = _interior_grid(p, 8, 8)
     f_mid = p.source(xg, yg, k * cfg.tau + 0.5 * cfg.tau)
-    got = pr_adi_stepper(p, cfg)(u0, k, 1)[0]
+    got = next(pr_adi_stepper(p, cfg)(u0, k))[0]
     want = classical_pr_adi_heat_step(u0, f_mid, cfg.tau, 0.125, 0.125)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
 
@@ -392,15 +394,17 @@ def _skewed_problem():
 
 def _public_pr_levels(p, cfg):
     """The final interior state and the norm of every level, stepped level by
-    level on the three-product path: each block starts from a copy of the
-    last state, not from the row the stepper returned."""
+    level on the three-product path: each level is the first step of a fresh
+    call, in blocks of one level."""
     steps = pr_adi_stepper(p, cfg)
     hx, hy = (p.bx - p.ax) / cfg.Nx, (p.by - p.ay) / cfg.Ny
     U = np.array(p.initial(*_interior_grid(p, cfg.Nx, cfg.Ny)), dtype=float)
     norms = [np.sqrt(hx * hy * np.sum(U * U))]
-    for k in range(cfg.M):
-        U = steps(U.copy(), k, 1)[0]
-        norms.append(np.sqrt(hx * hy * np.sum(U * U)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solve1d, "_BLOCK_ENTRIES", 1)
+        for k in range(cfg.M):
+            U = next(steps(U, k))[0]
+            norms.append(np.sqrt(hx * hy * np.sum(U * U)))
     return U, np.array(norms)
 
 
@@ -426,12 +430,10 @@ def test_lod_run_norms_are_the_l2_norms_of_its_levels(n, M):
     # lod stepper and taking l2_norm of each level gives the same history
     p = make_example("ex4", 1.2, 1.8)
     cfg = SolverConfig2D(Nx=n, Ny=n, M=M, splitting="lod")
-    step, h = lod_stepper(p, cfg), 1.0 / n
+    h = 1.0 / n
     U = np.array(p.initial(*_interior_grid(p, n, n)), dtype=float)
-    norms = [l2_norm(U, h, h)]
-    for k in range(M):
-        U = step(U, k, 1)[0]
-        norms.append(l2_norm(U, h, h))
+    levels = np.concatenate([U[None], *lod_stepper(p, cfg)(U, 0)])
+    norms = [l2_norm(V, h, h) for V in levels]
     history = run_2d(p, cfg).norm_history
     assert np.max(np.abs(history - norms)) <= 1e-14 * max(norms)
 
@@ -479,10 +481,10 @@ def test_run_matches_a_run_of_blocks_of_one_level(monkeypatch, splitting):
     # the pr stepper carries W2 and the y-side data across blocks as within
     p = make_example("ex4", 1.2, 1.8)
     cfg = SolverConfig2D(Nx=16, Ny=16, M=16, splitting=splitting)
-    assert solve2d._block_width(15 * 15, cfg.M) == 16
+    assert list(solve1d._blocks(0, cfg.M, 15 * 15)) == [(0, 16)]
     blocked = run_2d(p, cfg)
     monkeypatch.setattr(solve1d, "_BLOCK_ENTRIES", 15 * 15)
-    assert solve2d._block_width(15 * 15, cfg.M) == 1
+    assert next(solve1d._blocks(0, cfg.M, 15 * 15)) == (0, 1)
     stepped = run_2d(p, cfg)
     for field in ("values", "norm_history", "max_err_final", "l2_err_final"):
         assert np.array_equal(getattr(blocked, field), getattr(stepped, field)), field
@@ -636,7 +638,7 @@ def test_run_makes_two_triangular_solves_at_setup(monkeypatch, splitting, M):
 
 
 @pytest.mark.parametrize("splitting", ["pr", "lod"])
-def test_callables_are_read_only_on_the_nodes_a_splitting_uses(splitting):
+def test_callables_are_read_only_on_the_nodes_a_splitting_uses(monkeypatch, splitting):
     # the factories and steps used to read every boundary-side callable on
     # both pairs of sides: a pr step the boundary data, a lod step the source
     base = make_example("ex4", 1.2, 1.8)
@@ -655,7 +657,9 @@ def test_callables_are_read_only_on_the_nodes_a_splitting_uses(splitting):
     steps = _STEPPER[splitting](p, cfg)
     setup = dict(points)
     points.update(source=0, boundary=0)
-    first = steps(np.zeros((nx - 1, ny - 1)), 1, 1)
+    monkeypatch.setattr(solve1d, "_BLOCK_ENTRIES", (nx - 1) * (ny - 1))
+    blocks = steps(np.zeros((nx - 1, ny - 1)), 1)
+    next(blocks)
     x_sides, y_sides, interior = 2 * (ny + 1), 2 * (nx - 1), (nx - 1) * (ny - 1)
     if splitting == "pr":
         assert setup == {"source": 0, "boundary": (cfg.M + 1) * x_sides}
@@ -663,9 +667,9 @@ def test_callables_are_read_only_on_the_nodes_a_splitting_uses(splitting):
     else:
         assert setup == {"source": 0, "boundary": (cfg.M + 1) * (x_sides + y_sides)}
         assert points == {"source": interior + y_sides, "boundary": 0}
-    # a pr block that starts where the last one ended reads only the new level
+    # a pr block after the first of its call reads only the new level
     points.update(source=0, boundary=0)
-    steps(first[-1], 2, 1)
+    next(blocks)
     y_reads = y_sides if splitting == "pr" else 0
     assert points == {"source": interior + y_sides - y_reads, "boundary": y_reads}
 
@@ -677,16 +681,14 @@ def test_step_returns_a_fresh_c_ordered_array(splitting):
     steps = _STEPPER[splitting](p, cfg)
     U = np.random.default_rng(17).standard_normal((11, 11))
     kept = U.copy()
-    first = steps(U, 1, 1)
+    first = next(steps(U, 1))
     np.testing.assert_array_equal(U, kept)
-    assert first.flags.c_contiguous and first.shape == (1, 11, 11)
-    second = steps(U, 1, 1)
+    assert first.flags.c_contiguous and first.shape == (3, 11, 11)
+    second = next(steps(U, 1))
     assert not np.shares_memory(first, second)
     np.testing.assert_array_equal(first, second)
-    steps(first[-1], 2, 1)
-    np.testing.assert_array_equal(second, steps(U, 1, 1))
-    # from another state at the level where the last block ended, as fresh
-    np.testing.assert_array_equal(steps(U, 2, 1), _STEPPER[splitting](p, cfg)(U, 2, 1))
+    # each call is fresh, whatever the stepper stepped before
+    np.testing.assert_array_equal(next(steps(U, 2)), next(_STEPPER[splitting](p, cfg)(U, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -789,10 +791,59 @@ def test_2d_block_must_lie_within_the_run(splitting):
     cfg = SolverConfig2D(Nx=8, Ny=8, M=4, splitting=splitting)
     steps = _STEPPER[splitting](make_example("ex4", 1.2, 1.8), cfg)
     U = np.zeros((7, 7))
-    assert steps(U, 3, 1).shape == (1, 7, 7)
-    for k, count in ((4, 1), (-1, 1), (0, 0), (2, 3), (0, 5)):
-        with pytest.raises(ParameterError, match=rf"block of {count} steps from level {k}"):
-            steps(U, k, count)
+    assert next(steps(U, 3)).shape == (1, 7, 7)
+    for k in (4, 5, -1, 0.5):
+        with pytest.raises(ParameterError, match=rf"cannot step from level {k}"):
+            next(steps(U, k))
+
+
+@pytest.mark.parametrize("kind", ["dense", "gs", "pr", "lod"])
+def test_block_stepper_contract(monkeypatch, kind):
+    # steps(U, k) yields the levels k+1 ... M once each, in read-only
+    # C-ordered blocks; a call owns what it carries (pr's y-sweep product and
+    # y-side data), so two interleaved calls of one stepper give the blocks
+    # of each call alone, and a bad start fails before any callable is read
+    monkeypatch.setattr(solve1d, "_GS_MIN_N", 0 if kind == "gs" else 10**9)
+    reads = []
+
+    def counted(fn):
+        def read(*args):
+            reads.append(args)
+            return fn(*args)
+
+        return read
+
+    if kind in ("dense", "gs"):
+        base, cfg = make_example("ex2", 1.5), SolverConfig1D(N=16, M=8)
+        p = dataclasses.replace(base, source=counted(base.source))
+        steps, shape = solve1d.cn_stepper(p, cfg), (cfg.N - 1,)
+    else:
+        base = _skewed_problem() if kind == "pr" else make_example("ex4", 1.2, 1.8)
+        cfg = SolverConfig2D(Nx=8, Ny=12 if kind == "pr" else 8, M=8, splitting=kind)
+        p = dataclasses.replace(base, source=counted(base.source), boundary=counted(base.boundary))
+        steps, shape = _STEPPER[kind](p, cfg), (cfg.Nx - 1, cfg.Ny - 1)
+    monkeypatch.setattr(solve1d, "_BLOCK_ENTRIES", 3 * int(np.prod(shape)))
+    rng = np.random.default_rng(25)
+    starts = {0: rng.standard_normal(shape), 2: rng.standard_normal(shape)}
+    alone = {k: list(steps(U, k)) for k, U in starts.items()}
+    for k, blocks in alone.items():
+        assert [len(b) for b in blocks] == {0: [3, 3, 2], 2: [3, 3]}[k]
+        for b in blocks:
+            assert b.flags.c_contiguous and not b.flags.writeable and b.shape[1:] == shape
+    calls = {k: steps(U, k) for k, U in starts.items()}
+    interleaved = {0: [], 2: []}
+    for k in (0, 2, 0, 2, 0):
+        interleaved[k].append(next(calls[k]))
+    for k in (0, 2):
+        assert next(calls[k], None) is None
+        for got, want in zip(interleaved[k], alone[k], strict=True):
+            np.testing.assert_array_equal(got, want)
+    reads.clear()
+    for k in (cfg.M, -1, 0.5):
+        call = steps(starts[0], k)
+        with pytest.raises(ParameterError, match=rf"cannot step from level {k}"):
+            next(call)
+    assert reads == []
 
 
 @pytest.mark.parametrize("splitting", ["pr", "douglas", "dyakonov", "lod"])
@@ -809,7 +860,7 @@ def test_steppers_check_their_own_preconditions(splitting):
     with pytest.raises(ParameterError, match="fully homogeneous"):
         lod_stepper(y_data, cfg)
     for p in (skewed, y_data):
-        assert pr_adi_stepper(p, cfg)(np.zeros((7, 7)), 0, 1).shape == (1, 7, 7)
+        assert next(pr_adi_stepper(p, cfg)(np.zeros((7, 7)), 0)).shape == (2, 7, 7)
 
 
 def test_config_validation():
