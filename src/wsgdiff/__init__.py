@@ -6,9 +6,10 @@ difference operators (second-order two-shift weights and third-order
 three-shift weights), assembles the resulting Toeplitz-structured
 operators, certifies their definiteness through generating functions, and
 solves 1D and 2D diffusion problems with systems set up once per run
-(dense LU, or a Gohberg–Semencul Toeplitz inverse for constant 1D
-coefficients).  A command-line front end regenerates the reference convergence
-tables; see the README for usage.
+(dense LU, a Gohberg–Semencul Toeplitz inverse for constant 1D
+coefficients, or the eigenbasis of symmetric 2D operators).  A
+command-line front end regenerates the reference convergence tables; see
+the README for usage.
 
 Module map:
 
@@ -19,12 +20,14 @@ Module map:
   application, boundary columns, the FFT Toeplitz product;
 - :mod:`wsgdiff.spectral`  — one generating-function formula, sign scans,
   negative-definiteness certification;
-- :mod:`wsgdiff.problems`  — benchmark catalog, norms, convergence rates;
+- :mod:`wsgdiff.problems`  — benchmark catalog, the separable 2D source
+  record, norms, convergence rates;
 - :mod:`wsgdiff.solve1d`   — steady third-order solve, the theta-weighted
   stepper, the one time loop ``march`` over a stepper's generator of blocks
   of levels, and the ``Solution`` record;
 - :mod:`wsgdiff.solve2d`   — one block-stepper factory per splitting, set up
-  once per run (one factored ADI scheme under three names, and LOD);
+  once per run (one factored ADI scheme under three names, and LOD), and
+  the eigenbasis steps of symmetric problems;
 - :mod:`wsgdiff.cli`       — the ``wsgdiff`` command.
 """
 

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import weights as wt
-from .errors import ParameterError, count_at_least
+from .errors import ParameterError, count_at_least, real_number
 
 __all__ = [
     "GridFunction1D",
@@ -53,7 +53,9 @@ class GridFunction1D:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size < 3:
             raise ParameterError("a 1D grid function needs at least 3 nodes (N >= 2)")
-        if not (np.isfinite([self.a, self.b]).all() and self.b > self.a):
+        for name in ("a", "b"):
+            object.__setattr__(self, name, real_number(f"domain end {name}", getattr(self, name)))
+        if not self.b > self.a:
             raise ParameterError(f"domain must be finite with b > a, got [{self.a}, {self.b}]")
         object.__setattr__(self, "values", values)
 

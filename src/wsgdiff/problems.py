@@ -39,6 +39,7 @@ __all__ = [
     "ExampleId",
     "Problem1D",
     "Problem2D",
+    "SeparableSource",
     "ErrorRecord",
     "make_example",
     "max_norm",
@@ -81,10 +82,15 @@ def on_grid(problem: "Problem1D | Problem2D", name: str, *axes) -> np.ndarray:
     whatever it holds.  A 0-d result (a constant) fills the grid.  A result
     that is not real numbers (complex, text) is a :class:`ParameterError` too.
     """
+    return _sample(f"problem.{name}", getattr(problem, name), axes)
+
+
+def _sample(label: str, fn: Callable, axes) -> np.ndarray:
+    """``fn(*axes)`` under :func:`on_grid`'s checks, its errors naming ``label``."""
     shape = np.broadcast_shapes(*map(np.shape, axes))
-    value = np.asarray(getattr(problem, name)(*axes))
+    value = np.asarray(fn(*axes))
     if value.dtype.kind not in "biuf":
-        raise ParameterError(f"problem.{name} returned {value.dtype} values, not real numbers")
+        raise ParameterError(f"{label} returned {value.dtype} values, not real numbers")
     value = value.astype(float, copy=False)
     if value.ndim in (0, len(shape)):
         try:
@@ -92,7 +98,7 @@ def on_grid(problem: "Problem1D | Problem2D", name: str, *axes) -> np.ndarray:
         except ValueError:
             pass
     raise ParameterError(
-        f"problem.{name} returned shape {value.shape}, which does not broadcast to"
+        f"{label} returned shape {value.shape}, which does not broadcast to"
         f" {shape}, the broadcast shape of its arguments {[np.shape(a) for a in axes]}"
     )
 
@@ -171,6 +177,8 @@ class Problem1D:
     def boundary_values(self, times: np.ndarray) -> np.ndarray:
         """Both Dirichlet data at each of ``times``, one scalar call each, as
         the rows of a ``(2, len(times))`` array: left end, then right end.
+        A result that is not one real number (complex, text, an array) is a
+        :class:`ParameterError` naming the callable.
 
         Rejects data incompatible with an active one-sided operator: an
         active left-sided derivative needs a vanishing left boundary value
@@ -181,8 +189,16 @@ class Problem1D:
         unless ``allow_nonzero_boundary=True``, which problems that use the
         end values purely as stencil data set.
         """
-        ends = (self.left_boundary, self.right_boundary)
-        g = np.array([[float(fn(t)) for t in times] for fn in ends])
+        g = np.empty((2, len(times)))
+        for row, name in zip(g, ("left_boundary", "right_boundary")):
+            fn = getattr(self, name)
+            data = np.array([fn(t) for t in times])
+            if data.dtype.kind not in "biuf" or data.shape != row.shape:
+                raise ParameterError(
+                    f"problem.{name} returned {data.dtype} values of shape {data.shape[1:]},"
+                    " not one real number a time"
+                )
+            row[:] = data
         if self.allow_nonzero_boundary:
             return g
         lcall = callable(self.left_diffusivity)
@@ -215,6 +231,62 @@ class Problem1D:
             dl = np.full_like(np.asarray(x, dtype=float), self.left_diffusivity)
             dr = np.full_like(np.asarray(x, dtype=float), self.right_diffusivity)
         return dl, dr
+
+
+@dataclass(frozen=True)
+class SeparableSource:
+    """A 2D source that is a short sum of separable terms.
+
+    ``terms`` holds one ``(time, xs, ys)`` triple a term: a time factor
+    ``time(t)`` and two equally long tuples of one-axis factors, so the term
+    is ``time(t) * sum_j xs[j](x) * ys[j](y)``.  Every factor broadcasts over
+    numpy arrays, like any grid callable, and is read through
+    :func:`on_grid`'s checks, so a factor that returns anything but real
+    numbers of its axis's shape is a :class:`ParameterError` naming it.
+
+    The record is itself the callable ``source(x, y, t)``: on any broadcast
+    axes it returns the sum of its terms, so every reader that does not know
+    the structure reads it as any other source.  On a step's interior axes
+    (x a column, y a row, t a scalar) that sum is one rank-``r`` product,
+    ``r`` the number of pairs of one-axis factors.  The eigenbasis steps of
+    :func:`~wsgdiff.solve2d.run_2d` read the factors once, through
+    :meth:`factors`, and step with them at no cost per level beyond the
+    time factors.
+    """
+
+    terms: tuple
+
+    def __post_init__(self) -> None:
+        terms = tuple((time, tuple(xs), tuple(ys)) for time, xs, ys in self.terms)
+        if not terms or not all(
+            xs and len(xs) == len(ys) and all(map(callable, (time, *xs, *ys)))
+            for time, xs, ys in terms
+        ):
+            raise ParameterError(
+                "a separable source needs (time, xs, ys) terms of callables,"
+                " with equally many x- and y-factors, at least one each"
+            )
+        object.__setattr__(self, "terms", terms)
+
+    def factors(self, x, y, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each pair's factors on the axes ``x``, ``y`` and ``t``, as the
+        columns of three arrays of their shapes plus one axis: a term's time
+        factor repeats for each of its pairs."""
+        reads = [], [], []
+        for k, (time, xs, ys) in enumerate(self.terms):
+            s = _sample(f"problem.source time factor {k}", time, (t,))
+            for j, (fx, fy) in enumerate(zip(xs, ys)):
+                reads[0].append(s)
+                reads[1].append(_sample(f"problem.source x-factor {k}.{j}", fx, (x,)))
+                reads[2].append(_sample(f"problem.source y-factor {k}.{j}", fy, (y,)))
+        return tuple(np.stack(read, axis=-1) for read in reads)
+
+    def __call__(self, x, y, t) -> np.ndarray:
+        s, fx, fy = self.factors(x, y, t)
+        interior = np.ndim(x) == np.ndim(y) == 2 and np.shape(x)[1] == np.shape(y)[0] == 1
+        if interior and np.ndim(t) == 0:
+            return np.matmul(s * fx[:, 0], fy[0].T)
+        return np.sum(s * fx * fy, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -425,20 +497,10 @@ def _two_dim_cubic(alpha: float, beta: float) -> Problem2D:
     xprofile = _mirrored_fractional_profile(alpha, alpha)
     yprofile = _mirrored_fractional_profile(beta, beta)
 
-    def source(x, y, t):
-        # -exp(-t) (bx by + px by + py bx), with e = -exp(-t) folded into the
-        # one-axis factors.  On a step's interior axes (x a column, y a row,
-        # t a scalar) it is one rank-2 product [e (bx + px) | bx] @ [by; e py],
-        # which writes the grid once; any other shape takes two outer products
-        bx, by = _cubic_bump(x), _cubic_bump(y)
-        e = -np.exp(-t)
-        column_row = np.ndim(x) == np.ndim(y) == 2 and np.shape(x)[1] == np.shape(y)[0] == 1
-        if column_row and np.ndim(t) == 0:
-            left = np.hstack((e * (bx + xprofile(x)), bx))
-            return np.matmul(left, np.vstack((by, e * yprofile(y))))
-        out = (e * (bx + xprofile(x))) * by
-        out += bx * (e * yprofile(y))
-        return out
+    # -exp(-t) (bx by + px by + bx py): one time factor times the rank-2 pair
+    # [bx + px | bx], [by | py]
+    xs = (lambda x: _cubic_bump(x) + xprofile(x), _cubic_bump)
+    source = SeparableSource(((lambda t: -np.exp(-t), xs, (_cubic_bump, yprofile)),))
 
     def exact(x, y, t):
         return np.exp(-t) * _cubic_bump(x) * _cubic_bump(y)

@@ -35,7 +35,20 @@ is then two matrix products (the first ``pr`` step three, see
 :func:`pr_adi_stepper`) into C-ordered work arrays allocated once per run
 and its row of the block: no triangular solve.  The rank-2 boundary-column
 terms ride in a product, on two extra columns of one operand and two extra
-rows of the other.  Grid callables are read through
+rows of the other.
+
+Two bases, chosen by the problem's structure alone: :func:`run_2d` steps in
+the eigenbasis of ``Dx`` and ``Dy`` when each axis has equal left and right
+diffusivities, so that both operators are exactly symmetric, and in the
+grid basis with the dense Cayley steppers above otherwise.  In the
+eigenbasis (the fast diagonalization method of Lynch, Rice & Thomas, 1964)
+``Dx = Qx diag(lam) Qx^T`` with ``Qx`` orthogonal, one ``eigh`` per axis
+at setup, and the run marches ``Qx^T U Qy``: each splitting's step is
+elementwise plus low-rank products (:func:`_eigen_stepper`), O(n^2) with a
+:class:`~wsgdiff.problems.SeparableSource`, and each level's norm needs no
+transform.  The state returns to the grid once, at the final time.  An
+eigenvalue that is not negative, against the paper's stability condition,
+is a ``SolverError`` at setup.  Grid callables are read through
 :func:`~wsgdiff.problems.on_grid`, on the broadcast axes ``x[:, None]``,
 ``y[None, :]`` of the interior or, for the y-lines and the Dirichlet data,
 of one pair of sides at a time, and only on the pairs a step or check uses.
@@ -61,9 +74,9 @@ from typing import Iterator
 import numpy as np
 
 from . import weights as wt
-from .errors import ParameterError, count_at_least, real_number
+from .errors import ParameterError, SolverError, count_at_least, real_number
 from .operators import assemble_wsgd_matrix, boundary_columns
-from .problems import Problem2D, l2_norm, max_norm, on_grid
+from .problems import Problem2D, SeparableSource, l2_norm, max_norm, on_grid
 from .solve1d import BlockStepper, Solution, _blocks, march, solve
 
 __all__ = [
@@ -168,21 +181,43 @@ def _require_zero_data(problem: Problem2D, config: SolverConfig2D, sides, axes, 
                     )
 
 
-def _sweeps(problem: Problem2D, config: SolverConfig2D):
-    """Half-step matrices shared by both steppers, with ``a = tau/2``: the
-    x-direction Cayley factor ``Cx = (I - a Dx)^-1 (I + a Dx)``, formed by one
-    solve, then ``I + a Dy``, ``I - a Dy`` and the y-direction boundary columns
-    ``[cy0, cyN]`` of shape ``(Ny-1, 2)``."""
-    dx, dy = build_directional_operators(problem, config)
-    a = 0.5 * config.tau
-    ix, iy = np.eye(config.Nx - 1), np.eye(config.Ny - 1)
-    cx = solve(ix - a * dx, ix + a * dx, "x-direction")
+def _checked_grid(problem: Problem2D, config: SolverConfig2D, lod: bool):
+    """:func:`_grid`, once the splitting's preconditions hold: the factored
+    scheme needs vanishing data on the x-sides, and ``lod`` (``lod=True``)
+    one spacing for both axes and vanishing data on all four sides."""
+    grid = _grid(problem, config)
+    hx, hy, *_, sides = grid
+    if not lod:
+        rule = "the factored scheme requires vanishing Dirichlet data on the x-boundaries"
+        _require_zero_data(problem, config, sides, "x", rule)
+        return grid
+    if abs(hx - hy) > 1e-13 * max(hx, hy):
+        raise ParameterError(
+            f"splitting 'lod' assumes one spacing for both axes; got hx={hx!r}, hy={hy!r}"
+        )
+    rule = "splitting 'lod' requires fully homogeneous Dirichlet data"
+    _require_zero_data(problem, config, sides, "xy", rule)
+    return grid
+
+
+def _y_columns(problem: Problem2D, config: SolverConfig2D) -> np.ndarray:
+    """The y-direction boundary columns ``[cy0, cyN]``, of shape ``(Ny-1, 2)``."""
     hy_beta = ((problem.by - problem.ay) / config.Ny) ** problem.beta
     left0, right0, left1, right1 = boundary_columns(problem.beta, config.scheme, config.Ny - 1)
     cy0 = problem.y_left_diffusivity * left0 + problem.y_right_diffusivity * right0
     cyN = problem.y_left_diffusivity * left1 + problem.y_right_diffusivity * right1
-    cols = np.column_stack((cy0, cyN)) / hy_beta
-    return cx, iy + a * dy, iy - a * dy, cols
+    return np.column_stack((cy0, cyN)) / hy_beta
+
+
+def _sweeps(problem: Problem2D, config: SolverConfig2D):
+    """Half-step matrices shared by both dense steppers, with ``a = tau/2``:
+    the x-direction Cayley factor ``Cx = (I - a Dx)^-1 (I + a Dx)``, formed
+    by one solve, then ``I + a Dy``, ``I - a Dy`` and :func:`_y_columns`."""
+    dx, dy = build_directional_operators(problem, config)
+    a = 0.5 * config.tau
+    ix, iy = np.eye(config.Nx - 1), np.eye(config.Ny - 1)
+    cx = solve(ix - a * dx, ix + a * dx, "x-direction")
+    return cx, iy + a * dy, iy - a * dy, _y_columns(problem, config)
 
 
 def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> BlockStepper:
@@ -207,9 +242,7 @@ def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> BlockStepper:
     last level are carried by one call of ``steps``, which starts with the
     product, so a run reads each level of ``g`` once.
     """
-    *_, X, Y, sides = _grid(problem, config)
-    rule = "the factored scheme requires vanishing Dirichlet data on the x-boundaries"
-    _require_zero_data(problem, config, sides, "x", rule)
+    *_, X, Y, sides = _checked_grid(problem, config, lod=False)
     cx, ey, ay, cols = _sweeps(problem, config)
     nx, ny = config.Nx - 1, config.Ny - 1
     tau = config.tau
@@ -267,13 +300,7 @@ def lod_stepper(problem: Problem2D, config: SolverConfig2D) -> BlockStepper:
     carrying the ``g`` terms on their two columns.  Requires one spacing
     for both axes and fully homogeneous Dirichlet data.
     """
-    hx, hy, _, _, X, Y, sides = _grid(problem, config)
-    if abs(hx - hy) > 1e-13 * max(hx, hy):
-        raise ParameterError(
-            f"splitting 'lod' assumes one spacing for both axes; got hx={hx!r}, hy={hy!r}"
-        )
-    rule = "splitting 'lod' requires fully homogeneous Dirichlet data"
-    _require_zero_data(problem, config, sides, "xy", rule)
+    *_, X, Y, sides = _checked_grid(problem, config, lod=True)
     cx, ey, ay, cols = _sweeps(problem, config)
     # last = [Cy^T; (Ay^-1 cols)^T], with Cy = Ay^-1 Ey
     last = solve(ay, np.hstack((ey, cols)), "y-direction").T
@@ -306,24 +333,165 @@ def lod_stepper(problem: Problem2D, config: SolverConfig2D) -> BlockStepper:
     return steps
 
 
+def _symmetric(problem: Problem2D) -> bool:
+    """Whether ``Dx`` and ``Dy`` are symmetric, so that :func:`run_2d` steps
+    in their eigenbasis: equal left and right diffusivities on each axis."""
+    return (
+        problem.x_left_diffusivity == problem.x_right_diffusivity
+        and problem.y_left_diffusivity == problem.y_right_diffusivity
+    )
+
+
+def _spectrum(d: np.ndarray, axis: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and orthogonal eigenvectors of a symmetric directional
+    operator; an eigenvalue that is not negative and finite, which would
+    break the paper's stability condition, is a :class:`SolverError`."""
+    try:
+        lam, q = np.linalg.eigh(d)
+    except np.linalg.LinAlgError:
+        raise SolverError(f"{axis}-direction: the eigensolver did not converge") from None
+    if not (np.isfinite(lam).all() and lam[-1] < 0.0):
+        raise SolverError(
+            f"{axis}-direction: the operator is not negative definite; its largest"
+            f" eigenvalue is {np.max(lam):.6g}"
+        )
+    return lam, q
+
+
+def _eigen_stepper(problem: Problem2D, config: SolverConfig2D):
+    """Set up the splitting of ``config`` in the eigenbasis of symmetric
+    ``Dx = Qx diag(lam) Qx^T`` and ``Dy = Qy diag(mu) Qy^T``; return ``(steps,
+    Qx, Qy)``, ``steps(V, k)`` the block stepper of the state ``V = Qx^T U
+    Qy``.
+
+    With ``a = tau/2`` and ``c = (1 + a lam)/(1 - a lam)`` (``d`` likewise
+    from ``mu``), both splittings step ``V <- G o V + H o F^ + E_k``, with
+    ``G = c d^T`` and ``F^`` the source in the basis: the factored scheme
+    has ``H = a (c + 1)(1/(1 - a mu))^T`` and its y-side data ``g`` in ``E_k
+    = a (c o g^_k + g^_{k+1}) e^T``, with ``g^ = Qx^T g`` and ``e = (Qy^T
+    [cy0, cyN]) / (1 - a mu)``; ``lod`` has ``H = a (G + 1)`` and the source's
+    swept y-lines ``f`` in ``E_k = a^2 ((c - 1) o Qx^T f) e^T``.  Each
+    low-rank term is one product of an ``(Nx-1, r)`` block, assembled a step,
+    with an ``(r, Ny-1)`` one fixed at setup.  A :class:`SeparableSource` is
+    read once, its factors transformed at setup, so ``H o F^`` joins that
+    product and a step costs O(n^2); any other source is transformed by two
+    products a step.
+    """
+    lod = config.splitting == "lod"
+    _, _, x, y, X, Y, sides = _checked_grid(problem, config, lod)
+    dx, dy = build_directional_operators(problem, config)
+    (lam, qx), (mu, qy) = _spectrum(dx, "x"), _spectrum(dy, "y")
+    del dx, dy
+    nx, ny, tau = config.Nx - 1, config.Ny - 1, config.tau
+    a = 0.5 * tau
+    c, d = ((1.0 + a * v) / (1.0 - a * v) for v in (lam, mu))
+    G, e = np.outer(c, d), (qy.T @ _y_columns(problem, config)) / (1.0 - a * mu)[:, None]
+    c = c[:, None]
+
+    def to_basis(v: np.ndarray) -> np.ndarray:
+        """``Qx^T v``; a non-finite ``v`` gives a non-finite state, which
+        ``march`` reports, so the product raises no numpy warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return qx.T @ v
+
+    # a step is V <- lhs @ rhs + G o V (+ H o Qx^T F Qy for lod and a plain
+    # source), the first r columns of lhs and rows of rhs for the source and
+    # two more for the y-side data (pr) or a plain source's y-lines (lod)
+    separable = isinstance(problem.source, SeparableSource)
+    if separable:
+        # the factors on the interior x-nodes, on y = ay, interior, by, and
+        # at every step's midpoint time; a step scales the x-factors
+        y_read = np.concatenate(([problem.ay], y[1:-1], [problem.by]))
+        s, fx, fy = problem.source.factors(x[1:-1], y_read, tau * np.arange(config.M) + a)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in to_basis
+            xh, yh = qx.T @ fx, qy.T @ fy[1:-1]
+            if lod:
+                # H o (xh yh^T) is rank 2 per pair, and the swept y-lines rank 1
+                left = np.hstack((a * c * xh, a * xh, a * a * (c - 1.0) * xh))
+                right = np.hstack((d[:, None] * yh, yh, e @ fy[[0, -1]]))
+                s = np.tile(s, 3)
+            else:
+                left, right = a * (c + 1.0) * xh, yh / (1.0 - a * mu)[:, None]
+    elif lod:
+        left, right = np.empty((nx, 0)), np.empty((ny, 0))
+        H, w2 = a * (G + 1.0), np.empty((nx, ny))
+    else:
+        # H o Qx^T F Qy = (a (c + 1) o Qx^T) (F Qy / (1 - a mu)): a step
+        # writes the second factor into the first nx rows of rhs
+        left, right, py = a * (c + 1.0) * qx.T, np.empty((ny, nx)), qy / (1.0 - a * mu)
+    edges = not (lod and separable)
+    lhs = np.hstack((left, np.empty((nx, 2 * edges))))
+    rhs = np.vstack((right.T, (a * a if lod else a) * e.T)) if edges else right.T.copy()
+    r, w = left.shape[1], np.empty((nx, ny))
+
+    def steps(V: np.ndarray, k: int) -> Iterator[np.ndarray]:
+        blocks = _blocks(k, config.M, nx * ny)  # checks k before any read
+        if not lod:
+            g_now = to_basis(on_grid(problem, "boundary", *sides["y"], k * tau).T)
+        for start, count in blocks:
+            out = np.empty((count, nx, ny))
+            for j, row in zip(range(start, start + count), out):
+                t_mid = j * tau + a
+                if not lod:
+                    g_next = to_basis(on_grid(problem, "boundary", *sides["y"], (j + 1) * tau).T)
+                elif not separable:
+                    f = to_basis(on_grid(problem, "source", *sides["y"], t_mid).T)
+                if not separable:
+                    F = np.ascontiguousarray(on_grid(problem, "source", X, Y, t_mid))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if separable:
+                        np.multiply(left, s[j], out=lhs[:, :r])
+                    elif not lod:
+                        np.matmul(F, py, out=rhs[:r])
+                    if not lod:
+                        np.add(np.multiply(c, g_now, out=lhs[:, r:]), g_next, out=lhs[:, r:])
+                        g_now = g_next
+                    elif not separable:
+                        np.multiply(c - 1.0, f, out=lhs[:, r:])
+                    np.matmul(lhs, rhs, out=row)
+                    if lod and not separable:
+                        np.matmul(np.matmul(qx.T, F, out=w), qy, out=w2)
+                        row += np.multiply(H, w2, out=w2)
+                    row += np.multiply(G, V, out=w)
+                    V = row
+            out.flags.writeable = False
+            yield out
+
+    return steps, qx, qy
+
+
 def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution:
     """Integrate a 2D problem from its initial state to the final time.
 
-    The splitting's block stepper goes straight to
+    A problem with equal left and right diffusivities on each axis steps in
+    the eigenbasis of ``Dx``, ``Dy`` (:func:`_eigen_stepper`), any other on
+    the splitting's dense stepper; the block stepper goes straight to
     :func:`~wsgdiff.solve1d.march`, and yields blocks of ``B`` levels with
     ``B (Nx-1)(Ny-1) <= 2**15``: 8 at ``N = 64``, 2 at 128 and 1 from 256.
-    Each level's norm is the
-    grid-weighted L2 norm of :func:`~wsgdiff.problems.l2_norm`, ``sqrt(hx hy
-    sum U^2)``, taken as one dot product of the state with itself, so it
-    makes no squared temporary; a non-finite state still gives a non-finite
-    norm.
+    Each level's norm is the grid-weighted L2 norm of
+    :func:`~wsgdiff.problems.l2_norm`, ``sqrt(hx hy sum U^2)``, taken as one
+    dot product of the state with itself (in either basis, since ``Qx`` and
+    ``Qy`` are orthogonal), so it makes no squared temporary; a non-finite
+    state still gives a non-finite norm.
     """
-    factory = lod_stepper if config.splitting == "lod" else pr_adi_stepper
-    steps = factory(problem, config)
+    if _symmetric(problem):
+        steps, qx, qy = _eigen_stepper(problem, config)
+    else:
+        factory = lod_stepper if config.splitting == "lod" else pr_adi_stepper
+        steps, qx, qy = factory(problem, config), None, None
     hx, hy, x, y, X, Y, sides = _grid(problem, config)
-    initial = lambda: np.array(on_grid(problem, "initial", X, Y))
+
+    def initial() -> np.ndarray:
+        U = np.array(on_grid(problem, "initial", X, Y))
+        if qx is None:
+            return U
+        with np.errstate(over="ignore", invalid="ignore"):  # march reports it
+            return qx.T @ U @ qy
+
     norm = lambda V: [np.sqrt(hx * hy * np.vdot(S, S)) for S in V]
     U, norm_history, _, _ = march(steps, initial, config, norm)
+    if qx is not None:
+        U = qx @ U @ qy.T
     t_next = config.M * config.tau
     values = np.empty((config.Nx + 1, config.Ny + 1))
     values[1:-1, 1:-1] = U

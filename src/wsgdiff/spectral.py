@@ -11,8 +11,11 @@ negative definiteness of assembled matrices by attempted Cholesky
 factorization, and spot-checks the spectral bounds with random Rayleigh
 quotients.
 
-No eigensolver is used anywhere: factorization success/failure and sampled
-Rayleigh quotients carry all the spectral content the package needs.
+This module uses no eigensolver: factorization success/failure and sampled
+Rayleigh quotients carry its spectral content.  The 2D solver does use one:
+for symmetric directional operators :func:`~wsgdiff.solve2d.run_2d` steps
+in their eigenbasis, and its ``eigh`` eigenvalues, which lie within the
+generating function's range, make the negative definiteness exact there.
 """
 
 from __future__ import annotations

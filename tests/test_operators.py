@@ -64,6 +64,14 @@ def test_grid_function_rejects_non_finite_ends(a, b):
         GridFunction1D(np.linspace(0.0, 1.0, 9) ** 2, a=a, b=b)
 
 
+@pytest.mark.parametrize("end", ["a", "b"])
+@pytest.mark.parametrize("value", ["0", None, 1j])
+def test_grid_function_ends_that_are_not_real_numbers_name_the_field(end, value):
+    # np.isfinite used to raise numpy's TypeError for these
+    with pytest.raises(ParameterError, match=rf"domain end {end} .*\(not a real number\)"):
+        GridFunction1D(np.zeros(5), **{end: value})
+
+
 def test_toeplitz_operator_dense_and_transpose():
     col = np.array([2.0, 3.0, 4.0])
     row = np.array([2.0, -1.0, -5.0])

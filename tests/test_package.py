@@ -40,6 +40,11 @@ def test_package_exports_each_module_list_once():
             assert getattr(wsgdiff, name) is getattr(module, name), (module.__name__, name)
 
 
+def test_problem_records_are_exported_in_order():
+    assert problems.__all__[:4] == ["ExampleId", "Problem1D", "Problem2D", "SeparableSource"]
+    assert wsgdiff.SeparableSource is problems.SeparableSource
+
+
 _T = assemble_wsgd_matrix(1.5, P1Q0, 8)
 
 #: Every count a weight, operator or spectral routine takes, as (argument name, call).

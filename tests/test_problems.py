@@ -18,6 +18,7 @@ from wsgdiff import (
     ParameterError,
     Problem1D,
     Problem2D,
+    SeparableSource,
     SolverConfig1D,
     SolverConfig2D,
     attach_rates,
@@ -174,6 +175,92 @@ def test_two_dimensional_source_on_interior_axes_is_one_product(monkeypatch, alp
         assert gap <= 1e-15, (t, gap)
 
 
+def _record():
+    """Two terms with their own time factors, ranks 2 and 1."""
+    return SeparableSource(
+        (
+            (np.exp, (np.sin, lambda x: x * x), (np.cos, lambda y: 1.0 - y)),
+            (lambda t: np.cos(3.0 * t), (lambda x: np.exp(-x),), (lambda y: y**3,)),
+        )
+    )
+
+
+def _sum_of_terms(x, y, t):
+    x, y, t = map(np.asarray, (x, y, t))
+    first = np.exp(t) * (np.sin(x) * np.cos(y) + x * x * (1.0 - y))
+    return first + np.cos(3.0 * t) * np.exp(-x) * y**3
+
+
+_AXES = {
+    "interior": (np.linspace(0.1, 0.9, 9)[:, None], np.linspace(0.0, 2.0, 7)[None, :], 0.3),
+    "swapped": (np.linspace(0.1, 0.9, 9)[None, :], np.linspace(0.0, 2.0, 7)[:, None], 0.3),
+    "mesh": (*np.meshgrid(np.linspace(0, 1, 5), np.linspace(0, 2, 4), indexing="ij"), 1.0),
+    "y-lines": (np.linspace(0.1, 0.9, 9)[None, :], np.array([[0.0], [2.0]]), 0.7),
+    "scalars": (0.25, 1.5, 0.0),
+    "points": (np.linspace(0, 1, 6), np.linspace(0, 2, 6), np.linspace(0, 1, 6)),
+    "time column": (np.linspace(0, 1, 6)[None, :], 0.5, np.linspace(0, 1, 3)[:, None]),
+}
+
+
+@pytest.mark.parametrize("axes", sorted(_AXES))
+def test_separable_source_is_its_sum_of_terms_on_every_axis_shape(axes):
+    x, y, t = _AXES[axes]
+    got, want = _record()(x, y, t), _sum_of_terms(x, y, t)
+    assert np.shape(got) == np.broadcast_shapes(*map(np.shape, (x, y, t)))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.max(np.abs(want)))
+
+
+_BAD_FACTORS = {
+    "complex time": (
+        (lambda t: 1j * t, (np.sin,), (np.cos,)),
+        "time factor 0 returned complex",
+    ),
+    "text x": (
+        (np.exp, (lambda x: np.full(np.shape(x), "0"),), (np.cos,)),
+        "x-factor 0.0 returned <U1",
+    ),
+    "short x": (
+        (np.exp, (lambda x: np.ones(3),), (np.cos,)),
+        r"x-factor 0.0 returned shape \(3,\)",
+    ),
+    "long y": (
+        (np.exp, (np.sin,), (lambda y: np.ones(np.size(y) + 1),)),
+        r"y-factor 0.0 returned shape \(\d+,\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("factor", sorted(_BAD_FACTORS))
+@pytest.mark.parametrize("path", ["call", "eigenbasis", "dense"])
+def test_separable_source_factors_are_checked(monkeypatch, factor, path):
+    # every path reads a factor through on_grid's checks, so a bad one is a
+    # ParameterError naming the source, not a numpy error or a wrong sum
+    term, message = _BAD_FACTORS[factor]
+    source = SeparableSource((term,))
+    with pytest.raises(ParameterError, match=rf"problem\.source {message}"):
+        if path == "call":
+            x = np.linspace(0.1, 0.9, 7)
+            source(x[:, None], x[None, :], 0.5)
+        else:
+            if path == "dense":
+                monkeypatch.setattr(solve2d, "_symmetric", lambda problem: False)
+            _solve("ex4", source=source)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        (),
+        ((np.exp, (np.sin,), ()),),
+        ((np.exp, (np.sin,), (np.cos, np.cos)),),
+        ((1.0, (np.sin,), (np.cos,)),),
+    ],
+)
+def test_separable_source_needs_callable_terms(terms):
+    with pytest.raises(ParameterError, match="separable source needs"):
+        SeparableSource(terms)
+
+
 # ---------------------------------------------------------------------------
 # Data consistency: exact vs. initial vs. boundary
 # ---------------------------------------------------------------------------
@@ -302,6 +389,28 @@ def test_problem1d_rejects_active_nonzero_boundary():
     _minimal_1d(right_boundary=lambda t: np.exp(-t))
     # and the override flag admits the incompatible combination
     _minimal_1d(left_boundary=lambda t: 1.0, allow_nonzero_boundary=True)
+
+
+@pytest.mark.parametrize(
+    "value,kind",
+    [(1j, "complex128"), (np.complex128(0.5), "complex128"), ("0", "<U1"), (None, "object")],
+)
+def test_boundary_data_that_are_not_real_numbers_name_the_callable(value, kind):
+    # float(fn(t)) used to end in a TypeError, pass a complex128 with a
+    # ComplexWarning only, and accept the text '0'
+    message = rf"problem\.right_boundary returned {kind} values of shape \(\), not one real"
+    with pytest.raises(ParameterError, match=message):
+        _minimal_1d(right_boundary=lambda t: value)
+    # a record that skips the check at construction meets it in the run
+    p = _minimal_1d(right_boundary=lambda t: value, allow_nonzero_boundary=True)
+    with pytest.raises(ParameterError, match=message):
+        cn_wsgd_run(p, SolverConfig1D(N=8, M=2))
+
+
+def test_boundary_data_are_one_number_a_time():
+    message = r"left_boundary returned float64 values of shape \(1,\)"
+    with pytest.raises(ParameterError, match=message):
+        _minimal_1d(left_boundary=lambda t: np.zeros(1))
 
 
 def test_problem1d_rejects_active_right_nonzero_boundary():

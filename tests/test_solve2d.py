@@ -9,7 +9,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wsgdiff import solve1d, solve2d
+from wsgdiff import problems, solve1d, solve2d
 from wsgdiff import (
     P1Q0,
     ParameterError,
@@ -37,6 +37,12 @@ from oracles import (
 from _tables import EX4
 
 _STEPPER = {"pr": pr_adi_stepper, "lod": lod_stepper}
+
+
+@pytest.fixture
+def dense(monkeypatch):
+    """Step every problem on the dense Cayley steppers, symmetric ones too."""
+    monkeypatch.setattr(solve2d, "_symmetric", lambda problem: False)
 
 
 def _interior_grid(problem, nx, ny):
@@ -411,7 +417,7 @@ def _public_pr_levels(p, cfg):
 @pytest.mark.parametrize(
     "case,nx,ny,M", [("ex4", 64, 64, 64), ("skewed", 64, 48, 200), ("skewed", 12, 16, 9)]
 )
-def test_pr_run_matches_stepping_the_public_stepper(case, nx, ny, M):
+def test_pr_run_matches_stepping_the_public_stepper(dense, case, nx, ny, M):
     # run_2d carries the y-sweep product W2 from one step into the next
     # instead of making the first product again; that differs from the
     # three-product step by roundoff only, boundary-column terms included
@@ -425,7 +431,7 @@ def test_pr_run_matches_stepping_the_public_stepper(case, nx, ny, M):
 
 
 @pytest.mark.parametrize("n,M", [(16, 9), (64, 64)])
-def test_lod_run_norms_are_the_l2_norms_of_its_levels(n, M):
+def test_lod_run_norms_are_the_l2_norms_of_its_levels(dense, n, M):
     # run_2d takes each level's norm as one dot product; stepping the public
     # lod stepper and taking l2_norm of each level gives the same history
     p = make_example("ex4", 1.2, 1.8)
@@ -622,7 +628,7 @@ def test_observed_order_in_band():
 
 @pytest.mark.parametrize("M", [1, 7])
 @pytest.mark.parametrize("splitting", ["pr", "lod"])
-def test_run_makes_two_triangular_solves_at_setup(monkeypatch, splitting, M):
+def test_run_makes_two_triangular_solves_at_setup(dense, monkeypatch, splitting, M):
     # setup forms the half-step matrices with one solve per direction; a
     # step is products only
     calls = []
@@ -689,6 +695,145 @@ def test_step_returns_a_fresh_c_ordered_array(splitting):
     np.testing.assert_array_equal(first, second)
     # each call is fresh, whatever the stepper stepped before
     np.testing.assert_array_equal(next(steps(U, 2)), next(_STEPPER[splitting](p, cfg)(U, 2)))
+
+
+# ---------------------------------------------------------------------------
+# Symmetric operators: steps in the eigenbasis of Dx, Dy
+# ---------------------------------------------------------------------------
+
+
+def _symmetric_y_data():
+    """Equal left and right diffusivities on each axis, unequal spacings and
+    nonzero data on the y-sides, for the factored scheme."""
+
+    def boundary(x, y, t):
+        return np.asarray(x) * (1.0 - np.asarray(x)) * np.asarray(y) * (1.0 + t)
+
+    diffusivities = dict(x_left_diffusivity=0.7, x_right_diffusivity=0.7)
+    diffusivities.update(y_left_diffusivity=1.3, y_right_diffusivity=1.3)
+    return _custom_2d(alpha=1.3, beta=1.7, boundary=boundary, by=2.0, **diffusivities)
+
+
+def _plain_source(x, y, t):
+    # no separable structure, and nonzero on the y-boundary lines
+    return np.exp(-t) * np.cos(3.0 * np.asarray(x) * np.asarray(y) + t)
+
+
+def _two_term_source():
+    return problems.SeparableSource(
+        (
+            (np.exp, (np.sin, lambda x: x * x), (np.cos, lambda y: 1.0 - y)),
+            (lambda t: np.cos(3.0 * t), (lambda x: np.exp(-x),), (lambda y: y**3,)),
+        )
+    )
+
+
+_AGREEMENT_CASES = [
+    *((name, "ex4", n, n, n) for name in ("pr", "lod") for n in (16, 64, 128)),
+    ("pr", "y-data", 16, 12, 10),
+    ("pr", "y-data", 64, 48, 100),
+    *((name, source, 24, 24, 16) for name in ("pr", "lod") for source in ("plain", "two-term")),
+]
+
+
+@pytest.mark.parametrize("splitting,case,nx,ny,M", _AGREEMENT_CASES)
+def test_eigenbasis_runs_agree_with_the_dense_path(monkeypatch, splitting, case, nx, ny, M):
+    # a symmetric problem steps in the eigenbasis; forced onto the dense
+    # Cayley steppers it must give the same run to roundoff
+    p = {
+        "ex4": lambda: make_example("ex4", 1.2, 1.8),
+        "y-data": _symmetric_y_data,
+        "plain": lambda: _custom_2d(alpha=1.4, beta=1.6, source=_plain_source),
+        "two-term": lambda: _custom_2d(alpha=1.4, beta=1.6, source=_two_term_source()),
+    }[case]()
+    cfg = SolverConfig2D(Nx=nx, Ny=ny, M=M, splitting=splitting)
+    got = run_2d(p, cfg)
+    monkeypatch.setattr(solve2d, "_symmetric", lambda problem: False)
+    want = run_2d(p, cfg)
+    gap = np.max(np.abs(got.values - want.values)) / np.max(np.abs(want.values))
+    assert gap <= 1e-12, gap
+    norms = np.max(np.abs(got.norm_history - want.norm_history) / want.norm_history)
+    assert norms <= 1e-12, norms
+
+
+@pytest.mark.parametrize(
+    "diffusivities,eigenbasis",
+    [
+        ((1.0, 1.0, 1.0, 1.0), True),
+        ((0.3, 0.3, 2.0, 2.0), True),
+        ((1.0, 0.5, 1.0, 1.0), False),
+        ((1.0, 1.0, 0.0, 1.0), False),
+    ],
+)
+@pytest.mark.parametrize("splitting", ["pr", "lod"])
+def test_symmetry_alone_selects_the_eigenbasis(monkeypatch, splitting, diffusivities, eigenbasis):
+    # the dense steppers make their two solves at setup; the eigenbasis makes
+    # none, and the dense steppers run bit-identically to their own factory
+    names = ("x_left", "x_right", "y_left", "y_right")
+    p = _custom_2d(**{f"{k}_diffusivity": v for k, v in zip(names, diffusivities)})
+    cfg = SolverConfig2D(Nx=8, Ny=8, M=3, splitting=splitting)
+    calls = []
+    solve = solve2d.solve
+    monkeypatch.setattr(solve2d, "solve", lambda *args: calls.append(args[-1]) or solve(*args))
+    sol = run_2d(p, cfg)
+    assert calls == ([] if eigenbasis else ["x-direction", "y-direction"])
+    if not eigenbasis:
+        U = np.array(p.initial(*_interior_grid(p, 8, 8)), dtype=float)
+        levels = np.concatenate(list(_STEPPER[splitting](p, cfg)(U, 0)))
+        np.testing.assert_array_equal(sol.values[1:-1, 1:-1], levels[-1])
+
+
+@pytest.mark.parametrize("entries", [7 * 11, 3 * 7 * 11, 2**15])
+def test_eigenbasis_reads_each_level_of_y_side_data_once(monkeypatch, entries):
+    calls = []
+    base = _symmetric_y_data()
+
+    def boundary(x, y, t):
+        calls.append(t)
+        return base.boundary(x, y, t)
+
+    monkeypatch.setattr(solve1d, "_BLOCK_ENTRIES", entries)
+    cfg = SolverConfig2D(Nx=8, Ny=12, M=7)
+    run_2d(dataclasses.replace(base, boundary=boundary), cfg)
+    assert len(calls) == 2 * (cfg.M + 1) + 2
+    assert sorted(set(calls)) == [k * cfg.tau for k in range(cfg.M + 1)]
+
+
+@pytest.mark.parametrize("splitting", ["pr", "lod"])
+def test_separable_factors_are_read_once_a_run(splitting):
+    # the eigenbasis reads each factor once, at setup, on every node and time
+    # a run uses; a step reads none
+    reads = []
+
+    def counted(name, fn):
+        return lambda v: reads.append((name, np.shape(v))) or fn(v)
+
+    source = problems.SeparableSource(
+        ((counted("t", np.exp), (counted("x", np.sin),), (counted("y", np.cos),)),)
+    )
+    cfg = SolverConfig2D(Nx=8, Ny=8, M=5, splitting=splitting)
+    run_2d(_custom_2d(source=source), cfg)
+    assert sorted(reads) == [("t", (5,)), ("x", (7,)), ("y", (9,))]
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_an_operator_that_is_not_negative_definite_fails_at_setup(monkeypatch, axis):
+    # the stability condition, read off the eigenvalues before any step
+    build = solve2d.build_directional_operators
+
+    def shifted(problem, config):
+        ops = dict(zip("xy", build(problem, config)))
+        d = ops[axis]
+        ops[axis] = d + (0.5 - np.max(np.linalg.eigvalsh(d))) * np.eye(len(d))
+        return ops["x"], ops["y"]
+
+    monkeypatch.setattr(solve2d, "build_directional_operators", shifted)
+    reads = []
+    p = _custom_2d(source=lambda x, y, t: reads.append(t) or _plain_source(x, y, t))
+    message = rf"{axis}-direction: .*not negative definite; its largest eigenvalue is 0\.5$"
+    with pytest.raises(SolverError, match=message):
+        run_2d(p, SolverConfig2D(Nx=8, Ny=8, M=2))
+    assert reads == []
 
 
 # ---------------------------------------------------------------------------
@@ -776,6 +921,37 @@ def test_non_finite_solution_raises_with_step_and_time(splitting):
     )
     with pytest.raises(SolverError, match=r"step 3 \(t=0\.75\)"):
         run_2d(p, SolverConfig2D(Nx=8, Ny=8, M=4, splitting=splitting))
+
+
+@pytest.mark.parametrize("bad,step", [("time", r"step 3 \(t=0\.75\)"), ("x", r"step 1 ")])
+@pytest.mark.parametrize("splitting", ["pr", "lod"])
+def test_non_finite_separable_factors_raise_with_step_and_time(splitting, bad, step):
+    # the eigenbasis reads the factors at setup; a non-finite one still ends
+    # the run at the first step it reaches, with no numpy warning
+    def time(t):
+        return np.where(t > 0.6, np.nan, np.exp(-t)) if bad == "time" else np.exp(-t)
+
+    def x_factor(x):
+        return np.where(x > 0.5, np.inf, np.sin(np.pi * x)) if bad == "x" else np.sin(np.pi * x)
+
+    source = problems.SeparableSource(((time, (x_factor,), (np.cos,)),))
+    with pytest.raises(SolverError, match=step):
+        run_2d(_custom_2d(source=source), SolverConfig2D(Nx=8, Ny=8, M=4, splitting=splitting))
+
+
+@pytest.mark.parametrize("basis", ["eigen", "grid"])
+def test_non_finite_y_side_data_raise_with_step_and_time(monkeypatch, basis):
+    # the factored scheme carries y-side data into the state; infinite data
+    # at t = 0.75 end the run there, with no numpy warning, in either basis
+    def boundary(x, y, t):
+        v = np.asarray(x) * (1.0 - np.asarray(x)) * np.asarray(y) * (1.0 + t)
+        return np.where((t > 0.6) & (v != 0.0), np.inf, v)
+
+    if basis == "grid":
+        monkeypatch.setattr(solve2d, "_symmetric", lambda problem: False)
+    p = dataclasses.replace(_symmetric_y_data(), boundary=boundary)
+    with pytest.raises(SolverError, match=r"step 3 \(t=0\.75\)"):
+        run_2d(p, SolverConfig2D(Nx=8, Ny=12, M=4))
 
 
 @pytest.mark.parametrize("splitting", ["pr", "lod"])

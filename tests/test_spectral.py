@@ -4,6 +4,8 @@ Rayleigh-quotient containment."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,11 +16,14 @@ from wsgdiff import (
     P1QM1,
     PQR,
     ParameterError,
+    SolverConfig2D,
     ToeplitzOperator,
     assemble_shifted_pair_matrix,
     assemble_wsgd_matrix,
+    build_directional_operators,
     certify_negative_definite,
     generating_function,
+    make_example,
     rayleigh_bound_check,
     scan_sign,
 )
@@ -226,3 +231,23 @@ def test_rayleigh_detects_out_of_range_matrix():
     col[0] = 3.0
     t = ToeplitzOperator(col, col.copy())
     assert not rayleigh_bound_check(t, 1.5, P1Q0, 5)
+
+
+@pytest.mark.parametrize("scheme", PAIR_SCHEMES)
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+def test_symmetric_operator_eigenvalues_lie_in_the_symbol_range(scheme, alpha):
+    # the eigenbasis steps of run_2d rest on this: with equal diffusivities k
+    # the x-direction operator is k (A + A^T) / h^alpha, whose eigenvalues lie
+    # in (k / h^alpha) 2 [min f, max f], and max f = f(0) = 0 for the pairs
+    k, n = 0.7, 48
+    p = dataclasses.replace(
+        make_example("ex4", alpha, 1.5), x_left_diffusivity=k, x_right_diffusivity=k
+    )
+    dx, _ = build_directional_operators(p, SolverConfig2D(Nx=n, Ny=8, M=1, scheme=scheme))
+    eigenvalues = np.linalg.eigvalsh(dx)
+    f = generating_function(alpha, scheme, np.linspace(0.0, np.pi, 4097))
+    scale = 2.0 * k * n**alpha
+    assert f.max() == 0.0
+    tol = 1e-12 * scale * np.max(np.abs(f))
+    assert scale * f.min() - tol <= eigenvalues.min()
+    assert eigenvalues.max() < 0.0
