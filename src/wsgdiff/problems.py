@@ -301,7 +301,9 @@ class Problem2D:
     callables broadcast over numpy arrays and follow the one shape rule of
     :func:`on_grid`: the 2D solvers pass the broadcast axes ``x[:, None]``,
     ``y[None, :]`` of the interior, and ``boundary`` gets 2-D axes of each
-    pair of sides, one row a side.
+    pair of sides, one row a side.  A ``source`` given as a
+    :class:`SeparableSource` lets the eigenbasis steps of symmetric problems
+    read it once a run.
     """
 
     name: str

@@ -381,7 +381,7 @@ def _eigen_stepper(problem: Problem2D, config: SolverConfig2D):
     _, _, x, y, X, Y, sides = _checked_grid(problem, config, lod)
     dx, dy = build_directional_operators(problem, config)
     (lam, qx), (mu, qy) = _spectrum(dx, "x"), _spectrum(dy, "y")
-    del dx, dy
+    del dx, dy  # freed before the run's arrays are allocated
     nx, ny, tau = config.Nx - 1, config.Ny - 1, config.tau
     a = 0.5 * tau
     c, d = ((1.0 + a * v) / (1.0 - a * v) for v in (lam, mu))
