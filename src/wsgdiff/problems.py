@@ -257,7 +257,10 @@ class SeparableSource:
     terms: tuple
 
     def __post_init__(self) -> None:
-        terms = tuple((time, tuple(xs), tuple(ys)) for time, xs, ys in self.terms)
+        try:
+            terms = tuple((time, tuple(xs), tuple(ys)) for time, xs, ys in self.terms)
+        except (TypeError, ValueError):  # not a sequence of triples of sequences
+            terms = ()
         if not terms or not all(
             xs and len(xs) == len(ys) and all(map(callable, (time, *xs, *ys)))
             for time, xs, ys in terms

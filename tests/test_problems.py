@@ -254,6 +254,9 @@ def test_separable_source_factors_are_checked(monkeypatch, factor, path):
         ((np.exp, (np.sin,), ()),),
         ((np.exp, (np.sin,), (np.cos, np.cos)),),
         ((1.0, (np.sin,), (np.cos,)),),
+        ((np.exp, (np.sin,)),),
+        (np.exp, (np.sin,), (np.cos,)),
+        ((np.exp, np.sin, np.cos),),
     ],
 )
 def test_separable_source_needs_callable_terms(terms):
