@@ -7,7 +7,8 @@ three-shift weights), assembles the resulting Toeplitz-structured
 operators, certifies their definiteness through generating functions, and
 solves 1D and 2D diffusion problems with systems set up once per run
 (dense LU, a Gohberg–Semencul Toeplitz inverse for constant 1D
-coefficients, or the eigenbasis of symmetric 2D operators).  A
+coefficients, or the eigenbasis of symmetric 2D operators for a
+separable source).  A
 command-line front end regenerates the reference convergence tables; see
 the README for usage.
 
@@ -27,7 +28,7 @@ Module map:
   of levels, and the ``Solution`` record;
 - :mod:`wsgdiff.solve2d`   — one block-stepper factory per splitting, set up
   once per run (one factored ADI scheme under three names, and LOD), and
-  the eigenbasis steps of symmetric problems;
+  the eigenbasis steps of symmetric problems with a separable source;
 - :mod:`wsgdiff.cli`       — the ``wsgdiff`` command.
 """
 

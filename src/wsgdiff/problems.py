@@ -92,6 +92,8 @@ def _sample(label: str, fn: Callable, axes) -> np.ndarray:
     if value.dtype.kind not in "biuf":
         raise ParameterError(f"{label} returned {value.dtype} values, not real numbers")
     value = value.astype(float, copy=False)
+    if value.shape == shape:
+        return value
     if value.ndim in (0, len(shape)):
         try:
             return np.broadcast_to(value, shape)
@@ -271,10 +273,9 @@ class SeparableSource:
             )
         object.__setattr__(self, "terms", terms)
 
-    def factors(self, x, y, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each pair's factors on the axes ``x``, ``y`` and ``t``, as the
-        columns of three arrays of their shapes plus one axis: a term's time
-        factor repeats for each of its pairs."""
+    def _reads(self, x, y, t) -> tuple[list, list, list]:
+        """Each pair's factors on the axes ``x``, ``y`` and ``t``, in three
+        lists: a term's time factor repeats for each of its pairs."""
         reads = [], [], []
         for k, (time, xs, ys) in enumerate(self.terms):
             s = _sample(f"problem.source time factor {k}", time, (t,))
@@ -282,13 +283,20 @@ class SeparableSource:
                 reads[0].append(s)
                 reads[1].append(_sample(f"problem.source x-factor {k}.{j}", fx, (x,)))
                 reads[2].append(_sample(f"problem.source y-factor {k}.{j}", fy, (y,)))
-        return tuple(np.stack(read, axis=-1) for read in reads)
+        return reads
+
+    def factors(self, x, y, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each pair's factors on the axes ``x``, ``y`` and ``t``, as the
+        columns of three arrays of their shapes plus one axis: a term's time
+        factor repeats for each of its pairs."""
+        return tuple(np.stack(read, axis=-1) for read in self._reads(x, y, t))
 
     def __call__(self, x, y, t) -> np.ndarray:
-        s, fx, fy = self.factors(x, y, t)
         interior = np.ndim(x) == np.ndim(y) == 2 and np.shape(x)[1] == np.shape(y)[0] == 1
         if interior and np.ndim(t) == 0:
-            return np.matmul(s * fx[:, 0], fy[0].T)
+            s, fx, fy = self._reads(x, y, t)
+            return np.matmul(np.hstack([a * b for a, b in zip(s, fx)]), np.vstack(fy))
+        s, fx, fy = self.factors(x, y, t)
         return np.sum(s * fx * fy, axis=-1)
 
 
@@ -305,8 +313,8 @@ class Problem2D:
     :func:`on_grid`: the 2D solvers pass the broadcast axes ``x[:, None]``,
     ``y[None, :]`` of the interior, and ``boundary`` gets 2-D axes of each
     pair of sides, one row a side.  A ``source`` given as a
-    :class:`SeparableSource` lets the eigenbasis steps of symmetric problems
-    read it once a run.
+    :class:`SeparableSource` lets a problem with equal left and right
+    diffusivities on each axis step in the eigenbasis of its operators.
     """
 
     name: str

@@ -39,13 +39,14 @@ rows of the other.
 
 Two bases, chosen by the problem's structure alone: :func:`run_2d` steps in
 the eigenbasis of ``Dx`` and ``Dy`` when each axis has equal left and right
-diffusivities, so that both operators are exactly symmetric, and in the
-grid basis with the dense Cayley steppers above otherwise.  In the
-eigenbasis (the fast diagonalization method of Lynch, Rice & Thomas, 1964)
-``Dx = Qx diag(lam) Qx^T`` with ``Qx`` orthogonal, one ``eigh`` per axis
-at setup, and the run marches ``Qx^T U Qy``: each splitting's step is
-elementwise plus low-rank products (:func:`_eigen_stepper`), O(n^2) with a
-:class:`~wsgdiff.problems.SeparableSource`, and each level's norm needs no
+diffusivities, so that both operators are exactly symmetric, and the source
+is a :class:`~wsgdiff.problems.SeparableSource`; any other problem steps in
+the grid basis with the dense Cayley steppers above.  In the eigenbasis
+(the fast diagonalization method of Lynch, Rice & Thomas, 1964) ``Dx = Qx
+diag(lam) Qx^T`` with ``Qx`` orthogonal, one ``eigh`` per axis at setup,
+and the run marches ``Qx^T U Qy``: the source's factors are transformed
+once, so each splitting's step is elementwise plus one low-rank product
+(:func:`_eigen_stepper`), O(n^2), and each level's norm needs no
 transform.  The state returns to the grid once, at the final time.  An
 eigenvalue that is not negative, against the paper's stability condition,
 is a ``SolverError`` at setup.  Grid callables are read through
@@ -333,12 +334,15 @@ def lod_stepper(problem: Problem2D, config: SolverConfig2D) -> BlockStepper:
     return steps
 
 
-def _symmetric(problem: Problem2D) -> bool:
-    """Whether ``Dx`` and ``Dy`` are symmetric, so that :func:`run_2d` steps
-    in their eigenbasis: equal left and right diffusivities on each axis."""
+def _eigenbasis(problem: Problem2D) -> bool:
+    """Whether :func:`run_2d` steps ``problem`` in the eigenbasis of ``Dx``,
+    ``Dy``: equal left and right diffusivities on each axis, so that both
+    operators are exactly symmetric, and a :class:`SeparableSource`, whose
+    factors the basis transforms once a run."""
     return (
         problem.x_left_diffusivity == problem.x_right_diffusivity
         and problem.y_left_diffusivity == problem.y_right_diffusivity
+        and isinstance(problem.source, SeparableSource)
     )
 
 
@@ -362,7 +366,7 @@ def _eigen_stepper(problem: Problem2D, config: SolverConfig2D):
     """Set up the splitting of ``config`` in the eigenbasis of symmetric
     ``Dx = Qx diag(lam) Qx^T`` and ``Dy = Qy diag(mu) Qy^T``; return ``(steps,
     Qx, Qy)``, ``steps(V, k)`` the block stepper of the state ``V = Qx^T U
-    Qy``.
+    Qy``.  The problem's source is a :class:`SeparableSource`.
 
     With ``a = tau/2`` and ``c = (1 + a lam)/(1 - a lam)`` (``d`` likewise
     from ``mu``), both splittings step ``V <- G o V + H o F^ + E_k``, with
@@ -370,15 +374,15 @@ def _eigen_stepper(problem: Problem2D, config: SolverConfig2D):
     has ``H = a (c + 1)(1/(1 - a mu))^T`` and its y-side data ``g`` in ``E_k
     = a (c o g^_k + g^_{k+1}) e^T``, with ``g^ = Qx^T g`` and ``e = (Qy^T
     [cy0, cyN]) / (1 - a mu)``; ``lod`` has ``H = a (G + 1)`` and the source's
-    swept y-lines ``f`` in ``E_k = a^2 ((c - 1) o Qx^T f) e^T``.  Each
-    low-rank term is one product of an ``(Nx-1, r)`` block, assembled a step,
-    with an ``(r, Ny-1)`` one fixed at setup.  A :class:`SeparableSource` is
-    read once, its factors transformed at setup, so ``H o F^`` joins that
-    product and a step costs O(n^2); any other source is transformed by two
-    products a step.
+    swept y-lines ``f`` in ``E_k = a^2 ((c - 1) o Qx^T f) e^T``.  The
+    source's factors are read and transformed once, at setup, so ``H o F^ +
+    E_k`` is one product of an ``(Nx-1, r)`` block, the transformed
+    x-factors scaled by the step's time factors (and, for ``pr``, two
+    columns of y-side data), with an ``(r, Ny-1)`` block fixed at setup: a
+    step is O(n^2) plus that product.
     """
     lod = config.splitting == "lod"
-    _, _, x, y, X, Y, sides = _checked_grid(problem, config, lod)
+    _, _, x, y, _, _, sides = _checked_grid(problem, config, lod)
     dx, dy = build_directional_operators(problem, config)
     (lam, qx), (mu, qy) = _spectrum(dx, "x"), _spectrum(dy, "y")
     del dx, dy  # freed before the run's arrays are allocated
@@ -387,71 +391,47 @@ def _eigen_stepper(problem: Problem2D, config: SolverConfig2D):
     c, d = ((1.0 + a * v) / (1.0 - a * v) for v in (lam, mu))
     G, e = np.outer(c, d), (qy.T @ _y_columns(problem, config)) / (1.0 - a * mu)[:, None]
     c = c[:, None]
+    # the factors on the interior x-nodes, at every step's midpoint time and
+    # on the interior y-nodes, for lod's y-lines also on y = ay, by
+    y_read = np.concatenate(([problem.ay], y[1:-1], [problem.by])) if lod else y[1:-1]
+    s, fx, fy = problem.source.factors(x[1:-1], y_read, tau * np.arange(config.M) + a)
+    # a non-finite factor or datum gives a non-finite state, which march
+    # reports, so the products raise no numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        xh = qx.T @ fx
+        if lod:
+            # H o (xh yh^T) is rank 2 per pair, and the swept y-lines rank 1
+            yh = qy.T @ fy[1:-1]
+            left = np.hstack((a * c * xh, a * xh, a * a * (c - 1.0) * xh))
+            rhs = np.vstack(((d[:, None] * yh).T, yh.T, (e @ fy[[0, -1]]).T))
+            s = np.tile(s, 3)
+        else:
+            # the last two columns of lhs hold a step's y-side data
+            left = a * (c + 1.0) * xh
+            rhs = np.vstack(((qy.T @ fy).T / (1.0 - a * mu), a * e.T))
+    r = left.shape[1]
+    lhs, w = np.empty((nx, len(rhs))), np.empty((nx, ny))
 
-    def to_basis(v: np.ndarray) -> np.ndarray:
-        """``Qx^T v``; a non-finite ``v`` gives a non-finite state, which
-        ``march`` reports, so the product raises no numpy warning."""
+    def y_data(t: float) -> np.ndarray:
+        """``Qx^T g`` at time ``t``."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return qx.T @ v
-
-    # a step is V <- lhs @ rhs + G o V (+ H o Qx^T F Qy for lod and a plain
-    # source), the first r columns of lhs and rows of rhs for the source and
-    # two more for the y-side data (pr) or a plain source's y-lines (lod)
-    separable = isinstance(problem.source, SeparableSource)
-    if separable:
-        # the factors on the interior x-nodes, on y = ay, interior, by, and
-        # at every step's midpoint time; a step scales the x-factors
-        y_read = np.concatenate(([problem.ay], y[1:-1], [problem.by]))
-        s, fx, fy = problem.source.factors(x[1:-1], y_read, tau * np.arange(config.M) + a)
-        with np.errstate(over="ignore", invalid="ignore"):  # as in to_basis
-            xh, yh = qx.T @ fx, qy.T @ fy[1:-1]
-            if lod:
-                # H o (xh yh^T) is rank 2 per pair, and the swept y-lines rank 1
-                left = np.hstack((a * c * xh, a * xh, a * a * (c - 1.0) * xh))
-                right = np.hstack((d[:, None] * yh, yh, e @ fy[[0, -1]]))
-                s = np.tile(s, 3)
-            else:
-                left, right = a * (c + 1.0) * xh, yh / (1.0 - a * mu)[:, None]
-    elif lod:
-        left, right = np.empty((nx, 0)), np.empty((ny, 0))
-        H, w2 = a * (G + 1.0), np.empty((nx, ny))
-    else:
-        # H o Qx^T F Qy = (a (c + 1) o Qx^T) (F Qy / (1 - a mu)): a step
-        # writes the second factor into the first nx rows of rhs
-        left, right, py = a * (c + 1.0) * qx.T, np.empty((ny, nx)), qy / (1.0 - a * mu)
-    edges = not (lod and separable)
-    lhs = np.hstack((left, np.empty((nx, 2 * edges))))
-    rhs = np.vstack((right.T, (a * a if lod else a) * e.T)) if edges else right.T.copy()
-    r, w = left.shape[1], np.empty((nx, ny))
+            return qx.T @ on_grid(problem, "boundary", *sides["y"], t).T
 
     def steps(V: np.ndarray, k: int) -> Iterator[np.ndarray]:
         blocks = _blocks(k, config.M, nx * ny)  # checks k before any read
         if not lod:
-            g_now = to_basis(on_grid(problem, "boundary", *sides["y"], k * tau).T)
+            g_now = y_data(k * tau)
         for start, count in blocks:
             out = np.empty((count, nx, ny))
             for j, row in zip(range(start, start + count), out):
-                t_mid = j * tau + a
                 if not lod:
-                    g_next = to_basis(on_grid(problem, "boundary", *sides["y"], (j + 1) * tau).T)
-                elif not separable:
-                    f = to_basis(on_grid(problem, "source", *sides["y"], t_mid).T)
-                if not separable:
-                    F = np.ascontiguousarray(on_grid(problem, "source", X, Y, t_mid))
+                    g_next = y_data((j + 1) * tau)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    if separable:
-                        np.multiply(left, s[j], out=lhs[:, :r])
-                    elif not lod:
-                        np.matmul(F, py, out=rhs[:r])
+                    np.multiply(left, s[j], out=lhs[:, :r])
                     if not lod:
                         np.add(np.multiply(c, g_now, out=lhs[:, r:]), g_next, out=lhs[:, r:])
                         g_now = g_next
-                    elif not separable:
-                        np.multiply(c - 1.0, f, out=lhs[:, r:])
                     np.matmul(lhs, rhs, out=row)
-                    if lod and not separable:
-                        np.matmul(np.matmul(qx.T, F, out=w), qy, out=w2)
-                        row += np.multiply(H, w2, out=w2)
                     row += np.multiply(G, V, out=w)
                     V = row
             out.flags.writeable = False
@@ -463,9 +443,10 @@ def _eigen_stepper(problem: Problem2D, config: SolverConfig2D):
 def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution:
     """Integrate a 2D problem from its initial state to the final time.
 
-    A problem with equal left and right diffusivities on each axis steps in
-    the eigenbasis of ``Dx``, ``Dy`` (:func:`_eigen_stepper`), any other on
-    the splitting's dense stepper; the block stepper goes straight to
+    A problem with equal left and right diffusivities on each axis and a
+    :class:`~wsgdiff.problems.SeparableSource` steps in the eigenbasis of
+    ``Dx``, ``Dy`` (:func:`_eigen_stepper`), any other on the splitting's
+    dense stepper; the block stepper goes straight to
     :func:`~wsgdiff.solve1d.march`, and yields blocks of ``B`` levels with
     ``B (Nx-1)(Ny-1) <= 2**15``: 8 at ``N = 64``, 2 at 128 and 1 from 256.
     Each level's norm is the grid-weighted L2 norm of
@@ -474,7 +455,7 @@ def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution:
     ``Qy`` are orthogonal), so it makes no squared temporary; a non-finite
     state still gives a non-finite norm.
     """
-    if _symmetric(problem):
+    if _eigenbasis(problem):
         steps, qx, qy = _eigen_stepper(problem, config)
     else:
         factory = lod_stepper if config.splitting == "lod" else pr_adi_stepper

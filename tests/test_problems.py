@@ -243,7 +243,7 @@ def test_separable_source_factors_are_checked(monkeypatch, factor, path):
             source(x[:, None], x[None, :], 0.5)
         else:
             if path == "dense":
-                monkeypatch.setattr(solve2d, "_symmetric", lambda problem: False)
+                monkeypatch.setattr(solve2d, "_eigenbasis", lambda problem: False)
             _solve("ex4", source=source)
 
 

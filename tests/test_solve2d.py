@@ -41,8 +41,9 @@ _STEPPER = {"pr": pr_adi_stepper, "lod": lod_stepper}
 
 @pytest.fixture
 def dense(monkeypatch):
-    """Step every problem on the dense Cayley steppers, symmetric ones too."""
-    monkeypatch.setattr(solve2d, "_symmetric", lambda problem: False)
+    """Step every problem on the dense Cayley steppers, those the eigenbasis
+    would take too."""
+    monkeypatch.setattr(solve2d, "_eigenbasis", lambda problem: False)
 
 
 def _interior_grid(problem, nx, ny):
@@ -703,15 +704,19 @@ def test_step_returns_a_fresh_c_ordered_array(splitting):
 
 
 def _symmetric_y_data():
-    """Equal left and right diffusivities on each axis, unequal spacings and
-    nonzero data on the y-sides, for the factored scheme."""
+    """Equal left and right diffusivities on each axis, a separable source,
+    unequal spacings and nonzero data on the y-sides, for the factored
+    scheme."""
 
     def boundary(x, y, t):
         return np.asarray(x) * (1.0 - np.asarray(x)) * np.asarray(y) * (1.0 + t)
 
     diffusivities = dict(x_left_diffusivity=0.7, x_right_diffusivity=0.7)
     diffusivities.update(y_left_diffusivity=1.3, y_right_diffusivity=1.3)
-    return _custom_2d(alpha=1.3, beta=1.7, boundary=boundary, by=2.0, **diffusivities)
+    source = problems.SeparableSource(((np.exp, (np.sin,), (lambda y: y * y,)),))
+    return _custom_2d(
+        alpha=1.3, beta=1.7, source=source, boundary=boundary, by=2.0, **diffusivities
+    )
 
 
 def _plain_source(x, y, t):
@@ -732,7 +737,7 @@ _AGREEMENT_CASES = [
     *((name, "ex4", n, n, n) for name in ("pr", "lod") for n in (16, 64, 128)),
     ("pr", "y-data", 16, 12, 10),
     ("pr", "y-data", 64, 48, 100),
-    *((name, source, 24, 24, 16) for name in ("pr", "lod") for source in ("plain", "two-term")),
+    *((name, "two-term", 24, 24, 16) for name in ("pr", "lod")),
 ]
 
 
@@ -743,12 +748,11 @@ def test_eigenbasis_runs_agree_with_the_dense_path(monkeypatch, splitting, case,
     p = {
         "ex4": lambda: make_example("ex4", 1.2, 1.8),
         "y-data": _symmetric_y_data,
-        "plain": lambda: _custom_2d(alpha=1.4, beta=1.6, source=_plain_source),
         "two-term": lambda: _custom_2d(alpha=1.4, beta=1.6, source=_two_term_source()),
     }[case]()
     cfg = SolverConfig2D(Nx=nx, Ny=ny, M=M, splitting=splitting)
     got = run_2d(p, cfg)
-    monkeypatch.setattr(solve2d, "_symmetric", lambda problem: False)
+    monkeypatch.setattr(solve2d, "_eigenbasis", lambda problem: False)
     want = run_2d(p, cfg)
     gap = np.max(np.abs(got.values - want.values)) / np.max(np.abs(want.values))
     assert gap <= 1e-12, gap
@@ -757,7 +761,7 @@ def test_eigenbasis_runs_agree_with_the_dense_path(monkeypatch, splitting, case,
 
 
 @pytest.mark.parametrize(
-    "diffusivities,eigenbasis",
+    "diffusivities,symmetric",
     [
         ((1.0, 1.0, 1.0, 1.0), True),
         ((0.3, 0.3, 2.0, 2.0), True),
@@ -765,12 +769,19 @@ def test_eigenbasis_runs_agree_with_the_dense_path(monkeypatch, splitting, case,
         ((1.0, 1.0, 0.0, 1.0), False),
     ],
 )
+@pytest.mark.parametrize("source", ["separable", "plain"])
 @pytest.mark.parametrize("splitting", ["pr", "lod"])
-def test_symmetry_alone_selects_the_eigenbasis(monkeypatch, splitting, diffusivities, eigenbasis):
+def test_symmetry_and_a_separable_source_select_the_eigenbasis(
+    monkeypatch, splitting, source, diffusivities, symmetric
+):
     # the dense steppers make their two solves at setup; the eigenbasis makes
     # none, and the dense steppers run bit-identically to their own factory
+    eigenbasis = symmetric and source == "separable"
     names = ("x_left", "x_right", "y_left", "y_right")
-    p = _custom_2d(**{f"{k}_diffusivity": v for k, v in zip(names, diffusivities)})
+    p = _custom_2d(
+        source=_two_term_source() if source == "separable" else _plain_source,
+        **{f"{k}_diffusivity": v for k, v in zip(names, diffusivities)},
+    )
     cfg = SolverConfig2D(Nx=8, Ny=8, M=3, splitting=splitting)
     calls = []
     solve = solve2d.solve
@@ -799,10 +810,11 @@ def test_eigenbasis_reads_each_level_of_y_side_data_once(monkeypatch, entries):
     assert sorted(set(calls)) == [k * cfg.tau for k in range(cfg.M + 1)]
 
 
-@pytest.mark.parametrize("splitting", ["pr", "lod"])
-def test_separable_factors_are_read_once_a_run(splitting):
+@pytest.mark.parametrize("splitting,y_nodes", [("pr", 7), ("lod", 9)])
+def test_separable_factors_are_read_once_a_run(splitting, y_nodes):
     # the eigenbasis reads each factor once, at setup, on every node and time
-    # a run uses; a step reads none
+    # a run uses: the y-factors on the y-sides only for lod's y-lines; a step
+    # reads none
     reads = []
 
     def counted(name, fn):
@@ -813,7 +825,7 @@ def test_separable_factors_are_read_once_a_run(splitting):
     )
     cfg = SolverConfig2D(Nx=8, Ny=8, M=5, splitting=splitting)
     run_2d(_custom_2d(source=source), cfg)
-    assert sorted(reads) == [("t", (5,)), ("x", (7,)), ("y", (9,))]
+    assert sorted(reads) == [("t", (5,)), ("x", (7,)), ("y", (y_nodes,))]
 
 
 @pytest.mark.parametrize("axis", ["x", "y"])
@@ -829,7 +841,8 @@ def test_an_operator_that_is_not_negative_definite_fails_at_setup(monkeypatch, a
 
     monkeypatch.setattr(solve2d, "build_directional_operators", shifted)
     reads = []
-    p = _custom_2d(source=lambda x, y, t: reads.append(t) or _plain_source(x, y, t))
+    time = lambda t: reads.append(t) or np.exp(t)
+    p = _custom_2d(source=problems.SeparableSource(((time, (np.sin,), (np.cos,)),)))
     message = rf"{axis}-direction: .*not negative definite; its largest eigenvalue is 0\.5$"
     with pytest.raises(SolverError, match=message):
         run_2d(p, SolverConfig2D(Nx=8, Ny=8, M=2))
@@ -948,7 +961,7 @@ def test_non_finite_y_side_data_raise_with_step_and_time(monkeypatch, basis):
         return np.where((t > 0.6) & (v != 0.0), np.inf, v)
 
     if basis == "grid":
-        monkeypatch.setattr(solve2d, "_symmetric", lambda problem: False)
+        monkeypatch.setattr(solve2d, "_eigenbasis", lambda problem: False)
     p = dataclasses.replace(_symmetric_y_data(), boundary=boundary)
     with pytest.raises(SolverError, match=r"step 3 \(t=0\.75\)"):
         run_2d(p, SolverConfig2D(Nx=8, Ny=12, M=4))
