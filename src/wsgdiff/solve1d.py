@@ -89,8 +89,8 @@ _BLOCK_ENTRIES = 2**15
 
 #: ``advance(U, terms)`` of a set-up time-stepping system: the states stepped
 #: from ``U`` through the slabs whose known right-hand-side terms ``v =
-#: tau*F + boundary terms`` are the rows of ``terms`` (a vector is one slab),
-#: as the rows of one C-ordered ``(count, n)`` buffer.
+#: tau*F + boundary terms`` are the rows of the ``(count, n)`` array
+#: ``terms``, as the rows of one C-ordered ``(count, n)`` buffer.
 Advance = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 #: ``steps(U, k)`` of a set-up scheme: a generator of the states of the levels
@@ -250,7 +250,6 @@ def _dense_steps(problem: Problem1D, config: SolverConfig1D) -> Advance:
     theta = config.theta
 
     def advance(U: np.ndarray, terms: np.ndarray) -> np.ndarray:
-        terms = np.atleast_2d(terms)
         lifted = np.multiply(terms, theta, order="C")
         kept = np.multiply(terms, 1.0 - theta, order="C")
         out = np.empty(terms.shape)
@@ -346,7 +345,6 @@ def _cn_steps(problem: Problem1D, config: SolverConfig1D) -> Advance:
         inv, ratio = 1.0 / config.theta, (1.0 - config.theta) / config.theta
 
         def advance(U: np.ndarray, terms: np.ndarray) -> np.ndarray:
-            terms = np.atleast_2d(terms)
             out = np.empty(terms.shape)
             for row, v in zip(out, terms):
                 row[:] = inverse(inv * U + v)

@@ -31,9 +31,10 @@ With ``a = tau/2``, setup forms the Cayley factor ``Cx = (I - a Dx)^-1
 (I + a Dx)`` (and ``Cy`` for ``lod``) and, for ``pr``, ``(I - a Dy)^-1``,
 once per run by one solve each through ``solve1d.solve``.  Each Cayley
 factor is a contraction, so these matrices are well conditioned, and a step
-is then two matrix products (the first ``pr`` step three, see
-:func:`pr_adi_stepper`) into C-ordered work arrays allocated once per run
-and its row of the block: no triangular solve.  The rank-2 boundary-column
+is then two matrix products into C-ordered work arrays allocated once per
+run and its row of the block: no triangular solve.  A ``pr`` call of
+``steps`` makes one more product, before its first step, to seed the
+operand it carries (see :func:`pr_adi_stepper`).  The rank-2 boundary-column
 terms ride in a product, on two extra columns of one operand and two extra
 rows of the other.
 
@@ -211,14 +212,14 @@ def _y_columns(problem: Problem2D, config: SolverConfig2D) -> np.ndarray:
 
 
 def _sweeps(problem: Problem2D, config: SolverConfig2D):
-    """Half-step matrices shared by both dense steppers, with ``a = tau/2``:
-    the x-direction Cayley factor ``Cx = (I - a Dx)^-1 (I + a Dx)``, formed
-    by one solve, then ``I + a Dy``, ``I - a Dy`` and :func:`_y_columns`."""
+    """Setup shared by both dense steppers, with ``a = tau/2``: the
+    x-direction Cayley factor ``Cx = (I - a Dx)^-1 (I + a Dx)``, formed by
+    one solve, then ``a Dy`` and :func:`_y_columns`."""
     dx, dy = build_directional_operators(problem, config)
     a = 0.5 * config.tau
-    ix, iy = np.eye(config.Nx - 1), np.eye(config.Ny - 1)
+    ix = np.eye(config.Nx - 1)
     cx = solve(ix - a * dx, ix + a * dx, "x-direction")
-    return cx, iy + a * dy, iy - a * dy, _y_columns(problem, config)
+    return cx, a * dy, _y_columns(problem, config)
 
 
 def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> BlockStepper:
@@ -227,30 +228,32 @@ def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> BlockStepper:
     Stage 1 solves ``(I - tau/2 dx) V = (I + tau/2 dy) U + tau/2 F`` down
     the x direction; stage 2 solves ``(I - tau/2 dy) U_next =
     (I + tau/2 dx) V + tau/2 F`` across y, with the midpoint source shared
-    by both stages.  With ``W`` the right side of stage 1, stage 2's right
-    side is ``Cx W + tau/2 F``, so a step is three products: ``W = U (I + a
-    Dy)^T + a F``, ``W2 = Cx W + a F`` and ``U_next = W2 (I - a Dy)^-T``.
-    This is the stepper of all three names of the factored scheme: ``pr``,
-    ``douglas`` and ``dyakonov``.  Accepts unequal spacings and
-    time-dependent data ``g`` on the y-boundaries, whose boundary-column
+    by both stages.  With ``a = tau/2`` and ``W`` the right side of stage
+    1, stage 2's right side is ``W2 = Cx W + a F`` and ``U_next = W2 (I - a
+    Dy)^-T``.  This is the stepper of all three names of the factored
+    scheme: ``pr``, ``douglas`` and ``dyakonov``.  Accepts unequal spacings
+    and time-dependent data ``g`` on the y-boundaries, whose boundary-column
     terms ``a g^T [cy0, cyN]^T`` join ``W`` and ``W2``; both ride in the
-    second product, made on every step whatever the data.
+    product that forms ``W2``, made on every step whatever the data.
 
-    Since ``(I + a Dy) = 2I - (I - a Dy)`` and a step leaves ``W2/a =
-    U_next (I - a Dy)^T / a`` in its work array, boundary terms included,
-    the next step's ``W/a = 2U/a - W2/a + F`` is three elementwise passes
-    instead of the first product.  ``W2`` and the y-side data ``g`` of the
-    last level are carried by one call of ``steps``, which starts with the
-    product, so a run reads each level of ``g`` once.
+    Since ``(I + a Dy) = 2I - (I - a Dy)`` and ``W2 = U_next (I - a
+    Dy)^T``, boundary terms included, ``W/a = 2U/a - W2/a + F`` takes three
+    elementwise passes over the ``W2/a`` of the step before, so a step is
+    two products.  Each call of ``steps`` seeds ``W2/a = U (I - a Dy)^T /
+    a`` from its ``U`` by one product, and carries ``W2/a`` and the y-side
+    data of the last level from step to step, so a run reads each level of
+    ``g`` once.
     """
     *_, X, Y, sides = _checked_grid(problem, config, lod=False)
-    cx, ey, ay, cols = _sweeps(problem, config)
+    cx, ady, cols = _sweeps(problem, config)
     nx, ny = config.Nx - 1, config.Ny - 1
     tau = config.tau
     a = 0.5 * tau
-    # W and W2 are carried divided by a, so F joins them unscaled
-    first = ey.T / a
-    last = a * solve(ay, np.eye(ny), "y-direction").T
+    iy = np.eye(ny)
+    ay = iy - ady
+    # W2 is carried divided by a, so F joins it unscaled
+    seed = ay.T / a
+    last = a * solve(ay, iy, "y-direction").T
     # stage 1's boundary term reaches stage 2 only through Cx, so both ride
     # in the second product: [Cx | G] @ [W/a; cols^T] = Cx W/a + G cols^T,
     # with G = Cx g(k tau)^T + g((k+1) tau)^T on two extra columns; a step
@@ -262,22 +265,20 @@ def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> BlockStepper:
     def steps(U: np.ndarray, k: int) -> Iterator[np.ndarray]:
         blocks = _blocks(k, config.M, nx * ny)  # checks k before any read
         # w2 holds W2/a, and g_now the y-side data of the level of U
-        w2, carry = np.empty((nx, ny)), False
         g_now = on_grid(problem, "boundary", *sides["y"], k * tau).T
+        with np.errstate(over="ignore", invalid="ignore"):
+            w2 = np.matmul(U, seed)
         for start, count in blocks:
             out = np.empty((count, nx, ny))
             for j, row in zip(range(start, start + count), out):
                 F = on_grid(problem, "source", X, Y, j * tau + a)
                 g_next = on_grid(problem, "boundary", *sides["y"], (j + 1) * tau).T
                 with np.errstate(over="ignore", invalid="ignore"):
-                    if carry:
-                        np.add(np.subtract(np.multiply(U, 2.0 / a, out=w), w2, out=w), F, out=w)
-                    else:
-                        np.add(np.matmul(U, first, out=w), F, out=w)
+                    np.add(np.subtract(np.multiply(U, 2.0 / a, out=w), w2, out=w), F, out=w)
                     np.add(np.matmul(cx, g_now, out=g), g_next, out=g)
                     np.add(np.matmul(cx_aug, w_aug, out=w2), F, out=w2)
                     U = np.matmul(w2, last, out=row)
-                carry, g_now = True, g_next
+                g_now = g_next
             out.flags.writeable = False
             yield out
 
@@ -302,9 +303,10 @@ def lod_stepper(problem: Problem2D, config: SolverConfig2D) -> BlockStepper:
     for both axes and fully homogeneous Dirichlet data.
     """
     *_, X, Y, sides = _checked_grid(problem, config, lod=True)
-    cx, ey, ay, cols = _sweeps(problem, config)
-    # last = [Cy^T; (Ay^-1 cols)^T], with Cy = Ay^-1 Ey
-    last = solve(ay, np.hstack((ey, cols)), "y-direction").T
+    cx, ady, cols = _sweeps(problem, config)
+    iy = np.eye(config.Ny - 1)
+    # last = [Cy^T; (Ay^-1 cols)^T], Cy = Ay^-1 Ey, with Ay, Ey = I -/+ a Dy
+    last = solve(iy - ady, np.hstack((iy + ady, cols)), "y-direction").T
     tau = config.tau
     a = 0.5 * tau
     nx, ny = config.Nx - 1, config.Ny - 1

@@ -8,14 +8,15 @@ the sign of ``f`` on ``[0, pi]`` decides definiteness and, through it,
 unconditional stability of the solvers.  This module evaluates the one
 closed form of ``f`` for every shift scheme, scans its sign, certifies
 negative definiteness of assembled matrices by attempted Cholesky
-factorization, and spot-checks the spectral bounds with random Rayleigh
-quotients.
+factorization, and checks the spectral bounds on the eigenvalues of the
+symmetric part, which bound all of its Rayleigh quotients.
 
-This module uses no eigensolver: factorization success/failure and sampled
-Rayleigh quotients carry its spectral content.  The 2D solver does use one:
-for symmetric directional operators :func:`~wsgdiff.solve2d.run_2d` steps
-in their eigenbasis, and its ``eigh`` eigenvalues, which lie within the
-generating function's range, make the negative definiteness exact there.
+Certification needs no eigensolver: a factorization's success or failure
+decides it.  The bound check uses ``eigvalsh``, and the 2D solver uses
+``eigh``: for symmetric directional operators
+:func:`~wsgdiff.solve2d.run_2d` steps in their eigenbasis, and those
+eigenvalues, which lie within the generating function's range, make the
+negative definiteness exact there.
 """
 
 from __future__ import annotations
@@ -161,23 +162,17 @@ def certify_negative_definite(T: ToeplitzOperator) -> CertificationResult:
     return CertificationResult(minor is None, failing_minor=minor)
 
 
-def rayleigh_bound_check(T: ToeplitzOperator, alpha: float, scheme: str, trials: int) -> bool:
-    """Check sampled Rayleigh quotients against the generating-function range.
+def rayleigh_bound_check(T: ToeplitzOperator, alpha: float, scheme: str) -> bool:
+    """Check every Rayleigh quotient against the generating-function range.
 
-    For ``trials`` random unit vectors ``v`` (seed 0), the quotient
-    ``v^T ((T + T^T)/2) v`` must lie inside ``[min f, max f]`` (widened by
-    ``1e-10``), where the range comes from :func:`scan_sign` with 4096 samples.
+    The Rayleigh quotients of ``(T + T^T)/2`` fill the interval between its
+    extreme eigenvalues, so the check is exact: the eigenvalues from
+    ``eigvalsh`` must lie inside ``[min f, max f]`` (widened by ``1e-10``),
+    where the range comes from :func:`scan_sign` with 4096 samples.
     """
-    trials = count_at_least("trials", trials, 1, "trial")
     scan = scan_sign(alpha, scheme, 4096)
-    lo, hi = scan.min_value - 1e-10, scan.max_value + 1e-10
     dense = T.to_dense()
-    s = (dense + dense.T) / 2.0
-    rng = np.random.default_rng(0)
-    for _ in range(trials):
-        v = rng.standard_normal(T.n)
-        v /= np.linalg.norm(v)
-        q = float(v @ s @ v)
-        if not (lo <= q <= hi):
-            return False
-    return True
+    eigenvalues = np.linalg.eigvalsh((dense + dense.T) / 2.0)
+    return bool(
+        scan.min_value - 1e-10 <= eigenvalues[0] and eigenvalues[-1] <= scan.max_value + 1e-10
+    )

@@ -20,7 +20,6 @@ from wsgdiff import (
     assemble_wsgd_matrix,
     boundary_columns,
     grunwald_coefficients,
-    rayleigh_bound_check,
     scan_sign,
     shifted_pair_weights,
     verify_weight_properties,
@@ -45,8 +44,6 @@ def test_problem_records_are_exported_in_order():
     assert wsgdiff.SeparableSource is problems.SeparableSource
 
 
-_T = assemble_wsgd_matrix(1.5, P1Q0, 8)
-
 #: Every count a weight, operator or spectral routine takes, as (argument name, call).
 _COUNTED = {
     "grunwald_coefficients": ("count", lambda n: grunwald_coefficients(1.5, n)),
@@ -61,7 +58,6 @@ _COUNTED = {
     ),
     "boundary_columns": ("n", lambda n: boundary_columns(1.5, P1Q0, n)),
     "scan_sign": ("samples", lambda n: scan_sign(1.5, P1Q0, n)),
-    "rayleigh_bound_check": ("trials", lambda n: rayleigh_bound_check(_T, 1.5, P1Q0, n)),
 }
 
 

@@ -202,7 +202,7 @@ def test_gs_step_system_matches_dense_oracle(data, big_n, scheme, alpha, theta):
         m.setattr(solve1d, "_dense_steps", None)
         advance = solve1d._cn_steps(problem, cfg)
     want_step = np.linalg.solve(lhs, u + (1.0 - theta) * (b @ u) + f + g)
-    gap_step = np.max(np.abs(advance(u, f + g) - want_step))
+    gap_step = np.max(np.abs(advance(u, (f + g)[None]) - want_step))
     gaps = gap_solve / np.max(np.abs(want_solve)), gap_step / np.max(np.abs(want_step))
     assert max(gaps) <= 1e-10, gaps
 

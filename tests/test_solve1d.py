@@ -433,7 +433,7 @@ def test_gs_setup_is_the_dense_system(monkeypatch, N, theta):
     U, f, b = rng.standard_normal((3, N - 1, 4))
     for j, u in enumerate(U.T):
         v = f[:, j] + b[:, j]
-        step, dense_step = advance(u, v), dense_advance(u, v)
+        step, dense_step = advance(u, v[None]), dense_advance(u, v[None])
         gap = np.max(np.abs(step - dense_step)) / np.max(np.abs(dense_step))
         assert gap <= 1e-10, (j, gap)
 
@@ -453,7 +453,7 @@ def test_backend_steps_a_block_as_its_slabs_one_at_a_time(monkeypatch, backend, 
     block = advance(U, terms)
     assert block.shape == (5, 32) and block.flags.c_contiguous
     for v, want in zip(terms, block):
-        (U,) = advance(U, v)
+        (U,) = advance(U, v[None])
         np.testing.assert_array_equal(U, want)
 
 

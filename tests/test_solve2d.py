@@ -345,6 +345,101 @@ def test_pr_continuation_block_carries_the_y_boundary_data(monkeypatch):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
 
+def _oracle_norms(levels, hx, hy):
+    return np.array([np.sqrt(hx * hy * np.sum(U * U)) for U in levels])
+
+
+@pytest.mark.parametrize("scheme,shifts", [("p1q0", (1, 0)), ("p1qm1", (1, -1))])
+def test_pr_run_matches_stepping_the_dense_oracle_over_every_level(scheme, shifts):
+    # a whole dense run, each step seeded or carried, against the factored
+    # step with literal boundary rows, with unequal spacings and
+    # diffusivities, a source and time-dependent data on both y-sides
+    def source(x, y, t):
+        return (1.0 + t) * np.sin(np.pi * x) * (1.0 + y)
+
+    nx, ny, M = 10, 8, 7
+    p = _custom_2d(
+        alpha=1.3,
+        beta=1.7,
+        source=source,
+        boundary=_ramp_boundary,
+        by=2.0,
+        x_left_diffusivity=1.6,
+        x_right_diffusivity=0.2,
+        y_left_diffusivity=0.5,
+        y_right_diffusivity=1.1,
+    )
+    cfg = SolverConfig2D(Nx=nx, Ny=ny, M=M, scheme=scheme)
+    sol = run_2d(p, cfg)
+    hx, hy, tau = 1.0 / nx, 2.0 / ny, cfg.tau
+    x, y_lines = hx * np.arange(1, nx)[:, None], np.array([[0.0, 2.0]])
+    xg, yg = _interior_grid(p, nx, ny)
+    wx = pair_weights_from_binomial(1.3, *shifts, nx + 1)
+    wy = pair_weights_from_binomial(1.7, *shifts, ny + 1)
+    levels = [p.initial(xg, yg)]
+    for k in range(M):
+        levels.append(
+            pr_boundary_lines_step(
+                wx,
+                wy,
+                (1.6, 0.2),
+                (0.5, 1.1),
+                1.3,
+                1.7,
+                hx,
+                hy,
+                levels[-1],
+                source(xg, yg, k * tau + 0.5 * tau),
+                _ramp_boundary(x, y_lines, k * tau),
+                _ramp_boundary(x, y_lines, (k + 1) * tau),
+                tau,
+            )
+        )
+    want, norms = levels[-1], _oracle_norms(levels, hx, hy)
+    np.testing.assert_allclose(
+        sol.values[1:-1, 1:-1], want, rtol=0, atol=1e-12 * np.max(np.abs(want))
+    )
+    np.testing.assert_allclose(sol.norm_history, norms, rtol=0, atol=1e-12 * np.max(norms))
+
+
+@pytest.mark.parametrize("scheme,shifts", [("p1q0", (1, 0)), ("p1qm1", (1, -1))])
+def test_lod_run_matches_stepping_the_dense_oracle_over_every_level(scheme, shifts):
+    # a whole dense lod run against the step swept along every y-line, with
+    # unequal diffusivities and a source that is nonzero on both y-lines
+    def source(x, y, t):
+        return (1.0 + t) * np.sin(np.pi * x) * (1.0 + 2.0 * y)
+
+    n, M = 10, 7
+    p = _custom_2d(
+        alpha=1.3,
+        beta=1.7,
+        source=source,
+        x_left_diffusivity=1.6,
+        x_right_diffusivity=0.2,
+        y_left_diffusivity=0.5,
+        y_right_diffusivity=1.1,
+    )
+    cfg = SolverConfig2D(Nx=n, Ny=n, M=M, scheme=scheme, splitting="lod")
+    sol = run_2d(p, cfg)
+    h, tau = 1.0 / n, cfg.tau
+    x, y_lines = h * np.arange(1, n)[:, None], h * np.arange(0, n + 1)[None, :]
+    wx = pair_weights_from_binomial(1.3, *shifts, n + 1)
+    wy = pair_weights_from_binomial(1.7, *shifts, n + 1)
+    levels = [p.initial(*_interior_grid(p, n, n))]
+    for k in range(M):
+        f_lines = source(x, y_lines, k * tau + 0.5 * tau)
+        levels.append(
+            lod_boundary_swept_step(
+                wx, wy, (1.6, 0.2), (0.5, 1.1), 1.3, 1.7, h, levels[-1], f_lines, tau
+            )
+        )
+    want, norms = levels[-1], _oracle_norms(levels, h, h)
+    np.testing.assert_allclose(
+        sol.values[1:-1, 1:-1], want, rtol=0, atol=1e-12 * np.max(np.abs(want))
+    )
+    np.testing.assert_allclose(sol.norm_history, norms, rtol=0, atol=1e-12 * np.max(norms))
+
+
 def test_classical_limit_matches_heat_adi_oracle():
     def source(x, y, t):
         return np.exp(-t) * x * (1.0 - x) * np.sin(np.pi * y)
@@ -401,8 +496,8 @@ def _skewed_problem():
 
 def _public_pr_levels(p, cfg):
     """The final interior state and the norm of every level, stepped level by
-    level on the three-product path: each level is the first step of a fresh
-    call, in blocks of one level."""
+    level from a freshly seeded product: each level is the first step of a
+    fresh call, in blocks of one level."""
     steps = pr_adi_stepper(p, cfg)
     hx, hy = (p.bx - p.ax) / cfg.Nx, (p.by - p.ay) / cfg.Ny
     U = np.array(p.initial(*_interior_grid(p, cfg.Nx, cfg.Ny)), dtype=float)
@@ -420,8 +515,8 @@ def _public_pr_levels(p, cfg):
 )
 def test_pr_run_matches_stepping_the_public_stepper(dense, case, nx, ny, M):
     # run_2d carries the y-sweep product W2 from one step into the next
-    # instead of making the first product again; that differs from the
-    # three-product step by roundoff only, boundary-column terms included
+    # instead of seeding it from U again; that differs from a fresh call's
+    # seeded step by roundoff only, boundary-column terms included
     p = make_example("ex4", 1.2, 1.8) if case == "ex4" else _skewed_problem()
     cfg = SolverConfig2D(Nx=nx, Ny=ny, M=M)
     sol = run_2d(p, cfg)
@@ -460,9 +555,9 @@ def test_pr_run_norms_never_increase(alpha, beta, ratio):
 
 @pytest.mark.parametrize("M", [1, 2, 7])
 def test_pr_run_makes_one_product_a_step_after_the_first(monkeypatch, M):
-    # an n-by-n product carries the first step's y-sweep; later steps
-    # reuse the previous step's W2, so a run makes M + 1 besides the M
-    # solves against I - a Dy, while the three-product step makes three
+    # one n-by-n product seeds W2 from the initial state, and every step
+    # reuses the previous W2, so a run makes M + 1 besides the M solves
+    # against I - a Dy, while a fresh call's first step makes three
     nx, ny = 8, 12
     shapes = []
     matmul = np.matmul

@@ -1,6 +1,6 @@
 """Generating functions and definiteness certification: closed forms vs. an
 independent cosine-series oracle, sign scans, Cholesky certification, and
-Rayleigh-quotient containment."""
+and the exact Rayleigh-quotient containment check."""
 
 from __future__ import annotations
 
@@ -206,7 +206,7 @@ def test_failing_minor_bisection_matches_cholesky_info(n):
 )
 def test_rayleigh_quotients_inside_symbol_range(alpha, scheme):
     t = assemble_wsgd_matrix(alpha, scheme, 64)
-    assert rayleigh_bound_check(t, alpha, scheme, 200)
+    assert rayleigh_bound_check(t, alpha, scheme)
 
 
 def test_rayleigh_single_entry_matrix():
@@ -215,13 +215,16 @@ def test_rayleigh_single_entry_matrix():
     alpha = 1.5
     w1 = (2.0 - alpha - alpha**2) / 2.0
     t = ToeplitzOperator(np.array([w1]), np.array([w1]))
-    assert rayleigh_bound_check(t, alpha, P1Q0, 10)
+    assert rayleigh_bound_check(t, alpha, P1Q0)
 
 
 def test_rayleigh_validation():
+    # the order and the scheme go through the generating function's checks
     t = assemble_wsgd_matrix(1.5, P1Q0, 8)
     with pytest.raises(ParameterError):
-        rayleigh_bound_check(t, 1.5, P1Q0, 0)
+        rayleigh_bound_check(t, 2.5, P1Q0)
+    with pytest.raises(ParameterError):
+        rayleigh_bound_check(t, 1.5, "gl")
 
 
 def test_rayleigh_detects_out_of_range_matrix():
@@ -230,7 +233,24 @@ def test_rayleigh_detects_out_of_range_matrix():
     col = np.zeros(8)
     col[0] = 3.0
     t = ToeplitzOperator(col, col.copy())
-    assert not rayleigh_bound_check(t, 1.5, P1Q0, 5)
+    assert not rayleigh_bound_check(t, 1.5, P1Q0)
+
+
+def test_rayleigh_check_sees_one_eigenvalue_outside_the_range():
+    # a diagonal shift that moves the top eigenvalue of the symmetric part
+    # 1e-6 above max f = 0: quotients of random unit vectors sit near the
+    # mean eigenvalue, far below it, so a sampled check would pass this
+    t = assemble_wsgd_matrix(1.5, P1Q0, 64)
+    dense = t.to_dense()
+    top = np.linalg.eigvalsh((dense + dense.T) / 2.0)[-1]
+
+    def shifted(to):
+        diagonal = np.zeros(t.n)
+        diagonal[0] = to - top
+        return ToeplitzOperator(t.first_col + diagonal, t.first_row + diagonal)
+
+    assert not rayleigh_bound_check(shifted(1e-6), 1.5, P1Q0)
+    assert rayleigh_bound_check(shifted(-1e-6), 1.5, P1Q0)
 
 
 @pytest.mark.parametrize("scheme", PAIR_SCHEMES)
