@@ -173,8 +173,8 @@ class Problem1D:
         if not self.steady and self.initial is None:
             raise ParameterError("time-dependent problems need an initial state")
         if not self.allow_nonzero_boundary:
-            # the record knows no run's levels; a run checks its own
-            self.boundary_values(np.array([0.0, 0.5, 1.0]))
+            # t = 0 is the one level every run has; a run checks all its own
+            self.boundary_values(np.zeros(1))
 
     def boundary_values(self, times: np.ndarray) -> np.ndarray:
         """Both Dirichlet data at each of ``times``, one scalar call each, as

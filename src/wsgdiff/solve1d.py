@@ -202,8 +202,7 @@ def steady_solve_3wsgd(problem: Problem1D, N: int) -> Solution:
     n = N - 1
     G = assemble_wsgd_matrix(problem.alpha, wt.PQR, n).to_dense()
     col_left, _, col_right, _ = boundary_columns(problem.alpha, wt.PQR, n)
-    ua = float(problem.left_boundary(0.0))
-    ub = float(problem.right_boundary(0.0))
+    ua, ub = problem.boundary_values(np.zeros(1))[:, 0]
     s = on_grid(problem, "source", xi, 0.0)
     rhs = -(h**problem.alpha) * s - col_left * ua - col_right * ub
     u_int = solve(G, rhs, "steady solve")

@@ -38,31 +38,34 @@ operand it carries (see :func:`pr_adi_stepper`).  The rank-2 boundary-column
 terms ride in a product, on two extra columns of one operand and two extra
 rows of the other.
 
-Two bases, chosen by the problem's structure alone: :func:`run_2d` steps in
-the eigenbasis of ``Dx`` and ``Dy`` when each axis has equal left and right
-diffusivities, so that both operators are exactly symmetric, and the source
-is a :class:`~wsgdiff.problems.SeparableSource`; any other problem steps in
-the grid basis with the dense Cayley steppers above.  In the eigenbasis
-(the fast diagonalization method of Lynch, Rice & Thomas, 1964) ``Dx = Qx
-diag(lam) Qx^T`` with ``Qx`` orthogonal, one ``eigh`` per axis at setup,
-and the run marches ``Qx^T U Qy``: the source's factors are transformed
-once, so each splitting's step is elementwise plus one low-rank product
-(:func:`_eigen_stepper`), O(n^2), and each level's norm needs no
-transform.  The state returns to the grid once, at the final time.  An
-eigenvalue that is not negative, against the paper's stability condition,
-is a ``SolverError`` at setup.  Grid callables are read through
-:func:`~wsgdiff.problems.on_grid`, on the broadcast axes ``x[:, None]``,
-``y[None, :]`` of the interior or, for the y-lines and the Dirichlet data,
-of one pair of sides at a time, and only on the pairs a step or check uses.
+Two bases, chosen by the problem alone: :func:`run_2d` steps in the
+eigenbasis of ``Dx`` and ``Dy`` when each axis has equal left and right
+diffusivities, so that both operators are exactly symmetric, the source is
+a :class:`~wsgdiff.problems.SeparableSource`, and the Dirichlet data vanish
+on all four sides at every level, as in the paper's 2D example; any other
+problem steps in the grid basis with the dense Cayley steppers above.  In
+the eigenbasis (the fast diagonalization method of Lynch, Rice & Thomas,
+1964) ``Dx = Qx diag(lam) Qx^T`` with ``Qx`` orthogonal, one ``eigh`` per
+axis at setup, and the run marches ``Qx^T U Qy``: the source's factors are
+transformed once, so both splittings step in one form, elementwise plus one
+low-rank product (:func:`_eigen_stepper`), O(n^2), reading no callable, and
+each level's norm needs no transform.  The state returns to the grid once,
+at the final time.  An eigenvalue that is not negative, against the paper's
+stability condition, is a ``SolverError`` at setup.  Grid callables are
+read through :func:`~wsgdiff.problems.on_grid`, on the broadcast axes
+``x[:, None]``, ``y[None, :]`` of the interior or, for the y-lines and the
+Dirichlet data, of one pair of sides at a time, and only on the pairs a
+step or check uses.
 
 Boundary handling: Dirichlet data are read only on the run's own boundary
 nodes.  The factored scheme carries time-dependent data on the y-sides,
-through the stencil's boundary columns, and LOD carries none.  On the sides
-a splitting cannot carry (the x-sides, where the sweep order would make
-intermediate variables carry the data, or all four) the data must vanish to
-``1e-14`` at every level ``k*tau``, or its factory raises ``ParameterError``
-naming the side and the time.  LOD also needs one spacing for both axes.
-The source term is sampled at the half-step midpoint throughout.
+through the stencil's boundary columns, on its dense stepper, and LOD
+carries none.  On the sides a splitting cannot carry (the x-sides, where
+the sweep order would make intermediate variables carry the data, or all
+four) the data must vanish to ``1e-14`` at every level ``k*tau``, or its
+factory raises ``ParameterError`` naming the side and the time.  LOD also
+needs one spacing for both axes.  The source term is sampled at the
+half-step midpoint throughout.
 
 Error norms for reference-table reproduction are evaluated at the final
 time (both maximum and grid-weighted L2), over interior nodes.
@@ -167,38 +170,41 @@ def _grid(problem: Problem2D, config: SolverConfig2D):
     return hx, hy, x, y, x[1:-1, None], y[None, 1:-1], sides
 
 
-def _require_zero_data(problem: Problem2D, config: SolverConfig2D, sides, axes, rule) -> None:
-    """Raise ``ParameterError`` naming a side and a time unless the Dirichlet
-    data vanish, to ``1e-14``, at every level ``k*tau`` on the pair of
-    ``sides`` of each of ``axes`` (``"x"`` or ``"xy"``); the ends of a pair
-    are its own axis along ``axis``."""
+def _nonzero_data(problem: Problem2D, config: SolverConfig2D, sides, axes):
+    """The first side, level by level from ``t = 0`` and x-sides first, of the
+    pairs of ``sides`` of ``axes`` (``"x"`` or ``"xy"``) whose Dirichlet data
+    do not vanish, to ``1e-14``, at a level ``k*tau``, as ``(axis, end, t,
+    peak)``, the ends of a pair being its own axis; ``None`` if there is none."""
     for t in (k * config.tau for k in range(config.M + 1)):
         for axis in axes:
             data = on_grid(problem, "boundary", *sides[axis], t)
             ends = sides[axis]["xy".index(axis)][:, 0]
             for end, peak in zip(ends, np.max(np.abs(data), axis=1)):
                 if not peak <= 1e-14:
-                    raise ParameterError(
-                        f"{rule}; they reach {peak:.3g} on {axis} = {end:g} at t = {t:g}"
-                    )
+                    return axis, end, t, peak
+    return None
 
 
 def _checked_grid(problem: Problem2D, config: SolverConfig2D, lod: bool):
     """:func:`_grid`, once the splitting's preconditions hold: the factored
     scheme needs vanishing data on the x-sides, and ``lod`` (``lod=True``)
-    one spacing for both axes and vanishing data on all four sides."""
+    one spacing for both axes and vanishing data on all four sides, or a
+    ``ParameterError`` names the side and the time."""
     grid = _grid(problem, config)
     hx, hy, *_, sides = grid
-    if not lod:
-        rule = "the factored scheme requires vanishing Dirichlet data on the x-boundaries"
-        _require_zero_data(problem, config, sides, "x", rule)
-        return grid
-    if abs(hx - hy) > 1e-13 * max(hx, hy):
+    if lod and abs(hx - hy) > 1e-13 * max(hx, hy):
         raise ParameterError(
             f"splitting 'lod' assumes one spacing for both axes; got hx={hx!r}, hy={hy!r}"
         )
-    rule = "splitting 'lod' requires fully homogeneous Dirichlet data"
-    _require_zero_data(problem, config, sides, "xy", rule)
+    found = _nonzero_data(problem, config, sides, "xy" if lod else "x")
+    if found is not None:
+        rule = (
+            "splitting 'lod' requires fully homogeneous Dirichlet data"
+            if lod
+            else "the factored scheme requires vanishing Dirichlet data on the x-boundaries"
+        )
+        axis, end, t, peak = found
+        raise ParameterError(f"{rule}; they reach {peak:.3g} on {axis} = {end:g} at t = {t:g}")
     return grid
 
 
@@ -336,15 +342,19 @@ def lod_stepper(problem: Problem2D, config: SolverConfig2D) -> BlockStepper:
     return steps
 
 
-def _eigenbasis(problem: Problem2D) -> bool:
+def _eigenbasis(problem: Problem2D, config: SolverConfig2D, sides) -> bool:
     """Whether :func:`run_2d` steps ``problem`` in the eigenbasis of ``Dx``,
     ``Dy``: equal left and right diffusivities on each axis, so that both
-    operators are exactly symmetric, and a :class:`SeparableSource`, whose
-    factors the basis transforms once a run."""
+    operators are exactly symmetric; a :class:`SeparableSource`, whose
+    factors the basis transforms once a run; and Dirichlet data that vanish
+    on all four sides at every level, so that a step reads none.  ``lod``
+    requires those data anyway, and its factory checks them; for the
+    factored scheme they are read here, on the pairs of ``sides``."""
     return (
         problem.x_left_diffusivity == problem.x_right_diffusivity
         and problem.y_left_diffusivity == problem.y_right_diffusivity
         and isinstance(problem.source, SeparableSource)
+        and (config.splitting == "lod" or _nonzero_data(problem, config, sides, "xy") is None)
     )
 
 
@@ -368,72 +378,56 @@ def _eigen_stepper(problem: Problem2D, config: SolverConfig2D):
     """Set up the splitting of ``config`` in the eigenbasis of symmetric
     ``Dx = Qx diag(lam) Qx^T`` and ``Dy = Qy diag(mu) Qy^T``; return ``(steps,
     Qx, Qy)``, ``steps(V, k)`` the block stepper of the state ``V = Qx^T U
-    Qy``.  The problem's source is a :class:`SeparableSource`.
+    Qy``.  The problem's source is a :class:`SeparableSource` and, under the
+    factored scheme, its Dirichlet data vanish (:func:`_eigenbasis`).
 
     With ``a = tau/2`` and ``c = (1 + a lam)/(1 - a lam)`` (``d`` likewise
-    from ``mu``), both splittings step ``V <- G o V + H o F^ + E_k``, with
-    ``G = c d^T`` and ``F^`` the source in the basis: the factored scheme
-    has ``H = a (c + 1)(1/(1 - a mu))^T`` and its y-side data ``g`` in ``E_k
-    = a (c o g^_k + g^_{k+1}) e^T``, with ``g^ = Qx^T g`` and ``e = (Qy^T
-    [cy0, cyN]) / (1 - a mu)``; ``lod`` has ``H = a (G + 1)`` and the source's
-    swept y-lines ``f`` in ``E_k = a^2 ((c - 1) o Qx^T f) e^T``.  The
-    source's factors are read and transformed once, at setup, so ``H o F^ +
-    E_k`` is one product of an ``(Nx-1, r)`` block, the transformed
-    x-factors scaled by the step's time factors (and, for ``pr``, two
-    columns of y-side data), with an ``(r, Ny-1)`` block fixed at setup: a
-    step is O(n^2) plus that product.
+    from ``mu``), both splittings step ``V <- G o V + H o F^ + E``, with ``G
+    = c d^T`` and ``F^`` the source in the basis: the factored scheme has
+    ``H = a (c + 1)(1/(1 - a mu))^T`` and ``E = 0``; ``lod`` has ``H = a (G +
+    1)`` and the source's swept y-lines ``f`` in ``E = a^2 ((c - 1) o Qx^T f)
+    e^T``, with ``e = (Qy^T [cy0, cyN]) / (1 - a mu)``.  The source's factors
+    are read and transformed once, at setup, so ``H o F^ + E`` is one product
+    ``(left s_j) rhs``: the transformed x-factors ``left``, an ``(Nx-1, r)``
+    block, scaled by the step's time factors ``s_j``, with an ``(r, Ny-1)``
+    block ``rhs`` fixed at setup.  A step reads no problem callable and is
+    O(n^2) plus that product.
     """
     lod = config.splitting == "lod"
-    _, _, x, y, _, _, sides = _checked_grid(problem, config, lod)
+    _, _, x, y, *_ = _checked_grid(problem, config, lod=True) if lod else _grid(problem, config)
     dx, dy = build_directional_operators(problem, config)
     (lam, qx), (mu, qy) = _spectrum(dx, "x"), _spectrum(dy, "y")
     del dx, dy  # freed before the run's arrays are allocated
     nx, ny, tau = config.Nx - 1, config.Ny - 1, config.tau
     a = 0.5 * tau
     c, d = ((1.0 + a * v) / (1.0 - a * v) for v in (lam, mu))
-    G, e = np.outer(c, d), (qy.T @ _y_columns(problem, config)) / (1.0 - a * mu)[:, None]
-    c = c[:, None]
+    G, c = np.outer(c, d), c[:, None]
     # the factors on the interior x-nodes, at every step's midpoint time and
     # on the interior y-nodes, for lod's y-lines also on y = ay, by
     y_read = np.concatenate(([problem.ay], y[1:-1], [problem.by])) if lod else y[1:-1]
     s, fx, fy = problem.source.factors(x[1:-1], y_read, tau * np.arange(config.M) + a)
-    # a non-finite factor or datum gives a non-finite state, which march
-    # reports, so the products raise no numpy warning
+    # a non-finite factor gives a non-finite state, which march reports, so
+    # the products raise no numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         xh = qx.T @ fx
         if lod:
             # H o (xh yh^T) is rank 2 per pair, and the swept y-lines rank 1
+            e = (qy.T @ _y_columns(problem, config)) / (1.0 - a * mu)[:, None]
             yh = qy.T @ fy[1:-1]
             left = np.hstack((a * c * xh, a * xh, a * a * (c - 1.0) * xh))
             rhs = np.vstack(((d[:, None] * yh).T, yh.T, (e @ fy[[0, -1]]).T))
             s = np.tile(s, 3)
         else:
-            # the last two columns of lhs hold a step's y-side data
             left = a * (c + 1.0) * xh
-            rhs = np.vstack(((qy.T @ fy).T / (1.0 - a * mu), a * e.T))
-    r = left.shape[1]
-    lhs, w = np.empty((nx, len(rhs))), np.empty((nx, ny))
-
-    def y_data(t: float) -> np.ndarray:
-        """``Qx^T g`` at time ``t``."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return qx.T @ on_grid(problem, "boundary", *sides["y"], t).T
+            rhs = (qy.T @ fy).T / (1.0 - a * mu)
+    lhs, w = np.empty_like(left), np.empty((nx, ny))
 
     def steps(V: np.ndarray, k: int) -> Iterator[np.ndarray]:
-        blocks = _blocks(k, config.M, nx * ny)  # checks k before any read
-        if not lod:
-            g_now = y_data(k * tau)
-        for start, count in blocks:
+        for start, count in _blocks(k, config.M, nx * ny):
             out = np.empty((count, nx, ny))
             for j, row in zip(range(start, start + count), out):
-                if not lod:
-                    g_next = y_data((j + 1) * tau)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    np.multiply(left, s[j], out=lhs[:, :r])
-                    if not lod:
-                        np.add(np.multiply(c, g_now, out=lhs[:, r:]), g_next, out=lhs[:, r:])
-                        g_now = g_next
-                    np.matmul(lhs, rhs, out=row)
+                    np.matmul(np.multiply(left, s[j], out=lhs), rhs, out=row)
                     row += np.multiply(G, V, out=w)
                     V = row
             out.flags.writeable = False
@@ -445,24 +439,26 @@ def _eigen_stepper(problem: Problem2D, config: SolverConfig2D):
 def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution:
     """Integrate a 2D problem from its initial state to the final time.
 
-    A problem with equal left and right diffusivities on each axis and a
-    :class:`~wsgdiff.problems.SeparableSource` steps in the eigenbasis of
-    ``Dx``, ``Dy`` (:func:`_eigen_stepper`), any other on the splitting's
-    dense stepper; the block stepper goes straight to
-    :func:`~wsgdiff.solve1d.march`, and yields blocks of ``B`` levels with
-    ``B (Nx-1)(Ny-1) <= 2**15``: 8 at ``N = 64``, 2 at 128 and 1 from 256.
+    A problem with equal left and right diffusivities on each axis, a
+    :class:`~wsgdiff.problems.SeparableSource` and Dirichlet data that vanish
+    on all four sides at every level steps in the eigenbasis of ``Dx``,
+    ``Dy`` (:func:`_eigen_stepper`), any other on the splitting's dense
+    stepper, which under ``pr`` carries nonzero y-side data.  The block
+    stepper goes straight to :func:`~wsgdiff.solve1d.march`, and yields
+    blocks of ``B`` levels with ``B (Nx-1)(Ny-1) <= 2**15``: 8 at ``N = 64``,
+    2 at 128 and 1 from 256.
     Each level's norm is the grid-weighted L2 norm of
     :func:`~wsgdiff.problems.l2_norm`, ``sqrt(hx hy sum U^2)``, taken as one
     dot product of the state with itself (in either basis, since ``Qx`` and
     ``Qy`` are orthogonal), so it makes no squared temporary; a non-finite
     state still gives a non-finite norm.
     """
-    if _eigenbasis(problem):
+    hx, hy, x, y, X, Y, sides = _grid(problem, config)
+    if _eigenbasis(problem, config, sides):
         steps, qx, qy = _eigen_stepper(problem, config)
     else:
         factory = lod_stepper if config.splitting == "lod" else pr_adi_stepper
         steps, qx, qy = factory(problem, config), None, None
-    hx, hy, x, y, X, Y, sides = _grid(problem, config)
 
     def initial() -> np.ndarray:
         U = np.array(on_grid(problem, "initial", X, Y))

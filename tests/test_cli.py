@@ -341,6 +341,13 @@ def test_converge_rejects_unknown_source_sampling(capsys):
     assert "unknown source sampling" in capsys.readouterr().err
 
 
+def test_converge_without_an_alpha_is_a_usage_error(capsys):
+    assert main(["converge", "--example", "ex2", "--resolutions", "8,16"]) == 2
+    captured = capsys.readouterr()
+    assert "converge needs at least one alpha" in captured.err
+    assert captured.out == ""
+
+
 def test_converge_markdown_output(capsys):
     rc = main(
         [

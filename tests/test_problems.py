@@ -243,7 +243,7 @@ def test_separable_source_factors_are_checked(monkeypatch, factor, path):
             source(x[:, None], x[None, :], 0.5)
         else:
             if path == "dense":
-                monkeypatch.setattr(solve2d, "_eigenbasis", lambda problem: False)
+                monkeypatch.setattr(solve2d, "_eigenbasis", lambda *_: False)
             _solve("ex4", source=source)
 
 
@@ -404,16 +404,23 @@ def test_boundary_data_that_are_not_real_numbers_name_the_callable(value, kind):
     message = rf"problem\.right_boundary returned {kind} values of shape \(\), not one real"
     with pytest.raises(ParameterError, match=message):
         _minimal_1d(right_boundary=lambda t: value)
-    # a record that skips the check at construction meets it in the run
+    # a record that skips the check at construction meets it in the run, and
+    # in the steady solve, which used to read float(fn(0.0))
     p = _minimal_1d(right_boundary=lambda t: value, allow_nonzero_boundary=True)
     with pytest.raises(ParameterError, match=message):
         cn_wsgd_run(p, SolverConfig1D(N=8, M=2))
+    with pytest.raises(ParameterError, match=message):
+        steady_solve_3wsgd(dataclasses.replace(p, steady=True), 8)
 
 
 def test_boundary_data_are_one_number_a_time():
     message = r"left_boundary returned float64 values of shape \(1,\)"
     with pytest.raises(ParameterError, match=message):
         _minimal_1d(left_boundary=lambda t: np.zeros(1))
+    # the steady solve used to end in a TypeError
+    p = _minimal_1d(left_boundary=lambda t: np.zeros(1), allow_nonzero_boundary=True, steady=True)
+    with pytest.raises(ParameterError, match=message):
+        steady_solve_3wsgd(p, 8)
 
 
 def test_problem1d_rejects_active_right_nonzero_boundary():

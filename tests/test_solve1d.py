@@ -97,6 +97,11 @@ def test_steady_solver_rejections():
         steady_solve_3wsgd(make_example("ex0", 1.5), 3)
 
 
+def test_time_stepping_needs_a_time_dependent_problem():
+    with pytest.raises(ParameterError, match="time stepping expects a time-dependent problem"):
+        cn_wsgd_run(make_example("ex0", 1.5), SolverConfig1D(N=8, M=2))
+
+
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "no-exact"])
 def test_steady_non_finite_solution_raises(exact):
     # a NaN source used to give 15 NaN values at N=16 and max_err_final=nan,
@@ -671,8 +676,8 @@ def test_dense_run_solves_once_a_block(monkeypatch):
 
 
 def test_run_checks_boundary_data_at_every_level():
-    # the record checks its data at t = 0, 0.5 and 1 only, where sin(2 pi t)
-    # vanishes; the run used to end with left value 1.0
+    # the record checks its data at t = 0 only, where sin(2 pi t) vanishes;
+    # the run used to end with left value 1.0
     p = dataclasses.replace(
         make_example("ex2", 1.5), left_boundary=lambda t: float(np.sin(2.0 * np.pi * t))
     )
@@ -683,6 +688,15 @@ def test_run_checks_boundary_data_at_every_level():
     cn_wsgd_run(dataclasses.replace(p, allow_nonzero_boundary=True), cfg)
     one_sided = dataclasses.replace(p, left_diffusivity=0.0, right_diffusivity=1.0)
     assert cn_wsgd_run(one_sided, cfg).values[0] == 1.0
+
+
+def test_record_judges_its_data_at_t_0_and_a_run_at_its_own_levels():
+    # the record used to probe t = 0.5 and 1 as well, and refuse these data,
+    # 0.1 at t = 0.5, though a run to T = 0.4 never meets a nonzero value
+    p = dataclasses.replace(make_example("ex2", 1.5), left_boundary=lambda t: max(0.0, t - 0.4))
+    assert np.all(np.isfinite(cn_wsgd_run(p, SolverConfig1D(N=8, M=4, T=0.4)).values))
+    with pytest.raises(ParameterError, match=r"active left-sided .* 0\.1 at t = 0\.5$"):
+        cn_wsgd_run(p, SolverConfig1D(N=8, M=10))
 
 
 def test_callables_broadcast_over_space_and_time_axes():

@@ -43,7 +43,7 @@ _STEPPER = {"pr": pr_adi_stepper, "lod": lod_stepper}
 def dense(monkeypatch):
     """Step every problem on the dense Cayley steppers, those the eigenbasis
     would take too."""
-    monkeypatch.setattr(solve2d, "_eigenbasis", lambda problem: False)
+    monkeypatch.setattr(solve2d, "_eigenbasis", lambda *_: False)
 
 
 def _interior_grid(problem, nx, ny):
@@ -801,7 +801,7 @@ def test_step_returns_a_fresh_c_ordered_array(splitting):
 def _symmetric_y_data():
     """Equal left and right diffusivities on each axis, a separable source,
     unequal spacings and nonzero data on the y-sides, for the factored
-    scheme."""
+    scheme: the data send it to the dense stepper."""
 
     def boundary(x, y, t):
         return np.asarray(x) * (1.0 - np.asarray(x)) * np.asarray(y) * (1.0 + t)
@@ -830,8 +830,8 @@ def _two_term_source():
 
 _AGREEMENT_CASES = [
     *((name, "ex4", n, n, n) for name in ("pr", "lod") for n in (16, 64, 128)),
-    ("pr", "y-data", 16, 12, 10),
-    ("pr", "y-data", 64, 48, 100),
+    ("pr", "spacings", 16, 12, 10),
+    ("pr", "spacings", 64, 48, 100),
     *((name, "two-term", 24, 24, 16) for name in ("pr", "lod")),
 ]
 
@@ -842,12 +842,12 @@ def test_eigenbasis_runs_agree_with_the_dense_path(monkeypatch, splitting, case,
     # Cayley steppers it must give the same run to roundoff
     p = {
         "ex4": lambda: make_example("ex4", 1.2, 1.8),
-        "y-data": _symmetric_y_data,
+        "spacings": lambda: dataclasses.replace(_symmetric_y_data(), boundary=_zero_boundary),
         "two-term": lambda: _custom_2d(alpha=1.4, beta=1.6, source=_two_term_source()),
     }[case]()
     cfg = SolverConfig2D(Nx=nx, Ny=ny, M=M, splitting=splitting)
     got = run_2d(p, cfg)
-    monkeypatch.setattr(solve2d, "_eigenbasis", lambda problem: False)
+    monkeypatch.setattr(solve2d, "_eigenbasis", lambda *_: False)
     want = run_2d(p, cfg)
     gap = np.max(np.abs(got.values - want.values)) / np.max(np.abs(want.values))
     assert gap <= 1e-12, gap
@@ -864,20 +864,27 @@ def test_eigenbasis_runs_agree_with_the_dense_path(monkeypatch, splitting, case,
         ((1.0, 1.0, 0.0, 1.0), False),
     ],
 )
-@pytest.mark.parametrize("source", ["separable", "plain"])
+@pytest.mark.parametrize("source", ["separable", "plain", "y-data"])
 @pytest.mark.parametrize("splitting", ["pr", "lod"])
 def test_symmetry_and_a_separable_source_select_the_eigenbasis(
     monkeypatch, splitting, source, diffusivities, symmetric
 ):
     # the dense steppers make their two solves at setup; the eigenbasis makes
-    # none, and the dense steppers run bit-identically to their own factory
+    # none, and the dense steppers run bit-identically to their own factory;
+    # nonzero y-side data send a pr run to the dense stepper, and lod refuses
+    # them in either basis
     eigenbasis = symmetric and source == "separable"
     names = ("x_left", "x_right", "y_left", "y_right")
     p = _custom_2d(
-        source=_two_term_source() if source == "separable" else _plain_source,
+        source=_plain_source if source == "plain" else _two_term_source(),
+        boundary=_symmetric_y_data().boundary if source == "y-data" else _zero_boundary,
         **{f"{k}_diffusivity": v for k, v in zip(names, diffusivities)},
     )
     cfg = SolverConfig2D(Nx=8, Ny=8, M=3, splitting=splitting)
+    if splitting == "lod" and source == "y-data":
+        with pytest.raises(ParameterError, match="fully homogeneous"):
+            run_2d(p, cfg)
+        return
     calls = []
     solve = solve2d.solve
     monkeypatch.setattr(solve2d, "solve", lambda *args: calls.append(args[-1]) or solve(*args))
@@ -891,18 +898,21 @@ def test_symmetry_and_a_separable_source_select_the_eigenbasis(
 
 @pytest.mark.parametrize("entries", [7 * 11, 3 * 7 * 11, 2**15])
 def test_eigenbasis_reads_each_level_of_y_side_data_once(monkeypatch, entries):
+    # the selection reads both pairs of sides once a level, x-sides first, a
+    # step none, and the final frame both pairs again: 2(M + 1) + 2 reads, in
+    # blocks of 1, 3 and all 7 levels
     calls = []
-    base = _symmetric_y_data()
 
     def boundary(x, y, t):
-        calls.append(t)
-        return base.boundary(x, y, t)
+        calls.append((t, "x" if np.shape(x) == (2, 1) else "y"))
+        return _zero_boundary(x, y, t)
 
     monkeypatch.setattr(solve1d, "_BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(solve2d, "solve", None)  # a dense stepper would fail
     cfg = SolverConfig2D(Nx=8, Ny=12, M=7)
-    run_2d(dataclasses.replace(base, boundary=boundary), cfg)
-    assert len(calls) == 2 * (cfg.M + 1) + 2
-    assert sorted(set(calls)) == [k * cfg.tau for k in range(cfg.M + 1)]
+    run_2d(dataclasses.replace(_symmetric_y_data(), boundary=boundary), cfg)
+    levels = [k * cfg.tau for k in range(cfg.M + 1)] + [cfg.M * cfg.tau]
+    assert calls == [(t, axis) for t in levels for axis in "xy"]
 
 
 @pytest.mark.parametrize("splitting,y_nodes", [("pr", 7), ("lod", 9)])
@@ -1050,13 +1060,15 @@ def test_non_finite_separable_factors_raise_with_step_and_time(splitting, bad, s
 @pytest.mark.parametrize("basis", ["eigen", "grid"])
 def test_non_finite_y_side_data_raise_with_step_and_time(monkeypatch, basis):
     # the factored scheme carries y-side data into the state; infinite data
-    # at t = 0.75 end the run there, with no numpy warning, in either basis
+    # at t = 0.75 end the run there, with no numpy warning, whether the
+    # eigenbasis selection reads them (and sends the run to the dense
+    # stepper) or is skipped
     def boundary(x, y, t):
         v = np.asarray(x) * (1.0 - np.asarray(x)) * np.asarray(y) * (1.0 + t)
         return np.where((t > 0.6) & (v != 0.0), np.inf, v)
 
     if basis == "grid":
-        monkeypatch.setattr(solve2d, "_eigenbasis", lambda problem: False)
+        monkeypatch.setattr(solve2d, "_eigenbasis", lambda *_: False)
     p = dataclasses.replace(_symmetric_y_data(), boundary=boundary)
     with pytest.raises(SolverError, match=r"step 3 \(t=0\.75\)"):
         run_2d(p, SolverConfig2D(Nx=8, Ny=12, M=4))
