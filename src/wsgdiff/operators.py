@@ -95,12 +95,13 @@ class ToeplitzOperator:
     def n(self) -> int:
         return self.first_col.size
 
-    def to_dense(self) -> np.ndarray:
-        """The full matrix, C-ordered; orders above ``DENSE_MAX_ORDER`` are refused.
+    def rows(self, count: int) -> np.ndarray:
+        """The first ``count`` rows, as a read-only view; orders above
+        ``DENSE_MAX_ORDER`` are refused before anything is allocated.
 
         Row ``i`` is the window ``n-1-i`` of the first column reversed and
-        followed by the rest of the first row, so the matrix is a copy of
-        ``n`` overlapping windows of one array.
+        followed by the rest of the first row, so the rows are ``count``
+        overlapping windows of one array.
         """
         if self.n > DENSE_MAX_ORDER:
             raise ParameterError(
@@ -108,11 +109,84 @@ class ToeplitzOperator:
                 f" the cap of order {DENSE_MAX_ORDER}"
             )
         line = np.concatenate((self.first_col[::-1], self.first_row[1:]))
-        return np.lib.stride_tricks.sliding_window_view(line, self.n)[::-1].copy()
+        return np.lib.stride_tricks.sliding_window_view(line, self.n)[::-1][:count]
+
+    def to_dense(self) -> np.ndarray:
+        """The full matrix, C-ordered: a copy of :meth:`rows`, capped alike."""
+        return self.rows(self.n).copy()
 
     @property
     def T(self) -> "ToeplitzOperator":
         return ToeplitzOperator(self.first_row, self.first_col)
+
+
+#: ``1/sqrt(2)``, the entries of the even/odd change of basis.
+_HALF_ROOT = float(np.sqrt(0.5))
+
+
+@dataclass(frozen=True)
+class _MirrorHalves:
+    """The even/odd split of order ``n``, for the centrosymmetric matrices,
+    ``J M J = M`` with ``J`` the reversal (Cantoni & Butler, Linear Algebra
+    Appl. 13 (1976) 275).
+
+    With ``m = n // 2`` and ``p = n - m``, the orthogonal change of basis
+    ``P`` maps ``u`` to its even half, ``(u[:m] + (J u)[:m]) / sqrt(2)``
+    followed, for odd ``n``, by the middle entry ``u[m]``, and its odd half,
+    ``(u[:m] - (J u)[:m]) / sqrt(2)``, padded to order ``p`` with a zero.
+    ``P M P^T`` is block diagonal: an even block of order ``p`` and an odd
+    block of order ``m``, both read off the top ``p`` rows of ``M``.
+    """
+
+    n: int
+
+    @property
+    def m(self) -> int:
+        return self.n // 2
+
+    @property
+    def p(self) -> int:
+        return self.n - self.n // 2
+
+    def blocks(self, top: np.ndarray) -> np.ndarray:
+        """The even and odd blocks of the matrix whose top ``p`` rows are
+        ``top``, as a ``(2, p, p)`` stack; for odd ``n`` the odd block's
+        padding row and column are zero."""
+        m, p = self.m, self.p
+        left, right = top[:, :p], top[:, ::-1][:, :p]
+        halves = np.stack((left + right, left - right))
+        if m < p:
+            # the middle row and column enter P once each, not twice
+            halves[0, m] *= _HALF_ROOT
+            halves[0, :, m] *= _HALF_ROOT
+            halves[1, m] = halves[1, :, m] = 0.0
+        return halves
+
+    def split(self, u: np.ndarray) -> np.ndarray:
+        """``P u`` for each vector on the last axis of ``u``, as the ``(...,
+        2, p)`` array of its even and odd halves."""
+        m = self.m
+        s = np.zeros(u.shape[:-1] + (2, self.p))
+        top, bottom = u[..., :m], u[..., ::-1][..., :m]
+        np.add(top, bottom, out=s[..., 0, :m])
+        np.subtract(top, bottom, out=s[..., 1, :m])
+        s *= _HALF_ROOT
+        if m < self.p:
+            s[..., 0, m] = u[..., m]
+        return s
+
+    def join(self, s: np.ndarray) -> np.ndarray:
+        """``P^T s``: the C-ordered ``(..., n)`` vectors whose halves are the
+        ``(..., 2, p)`` array ``s``."""
+        m = self.m
+        u = np.empty(s.shape[:-2] + (self.n,))
+        even, odd = s[..., 0, :m], s[..., 1, :m]
+        np.add(even, odd, out=u[..., :m])
+        np.subtract(even, odd, out=u[..., ::-1][..., :m])
+        u *= _HALF_ROOT
+        if m < self.p:
+            u[..., m] = s[..., 0, m]
+        return u
 
 
 def operator_weights(alpha: float, scheme: str, count: int) -> np.ndarray:

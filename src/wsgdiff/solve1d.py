@@ -61,7 +61,7 @@ import numpy as np
 
 from . import weights as wt
 from .errors import ParameterError, SolverError, count_at_least, real_number
-from .operators import _circulant_size, assemble_wsgd_matrix, boundary_columns
+from .operators import _circulant_size, _MirrorHalves, assemble_wsgd_matrix, boundary_columns
 from .problems import Problem1D, l2_norm, max_norm, on_grid
 
 __all__ = [
@@ -89,9 +89,17 @@ _BLOCK_ENTRIES = 2**15
 
 #: ``advance(U, terms)`` of a set-up time-stepping system: the states stepped
 #: from ``U`` through the slabs whose known right-hand-side terms ``v =
-#: tau*F + boundary terms`` are the rows of the ``(count, n)`` array
-#: ``terms``, as the rows of one C-ordered ``(count, n)`` buffer.
+#: tau*F + boundary terms`` are the rows of the array ``terms``, as the rows
+#: of one C-ordered buffer of its shape, all in the backend's :data:`Basis`.
 Advance = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+#: ``(into, back)``: the change of basis a backend steps in, ``into(v)``
+#: mapping grid vectors on the last axis of ``v`` to the backend's states and
+#: ``back(states)`` mapping a block of those states to C-ordered grid rows.
+Basis = tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]
+
+#: The grid, the :data:`Basis` of every backend but the mirrored dense one.
+_GRID: Basis = (lambda v: v,) * 2
 
 #: ``steps(U, k)`` of a set-up scheme: a generator of the states of the levels
 #: ``k+1 ... M`` stepped from ``U`` at level ``k``, as the rows of read-only
@@ -235,18 +243,54 @@ def assemble_cn_system(problem: Problem1D, config: SolverConfig1D):
     return eye - config.theta * B, eye + (1.0 - config.theta) * B
 
 
-def _dense_steps(problem: Problem1D, config: SolverConfig1D) -> Advance:
-    """Both step matrices dense, and ``C = L^-1 R`` formed by one solve.
+def _mirrored(dl: np.ndarray, dr: np.ndarray) -> bool:
+    """Whether diffusivities sampled on the interior nodes mirror each other
+    exactly, ``dl = J dr``, so that every step matrix is centrosymmetric."""
+    return np.array_equal(dl, dr[::-1])
+
+
+def _dense_steps(problem: Problem1D, config: SolverConfig1D) -> tuple[Advance, Basis]:
+    """Dense step matrices, and ``C = L^-1 R`` formed by one solve.
 
     ``L^-1 = theta C + (1-theta) I``, so a step ``U_next = C U + L^-1 v`` is
     ``C (U + theta v) + (1-theta) v``: one matrix-vector product, and no
     solve after setup.  A block's terms are scaled by ``theta`` and
     ``1-theta`` once, elementwise, so a step is three numpy calls and its
     bits do not depend on the block width.
+
+    When the sampled diffusivities mirror each other (:func:`_mirrored`),
+    ``L`` and ``R`` are centrosymmetric, and the step runs in the even/odd
+    basis of :class:`~wsgdiff.operators._MirrorHalves`: both halves of ``L``
+    and ``R`` are built from the top ``ceil(n/2)`` stencil rows, with no
+    order-``n`` matrix, both halves of ``C`` come from one solve of a stack
+    of two blocks, at a quarter of the flops, and a step is two half-order
+    products, the odd block padded with an identity row to the even one's
+    order.  Any other problem assembles :func:`assemble_cn_system`.
     """
-    lhs, rhs_matrix = assemble_cn_system(problem, config)
-    c = solve(lhs, rhs_matrix, "time step")
+    h, _, xi = _grid(problem, config.N)
+    n = config.N - 1
     theta = config.theta
+    dl, dr = problem.diffusivity_values(xi)
+    if _mirrored(dl, dr):
+        halves = _MirrorHalves(n)
+        p = halves.p
+        A = assemble_wsgd_matrix(problem.alpha, config.scheme, n)
+        top = dl[:p, None] * A.rows(p) + dr[:p, None] * A.T.rows(p)
+        lhs = halves.blocks(top)
+        del top
+        lhs *= config.tau / h**problem.alpha
+        eye = np.eye(p)
+        rhs_matrix = np.add(eye, (1.0 - theta) * lhs)
+        # I - theta B in place of B: one array fewer during the solve
+        lhs *= -theta
+        lhs += eye
+        c = solve(lhs, rhs_matrix, "time step")
+        # states and terms as (2, p, 1) columns, so each step is one stacked product
+        basis = (lambda v: halves.split(v)[..., None], lambda s: halves.join(s[..., 0]))
+    else:
+        lhs, rhs_matrix = assemble_cn_system(problem, config)
+        c = solve(lhs, rhs_matrix, "time step")
+        basis = _GRID
 
     def advance(U: np.ndarray, terms: np.ndarray) -> np.ndarray:
         lifted = np.multiply(terms, theta, order="C")
@@ -256,7 +300,7 @@ def _dense_steps(problem: Problem1D, config: SolverConfig1D) -> Advance:
             U = np.add(np.matmul(c, np.add(up, U, out=up), out=row), rest, out=row)
         return out
 
-    return advance
+    return advance, basis
 
 
 def _levinson_ends(col: np.ndarray, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -326,14 +370,15 @@ def _gs_steps(problem: Problem1D, config: SolverConfig1D) -> Callable[[np.ndarra
     return inverse
 
 
-def _cn_steps(problem: Problem1D, config: SolverConfig1D) -> Advance:
-    """Set up the step system once, Gohberg–Semencul where it applies and pays.
+def _cn_steps(problem: Problem1D, config: SolverConfig1D) -> tuple[Advance, Basis]:
+    """Set up the step system once, Gohberg–Semencul where it applies and pays;
+    return its ``advance`` and the :data:`Basis` it steps in.
 
     ``theta R = I - (1-theta) L``, so the Gohberg–Semencul step is ``U_next
     = L^-1 (U/theta + v) - ((1-theta)/theta) U``: one solve, six real FFTs,
     and no product with ``R``.  Its rounding grows like ``(2-theta)/theta``
     units of ``eps |U|`` a step, 3 at ``theta = 1/2``, so it runs only
-    inside the stability window ``theta >= 1/2``.
+    inside the stability window ``theta >= 1/2``, on the grid.
     """
     if (
         not problem.has_variable_coefficients
@@ -350,7 +395,7 @@ def _cn_steps(problem: Problem1D, config: SolverConfig1D) -> Advance:
                 U = np.subtract(row, ratio * U, out=row)
             return out
 
-        return advance
+        return advance, _GRID
     return _dense_steps(problem, config)
 
 
@@ -425,19 +470,27 @@ def cn_stepper(problem: Problem1D, config: SolverConfig1D) -> BlockStepper:
     ``count`` steps from level ``k`` samples its known terms ``tau*F +
     boundary terms`` at once, the source in one call at levels ``k*tau``
     (``"average"``) or ``k*tau + tau/2`` (``"midpoint"``), and hands them to
-    the backend's ``advance``, which writes each state into its row of the
-    yielded block.
+    the backend's ``advance`` in its basis.  A call of ``steps`` moves ``U``
+    into that basis once and carries the backend's state from block to
+    block; each block returns to the grid once, as the rows of the yielded
+    block.
     The steps run under ``np.errstate``, so a blow-up is left to
     :func:`march` to name; the sampling runs outside it, so a problem
     callable's own warnings still show.
     """
+    return _cn_setup(problem, config)[0]
+
+
+def _cn_setup(problem: Problem1D, config: SolverConfig1D) -> tuple[BlockStepper, np.ndarray]:
+    """:func:`cn_stepper`'s ``steps`` and the checked Dirichlet data of the
+    final level, left end then right end."""
     if problem.steady:
         raise ParameterError("time stepping expects a time-dependent problem")
     h, _, xi = _grid(problem, config.N)
     n = config.N - 1
     tau = config.tau
     theta = config.theta
-    advance = _cn_steps(problem, config)
+    advance, (into, back) = _cn_steps(problem, config)
 
     # Known-end-value coefficient columns, diffusivity-weighted per row.
     left_u0, right_u0, left_uN, right_uN = boundary_columns(
@@ -464,20 +517,24 @@ def cn_stepper(problem: Problem1D, config: SolverConfig1D) -> BlockStepper:
         return tau * fv + scale * (col_a * mix[0] + col_b * mix[1])
 
     def steps(U: np.ndarray, k: int) -> Iterator[np.ndarray]:
-        for start, count in _blocks(k, config.M, n):
+        blocks = _blocks(k, config.M, n)  # checks k before any read
+        with np.errstate(over="ignore", invalid="ignore"):
+            U = into(U)
+        for start, count in blocks:
             terms = block(start, count)
             with np.errstate(over="ignore", invalid="ignore"):
-                levels = advance(U, terms.T)
+                states = advance(U, into(terms.T))
+                U = states[-1]
+                levels = back(states)
             levels.flags.writeable = False
-            U = levels[-1]
             yield levels
 
-    return steps
+    return steps, g[:, -1]
 
 
 def cn_wsgd_run(problem: Problem1D, config: SolverConfig1D) -> Solution:
     """Integrate a (constant- or variable-coefficient) 1D problem in time."""
-    steps = cn_stepper(problem, config)
+    steps, ends = _cn_setup(problem, config)
     h, x, xi = _grid(problem, config.N)
     initial = lambda: np.array(on_grid(problem, "initial", xi))
     exact = None
@@ -489,7 +546,7 @@ def cn_wsgd_run(problem: Problem1D, config: SolverConfig1D) -> Solution:
     t_final = config.M * config.tau
     values = np.empty(config.N + 1)
     values[1:-1] = U
-    values[0], values[-1] = problem.left_boundary(t_final), problem.right_boundary(t_final)
+    values[0], values[-1] = ends
     sol = Solution(
         x=x,
         values=values,

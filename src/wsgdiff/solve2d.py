@@ -80,7 +80,7 @@ import numpy as np
 
 from . import weights as wt
 from .errors import ParameterError, SolverError, count_at_least, real_number
-from .operators import assemble_wsgd_matrix, boundary_columns
+from .operators import _MirrorHalves, assemble_wsgd_matrix, boundary_columns
 from .problems import Problem2D, SeparableSource, l2_norm, max_norm, on_grid
 from .solve1d import BlockStepper, Solution, _blocks, march, solve
 
@@ -360,18 +360,30 @@ def _eigenbasis(problem: Problem2D, config: SolverConfig2D, sides) -> bool:
 
 def _spectrum(d: np.ndarray, axis: str) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and orthogonal eigenvectors of a symmetric directional
-    operator; an eigenvalue that is not negative and finite, which would
-    break the paper's stability condition, is a :class:`SolverError`."""
+    operator, one ``eigh`` for each of its even and odd halves
+    (:class:`~wsgdiff.operators._MirrorHalves`, built from its top rows): a
+    symmetric Toeplitz combination is centrosymmetric.  The eigenvalues come
+    even half first, and the eigenvectors are the columns of the returned
+    matrix.  An eigenvalue of either half that is not negative and finite,
+    which would break the paper's stability condition, is a
+    :class:`SolverError`."""
+    halves = _MirrorHalves(len(d))
+    m, p = halves.m, halves.p
+    blocks = halves.blocks(d[:p])
     try:
-        lam, q = np.linalg.eigh(d)
+        (even, qe), (odd, qo) = np.linalg.eigh(blocks[0]), np.linalg.eigh(blocks[1, :m, :m])
     except np.linalg.LinAlgError:
         raise SolverError(f"{axis}-direction: the eigensolver did not converge") from None
-    if not (np.isfinite(lam).all() and lam[-1] < 0.0):
+    lam = np.concatenate((even, odd))
+    if not (np.isfinite(lam).all() and np.max(lam) < 0.0):
         raise SolverError(
             f"{axis}-direction: the operator is not negative definite; its largest"
             f" eigenvalue is {np.max(lam):.6g}"
         )
-    return lam, q
+    # each eigenvector in the half basis, one a row, back on the grid
+    vectors = np.zeros((len(d), 2, p))
+    vectors[:p, 0], vectors[p:, 1, :m] = qe.T, qo.T
+    return lam, halves.join(vectors).T
 
 
 def _eigen_stepper(problem: Problem2D, config: SolverConfig2D):

@@ -24,7 +24,7 @@ from wsgdiff import (
     wsgd2_weights,
     wsgd3_weights,
 )
-from wsgdiff.operators import boundary_columns
+from wsgdiff.operators import _MirrorHalves, boundary_columns
 
 from oracles import (
     dense_shift_matrix,
@@ -81,6 +81,45 @@ def test_toeplitz_operator_dense_and_transpose():
     np.testing.assert_array_equal(dense[:, 0], col)
     np.testing.assert_array_equal(dense[0, :], row)
     np.testing.assert_array_equal(t.T.to_dense(), dense.T)
+
+
+@pytest.mark.parametrize("count", [0, 1, 4, 7])
+def test_toeplitz_rows_are_a_read_only_view_of_the_dense_rows(count):
+    t = assemble_wsgd_matrix(1.5, P1Q0, 7)
+    top = t.rows(count)
+    assert top.shape == (count, 7) and not top.flags.writeable and not top.flags.owndata
+    np.testing.assert_array_equal(top, t.to_dense()[:count])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 11])
+def test_mirror_halves_block_diagonalize_a_centrosymmetric_matrix(n):
+    # P M P^T against the split of every unit vector: block diagonal, with
+    # the even block of order p and the odd one of order m, read off the top
+    # p rows of M; join undoes split
+    halves = _MirrorHalves(n)
+    m, p = halves.m, halves.p
+    assert (m, p) == (n // 2, n - n // 2)
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, n))
+    mat = x + x[::-1, ::-1]
+    basis = halves.split(np.eye(n))
+    P = np.concatenate((basis[:, 0].T, basis[:, 1, :m].T))
+    np.testing.assert_allclose(P @ P.T, np.eye(n), rtol=0, atol=1e-15)
+    want = P @ mat @ P.T
+    blocks = halves.blocks(mat[:p])
+    assert blocks.shape == (2, p, p)
+    np.testing.assert_allclose(blocks[0], want[:p, :p], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(blocks[1, :m, :m], want[p:, p:], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(want[:p, p:], 0.0, rtol=0, atol=1e-14)
+    # the odd block's padding for odd n is zero, so I - theta B pads with I
+    assert not np.any(blocks[1, m:]) and not np.any(blocks[1, :, m:])
+    u = rng.standard_normal((3, n))
+    s = halves.split(u)
+    assert s.shape == (3, 2, p) and not np.any(s[:, 1, m:])
+    np.testing.assert_allclose(halves.join(s), u, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(
+        halves.join(np.einsum("kij,bkj->bki", blocks, s)), u @ mat.T, rtol=0, atol=1e-13
+    )
 
 
 def test_toeplitz_operator_corner_mismatch_rejected():

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -200,11 +201,59 @@ def test_gs_step_system_matches_dense_oracle(data, big_n, scheme, alpha, theta):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(solve1d, "_GS_MIN_N", 0)
         m.setattr(solve1d, "_dense_steps", None)
-        advance = solve1d._cn_steps(problem, cfg)
+        advance, _ = solve1d._cn_steps(problem, cfg)
     want_step = np.linalg.solve(lhs, u + (1.0 - theta) * (b @ u) + f + g)
     gap_step = np.max(np.abs(advance(u, (f + g)[None]) - want_step))
     gaps = gap_solve / np.max(np.abs(want_solve)), gap_step / np.max(np.abs(want_step))
     assert max(gaps) <= 1e-10, gaps
+
+
+@_PROFILE
+@given(data=st.data())
+def test_split_run_matches_the_full_dense_run(data):
+    # mirrored diffusivities (equal constants, or f(x) and f(1 - x) on a
+    # power-of-two grid, where 1 - x_i is exact) make every step matrix
+    # centrosymmetric, and the dense path steps in its even and odd halves;
+    # the full system, forced past the selection, gives the same run
+    alpha = data.draw(st.floats(1.0, 2.0, exclude_min=True))
+    scheme = data.draw(st.sampled_from((P1Q0, P1QM1)))
+    theta = data.draw(st.sampled_from((0.0, 0.3, 0.5, 1.0)))
+    if data.draw(st.booleans()):
+        big_n = data.draw(st.integers(6, 81))
+        dl = dr = data.draw(st.floats(0.1, 3.0))
+    else:
+        big_n = data.draw(st.sampled_from((8, 16, 32, 64)))
+        c = data.draw(st.floats(0.0, 1.0))
+        dl = lambda x: c + np.asarray(x) ** alpha
+        dr = lambda x: c + (1.0 - np.asarray(x)) ** alpha
+    problem = Problem1D(
+        name="mirrored",
+        alpha=alpha,
+        left_diffusivity=dl,
+        right_diffusivity=dr,
+        source=lambda x, t: np.sin(3.0 * np.asarray(x)) * np.cos(t),
+        initial=lambda x: np.asarray(x) * (1.0 - np.asarray(x)) ** 2,
+        left_boundary=lambda t: 0.0,
+        right_boundary=lambda t: 0.0,
+    )
+    M = data.draw(st.integers(1, 12))
+    # tau/h**alpha below 1/4 of the largest diffusivity's inverse keeps the
+    # explicit end of theta bounded
+    T = 0.25 * M * big_n**-alpha / (1.0 + (dl if np.isscalar(dl) else c + 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        cfg = SolverConfig1D(N=big_n, M=M, theta=theta, scheme=scheme, T=T)
+    shapes = []
+    with pytest.MonkeyPatch.context() as m:
+        helper = solve1d.solve
+        m.setattr(solve1d, "solve", lambda a, b, ctx: shapes.append(np.shape(b)) or helper(a, b, ctx))
+        split = solve1d.cn_wsgd_run(problem, cfg)
+        m.setattr(solve1d, "_mirrored", lambda *_: False)
+        full = solve1d.cn_wsgd_run(problem, cfg)
+    n = big_n - 1
+    assert shapes == [(2, n - n // 2, n - n // 2), (n, n)]
+    for got, want in ((split.values, full.values), (split.norm_history, full.norm_history)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def _zero(x, y, *t):

@@ -430,11 +430,11 @@ def test_gs_setup_is_the_dense_system(monkeypatch, N, theta):
         np.testing.assert_allclose(solve(v), np.linalg.solve(lhs, v), rtol=0, atol=1e-12)
     if theta < 0.5:
         return
-    dense_advance = solve1d._dense_steps(p, cfg)
+    dense_advance, _ = solve1d._dense_steps(p, cfg)
     with monkeypatch.context() as m:
         m.setattr(solve1d, "_GS_MIN_N", 0)
         m.setattr(solve1d, "_dense_steps", None)
-        advance = solve1d._cn_steps(p, cfg)
+        advance, _ = solve1d._cn_steps(p, cfg)
     U, f, b = rng.standard_normal((3, N - 1, 4))
     for j, u in enumerate(U.T):
         v = f[:, j] + b[:, j]
@@ -451,7 +451,7 @@ def test_backend_steps_a_block_as_its_slabs_one_at_a_time(monkeypatch, backend, 
     monkeypatch.setattr(solve1d, "_GS_MIN_N", 0 if backend == "_gs_steps" else 10**9)
     picked = _spy_backends(monkeypatch)
     p = _constant_problem("unequal", 0.9, 0.35, 1.7)
-    advance = solve1d._cn_steps(p, SolverConfig1D(N=33, M=5, theta=theta))
+    advance, _ = solve1d._cn_steps(p, SolverConfig1D(N=33, M=5, theta=theta))
     assert picked == [backend]
     rng = np.random.default_rng(33)
     U, terms = rng.standard_normal(32), rng.standard_normal((5, 32))
@@ -654,7 +654,9 @@ def test_run_samples_source_and_exact_once_a_block(M):
 def test_dense_run_solves_once_a_block(monkeypatch):
     # one solve forms C = L^-1 R at setup, and no block solves again: a block
     # used to lift its known terms by L^-1 with one more solve, but in Cayley
-    # form L^-1 = theta C + (1 - theta) I, so a step is one product with C
+    # form L^-1 = theta C + (1 - theta) I, so a step is one product with C;
+    # ex3's diffusivities mirror each other, so that solve takes the even and
+    # odd halves of order 32 as one stack
     contexts, shapes = [], []
     helper, linalg_solve = solve1d.solve, np.linalg.solve
 
@@ -671,8 +673,54 @@ def test_dense_run_solves_once_a_block(monkeypatch):
     cfg = SolverConfig1D(N=64, M=1100)
     sol = cn_wsgd_run(make_example("ex3", 1.5), cfg)
     assert next(solve1d._blocks(0, cfg.M, cfg.N - 1)) == (0, 520)
-    assert contexts == ["time step"] and shapes == [(63, 63)]
+    assert contexts == ["time step"] and shapes == [(2, 32, 32)]
     assert sol.max_err_final < 1e-4
+
+
+def test_diffusivities_one_ulp_off_the_mirror_take_the_full_system(monkeypatch):
+    # the even/odd split needs dl = J dr exactly: ex3 steps on the halves,
+    # while ex3 with one sample of dr nudged by one ulp assembles and solves
+    # the full system, bit for bit as a run forced past the selection
+    shapes = []
+    helper = solve1d.solve
+    monkeypatch.setattr(
+        solve1d, "solve", lambda a, b, context: shapes.append(np.shape(b)) or helper(a, b, context)
+    )
+    base = make_example("ex3", 1.5)
+
+    def nudged(x):
+        d = np.array(base.right_diffusivity(x), dtype=float)
+        d.flat[3] = np.nextafter(d.flat[3], np.inf)
+        return d
+
+    p = dataclasses.replace(base, right_diffusivity=nudged)
+    cfg = SolverConfig1D(N=16, M=8)
+    cn_wsgd_run(base, cfg)
+    got = cn_wsgd_run(p, cfg)
+    monkeypatch.setattr(solve1d, "_mirrored", lambda *_: False)
+    want = cn_wsgd_run(p, cfg)
+    assert shapes == [(2, 8, 8), (15, 15), (15, 15)]
+    for field in ("values", "norm_history", "max_err_running", "max_err_final", "l2_err_final"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+def test_run_reads_each_level_of_end_data_once():
+    # the final frame used to read both ends at t = T again, unchecked, after
+    # the setup had read and checked every level: M + 2 calls an end
+    base = _constant_problem("unequal", 0.7, 0.2, 1.6)
+    calls = {"left": 0, "right": 0}
+
+    def counted(side):
+        fn = getattr(base, f"{side}_boundary")
+        return lambda t: calls.__setitem__(side, calls[side] + 1) or fn(t)
+
+    p = dataclasses.replace(base, left_boundary=counted("left"), right_boundary=counted("right"))
+    calls.update(left=0, right=0)
+    cfg = SolverConfig1D(N=16, M=10, T=0.5)
+    sol = cn_wsgd_run(p, cfg)
+    assert calls == {"left": cfg.M + 1, "right": cfg.M + 1}
+    t = cfg.M * cfg.tau
+    assert (sol.values[0], sol.values[-1]) == (base.left_boundary(t), base.right_boundary(t))
 
 
 def test_run_checks_boundary_data_at_every_level():
@@ -722,18 +770,19 @@ def test_callables_broadcast_over_space_and_time_axes():
 
 
 def _refuse_dense(monkeypatch) -> list[int]:
-    """Route ``ToeplitzOperator.to_dense`` through a guard that lets it refuse
-    an order above the cap and fails the test if it forms a matrix; returns
-    the orders it was asked for."""
+    """Route ``ToeplitzOperator.rows``, which ``to_dense`` and the mirror
+    halves read, through a guard that lets it refuse an order above the cap
+    and fails the test if it gives any row; returns the orders it was asked
+    for."""
     orders = []
-    to_dense = operators.ToeplitzOperator.to_dense
+    rows = operators.ToeplitzOperator.rows
 
-    def refusing(self):
+    def refusing(self, count):
         orders.append(self.n)
-        to_dense(self)
+        rows(self, count)
         raise AssertionError("a dense matrix was formed")
 
-    monkeypatch.setattr(operators.ToeplitzOperator, "to_dense", refusing)
+    monkeypatch.setattr(operators.ToeplitzOperator, "rows", refusing)
     return orders
 
 

@@ -954,6 +954,34 @@ def test_an_operator_that_is_not_negative_definite_fails_at_setup(monkeypatch, a
     assert reads == []
 
 
+@pytest.mark.parametrize("half", ["even", "odd"])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_a_non_negative_eigenvalue_of_either_half_fails_at_setup(monkeypatch, axis, half):
+    # the spectrum comes from one eigh per half, so the check reads both: a
+    # rank-one lift along w = e_0 +- e_last (J w = +-w) keeps the operator
+    # symmetric and centrosymmetric and, by interlacing, makes exactly one
+    # eigenvalue positive, in the half of w; x has odd order 7, y even order 8
+    build = solve2d.build_directional_operators
+    peaks = []
+
+    def lifted(problem, config):
+        ops = dict(zip("xy", build(problem, config)))
+        d = ops[axis]
+        w = np.zeros(len(d))
+        w[0], w[-1] = 1.0, 1.0 if half == "even" else -1.0
+        ops[axis] = d + np.max(np.sum(np.abs(d), axis=1)) * np.outer(w, w)
+        lam = np.linalg.eigvalsh(ops[axis])
+        assert lam[-2] < 0.0 < lam[-1]
+        peaks.append(lam[-1])
+        return ops["x"], ops["y"]
+
+    monkeypatch.setattr(solve2d, "build_directional_operators", lifted)
+    p = _custom_2d(source=problems.SeparableSource(((np.exp, (np.sin,), (np.cos,)),)))
+    with pytest.raises(SolverError, match=rf"{axis}-direction: .*not negative definite") as info:
+        run_2d(p, SolverConfig2D(Nx=8, Ny=9, M=2))
+    assert str(info.value).endswith(f"its largest eigenvalue is {peaks[0]:.6g}")
+
+
 # ---------------------------------------------------------------------------
 # Guards and validation
 # ---------------------------------------------------------------------------
@@ -1057,21 +1085,21 @@ def test_non_finite_separable_factors_raise_with_step_and_time(splitting, bad, s
         run_2d(_custom_2d(source=source), SolverConfig2D(Nx=8, Ny=8, M=4, splitting=splitting))
 
 
-@pytest.mark.parametrize("basis", ["eigen", "grid"])
-def test_non_finite_y_side_data_raise_with_step_and_time(monkeypatch, basis):
-    # the factored scheme carries y-side data into the state; infinite data
-    # at t = 0.75 end the run there, with no numpy warning, whether the
-    # eigenbasis selection reads them (and sends the run to the dense
-    # stepper) or is skipped
+def test_non_finite_y_side_data_raise_with_step_and_time(monkeypatch):
+    # the factored scheme carries y-side data into the state; the eigenbasis
+    # selection reads the infinite data at t = 0.75 with no numpy warning and
+    # sends the run to the dense stepper, which ends there
     def boundary(x, y, t):
         v = np.asarray(x) * (1.0 - np.asarray(x)) * np.asarray(y) * (1.0 + t)
         return np.where((t > 0.6) & (v != 0.0), np.inf, v)
 
-    if basis == "grid":
-        monkeypatch.setattr(solve2d, "_eigenbasis", lambda *_: False)
+    dense = []
+    stepper = solve2d.pr_adi_stepper
+    monkeypatch.setattr(solve2d, "pr_adi_stepper", lambda *a: dense.append(1) or stepper(*a))
     p = dataclasses.replace(_symmetric_y_data(), boundary=boundary)
     with pytest.raises(SolverError, match=r"step 3 \(t=0\.75\)"):
         run_2d(p, SolverConfig2D(Nx=8, Ny=12, M=4))
+    assert dense == [1]
 
 
 @pytest.mark.parametrize("splitting", ["pr", "lod"])
