@@ -8,7 +8,10 @@ superdiagonal carries ``w_0`` and the main diagonal ``w_1``.  This module
 assembles those matrices, applies the left/right operators directly to
 grid functions (stencil-wise, without forming a matrix — the redundancy
 lets tests catch indexing mistakes), gives the stencil columns that
-multiply the Dirichlet end values, and builds an FFT Toeplitz product:
+multiply the Dirichlet end values, splits a centrosymmetric matrix into
+its even and odd halves from its top rows (``_MirrorHalves``, which the
+dense 1D step and the 2D eigenbasis share), and builds an FFT Toeplitz
+product:
 the spectrum of the matrix's circulant embedding is taken once, so a
 product is two real FFTs.  No solver runs that product (the
 Gohberg–Semencul time stepper needs only its left matrix's inverse);

@@ -20,10 +20,15 @@ stepper sets up its two step matrices ``L = I - theta*B`` (implicit) and
 ``B``, so ``theta R = I - (1-theta) L`` and each backend steps in that
 Cayley form.  The backend is chosen from the input alone:
 
-- dense LU (the default, and the oracle): both matrices assembled densely
-  and ``C = L^-1 R`` formed by one solve, so ``L^-1 = theta C +
-  (1-theta) I`` and a step ``U_next = C (U + theta v) + (1-theta) v`` is
-  one matrix-vector product, exact for every ``theta``;
+- dense LU (the default, and the oracle): ``C = L^-1 R`` formed by one
+  solve, so ``L^-1 = theta C + (1-theta) I`` and a step ``U_next = C (U +
+  theta v) + (1-theta) v`` is one matrix-vector product, exact for every
+  ``theta``.  When the sampled diffusivities mirror each other, as in the
+  paper's two-sided examples, ``L`` and ``R`` are centrosymmetric, and the
+  run steps in their even/odd basis: two half-order blocks of each, built
+  from the top ``ceil(n/2)`` stencil rows, one solve of a stack of two
+  blocks, and two half-order products a step.  Any other problem assembles
+  both matrices densely;
 - Gohberg–Semencul, for constant diffusivities, ``theta >= 1/2`` and
   ``N >= 384``: ``L`` is then Toeplitz, and, with its symmetric part
   positive definite, is inverted through one Levinson recursion and its
@@ -179,8 +184,9 @@ def _grid(problem: Problem1D, N: int):
 
 
 def solve(matrix: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
-    """``matrix^-1 rhs`` by partial-pivoting LU, for one right-hand side or a
-    block of columns; a singular ``matrix`` is a :class:`SolverError`.
+    """``matrix^-1 rhs`` by partial-pivoting LU, for one right-hand side, a
+    block of columns, or a stack of matrices and blocks (the two halves of a
+    mirrored 1D step); a singular ``matrix`` is a :class:`SolverError`.
 
     Every dense solve of the 1D and 2D solvers goes through here, and each
     factorization serves one call.
@@ -250,7 +256,8 @@ def _mirrored(dl: np.ndarray, dr: np.ndarray) -> bool:
 
 
 def _dense_steps(problem: Problem1D, config: SolverConfig1D) -> tuple[Advance, Basis]:
-    """Dense step matrices, and ``C = L^-1 R`` formed by one solve.
+    """The dense Cayley step ``C = L^-1 R``, on the grid or, for mirrored
+    diffusivities, on its even and odd halves.
 
     ``L^-1 = theta C + (1-theta) I``, so a step ``U_next = C U + L^-1 v`` is
     ``C (U + theta v) + (1-theta) v``: one matrix-vector product, and no

@@ -45,17 +45,20 @@ a :class:`~wsgdiff.problems.SeparableSource`, and the Dirichlet data vanish
 on all four sides at every level, as in the paper's 2D example; any other
 problem steps in the grid basis with the dense Cayley steppers above.  In
 the eigenbasis (the fast diagonalization method of Lynch, Rice & Thomas,
-1964) ``Dx = Qx diag(lam) Qx^T`` with ``Qx`` orthogonal, one ``eigh`` per
-axis at setup, and the run marches ``Qx^T U Qy``: the source's factors are
+1964) ``Dx = Qx diag(lam) Qx^T`` with ``Qx`` orthogonal.  A symmetric
+Toeplitz combination is also centrosymmetric, so setup takes two
+half-order ``eigh`` calls per axis, one for each of its even and odd halves
+(Cantoni & Butler, 1976), and assembles ``Qx`` from their eigenvectors.
+The run marches ``Qx^T U Qy``: the source's factors are
 transformed once, so both splittings step in one form, elementwise plus one
 low-rank product (:func:`_eigen_stepper`), O(n^2), reading no callable, and
 each level's norm needs no transform.  The state returns to the grid once,
-at the final time.  An eigenvalue that is not negative, against the paper's
-stability condition, is a ``SolverError`` at setup.  Grid callables are
-read through :func:`~wsgdiff.problems.on_grid`, on the broadcast axes
-``x[:, None]``, ``y[None, :]`` of the interior or, for the y-lines and the
-Dirichlet data, of one pair of sides at a time, and only on the pairs a
-step or check uses.
+at the final time.  An eigenvalue of either half that is not negative,
+against the paper's stability condition, is a ``SolverError`` at setup.
+Grid callables are read through :func:`~wsgdiff.problems.on_grid`, on the
+broadcast axes ``x[:, None]``, ``y[None, :]`` of the interior or, for the
+y-lines and the Dirichlet data, of one pair of sides at a time, and only on
+the pairs a step or check uses.
 
 Boundary handling: Dirichlet data are read only on the run's own boundary
 nodes.  The factored scheme carries time-dependent data on the y-sides,

@@ -241,12 +241,13 @@ def test_split_run_matches_the_full_dense_run(data):
     # explicit end of theta bounded
     T = 0.25 * M * big_n**-alpha / (1.0 + (dl if np.isscalar(dl) else c + 1.0))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
+        warnings.filterwarnings("ignore", "theta=.* lies outside the proven stability window")
         cfg = SolverConfig1D(N=big_n, M=M, theta=theta, scheme=scheme, T=T)
     shapes = []
     with pytest.MonkeyPatch.context() as m:
         helper = solve1d.solve
-        m.setattr(solve1d, "solve", lambda a, b, ctx: shapes.append(np.shape(b)) or helper(a, b, ctx))
+        counted = lambda a, b, context: shapes.append(np.shape(b)) or helper(a, b, context)
+        m.setattr(solve1d, "solve", counted)
         split = solve1d.cn_wsgd_run(problem, cfg)
         m.setattr(solve1d, "_mirrored", lambda *_: False)
         full = solve1d.cn_wsgd_run(problem, cfg)
