@@ -153,11 +153,13 @@ class _MirrorHalves:
 
     def blocks(self, top: np.ndarray) -> np.ndarray:
         """The even and odd blocks of the matrix whose top ``p`` rows are
-        ``top``, as a ``(2, p, p)`` stack; for odd ``n`` the odd block's
-        padding row and column are zero."""
+        ``top``, written into one ``(2, p, p)`` array; for odd ``n`` the odd
+        block's padding row and column are zero."""
         m, p = self.m, self.p
         left, right = top[:, :p], top[:, ::-1][:, :p]
-        halves = np.stack((left + right, left - right))
+        halves = np.empty((2, p, p))
+        np.add(left, right, out=halves[0])
+        np.subtract(left, right, out=halves[1])
         if m < p:
             # the middle row and column enter P once each, not twice
             halves[0, m] *= _HALF_ROOT

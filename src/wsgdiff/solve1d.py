@@ -26,14 +26,15 @@ Cayley form.  The backend is chosen from the input alone:
   ``theta``.  When the sampled diffusivities mirror each other, as in the
   paper's two-sided examples, ``L`` and ``R`` are centrosymmetric, and the
   run steps in their even/odd basis: two half-order blocks of each, built
-  from the top ``ceil(n/2)`` stencil rows, one solve of a stack of two
-  blocks, and two half-order products a step.  Any other problem assembles
-  both matrices densely;
+  from the top ``ceil(n/2)`` stencil rows, one half-order solve for each
+  block of ``C``, and two half-order products a step.  Any other problem
+  assembles both matrices densely;
 - Gohberg–Semencul, for constant diffusivities, ``theta >= 1/2`` and
-  ``N >= 384``: ``L`` is then Toeplitz, and, with its symmetric part
-  positive definite, is inverted through one Levinson recursion and its
-  Gohberg–Semencul formula (Gohberg & Semencul 1972; Wang, Wang & Sircar,
-  J. Comput. Phys. 229 (2010) 8095).  ``L^-1 R = (L^-1 - (1-theta) I) /
+  ``N >= 384``, or ``N >= 768`` when they mirror each other: ``L`` is
+  then Toeplitz, and, with its symmetric part positive definite, is
+  inverted through one Levinson recursion and its Gohberg–Semencul
+  formula (Gohberg & Semencul 1972; Wang, Wang & Sircar, J. Comput.
+  Phys. 229 (2010) 8095).  ``L^-1 R = (L^-1 - (1-theta) I) /
   theta``, so a step is one such solve, six real FFTs, plus an axpy
   instead of O(N^2) dense work.  Below ``theta = 1/2`` that form's
   rounding grows like ``eps/theta`` a step, so those runs step densely,
@@ -83,7 +84,9 @@ SOURCE_SAMPLING = ("average", "midpoint")
 
 #: Smallest N at which a constant-coefficient run steps with the
 #: Gohberg–Semencul inverse: the measured crossover with dense LU lies
-#: between N=256 and N=512 on a 2-vCPU x86-64 machine.
+#: between N=256 and N=512 on a 2-vCPU x86-64 machine.  Mirrored
+#: diffusivities take it from twice that, since their dense step on the
+#: even/odd halves does half the work; the two measured at par near N=768.
 _GS_MIN_N = 384
 
 #: Float64 entries of one block: a run samples its known terms, steps and
@@ -184,9 +187,8 @@ def _grid(problem: Problem1D, N: int):
 
 
 def solve(matrix: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
-    """``matrix^-1 rhs`` by partial-pivoting LU, for one right-hand side, a
-    block of columns, or a stack of matrices and blocks (the two halves of a
-    mirrored 1D step); a singular ``matrix`` is a :class:`SolverError`.
+    """``matrix^-1 rhs`` by partial-pivoting LU, for one right-hand side or
+    a block of columns; a singular ``matrix`` is a :class:`SolverError`.
 
     Every dense solve of the 1D and 2D solvers goes through here, and each
     factorization serves one call.
@@ -240,12 +242,15 @@ def assemble_cn_system(problem: Problem1D, config: SolverConfig1D):
     the constant-coefficient case (rows all weighted alike) and the
     variable-coefficient case through one code path.
     """
-    h, _, xi = _grid(problem, config.N)
-    n = config.N - 1
-    A = assemble_wsgd_matrix(problem.alpha, config.scheme, n).to_dense()
-    dl, dr = problem.diffusivity_values(xi)
+    return _full_system(problem, config, *problem.diffusivity_values(_grid(problem, config.N)[2]))
+
+
+def _full_system(problem: Problem1D, config: SolverConfig1D, dl: np.ndarray, dr: np.ndarray):
+    """:func:`assemble_cn_system`'s matrices for sampled ``dl, dr``."""
+    h = _grid(problem, config.N)[0]
+    A = assemble_wsgd_matrix(problem.alpha, config.scheme, config.N - 1).to_dense()
     B = (config.tau / h**problem.alpha) * (dl[:, None] * A + dr[:, None] * A.T)
-    eye = np.eye(n)
+    eye = np.eye(len(B))
     return eye - config.theta * B, eye + (1.0 - config.theta) * B
 
 
@@ -255,9 +260,11 @@ def _mirrored(dl: np.ndarray, dr: np.ndarray) -> bool:
     return np.array_equal(dl, dr[::-1])
 
 
-def _dense_steps(problem: Problem1D, config: SolverConfig1D) -> tuple[Advance, Basis]:
-    """The dense Cayley step ``C = L^-1 R``, on the grid or, for mirrored
-    diffusivities, on its even and odd halves.
+def _dense_steps(
+    problem: Problem1D, config: SolverConfig1D, dl: np.ndarray, dr: np.ndarray
+) -> tuple[Advance, Basis]:
+    """The dense Cayley step ``C = L^-1 R`` for sampled diffusivities ``dl,
+    dr``, on the grid or, when they mirror each other, on its even/odd halves.
 
     ``L^-1 = theta C + (1-theta) I``, so a step ``U_next = C U + L^-1 v`` is
     ``C (U + theta v) + (1-theta) v``: one matrix-vector product, and no
@@ -265,38 +272,38 @@ def _dense_steps(problem: Problem1D, config: SolverConfig1D) -> tuple[Advance, B
     ``1-theta`` once, elementwise, so a step is three numpy calls and its
     bits do not depend on the block width.
 
-    When the sampled diffusivities mirror each other (:func:`_mirrored`),
-    ``L`` and ``R`` are centrosymmetric, and the step runs in the even/odd
-    basis of :class:`~wsgdiff.operators._MirrorHalves`: both halves of ``L``
-    and ``R`` are built from the top ``ceil(n/2)`` stencil rows, with no
-    order-``n`` matrix, both halves of ``C`` come from one solve of a stack
-    of two blocks, at a quarter of the flops, and a step is two half-order
-    products, the odd block padded with an identity row to the even one's
-    order.  Any other problem assembles :func:`assemble_cn_system`.
+    When ``dl, dr`` mirror each other (:func:`_mirrored`), ``L`` and ``R``
+    are centrosymmetric, and the step runs in the even/odd basis of
+    :class:`~wsgdiff.operators._MirrorHalves`: the halves of ``B`` come from
+    the top ``ceil(n/2)`` stencil rows, and each becomes its half of ``L``
+    in place, then of ``C`` by one half-order solve, with its half of ``R``
+    made from it; so no order-``n`` matrix and no second stack is formed.  A
+    step is two half-order products, the odd block padded with an identity
+    row to the even one's order.  Any other problem assembles the full system.
     """
-    h, _, xi = _grid(problem, config.N)
     n = config.N - 1
     theta = config.theta
-    dl, dr = problem.diffusivity_values(xi)
     if _mirrored(dl, dr):
+        h = _grid(problem, config.N)[0]
         halves = _MirrorHalves(n)
         p = halves.p
         A = assemble_wsgd_matrix(problem.alpha, config.scheme, n)
-        top = dl[:p, None] * A.rows(p) + dr[:p, None] * A.T.rows(p)
-        lhs = halves.blocks(top)
+        top = np.multiply(dl[:p, None], A.rows(p))
+        top += dr[:p, None] * A.T.rows(p)
+        c = halves.blocks(top)
         del top
-        lhs *= config.tau / h**problem.alpha
-        eye = np.eye(p)
-        rhs_matrix = np.add(eye, (1.0 - theta) * lhs)
-        # I - theta B in place of B: one array fewer during the solve
-        lhs *= -theta
-        lhs += eye
-        c = solve(lhs, rhs_matrix, "time step")
+        c *= config.tau / h**problem.alpha
+        # each block of B becomes that of L = I - theta B, then of C
+        for block in c:
+            rhs_matrix = np.multiply(block, 1.0 - theta)
+            block *= -theta
+            for matrix in (block, rhs_matrix):
+                matrix.reshape(-1)[:: p + 1] += 1.0
+            block[...] = solve(block, rhs_matrix, "time step")
         # states and terms as (2, p, 1) columns, so each step is one stacked product
         basis = (lambda v: halves.split(v)[..., None], lambda s: halves.join(s[..., 0]))
     else:
-        lhs, rhs_matrix = assemble_cn_system(problem, config)
-        c = solve(lhs, rhs_matrix, "time step")
+        c = solve(*_full_system(problem, config, dl, dr), "time step")
         basis = _GRID
 
     def advance(U: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -377,7 +384,9 @@ def _gs_steps(problem: Problem1D, config: SolverConfig1D) -> Callable[[np.ndarra
     return inverse
 
 
-def _cn_steps(problem: Problem1D, config: SolverConfig1D) -> tuple[Advance, Basis]:
+def _cn_steps(
+    problem: Problem1D, config: SolverConfig1D, dl: np.ndarray, dr: np.ndarray
+) -> tuple[Advance, Basis]:
     """Set up the step system once, Gohberg–Semencul where it applies and pays;
     return its ``advance`` and the :data:`Basis` it steps in.
 
@@ -385,12 +394,14 @@ def _cn_steps(problem: Problem1D, config: SolverConfig1D) -> tuple[Advance, Basi
     = L^-1 (U/theta + v) - ((1-theta)/theta) U``: one solve, six real FFTs,
     and no product with ``R``.  Its rounding grows like ``(2-theta)/theta``
     units of ``eps |U|`` a step, 3 at ``theta = 1/2``, so it runs only
-    inside the stability window ``theta >= 1/2``, on the grid.
+    inside the stability window ``theta >= 1/2``, on the grid, and for
+    sampled diffusivities ``dl, dr`` that mirror each other from twice
+    :data:`_GS_MIN_N`.
     """
     if (
         not problem.has_variable_coefficients
         and config.theta >= 0.5
-        and config.N >= _GS_MIN_N
+        and config.N >= _GS_MIN_N * (2 if _mirrored(dl, dr) else 1)
     ):
         inverse = _gs_steps(problem, config)
         inv, ratio = 1.0 / config.theta, (1.0 - config.theta) / config.theta
@@ -403,7 +414,7 @@ def _cn_steps(problem: Problem1D, config: SolverConfig1D) -> tuple[Advance, Basi
             return out
 
         return advance, _GRID
-    return _dense_steps(problem, config)
+    return _dense_steps(problem, config, dl, dr)
 
 
 def _blocks(k: int, M: int, entries: int) -> Iterator[tuple[int, int]]:
@@ -497,13 +508,13 @@ def _cn_setup(problem: Problem1D, config: SolverConfig1D) -> tuple[BlockStepper,
     n = config.N - 1
     tau = config.tau
     theta = config.theta
-    advance, (into, back) = _cn_steps(problem, config)
+    dl, dr = problem.diffusivity_values(xi)
+    advance, (into, back) = _cn_steps(problem, config, dl, dr)
 
     # Known-end-value coefficient columns, diffusivity-weighted per row.
     left_u0, right_u0, left_uN, right_uN = boundary_columns(
         problem.alpha, config.scheme, n
     )
-    dl, dr = problem.diffusivity_values(xi)
     col_a = (dl * left_u0 + dr * right_u0)[:, None]
     col_b = (dl * left_uN + dr * right_uN)[:, None]
     scale = tau / h**problem.alpha

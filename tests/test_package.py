@@ -111,7 +111,7 @@ from wsgdiff import (
 )
 from wsgdiff import solve1d
 
-cn_wsgd_run(make_example("ex2", 1.5), SolverConfig1D(N=solve1d._GS_MIN_N, M=4))
+cn_wsgd_run(make_example("ex2", 1.5), SolverConfig1D(N=2 * solve1d._GS_MIN_N, M=4))
 cn_wsgd_run(make_example("ex3", 1.5), SolverConfig1D(N=16, M=4, scheme=P1QM1))
 steady_solve_3wsgd(make_example("ex0", 1.5), 16)
 for splitting in ("pr", "lod"):

@@ -201,7 +201,8 @@ def test_gs_step_system_matches_dense_oracle(data, big_n, scheme, alpha, theta):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(solve1d, "_GS_MIN_N", 0)
         m.setattr(solve1d, "_dense_steps", None)
-        advance, _ = solve1d._cn_steps(problem, cfg)
+        dl, dr = problem.diffusivity_values(solve1d._grid(problem, cfg.N)[2])
+        advance, _ = solve1d._cn_steps(problem, cfg, dl, dr)
     want_step = np.linalg.solve(lhs, u + (1.0 - theta) * (b @ u) + f + g)
     gap_step = np.max(np.abs(advance(u, (f + g)[None]) - want_step))
     gaps = gap_solve / np.max(np.abs(want_solve)), gap_step / np.max(np.abs(want_step))
@@ -252,7 +253,7 @@ def test_split_run_matches_the_full_dense_run(data):
         m.setattr(solve1d, "_mirrored", lambda *_: False)
         full = solve1d.cn_wsgd_run(problem, cfg)
     n = big_n - 1
-    assert shapes == [(2, n - n // 2, n - n // 2), (n, n)]
+    assert shapes == [(n - n // 2, n - n // 2)] * 2 + [(n, n)]
     for got, want in ((split.values, full.values), (split.norm_history, full.norm_history)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 

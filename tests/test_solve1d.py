@@ -5,6 +5,7 @@ Gohberg–Semencul backend against dense LU, and the dense size guard."""
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 import warnings
 import weakref
 
@@ -387,6 +388,11 @@ def _run_with(monkeypatch, min_n, problem, config):
         return cn_wsgd_run(problem, config)
 
 
+def _diffusivities(problem, config):
+    """The diffusivities on the interior nodes, as a run samples them."""
+    return problem.diffusivity_values(solve1d._grid(problem, config.N)[2])
+
+
 @pytest.mark.parametrize("sampling", ["average", "midpoint"])
 @pytest.mark.parametrize("theta", [0.5, 1.0])
 @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
@@ -430,11 +436,11 @@ def test_gs_setup_is_the_dense_system(monkeypatch, N, theta):
         np.testing.assert_allclose(solve(v), np.linalg.solve(lhs, v), rtol=0, atol=1e-12)
     if theta < 0.5:
         return
-    dense_advance, _ = solve1d._dense_steps(p, cfg)
+    dense_advance, _ = solve1d._dense_steps(p, cfg, *_diffusivities(p, cfg))
     with monkeypatch.context() as m:
         m.setattr(solve1d, "_GS_MIN_N", 0)
         m.setattr(solve1d, "_dense_steps", None)
-        advance, _ = solve1d._cn_steps(p, cfg)
+        advance, _ = solve1d._cn_steps(p, cfg, *_diffusivities(p, cfg))
     U, f, b = rng.standard_normal((3, N - 1, 4))
     for j, u in enumerate(U.T):
         v = f[:, j] + b[:, j]
@@ -451,7 +457,8 @@ def test_backend_steps_a_block_as_its_slabs_one_at_a_time(monkeypatch, backend, 
     monkeypatch.setattr(solve1d, "_GS_MIN_N", 0 if backend == "_gs_steps" else 10**9)
     picked = _spy_backends(monkeypatch)
     p = _constant_problem("unequal", 0.9, 0.35, 1.7)
-    advance, _ = solve1d._cn_steps(p, SolverConfig1D(N=33, M=5, theta=theta))
+    cfg = SolverConfig1D(N=33, M=5, theta=theta)
+    advance, _ = solve1d._cn_steps(p, cfg, *_diffusivities(p, cfg))
     assert picked == [backend]
     rng = np.random.default_rng(33)
     U, terms = rng.standard_normal(32), rng.standard_normal((5, 32))
@@ -528,9 +535,9 @@ def _spy_backends(monkeypatch):
     for name in ("_dense_steps", "_gs_steps"):
         original = getattr(solve1d, name)
 
-        def spy(problem, config, original=original, name=name):
+        def spy(*args, original=original, name=name):
             picked.append(name)
-            return original(problem, config)
+            return original(*args)
 
         monkeypatch.setattr(solve1d, name, spy)
     return picked
@@ -539,31 +546,39 @@ def _spy_backends(monkeypatch):
 def test_backend_is_picked_from_the_input(monkeypatch):
     picked = _spy_backends(monkeypatch)
     large = SolverConfig1D(N=512, M=2)
+    # mirrored diffusivities step on the even/odd halves, at half the dense
+    # work, up to twice the crossover
+    mirrored = 2 * solve1d._GS_MIN_N
     cases = [
-        (make_example("ex2", 1.5), large, "_gs_steps"),
+        (make_example("ex2", 1.5), SolverConfig1D(N=mirrored, M=2), "_gs_steps"),
+        (make_example("ex2", 1.5), SolverConfig1D(N=mirrored - 1, M=2), "_dense_steps"),
+        (make_example("ex2", 1.5), large, "_dense_steps"),
         (make_example("ex1", 1.5), dataclasses.replace(large, theta=1.0), "_gs_steps"),
         (make_example("ex3", 1.5), large, "_dense_steps"),
         (make_example("ex2", 1.5), SolverConfig1D(N=64, M=2), "_dense_steps"),
     ]
     with pytest.warns(UserWarning, match="stability window"):
-        negative = SolverConfig1D(N=512, M=2, theta=-0.1)
+        negative = SolverConfig1D(N=mirrored, M=2, theta=-0.1)
     cases.append((make_example("ex2", 1.5), negative, "_dense_steps"))
     for problem, config, want in cases:
-        solve1d._cn_steps(problem, config)
+        solve1d._cn_steps(problem, config, *_diffusivities(problem, config))
         assert picked.pop() == want, (problem.name, config)
     # the crossover itself is on the Toeplitz side
-    solve1d._cn_steps(make_example("ex2", 1.5), SolverConfig1D(N=solve1d._GS_MIN_N, M=2))
-    assert picked == ["_gs_steps"]
+    crossover = SolverConfig1D(N=solve1d._GS_MIN_N, M=2)
+    for problem in (make_example("ex1", 1.5), _constant_problem("unequal", 0.7, 0.2, 1.5)):
+        solve1d._cn_steps(problem, crossover, *_diffusivities(problem, crossover))
+    assert picked == ["_gs_steps"] * 2
 
 
 def test_gs_backend_runs_only_inside_the_stability_window(monkeypatch):
     # below theta = 1/2 the Cayley-form step's rounding grows like
     # eps/theta a step, so those runs step densely, and meet the dense cap
     picked = _spy_backends(monkeypatch)
+    problem, N = make_example("ex2", 1.5), 2 * solve1d._GS_MIN_N
     with pytest.warns(UserWarning, match="stability window"):
-        low = SolverConfig1D(N=512, M=2, theta=0.3)
-    for config, want in ((low, "_dense_steps"), (SolverConfig1D(N=512, M=2), "_gs_steps")):
-        solve1d._cn_steps(make_example("ex2", 1.5), config)
+        low = SolverConfig1D(N=N, M=2, theta=0.3)
+    for config, want in ((low, "_dense_steps"), (SolverConfig1D(N=N, M=2), "_gs_steps")):
+        solve1d._cn_steps(problem, config, *_diffusivities(problem, config))
         assert picked.pop() == want, config.theta
 
     orders = _refuse_dense(monkeypatch)
@@ -652,11 +667,11 @@ def test_run_samples_source_and_exact_once_a_block(M):
 
 
 def test_dense_run_solves_once_a_block(monkeypatch):
-    # one solve forms C = L^-1 R at setup, and no block solves again: a block
-    # used to lift its known terms by L^-1 with one more solve, but in Cayley
-    # form L^-1 = theta C + (1 - theta) I, so a step is one product with C;
-    # ex3's diffusivities mirror each other, so that solve takes the even and
-    # odd halves of order 32 as one stack
+    # the setup forms C = L^-1 R, and no block solves again: a block used to
+    # lift its known terms by L^-1 with one more solve, but in Cayley form
+    # L^-1 = theta C + (1 - theta) I, so a step is one product with C; ex3's
+    # diffusivities mirror each other, so the setup solves the even and odd
+    # halves of order 32 one at a time
     contexts, shapes = [], []
     helper, linalg_solve = solve1d.solve, np.linalg.solve
 
@@ -673,7 +688,7 @@ def test_dense_run_solves_once_a_block(monkeypatch):
     cfg = SolverConfig1D(N=64, M=1100)
     sol = cn_wsgd_run(make_example("ex3", 1.5), cfg)
     assert next(solve1d._blocks(0, cfg.M, cfg.N - 1)) == (0, 520)
-    assert contexts == ["time step"] and shapes == [(2, 32, 32)]
+    assert contexts == ["time step"] * 2 and shapes == [(32, 32)] * 2
     assert sol.max_err_final < 1e-4
 
 
@@ -699,9 +714,63 @@ def test_diffusivities_one_ulp_off_the_mirror_take_the_full_system(monkeypatch):
     got = cn_wsgd_run(p, cfg)
     monkeypatch.setattr(solve1d, "_mirrored", lambda *_: False)
     want = cn_wsgd_run(p, cfg)
-    assert shapes == [(2, 8, 8), (15, 15), (15, 15)]
+    assert shapes == [(8, 8), (8, 8), (15, 15), (15, 15)]
     for field in ("values", "norm_history", "max_err_running", "max_err_final", "l2_err_final"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+@pytest.mark.parametrize("mirrored", [True, False], ids=["ex3", "unmirrored"])
+def test_run_reads_the_diffusivities_once(mirrored):
+    # the backend selection, the dense setup and the boundary columns share
+    # one sample: a run used to read a callable diffusivity 2 times on ex3,
+    # and 3 times once the right one no longer mirrors the left
+    base = make_example("ex3", 1.5)
+    calls = []
+
+    def left(x):
+        calls.append(np.shape(x))
+        return base.left_diffusivity(x)
+
+    right = base.right_diffusivity if mirrored else lambda x: 0.5 * np.asarray(x) ** 0.5 + 0.1
+    p = dataclasses.replace(base, left_diffusivity=left, right_diffusivity=right)
+    calls.clear()
+    cn_wsgd_run(p, SolverConfig1D(N=16, M=4))
+    assert calls == [(15,)]
+
+
+@pytest.mark.parametrize("name", ["ex2", "ex3"])
+def test_mirrored_setup_holds_no_two_stacks_beside_a_solve(name):
+    # the setup used to hold the (2, p, p) stacks of L, R and C and an
+    # identity at once, 3.55 stacks at N=256; it now solves one half at a
+    # time, over the stack of B
+    problem, cfg = make_example(name, 1.5), SolverConfig1D(N=256, M=4)
+    dl, dr = _diffusivities(problem, cfg)
+    p = (cfg.N - 1) - (cfg.N - 1) // 2
+    solve1d._dense_steps(problem, cfg, dl, dr)  # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        solve1d._dense_steps(problem, cfg, dl, dr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stack = 2 * p * p * 8
+    assert peak <= 2.75 * stack, peak / stack
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("scheme", [P1Q0, P1QM1])
+def test_mirrored_run_below_twice_the_crossover_steps_on_the_halves(monkeypatch, scheme, theta):
+    # ex2 at N=512 lies between the crossover and twice it, so it steps
+    # densely on the even/odd halves and agrees with the Toeplitz run
+    cfg = SolverConfig1D(N=512, M=8, theta=theta, scheme=scheme)
+    picked = _spy_backends(monkeypatch)
+    halves = cn_wsgd_run(make_example("ex2", 1.5), cfg)
+    gs = _run_with(monkeypatch, 0, make_example("ex2", 1.5), cfg)
+    assert picked == ["_dense_steps", "_gs_steps"]
+    scale = np.max(np.abs(gs.values))
+    for field in ("values", "norm_history", "max_err_running", "max_err_final", "l2_err_final"):
+        gap = np.max(np.abs(getattr(halves, field) - getattr(gs, field)))
+        assert gap <= 1e-10 * scale, (field, gap)
 
 
 def test_run_reads_each_level_of_end_data_once():
