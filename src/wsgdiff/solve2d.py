@@ -34,41 +34,38 @@ factor is a contraction, so these matrices are well conditioned, and a step
 is then two matrix products into C-ordered work arrays allocated once per
 run and its row of the block: no triangular solve.  A ``pr`` call of
 ``steps`` makes one more product, before its first step, to seed the
-operand it carries (see :func:`pr_adi_stepper`).  The rank-2 boundary-column
-terms ride in a product, on two extra columns of one operand and two extra
-rows of the other.
+operand it carries (see :func:`pr_adi_stepper`).  ``lod``'s rank-2
+boundary-column terms ride in a product, on two extra columns of one operand
+and two extra rows of the other.
 
 Two bases, chosen by the problem alone: :func:`run_2d` steps in the
 eigenbasis of ``Dx`` and ``Dy`` when each axis has equal left and right
-diffusivities, so that both operators are exactly symmetric, the source is
-a :class:`~wsgdiff.problems.SeparableSource`, and the Dirichlet data vanish
-on all four sides at every level, as in the paper's 2D example; any other
-problem steps in the grid basis with the dense Cayley steppers above.  In
-the eigenbasis (the fast diagonalization method of Lynch, Rice & Thomas,
-1964) ``Dx = Qx diag(lam) Qx^T`` with ``Qx`` orthogonal.  A symmetric
-Toeplitz combination is also centrosymmetric, so setup takes two
-half-order ``eigh`` calls per axis, one for each of its even and odd halves
-(Cantoni & Butler, 1976), and assembles ``Qx`` from their eigenvectors.
-The run marches ``Qx^T U Qy``: the source's factors are
-transformed once, so both splittings step in one form, elementwise plus one
-low-rank product (:func:`_eigen_stepper`), O(n^2), reading no callable, and
-each level's norm needs no transform.  The state returns to the grid once,
-at the final time.  An eigenvalue of either half that is not negative,
-against the paper's stability condition, is a ``SolverError`` at setup.
-Grid callables are read through :func:`~wsgdiff.problems.on_grid`, on the
-broadcast axes ``x[:, None]``, ``y[None, :]`` of the interior or, for the
-y-lines and the Dirichlet data, of one pair of sides at a time, and only on
-the pairs a step or check uses.
+diffusivities, so that both operators are exactly symmetric, and the
+source is a :class:`~wsgdiff.problems.SeparableSource`, as in the paper's
+2D example; any other problem steps in the grid basis with the dense
+Cayley steppers above.  In the eigenbasis (the fast diagonalization method
+of Lynch, Rice & Thomas, 1964) ``Dx = Qx diag(lam) Qx^T`` with ``Qx``
+orthogonal.  A symmetric Toeplitz combination is also centrosymmetric, so
+setup takes two half-order ``eigh`` calls per axis, one for each of its
+even and odd halves (Cantoni & Butler, 1976), and assembles ``Qx`` from
+their eigenvectors.  The run marches ``Qx^T U Qy``: the source's factors
+are transformed once, so both splittings step in one form, elementwise plus
+one low-rank product (:func:`_eigen_stepper`), O(n^2), reading no callable,
+and each level's norm needs no transform.  The state returns to the grid
+once, at the final time.  An eigenvalue of either half that is not
+negative, against the paper's stability condition, is a ``SolverError`` at
+setup.  Grid callables are read through :func:`~wsgdiff.problems.on_grid`,
+on the broadcast axes ``x[:, None]``, ``y[None, :]`` of the interior or,
+for ``lod``'s y-lines and the Dirichlet data, of one pair of sides at a
+time.
 
-Boundary handling: Dirichlet data are read only on the run's own boundary
-nodes.  The factored scheme carries time-dependent data on the y-sides,
-through the stencil's boundary columns, on its dense stepper, and LOD
-carries none.  On the sides a splitting cannot carry (the x-sides, where
-the sweep order would make intermediate variables carry the data, or all
-four) the data must vanish to ``1e-14`` at every level ``k*tau``, or its
-factory raises ``ParameterError`` naming the side and the time.  LOD also
-needs one spacing for both axes.  The source term is sampled at the
-half-step midpoint throughout.
+Boundary handling: the paper proves its 2D schemes stable for homogeneous
+Dirichlet data, and every splitting, in either basis, needs data that
+vanish to ``1e-14`` on all four sides at every level ``k*tau``, read once a
+level on the run's own boundary nodes; otherwise :func:`run_2d` and the
+factories raise ``ParameterError`` naming the side and the time.  A step
+reads no data.  LOD also needs one spacing for both axes.  The source term
+is sampled at the half-step midpoint throughout.
 
 Error norms for reference-table reproduction are evaluated at the final
 time (both maximum and grid-weighted L2), over interior nodes.
@@ -173,42 +170,31 @@ def _grid(problem: Problem2D, config: SolverConfig2D):
     return hx, hy, x, y, x[1:-1, None], y[None, 1:-1], sides
 
 
-def _nonzero_data(problem: Problem2D, config: SolverConfig2D, sides, axes):
-    """The first side, level by level from ``t = 0`` and x-sides first, of the
-    pairs of ``sides`` of ``axes`` (``"x"`` or ``"xy"``) whose Dirichlet data
-    do not vanish, to ``1e-14``, at a level ``k*tau``, as ``(axis, end, t,
-    peak)``, the ends of a pair being its own axis; ``None`` if there is none."""
-    for t in (k * config.tau for k in range(config.M + 1)):
-        for axis in axes:
-            data = on_grid(problem, "boundary", *sides[axis], t)
-            ends = sides[axis]["xy".index(axis)][:, 0]
-            for end, peak in zip(ends, np.max(np.abs(data), axis=1)):
-                if not peak <= 1e-14:
-                    return axis, end, t, peak
-    return None
-
-
 def _checked_grid(problem: Problem2D, config: SolverConfig2D, lod: bool):
-    """:func:`_grid`, once the splitting's preconditions hold: the factored
-    scheme needs vanishing data on the x-sides, and ``lod`` (``lod=True``)
-    one spacing for both axes and vanishing data on all four sides, or a
-    ``ParameterError`` names the side and the time."""
+    """:func:`_grid` and the Dirichlet data of the final level on the x-sides
+    and on the y-sides, once the preconditions hold: ``lod`` (``lod=True``)
+    needs one spacing for both axes, and every splitting data that vanish, to
+    ``1e-14``, on all four sides at every level ``k*tau``.  The data are read
+    once a level, from ``t = 0`` and x-sides first, and the first side that
+    breaks the rule is a ``ParameterError`` naming it and the time."""
     grid = _grid(problem, config)
     hx, hy, *_, sides = grid
     if lod and abs(hx - hy) > 1e-13 * max(hx, hy):
         raise ParameterError(
             f"splitting 'lod' assumes one spacing for both axes; got hx={hx!r}, hy={hy!r}"
         )
-    found = _nonzero_data(problem, config, sides, "xy" if lod else "x")
-    if found is not None:
-        rule = (
-            "splitting 'lod' requires fully homogeneous Dirichlet data"
-            if lod
-            else "the factored scheme requires vanishing Dirichlet data on the x-boundaries"
-        )
-        axis, end, t, peak = found
-        raise ParameterError(f"{rule}; they reach {peak:.3g} on {axis} = {end:g} at t = {t:g}")
-    return grid
+    for t in (k * config.tau for k in range(config.M + 1)):
+        data = []
+        for axis in "xy":
+            data.append(on_grid(problem, "boundary", *sides[axis], t))
+            ends = sides[axis]["xy".index(axis)][:, 0]
+            for end, peak in zip(ends, np.max(np.abs(data[-1]), axis=1)):
+                if not peak <= 1e-14:
+                    raise ParameterError(
+                        "a 2D run requires fully homogeneous Dirichlet data;"
+                        f" they reach {peak:.3g} on {axis} = {end:g} at t = {t:g}"
+                    )
+    return grid, data
 
 
 def _y_columns(problem: Problem2D, config: SolverConfig2D) -> np.ndarray:
@@ -223,12 +209,12 @@ def _y_columns(problem: Problem2D, config: SolverConfig2D) -> np.ndarray:
 def _sweeps(problem: Problem2D, config: SolverConfig2D):
     """Setup shared by both dense steppers, with ``a = tau/2``: the
     x-direction Cayley factor ``Cx = (I - a Dx)^-1 (I + a Dx)``, formed by
-    one solve, then ``a Dy`` and :func:`_y_columns`."""
+    one solve, and ``a Dy``."""
     dx, dy = build_directional_operators(problem, config)
     a = 0.5 * config.tau
     ix = np.eye(config.Nx - 1)
     cx = solve(ix - a * dx, ix + a * dx, "x-direction")
-    return cx, a * dy, _y_columns(problem, config)
+    return cx, a * dy
 
 
 def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> BlockStepper:
@@ -240,21 +226,21 @@ def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> BlockStepper:
     by both stages.  With ``a = tau/2`` and ``W`` the right side of stage
     1, stage 2's right side is ``W2 = Cx W + a F`` and ``U_next = W2 (I - a
     Dy)^-T``.  This is the stepper of all three names of the factored
-    scheme: ``pr``, ``douglas`` and ``dyakonov``.  Accepts unequal spacings
-    and time-dependent data ``g`` on the y-boundaries, whose boundary-column
-    terms ``a g^T [cy0, cyN]^T`` join ``W`` and ``W2``; both ride in the
-    product that forms ``W2``, made on every step whatever the data.
+    scheme: ``pr``, ``douglas`` and ``dyakonov``.  Accepts unequal spacings.
 
     Since ``(I + a Dy) = 2I - (I - a Dy)`` and ``W2 = U_next (I - a
-    Dy)^T``, boundary terms included, ``W/a = 2U/a - W2/a + F`` takes three
-    elementwise passes over the ``W2/a`` of the step before, so a step is
-    two products.  Each call of ``steps`` seeds ``W2/a = U (I - a Dy)^T /
-    a`` from its ``U`` by one product, and carries ``W2/a`` and the y-side
-    data of the last level from step to step, so a run reads each level of
-    ``g`` once.
+    Dy)^T``, ``W/a = 2U/a - W2/a + F`` takes three elementwise passes over
+    the ``W2/a`` of the step before, so a step is two products.  Each call
+    of ``steps`` seeds ``W2/a = U (I - a Dy)^T / a`` from its ``U`` by one
+    product, and carries ``W2/a`` from step to step.
     """
-    *_, X, Y, sides = _checked_grid(problem, config, lod=False)
-    cx, ady, cols = _sweeps(problem, config)
+    return _pr_steps(problem, config, _checked_grid(problem, config, lod=False)[0])
+
+
+def _pr_steps(problem: Problem2D, config: SolverConfig2D, grid) -> BlockStepper:
+    """:func:`pr_adi_stepper`'s ``steps`` on the checked ``grid``."""
+    *_, X, Y, _ = grid
+    cx, ady = _sweeps(problem, config)
     nx, ny = config.Nx - 1, config.Ny - 1
     tau = config.tau
     a = 0.5 * tau
@@ -263,31 +249,21 @@ def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> BlockStepper:
     # W2 is carried divided by a, so F joins it unscaled
     seed = ay.T / a
     last = a * solve(ay, iy, "y-direction").T
-    # stage 1's boundary term reaches stage 2 only through Cx, so both ride
-    # in the second product: [Cx | G] @ [W/a; cols^T] = Cx W/a + G cols^T,
-    # with G = Cx g(k tau)^T + g((k+1) tau)^T on two extra columns; a step
-    # writes both before it reads them, so calls of steps may share them
-    cx_aug = np.hstack((cx, np.empty((nx, 2))))
-    w_aug = np.vstack((np.empty((nx, ny)), cols.T))
-    cx, g, w = cx_aug[:, :nx], cx_aug[:, nx:], w_aug[:nx]
+    # a step writes w before it reads it, so calls of steps may share it
+    w = np.empty((nx, ny))
 
     def steps(U: np.ndarray, k: int) -> Iterator[np.ndarray]:
-        blocks = _blocks(k, config.M, nx * ny)  # checks k before any read
-        # w2 holds W2/a, and g_now the y-side data of the level of U
-        g_now = on_grid(problem, "boundary", *sides["y"], k * tau).T
+        blocks = _blocks(k, config.M, nx * ny)  # checks k before the seed product
         with np.errstate(over="ignore", invalid="ignore"):
             w2 = np.matmul(U, seed)
         for start, count in blocks:
             out = np.empty((count, nx, ny))
             for j, row in zip(range(start, start + count), out):
                 F = on_grid(problem, "source", X, Y, j * tau + a)
-                g_next = on_grid(problem, "boundary", *sides["y"], (j + 1) * tau).T
                 with np.errstate(over="ignore", invalid="ignore"):
                     np.add(np.subtract(np.multiply(U, 2.0 / a, out=w), w2, out=w), F, out=w)
-                    np.add(np.matmul(cx, g_now, out=g), g_next, out=g)
-                    np.add(np.matmul(cx_aug, w_aug, out=w2), F, out=w2)
+                    np.add(np.matmul(cx, w, out=w2), F, out=w2)
                     U = np.matmul(w2, last, out=row)
-                g_now = g_next
             out.flags.writeable = False
             yield out
 
@@ -309,10 +285,16 @@ def lod_stepper(problem: Problem2D, config: SolverConfig2D) -> BlockStepper:
     ``g = a^2 (Cx f - f)`` on each boundary line: two products, the first
     sweeping the two lines ``f^T`` along with ``U + a F`` and the second
     carrying the ``g`` terms on their two columns.  Requires one spacing
-    for both axes and fully homogeneous Dirichlet data.
+    for both axes.
     """
-    *_, X, Y, sides = _checked_grid(problem, config, lod=True)
-    cx, ady, cols = _sweeps(problem, config)
+    return _lod_steps(problem, config, _checked_grid(problem, config, lod=True)[0])
+
+
+def _lod_steps(problem: Problem2D, config: SolverConfig2D, grid) -> BlockStepper:
+    """:func:`lod_stepper`'s ``steps`` on the checked ``grid``."""
+    *_, X, Y, sides = grid
+    cx, ady = _sweeps(problem, config)
+    cols = _y_columns(problem, config)
     iy = np.eye(config.Ny - 1)
     # last = [Cy^T; (Ay^-1 cols)^T], Cy = Ay^-1 Ey, with Ay, Ey = I -/+ a Dy
     last = solve(iy - ady, np.hstack((iy + ady, cols)), "y-direction").T
@@ -345,19 +327,15 @@ def lod_stepper(problem: Problem2D, config: SolverConfig2D) -> BlockStepper:
     return steps
 
 
-def _eigenbasis(problem: Problem2D, config: SolverConfig2D, sides) -> bool:
+def _eigenbasis(problem: Problem2D) -> bool:
     """Whether :func:`run_2d` steps ``problem`` in the eigenbasis of ``Dx``,
     ``Dy``: equal left and right diffusivities on each axis, so that both
-    operators are exactly symmetric; a :class:`SeparableSource`, whose
-    factors the basis transforms once a run; and Dirichlet data that vanish
-    on all four sides at every level, so that a step reads none.  ``lod``
-    requires those data anyway, and its factory checks them; for the
-    factored scheme they are read here, on the pairs of ``sides``."""
+    operators are exactly symmetric, and a :class:`SeparableSource`, whose
+    factors the basis transforms once a run."""
     return (
         problem.x_left_diffusivity == problem.x_right_diffusivity
         and problem.y_left_diffusivity == problem.y_right_diffusivity
         and isinstance(problem.source, SeparableSource)
-        and (config.splitting == "lod" or _nonzero_data(problem, config, sides, "xy") is None)
     )
 
 
@@ -389,12 +367,12 @@ def _spectrum(d: np.ndarray, axis: str) -> tuple[np.ndarray, np.ndarray]:
     return lam, halves.join(vectors).T
 
 
-def _eigen_stepper(problem: Problem2D, config: SolverConfig2D):
+def _eigen_stepper(problem: Problem2D, config: SolverConfig2D, grid):
     """Set up the splitting of ``config`` in the eigenbasis of symmetric
-    ``Dx = Qx diag(lam) Qx^T`` and ``Dy = Qy diag(mu) Qy^T``; return ``(steps,
-    Qx, Qy)``, ``steps(V, k)`` the block stepper of the state ``V = Qx^T U
-    Qy``.  The problem's source is a :class:`SeparableSource` and, under the
-    factored scheme, its Dirichlet data vanish (:func:`_eigenbasis`).
+    ``Dx = Qx diag(lam) Qx^T`` and ``Dy = Qy diag(mu) Qy^T``, on the checked
+    ``grid``; return ``(steps, Qx, Qy)``, ``steps(V, k)`` the block stepper of
+    the state ``V = Qx^T U Qy``.  The problem's source is a
+    :class:`SeparableSource` (:func:`_eigenbasis`).
 
     With ``a = tau/2`` and ``c = (1 + a lam)/(1 - a lam)`` (``d`` likewise
     from ``mu``), both splittings step ``V <- G o V + H o F^ + E``, with ``G
@@ -409,7 +387,7 @@ def _eigen_stepper(problem: Problem2D, config: SolverConfig2D):
     O(n^2) plus that product.
     """
     lod = config.splitting == "lod"
-    _, _, x, y, *_ = _checked_grid(problem, config, lod=True) if lod else _grid(problem, config)
+    _, _, x, y, *_ = grid
     dx, dy = build_directional_operators(problem, config)
     (lam, qx), (mu, qy) = _spectrum(dx, "x"), _spectrum(dy, "y")
     del dx, dy  # freed before the run's arrays are allocated
@@ -454,12 +432,14 @@ def _eigen_stepper(problem: Problem2D, config: SolverConfig2D):
 def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution:
     """Integrate a 2D problem from its initial state to the final time.
 
-    A problem with equal left and right diffusivities on each axis, a
-    :class:`~wsgdiff.problems.SeparableSource` and Dirichlet data that vanish
-    on all four sides at every level steps in the eigenbasis of ``Dx``,
-    ``Dy`` (:func:`_eigen_stepper`), any other on the splitting's dense
-    stepper, which under ``pr`` carries nonzero y-side data.  The block
-    stepper goes straight to :func:`~wsgdiff.solve1d.march`, and yields
+    The run checks its preconditions once (:func:`_checked_grid`), reading
+    the Dirichlet data once a level on each pair of sides, and its final
+    frame holds the data of that read at the last level.  A problem with
+    equal left and right diffusivities on each axis and a
+    :class:`~wsgdiff.problems.SeparableSource` steps in the eigenbasis of
+    ``Dx``, ``Dy`` (:func:`_eigen_stepper`), any other on the splitting's
+    dense stepper.  The block stepper goes straight to
+    :func:`~wsgdiff.solve1d.march`, and yields
     blocks of ``B`` levels with ``B (Nx-1)(Ny-1) <= 2**15``: 8 at ``N = 64``,
     2 at 128 and 1 from 256.
     Each level's norm is the grid-weighted L2 norm of
@@ -468,12 +448,13 @@ def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution:
     ``Qy`` are orthogonal), so it makes no squared temporary; a non-finite
     state still gives a non-finite norm.
     """
-    hx, hy, x, y, X, Y, sides = _grid(problem, config)
-    if _eigenbasis(problem, config, sides):
-        steps, qx, qy = _eigen_stepper(problem, config)
+    lod = config.splitting == "lod"
+    grid, (x_sides, y_sides) = _checked_grid(problem, config, lod)
+    hx, hy, x, y, X, Y, _ = grid
+    if _eigenbasis(problem):
+        steps, qx, qy = _eigen_stepper(problem, config, grid)
     else:
-        factory = lod_stepper if config.splitting == "lod" else pr_adi_stepper
-        steps, qx, qy = factory(problem, config), None, None
+        steps, qx, qy = (_lod_steps if lod else _pr_steps)(problem, config, grid), None, None
 
     def initial() -> np.ndarray:
         U = np.array(on_grid(problem, "initial", X, Y))
@@ -489,7 +470,6 @@ def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution:
     t_next = config.M * config.tau
     values = np.empty((config.Nx + 1, config.Ny + 1))
     values[1:-1, 1:-1] = U
-    x_sides, y_sides = (on_grid(problem, "boundary", *sides[k], t_next) for k in "xy")
     values[[0, -1], :], values[1:-1, [0, -1]] = x_sides, y_sides.T
     sol = Solution(
         x=x,

@@ -874,7 +874,7 @@ def test_toeplitz_path_forms_no_dense_matrix_and_is_not_capped(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the Toeplitz path must not form dense matrices")
 
-    monkeypatch.setattr(solve1d, "assemble_cn_system", forbidden)
+    monkeypatch.setattr(solve1d, "_full_system", forbidden)
     monkeypatch.setattr(solve1d, "solve", forbidden)
     monkeypatch.setattr(operators.ToeplitzOperator, "to_dense", forbidden)
     n_big = operators.DENSE_MAX_ORDER + 2

@@ -199,10 +199,6 @@ def test_lod_boundary_line_sweep_matches_dense_oracle(scheme, shifts):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
 
-def _ramp_boundary(x, y, t):
-    return np.asarray(x) * (1.0 - np.asarray(x)) * (1.0 + np.asarray(y)) * (1.0 + t)
-
-
 def _probe_blind_boundary(x, y, t):
     # zero at x = k/12 but not at the grid's x-nodes in between, so a check
     # that samples off the grid would take it for zero data
@@ -210,21 +206,21 @@ def _probe_blind_boundary(x, y, t):
     return x * (1.0 - x) * np.sin(12.0 * np.pi * x) * np.asarray(y) * (1.0 + t)
 
 
-@pytest.mark.parametrize("boundary", [_ramp_boundary, _probe_blind_boundary])
-@pytest.mark.parametrize("scheme,shifts", [("p1q0", (1, 0)), ("p1qm1", (1, -1))])
-def test_pr_step_with_y_boundary_data_matches_dense_oracle(scheme, shifts, boundary):
-    # unequal spacings and diffusivities, a source and time-dependent data
-    # on both y-boundary lines; the step must add the boundary terms from the
-    # lines it samples, also for data that vanish at many points off the grid
-    def source(x, y, t):
-        return (1.0 + t) * np.sin(np.pi * x) * (1.0 + y)
+def _y_line_source(x, y, t):
+    # nonzero on both y-boundary lines
+    return (1.0 + t) * np.sin(np.pi * x) * (1.0 + y)
 
+
+@pytest.mark.parametrize("scheme,shifts", [("p1q0", (1, 0)), ("p1qm1", (1, -1))])
+def test_pr_step_with_unequal_spacings_matches_dense_oracle(scheme, shifts):
+    # unequal spacings and diffusivities and a source that is nonzero on
+    # both y-boundary lines, against the factored step with literal boundary
+    # rows fed zero data
     nx, ny = 10, 8
     p = _custom_2d(
         alpha=1.3,
         beta=1.7,
-        source=source,
-        boundary=boundary,
+        source=_y_line_source,
         by=2.0,
         x_left_diffusivity=1.6,
         x_right_diffusivity=0.2,
@@ -233,13 +229,10 @@ def test_pr_step_with_y_boundary_data_matches_dense_oracle(scheme, shifts, bound
     )
     cfg = SolverConfig2D(Nx=nx, Ny=ny, M=5, scheme=scheme)
     hx, hy = 1.0 / nx, 2.0 / ny
-    x = hx * np.arange(1, nx)[:, None]
-    y_lines = np.array([[0.0, 2.0]])
     rng = np.random.default_rng(22)
     u0 = rng.standard_normal((nx - 1, ny - 1))
     k = 2
-    g_now, g_next = boundary(x, y_lines, k * cfg.tau), boundary(x, y_lines, (k + 1) * cfg.tau)
-    assert np.max(np.abs(g_next)) > 0.1
+    zero = np.zeros((nx - 1, 2))
     xg, yg = _interior_grid(p, nx, ny)
     want = pr_boundary_lines_step(
         pair_weights_from_binomial(1.3, *shifts, nx + 1),
@@ -251,9 +244,9 @@ def test_pr_step_with_y_boundary_data_matches_dense_oracle(scheme, shifts, bound
         hx,
         hy,
         u0,
-        source(xg, yg, k * cfg.tau + 0.5 * cfg.tau),
-        g_now,
-        g_next,
+        _y_line_source(xg, yg, k * cfg.tau + 0.5 * cfg.tau),
+        zero,
+        zero,
         cfg.tau,
     )
     got = next(pr_adi_stepper(p, cfg)(u0, k))[0]
@@ -306,14 +299,14 @@ def test_continuation_block_matches_kron_oracle(splitting, start):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
 
 
-def test_pr_continuation_block_carries_the_y_boundary_data(monkeypatch):
-    # in blocks of two levels, the second block reuses the data its first
-    # step read at level 3
+def test_pr_continuation_block_carries_the_y_sweep_product(monkeypatch):
+    # in blocks of two levels, the second block steps from the product W2
+    # its call carried from level 3, with unequal spacings and diffusivities
     nx, ny = 10, 8
     p = _custom_2d(
         alpha=1.3,
         beta=1.7,
-        boundary=_ramp_boundary,
+        source=_y_line_source,
         by=2.0,
         x_left_diffusivity=1.6,
         x_right_diffusivity=0.2,
@@ -326,7 +319,8 @@ def test_pr_continuation_block_carries_the_y_boundary_data(monkeypatch):
     out = next(blocks)
     got = next(blocks)[0]
     hx, hy = 1.0 / nx, 2.0 / ny
-    x, y_lines = hx * np.arange(1, nx)[:, None], np.array([[0.0, 2.0]])
+    xg, yg = _interior_grid(p, nx, ny)
+    zero = np.zeros((nx - 1, 2))
     want = pr_boundary_lines_step(
         pair_weights_from_binomial(1.3, 1, 0, nx + 1),
         pair_weights_from_binomial(1.7, 1, 0, ny + 1),
@@ -337,9 +331,9 @@ def test_pr_continuation_block_carries_the_y_boundary_data(monkeypatch):
         hx,
         hy,
         out[-1],
-        np.zeros((nx - 1, ny - 1)),
-        _ramp_boundary(x, y_lines, 3 * cfg.tau),
-        _ramp_boundary(x, y_lines, 4 * cfg.tau),
+        _y_line_source(xg, yg, 3.5 * cfg.tau),
+        zero,
+        zero,
         cfg.tau,
     )
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
@@ -352,17 +346,13 @@ def _oracle_norms(levels, hx, hy):
 @pytest.mark.parametrize("scheme,shifts", [("p1q0", (1, 0)), ("p1qm1", (1, -1))])
 def test_pr_run_matches_stepping_the_dense_oracle_over_every_level(scheme, shifts):
     # a whole dense run, each step seeded or carried, against the factored
-    # step with literal boundary rows, with unequal spacings and
-    # diffusivities, a source and time-dependent data on both y-sides
-    def source(x, y, t):
-        return (1.0 + t) * np.sin(np.pi * x) * (1.0 + y)
-
+    # step with literal boundary rows fed zero data, with unequal spacings
+    # and diffusivities and a source that is nonzero on both y-lines
     nx, ny, M = 10, 8, 7
     p = _custom_2d(
         alpha=1.3,
         beta=1.7,
-        source=source,
-        boundary=_ramp_boundary,
+        source=_y_line_source,
         by=2.0,
         x_left_diffusivity=1.6,
         x_right_diffusivity=0.2,
@@ -372,7 +362,7 @@ def test_pr_run_matches_stepping_the_dense_oracle_over_every_level(scheme, shift
     cfg = SolverConfig2D(Nx=nx, Ny=ny, M=M, scheme=scheme)
     sol = run_2d(p, cfg)
     hx, hy, tau = 1.0 / nx, 2.0 / ny, cfg.tau
-    x, y_lines = hx * np.arange(1, nx)[:, None], np.array([[0.0, 2.0]])
+    zero = np.zeros((nx - 1, 2))
     xg, yg = _interior_grid(p, nx, ny)
     wx = pair_weights_from_binomial(1.3, *shifts, nx + 1)
     wy = pair_weights_from_binomial(1.7, *shifts, ny + 1)
@@ -389,9 +379,9 @@ def test_pr_run_matches_stepping_the_dense_oracle_over_every_level(scheme, shift
                 hx,
                 hy,
                 levels[-1],
-                source(xg, yg, k * tau + 0.5 * tau),
-                _ramp_boundary(x, y_lines, k * tau),
-                _ramp_boundary(x, y_lines, (k + 1) * tau),
+                _y_line_source(xg, yg, k * tau + 0.5 * tau),
+                zero,
+                zero,
                 tau,
             )
         )
@@ -467,14 +457,8 @@ def test_classical_limit_matches_heat_adi_oracle():
 def test_three_adi_variants_agree_at_every_step():
     # douglas and dyakonov name the factored scheme that pr runs, so their
     # runs must match it bit for bit, norm history included, also with
-    # unequal spacings and nonzero y-boundary data
-    def boundary(x, y, t):
-        return np.asarray(x) * (1.0 - np.asarray(x)) * np.asarray(y) * (1.0 + t)
-
-    skewed = _custom_2d(
-        alpha=1.3, beta=1.7, boundary=boundary, by=2.0, y_right_diffusivity=0.3
-    )
-    for p, nx, ny in ((make_example("ex4", 1.2, 1.8), 16, 16), (skewed, 16, 12)):
+    # unequal spacings and diffusivities
+    for p, nx, ny in ((make_example("ex4", 1.2, 1.8), 16, 16), (_skewed_problem(), 16, 12)):
         runs = {
             name: run_2d(p, SolverConfig2D(Nx=nx, Ny=ny, M=nx, splitting=name))
             for name in ("pr", "douglas", "dyakonov")
@@ -486,12 +470,8 @@ def test_three_adi_variants_agree_at_every_step():
 
 
 def _skewed_problem():
-    """Unequal spacings and diffusivities, and nonzero y-boundary data."""
-
-    def boundary(x, y, t):
-        return np.asarray(x) * (1.0 - np.asarray(x)) * np.asarray(y) * (1.0 + t)
-
-    return _custom_2d(alpha=1.3, beta=1.7, boundary=boundary, by=2.0, y_right_diffusivity=0.3)
+    """Unequal spacings and diffusivities, with zero data."""
+    return _custom_2d(alpha=1.3, beta=1.7, by=2.0, y_right_diffusivity=0.3)
 
 
 def _public_pr_levels(p, cfg):
@@ -516,7 +496,7 @@ def _public_pr_levels(p, cfg):
 def test_pr_run_matches_stepping_the_public_stepper(dense, case, nx, ny, M):
     # run_2d carries the y-sweep product W2 from one step into the next
     # instead of seeding it from U again; that differs from a fresh call's
-    # seeded step by roundoff only, boundary-column terms included
+    # seeded step by roundoff only
     p = make_example("ex4", 1.2, 1.8) if case == "ex4" else _skewed_problem()
     cfg = SolverConfig2D(Nx=nx, Ny=ny, M=M)
     sol = run_2d(p, cfg)
@@ -580,7 +560,7 @@ def test_pr_run_makes_one_product_a_step_after_the_first(monkeypatch, M):
 @pytest.mark.parametrize("splitting", ["pr", "lod"])
 def test_run_matches_a_run_of_blocks_of_one_level(monkeypatch, splitting):
     # blocks of B = 16 levels (the whole run) against blocks of one level;
-    # the pr stepper carries W2 and the y-side data across blocks as within
+    # the pr stepper carries W2 across blocks as within
     p = make_example("ex4", 1.2, 1.8)
     cfg = SolverConfig2D(Nx=16, Ny=16, M=16, splitting=splitting)
     assert list(solve1d._blocks(0, cfg.M, 15 * 15)) == [(0, 16)]
@@ -592,23 +572,27 @@ def test_run_matches_a_run_of_blocks_of_one_level(monkeypatch, splitting):
         assert np.array_equal(getattr(blocked, field), getattr(stepped, field)), field
 
 
-@pytest.mark.parametrize("entries", [7 * 11, 3 * 7 * 11, 2**15])
-def test_pr_run_reads_each_level_of_y_side_data_once(monkeypatch, entries):
-    # a step used to read the y-sides at t_n and t_n + tau, 3M + 3 reads a
-    # run with the x-side check and the final frame; now 2(M + 1) + 2, in
-    # blocks of 1, 3 and all 7 levels
+@pytest.mark.parametrize("entries", [7 * 15, 3 * 7 * 15, 2**15])
+@pytest.mark.parametrize("basis", ["eigen", "dense"])
+@pytest.mark.parametrize("splitting", ["pr", "lod"])
+def test_a_run_reads_each_level_of_its_data_once(monkeypatch, splitting, basis, entries):
+    # the check reads both pairs of sides once a level, x-sides first, a step
+    # none, and the final frame reuses the level-M read: 2(M + 1) reads in
+    # blocks of 1, 3 and all 7 levels; the frame used to read level M again
     calls = []
-    base = _skewed_problem()
 
     def boundary(x, y, t):
-        calls.append(t)
-        return base.boundary(x, y, t)
+        calls.append((t, "x" if np.shape(x) == (2, 1) else "y"))
+        return _zero_boundary(x, y, t)
 
     monkeypatch.setattr(solve1d, "_BLOCK_ENTRIES", entries)
-    cfg = SolverConfig2D(Nx=8, Ny=12, M=7)
-    run_2d(dataclasses.replace(base, boundary=boundary), cfg)
-    assert len(calls) == 2 * (cfg.M + 1) + 2
-    assert sorted(set(calls)) == [k * cfg.tau for k in range(cfg.M + 1)]
+    if basis == "eigen":
+        monkeypatch.setattr(solve2d, "solve", None)  # a dense stepper would fail
+    else:
+        monkeypatch.setattr(solve2d, "_eigenbasis", lambda *_: False)
+    cfg = SolverConfig2D(Nx=8, Ny=16, M=7, splitting=splitting)
+    run_2d(dataclasses.replace(_symmetric_spacings(), boundary=boundary), cfg)
+    assert calls == [(k * cfg.tau, axis) for k in range(cfg.M + 1) for axis in "xy"]
 
 
 @pytest.mark.parametrize("splitting", solve2d.SPLITTINGS)
@@ -742,7 +726,9 @@ def test_run_makes_two_triangular_solves_at_setup(dense, monkeypatch, splitting,
 @pytest.mark.parametrize("splitting", ["pr", "lod"])
 def test_callables_are_read_only_on_the_nodes_a_splitting_uses(monkeypatch, splitting):
     # the factories and steps used to read every boundary-side callable on
-    # both pairs of sides: a pr step the boundary data, a lod step the source
+    # both pairs of sides: a pr step the boundary data, a lod step the source;
+    # now the factory reads the data on the sides once a level, and a step
+    # reads no data and the source on the interior, for lod also on its y-lines
     base = make_example("ex4", 1.2, 1.8)
     points = {"source": 0, "boundary": 0}
 
@@ -763,17 +749,12 @@ def test_callables_are_read_only_on_the_nodes_a_splitting_uses(monkeypatch, spli
     blocks = steps(np.zeros((nx - 1, ny - 1)), 1)
     next(blocks)
     x_sides, y_sides, interior = 2 * (ny + 1), 2 * (nx - 1), (nx - 1) * (ny - 1)
-    if splitting == "pr":
-        assert setup == {"source": 0, "boundary": (cfg.M + 1) * x_sides}
-        assert points == {"source": interior, "boundary": 2 * y_sides}
-    else:
-        assert setup == {"source": 0, "boundary": (cfg.M + 1) * (x_sides + y_sides)}
-        assert points == {"source": interior + y_sides, "boundary": 0}
-    # a pr block after the first of its call reads only the new level
+    step = {"source": interior + (y_sides if splitting == "lod" else 0), "boundary": 0}
+    assert setup == {"source": 0, "boundary": (cfg.M + 1) * (x_sides + y_sides)}
+    assert points == step
     points.update(source=0, boundary=0)
     next(blocks)
-    y_reads = y_sides if splitting == "pr" else 0
-    assert points == {"source": interior + y_sides - y_reads, "boundary": y_reads}
+    assert points == step
 
 
 @pytest.mark.parametrize("splitting", ["pr", "lod"])
@@ -798,20 +779,14 @@ def test_step_returns_a_fresh_c_ordered_array(splitting):
 # ---------------------------------------------------------------------------
 
 
-def _symmetric_y_data():
+def _symmetric_spacings():
     """Equal left and right diffusivities on each axis, a separable source,
-    unequal spacings and nonzero data on the y-sides, for the factored
-    scheme: the data send it to the dense stepper."""
-
-    def boundary(x, y, t):
-        return np.asarray(x) * (1.0 - np.asarray(x)) * np.asarray(y) * (1.0 + t)
-
+    a y-side twice as long as the x-side and zero data: a problem for the
+    eigenbasis, with unequal spacings unless ``Ny = 2 Nx``."""
     diffusivities = dict(x_left_diffusivity=0.7, x_right_diffusivity=0.7)
     diffusivities.update(y_left_diffusivity=1.3, y_right_diffusivity=1.3)
     source = problems.SeparableSource(((np.exp, (np.sin,), (lambda y: y * y,)),))
-    return _custom_2d(
-        alpha=1.3, beta=1.7, source=source, boundary=boundary, by=2.0, **diffusivities
-    )
+    return _custom_2d(alpha=1.3, beta=1.7, source=source, by=2.0, **diffusivities)
 
 
 def _plain_source(x, y, t):
@@ -842,7 +817,7 @@ def test_eigenbasis_runs_agree_with_the_dense_path(monkeypatch, splitting, case,
     # Cayley steppers it must give the same run to roundoff
     p = {
         "ex4": lambda: make_example("ex4", 1.2, 1.8),
-        "spacings": lambda: dataclasses.replace(_symmetric_y_data(), boundary=_zero_boundary),
+        "spacings": _symmetric_spacings,
         "two-term": lambda: _custom_2d(alpha=1.4, beta=1.6, source=_two_term_source()),
     }[case]()
     cfg = SolverConfig2D(Nx=nx, Ny=ny, M=M, splitting=splitting)
@@ -864,27 +839,20 @@ def test_eigenbasis_runs_agree_with_the_dense_path(monkeypatch, splitting, case,
         ((1.0, 1.0, 0.0, 1.0), False),
     ],
 )
-@pytest.mark.parametrize("source", ["separable", "plain", "y-data"])
+@pytest.mark.parametrize("source", ["separable", "plain"])
 @pytest.mark.parametrize("splitting", ["pr", "lod"])
 def test_symmetry_and_a_separable_source_select_the_eigenbasis(
     monkeypatch, splitting, source, diffusivities, symmetric
 ):
     # the dense steppers make their two solves at setup; the eigenbasis makes
-    # none, and the dense steppers run bit-identically to their own factory;
-    # nonzero y-side data send a pr run to the dense stepper, and lod refuses
-    # them in either basis
+    # none, and the dense steppers run bit-identically to their own factory
     eigenbasis = symmetric and source == "separable"
     names = ("x_left", "x_right", "y_left", "y_right")
     p = _custom_2d(
         source=_plain_source if source == "plain" else _two_term_source(),
-        boundary=_symmetric_y_data().boundary if source == "y-data" else _zero_boundary,
         **{f"{k}_diffusivity": v for k, v in zip(names, diffusivities)},
     )
     cfg = SolverConfig2D(Nx=8, Ny=8, M=3, splitting=splitting)
-    if splitting == "lod" and source == "y-data":
-        with pytest.raises(ParameterError, match="fully homogeneous"):
-            run_2d(p, cfg)
-        return
     calls = []
     solve = solve2d.solve
     monkeypatch.setattr(solve2d, "solve", lambda *args: calls.append(args[-1]) or solve(*args))
@@ -894,25 +862,6 @@ def test_symmetry_and_a_separable_source_select_the_eigenbasis(
         U = np.array(p.initial(*_interior_grid(p, 8, 8)), dtype=float)
         levels = np.concatenate(list(_STEPPER[splitting](p, cfg)(U, 0)))
         np.testing.assert_array_equal(sol.values[1:-1, 1:-1], levels[-1])
-
-
-@pytest.mark.parametrize("entries", [7 * 11, 3 * 7 * 11, 2**15])
-def test_eigenbasis_reads_each_level_of_y_side_data_once(monkeypatch, entries):
-    # the selection reads both pairs of sides once a level, x-sides first, a
-    # step none, and the final frame both pairs again: 2(M + 1) + 2 reads, in
-    # blocks of 1, 3 and all 7 levels
-    calls = []
-
-    def boundary(x, y, t):
-        calls.append((t, "x" if np.shape(x) == (2, 1) else "y"))
-        return _zero_boundary(x, y, t)
-
-    monkeypatch.setattr(solve1d, "_BLOCK_ENTRIES", entries)
-    monkeypatch.setattr(solve2d, "solve", None)  # a dense stepper would fail
-    cfg = SolverConfig2D(Nx=8, Ny=12, M=7)
-    run_2d(dataclasses.replace(_symmetric_y_data(), boundary=boundary), cfg)
-    levels = [k * cfg.tau for k in range(cfg.M + 1)] + [cfg.M * cfg.tau]
-    assert calls == [(t, axis) for t in levels for axis in "xy"]
 
 
 @pytest.mark.parametrize("splitting,y_nodes", [("pr", 7), ("lod", 9)])
@@ -998,22 +947,43 @@ def test_equal_spacing_required_for_non_pr_splittings():
         assert sol.values.shape == (9, 9)
 
 
-def test_nonzero_x_boundary_rejected():
-    p = _custom_2d(boundary=lambda x, y, t: np.ones(np.broadcast(x, y).shape))
-    with pytest.raises(ParameterError, match="x-boundaries"):
-        run_2d(p, SolverConfig2D(Nx=8, Ny=8, M=2, splitting="pr"))
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("symmetric", [True, False], ids=["eigenbasis", "dense"])
+@pytest.mark.parametrize("splitting", solve2d.SPLITTINGS)
+def test_nonzero_data_on_any_side_are_refused_by_every_splitting(splitting, symmetric, axis):
+    # one rule for every splitting in both bases, from run_2d and from the
+    # splitting's factory: data that vanish on every side but x = 1 (or y =
+    # 2), and there only at t = 0, are refused at t = tau; the factored
+    # scheme used to carry data on the y-sides
+    p = _symmetric_spacings() if symmetric else _skewed_problem()
+    assert solve2d._eigenbasis(p) == symmetric
+
+    def boundary(x, y, t):
+        x, y = np.asarray(x), np.asarray(y)
+        return t * (x * y * (2.0 - y) if axis == "x" else x * (1.0 - x) * y)
+
+    p = dataclasses.replace(p, boundary=boundary)
+    cfg = SolverConfig2D(Nx=8, Ny=16, M=4, splitting=splitting)
+    side = "x = 1" if axis == "x" else "y = 2"
+    message = rf"a 2D run requires fully homogeneous Dirichlet data; they reach \S+ on {side}"
+    with pytest.raises(ParameterError, match=rf"{message} at t = 0.25$"):
+        run_2d(p, cfg)
+    factory = lod_stepper if splitting == "lod" else pr_adi_stepper
+    with pytest.raises(ParameterError, match=rf"{message} at t = 0.25$"):
+        factory(p, cfg)
 
 
 @pytest.mark.parametrize(
     "splitting,boundary,side",
     [
         ("lod", _probe_blind_boundary, "y = 1"),
+        ("pr", _probe_blind_boundary, "y = 1"),
         ("pr", lambda x, y, t: _probe_blind_boundary(y, x, t), "x = 1"),
         ("pr", lambda x, y, t: np.full(np.broadcast(x, y).shape, np.nan), "x = 0"),
     ],
 )
 def test_data_a_splitting_cannot_carry_are_judged_on_the_grid(splitting, boundary, side):
-    # the first two vanish at the points k/12 of the side but not at its
+    # the first three vanish at the points k/12 of the side but not at its
     # grid nodes; NaN data are no more zero than data of 0.4
     p = _custom_2d(boundary=boundary)
     with pytest.raises(ParameterError, match=rf"reach \S+ on {side} at t = 0$"):
@@ -1047,18 +1017,6 @@ def test_data_at_roundoff_on_the_grid_count_as_zero(splitting):
     assert 0.0 < np.max(np.abs(sol.values[-1, :])) < 1e-14
 
 
-def test_lod_requires_fully_homogeneous_data():
-    # zero on the x-sides but nonzero along the y-sides: the two-half-sweep
-    # stepper accepts it, the decoupled one must refuse
-    def boundary(x, y, t):
-        return np.asarray(x) * (1.0 - np.asarray(x)) + 0.0 * np.asarray(y)
-
-    p = _custom_2d(boundary=boundary)
-    run_2d(p, SolverConfig2D(Nx=8, Ny=8, M=2, splitting="pr"))
-    with pytest.raises(ParameterError, match="fully homogeneous"):
-        run_2d(p, SolverConfig2D(Nx=8, Ny=8, M=2, splitting="lod"))
-
-
 @pytest.mark.parametrize("splitting", ["pr", "lod"])
 def test_non_finite_solution_raises_with_step_and_time(splitting):
     base = make_example("ex4", 1.2, 1.8)
@@ -1085,21 +1043,20 @@ def test_non_finite_separable_factors_raise_with_step_and_time(splitting, bad, s
         run_2d(_custom_2d(source=source), SolverConfig2D(Nx=8, Ny=8, M=4, splitting=splitting))
 
 
-def test_non_finite_y_side_data_raise_with_step_and_time(monkeypatch):
-    # the factored scheme carries y-side data into the state; the eigenbasis
-    # selection reads the infinite data at t = 0.75 with no numpy warning and
-    # sends the run to the dense stepper, which ends there
+@pytest.mark.parametrize("symmetric", [True, False], ids=["eigenbasis", "dense"])
+def test_non_finite_y_side_data_are_refused_with_side_and_time(monkeypatch, symmetric):
+    # infinite data on y = 2 from t = 0.75 are no more zero than finite ones:
+    # the check names them, with no numpy warning, before any setup solve;
+    # the factored scheme used to carry them into the state
     def boundary(x, y, t):
-        v = np.asarray(x) * (1.0 - np.asarray(x)) * np.asarray(y) * (1.0 + t)
-        return np.where((t > 0.6) & (v != 0.0), np.inf, v)
+        v = np.asarray(x) * (1.0 - np.asarray(x)) * np.asarray(y)
+        return np.where((t > 0.6) & (v != 0.0), np.inf, 0.0 * v)
 
-    dense = []
-    stepper = solve2d.pr_adi_stepper
-    monkeypatch.setattr(solve2d, "pr_adi_stepper", lambda *a: dense.append(1) or stepper(*a))
-    p = dataclasses.replace(_symmetric_y_data(), boundary=boundary)
-    with pytest.raises(SolverError, match=r"step 3 \(t=0\.75\)"):
+    monkeypatch.setattr(solve2d, "solve", None)  # a setup solve would fail
+    p = _symmetric_spacings() if symmetric else _skewed_problem()
+    p = dataclasses.replace(p, boundary=boundary)
+    with pytest.raises(ParameterError, match=r"reach inf on y = 2 at t = 0.75$"):
         run_2d(p, SolverConfig2D(Nx=8, Ny=12, M=4))
-    assert dense == [1]
 
 
 @pytest.mark.parametrize("splitting", ["pr", "lod"])
@@ -1124,8 +1081,8 @@ def test_2d_block_must_lie_within_the_run(splitting):
 @pytest.mark.parametrize("kind", ["dense", "gs", "pr", "lod"])
 def test_block_stepper_contract(monkeypatch, kind):
     # steps(U, k) yields the levels k+1 ... M once each, in read-only
-    # C-ordered blocks; a call owns what it carries (pr's y-sweep product and
-    # y-side data), so two interleaved calls of one stepper give the blocks
+    # C-ordered blocks; a call owns what it carries (pr's y-sweep product),
+    # so two interleaved calls of one stepper give the blocks
     # of each call alone, and a bad start fails before any callable is read
     monkeypatch.setattr(solve1d, "_GS_MIN_N", 0 if kind == "gs" else 10**9)
     reads = []
@@ -1173,7 +1130,7 @@ def test_block_stepper_contract(monkeypatch, kind):
 @pytest.mark.parametrize("splitting", ["pr", "douglas", "dyakonov", "lod"])
 def test_steppers_check_their_own_preconditions(splitting):
     # each factory checks what its own scheme needs, whatever splitting the
-    # config names; the two-half-sweep stepper accepts both problems
+    # config names: only lod needs one spacing, and both need zero data
     cfg = SolverConfig2D(Nx=8, Ny=8, M=2, splitting=splitting)
     skewed = _custom_2d(by=2.0)
     y_data = _custom_2d(
@@ -1181,10 +1138,10 @@ def test_steppers_check_their_own_preconditions(splitting):
     )
     with pytest.raises(ParameterError, match="one spacing"):
         lod_stepper(skewed, cfg)
-    with pytest.raises(ParameterError, match="fully homogeneous"):
-        lod_stepper(y_data, cfg)
-    for p in (skewed, y_data):
-        assert next(pr_adi_stepper(p, cfg)(np.zeros((7, 7)), 0)).shape == (2, 7, 7)
+    for factory in (pr_adi_stepper, lod_stepper):
+        with pytest.raises(ParameterError, match="reach 0.25 on y = 0 at t = 0$"):
+            factory(y_data, cfg)
+    assert next(pr_adi_stepper(skewed, cfg)(np.zeros((7, 7)), 0)).shape == (2, 7, 7)
 
 
 def test_config_validation():
