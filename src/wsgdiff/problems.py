@@ -135,7 +135,7 @@ class Problem1D:
     The grid callables ``source(x, t)``, ``exact(x, t)``, ``initial(x)``
     and callable diffusivities broadcast over numpy arrays and follow the one
     shape rule of :func:`on_grid`: the time stepper passes the broadcast
-    axes ``x[:, None]`` and ``t[None, :]``, the steady solve the nodes ``x``
+    axes ``x[None, :]`` and ``t[:, None]``, the steady solve the nodes ``x``
     and ``t = 0``.  The boundary callables take a scalar ``t`` and return a
     scalar.
     """

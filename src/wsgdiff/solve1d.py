@@ -18,19 +18,20 @@ The steady solve is one dense partial-pivoting LU solve.  The time
 stepper sets up its two step matrices ``L = I - theta*B`` (implicit) and
 ``R = I + (1-theta)*B`` (explicit) once per run.  Both are polynomials in
 ``B``, so ``theta R = I - (1-theta) L`` and each backend steps in that
-Cayley form.  The backend is chosen from the input alone:
+Cayley form.  :func:`_backend` picks it from the input alone, and the
+:class:`Solution` names it:
 
-- dense LU (the default, and the oracle): ``C = L^-1 R`` formed by one
+- ``"dense"`` (the default, and the oracle): ``C = L^-1 R`` formed by one
   solve, so ``L^-1 = theta C + (1-theta) I`` and a step ``U_next = C (U +
   theta v) + (1-theta) v`` is one matrix-vector product, exact for every
-  ``theta``.  When the sampled diffusivities mirror each other, as in the
-  paper's two-sided examples, ``L`` and ``R`` are centrosymmetric, and the
-  run steps in their even/odd basis: two half-order blocks of each, built
-  from the top ``ceil(n/2)`` stencil rows, one half-order solve for each
-  block of ``C``, and two half-order products a step.  Any other problem
-  assembles both matrices densely;
-- Gohberg–Semencul, for constant diffusivities, ``theta >= 1/2`` and
-  ``N >= 384``, or ``N >= 768`` when they mirror each other: ``L`` is
+  ``theta``.  ``"dense-halves"`` is that step when the sampled
+  diffusivities mirror each other, as in the paper's two-sided examples:
+  ``L`` and ``R`` are centrosymmetric, and the run steps in their even/odd
+  basis, two half-order blocks of each from the top ``ceil(n/2)`` stencil
+  rows, one half-order solve for each block of ``C``, and two half-order
+  products a step;
+- ``"gs"``, Gohberg–Semencul, for constant diffusivities, ``theta >= 1/2``
+  and ``N >= 384``, or ``N >= 768`` when they mirror each other: ``L`` is
   then Toeplitz, and, with its symmetric part positive definite, is
   inverted through one Levinson recursion and its Gohberg–Semencul
   formula (Gohberg & Semencul 1972; Wang, Wang & Sircar, J. Comput.
@@ -44,10 +45,11 @@ Everything a step needs besides ``U`` is known before the run starts, so a
 run, 1D or 2D, steps a block of ``B`` levels a pass, with ``B*n <= 2**15``
 on ``n`` unknowns a state (:func:`_blocks`).  A 1D run reads its boundary
 data once per level and samples its source (and, for the running error, the
-exact solution) for a block in one call on the broadcast axes ``x[:, None]``,
-``t[None, :]``; the block's states, written into one ``(B, n)`` buffer, get
-their norms and running error in one reduction each.  Every grid callable is read through
-:func:`~wsgdiff.problems.on_grid`.  All linear algebra is numpy's.
+exact solution) for a block in one call on the broadcast axes ``x[None, :]``,
+``t[:, None]``, one row a level; the block's states, written into one ``(B,
+n)`` buffer, get their norms and running error in one reduction each.  Every
+grid callable is read through :func:`~wsgdiff.problems.on_grid`.  All linear
+algebra is numpy's.
 
 Error-norm conventions (matching the reference convergence tables): the
 maximum norm is tracked as a running maximum over *all* time levels, while
@@ -165,7 +167,9 @@ class Solution:
     final time and, in 1D, ``max_err_running`` is the maximum-norm error
     maximized over every time level, all over interior nodes.
     ``norm_history`` records the discrete L2 norm of the interior solution
-    at each time level.
+    at each time level.  ``backend`` names the path the input picked, and no
+    option sets it: ``"dense"``, ``"dense-halves"`` or ``"gs"`` in 1D,
+    ``"eigen"`` or ``"dense"`` in 2D.
     """
 
     x: np.ndarray
@@ -178,6 +182,7 @@ class Solution:
     max_err_final: Optional[float] = None
     l2_err_final: Optional[float] = None
     norm_history: Optional[np.ndarray] = None
+    backend: Optional[str] = None
 
 
 def _grid(problem: Problem1D, N: int):
@@ -225,7 +230,7 @@ def steady_solve_3wsgd(problem: Problem1D, N: int) -> Solution:
     if not np.isfinite(u_int).all():
         raise SolverError("steady solve: non-finite solution")
     values = np.concatenate(([ua], u_int, [ub]))
-    sol = Solution(x=x, values=values, problem_name=problem.name, t_final=None)
+    sol = Solution(x=x, values=values, problem_name=problem.name, t_final=None, backend="dense")
     if problem.exact is not None:
         e = u_int - on_grid(problem, "exact", xi, 0.0)
         sol.max_err_final = max_norm(e)
@@ -254,14 +259,26 @@ def _full_system(problem: Problem1D, config: SolverConfig1D, dl: np.ndarray, dr:
     return eye - config.theta * B, eye + (1.0 - config.theta) * B
 
 
-def _mirrored(dl: np.ndarray, dr: np.ndarray) -> bool:
-    """Whether diffusivities sampled on the interior nodes mirror each other
-    exactly, ``dl = J dr``, so that every step matrix is centrosymmetric."""
-    return np.array_equal(dl, dr[::-1])
+def _backend(problem: Problem1D, config: SolverConfig1D, dl: np.ndarray, dr: np.ndarray) -> str:
+    """The backend a run of ``problem`` steps on, for diffusivities ``dl, dr``
+    sampled on the interior nodes; the only place a 1D run picks one.
+    ``"gs"`` (:func:`_gs_steps`) takes constant diffusivities, ``theta >=
+    1/2`` and ``N >= _GS_MIN_N``, or twice that when ``dl, dr`` mirror each
+    other exactly, ``dl = J dr``, so that every step matrix is
+    centrosymmetric; any other run steps densely, on the even/odd halves when
+    mirrored (``"dense-halves"``), else on the grid (``"dense"``)."""
+    mirrored = np.array_equal(dl, dr[::-1])
+    if (
+        not problem.has_variable_coefficients
+        and config.theta >= 0.5
+        and config.N >= _GS_MIN_N * (2 if mirrored else 1)
+    ):
+        return "gs"
+    return "dense-halves" if mirrored else "dense"
 
 
 def _dense_steps(
-    problem: Problem1D, config: SolverConfig1D, dl: np.ndarray, dr: np.ndarray
+    problem: Problem1D, config: SolverConfig1D, dl: np.ndarray, dr: np.ndarray, mirrored: bool
 ) -> tuple[Advance, Basis]:
     """The dense Cayley step ``C = L^-1 R`` for sampled diffusivities ``dl,
     dr``, on the grid or, when they mirror each other, on its even/odd halves.
@@ -272,8 +289,8 @@ def _dense_steps(
     ``1-theta`` once, elementwise, so a step is three numpy calls and its
     bits do not depend on the block width.
 
-    When ``dl, dr`` mirror each other (:func:`_mirrored`), ``L`` and ``R``
-    are centrosymmetric, and the step runs in the even/odd basis of
+    When ``dl, dr`` mirror each other (``mirrored``), ``L`` and ``R`` are
+    centrosymmetric, and the step runs in the even/odd basis of
     :class:`~wsgdiff.operators._MirrorHalves`: the halves of ``B`` come from
     the top ``ceil(n/2)`` stencil rows, and each becomes its half of ``L``
     in place, then of ``C`` by one half-order solve, with its half of ``R``
@@ -283,7 +300,7 @@ def _dense_steps(
     """
     n = config.N - 1
     theta = config.theta
-    if _mirrored(dl, dr):
+    if mirrored:
         h = _grid(problem, config.N)[0]
         halves = _MirrorHalves(n)
         p = halves.p
@@ -385,36 +402,30 @@ def _gs_steps(problem: Problem1D, config: SolverConfig1D) -> Callable[[np.ndarra
 
 
 def _cn_steps(
-    problem: Problem1D, config: SolverConfig1D, dl: np.ndarray, dr: np.ndarray
+    problem: Problem1D, config: SolverConfig1D, dl: np.ndarray, dr: np.ndarray, backend: str
 ) -> tuple[Advance, Basis]:
-    """Set up the step system once, Gohberg–Semencul where it applies and pays;
-    return its ``advance`` and the :data:`Basis` it steps in.
+    """Set up the step system of the named :func:`_backend` once; return its
+    ``advance`` and the :data:`Basis` it steps in.
 
     ``theta R = I - (1-theta) L``, so the Gohberg–Semencul step is ``U_next
     = L^-1 (U/theta + v) - ((1-theta)/theta) U``: one solve, six real FFTs,
     and no product with ``R``.  Its rounding grows like ``(2-theta)/theta``
-    units of ``eps |U|`` a step, 3 at ``theta = 1/2``, so it runs only
-    inside the stability window ``theta >= 1/2``, on the grid, and for
-    sampled diffusivities ``dl, dr`` that mirror each other from twice
-    :data:`_GS_MIN_N`.
+    units of ``eps |U|`` a step, 3 at ``theta = 1/2``, so :func:`_backend`
+    picks it only inside the stability window ``theta >= 1/2``.
     """
-    if (
-        not problem.has_variable_coefficients
-        and config.theta >= 0.5
-        and config.N >= _GS_MIN_N * (2 if _mirrored(dl, dr) else 1)
-    ):
-        inverse = _gs_steps(problem, config)
-        inv, ratio = 1.0 / config.theta, (1.0 - config.theta) / config.theta
+    if backend != "gs":
+        return _dense_steps(problem, config, dl, dr, backend == "dense-halves")
+    inverse = _gs_steps(problem, config)
+    inv, ratio = 1.0 / config.theta, (1.0 - config.theta) / config.theta
 
-        def advance(U: np.ndarray, terms: np.ndarray) -> np.ndarray:
-            out = np.empty(terms.shape)
-            for row, v in zip(out, terms):
-                row[:] = inverse(inv * U + v)
-                U = np.subtract(row, ratio * U, out=row)
-            return out
+    def advance(U: np.ndarray, terms: np.ndarray) -> np.ndarray:
+        out = np.empty(terms.shape)
+        for row, v in zip(out, terms):
+            row[:] = inverse(inv * U + v)
+            U = np.subtract(row, ratio * U, out=row)
+        return out
 
-        return advance, _GRID
-    return _dense_steps(problem, config, dl, dr)
+    return advance, _GRID
 
 
 def _blocks(k: int, M: int, entries: int) -> Iterator[tuple[int, int]]:
@@ -499,9 +510,9 @@ def cn_stepper(problem: Problem1D, config: SolverConfig1D) -> BlockStepper:
     return _cn_setup(problem, config)[0]
 
 
-def _cn_setup(problem: Problem1D, config: SolverConfig1D) -> tuple[BlockStepper, np.ndarray]:
-    """:func:`cn_stepper`'s ``steps`` and the checked Dirichlet data of the
-    final level, left end then right end."""
+def _cn_setup(problem: Problem1D, config: SolverConfig1D) -> tuple[BlockStepper, np.ndarray, str]:
+    """:func:`cn_stepper`'s ``steps``, the checked Dirichlet data of the
+    final level, left end then right end, and the name of its backend."""
     if problem.steady:
         raise ParameterError("time stepping expects a time-dependent problem")
     h, _, xi = _grid(problem, config.N)
@@ -509,30 +520,31 @@ def _cn_setup(problem: Problem1D, config: SolverConfig1D) -> tuple[BlockStepper,
     tau = config.tau
     theta = config.theta
     dl, dr = problem.diffusivity_values(xi)
-    advance, (into, back) = _cn_steps(problem, config, dl, dr)
+    backend = _backend(problem, config, dl, dr)
+    advance, (into, back) = _cn_steps(problem, config, dl, dr, backend)
 
     # Known-end-value coefficient columns, diffusivity-weighted per row.
     left_u0, right_u0, left_uN, right_uN = boundary_columns(
         problem.alpha, config.scheme, n
     )
-    col_a = (dl * left_u0 + dr * right_u0)[:, None]
-    col_b = (dl * left_uN + dr * right_uN)[:, None]
+    col_a = dl * left_u0 + dr * right_u0
+    col_b = dl * left_uN + dr * right_uN
     scale = tau / h**problem.alpha
     average = config.source_sampling == "average"
     g = problem.boundary_values(tau * np.arange(config.M + 1))
 
     def block(k: int, count: int) -> np.ndarray:
         """``tau*F`` plus the boundary terms of the ``count`` slabs from level
-        ``k``, one column a slab."""
-        ends = tau * np.arange(k, k + count + 1)[None, :]
+        ``k``, one row a slab."""
+        ends = tau * np.arange(k, k + count + 1)[:, None]
         if average:
-            f = on_grid(problem, "source", xi[:, None], ends)
-            fv = 0.5 * (f[:, :-1] + f[:, 1:])
+            f = on_grid(problem, "source", xi[None, :], ends)
+            fv = 0.5 * (f[:-1] + f[1:])
         else:
-            fv = on_grid(problem, "source", xi[:, None], ends[:, :-1] + 0.5 * tau)
+            fv = on_grid(problem, "source", xi[None, :], ends[:-1] + 0.5 * tau)
         data = g[:, k : k + count + 1]
         mix = theta * data[:, 1:] + (1.0 - theta) * data[:, :-1]
-        return tau * fv + scale * (col_a * mix[0] + col_b * mix[1])
+        return tau * fv + scale * (mix[0][:, None] * col_a + mix[1][:, None] * col_b)
 
     def steps(U: np.ndarray, k: int) -> Iterator[np.ndarray]:
         blocks = _blocks(k, config.M, n)  # checks k before any read
@@ -541,24 +553,24 @@ def _cn_setup(problem: Problem1D, config: SolverConfig1D) -> tuple[BlockStepper,
         for start, count in blocks:
             terms = block(start, count)
             with np.errstate(over="ignore", invalid="ignore"):
-                states = advance(U, into(terms.T))
+                states = advance(U, into(terms))
                 U = states[-1]
                 levels = back(states)
             levels.flags.writeable = False
             yield levels
 
-    return steps, g[:, -1]
+    return steps, g[:, -1], backend
 
 
 def cn_wsgd_run(problem: Problem1D, config: SolverConfig1D) -> Solution:
     """Integrate a (constant- or variable-coefficient) 1D problem in time."""
-    steps, ends = _cn_setup(problem, config)
+    steps, ends, backend = _cn_setup(problem, config)
     h, x, xi = _grid(problem, config.N)
     initial = lambda: np.array(on_grid(problem, "initial", xi))
     exact = None
     if problem.exact is not None:
-        levels = lambda k, count: config.tau * np.arange(k, k + count)[None, :]
-        exact = lambda k, count: on_grid(problem, "exact", xi[:, None], levels(k, count)).T
+        levels = lambda k, count: config.tau * np.arange(k, k + count)[:, None]
+        exact = lambda k, count: on_grid(problem, "exact", xi[None, :], levels(k, count))
     norm = lambda V: np.sqrt(h * np.sum(V * V, axis=1))
     U, norm_history, running_max, error = march(steps, initial, config, norm, exact)
     t_final = config.M * config.tau
@@ -573,6 +585,7 @@ def cn_wsgd_run(problem: Problem1D, config: SolverConfig1D) -> Solution:
         config=config,
         max_err_running=running_max,
         norm_history=norm_history,
+        backend=backend,
     )
     if error is not None:
         sol.max_err_final = max_norm(error)

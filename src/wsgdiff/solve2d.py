@@ -38,14 +38,15 @@ operand it carries (see :func:`pr_adi_stepper`).  ``lod``'s rank-2
 boundary-column terms ride in a product, on two extra columns of one operand
 and two extra rows of the other.
 
-Two bases, chosen by the problem alone: :func:`run_2d` steps in the
-eigenbasis of ``Dx`` and ``Dy`` when each axis has equal left and right
+Two backends, picked by the problem alone in one function, :func:`_backend`,
+and named on the run's ``Solution``: :func:`run_2d` steps in the eigenbasis
+of ``Dx`` and ``Dy`` (``"eigen"``) when each axis has equal left and right
 diffusivities, so that both operators are exactly symmetric, and the
 source is a :class:`~wsgdiff.problems.SeparableSource`, as in the paper's
 2D example; any other problem steps in the grid basis with the dense
-Cayley steppers above.  In the eigenbasis (the fast diagonalization method
-of Lynch, Rice & Thomas, 1964) ``Dx = Qx diag(lam) Qx^T`` with ``Qx``
-orthogonal.  A symmetric Toeplitz combination is also centrosymmetric, so
+Cayley steppers above (``"dense"``).  In the eigenbasis (the fast
+diagonalization method of Lynch, Rice & Thomas, 1964) ``Dx = Qx diag(lam)
+Qx^T`` with ``Qx`` orthogonal.  A symmetric Toeplitz combination is also centrosymmetric, so
 setup takes two half-order ``eigh`` calls per axis, one for each of its
 even and odd halves (Cantoni & Butler, 1976), and assembles ``Qx`` from
 their eigenvectors.  The run marches ``Qx^T U Qy``: the source's factors
@@ -327,16 +328,19 @@ def _lod_steps(problem: Problem2D, config: SolverConfig2D, grid) -> BlockStepper
     return steps
 
 
-def _eigenbasis(problem: Problem2D) -> bool:
-    """Whether :func:`run_2d` steps ``problem`` in the eigenbasis of ``Dx``,
-    ``Dy``: equal left and right diffusivities on each axis, so that both
-    operators are exactly symmetric, and a :class:`SeparableSource`, whose
-    factors the basis transforms once a run."""
-    return (
+def _backend(problem: Problem2D) -> str:
+    """The basis :func:`run_2d` steps ``problem`` in, from its structure
+    alone: ``"eigen"``, the eigenbasis of ``Dx``, ``Dy``, for equal left and
+    right diffusivities on each axis, so that both operators are exactly
+    symmetric, and a :class:`SeparableSource`, whose factors the basis
+    transforms once a run; ``"dense"``, the splitting's dense Cayley stepper,
+    for any other.  The only place a 2D run picks its backend."""
+    eigen = (
         problem.x_left_diffusivity == problem.x_right_diffusivity
         and problem.y_left_diffusivity == problem.y_right_diffusivity
         and isinstance(problem.source, SeparableSource)
     )
+    return "eigen" if eigen else "dense"
 
 
 def _spectrum(d: np.ndarray, axis: str) -> tuple[np.ndarray, np.ndarray]:
@@ -372,7 +376,7 @@ def _eigen_stepper(problem: Problem2D, config: SolverConfig2D, grid):
     ``Dx = Qx diag(lam) Qx^T`` and ``Dy = Qy diag(mu) Qy^T``, on the checked
     ``grid``; return ``(steps, Qx, Qy)``, ``steps(V, k)`` the block stepper of
     the state ``V = Qx^T U Qy``.  The problem's source is a
-    :class:`SeparableSource` (:func:`_eigenbasis`).
+    :class:`SeparableSource` (:func:`_backend`).
 
     With ``a = tau/2`` and ``c = (1 + a lam)/(1 - a lam)`` (``d`` likewise
     from ``mu``), both splittings step ``V <- G o V + H o F^ + E``, with ``G
@@ -438,7 +442,8 @@ def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution:
     equal left and right diffusivities on each axis and a
     :class:`~wsgdiff.problems.SeparableSource` steps in the eigenbasis of
     ``Dx``, ``Dy`` (:func:`_eigen_stepper`), any other on the splitting's
-    dense stepper.  The block stepper goes straight to
+    dense stepper; :func:`_backend` picks which, and the solution's
+    ``backend`` names it.  The block stepper goes straight to
     :func:`~wsgdiff.solve1d.march`, and yields
     blocks of ``B`` levels with ``B (Nx-1)(Ny-1) <= 2**15``: 8 at ``N = 64``,
     2 at 128 and 1 from 256.
@@ -451,7 +456,8 @@ def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution:
     lod = config.splitting == "lod"
     grid, (x_sides, y_sides) = _checked_grid(problem, config, lod)
     hx, hy, x, y, X, Y, _ = grid
-    if _eigenbasis(problem):
+    backend = _backend(problem)
+    if backend == "eigen":
         steps, qx, qy = _eigen_stepper(problem, config, grid)
     else:
         steps, qx, qy = (_lod_steps if lod else _pr_steps)(problem, config, grid), None, None
@@ -479,6 +485,7 @@ def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution:
         t_final=t_next,
         config=config,
         norm_history=norm_history,
+        backend=backend,
     )
     if problem.exact is not None:
         e = U - on_grid(problem, "exact", X, Y, t_next)

@@ -243,7 +243,7 @@ def test_separable_source_factors_are_checked(monkeypatch, factor, path):
             source(x[:, None], x[None, :], 0.5)
         else:
             if path == "dense":
-                monkeypatch.setattr(solve2d, "_eigenbasis", lambda *_: False)
+                monkeypatch.setattr(solve2d, "_backend", lambda *_: "dense")
             _solve("ex4", source=source)
 
 
@@ -640,11 +640,11 @@ def test_every_grid_callable_is_read_through_the_one_sampler(monkeypatch):
 
         return dataclasses.replace(p, **{k: wrap(k, getattr(p, k)) for k in names})
 
-    monkeypatch.setattr(solve1d, "_GS_MIN_N", 8)
-    for example in ("ex2", "ex3"):  # Gohberg–Semencul, then dense
+    for example, backend in (("ex2", "gs"), ("ex3", "dense-halves")):
         diffusivities = ("left_diffusivity", "right_diffusivity") if example == "ex3" else ()
         p = watched(example, "source", "exact", "initial", *diffusivities)
-        cn_wsgd_run(p, SolverConfig1D(N=16, M=4))
+        monkeypatch.setattr(solve1d, "_backend", lambda *_, backend=backend: backend)
+        assert cn_wsgd_run(p, SolverConfig1D(N=16, M=4)).backend == backend
     steady_solve_3wsgd(watched("ex0", "source", "exact"), 16)
     for splitting in ("pr", "lod"):
         p = watched("ex4", "source", "exact", "initial", "boundary")

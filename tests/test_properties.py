@@ -3,8 +3,9 @@ matrices against the log-gamma oracles, the closed-form generating function
 against its defining series, FFT against direct Toeplitz products, the
 documented sign/partial-sum properties, the 1D Gohberg–Semencul step
 system against dense matrices built from the oracle weights, one step of
-each 2D splitting against the dense Kronecker oracle, and convergence
-reports through their CSV form.
+each 2D splitting against the dense Kronecker oracle, whole 2D runs in the
+eigenbasis against the dense steppers, and convergence reports through
+their CSV form.
 
 Runs are derandomized, so every run draws the same examples."""
 
@@ -27,6 +28,7 @@ from wsgdiff import (
     PQR,
     Problem1D,
     Problem2D,
+    SeparableSource,
     SolverConfig1D,
     SolverConfig2D,
     ToeplitzOperator,
@@ -36,12 +38,13 @@ from wsgdiff import (
     lod_stepper,
     operator_weights,
     pr_adi_stepper,
+    run_2d,
     shifted_pair_weights,
     toeplitz_product,
     verify_weight_properties,
 )
 from wsgdiff.cli import ExampleId, StudyConfig, _study_blocks, cmd_converge, read_report_csv
-from wsgdiff import solve1d
+from wsgdiff import solve1d, solve2d
 from wsgdiff.solve1d import SOURCE_SAMPLING
 
 from oracles import (
@@ -198,11 +201,8 @@ def test_gs_step_system_matches_dense_oracle(data, big_n, scheme, alpha, theta):
     want_solve = np.linalg.solve(lhs, v)
     gap_solve = np.max(np.abs(solve1d._gs_steps(problem, cfg)(v) - want_solve))
     # the whole Cayley-form step against L^-1 (R u + f + g)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(solve1d, "_GS_MIN_N", 0)
-        m.setattr(solve1d, "_dense_steps", None)
-        dl, dr = problem.diffusivity_values(solve1d._grid(problem, cfg.N)[2])
-        advance, _ = solve1d._cn_steps(problem, cfg, dl, dr)
+    dl, dr = problem.diffusivity_values(solve1d._grid(problem, cfg.N)[2])
+    advance, _ = solve1d._cn_steps(problem, cfg, dl, dr, "gs")
     want_step = np.linalg.solve(lhs, u + (1.0 - theta) * (b @ u) + f + g)
     gap_step = np.max(np.abs(advance(u, (f + g)[None]) - want_step))
     gaps = gap_solve / np.max(np.abs(want_solve)), gap_step / np.max(np.abs(want_step))
@@ -250,8 +250,9 @@ def test_split_run_matches_the_full_dense_run(data):
         counted = lambda a, b, context: shapes.append(np.shape(b)) or helper(a, b, context)
         m.setattr(solve1d, "solve", counted)
         split = solve1d.cn_wsgd_run(problem, cfg)
-        m.setattr(solve1d, "_mirrored", lambda *_: False)
+        m.setattr(solve1d, "_backend", lambda *_: "dense")
         full = solve1d.cn_wsgd_run(problem, cfg)
+    assert (split.backend, full.backend) == ("dense-halves", "dense")
     n = big_n - 1
     assert shapes == [(n - n // 2, n - n // 2)] * 2 + [(n, n)]
     for got, want in ((split.values, full.values), (split.norm_history, full.norm_history)):
@@ -316,6 +317,73 @@ def test_pr_step_matches_kron_oracle(data, nx, ny, bx, by):
 def test_lod_step_matches_corrected_kron_oracle(data, n, side):
     gap = _split_step_gap(data, lod_stepper, n, n, side, side, lod_source_correction=True)
     assert gap <= 1e-12
+
+
+_SMOOTH = st.floats(0.2, 3.0)
+_TERMS = st.integers(1, 2)
+
+
+def _smooth_term(data) -> tuple:
+    """One smooth separable term ``(1 + a cos(w t)) sin(k x + p) exp(-q y)``."""
+    a, w, k, p, q = (data.draw(_SMOOTH) for _ in range(5))
+    return (
+        lambda t: 1.0 + a * np.cos(w * t),
+        (lambda x: np.sin(k * x + p),),
+        (lambda y: np.exp(-q * y),),
+    )
+
+
+@_PROFILE
+@given(
+    data=st.data(),
+    splitting=st.sampled_from(("pr", "lod")),
+    nx=st.integers(5, 40),
+    ny=st.integers(5, 40),
+)
+def test_eigenbasis_and_dense_runs_agree(data, splitting, nx, ny):
+    # a symmetric problem with a separable source, forced through the
+    # backend seam onto each 2D backend: pr on two spacings, lod on the one
+    # spacing it needs
+    if splitting == "lod":
+        h = data.draw(st.floats(0.5, 2.0)) / max(nx, ny)
+        bx, by = h * nx, h * ny
+    else:
+        bx, by = data.draw(_SIDES), data.draw(_SIDES)
+    kx, ky = data.draw(st.floats(0.1, 2.0)), data.draw(st.floats(0.1, 2.0))
+    # at order 1 the symmetric operator vanishes, and within about 1e-15 of
+    # it its sign is rounding noise, which the eigenbasis refuses at setup
+    orders = st.floats(1.0 + 1e-12, 2.0)
+    problem = Problem2D(
+        name="symmetric",
+        alpha=data.draw(orders),
+        beta=data.draw(orders),
+        x_left_diffusivity=kx,
+        x_right_diffusivity=kx,
+        y_left_diffusivity=ky,
+        y_right_diffusivity=ky,
+        source=SeparableSource(tuple(_smooth_term(data) for _ in range(data.draw(_TERMS)))),
+        initial=lambda x, y: np.sin(np.pi * x / bx) * y * (by - y),
+        boundary=_zero,
+        bx=bx,
+        by=by,
+    )
+    cfg = SolverConfig2D(
+        Nx=nx,
+        Ny=ny,
+        M=data.draw(st.integers(1, 8)),
+        splitting=splitting,
+        T=data.draw(st.floats(0.1, 2.0)),
+    )
+    runs = {}
+    with pytest.MonkeyPatch.context() as m:
+        for backend in ("eigen", "dense"):
+            m.setattr(solve2d, "_backend", lambda *_, backend=backend: backend)
+            runs[backend] = run_2d(problem, cfg)
+            assert runs[backend].backend == backend
+    got, want = runs["eigen"], runs["dense"]
+    assert np.max(np.abs(got.values - want.values)) <= 1e-12 * np.max(np.abs(want.values))
+    gap = np.max(np.abs(got.norm_history - want.norm_history))
+    assert gap <= 1e-12 * np.max(want.norm_history)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=25)

@@ -382,10 +382,18 @@ _GS_PROBLEMS = {
 }
 
 
-def _run_with(monkeypatch, min_n, problem, config):
+def _force(monkeypatch, backend):
+    """Step every run on ``backend``, past :func:`solve1d._backend`."""
+    monkeypatch.setattr(solve1d, "_backend", lambda *_: backend)
+
+
+def _run_with(monkeypatch, backend, problem, config):
+    """A run forced onto ``backend``, which it must name."""
     with monkeypatch.context() as m:
-        m.setattr(solve1d, "_GS_MIN_N", min_n)
-        return cn_wsgd_run(problem, config)
+        _force(m, backend)
+        sol = cn_wsgd_run(problem, config)
+    assert sol.backend == backend
+    return sol
 
 
 def _diffusivities(problem, config):
@@ -403,8 +411,8 @@ def test_gs_run_matches_dense_run(monkeypatch, name, alpha, theta, sampling):
     # are compared on the scale of the solution
     p = _GS_PROBLEMS[name](alpha)
     cfg = SolverConfig1D(N=24, M=12, theta=theta, scheme=P1QM1, source_sampling=sampling)
-    gs = _run_with(monkeypatch, 0, p, cfg)
-    dense = _run_with(monkeypatch, 10**9, p, cfg)
+    gs = _run_with(monkeypatch, "gs", p, cfg)
+    dense = _run_with(monkeypatch, "dense", p, cfg)
     scale = np.max(np.abs(dense.values))
     np.testing.assert_allclose(gs.values, dense.values, rtol=0, atol=1e-10 * scale)
     np.testing.assert_allclose(
@@ -422,7 +430,7 @@ def test_gs_run_matches_dense_run(monkeypatch, name, alpha, theta, sampling):
 @pytest.mark.filterwarnings("ignore:theta=0.0 lies outside")
 @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("N", [4, 5, 9, 33])
-def test_gs_setup_is_the_dense_system(monkeypatch, N, theta):
+def test_gs_setup_is_the_dense_system(N, theta):
     # the set-up Toeplitz solve against the dense matrix and, for the
     # theta >= 1/2 that runs pick it at, the Cayley-form step against the
     # dense step, below the size where runs pick it
@@ -436,11 +444,8 @@ def test_gs_setup_is_the_dense_system(monkeypatch, N, theta):
         np.testing.assert_allclose(solve(v), np.linalg.solve(lhs, v), rtol=0, atol=1e-12)
     if theta < 0.5:
         return
-    dense_advance, _ = solve1d._dense_steps(p, cfg, *_diffusivities(p, cfg))
-    with monkeypatch.context() as m:
-        m.setattr(solve1d, "_GS_MIN_N", 0)
-        m.setattr(solve1d, "_dense_steps", None)
-        advance, _ = solve1d._cn_steps(p, cfg, *_diffusivities(p, cfg))
+    dense_advance, _ = solve1d._cn_steps(p, cfg, *_diffusivities(p, cfg), "dense")
+    advance, _ = solve1d._cn_steps(p, cfg, *_diffusivities(p, cfg), "gs")
     U, f, b = rng.standard_normal((3, N - 1, 4))
     for j, u in enumerate(U.T):
         v = f[:, j] + b[:, j]
@@ -450,16 +455,13 @@ def test_gs_setup_is_the_dense_system(monkeypatch, N, theta):
 
 
 @pytest.mark.parametrize("theta", [0.5, 0.8])
-@pytest.mark.parametrize("backend", ["_dense_steps", "_gs_steps"])
-def test_backend_steps_a_block_as_its_slabs_one_at_a_time(monkeypatch, backend, theta):
+@pytest.mark.parametrize("backend", ["dense", "gs"], ids=["_dense_steps", "_gs_steps"])
+def test_backend_steps_a_block_as_its_slabs_one_at_a_time(backend, theta):
     # a backend scales a block's known terms once, elementwise, so a block
     # of slabs gives the bits of stepping them one slab at a time
-    monkeypatch.setattr(solve1d, "_GS_MIN_N", 0 if backend == "_gs_steps" else 10**9)
-    picked = _spy_backends(monkeypatch)
     p = _constant_problem("unequal", 0.9, 0.35, 1.7)
     cfg = SolverConfig1D(N=33, M=5, theta=theta)
-    advance, _ = solve1d._cn_steps(p, cfg, *_diffusivities(p, cfg))
-    assert picked == [backend]
+    advance, _ = solve1d._cn_steps(p, cfg, *_diffusivities(p, cfg), backend)
     rng = np.random.default_rng(33)
     U, terms = rng.standard_normal(32), rng.standard_normal((5, 32))
     block = advance(U, terms)
@@ -521,72 +523,88 @@ def test_gs_step_makes_six_real_transforms(monkeypatch):
     spy("rfft")
     spy("irfft")
     monkeypatch.setattr(operators, "toeplitz_product", None)
-    monkeypatch.setattr(solve1d, "_dense_steps", None)
     counts = []
     for M in (5, 6):
         rows.clear()
-        _run_with(monkeypatch, 0, make_example("ex2", 1.5), SolverConfig1D(N=24, M=M))
+        _run_with(monkeypatch, "gs", make_example("ex2", 1.5), SolverConfig1D(N=24, M=M))
         counts.append(sum(rows))
     assert counts[1] - counts[0] == 6
 
 
-def _spy_backends(monkeypatch):
-    picked = []
-    for name in ("_dense_steps", "_gs_steps"):
-        original = getattr(solve1d, name)
-
-        def spy(*args, original=original, name=name):
-            picked.append(name)
-            return original(*args)
-
-        monkeypatch.setattr(solve1d, name, spy)
-    return picked
+_GS = solve1d._GS_MIN_N
 
 
-def test_backend_is_picked_from_the_input(monkeypatch):
-    picked = _spy_backends(monkeypatch)
+def _picked(problem, config):
+    return solve1d._backend(problem, config, *_diffusivities(problem, config))
+
+
+def test_backend_is_picked_from_the_input():
+    # the cases test_every_solve_names_its_backend does not run: mirrored
+    # diffusivities step on the even/odd halves, at half the dense work, up
+    # to twice the crossover, and the crossover itself is on the Toeplitz
+    # side for unequal constants too
     large = SolverConfig1D(N=512, M=2)
-    # mirrored diffusivities step on the even/odd halves, at half the dense
-    # work, up to twice the crossover
-    mirrored = 2 * solve1d._GS_MIN_N
-    cases = [
-        (make_example("ex2", 1.5), SolverConfig1D(N=mirrored, M=2), "_gs_steps"),
-        (make_example("ex2", 1.5), SolverConfig1D(N=mirrored - 1, M=2), "_dense_steps"),
-        (make_example("ex2", 1.5), large, "_dense_steps"),
-        (make_example("ex1", 1.5), dataclasses.replace(large, theta=1.0), "_gs_steps"),
-        (make_example("ex3", 1.5), large, "_dense_steps"),
-        (make_example("ex2", 1.5), SolverConfig1D(N=64, M=2), "_dense_steps"),
-    ]
     with pytest.warns(UserWarning, match="stability window"):
-        negative = SolverConfig1D(N=mirrored, M=2, theta=-0.1)
-    cases.append((make_example("ex2", 1.5), negative, "_dense_steps"))
+        negative = SolverConfig1D(N=2 * _GS, M=2, theta=-0.1)
+    cases = [
+        (make_example("ex2", 1.5), large, "dense-halves"),
+        (make_example("ex1", 1.5), dataclasses.replace(large, theta=1.0), "gs"),
+        (make_example("ex2", 1.5), SolverConfig1D(N=64, M=2), "dense-halves"),
+        (make_example("ex2", 1.5), negative, "dense-halves"),
+        (_constant_problem("unequal", 0.7, 0.2, 1.5), SolverConfig1D(N=_GS, M=2), "gs"),
+    ]
     for problem, config, want in cases:
-        solve1d._cn_steps(problem, config, *_diffusivities(problem, config))
-        assert picked.pop() == want, (problem.name, config)
-    # the crossover itself is on the Toeplitz side
-    crossover = SolverConfig1D(N=solve1d._GS_MIN_N, M=2)
-    for problem in (make_example("ex1", 1.5), _constant_problem("unequal", 0.7, 0.2, 1.5)):
-        solve1d._cn_steps(problem, crossover, *_diffusivities(problem, crossover))
-    assert picked == ["_gs_steps"] * 2
+        assert _picked(problem, config) == want, (problem.name, config)
 
 
 def test_gs_backend_runs_only_inside_the_stability_window(monkeypatch):
     # below theta = 1/2 the Cayley-form step's rounding grows like
     # eps/theta a step, so those runs step densely, and meet the dense cap
-    picked = _spy_backends(monkeypatch)
-    problem, N = make_example("ex2", 1.5), 2 * solve1d._GS_MIN_N
+    problem, N = make_example("ex2", 1.5), 2 * _GS
     with pytest.warns(UserWarning, match="stability window"):
         low = SolverConfig1D(N=N, M=2, theta=0.3)
-    for config, want in ((low, "_dense_steps"), (SolverConfig1D(N=N, M=2), "_gs_steps")):
-        solve1d._cn_steps(problem, config, *_diffusivities(problem, config))
-        assert picked.pop() == want, config.theta
+    for config, want in ((low, "dense-halves"), (SolverConfig1D(N=N, M=2), "gs")):
+        assert _picked(problem, config) == want, config.theta
 
     orders = _refuse_dense(monkeypatch)
     with pytest.warns(UserWarning, match="stability window"):
         huge = SolverConfig1D(N=operators.DENSE_MAX_ORDER + 2, M=1, theta=0.3)
+    assert _picked(problem, huge) == "dense-halves"
     with pytest.raises(ParameterError, match="cap"):
-        cn_wsgd_run(make_example("ex2", 1.5), huge)
-    assert picked == ["_dense_steps"] and orders == [huge.N - 1]
+        cn_wsgd_run(problem, huge)
+    assert orders == [huge.N - 1]
+
+
+@pytest.mark.filterwarnings("ignore:theta=0.3 lies outside")
+@pytest.mark.parametrize(
+    "name,N,theta,want",
+    [
+        ("ex0", 64, None, "dense"),
+        ("ex1", _GS - 1, 0.5, "dense"),
+        ("ex1", _GS, 0.5, "gs"),
+        ("ex2", 2 * _GS - 1, 0.5, "dense-halves"),
+        ("ex2", 2 * _GS, 0.5, "gs"),
+        ("ex2", 2 * _GS, 0.3, "dense-halves"),
+        ("ex3", 512, 0.5, "dense-halves"),
+        ("ex3", 100, 0.5, "dense"),
+        ("ex4", 16, None, "eigen"),
+        ("ex4-plain", 16, None, "dense"),
+    ],
+)
+def test_every_solve_names_its_backend(name, N, theta, want):
+    # the Solution records the path its input picked; ex3's sampled
+    # diffusivities mirror each other only on power-of-two grids, and ex4's
+    # source wrapped in a plain callable loses its separable structure
+    if name == "ex0":
+        sol = steady_solve_3wsgd(make_example(name, 1.5), N)
+    elif name.startswith("ex4"):
+        p = make_example("ex4", 1.2, 1.8)
+        if name == "ex4-plain":
+            p = dataclasses.replace(p, source=lambda x, y, t, f=p.source: f(x, y, t))
+        sol = run_2d(p, SolverConfig2D(Nx=N, Ny=N, M=2))
+    else:
+        sol = cn_wsgd_run(make_example(name, 1.5), SolverConfig1D(N=N, M=2, theta=theta))
+    assert sol.backend == want
 
 
 @pytest.mark.parametrize("sampling", ["average", "midpoint"])
@@ -596,17 +614,17 @@ def test_gs_non_finite_solution_raises_with_step_and_time(monkeypatch, sampling)
         base, source=lambda x, t: np.where(t > 0.6, np.nan, base.source(x, t))
     )
     with pytest.raises(SolverError, match=r"step 3 \(t=0\.75\)"):
-        _run_with(monkeypatch, 0, p, SolverConfig1D(N=8, M=4, source_sampling=sampling))
+        _run_with(monkeypatch, "gs", p, SolverConfig1D(N=8, M=4, source_sampling=sampling))
 
 
-@pytest.mark.parametrize("min_n", [0, 10**9], ids=["gs", "dense"])
+@pytest.mark.parametrize("backend", ["gs", "dense"])
 @pytest.mark.parametrize("sampling", ["average", "midpoint"])
-def test_stepper_reuses_its_source_value_only_at_the_slab_end(monkeypatch, sampling, min_n):
+def test_stepper_reuses_its_source_value_only_at_the_slab_end(monkeypatch, sampling, backend):
     # a block samples the source once, so an average-sampled block of count
     # steps reads count + 1 levels and shares each inner one between two
     # slabs; the states are the same whether the levels come as one block or
     # as two
-    monkeypatch.setattr(solve1d, "_GS_MIN_N", min_n)
+    _force(monkeypatch, backend)
     base = _constant_problem("unequal", 0.7, 0.2, 1.6)
     calls = []
 
@@ -627,11 +645,11 @@ def test_stepper_reuses_its_source_value_only_at_the_slab_end(monkeypatch, sampl
     assert np.array_equal(whole, np.concatenate(halves))
 
 
-@pytest.mark.parametrize("min_n", [0, 10**9], ids=["gs", "dense"])
-def test_stepper_steps_only_from_levels(monkeypatch, min_n):
+@pytest.mark.parametrize("backend", ["gs", "dense-halves"], ids=["gs", "dense"])
+def test_stepper_steps_only_from_levels(monkeypatch, backend):
     # a 1D stepper used to take one step from a time t_n; it must start at
     # a level 0 <= k < M
-    monkeypatch.setattr(solve1d, "_GS_MIN_N", min_n)
+    _force(monkeypatch, backend)
     cfg = SolverConfig1D(N=16, M=4)
     steps = solve1d.cn_stepper(make_example("ex2", 1.5), cfg)
     U = np.linspace(0.1, 0.9, cfg.N - 1)
@@ -695,7 +713,7 @@ def test_dense_run_solves_once_a_block(monkeypatch):
 def test_diffusivities_one_ulp_off_the_mirror_take_the_full_system(monkeypatch):
     # the even/odd split needs dl = J dr exactly: ex3 steps on the halves,
     # while ex3 with one sample of dr nudged by one ulp assembles and solves
-    # the full system, bit for bit as a run forced past the selection
+    # the full system, bit for bit as a run forced onto it
     shapes = []
     helper = solve1d.solve
     monkeypatch.setattr(
@@ -710,10 +728,10 @@ def test_diffusivities_one_ulp_off_the_mirror_take_the_full_system(monkeypatch):
 
     p = dataclasses.replace(base, right_diffusivity=nudged)
     cfg = SolverConfig1D(N=16, M=8)
-    cn_wsgd_run(base, cfg)
+    halves = cn_wsgd_run(base, cfg)
     got = cn_wsgd_run(p, cfg)
-    monkeypatch.setattr(solve1d, "_mirrored", lambda *_: False)
-    want = cn_wsgd_run(p, cfg)
+    want = _run_with(monkeypatch, "dense", p, cfg)
+    assert (halves.backend, got.backend) == ("dense-halves", "dense")
     assert shapes == [(8, 8), (8, 8), (15, 15), (15, 15)]
     for field in ("values", "norm_history", "max_err_running", "max_err_final", "l2_err_final"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
@@ -746,10 +764,10 @@ def test_mirrored_setup_holds_no_two_stacks_beside_a_solve(name):
     problem, cfg = make_example(name, 1.5), SolverConfig1D(N=256, M=4)
     dl, dr = _diffusivities(problem, cfg)
     p = (cfg.N - 1) - (cfg.N - 1) // 2
-    solve1d._dense_steps(problem, cfg, dl, dr)  # lazy set-up outside the trace
+    solve1d._dense_steps(problem, cfg, dl, dr, True)  # lazy set-up outside the trace
     tracemalloc.start()
     try:
-        solve1d._dense_steps(problem, cfg, dl, dr)
+        solve1d._dense_steps(problem, cfg, dl, dr, True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -763,10 +781,9 @@ def test_mirrored_run_below_twice_the_crossover_steps_on_the_halves(monkeypatch,
     # ex2 at N=512 lies between the crossover and twice it, so it steps
     # densely on the even/odd halves and agrees with the Toeplitz run
     cfg = SolverConfig1D(N=512, M=8, theta=theta, scheme=scheme)
-    picked = _spy_backends(monkeypatch)
     halves = cn_wsgd_run(make_example("ex2", 1.5), cfg)
-    gs = _run_with(monkeypatch, 0, make_example("ex2", 1.5), cfg)
-    assert picked == ["_dense_steps", "_gs_steps"]
+    gs = _run_with(monkeypatch, "gs", make_example("ex2", 1.5), cfg)
+    assert halves.backend == "dense-halves"
     scale = np.max(np.abs(gs.values))
     for field in ("values", "norm_history", "max_err_running", "max_err_final", "l2_err_final"):
         gap = np.max(np.abs(getattr(halves, field) - getattr(gs, field)))
@@ -825,12 +842,13 @@ def test_callables_broadcast_over_space_and_time_axes():
         assert np.all(np.isfinite(sol.values))
     # a one-axis result would broadcast along t whatever it holds
     flat = dataclasses.replace(base, source=lambda x, t: np.sin(np.ravel(x)))
-    with pytest.raises(ParameterError, match=r"problem.source returned shape \(15,\),.* \(15, 9\)"):
+    with pytest.raises(ParameterError, match=r"problem.source returned shape \(15,\),.* \(9, 15\)"):
         cn_wsgd_run(flat, cfg)
-    time_major = dataclasses.replace(base, exact=lambda x, t: (np.exp(-t) * x).T)
-    message = r"problem.exact returned shape \(1, 15\),.* \(15, 1\)"
+    # a block is sampled one row a level, on x[None, :] and t[:, None]
+    transposed = dataclasses.replace(base, exact=lambda x, t: (np.exp(-t) * x).T)
+    message = r"problem.exact returned shape \(15, 1\),.* \(1, 15\)"
     with pytest.raises(ParameterError, match=message):
-        cn_wsgd_run(time_major, cfg)
+        cn_wsgd_run(transposed, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -1032,22 +1050,27 @@ def test_blow_up_is_one_solver_error_without_warnings(name, step):
 
 @pytest.mark.parametrize("sampling", ["average", "midpoint"])
 @pytest.mark.parametrize(
-    "name,min_n",
-    [("ex1", 0), ("ex2", 0), ("ex1", 10**9), ("ex2", 10**9), ("ex3", 10**9)],
+    "name,backend",
+    [
+        ("ex1", "gs"),
+        ("ex2", "gs"),
+        ("ex1", "dense"),
+        ("ex2", "dense-halves"),
+        ("ex3", "dense-halves"),
+    ],
     ids=["ex1-gs", "ex2-gs", "ex1-dense", "ex2-dense", "ex3-dense"],
 )
-def test_blocked_run_matches_a_run_of_narrow_blocks(monkeypatch, name, min_n, sampling):
+def test_blocked_run_matches_a_run_of_narrow_blocks(monkeypatch, name, backend, sampling):
     # blocking the loop changes no bit: a run in blocks of B = 258 levels
-    # (M = 300 is no multiple of it) against blocks of one level, on both
-    # backends; a dense block used to lift its known terms by one solve, whose
+    # (M = 300 is no multiple of it) against blocks of one level, on every
+    # backend; a dense block used to lift its known terms by one solve, whose
     # one-column form took another BLAS kernel
-    monkeypatch.setattr(solve1d, "_GS_MIN_N", min_n)
     problem = make_example(name, 1.5)
     cfg = SolverConfig1D(N=128, M=300, source_sampling=sampling)
     assert next(solve1d._blocks(0, cfg.M, cfg.N - 1)) == (0, 258)
-    blocked = cn_wsgd_run(problem, cfg)
+    blocked = _run_with(monkeypatch, backend, problem, cfg)
     monkeypatch.setattr(solve1d, "_BLOCK_ENTRIES", cfg.N - 1)
     assert next(solve1d._blocks(0, cfg.M, cfg.N - 1)) == (0, 1)
-    stepped = cn_wsgd_run(problem, cfg)
+    stepped = _run_with(monkeypatch, backend, problem, cfg)
     for field in ("values", "norm_history", "max_err_running", "max_err_final", "l2_err_final"):
         assert np.array_equal(getattr(blocked, field), getattr(stepped, field)), field

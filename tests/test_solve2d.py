@@ -43,7 +43,7 @@ _STEPPER = {"pr": pr_adi_stepper, "lod": lod_stepper}
 def dense(monkeypatch):
     """Step every problem on the dense Cayley steppers, those the eigenbasis
     would take too."""
-    monkeypatch.setattr(solve2d, "_eigenbasis", lambda *_: False)
+    monkeypatch.setattr(solve2d, "_backend", lambda *_: "dense")
 
 
 def _interior_grid(problem, nx, ny):
@@ -586,12 +586,12 @@ def test_a_run_reads_each_level_of_its_data_once(monkeypatch, splitting, basis, 
         return _zero_boundary(x, y, t)
 
     monkeypatch.setattr(solve1d, "_BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(solve2d, "_backend", lambda *_: basis)
     if basis == "eigen":
         monkeypatch.setattr(solve2d, "solve", None)  # a dense stepper would fail
-    else:
-        monkeypatch.setattr(solve2d, "_eigenbasis", lambda *_: False)
     cfg = SolverConfig2D(Nx=8, Ny=16, M=7, splitting=splitting)
-    run_2d(dataclasses.replace(_symmetric_spacings(), boundary=boundary), cfg)
+    sol = run_2d(dataclasses.replace(_symmetric_spacings(), boundary=boundary), cfg)
+    assert sol.backend == basis
     assert calls == [(k * cfg.tau, axis) for k in range(cfg.M + 1) for axis in "xy"]
 
 
@@ -822,8 +822,9 @@ def test_eigenbasis_runs_agree_with_the_dense_path(monkeypatch, splitting, case,
     }[case]()
     cfg = SolverConfig2D(Nx=nx, Ny=ny, M=M, splitting=splitting)
     got = run_2d(p, cfg)
-    monkeypatch.setattr(solve2d, "_eigenbasis", lambda *_: False)
+    monkeypatch.setattr(solve2d, "_backend", lambda *_: "dense")
     want = run_2d(p, cfg)
+    assert (got.backend, want.backend) == ("eigen", "dense")
     gap = np.max(np.abs(got.values - want.values)) / np.max(np.abs(want.values))
     assert gap <= 1e-12, gap
     norms = np.max(np.abs(got.norm_history - want.norm_history) / want.norm_history)
@@ -857,6 +858,7 @@ def test_symmetry_and_a_separable_source_select_the_eigenbasis(
     solve = solve2d.solve
     monkeypatch.setattr(solve2d, "solve", lambda *args: calls.append(args[-1]) or solve(*args))
     sol = run_2d(p, cfg)
+    assert sol.backend == ("eigen" if eigenbasis else "dense")
     assert calls == ([] if eigenbasis else ["x-direction", "y-direction"])
     if not eigenbasis:
         U = np.array(p.initial(*_interior_grid(p, 8, 8)), dtype=float)
@@ -936,7 +938,7 @@ def test_a_non_negative_eigenvalue_of_either_half_fails_at_setup(monkeypatch, ax
 # ---------------------------------------------------------------------------
 
 
-def test_equal_spacing_required_for_non_pr_splittings():
+def test_only_lod_requires_one_spacing():
     # only the decoupled splitting assumes one spacing; douglas and dyakonov
     # run the two-half-sweep stepper, which supports unequal spacings
     p = _custom_2d(by=2.0)
@@ -956,7 +958,7 @@ def test_nonzero_data_on_any_side_are_refused_by_every_splitting(splitting, symm
     # 2), and there only at t = 0, are refused at t = tau; the factored
     # scheme used to carry data on the y-sides
     p = _symmetric_spacings() if symmetric else _skewed_problem()
-    assert solve2d._eigenbasis(p) == symmetric
+    assert solve2d._backend(p) == ("eigen" if symmetric else "dense")
 
     def boundary(x, y, t):
         x, y = np.asarray(x), np.asarray(y)
@@ -1084,7 +1086,9 @@ def test_block_stepper_contract(monkeypatch, kind):
     # C-ordered blocks; a call owns what it carries (pr's y-sweep product),
     # so two interleaved calls of one stepper give the blocks
     # of each call alone, and a bad start fails before any callable is read
-    monkeypatch.setattr(solve1d, "_GS_MIN_N", 0 if kind == "gs" else 10**9)
+    if kind in ("dense", "gs"):
+        backend = "dense-halves" if kind == "dense" else "gs"
+        monkeypatch.setattr(solve1d, "_backend", lambda *_: backend)
     reads = []
 
     def counted(fn):
