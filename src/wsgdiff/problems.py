@@ -152,7 +152,6 @@ class Problem1D:
     steady: bool = False
     a: float = 0.0
     b: float = 1.0
-    allow_nonzero_boundary: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", wt._check_alpha(self.alpha, 1.0, 2.0))
@@ -172,9 +171,8 @@ class Problem1D:
                 raise ParameterError("at least one diffusivity must be positive")
         if not self.steady and self.initial is None:
             raise ParameterError("time-dependent problems need an initial state")
-        if not self.allow_nonzero_boundary:
-            # t = 0 is the one level every run has; a run checks all its own
-            self.boundary_values(np.zeros(1))
+        # t = 0 is the one level every run has; a run checks all its own
+        self.boundary_values(np.zeros(1))
 
     def boundary_values(self, times: np.ndarray) -> np.ndarray:
         """Both Dirichlet data at each of ``times``, one scalar call each, as
@@ -187,9 +185,7 @@ class Problem1D:
         (and symmetrically on the right), because the operator's memory
         extends to the endpoint, and nonzero data there fall outside the
         setting the time-dependent theory covers.  Data above ``1e-14`` at an
-        active end are a :class:`ParameterError` naming the end and the time,
-        unless ``allow_nonzero_boundary=True``, which problems that use the
-        end values purely as stencil data set.
+        active end are a :class:`ParameterError` naming the end and the time.
         """
         g = np.empty((2, len(times)))
         for row, name in zip(g, ("left_boundary", "right_boundary")):
@@ -201,17 +197,14 @@ class Problem1D:
                     " not one real number a time"
                 )
             row[:] = data
-        if self.allow_nonzero_boundary:
-            return g
         lcall = callable(self.left_diffusivity)
         active = [lcall or k != 0.0 for k in (self.left_diffusivity, self.right_diffusivity)]
         for side, on, data in zip(("left", "right"), active, g):
             bad = np.flatnonzero(~(np.abs(data) <= 1e-14)) if on else []
             if len(bad):
                 raise ParameterError(
-                    f"an active {side}-sided derivative requires zero {side} boundary data"
-                    f" (set allow_nonzero_boundary=True to override); it is"
-                    f" {data[bad[0]]:.3g} at t = {times[bad[0]]:g}"
+                    f"an active {side}-sided derivative requires zero {side} boundary data;"
+                    f" it is {data[bad[0]]:.3g} at t = {times[bad[0]]:g}"
                 )
         return g
 
@@ -423,28 +416,8 @@ def _left_sided_monomial(alpha: float) -> Problem1D:
     )
 
 
-def _last_axis_memo(factor):
-    """An elementwise one-axis ``factor`` of a catalog callable, memoized on
-    the content of the last axis it saw: one entry, keyed on the axis's
-    bytes as floats, so an equal axis in any shape (the run's ``x[:, None]``
-    or a side line's ``x[None, :]``) reuses it and an axis changed in place
-    does not.  The stored values are read-only."""
-    last = {}
-
-    def memo(s):
-        s = np.asarray(s, dtype=float)
-        key = s.tobytes()
-        if last.get("key") != key:
-            value = np.array(factor(s), order="C")
-            value.flags.writeable = False
-            last.update(key=key, value=value)
-        return last["value"].reshape(s.shape)
-
-    return memo
-
-
-@_last_axis_memo
 def _cubic_bump(x):
+    x = np.asarray(x, dtype=float)
     return x**3 * (1.0 - x) ** 3
 
 
@@ -460,8 +433,9 @@ def _mirrored_fractional_profile(order: float, shift: float):
     c5 = 3.0 * gamma(6.0) / gamma(6.0 - order)
     c6 = gamma(7.0) / gamma(7.0 - order)
 
-    @_last_axis_memo
     def profile(s):
+        s = np.asarray(s, dtype=float)
+
         def mirrored(k):
             return s ** (k - shift) + (1.0 - s) ** (k - shift)
 

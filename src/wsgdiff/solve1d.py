@@ -76,7 +76,6 @@ __all__ = [
     "SolverConfig1D",
     "Solution",
     "steady_solve_3wsgd",
-    "assemble_cn_system",
     "cn_wsgd_run",
 ]
 
@@ -239,19 +238,15 @@ def steady_solve_3wsgd(problem: Problem1D, N: int) -> Solution:
     return sol
 
 
-def assemble_cn_system(problem: Problem1D, config: SolverConfig1D):
-    """Assemble the two time-stepping matrices ``(I - theta*B, I + (1-theta)*B)``.
+def _full_system(problem: Problem1D, config: SolverConfig1D, dl: np.ndarray, dr: np.ndarray):
+    """The two time-stepping matrices ``(I - theta*B, I + (1-theta)*B)`` for
+    diffusivities ``dl, dr`` sampled on the interior nodes.
 
     ``B`` scales the spatial operator by ``tau / h**alpha`` and weights the
     left/right-sided stencils row-wise by the diffusivities, which covers
     the constant-coefficient case (rows all weighted alike) and the
     variable-coefficient case through one code path.
     """
-    return _full_system(problem, config, *problem.diffusivity_values(_grid(problem, config.N)[2]))
-
-
-def _full_system(problem: Problem1D, config: SolverConfig1D, dl: np.ndarray, dr: np.ndarray):
-    """:func:`assemble_cn_system`'s matrices for sampled ``dl, dr``."""
     h = _grid(problem, config.N)[0]
     A = assemble_wsgd_matrix(problem.alpha, config.scheme, config.N - 1).to_dense()
     B = (config.tau / h**problem.alpha) * (dl[:, None] * A + dr[:, None] * A.T)

@@ -109,25 +109,28 @@ def test_two_dimensional_example_residual(alpha, beta):
     assert np.max(np.abs(residual)) < 1e-10
 
 
-@pytest.mark.parametrize("factor", ["profile", "bump"])
-def test_one_axis_factors_are_kept_for_the_last_axis(factor):
-    # the fractional powers of the catalog's one-axis factors are computed
-    # once per axis: an equal axis, in any shape, gets the stored read-only
-    # values back, and an axis changed in place gets fresh ones
-    if factor == "bump":
-        fn, reference = problems._cubic_bump, lambda s: s**3 * (1.0 - s) ** 3
-    else:
-        fn = problems._mirrored_fractional_profile(1.5, 1.5)
-        reference = problems._mirrored_fractional_profile(1.5, 1.5)
+def test_catalog_factors_return_fresh_writable_arrays():
+    # the one-axis factors used to keep their values for the last axis they
+    # saw and hand that one read-only array to every call on an equal axis;
+    # each call now computes its own, on repeated and interleaved axes alike
+    ex2, ex4 = make_example("ex2", 1.5), make_example("ex4", 1.2, 1.8)
+    _, _, (by, py) = ex4.source.terms[0]
+    factors = [
+        (ex2.initial, bump),
+        (by, bump),
+        (py, lambda s: bump_rl_left(1.8, s) + bump_rl_right(1.8, s)),
+    ]
     x = np.linspace(0.0, 1.0, 33)[1:-1]
-    first = fn(x[:, None])
-    assert first.shape == (31, 1) and not first.flags.writeable
-    again = fn(x.copy()[None, :])
-    assert again.shape == (1, 31) and np.shares_memory(first, again)
-    x[3] = 0.5
-    fresh = fn(x)
-    assert not np.shares_memory(first, fresh)
-    np.testing.assert_array_equal(fresh, reference(x.copy()))
+    y = np.linspace(0.0, 1.0, 17)[1:-1]
+    for fn, closed_form in factors:
+        seen = []
+        for axis in (x[:, None], x[None, :], y, x[:, None]):
+            got = fn(axis)
+            assert got.shape == axis.shape and got.flags.writeable
+            assert not any(np.shares_memory(got, old) for old in seen)
+            np.testing.assert_allclose(got, closed_form(axis), rtol=1e-12, atol=0)
+            got[...] = np.nan
+            seen.append(got)
 
 
 @pytest.mark.parametrize("alpha,beta", [(1.2, 1.8), (1.9, 1.1)])
@@ -348,6 +351,18 @@ def _minimal_1d(**overrides):
     return Problem1D(**kwargs)
 
 
+def _valid_at_first_read(value):
+    """Dirichlet data that are 0.0 at their first read, the one a record
+    makes when it is built, and ``value`` at every later read."""
+    reads = []
+
+    def data(t):
+        reads.append(t)
+        return value if len(reads) > 1 else 0.0
+
+    return data
+
+
 def test_problem1d_accepts_minimal():
     p = _minimal_1d()
     assert not p.has_variable_coefficients
@@ -390,8 +405,6 @@ def test_problem1d_rejects_active_nonzero_boundary():
         _minimal_1d(left_boundary=lambda t: 1.0)
     # an inactive side may carry data freely
     _minimal_1d(right_boundary=lambda t: np.exp(-t))
-    # and the override flag admits the incompatible combination
-    _minimal_1d(left_boundary=lambda t: 1.0, allow_nonzero_boundary=True)
 
 
 @pytest.mark.parametrize(
@@ -404,13 +417,14 @@ def test_boundary_data_that_are_not_real_numbers_name_the_callable(value, kind):
     message = rf"problem\.right_boundary returned {kind} values of shape \(\), not one real"
     with pytest.raises(ParameterError, match=message):
         _minimal_1d(right_boundary=lambda t: value)
-    # a record that skips the check at construction meets it in the run, and
-    # in the steady solve, which used to read float(fn(0.0))
-    p = _minimal_1d(right_boundary=lambda t: value, allow_nonzero_boundary=True)
+    # data that pass the record's check meet it again in the run, and in the
+    # steady solve, which used to read float(fn(0.0))
+    p = _minimal_1d(right_boundary=_valid_at_first_read(value))
     with pytest.raises(ParameterError, match=message):
         cn_wsgd_run(p, SolverConfig1D(N=8, M=2))
+    p = _minimal_1d(right_boundary=_valid_at_first_read(value), steady=True)
     with pytest.raises(ParameterError, match=message):
-        steady_solve_3wsgd(dataclasses.replace(p, steady=True), 8)
+        steady_solve_3wsgd(p, 8)
 
 
 def test_boundary_data_are_one_number_a_time():
@@ -418,7 +432,7 @@ def test_boundary_data_are_one_number_a_time():
     with pytest.raises(ParameterError, match=message):
         _minimal_1d(left_boundary=lambda t: np.zeros(1))
     # the steady solve used to end in a TypeError
-    p = _minimal_1d(left_boundary=lambda t: np.zeros(1), allow_nonzero_boundary=True, steady=True)
+    p = _minimal_1d(left_boundary=_valid_at_first_read(np.zeros(1)), steady=True)
     with pytest.raises(ParameterError, match=message):
         steady_solve_3wsgd(p, 8)
 

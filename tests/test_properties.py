@@ -351,7 +351,8 @@ def test_eigenbasis_and_dense_runs_agree(data, splitting, nx, ny):
         bx, by = data.draw(_SIDES), data.draw(_SIDES)
     kx, ky = data.draw(st.floats(0.1, 2.0)), data.draw(st.floats(0.1, 2.0))
     # at order 1 the symmetric operator vanishes, and within about 1e-15 of
-    # it its sign is rounding noise, which the eigenbasis refuses at setup
+    # it its sign is rounding noise; where that noise moves a step multiplier
+    # past 1, the eigenbasis refuses it at setup and the dense steppers run it
     orders = st.floats(1.0 + 1e-12, 2.0)
     problem = Problem2D(
         name="symmetric",

@@ -22,7 +22,6 @@ from wsgdiff import (
     SolverConfig1D,
     SolverConfig2D,
     SolverError,
-    assemble_cn_system,
     assemble_wsgd_matrix,
     cn_wsgd_run,
     convergence_rate,
@@ -209,9 +208,11 @@ def test_order_two_matches_classical_heat_stepping():
 
 def test_assemble_cn_system_theta_identities():
     p = make_example("ex2", 1.5)
-    lhs_half, rhs_half = assemble_cn_system(p, SolverConfig1D(N=12, M=6, theta=0.5))
+    cfg = SolverConfig1D(N=12, M=6, theta=0.5)
+    lhs_half, rhs_half = solve1d._full_system(p, cfg, *_diffusivities(p, cfg))
     np.testing.assert_allclose(lhs_half + rhs_half, 2.0 * np.eye(11), atol=1e-13)
-    lhs_full, rhs_full = assemble_cn_system(p, SolverConfig1D(N=12, M=6, theta=1.0))
+    cfg = SolverConfig1D(N=12, M=6, theta=1.0)
+    lhs_full, rhs_full = solve1d._full_system(p, cfg, *_diffusivities(p, cfg))
     np.testing.assert_allclose(rhs_full, np.eye(11), rtol=0, atol=0)
     np.testing.assert_allclose(
         lhs_full - np.eye(11), 2.0 * (lhs_half - np.eye(11)), atol=1e-13
@@ -360,7 +361,9 @@ def test_config_stores_integral_floats_as_int():
 
 
 def _constant_problem(name, kl, kr, alpha):
-    """Constant unequal diffusivities with nonzero end data on both sides."""
+    """Constant diffusivities, with nonzero end data at each end whose
+    one-sided derivative is inactive (its diffusivity 0) and zero data at an
+    active end."""
     return Problem1D(
         name=name,
         alpha=alpha,
@@ -368,9 +371,8 @@ def _constant_problem(name, kl, kr, alpha):
         right_diffusivity=kr,
         source=lambda x, t: np.sin(np.pi * np.asarray(x)) * np.exp(-t) + 0.3 * t,
         initial=lambda x: np.asarray(x) * (1.0 - np.asarray(x)) + 0.4,
-        left_boundary=lambda t: 0.4 + 0.5 * t,
-        right_boundary=lambda t: 0.4 * np.cos(t),
-        allow_nonzero_boundary=True,
+        left_boundary=lambda t: 0.0 if kl else 0.4 + 0.5 * t,
+        right_boundary=lambda t: 0.0 if kr else 0.4 * np.cos(t),
     )
 
 
@@ -379,6 +381,7 @@ _GS_PROBLEMS = {
     "ex2": lambda alpha: make_example("ex2", alpha),
     "unequal": lambda alpha: _constant_problem("unequal", 0.7, 0.2, alpha),
     "left-zero": lambda alpha: _constant_problem("left-zero", 0.0, 1.3, alpha),
+    "right-zero": lambda alpha: _constant_problem("right-zero", 1.3, 0.0, alpha),
 }
 
 
@@ -437,7 +440,7 @@ def test_gs_setup_is_the_dense_system(N, theta):
     rng = np.random.default_rng(N)
     p = _constant_problem("unequal", 0.9, 0.35, 1.7)
     cfg = SolverConfig1D(N=N, M=3, theta=theta, T=0.5)
-    lhs, _ = assemble_cn_system(p, cfg)
+    lhs, _ = solve1d._full_system(p, cfg, *_diffusivities(p, cfg))
     solve = solve1d._gs_steps(p, cfg)
     for _ in range(3):
         v = rng.standard_normal(N - 1)
@@ -793,7 +796,7 @@ def test_mirrored_run_below_twice_the_crossover_steps_on_the_halves(monkeypatch,
 def test_run_reads_each_level_of_end_data_once():
     # the final frame used to read both ends at t = T again, unchecked, after
     # the setup had read and checked every level: M + 2 calls an end
-    base = _constant_problem("unequal", 0.7, 0.2, 1.6)
+    base = _constant_problem("left-zero", 0.0, 1.3, 1.6)
     calls = {"left": 0, "right": 0}
 
     def counted(side):
@@ -818,8 +821,7 @@ def test_run_checks_boundary_data_at_every_level():
     cfg = SolverConfig1D(N=16, M=16, T=0.25)
     with pytest.raises(ParameterError, match=r"active left-sided .* 0\.098 at t = 0\.015625"):
         cn_wsgd_run(p, cfg)
-    # data an inactive side carries, or that the override admits, still run
-    cn_wsgd_run(dataclasses.replace(p, allow_nonzero_boundary=True), cfg)
+    # data an inactive side carries still run
     one_sided = dataclasses.replace(p, left_diffusivity=0.0, right_diffusivity=1.0)
     assert cn_wsgd_run(one_sided, cfg).values[0] == 1.0
 

@@ -933,6 +933,27 @@ def test_a_non_negative_eigenvalue_of_either_half_fails_at_setup(monkeypatch, ax
     assert str(info.value).endswith(f"its largest eigenvalue is {peaks[0]:.6g}")
 
 
+@pytest.mark.parametrize("splitting", ["pr", "lod"])
+def test_an_order_one_ulp_above_1_steps_in_the_eigenbasis(monkeypatch, splitting):
+    # at order 1 the symmetric operator vanishes, so here its largest
+    # eigenvalue is rounding noise, 2.5e-18; the eigenbasis used to refuse its
+    # sign, while the dense steppers ran the problem; each step multiplier
+    # rounds to 1, so both run it now, and agree
+    p = _custom_2d(
+        beta=1.0 + 2.0**-52,
+        source=problems.SeparableSource(((np.exp, (np.sin,), (np.cos,)),)),
+        y_left_diffusivity=0.1,
+        y_right_diffusivity=0.1,
+    )
+    cfg = SolverConfig2D(Nx=5, Ny=5, M=4, splitting=splitting)
+    eigen = run_2d(p, cfg)
+    monkeypatch.setattr(solve2d, "_backend", lambda *_: "dense")
+    dense = run_2d(p, cfg)
+    assert (eigen.backend, dense.backend) == ("eigen", "dense")
+    scale = np.max(np.abs(dense.values))
+    np.testing.assert_allclose(eigen.values, dense.values, rtol=0, atol=1e-12 * scale)
+
+
 # ---------------------------------------------------------------------------
 # Guards and validation
 # ---------------------------------------------------------------------------
