@@ -243,7 +243,9 @@ class SeparableSource:
     axes it returns the sum of its terms, so every reader that does not know
     the structure reads it as any other source.  On a step's interior axes
     (x a column, y a row, t a scalar) that sum is one rank-``r`` product,
-    ``r`` the number of pairs of one-axis factors.  The eigenbasis steps of
+    ``r`` the number of pairs of one-axis factors, with a zero pair added to
+    a single one: numpy's ``matmul`` takes a loop outside BLAS, several times
+    slower, for an inner dimension of 1.  The eigenbasis steps of
     :func:`~wsgdiff.solve2d.run_2d` read the factors once, through
     :meth:`factors`, and step with them at no cost per level beyond the
     time factors.
@@ -288,7 +290,11 @@ class SeparableSource:
         interior = np.ndim(x) == np.ndim(y) == 2 and np.shape(x)[1] == np.shape(y)[0] == 1
         if interior and np.ndim(t) == 0:
             s, fx, fy = self._reads(x, y, t)
-            return np.matmul(np.hstack([a * b for a, b in zip(s, fx)]), np.vstack(fy))
+            left = [a * b for a, b in zip(s, fx)]
+            if len(left) == 1:
+                left.append(np.zeros_like(left[0]))
+                fy.append(np.zeros_like(fy[0]))
+            return np.matmul(np.hstack(left), np.vstack(fy))
         s, fx, fy = self.factors(x, y, t)
         return np.sum(s * fx * fy, axis=-1)
 
@@ -305,7 +311,12 @@ class Problem2D:
     callables broadcast over numpy arrays and follow the one shape rule of
     :func:`on_grid`: the 2D solvers pass the broadcast axes ``x[:, None]``,
     ``y[None, :]`` of the interior, and ``boundary`` gets 2-D axes of each
-    pair of sides, one row a side.  A ``source`` given as a
+    pair of sides, one row a side, and an array of times ``t`` on a leading
+    axis, of shape ``(B, 1, 1)`` for ``B`` levels read in one call; its
+    result has ``t``'s axis too, so data that ignore ``t`` must still
+    broadcast it, as ``np.zeros(np.broadcast(x, y, t).shape)`` does, or the
+    read is a :class:`ParameterError` naming ``problem.boundary``.  A
+    ``source`` given as a
     :class:`SeparableSource` lets a problem with equal left and right
     diffusivities on each axis step in the eigenbasis of its operators.
     """
@@ -319,7 +330,7 @@ class Problem2D:
     y_right_diffusivity: float
     source: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
     initial: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    boundary: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
+    boundary: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     exact: Optional[Callable[[np.ndarray, np.ndarray, float], np.ndarray]] = None
     ax: float = 0.0
     bx: float = 1.0
@@ -502,7 +513,7 @@ def _two_dim_cubic(alpha: float, beta: float) -> Problem2D:
         y_right_diffusivity=1.0,
         source=source,
         initial=lambda x, y: exact(x, y, 0.0),
-        boundary=lambda x, y, t: np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape),
+        boundary=lambda x, y, t: np.zeros(np.broadcast(x, y, t).shape),
         exact=exact,
     )
 

@@ -59,15 +59,18 @@ paper's stability condition unless it rounds to 1, is a ``SolverError`` at
 setup.  Grid callables are read through :func:`~wsgdiff.problems.on_grid`,
 on the broadcast axes ``x[:, None]``, ``y[None, :]`` of the interior or,
 for ``lod``'s y-lines and the Dirichlet data, of one pair of sides at a
-time.
+time; the data also get their times on a leading axis, ``t[:, None,
+None]``, a chunk of levels per call.
 
 Boundary handling: the paper proves its 2D schemes stable for homogeneous
 Dirichlet data, and every splitting, in either basis, needs data that
-vanish to ``1e-14`` on all four sides at every level ``k*tau``, read once a
-level on the run's own boundary nodes; otherwise :func:`run_2d` and the
-factories raise ``ParameterError`` naming the side and the time.  A step
-reads no data.  LOD also needs one spacing for both axes.  The source term
-is sampled at the half-step midpoint throughout.
+vanish to ``1e-14`` on all four sides at every level ``k*tau``, read on the
+run's own boundary nodes once a chunk of ``B`` levels, ``B 2(Nx + Ny) <=
+2**15``, so in ``2 ceil((M + 1)/B)`` calls a run (2 at ``N = 64``, 6 at 128
+and 18 at 256 with ``M = N``); otherwise :func:`run_2d` and the factories
+raise ``ParameterError`` naming the first side that breaks the rule and its
+time.  A step reads no data.  LOD also needs one spacing for both axes.  The
+source term is sampled at the half-step midpoint throughout.
 
 Error norms for reference-table reproduction are evaluated at the final
 time (both maximum and grid-weighted L2), over interior nodes.
@@ -177,26 +180,33 @@ def _checked_grid(problem: Problem2D, config: SolverConfig2D, lod: bool):
     and on the y-sides, once the preconditions hold: ``lod`` (``lod=True``)
     needs one spacing for both axes, and every splitting data that vanish, to
     ``1e-14``, on all four sides at every level ``k*tau``.  The data are read
-    once a level, from ``t = 0`` and x-sides first, and the first side that
-    breaks the rule is a ``ParameterError`` naming it and the time."""
+    a chunk of ``B`` levels per call on each pair of sides, with ``B 2(Nx +
+    Ny) <= solve1d._BLOCK_ENTRIES``, the times ``t = tau k`` on a leading
+    axis of shape ``(B, 1, 1)``; the first side that breaks the rule, at the
+    lowest time, x-sides before y-sides and low end before high end, is a
+    ``ParameterError`` naming it and the time."""
     grid = _grid(problem, config)
     hx, hy, *_, sides = grid
     if lod and abs(hx - hy) > 1e-13 * max(hx, hy):
         raise ParameterError(
             f"splitting 'lod' assumes one spacing for both axes; got hx={hx!r}, hy={hy!r}"
         )
-    for t in (k * config.tau for k in range(config.M + 1)):
-        data = []
-        for axis in "xy":
-            data.append(on_grid(problem, "boundary", *sides[axis], t))
-            ends = sides[axis]["xy".index(axis)][:, 0]
-            for end, peak in zip(ends, np.max(np.abs(data[-1]), axis=1)):
-                if not peak <= 1e-14:
-                    raise ParameterError(
-                        "a 2D run requires fully homogeneous Dirichlet data;"
-                        f" they reach {peak:.3g} on {axis} = {end:g} at t = {t:g}"
-                    )
-    return grid, data
+    ends = [("x", problem.ax), ("x", problem.bx), ("y", problem.ay), ("y", problem.by)]
+    # (start, count) of each chunk of the levels 0 ... M
+    for start, count in _blocks(0, config.M + 1, 2 * (config.Nx + config.Ny)):
+        t = config.tau * np.arange(start, start + count)[:, None, None]
+        data = [on_grid(problem, "boundary", *sides[axis], t) for axis in "xy"]
+        # one row a level: the peak on x = ax, bx, then on y = ay, by
+        peaks = np.hstack([np.max(np.abs(side), axis=2) for side in data])
+        zero = peaks <= 1e-14
+        if not zero.all():
+            level, which = divmod(int(np.argmin(zero)), len(ends))
+            axis, end = ends[which]
+            raise ParameterError(
+                "a 2D run requires fully homogeneous Dirichlet data; they reach"
+                f" {peaks[level, which]:.3g} on {axis} = {end:g} at t = {t[level, 0, 0]:g}"
+            )
+    return grid, [side[-1] for side in data]
 
 
 def _y_columns(problem: Problem2D, config: SolverConfig2D) -> np.ndarray:
@@ -381,8 +391,9 @@ def _eigen_stepper(problem: Problem2D, config: SolverConfig2D, grid):
     are read and transformed once, at setup, so ``H o F^ + E`` is one product
     ``(left s_j) rhs``: the transformed x-factors ``left``, an ``(Nx-1, r)``
     block, scaled by the step's time factors ``s_j``, with an ``(r, Ny-1)``
-    block ``rhs`` fixed at setup.  A step reads no problem callable and is
-    O(n^2) plus that product.
+    block ``rhs`` fixed at setup, ``r`` at least 2: a factored scheme's
+    single pair gets a zero second pair.  A step reads no problem callable
+    and is O(n^2) plus that product.
 
     Some ``|c|`` or ``|d|`` that is not at most 1 (NaN included) would grow
     the state, and is a :class:`SolverError` naming the axis and its largest
@@ -423,6 +434,10 @@ def _eigen_stepper(problem: Problem2D, config: SolverConfig2D, grid):
         else:
             left = a * (c + 1.0) * xh
             rhs = (qy.T @ fy).T / (1.0 - a * mu)
+            if len(rhs) == 1:
+                # a zero pair: numpy's matmul leaves BLAS for an inner dimension of 1
+                left, s = (np.hstack((v, np.zeros_like(v))) for v in (left, s))
+                rhs = np.vstack((rhs, np.zeros_like(rhs)))
     lhs, w = np.empty_like(left), np.empty((nx, ny))
 
     def steps(V: np.ndarray, k: int) -> Iterator[np.ndarray]:
@@ -443,9 +458,9 @@ def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution:
     """Integrate a 2D problem from its initial state to the final time.
 
     The run checks its preconditions once (:func:`_checked_grid`), reading
-    the Dirichlet data once a level on each pair of sides, and its final
-    frame holds the data of that read at the last level.  A problem with
-    equal left and right diffusivities on each axis and a
+    the Dirichlet data on each pair of sides a chunk of levels per call,
+    and its final frame holds the data of the last chunk's last level.  A
+    problem with equal left and right diffusivities on each axis and a
     :class:`~wsgdiff.problems.SeparableSource` steps in the eigenbasis of
     ``Dx``, ``Dy`` (:func:`_eigen_stepper`), any other on the splitting's
     dense stepper; :func:`_backend` picks which, and the solution's

@@ -491,7 +491,7 @@ def _minimal_2d(**overrides):
         y_right_diffusivity=1.0,
         source=lambda x, y, t: np.zeros(np.broadcast(x, y).shape),
         initial=lambda x, y: np.zeros(np.broadcast(x, y).shape),
-        boundary=lambda x, y, t: np.zeros(np.broadcast(x, y).shape),
+        boundary=lambda x, y, t: np.zeros(np.broadcast(x, y, t).shape),
     )
     kwargs.update(overrides)
     return Problem2D(**kwargs)
@@ -586,9 +586,11 @@ _BAD_SHAPES = [
     ("ex4", "initial", lambda x, y: np.ravel(y), (7,)),
     ("ex4", "exact", lambda x, y, t: np.ones(5), (5,)),
     ("ex4", "exact", lambda x, y, t: np.ravel(x), (7,)),
-    # the boundary is read first on the x-sides, a (2, 9) grid
+    # the boundary is read first on the x-sides, a (2, 9) grid under a
+    # leading axis of times, which data that ignore t lack
     ("ex4", "boundary", lambda x, y, t: np.zeros(5), (5,)),
     ("ex4", "boundary", lambda x, y, t: 0.0 * np.ravel(y), (9,)),
+    ("ex4", "boundary", lambda x, y, t: np.zeros(np.broadcast(x, y).shape), (2, 9)),
     # callables of one axis, on the 7 interior nodes
     ("ex3", "initial", lambda x: np.ones(3), (3,)),
     ("ex3", "initial", lambda x: x[:, None], (7, 1)),

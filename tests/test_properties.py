@@ -260,7 +260,7 @@ def test_split_run_matches_the_full_dense_run(data):
 
 
 def _zero(x, y, *t):
-    return np.zeros(np.broadcast(x, y).shape)
+    return np.zeros(np.broadcast(x, y, *t).shape)
 
 
 def _split_step_gap(data, stepper, nx, ny, bx, by, **oracle) -> float:

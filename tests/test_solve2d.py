@@ -55,7 +55,7 @@ def _interior_grid(problem, nx, ny):
 
 
 def _zero_boundary(x, y, t):
-    return np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape)
+    return np.zeros(np.broadcast(x, y, t).shape)
 
 
 def _custom_2d(alpha=1.5, beta=1.5, source=None, boundary=_zero_boundary, **overrides):
@@ -576,13 +576,16 @@ def test_run_matches_a_run_of_blocks_of_one_level(monkeypatch, splitting):
 @pytest.mark.parametrize("basis", ["eigen", "dense"])
 @pytest.mark.parametrize("splitting", ["pr", "lod"])
 def test_a_run_reads_each_level_of_its_data_once(monkeypatch, splitting, basis, entries):
-    # the check reads both pairs of sides once a level, x-sides first, a step
-    # none, and the final frame reuses the level-M read: 2(M + 1) reads in
-    # blocks of 1, 3 and all 7 levels; the frame used to read level M again
+    # the check reads both pairs of sides once a chunk of B levels, B 2(Nx +
+    # Ny) <= _BLOCK_ENTRIES, x-sides first, a step none, and the final frame
+    # reuses the level-M read: 2 ceil((M + 1) / B) reads, in chunks of 2, of
+    # 6 then 2, and of all 8 levels, while the steps come in blocks of 1, 3
+    # and all 7 levels; the check used to read once a level
     calls = []
 
     def boundary(x, y, t):
-        calls.append((t, "x" if np.shape(x) == (2, 1) else "y"))
+        assert np.shape(t) == (len(t), 1, 1)
+        calls.append((list(np.ravel(t)), "x" if np.shape(x) == (2, 1) else "y"))
         return _zero_boundary(x, y, t)
 
     monkeypatch.setattr(solve1d, "_BLOCK_ENTRIES", entries)
@@ -592,7 +595,10 @@ def test_a_run_reads_each_level_of_its_data_once(monkeypatch, splitting, basis, 
     cfg = SolverConfig2D(Nx=8, Ny=16, M=7, splitting=splitting)
     sol = run_2d(dataclasses.replace(_symmetric_spacings(), boundary=boundary), cfg)
     assert sol.backend == basis
-    assert calls == [(k * cfg.tau, axis) for k in range(cfg.M + 1) for axis in "xy"]
+    width = entries // (2 * (cfg.Nx + cfg.Ny))
+    chunks = [range(k, min(k + width, cfg.M + 1)) for k in range(0, cfg.M + 1, width)]
+    assert len(calls) == 2 * -(-(cfg.M + 1) // width)
+    assert calls == [([k * cfg.tau for k in chunk], axis) for chunk in chunks for axis in "xy"]
 
 
 @pytest.mark.parametrize("splitting", solve2d.SPLITTINGS)
@@ -727,7 +733,7 @@ def test_run_makes_two_triangular_solves_at_setup(dense, monkeypatch, splitting,
 def test_callables_are_read_only_on_the_nodes_a_splitting_uses(monkeypatch, splitting):
     # the factories and steps used to read every boundary-side callable on
     # both pairs of sides: a pr step the boundary data, a lod step the source;
-    # now the factory reads the data on the sides once a level, and a step
+    # now the factory reads the data on the sides at every level, and a step
     # reads no data and the source on the interior, for lod also on its y-lines
     base = make_example("ex4", 1.2, 1.8)
     points = {"source": 0, "boundary": 0}
@@ -884,6 +890,29 @@ def test_separable_factors_are_read_once_a_run(splitting, y_nodes):
     assert sorted(reads) == [("t", (5,)), ("x", (7,)), ("y", (y_nodes,))]
 
 
+@pytest.mark.parametrize("basis", ["eigen", "dense"])
+@pytest.mark.parametrize("splitting", ["pr", "lod"])
+def test_a_one_pair_source_makes_no_product_of_inner_dimension_one(
+    monkeypatch, splitting, basis
+):
+    # numpy's matmul leaves BLAS for an inner dimension of 1, which a single
+    # pair of factors used to give the factored scheme's eigenbasis step and
+    # the source read on a dense step's interior axes
+    inner = []
+    matmul = np.matmul
+
+    def watched(a, b, *args, **kwargs):
+        inner.append(np.shape(a)[-1])
+        return matmul(a, b, *args, **kwargs)
+
+    p = _symmetric_spacings()
+    assert len(p.source.terms) == 1 and len(p.source.terms[0][1]) == 1
+    monkeypatch.setattr(solve2d, "_backend", lambda *_: basis)
+    monkeypatch.setattr(np, "matmul", watched)
+    sol = run_2d(p, SolverConfig2D(Nx=8, Ny=16, M=4, splitting=splitting))
+    assert sol.backend == basis and inner and 1 not in inner, inner
+
+
 @pytest.mark.parametrize("axis", ["x", "y"])
 def test_an_operator_that_is_not_negative_definite_fails_at_setup(monkeypatch, axis):
     # the stability condition, read off the eigenvalues before any step
@@ -1002,7 +1031,7 @@ def test_nonzero_data_on_any_side_are_refused_by_every_splitting(splitting, symm
         ("lod", _probe_blind_boundary, "y = 1"),
         ("pr", _probe_blind_boundary, "y = 1"),
         ("pr", lambda x, y, t: _probe_blind_boundary(y, x, t), "x = 1"),
-        ("pr", lambda x, y, t: np.full(np.broadcast(x, y).shape, np.nan), "x = 0"),
+        ("pr", lambda x, y, t: np.full(np.broadcast(x, y, t).shape, np.nan), "x = 0"),
     ],
 )
 def test_data_a_splitting_cannot_carry_are_judged_on_the_grid(splitting, boundary, side):
@@ -1013,9 +1042,29 @@ def test_data_a_splitting_cannot_carry_are_judged_on_the_grid(splitting, boundar
         run_2d(p, SolverConfig2D(Nx=10, Ny=10, M=10, splitting=splitting))
 
 
+@pytest.mark.parametrize("level", [1000, 1023, 1024])
+@pytest.mark.parametrize("data,side", [("x*y", "x = 1"), ("nan", "y = 1")])
+def test_the_lowest_offending_level_is_named_across_chunks(data, side, level):
+    # at Nx = Ny = 8 a chunk holds 2**15 / (2 (8 + 8)) = 1024 levels, so the
+    # levels 0 ... 1024 are read in two calls a pair of sides, and 1023 and
+    # 1024 end one chunk and start the other; the data break the rule from
+    # `level` on, x*y on x = 1 and y = 1 at once, NaN on y = 1 only
+    cfg = SolverConfig2D(Nx=8, Ny=8, M=1024)
+    t0 = level * cfg.tau
+
+    def boundary(x, y, t):
+        x, y = np.asarray(x), np.asarray(y)
+        v = x * y if data == "x*y" else np.where(x * (1.0 - x) * y != 0.0, np.nan, 0.0)
+        return np.where(t >= t0, v, 0.0)
+
+    peak = "1" if data == "x*y" else "nan"
+    with pytest.raises(ParameterError, match=rf"reach {peak} on {side} at t = {t0:g}$"):
+        run_2d(_custom_2d(boundary=boundary), cfg)
+
+
 @pytest.mark.parametrize("factory", [pr_adi_stepper, lod_stepper])
 def test_factories_reject_a_constant_x_side_before_any_step(factory):
-    p = _custom_2d(boundary=lambda x, y, t: np.full(np.broadcast(x, y).shape, 0.5))
+    p = _custom_2d(boundary=lambda x, y, t: np.full(np.broadcast(x, y, t).shape, 0.5))
     with pytest.raises(ParameterError, match="reach 0.5 on x = 0 at t = 0"):
         factory(p, SolverConfig2D(Nx=8, Ny=8, M=2))
 
@@ -1159,7 +1208,7 @@ def test_steppers_check_their_own_preconditions(splitting):
     cfg = SolverConfig2D(Nx=8, Ny=8, M=2, splitting=splitting)
     skewed = _custom_2d(by=2.0)
     y_data = _custom_2d(
-        boundary=lambda x, y, t: np.asarray(x) * (1.0 - np.asarray(x)) + 0.0 * np.asarray(y)
+        boundary=lambda x, y, t: np.asarray(x) * (1.0 - np.asarray(x)) + 0.0 * np.asarray(y) * t
     )
     with pytest.raises(ParameterError, match="one spacing"):
         lod_stepper(skewed, cfg)
