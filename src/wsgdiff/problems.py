@@ -243,9 +243,7 @@ class SeparableSource:
     axes it returns the sum of its terms, so every reader that does not know
     the structure reads it as any other source.  On a step's interior axes
     (x a column, y a row, t a scalar) that sum is one rank-``r`` product,
-    ``r`` the number of pairs of one-axis factors, with a zero pair added to
-    a single one: numpy's ``matmul`` takes a loop outside BLAS, several times
-    slower, for an inner dimension of 1.  The eigenbasis steps of
+    ``r`` the number of pairs of one-axis factors.  The eigenbasis steps of
     :func:`~wsgdiff.solve2d.run_2d` read the factors once, through
     :meth:`factors`, and step with them at no cost per level beyond the
     time factors.
@@ -290,11 +288,7 @@ class SeparableSource:
         interior = np.ndim(x) == np.ndim(y) == 2 and np.shape(x)[1] == np.shape(y)[0] == 1
         if interior and np.ndim(t) == 0:
             s, fx, fy = self._reads(x, y, t)
-            left = [a * b for a, b in zip(s, fx)]
-            if len(left) == 1:
-                left.append(np.zeros_like(left[0]))
-                fy.append(np.zeros_like(fy[0]))
-            return np.matmul(np.hstack(left), np.vstack(fy))
+            return np.matmul(np.hstack([a * b for a, b in zip(s, fx)]), np.vstack(fy))
         s, fx, fy = self.factors(x, y, t)
         return np.sum(s * fx * fy, axis=-1)
 
@@ -315,7 +309,9 @@ class Problem2D:
     axis, of shape ``(B, 1, 1)`` for ``B`` levels read in one call; its
     result has ``t``'s axis too, so data that ignore ``t`` must still
     broadcast it, as ``np.zeros(np.broadcast(x, y, t).shape)`` does, or the
-    read is a :class:`ParameterError` naming ``problem.boundary``.  A
+    read is a :class:`ParameterError` naming ``problem.boundary``.  Code
+    written for a scalar ``t``, such as ``math.exp(-t)`` or ``if t < 1``,
+    raises its own ``TypeError`` or ``ValueError`` from the callable.  A
     ``source`` given as a
     :class:`SeparableSource` lets a problem with equal left and right
     diffusivities on each axis step in the eigenbasis of its operators.

@@ -182,9 +182,12 @@ def _checked_grid(problem: Problem2D, config: SolverConfig2D, lod: bool):
     ``1e-14``, on all four sides at every level ``k*tau``.  The data are read
     a chunk of ``B`` levels per call on each pair of sides, with ``B 2(Nx +
     Ny) <= solve1d._BLOCK_ENTRIES``, the times ``t = tau k`` on a leading
-    axis of shape ``(B, 1, 1)``; the first side that breaks the rule, at the
-    lowest time, x-sides before y-sides and low end before high end, is a
-    ``ParameterError`` naming it and the time."""
+    axis of shape ``(B, 1, 1)``.  Both reads of a chunk come before any of
+    its levels is judged, so a read that fails anywhere in the chunk (an
+    exception, a wrong shape) raises before nonzero data at an earlier level
+    of it are named.  Of data that read cleanly, the first side that breaks
+    the rule, at the lowest time, x-sides before y-sides and low end before
+    high end, is a ``ParameterError`` naming it and the time."""
     grid = _grid(problem, config)
     hx, hy, *_, sides = grid
     if lod and abs(hx - hy) > 1e-13 * max(hx, hy):
@@ -391,9 +394,8 @@ def _eigen_stepper(problem: Problem2D, config: SolverConfig2D, grid):
     are read and transformed once, at setup, so ``H o F^ + E`` is one product
     ``(left s_j) rhs``: the transformed x-factors ``left``, an ``(Nx-1, r)``
     block, scaled by the step's time factors ``s_j``, with an ``(r, Ny-1)``
-    block ``rhs`` fixed at setup, ``r`` at least 2: a factored scheme's
-    single pair gets a zero second pair.  A step reads no problem callable
-    and is O(n^2) plus that product.
+    block ``rhs`` fixed at setup.  A step reads no problem callable and is
+    O(n^2) plus that product.
 
     Some ``|c|`` or ``|d|`` that is not at most 1 (NaN included) would grow
     the state, and is a :class:`SolverError` naming the axis and its largest
@@ -434,10 +436,6 @@ def _eigen_stepper(problem: Problem2D, config: SolverConfig2D, grid):
         else:
             left = a * (c + 1.0) * xh
             rhs = (qy.T @ fy).T / (1.0 - a * mu)
-            if len(rhs) == 1:
-                # a zero pair: numpy's matmul leaves BLAS for an inner dimension of 1
-                left, s = (np.hstack((v, np.zeros_like(v))) for v in (left, s))
-                rhs = np.vstack((rhs, np.zeros_like(rhs)))
     lhs, w = np.empty_like(left), np.empty((nx, ny))
 
     def steps(V: np.ndarray, k: int) -> Iterator[np.ndarray]:

@@ -890,29 +890,6 @@ def test_separable_factors_are_read_once_a_run(splitting, y_nodes):
     assert sorted(reads) == [("t", (5,)), ("x", (7,)), ("y", (y_nodes,))]
 
 
-@pytest.mark.parametrize("basis", ["eigen", "dense"])
-@pytest.mark.parametrize("splitting", ["pr", "lod"])
-def test_a_one_pair_source_makes_no_product_of_inner_dimension_one(
-    monkeypatch, splitting, basis
-):
-    # numpy's matmul leaves BLAS for an inner dimension of 1, which a single
-    # pair of factors used to give the factored scheme's eigenbasis step and
-    # the source read on a dense step's interior axes
-    inner = []
-    matmul = np.matmul
-
-    def watched(a, b, *args, **kwargs):
-        inner.append(np.shape(a)[-1])
-        return matmul(a, b, *args, **kwargs)
-
-    p = _symmetric_spacings()
-    assert len(p.source.terms) == 1 and len(p.source.terms[0][1]) == 1
-    monkeypatch.setattr(solve2d, "_backend", lambda *_: basis)
-    monkeypatch.setattr(np, "matmul", watched)
-    sol = run_2d(p, SolverConfig2D(Nx=8, Ny=16, M=4, splitting=splitting))
-    assert sol.backend == basis and inner and 1 not in inner, inner
-
-
 @pytest.mark.parametrize("axis", ["x", "y"])
 def test_an_operator_that_is_not_negative_definite_fails_at_setup(monkeypatch, axis):
     # the stability condition, read off the eigenvalues before any step
@@ -1060,6 +1037,19 @@ def test_the_lowest_offending_level_is_named_across_chunks(data, side, level):
     peak = "1" if data == "x*y" else "nan"
     with pytest.raises(ParameterError, match=rf"reach {peak} on {side} at t = {t0:g}$"):
         run_2d(_custom_2d(boundary=boundary), cfg)
+
+
+def test_a_failed_read_in_a_chunk_wins_over_earlier_nonzero_data():
+    # both pairs of sides of a chunk are read before any level is judged, so
+    # data of the wrong shape on the y-sides are named before the nonzero
+    # x-side data at t = 0 of the same chunk
+    def boundary(x, y, t):
+        if np.shape(x) == (2, 1):
+            return np.ones(np.broadcast(x, y, t).shape)
+        return np.zeros(np.broadcast(x, y).shape)
+
+    with pytest.raises(ParameterError, match=r"^problem\.boundary returned shape \(2, 7\)"):
+        run_2d(_custom_2d(boundary=boundary), SolverConfig2D(Nx=8, Ny=8, M=4))
 
 
 @pytest.mark.parametrize("factory", [pr_adi_stepper, lod_stepper])
