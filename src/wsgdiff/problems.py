@@ -300,21 +300,16 @@ class Problem2D:
     The equation couples a two-sided derivative of order ``alpha`` in x
     (diffusivities ``x_left_diffusivity``/``x_right_diffusivity``) with a
     two-sided derivative of order ``beta`` in y, plus ``source(x, y, t)``,
-    on the rectangle ``(ax, bx) x (ay, by)`` with Dirichlet data
-    ``boundary(x, y, t)`` and initial state ``initial(x, y)``.  All grid
-    callables broadcast over numpy arrays and follow the one shape rule of
-    :func:`on_grid`: the 2D solvers pass the broadcast axes ``x[:, None]``,
-    ``y[None, :]`` of the interior, and ``boundary`` gets 2-D axes of each
-    pair of sides, one row a side, and an array of times ``t`` on a leading
-    axis, of shape ``(B, 1, 1)`` for ``B`` levels read in one call; its
-    result has ``t``'s axis too, so data that ignore ``t`` must still
-    broadcast it, as ``np.zeros(np.broadcast(x, y, t).shape)`` does, or the
-    read is a :class:`ParameterError` naming ``problem.boundary``.  Code
-    written for a scalar ``t``, such as ``math.exp(-t)`` or ``if t < 1``,
-    raises its own ``TypeError`` or ``ValueError`` from the callable.  A
-    ``source`` given as a
-    :class:`SeparableSource` lets a problem with equal left and right
-    diffusivities on each axis step in the eigenbasis of its operators.
+    on the rectangle ``(ax, bx) x (ay, by)`` with initial state
+    ``initial(x, y)`` and zero Dirichlet data on all four sides: the paper
+    proves its 2D schemes stable only for homogeneous data, so the record
+    has no field for any other.  All grid callables broadcast over numpy
+    arrays and follow the one shape rule of :func:`on_grid`: the 2D solvers
+    pass the broadcast axes ``x[:, None]``, ``y[None, :]`` of the interior,
+    and ``lod`` also reads the source on the y-lines ``y = ay, by``.  A
+    ``source`` given as a :class:`SeparableSource` lets a problem with equal
+    left and right diffusivities on each axis step in the eigenbasis of its
+    operators.
     """
 
     name: str
@@ -326,7 +321,6 @@ class Problem2D:
     y_right_diffusivity: float
     source: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
     initial: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    boundary: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     exact: Optional[Callable[[np.ndarray, np.ndarray, float], np.ndarray]] = None
     ax: float = 0.0
     bx: float = 1.0
@@ -509,7 +503,6 @@ def _two_dim_cubic(alpha: float, beta: float) -> Problem2D:
         y_right_diffusivity=1.0,
         source=source,
         initial=lambda x, y: exact(x, y, 0.0),
-        boundary=lambda x, y, t: np.zeros(np.broadcast(x, y, t).shape),
         exact=exact,
     )
 

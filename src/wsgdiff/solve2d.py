@@ -58,19 +58,13 @@ lam)`` of modulus above 1, which a positive eigenvalue gives against the
 paper's stability condition unless it rounds to 1, is a ``SolverError`` at
 setup.  Grid callables are read through :func:`~wsgdiff.problems.on_grid`,
 on the broadcast axes ``x[:, None]``, ``y[None, :]`` of the interior or,
-for ``lod``'s y-lines and the Dirichlet data, of one pair of sides at a
-time; the data also get their times on a leading axis, ``t[:, None,
-None]``, a chunk of levels per call.
+for ``lod``'s y-lines, ``x[None, 1:-1]`` and the column ``[ay, by]``.
 
 Boundary handling: the paper proves its 2D schemes stable for homogeneous
-Dirichlet data, and every splitting, in either basis, needs data that
-vanish to ``1e-14`` on all four sides at every level ``k*tau``, read on the
-run's own boundary nodes once a chunk of ``B`` levels, ``B 2(Nx + Ny) <=
-2**15``, so in ``2 ceil((M + 1)/B)`` calls a run (2 at ``N = 64``, 6 at 128
-and 18 at 256 with ``M = N``); otherwise :func:`run_2d` and the factories
-raise ``ParameterError`` naming the first side that breaks the rule and its
-time.  A step reads no data.  LOD also needs one spacing for both axes.  The
-source term is sampled at the half-step midpoint throughout.
+Dirichlet data, and a :class:`~wsgdiff.problems.Problem2D` has no other, so
+no run reads data and the frame of a run's ``values`` is zero.  LOD needs
+one spacing for both axes.  The source term is sampled at the half-step
+midpoint throughout.
 
 Error norms for reference-table reproduction are evaluated at the final
 time (both maximum and grid-weighted L2), over interior nodes.
@@ -144,72 +138,42 @@ def build_directional_operators(
     diffusivities and the ``1/h**order`` scaling.  The full 2D actions are
     ``identity (x) Dx`` and ``Dy (x) identity`` under x-fastest vectorization
     and are applied row-/column-wise rather than materialized.
+
+    An axis with equal diffusivities ``k`` is ``k (A + A^T)/h**order``, the
+    stencils summed before scaling: near order 1 ``A + A^T`` vanishes, and
+    ``k A + k A^T`` leaves rounding noise there that can move an eigenbasis
+    step multiplier a few ulps above 1, so that :func:`_eigen_stepper`
+    refuses a problem the dense steppers run.
     """
-    hx = (problem.bx - problem.ax) / config.Nx
-    hy = (problem.by - problem.ay) / config.Ny
-    ax_mat = assemble_wsgd_matrix(problem.alpha, config.scheme, config.Nx - 1).to_dense()
-    ay_mat = assemble_wsgd_matrix(problem.beta, config.scheme, config.Ny - 1).to_dense()
-    dx = (problem.x_left_diffusivity * ax_mat + problem.x_right_diffusivity * ax_mat.T) / (
-        hx**problem.alpha
-    )
-    dy = (problem.y_left_diffusivity * ay_mat + problem.y_right_diffusivity * ay_mat.T) / (
-        hy**problem.beta
-    )
+
+    def axis(order, n, length, left, right):
+        a = assemble_wsgd_matrix(order, config.scheme, n - 1).to_dense()
+        d = left * (a + a.T) if left == right else left * a + right * a.T
+        return d / (length / n) ** order
+
+    p = problem
+    dx = axis(p.alpha, config.Nx, p.bx - p.ax, p.x_left_diffusivity, p.x_right_diffusivity)
+    dy = axis(p.beta, config.Ny, p.by - p.ay, p.y_left_diffusivity, p.y_right_diffusivity)
     return dx, dy
 
 
-def _grid(problem: Problem2D, config: SolverConfig2D):
+def _grid(problem: Problem2D, config: SolverConfig2D, lod: bool):
     """Spacings, all nodes ``x``, ``y``, interior axes ``X = x[1:-1, None]``,
-    ``Y = y[None, 1:-1]`` and ``sides``, the broadcast axes of each pair of
-    sides by axis: ``sides["x"]`` spans ``x = ax, bx`` at all y-nodes, a ``(2,
-    Ny+1)`` grid, and ``sides["y"]`` spans ``y = ay, by`` at the interior
-    x-nodes, a ``(2, Nx-1)`` grid, one row a side."""
+    ``Y = y[None, 1:-1]`` and the y-lines, the broadcast axes ``x[None,
+    1:-1]`` and ``[[ay], [by]]`` of the two sides ``y = ay, by`` at the
+    interior x-nodes, where ``lod`` reads the source.  ``lod=True`` first
+    checks its one precondition, one spacing for both axes, and raises
+    ``ParameterError`` otherwise."""
     hx = (problem.bx - problem.ax) / config.Nx
     hy = (problem.by - problem.ay) / config.Ny
-    x = problem.ax + hx * np.arange(config.Nx + 1)
-    y = problem.ay + hy * np.arange(config.Ny + 1)
-    sides = {
-        "x": (np.array([[problem.ax], [problem.bx]]), y[None, :]),
-        "y": (x[None, 1:-1], np.array([[problem.ay], [problem.by]])),
-    }
-    return hx, hy, x, y, x[1:-1, None], y[None, 1:-1], sides
-
-
-def _checked_grid(problem: Problem2D, config: SolverConfig2D, lod: bool):
-    """:func:`_grid` and the Dirichlet data of the final level on the x-sides
-    and on the y-sides, once the preconditions hold: ``lod`` (``lod=True``)
-    needs one spacing for both axes, and every splitting data that vanish, to
-    ``1e-14``, on all four sides at every level ``k*tau``.  The data are read
-    a chunk of ``B`` levels per call on each pair of sides, with ``B 2(Nx +
-    Ny) <= solve1d._BLOCK_ENTRIES``, the times ``t = tau k`` on a leading
-    axis of shape ``(B, 1, 1)``.  Both reads of a chunk come before any of
-    its levels is judged, so a read that fails anywhere in the chunk (an
-    exception, a wrong shape) raises before nonzero data at an earlier level
-    of it are named.  Of data that read cleanly, the first side that breaks
-    the rule, at the lowest time, x-sides before y-sides and low end before
-    high end, is a ``ParameterError`` naming it and the time."""
-    grid = _grid(problem, config)
-    hx, hy, *_, sides = grid
     if lod and abs(hx - hy) > 1e-13 * max(hx, hy):
         raise ParameterError(
             f"splitting 'lod' assumes one spacing for both axes; got hx={hx!r}, hy={hy!r}"
         )
-    ends = [("x", problem.ax), ("x", problem.bx), ("y", problem.ay), ("y", problem.by)]
-    # (start, count) of each chunk of the levels 0 ... M
-    for start, count in _blocks(0, config.M + 1, 2 * (config.Nx + config.Ny)):
-        t = config.tau * np.arange(start, start + count)[:, None, None]
-        data = [on_grid(problem, "boundary", *sides[axis], t) for axis in "xy"]
-        # one row a level: the peak on x = ax, bx, then on y = ay, by
-        peaks = np.hstack([np.max(np.abs(side), axis=2) for side in data])
-        zero = peaks <= 1e-14
-        if not zero.all():
-            level, which = divmod(int(np.argmin(zero)), len(ends))
-            axis, end = ends[which]
-            raise ParameterError(
-                "a 2D run requires fully homogeneous Dirichlet data; they reach"
-                f" {peaks[level, which]:.3g} on {axis} = {end:g} at t = {t[level, 0, 0]:g}"
-            )
-    return grid, [side[-1] for side in data]
+    x = problem.ax + hx * np.arange(config.Nx + 1)
+    y = problem.ay + hy * np.arange(config.Ny + 1)
+    y_lines = (x[None, 1:-1], np.array([[problem.ay], [problem.by]]))
+    return hx, hy, x, y, x[1:-1, None], y[None, 1:-1], y_lines
 
 
 def _y_columns(problem: Problem2D, config: SolverConfig2D) -> np.ndarray:
@@ -249,12 +213,7 @@ def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> BlockStepper:
     of ``steps`` seeds ``W2/a = U (I - a Dy)^T / a`` from its ``U`` by one
     product, and carries ``W2/a`` from step to step.
     """
-    return _pr_steps(problem, config, _checked_grid(problem, config, lod=False)[0])
-
-
-def _pr_steps(problem: Problem2D, config: SolverConfig2D, grid) -> BlockStepper:
-    """:func:`pr_adi_stepper`'s ``steps`` on the checked ``grid``."""
-    *_, X, Y, _ = grid
+    *_, X, Y, _ = _grid(problem, config, lod=False)
     cx, ady = _sweeps(problem, config)
     nx, ny = config.Nx - 1, config.Ny - 1
     tau = config.tau
@@ -302,12 +261,7 @@ def lod_stepper(problem: Problem2D, config: SolverConfig2D) -> BlockStepper:
     carrying the ``g`` terms on their two columns.  Requires one spacing
     for both axes.
     """
-    return _lod_steps(problem, config, _checked_grid(problem, config, lod=True)[0])
-
-
-def _lod_steps(problem: Problem2D, config: SolverConfig2D, grid) -> BlockStepper:
-    """:func:`lod_stepper`'s ``steps`` on the checked ``grid``."""
-    *_, X, Y, sides = grid
+    *_, X, Y, y_lines = _grid(problem, config, lod=True)
     cx, ady = _sweeps(problem, config)
     cols = _y_columns(problem, config)
     iy = np.eye(config.Ny - 1)
@@ -326,7 +280,7 @@ def _lod_steps(problem: Problem2D, config: SolverConfig2D, grid) -> BlockStepper
             for j, row in zip(range(start, start + count), out):
                 t_mid = j * tau + a
                 F = on_grid(problem, "source", X, Y, t_mid)
-                f = on_grid(problem, "source", *sides["y"], t_mid).T
+                f = on_grid(problem, "source", *y_lines, t_mid).T
                 with np.errstate(over="ignore", invalid="ignore"):
                     np.multiply(F, a, out=af)
                     np.add(U, af, out=w_aug[:, :ny])
@@ -378,11 +332,11 @@ def _spectrum(d: np.ndarray, axis: str) -> tuple[np.ndarray, np.ndarray]:
     return lam, halves.join(vectors).T
 
 
-def _eigen_stepper(problem: Problem2D, config: SolverConfig2D, grid):
+def _eigen_stepper(problem: Problem2D, config: SolverConfig2D, x: np.ndarray, y: np.ndarray):
     """Set up the splitting of ``config`` in the eigenbasis of symmetric
-    ``Dx = Qx diag(lam) Qx^T`` and ``Dy = Qy diag(mu) Qy^T``, on the checked
-    ``grid``; return ``(steps, Qx, Qy)``, ``steps(V, k)`` the block stepper of
-    the state ``V = Qx^T U Qy``.  The problem's source is a
+    ``Dx = Qx diag(lam) Qx^T`` and ``Dy = Qy diag(mu) Qy^T``, on the nodes
+    ``x``, ``y``; return ``(steps, Qx, Qy)``, ``steps(V, k)`` the block
+    stepper of the state ``V = Qx^T U Qy``.  The problem's source is a
     :class:`SeparableSource` (:func:`_backend`).
 
     With ``a = tau/2`` and ``c = (1 + a lam)/(1 - a lam)`` (``d`` likewise
@@ -399,12 +353,15 @@ def _eigen_stepper(problem: Problem2D, config: SolverConfig2D, grid):
 
     Some ``|c|`` or ``|d|`` that is not at most 1 (NaN included) would grow
     the state, and is a :class:`SolverError` naming the axis and its largest
-    eigenvalue, before any factor is read.  A positive eigenvalue whose
-    multiplier rounds to 1, as rounding noise near order 1 gives, where the
-    symmetric operator vanishes, runs, as on the dense steppers.
+    eigenvalue, before any factor is read.  On valid input it is a guard:
+    the paper's stability theory makes each symmetric operator negative
+    definite for orders in ``(1, 2]``.  Near order 1 the operator vanishes
+    and its eigenvalues are rounding noise of either sign, which
+    :func:`build_directional_operators` keeps small by summing the stencils
+    before scaling, so that each multiplier rounds to at most 1 and such a
+    problem runs, as on the dense steppers.
     """
     lod = config.splitting == "lod"
-    _, _, x, y, *_ = grid
     dx, dy = build_directional_operators(problem, config)
     (lam, qx), (mu, qy) = _spectrum(dx, "x"), _spectrum(dy, "y")
     del dx, dy  # freed before the run's arrays are allocated
@@ -455,10 +412,10 @@ def _eigen_stepper(problem: Problem2D, config: SolverConfig2D, grid):
 def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution:
     """Integrate a 2D problem from its initial state to the final time.
 
-    The run checks its preconditions once (:func:`_checked_grid`), reading
-    the Dirichlet data on each pair of sides a chunk of levels per call,
-    and its final frame holds the data of the last chunk's last level.  A
-    problem with equal left and right diffusivities on each axis and a
+    A :class:`~wsgdiff.problems.Problem2D` has zero Dirichlet data, so the
+    run reads none and the frame of ``values`` is zero; ``lod`` checks its
+    one spacing first (:func:`_grid`).  A problem with equal left and right
+    diffusivities on each axis and a
     :class:`~wsgdiff.problems.SeparableSource` steps in the eigenbasis of
     ``Dx``, ``Dy`` (:func:`_eigen_stepper`), any other on the splitting's
     dense stepper; :func:`_backend` picks which, and the solution's
@@ -473,13 +430,12 @@ def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution:
     state still gives a non-finite norm.
     """
     lod = config.splitting == "lod"
-    grid, (x_sides, y_sides) = _checked_grid(problem, config, lod)
-    hx, hy, x, y, X, Y, _ = grid
+    hx, hy, x, y, X, Y, _ = _grid(problem, config, lod)
     backend = _backend(problem)
     if backend == "eigen":
-        steps, qx, qy = _eigen_stepper(problem, config, grid)
+        steps, qx, qy = _eigen_stepper(problem, config, x, y)
     else:
-        steps, qx, qy = (_lod_steps if lod else _pr_steps)(problem, config, grid), None, None
+        steps, qx, qy = (lod_stepper if lod else pr_adi_stepper)(problem, config), None, None
 
     def initial() -> np.ndarray:
         U = np.array(on_grid(problem, "initial", X, Y))
@@ -493,9 +449,8 @@ def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution:
     if qx is not None:
         U = qx @ U @ qy.T
     t_next = config.M * config.tau
-    values = np.empty((config.Nx + 1, config.Ny + 1))
+    values = np.zeros((config.Nx + 1, config.Ny + 1))
     values[1:-1, 1:-1] = U
-    values[[0, -1], :], values[1:-1, [0, -1]] = x_sides, y_sides.T
     sol = Solution(
         x=x,
         y=y,

@@ -291,7 +291,6 @@ def test_criterion_7_zero_source_stability():
                 y_right_diffusivity=1.0,
                 source=lambda x, y, t: np.zeros(np.broadcast(x, y).shape),
                 initial=lambda x, y: np.zeros(np.broadcast(x, y).shape),
-                boundary=lambda x, y, t: np.zeros(np.broadcast(x, y, t).shape),
             )
             tau = ratio * h2
             steps2 = 200
@@ -393,7 +392,6 @@ def test_criterion_8_cross_validation():
         y_right_diffusivity=1.0,
         source=y_vanishing_source,
         initial=lambda x, y: np.zeros(np.broadcast(x, y).shape),
-        boundary=lambda x, y, t: np.zeros(np.broadcast(x, y, t).shape),
     )
     cfg_lod = SolverConfig2D(Nx=8, Ny=8, M=10, splitting="lod")
     dx, dy = build_directional_operators(lod_problem, cfg_lod)
@@ -440,7 +438,6 @@ def test_criterion_8_cross_validation():
         y_right_diffusivity=0.5,
         source=lambda x, y, t: np.exp(-t) * x * (1.0 - x) * np.sin(np.pi * y),
         initial=lambda x, y: np.zeros(np.broadcast(x, y).shape),
-        boundary=lambda x, y, t: np.zeros(np.broadcast(x, y, t).shape),
     )
     cfg2 = SolverConfig2D(Nx=8, Ny=8, M=10)
     u0_2d = rng.standard_normal((7, 7))

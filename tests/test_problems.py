@@ -301,7 +301,6 @@ def test_two_dimensional_boundary_and_initial():
     x = np.linspace(0.0, 1.0, 9)
     y = np.linspace(0.0, 1.0, 7)
     X, Y = np.meshgrid(x, y, indexing="ij")
-    np.testing.assert_array_equal(p.boundary(X, Y, 0.5), np.zeros_like(X))
     np.testing.assert_allclose(p.initial(X, Y), p.exact(X, Y, 0.0), atol=1e-15)
     # the exact solution vanishes on the whole boundary frame
     frame = p.exact(X, Y, 0.3)
@@ -491,7 +490,6 @@ def _minimal_2d(**overrides):
         y_right_diffusivity=1.0,
         source=lambda x, y, t: np.zeros(np.broadcast(x, y).shape),
         initial=lambda x, y: np.zeros(np.broadcast(x, y).shape),
-        boundary=lambda x, y, t: np.zeros(np.broadcast(x, y, t).shape),
     )
     kwargs.update(overrides)
     return Problem2D(**kwargs)
@@ -509,6 +507,9 @@ def test_problem2d_validation():
         _minimal_2d(x_left_diffusivity=0.0, x_right_diffusivity=0.0)
     with pytest.raises(ParameterError, match="domain"):
         _minimal_2d(bx=0.0)
+    # the data are zero by construction, so the record takes none
+    with pytest.raises(TypeError, match="'boundary'"):
+        _minimal_2d(boundary=lambda x, y, t: 0.0)
 
 
 @pytest.mark.parametrize(
@@ -586,11 +587,6 @@ _BAD_SHAPES = [
     ("ex4", "initial", lambda x, y: np.ravel(y), (7,)),
     ("ex4", "exact", lambda x, y, t: np.ones(5), (5,)),
     ("ex4", "exact", lambda x, y, t: np.ravel(x), (7,)),
-    # the boundary is read first on the x-sides, a (2, 9) grid under a
-    # leading axis of times, which data that ignore t lack
-    ("ex4", "boundary", lambda x, y, t: np.zeros(5), (5,)),
-    ("ex4", "boundary", lambda x, y, t: 0.0 * np.ravel(y), (9,)),
-    ("ex4", "boundary", lambda x, y, t: np.zeros(np.broadcast(x, y).shape), (2, 9)),
     # callables of one axis, on the 7 interior nodes
     ("ex3", "initial", lambda x: np.ones(3), (3,)),
     ("ex3", "initial", lambda x: x[:, None], (7, 1)),
@@ -663,12 +659,10 @@ def test_every_grid_callable_is_read_through_the_one_sampler(monkeypatch):
         assert cn_wsgd_run(p, SolverConfig1D(N=16, M=4)).backend == backend
     steady_solve_3wsgd(watched("ex0", "source", "exact"), 16)
     for splitting in ("pr", "lod"):
-        p = watched("ex4", "source", "exact", "initial", "boundary")
+        p = watched("ex4", "source", "exact", "initial")
         run_2d(p, SolverConfig2D(Nx=8, Ny=8, M=4, splitting=splitting))
     assert outside == []
-    assert seen == {
-        "source", "exact", "initial", "boundary", "left_diffusivity", "right_diffusivity"
-    }
+    assert seen == {"source", "exact", "initial", "left_diffusivity", "right_diffusivity"}
 
 
 # ---------------------------------------------------------------------------
