@@ -7,8 +7,8 @@ three-shift weights), assembles the resulting Toeplitz-structured
 operators, certifies their definiteness through generating functions, and
 solves 1D and 2D diffusion problems with systems set up once per run
 (dense LU, a Gohberg–Semencul Toeplitz inverse for constant 1D
-coefficients, or the eigenbasis of symmetric 2D operators for a
-separable source).  A
+coefficients, or the eigenbasis of symmetric 2D operators for a source
+that is a time factor times a space function).  A
 command-line front end regenerates the reference convergence tables; see
 the README for usage.
 
@@ -21,14 +21,15 @@ Module map:
   application, boundary columns, the FFT Toeplitz product;
 - :mod:`wsgdiff.spectral`  — one generating-function formula, sign scans,
   negative-definiteness certification;
-- :mod:`wsgdiff.problems`  — benchmark catalog, the separable 2D source
-  record, norms, convergence rates;
+- :mod:`wsgdiff.problems`  — benchmark catalog, the 2D source record
+  ``SeparableSource(time, space)``, norms, convergence rates;
 - :mod:`wsgdiff.solve1d`   — steady third-order solve, the theta-weighted
   stepper, the one time loop ``march`` over a stepper's generator of blocks
   of levels, and the ``Solution`` record;
 - :mod:`wsgdiff.solve2d`   — one block-stepper factory per splitting, set up
   once per run (one factored ADI scheme under three names, and LOD), and
-  the eigenbasis steps of symmetric problems with a separable source;
+  the elementwise eigenbasis steps of symmetric problems with a separable
+  source;
 - :mod:`wsgdiff.cli`       — the ``wsgdiff`` command.
 """
 

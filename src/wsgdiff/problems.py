@@ -230,67 +230,34 @@ class Problem1D:
 
 @dataclass(frozen=True)
 class SeparableSource:
-    """A 2D source that is a short sum of separable terms.
+    """A 2D source that is one time factor times one space function,
+    ``time(t) * space(x, y)``.
 
-    ``terms`` holds one ``(time, xs, ys)`` triple a term: a time factor
-    ``time(t)`` and two equally long tuples of one-axis factors, so the term
-    is ``time(t) * sum_j xs[j](x) * ys[j](y)``.  Every factor broadcasts over
-    numpy arrays, like any grid callable, and is read through
-    :func:`on_grid`'s checks, so a factor that returns anything but real
-    numbers of its axis's shape is a :class:`ParameterError` naming it.
+    Both factors broadcast over numpy arrays, like any grid callable, and are
+    read through :func:`on_grid`'s checks: ``time`` on the axis ``t``,
+    ``space`` on the axes ``x``, ``y``, which its result must carry all of.
+    A factor that returns anything but real numbers of that shape is a
+    :class:`ParameterError` naming it.
 
-    The record is itself the callable ``source(x, y, t)``: on any broadcast
-    axes it returns the sum of its terms, so every reader that does not know
-    the structure reads it as any other source.  On a step's interior axes
-    (x a column, y a row, t a scalar) that sum is one rank-``r`` product,
-    ``r`` the number of pairs of one-axis factors.  The eigenbasis steps of
-    :func:`~wsgdiff.solve2d.run_2d` read the factors once, through
-    :meth:`factors`, and step with them at no cost per level beyond the
-    time factors.
+    The record is itself the callable ``source(x, y, t)``, the product of
+    its two reads on any broadcast axes, so every reader that does not know
+    the split reads it as any other source.  The eigenbasis steps of
+    :func:`~wsgdiff.solve2d.run_2d` read ``space`` once a run and ``time``
+    once on every step's midpoint time, so a step reads no callable.
     """
 
-    terms: tuple
+    time: Callable[[np.ndarray], np.ndarray]
+    space: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def __post_init__(self) -> None:
-        try:
-            terms = tuple((time, tuple(xs), tuple(ys)) for time, xs, ys in self.terms)
-        except (TypeError, ValueError):  # not a sequence of triples of sequences
-            terms = ()
-        if not terms or not all(
-            xs and len(xs) == len(ys) and all(map(callable, (time, *xs, *ys)))
-            for time, xs, ys in terms
-        ):
+        if not (callable(self.time) and callable(self.space)):
             raise ParameterError(
-                "a separable source needs (time, xs, ys) terms of callables,"
-                " with equally many x- and y-factors, at least one each"
+                "a separable source needs a callable time factor and a callable space factor"
             )
-        object.__setattr__(self, "terms", terms)
-
-    def _reads(self, x, y, t) -> tuple[list, list, list]:
-        """Each pair's factors on the axes ``x``, ``y`` and ``t``, in three
-        lists: a term's time factor repeats for each of its pairs."""
-        reads = [], [], []
-        for k, (time, xs, ys) in enumerate(self.terms):
-            s = _sample(f"problem.source time factor {k}", time, (t,))
-            for j, (fx, fy) in enumerate(zip(xs, ys)):
-                reads[0].append(s)
-                reads[1].append(_sample(f"problem.source x-factor {k}.{j}", fx, (x,)))
-                reads[2].append(_sample(f"problem.source y-factor {k}.{j}", fy, (y,)))
-        return reads
-
-    def factors(self, x, y, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each pair's factors on the axes ``x``, ``y`` and ``t``, as the
-        columns of three arrays of their shapes plus one axis: a term's time
-        factor repeats for each of its pairs."""
-        return tuple(np.stack(read, axis=-1) for read in self._reads(x, y, t))
 
     def __call__(self, x, y, t) -> np.ndarray:
-        interior = np.ndim(x) == np.ndim(y) == 2 and np.shape(x)[1] == np.shape(y)[0] == 1
-        if interior and np.ndim(t) == 0:
-            s, fx, fy = self._reads(x, y, t)
-            return np.matmul(np.hstack([a * b for a, b in zip(s, fx)]), np.vstack(fy))
-        s, fx, fy = self.factors(x, y, t)
-        return np.sum(s * fx * fy, axis=-1)
+        s = _sample("problem.source time factor", self.time, (t,))
+        return s * _sample("problem.source space factor", self.space, (x, y))
 
 
 @dataclass(frozen=True)
@@ -307,9 +274,9 @@ class Problem2D:
     arrays and follow the one shape rule of :func:`on_grid`: the 2D solvers
     pass the broadcast axes ``x[:, None]``, ``y[None, :]`` of the interior,
     and ``lod`` also reads the source on the y-lines ``y = ay, by``.  A
-    ``source`` given as a :class:`SeparableSource` lets a problem with equal
-    left and right diffusivities on each axis step in the eigenbasis of its
-    operators.
+    ``source`` given as a :class:`SeparableSource`, ``time(t) space(x, y)``,
+    lets a problem with equal left and right diffusivities on each axis step
+    in the eigenbasis of its operators.
     """
 
     name: str
@@ -485,10 +452,9 @@ def _two_dim_cubic(alpha: float, beta: float) -> Problem2D:
     xprofile = _mirrored_fractional_profile(alpha, alpha)
     yprofile = _mirrored_fractional_profile(beta, beta)
 
-    # -exp(-t) (bx by + px by + bx py): one time factor times the rank-2 pair
-    # [bx + px | bx], [by | py]
-    xs = (lambda x: _cubic_bump(x) + xprofile(x), _cubic_bump)
-    source = SeparableSource(((lambda t: -np.exp(-t), xs, (_cubic_bump, yprofile)),))
+    def space(x, y):
+        bx, by = _cubic_bump(x), _cubic_bump(y)
+        return (bx + xprofile(x)) * by + bx * yprofile(y)
 
     def exact(x, y, t):
         return np.exp(-t) * _cubic_bump(x) * _cubic_bump(y)
@@ -501,7 +467,7 @@ def _two_dim_cubic(alpha: float, beta: float) -> Problem2D:
         x_right_diffusivity=1.0,
         y_left_diffusivity=1.0,
         y_right_diffusivity=1.0,
-        source=source,
+        source=SeparableSource(lambda t: -np.exp(-t), space),
         initial=lambda x, y: exact(x, y, 0.0),
         exact=exact,
     )

@@ -42,17 +42,18 @@ Two backends, picked by the problem alone in one function, :func:`_backend`,
 and named on the run's ``Solution``: :func:`run_2d` steps in the eigenbasis
 of ``Dx`` and ``Dy`` (``"eigen"``) when each axis has equal left and right
 diffusivities, so that both operators are exactly symmetric, and the
-source is a :class:`~wsgdiff.problems.SeparableSource`, as in the paper's
-2D example; any other problem steps in the grid basis with the dense
+source is a :class:`~wsgdiff.problems.SeparableSource`, one time factor
+times one space function, as in the paper's 2D example; any other problem
+steps in the grid basis with the dense
 Cayley steppers above (``"dense"``).  In the eigenbasis (the fast
 diagonalization method of Lynch, Rice & Thomas, 1964) ``Dx = Qx diag(lam)
 Qx^T`` with ``Qx`` orthogonal.  A symmetric Toeplitz combination is also centrosymmetric, so
 setup takes two half-order ``eigh`` calls per axis, one for each of its
 even and odd halves (Cantoni & Butler, 1976), and assembles ``Qx`` from
-their eigenvectors.  The run marches ``Qx^T U Qy``: the source's factors
-are transformed once, so both splittings step in one form, elementwise plus
-one low-rank product (:func:`_eigen_stepper`), O(n^2), reading no callable,
-and each level's norm needs no transform.  The state returns to the grid
+their eigenvectors.  The run marches ``Qx^T U Qy``: the space function is
+transformed once, so both splittings step in one elementwise form with no
+product (:func:`_eigen_stepper`), O(n^2), reading no callable, and each
+level's norm needs no transform.  The state returns to the grid
 once, at the final time.  A step multiplier ``(1 + tau/2 lam)/(1 - tau/2
 lam)`` of modulus above 1, which a positive eigenvalue gives against the
 paper's stability condition unless it rounds to 1, is a ``SolverError`` at
@@ -80,7 +81,7 @@ import numpy as np
 from . import weights as wt
 from .errors import ParameterError, SolverError, count_at_least, real_number
 from .operators import _MirrorHalves, assemble_wsgd_matrix, boundary_columns
-from .problems import Problem2D, SeparableSource, l2_norm, max_norm, on_grid
+from .problems import Problem2D, SeparableSource, _sample, l2_norm, max_norm, on_grid
 from .solve1d import BlockStepper, Solution, _blocks, march, solve
 
 __all__ = [
@@ -300,9 +301,10 @@ def _backend(problem: Problem2D) -> str:
     """The basis :func:`run_2d` steps ``problem`` in, from its structure
     alone: ``"eigen"``, the eigenbasis of ``Dx``, ``Dy``, for equal left and
     right diffusivities on each axis, so that both operators are exactly
-    symmetric, and a :class:`SeparableSource`, whose factors the basis
-    transforms once a run; ``"dense"``, the splitting's dense Cayley stepper,
-    for any other.  The only place a 2D run picks its backend."""
+    symmetric, and a :class:`SeparableSource`, whose space function the
+    basis transforms once a run and whose time factor scales each step;
+    ``"dense"``, the splitting's dense Cayley stepper, for any other.  The
+    only place a 2D run picks its backend."""
     eigen = (
         problem.x_left_diffusivity == problem.x_right_diffusivity
         and problem.y_left_diffusivity == problem.y_right_diffusivity
@@ -344,16 +346,17 @@ def _eigen_stepper(problem: Problem2D, config: SolverConfig2D, x: np.ndarray, y:
     = c d^T`` and ``F^`` the source in the basis: the factored scheme has
     ``H = a (c + 1)(1/(1 - a mu))^T`` and ``E = 0``; ``lod`` has ``H = a (G +
     1)`` and the source's swept y-lines ``f`` in ``E = a^2 ((c - 1) o Qx^T f)
-    e^T``, with ``e = (Qy^T [cy0, cyN]) / (1 - a mu)``.  The source's factors
-    are read and transformed once, at setup, so ``H o F^ + E`` is one product
-    ``(left s_j) rhs``: the transformed x-factors ``left``, an ``(Nx-1, r)``
-    block, scaled by the step's time factors ``s_j``, with an ``(r, Ny-1)``
-    block ``rhs`` fixed at setup.  A step reads no problem callable and is
-    O(n^2) plus that product.
+    e^T``, with ``e = (Qy^T [cy0, cyN]) / (1 - a mu)``.  The source is
+    ``s_j space``, so setup reads the time factor once on every step's
+    midpoint time, giving ``s_j``, and the space function once on the
+    interior (for ``lod`` also on the y-lines), transforms it, and fixes
+    ``P = H o F^ + E`` at ``s_j = 1``.  A step is ``V <- G o V + s_j P``,
+    three elementwise passes: it reads no problem callable and makes no
+    product.
 
     Some ``|c|`` or ``|d|`` that is not at most 1 (NaN included) would grow
     the state, and is a :class:`SolverError` naming the axis and its largest
-    eigenvalue, before any factor is read.  On valid input it is a guard:
+    eigenvalue, before either factor is read.  On valid input it is a guard:
     the paper's stability theory makes each symmetric operator negative
     definite for orders in ``(1, 2]``.  Near order 1 the operator vanishes
     and its eigenvalues are rounding noise of either sign, which
@@ -375,33 +378,30 @@ def _eigen_stepper(problem: Problem2D, config: SolverConfig2D, x: np.ndarray, y:
                 f" eigenvalue is {np.max(v):.6g}"
             )
     G, c = np.outer(c, d), c[:, None]
-    # the factors on the interior x-nodes, at every step's midpoint time and
-    # on the interior y-nodes, for lod's y-lines also on y = ay, by
+    # the source's time factor at every step's midpoint, and its space
+    # factor on the interior, for lod's y-lines also on y = ay, by
+    source = problem.source
+    s = _sample("problem.source time factor", source.time, (tau * np.arange(config.M) + a,))
     y_read = np.concatenate(([problem.ay], y[1:-1], [problem.by])) if lod else y[1:-1]
-    s, fx, fy = problem.source.factors(x[1:-1], y_read, tau * np.arange(config.M) + a)
+    g = _sample("problem.source space factor", source.space, (x[1:-1, None], y_read[None, :]))
     # a non-finite factor gives a non-finite state, which march reports, so
-    # the products raise no numpy warning
+    # the setup and the steps raise no numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        xh = qx.T @ fx
         if lod:
-            # H o (xh yh^T) is rank 2 per pair, and the swept y-lines rank 1
             e = (qy.T @ _y_columns(problem, config)) / (1.0 - a * mu)[:, None]
-            yh = qy.T @ fy[1:-1]
-            left = np.hstack((a * c * xh, a * xh, a * a * (c - 1.0) * xh))
-            rhs = np.vstack(((d[:, None] * yh).T, yh.T, (e @ fy[[0, -1]]).T))
-            s = np.tile(s, 3)
+            P = a * (G + 1.0) * (qx.T @ g[:, 1:-1] @ qy)
+            P += (a * a * (c - 1.0) * (qx.T @ g[:, [0, -1]])) @ e.T
         else:
-            left = a * (c + 1.0) * xh
-            rhs = (qy.T @ fy).T / (1.0 - a * mu)
-    lhs, w = np.empty_like(left), np.empty((nx, ny))
+            P = a * (c + 1.0) * (qx.T @ g @ qy) / (1.0 - a * mu)
+    w = np.empty((nx, ny))
 
     def steps(V: np.ndarray, k: int) -> Iterator[np.ndarray]:
         for start, count in _blocks(k, config.M, nx * ny):
             out = np.empty((count, nx, ny))
             for j, row in zip(range(start, start + count), out):
                 with np.errstate(over="ignore", invalid="ignore"):
-                    np.matmul(np.multiply(left, s[j], out=lhs), rhs, out=row)
-                    row += np.multiply(G, V, out=w)
+                    np.multiply(G, V, out=row)
+                    row += np.multiply(P, s[j], out=w)
                     V = row
             out.flags.writeable = False
             yield out
@@ -416,7 +416,8 @@ def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution:
     run reads none and the frame of ``values`` is zero; ``lod`` checks its
     one spacing first (:func:`_grid`).  A problem with equal left and right
     diffusivities on each axis and a
-    :class:`~wsgdiff.problems.SeparableSource` steps in the eigenbasis of
+    :class:`~wsgdiff.problems.SeparableSource`, ``time(t) space(x, y)``,
+    steps in the eigenbasis of
     ``Dx``, ``Dy`` (:func:`_eigen_stepper`), any other on the splitting's
     dense stepper; :func:`_backend` picks which, and the solution's
     ``backend`` names it.  The block stepper goes straight to

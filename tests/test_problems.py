@@ -112,13 +112,16 @@ def test_two_dimensional_example_residual(alpha, beta):
 def test_catalog_factors_return_fresh_writable_arrays():
     # the one-axis factors used to keep their values for the last axis they
     # saw and hand that one read-only array to every call on an equal axis;
-    # each call now computes its own, on repeated and interleaved axes alike
-    ex2, ex4 = make_example("ex2", 1.5), make_example("ex4", 1.2, 1.8)
-    _, _, (by, py) = ex4.source.terms[0]
+    # each call now computes its own, on repeated and interleaved axes alike;
+    # ex4's space factor is built from the same two
+    ex2 = make_example("ex2", 1.5)
     factors = [
         (ex2.initial, bump),
-        (by, bump),
-        (py, lambda s: bump_rl_left(1.8, s) + bump_rl_right(1.8, s)),
+        (problems._cubic_bump, bump),
+        (
+            problems._mirrored_fractional_profile(1.8, 1.8),
+            lambda s: bump_rl_left(1.8, s) + bump_rl_right(1.8, s),
+        ),
     ]
     x = np.linspace(0.0, 1.0, 33)[1:-1]
     y = np.linspace(0.0, 1.0, 17)[1:-1]
@@ -135,9 +138,9 @@ def test_catalog_factors_return_fresh_writable_arrays():
 
 @pytest.mark.parametrize("alpha,beta", [(1.2, 1.8), (1.9, 1.1)])
 def test_two_dimensional_source_is_the_three_term_formula(alpha, beta):
-    # the source is two outer products with exp(-t) folded into the one-axis
-    # factors; it equals -exp(-t) (bx by + px by + py bx) on the interior
-    # axes of a run and on the side lines a run samples
+    # the source is the time factor -exp(-t) times one space function; it
+    # equals -exp(-t) (bx by + px by + py bx) on the interior axes of a run
+    # and on the side lines a run samples
     p = make_example("ex4", alpha, beta)
     bump_of, px, py = (
         problems._cubic_bump,
@@ -156,42 +159,17 @@ def test_two_dimensional_source_is_the_three_term_formula(alpha, beta):
             assert gap <= 1e-15, (np.shape(xs), t, gap)
 
 
-@pytest.mark.parametrize("alpha,beta", [(1.2, 1.8), (1.9, 1.1)])
-def test_two_dimensional_source_on_interior_axes_is_one_product(monkeypatch, alpha, beta):
-    # on a step's interior axes (x a column, y a row, t a scalar) the source
-    # is one rank-2 np.matmul; on full meshgrids it keeps the broadcast form,
-    # and the two agree to roundoff
-    calls = []
-    matmul = np.matmul
-    monkeypatch.setattr(np, "matmul", lambda *a, **k: calls.append(a) or matmul(*a, **k))
-    source = make_example("ex4", alpha, beta).source
-    x = np.linspace(0.0, 1.0, 65)
-    X, Y = x[1:-1, None], x[None, 1:-1]
-    for t in (0.0, 0.37, 1.0):
-        calls.clear()
-        got = source(X, Y, t)
-        assert len(calls) == 1 and got.shape == (63, 63)
-        calls.clear()
-        want = source(*np.broadcast_arrays(X, Y), t)
-        assert calls == []
-        gap = np.max(np.abs(got - want)) / np.max(np.abs(want))
-        assert gap <= 1e-15, (t, gap)
-
-
 def _record():
-    """Two terms with their own time factors, ranks 2 and 1."""
+    """A time factor times a space function of two terms, one of them not
+    separable in x and y."""
     return SeparableSource(
-        (
-            (np.exp, (np.sin, lambda x: x * x), (np.cos, lambda y: 1.0 - y)),
-            (lambda t: np.cos(3.0 * t), (lambda x: np.exp(-x),), (lambda y: y**3,)),
-        )
+        lambda t: np.cos(3.0 * t), lambda x, y: np.cos(3.0 * x * y + 1.0) + x * x * (1.0 - y)
     )
 
 
 def _sum_of_terms(x, y, t):
     x, y, t = map(np.asarray, (x, y, t))
-    first = np.exp(t) * (np.sin(x) * np.cos(y) + x * x * (1.0 - y))
-    return first + np.cos(3.0 * t) * np.exp(-x) * y**3
+    return np.cos(3.0 * t) * np.cos(3.0 * x * y + 1.0) + np.cos(3.0 * t) * x * x * (1.0 - y)
 
 
 _AXES = {
@@ -207,6 +185,7 @@ _AXES = {
 
 @pytest.mark.parametrize("axes", sorted(_AXES))
 def test_separable_source_is_its_sum_of_terms_on_every_axis_shape(axes):
+    # the record is time(t) space(x, y) on any broadcast axes
     x, y, t = _AXES[axes]
     got, want = _record()(x, y, t), _sum_of_terms(x, y, t)
     assert np.shape(got) == np.broadcast_shapes(*map(np.shape, (x, y, t)))
@@ -214,21 +193,18 @@ def test_separable_source_is_its_sum_of_terms_on_every_axis_shape(axes):
 
 
 _BAD_FACTORS = {
-    "complex time": (
-        (lambda t: 1j * t, (np.sin,), (np.cos,)),
-        "time factor 0 returned complex",
-    ),
-    "text x": (
-        (np.exp, (lambda x: np.full(np.shape(x), "0"),), (np.cos,)),
-        "x-factor 0.0 returned <U1",
-    ),
+    "complex time": (lambda t: 1j * t, lambda x, y: x * y, "time factor returned complex"),
+    # a space function of the wrong dtype, or of the wrong length on an axis
+    "text x": (np.exp, lambda x, y: np.full(np.shape(x), "0"), "space factor returned <U1"),
     "short x": (
-        (np.exp, (lambda x: np.ones(3),), (np.cos,)),
-        r"x-factor 0.0 returned shape \(3,\)",
+        np.exp,
+        lambda x, y: np.ones((3, np.shape(y)[-1])),
+        r"space factor returned shape \(3, \d+\)",
     ),
     "long y": (
-        (np.exp, (np.sin,), (lambda y: np.ones(np.size(y) + 1),)),
-        r"y-factor 0.0 returned shape \(\d+,\)",
+        np.exp,
+        lambda x, y: np.ones((np.shape(x)[0], np.shape(y)[-1] + 1)),
+        r"space factor returned shape \(\d+, \d+\)",
     ),
 }
 
@@ -237,9 +213,9 @@ _BAD_FACTORS = {
 @pytest.mark.parametrize("path", ["call", "eigenbasis", "dense"])
 def test_separable_source_factors_are_checked(monkeypatch, factor, path):
     # every path reads a factor through on_grid's checks, so a bad one is a
-    # ParameterError naming the source, not a numpy error or a wrong sum
-    term, message = _BAD_FACTORS[factor]
-    source = SeparableSource((term,))
+    # ParameterError naming the source, not a numpy error or a wrong product
+    time, space, message = _BAD_FACTORS[factor]
+    source = SeparableSource(time, space)
     with pytest.raises(ParameterError, match=rf"problem\.source {message}"):
         if path == "call":
             x = np.linspace(0.1, 0.9, 7)
@@ -250,21 +226,26 @@ def test_separable_source_factors_are_checked(monkeypatch, factor, path):
             _solve("ex4", source=source)
 
 
+def _space(x, y):
+    return x * y
+
+
 @pytest.mark.parametrize(
     "terms",
     [
-        (),
-        ((np.exp, (np.sin,), ()),),
-        ((np.exp, (np.sin,), (np.cos, np.cos)),),
-        ((1.0, (np.sin,), (np.cos,)),),
-        ((np.exp, (np.sin,)),),
-        (np.exp, (np.sin,), (np.cos,)),
-        ((np.exp, np.sin, np.cos),),
+        (1.0, _space),
+        (np.exp, None),
+        (np.exp, 2.0),
+        ("exp", _space),
+        (None, None),
+        (np.exp, (np.sin, np.cos)),
+        ((np.exp,), _space),
     ],
 )
 def test_separable_source_needs_callable_terms(terms):
+    # both the time factor and the space function must be callables
     with pytest.raises(ParameterError, match="separable source needs"):
-        SeparableSource(terms)
+        SeparableSource(*terms)
 
 
 # ---------------------------------------------------------------------------

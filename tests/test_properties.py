@@ -319,16 +319,30 @@ def test_lod_step_matches_corrected_kron_oracle(data, n, side):
 
 
 _SMOOTH = st.floats(0.2, 3.0)
-_TERMS = st.integers(1, 2)
+
+#: Both backends round like a perturbation of ``Dx``, ``Dy`` of about ``eps
+#: rho``, ``rho`` their larger spectral radius: the dense steppers through
+#: their setup solves with ``I - tau/2 D``, whose condition number is about
+#: ``kappa = 1 + tau/2 rho``, the eigenbasis through ``eigh``, which moves
+#: each step multiplier by about ``tau rho eps``.  So the runs part by a few
+#: ``kappa eps`` of what a step adds, the state or ``tau F``, whichever is
+#: larger: a strong operator holds the state far below the source it
+#: balances (up to 2,000 times in these draws; on lod with a few x-nodes and
+#: many y-nodes the gap reached 70 ``kappa eps`` of the final state).
+#: Measured against the larger of the two, no gap with ``kappa`` above 100
+#: passed 3.7 ``kappa eps`` in 24,000 unseeded draws of this test, nor 1.4
+#: in 1,800 draws at that corner; the bound allows four times that.  Where
+#: ``kappa eps`` is small, 1e-12 of the final state holds.
+_KAPPA_EPS = 16.0
 
 
-def _smooth_term(data) -> tuple:
-    """One smooth separable term ``(1 + a cos(w t)) sin(k x + p) exp(-q y)``."""
-    a, w, k, p, q = (data.draw(_SMOOTH) for _ in range(5))
-    return (
+def _smooth_source(data) -> SeparableSource:
+    """A smooth time factor ``1 + a cos(w t)`` times a space function,
+    ``sin(k x + p) exp(-q y) + cos(r x y)``, that is not separable."""
+    a, w, k, p, q, r = (data.draw(_SMOOTH) for _ in range(6))
+    return SeparableSource(
         lambda t: 1.0 + a * np.cos(w * t),
-        (lambda x: np.sin(k * x + p),),
-        (lambda y: np.exp(-q * y),),
+        lambda x, y: np.sin(k * x + p) * np.exp(-q * y) + np.cos(r * x * y),
     )
 
 
@@ -361,7 +375,7 @@ def test_eigenbasis_and_dense_runs_agree(data, splitting, nx, ny):
         x_right_diffusivity=kx,
         y_left_diffusivity=ky,
         y_right_diffusivity=ky,
-        source=SeparableSource(tuple(_smooth_term(data) for _ in range(data.draw(_TERMS)))),
+        source=_smooth_source(data),
         initial=lambda x, y: np.sin(np.pi * x / bx) * y * (by - y),
         bx=bx,
         by=by,
@@ -380,9 +394,17 @@ def test_eigenbasis_and_dense_runs_agree(data, splitting, nx, ny):
             runs[backend] = run_2d(problem, cfg)
             assert runs[backend].backend == backend
     got, want = runs["eigen"], runs["dense"]
-    assert np.max(np.abs(got.values - want.values)) <= 1e-12 * np.max(np.abs(want.values))
+    ops = build_directional_operators(problem, cfg)
+    kappa = 1.0 + 0.5 * cfg.tau * max(np.max(np.abs(np.linalg.eigvalsh(d))) for d in ops)
+    # the largest source a step adds, on the interior and lod's y-lines
+    x, y = np.linspace(0.0, bx, nx + 1)[1:-1, None], np.linspace(0.0, by, ny + 1)[None, :]
+    times = cfg.tau * (np.arange(cfg.M) + 0.5)
+    added = cfg.tau * max(np.max(np.abs(problem.source(x, y, t))) for t in times)
+    state = np.max(np.abs(want.values))
+    rel = max(1e-12, _KAPPA_EPS * kappa * np.finfo(float).eps * max(1.0, added / state))
+    assert np.max(np.abs(got.values - want.values)) <= rel * state
     gap = np.max(np.abs(got.norm_history - want.norm_history))
-    assert gap <= 1e-12 * np.max(want.norm_history)
+    assert gap <= rel * np.max(want.norm_history)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=25)

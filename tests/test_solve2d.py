@@ -750,8 +750,13 @@ def _symmetric_spacings():
     eigenbasis, with unequal spacings unless ``Ny = 2 Nx``."""
     diffusivities = dict(x_left_diffusivity=0.7, x_right_diffusivity=0.7)
     diffusivities.update(y_left_diffusivity=1.3, y_right_diffusivity=1.3)
-    source = problems.SeparableSource(((np.exp, (np.sin,), (lambda y: y * y,)),))
+    source = problems.SeparableSource(np.exp, lambda x, y: np.sin(x) * y * y)
     return _custom_2d(alpha=1.3, beta=1.7, source=source, by=2.0, **diffusivities)
+
+
+def _sin_cos():
+    """``exp(t) sin(x) cos(y)`` as a separable source."""
+    return problems.SeparableSource(np.exp, lambda x, y: np.sin(x) * np.cos(y))
 
 
 def _plain_source(x, y, t):
@@ -759,12 +764,11 @@ def _plain_source(x, y, t):
     return np.exp(-t) * np.cos(3.0 * np.asarray(x) * np.asarray(y) + t)
 
 
-def _two_term_source():
+def _time_separable_source():
+    # a time factor times a space function that is not separable in x and y,
+    # and nonzero on the y-boundary lines
     return problems.SeparableSource(
-        (
-            (np.exp, (np.sin, lambda x: x * x), (np.cos, lambda y: 1.0 - y)),
-            (lambda t: np.cos(3.0 * t), (lambda x: np.exp(-x),), (lambda y: y**3,)),
-        )
+        lambda t: np.exp(-t), lambda x, y: np.cos(3.0 * np.asarray(x) * np.asarray(y) + 1.0)
     )
 
 
@@ -772,7 +776,7 @@ _AGREEMENT_CASES = [
     *((name, "ex4", n, n, n) for name in ("pr", "lod") for n in (16, 64, 128)),
     ("pr", "spacings", 16, 12, 10),
     ("pr", "spacings", 64, 48, 100),
-    *((name, "two-term", 24, 24, 16) for name in ("pr", "lod")),
+    *((name, "time-separable", 24, 24, 16) for name in ("pr", "lod")),
 ]
 
 
@@ -783,7 +787,7 @@ def test_eigenbasis_runs_agree_with_the_dense_path(monkeypatch, splitting, case,
     p = {
         "ex4": lambda: make_example("ex4", 1.2, 1.8),
         "spacings": _symmetric_spacings,
-        "two-term": lambda: _custom_2d(alpha=1.4, beta=1.6, source=_two_term_source()),
+        "time-separable": lambda: _custom_2d(alpha=1.4, beta=1.6, source=_time_separable_source()),
     }[case]()
     cfg = SolverConfig2D(Nx=nx, Ny=ny, M=M, splitting=splitting)
     got = run_2d(p, cfg)
@@ -815,7 +819,7 @@ def test_symmetry_and_a_separable_source_select_the_eigenbasis(
     eigenbasis = symmetric and source == "separable"
     names = ("x_left", "x_right", "y_left", "y_right")
     p = _custom_2d(
-        source=_plain_source if source == "plain" else _two_term_source(),
+        source=_plain_source if source == "plain" else _time_separable_source(),
         **{f"{k}_diffusivity": v for k, v in zip(names, diffusivities)},
     )
     cfg = SolverConfig2D(Nx=8, Ny=8, M=3, splitting=splitting)
@@ -833,20 +837,29 @@ def test_symmetry_and_a_separable_source_select_the_eigenbasis(
 
 @pytest.mark.parametrize("splitting,y_nodes", [("pr", 7), ("lod", 9)])
 def test_separable_factors_are_read_once_a_run(splitting, y_nodes):
-    # the eigenbasis reads each factor once, at setup, on every node and time
-    # a run uses: the y-factors on the y-sides only for lod's y-lines; a step
-    # reads none
+    # the eigenbasis reads each factor once, at setup: the time factor on
+    # every step's midpoint time, the space factor on the interior, for lod
+    # also on its y-lines y = ay, by; a step reads none
     reads = []
 
-    def counted(name, fn):
-        return lambda v: reads.append((name, np.shape(v))) or fn(v)
+    def time(t):
+        reads.append(("time", np.shape(t)))
+        return np.exp(t)
 
-    source = problems.SeparableSource(
-        ((counted("t", np.exp), (counted("x", np.sin),), (counted("y", np.cos),)),)
-    )
+    def space(x, y):
+        reads.append(("space", np.shape(x), np.shape(y)))
+        return np.sin(x) * np.cos(y)
+
+    p = _custom_2d(source=problems.SeparableSource(time, space))
     cfg = SolverConfig2D(Nx=8, Ny=8, M=5, splitting=splitting)
-    run_2d(_custom_2d(source=source), cfg)
-    assert sorted(reads) == [("t", (5,)), ("x", (7,)), ("y", (y_nodes,))]
+    x = y = np.linspace(0.0, 1.0, 9)
+    steps, *_ = solve2d._eigen_stepper(p, cfg, x, y)
+    assert sorted(reads) == [("space", (7, 1), (1, y_nodes)), ("time", (5,))]
+    assert len(np.concatenate(list(steps(np.ones((7, 7)), 0)))) == 5
+    assert len(reads) == 2
+    # and a run sets up once
+    run_2d(p, cfg)
+    assert len(reads) == 4
 
 
 @pytest.mark.parametrize("axis", ["x", "y"])
@@ -863,7 +876,8 @@ def test_an_operator_that_is_not_negative_definite_fails_at_setup(monkeypatch, a
     monkeypatch.setattr(solve2d, "build_directional_operators", shifted)
     reads = []
     time = lambda t: reads.append(t) or np.exp(t)
-    p = _custom_2d(source=problems.SeparableSource(((time, (np.sin,), (np.cos,)),)))
+    space = lambda x, y: reads.append((x, y)) or np.sin(x) * np.cos(y)
+    p = _custom_2d(source=problems.SeparableSource(time, space))
     message = rf"{axis}-direction: .*not negative definite; its largest eigenvalue is 0\.5$"
     with pytest.raises(SolverError, match=message):
         run_2d(p, SolverConfig2D(Nx=8, Ny=8, M=2))
@@ -892,7 +906,7 @@ def test_a_non_negative_eigenvalue_of_either_half_fails_at_setup(monkeypatch, ax
         return ops["x"], ops["y"]
 
     monkeypatch.setattr(solve2d, "build_directional_operators", lifted)
-    p = _custom_2d(source=problems.SeparableSource(((np.exp, (np.sin,), (np.cos,)),)))
+    p = _custom_2d(source=_sin_cos())
     with pytest.raises(SolverError, match=rf"{axis}-direction: .*not negative definite") as info:
         run_2d(p, SolverConfig2D(Nx=8, Ny=9, M=2))
     assert str(info.value).endswith(f"its largest eigenvalue is {peaks[0]:.6g}")
@@ -906,7 +920,7 @@ def test_an_order_one_ulp_above_1_steps_in_the_eigenbasis(monkeypatch, splitting
     # rounds to 1, so both run it now, and agree
     p = _custom_2d(
         beta=1.0 + 2.0**-52,
-        source=problems.SeparableSource(((np.exp, (np.sin,), (np.cos,)),)),
+        source=_sin_cos(),
         y_left_diffusivity=0.1,
         y_right_diffusivity=0.1,
     )
@@ -926,7 +940,7 @@ def test_a_symmetric_axis_near_order_1_is_summed_before_scaling(monkeypatch):
     p = _custom_2d(
         alpha=1.0 + 2.0**-52,
         beta=1.0 + 2.0**-52,
-        source=problems.SeparableSource(((np.exp, (np.sin,), (np.cos,)),)),
+        source=_sin_cos(),
         initial=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
         x_left_diffusivity=1.5,
         x_right_diffusivity=1.5,
@@ -974,10 +988,11 @@ def test_non_finite_separable_factors_raise_with_step_and_time(splitting, bad, s
     def time(t):
         return np.where(t > 0.6, np.nan, np.exp(-t)) if bad == "time" else np.exp(-t)
 
-    def x_factor(x):
-        return np.where(x > 0.5, np.inf, np.sin(np.pi * x)) if bad == "x" else np.sin(np.pi * x)
+    def space(x, y):
+        f = np.sin(np.pi * x) * np.cos(y)
+        return np.where(x > 0.5, np.inf, f) if bad == "x" else f
 
-    source = problems.SeparableSource(((time, (x_factor,), (np.cos,)),))
+    source = problems.SeparableSource(time, space)
     with pytest.raises(SolverError, match=step):
         run_2d(_custom_2d(source=source), SolverConfig2D(Nx=8, Ny=8, M=4, splitting=splitting))
 
