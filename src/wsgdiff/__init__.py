@@ -18,7 +18,7 @@ Module map:
 - :mod:`wsgdiff.weights`   — the scheme table ``SHIFTS``, every weight
   sequence as one weighted-shifted sum, sign/monotonicity properties;
 - :mod:`wsgdiff.operators` — one Toeplitz layout for every scheme, stencil
-  application, boundary columns, the FFT Toeplitz product;
+  application, boundary columns;
 - :mod:`wsgdiff.spectral`  — one generating-function formula, sign scans,
   negative-definiteness certification;
 - :mod:`wsgdiff.problems`  — benchmark catalog, the 2D source record

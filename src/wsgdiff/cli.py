@@ -66,7 +66,7 @@ from .solve1d import SOURCE_SAMPLING, Solution, SolverConfig1D, cn_wsgd_run, ste
 from .solve2d import SPLITTINGS, SolverConfig2D, run_2d
 from .spectral import SPECTRAL_SCHEMES, generating_function, scan_sign
 
-__all__ = ["StudyConfig", "main", "read_report_csv"]
+__all__ = ["StudyConfig", "main"]
 
 _FORMATS = ("csv", "md")
 
@@ -386,31 +386,6 @@ def cmd_converge(config: StudyConfig) -> str:
             )
         lines.append("")
     return "\n".join(lines)
-
-
-def read_report_csv(path: str) -> list[ErrorRecord]:
-    """Parse a convergence-report CSV back into its ErrorRecord list.
-
-    Full-precision ``repr`` cells round-trip exactly, so the records parsed
-    here compare equal to the ones the study computed.
-    """
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != _REPORT_COLUMNS:
-            raise ParameterError(f"{path} is not a convergence report")
-        for row in reader:
-            records.append(
-                ErrorRecord(
-                    N=int(row["N"]),
-                    M=int(row["M"]),
-                    max_err=float(row["max_err"]),
-                    l2_err=float(row["l2_err"]),
-                    rate_max=float(row["rate_max"]) if row["rate_max"] else None,
-                    rate_l2=float(row["rate_l2"]) if row["rate_l2"] else None,
-                )
-            )
-    return records
 
 
 #: Keys of a study's config file, the long names of the ``converge`` flags.

@@ -8,21 +8,14 @@ superdiagonal carries ``w_0`` and the main diagonal ``w_1``.  This module
 assembles those matrices, applies the left/right operators directly to
 grid functions (stencil-wise, without forming a matrix — the redundancy
 lets tests catch indexing mistakes), gives the stencil columns that
-multiply the Dirichlet end values, splits a centrosymmetric matrix into
-its even and odd halves from its top rows (``_MirrorHalves``, which the
-dense 1D step and the 2D eigenbasis share), and builds an FFT Toeplitz
-product:
-the spectrum of the matrix's circulant embedding is taken once, so a
-product is two real FFTs.  No solver runs that product (the
-Gohberg–Semencul time stepper needs only its left matrix's inverse);
-criterion 8(a) checks it against the direct product.
+multiply the Dirichlet end values, and splits a centrosymmetric matrix
+into its even and odd halves from its top rows (``_MirrorHalves``, which
+the dense 1D step and the 2D eigenbasis share).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
-
 import numpy as np
 
 from . import weights as wt
@@ -32,12 +25,10 @@ __all__ = [
     "GridFunction1D",
     "ToeplitzOperator",
     "assemble_wsgd_matrix",
-    "assemble_shifted_pair_matrix",
     "operator_weights",
     "apply_left_wsgd",
     "apply_right_wsgd",
     "boundary_columns",
-    "toeplitz_product",
 ]
 
 
@@ -235,18 +226,6 @@ def assemble_wsgd_matrix(alpha: float, scheme: str, n: int) -> ToeplitzOperator:
     return _toeplitz(operator_weights(alpha, scheme, n + 1), n, shifts[0])
 
 
-def assemble_shifted_pair_matrix(alpha: float, p: int, q: int, n: int) -> ToeplitzOperator:
-    """Difference matrix for an arbitrary shift pair: entry (i, j) = ``v_{i-j+p}``.
-
-    Weights with negative index are zero, so ``p`` controls how many
-    superdiagonals are populated.
-    """
-    n = count_at_least("n", n, 2, "rows")
-    p, q = int(p), int(q)
-    count = max(n + p, n, 3 + abs(p - q))
-    return _toeplitz(wt.shifted_pair_weights(alpha, p, q, count), n, p)
-
-
 def _scheme_weights_for_grid(alpha: float, scheme: str, count: int) -> np.ndarray:
     w = operator_weights(alpha, scheme, max(count, 4))
     return w[:count]
@@ -294,30 +273,3 @@ def boundary_columns(alpha: float, scheme: str, n: int) -> tuple[np.ndarray, np.
     left_uN[-1] = w[0]
     right_uN = w[2:n + 2][::-1].copy()
     return left_u0, right_u0, left_uN, right_uN
-
-
-def _circulant_size(n: int) -> int:
-    """Power-of-two length ``>= 2n - 1`` of an order-n Toeplitz circulant embedding."""
-    return 1 << (2 * n - 2).bit_length()
-
-
-def toeplitz_product(T: ToeplitzOperator) -> Callable[[np.ndarray], np.ndarray]:
-    """Return ``product(v) = T @ v`` by circulant embedding and the real FFT.
-
-    The embedding's spectrum is taken here, once, at the length
-    :func:`_circulant_size` gives, so each product is two real FFTs.  No
-    solver calls it; the Gohberg–Semencul solve shares only that length.
-    """
-    n = T.n
-    size = _circulant_size(n)
-    embedding = np.zeros(size)
-    embedding[:n] = T.first_col
-    embedding[size - n + 1 :] = T.first_row[:0:-1]
-    spectrum = np.fft.rfft(embedding)
-
-    def product(v: np.ndarray) -> np.ndarray:
-        if np.shape(v) != (n,):
-            raise ParameterError(f"vector shape {np.shape(v)} does not match operator order {n}")
-        return np.fft.irfft(np.fft.rfft(v, size) * spectrum, size)[:n]
-
-    return product

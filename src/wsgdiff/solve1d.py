@@ -69,7 +69,7 @@ import numpy as np
 
 from . import weights as wt
 from .errors import ParameterError, SolverError, count_at_least, real_number
-from .operators import _circulant_size, _MirrorHalves, assemble_wsgd_matrix, boundary_columns
+from .operators import _MirrorHalves, assemble_wsgd_matrix, boundary_columns
 from .problems import Problem1D, l2_norm, max_norm, on_grid
 
 __all__ = [
@@ -291,7 +291,10 @@ def _dense_steps(
     in place, then of ``C`` by one half-order solve, with its half of ``R``
     made from it; so no order-``n`` matrix and no second stack is formed.  A
     step is two half-order products, the odd block padded with an identity
-    row to the even one's order.  Any other problem assembles the full system.
+    row to the even one's order.  The halves never mix, so each steps
+    through a whole block before the other starts, and its ``(p, p)`` block
+    of ``C`` stays in cache instead of the stack streaming through every
+    level.  Any other problem assembles the full system.
     """
     n = config.N - 1
     theta = config.theta
@@ -312,18 +315,22 @@ def _dense_steps(
             for matrix in (block, rhs_matrix):
                 matrix.reshape(-1)[:: p + 1] += 1.0
             block[...] = solve(block, rhs_matrix, "time step")
-        # states and terms as (2, p, 1) columns, so each step is one stacked product
+        # states and terms as (2, p, 1) columns, stepped one half at a time
         basis = (lambda v: halves.split(v)[..., None], lambda s: halves.join(s[..., 0]))
+        parts = ((c[0], 0), (c[1], 1))
     else:
         c = solve(*_full_system(problem, config, dl, dr), "time step")
         basis = _GRID
+        parts = ((c, ...),)
 
     def advance(U: np.ndarray, terms: np.ndarray) -> np.ndarray:
         lifted = np.multiply(terms, theta, order="C")
         kept = np.multiply(terms, 1.0 - theta, order="C")
         out = np.empty(terms.shape)
-        for row, up, rest in zip(out, lifted, kept):
-            U = np.add(np.matmul(c, np.add(up, U, out=up), out=row), rest, out=row)
+        for matrix, part in parts:
+            u = U[part]
+            for row, up, rest in zip(out[:, part], lifted[:, part], kept[:, part]):
+                u = np.add(np.matmul(matrix, np.add(up, u, out=up), out=row), rest, out=row)
         return out
 
     return advance, basis
@@ -384,7 +391,7 @@ def _gs_steps(problem: Problem1D, config: SolverConfig1D) -> Callable[[np.ndarra
     unit[0] = 1.0
     x, y = _levinson_ends(unit - theta * b_col, unit - theta * b_row)
 
-    size = _circulant_size(n)
+    size = 1 << (2 * n - 2).bit_length()  # the least power of two >= 2n - 1
     rfft, irfft = np.fft.rfft, np.fft.irfft
     upper = rfft(np.stack((y[::-1], np.concatenate(([0.0], x[:0:-1])))), size)
     lower = rfft(np.stack((x, -np.concatenate(([0.0], y[:-1])))) / x[0], size)

@@ -130,8 +130,8 @@ def shifted_pair_weights(alpha: float, p: int, q: int, count: int) -> np.ndarray
 
     Only (1, 0) and (1, -1) are accepted by the solvers; other pairs exist
     so the spectral diagnostics can demonstrate why (the combination is
-    second-order accurate for any pair, but definiteness of the assembled
-    matrix fails for e.g. (0, -1)).
+    second-order accurate for any pair, but the Toeplitz matrix of e.g.
+    (0, -1) is not negative definite).
     """
     count = count_at_least("count", count, max(3, abs(int(p) - int(q)) + 1), "weights")
     return _shifted_sum(alpha, (int(p), int(q)), count)

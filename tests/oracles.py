@@ -3,13 +3,15 @@
 Everything here is computed by a different route than the package under
 test: binomial coefficients through log-gamma instead of the recursion,
 matrices through literal double loops instead of Toeplitz constructors,
-Toeplitz products through a direct convolution instead of the FFT, time
+convergence reports through ``csv.DictReader`` instead of the CLI, time
 steps through pinned-row or Kronecker assemblies instead of the eliminated
 interior systems.  Agreement between the two routes is the
 point of most tests, so nothing in this module may import solver logic.
 """
 
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 from scipy.linalg import solve as dense_solve
@@ -116,17 +118,6 @@ def dense_triple_sum_matrix(alpha: float, n: int) -> np.ndarray:
         + lam2 * dense_shift_matrix(g, n, 0)
         + lam3 * dense_shift_matrix(g, n, -1)
     )
-
-
-def toeplitz_matvec_direct(t, v: np.ndarray) -> np.ndarray:
-    """Exact quadratic-cost product of a Toeplitz matrix with a vector.
-
-    ``t`` is anything with ``first_col`` and ``first_row``; the product is
-    one full convolution of the diagonals with ``v``, no FFT involved.
-    """
-    n = t.first_col.size
-    diags = np.concatenate((t.first_row[::-1], t.first_col[1:]))
-    return np.convolve(diags, np.asarray(v, dtype=float))[n - 1 : 2 * n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -423,3 +414,24 @@ def pinned_row_cn_step(
     lhs[-1, -1] = 1.0
     rhs[-1] = gb_next
     return dense_solve(lhs, rhs)
+
+
+# ---------------------------------------------------------------------------
+# Report oracle
+# ---------------------------------------------------------------------------
+
+#: The columns of a convergence report that hold an error record's fields.
+_RECORD_COLUMNS = {
+    "N": int, "M": int, "max_err": float, "l2_err": float, "rate_max": float, "rate_l2": float
+}
+
+
+def report_records(path) -> list[dict]:
+    """The error-record fields of each row of a convergence-report CSV, read
+    by ``csv.DictReader``: counts as ints, errors and rates as floats, an
+    empty rate as ``None``; compare with ``dataclasses.asdict`` of a record."""
+    with open(path, newline="") as fh:
+        return [
+            {key: kind(row[key]) if row[key] else None for key, kind in _RECORD_COLUMNS.items()}
+            for row in csv.DictReader(fh)
+        ]

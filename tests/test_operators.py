@@ -1,6 +1,6 @@
 """Discrete fractional operators: matrix assembly vs. double-loop oracles,
-grid application vs. matrix action, fast matvec vs. direct, and measured
-consistency orders against analytic derivatives of monomials."""
+grid application vs. matrix action, and measured consistency orders
+against analytic derivatives of monomials."""
 
 from __future__ import annotations
 
@@ -17,10 +17,8 @@ from wsgdiff import (
     ToeplitzOperator,
     apply_left_wsgd,
     apply_right_wsgd,
-    assemble_shifted_pair_matrix,
     assemble_wsgd_matrix,
     operator_weights,
-    toeplitz_product,
     wsgd2_weights,
     wsgd3_weights,
 )
@@ -30,7 +28,6 @@ from oracles import (
     dense_shift_matrix,
     dense_triple_sum_matrix,
     pair_weights_from_binomial,
-    toeplitz_matvec_direct,
     tridiag_second_difference,
 )
 
@@ -162,18 +159,6 @@ def test_assemble_wsgd_classical_limit_is_second_difference(scheme):
     np.testing.assert_allclose(got, tridiag_second_difference(6), rtol=0, atol=1e-15)
 
 
-def test_assemble_shifted_pair_custom_offset():
-    alpha = 1.5
-    n = 6
-    got = assemble_shifted_pair_matrix(alpha, 0, -1, n).to_dense()
-    v = pair_weights_from_binomial(alpha, 0, -1, n + 1)
-    want = dense_shift_matrix(v, n, 0)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
-    # offset zero puts v_0 on the diagonal and empties the upper triangle
-    assert np.all(np.diag(got) == pytest.approx((alpha + 2.0) / 2.0))
-    assert np.all(got[np.triu_indices(n, k=1)] == 0.0)
-
-
 def test_row_sums_match_partial_sums():
     alpha = 1.7
     n = 9
@@ -299,53 +284,6 @@ def test_boundary_columns_definitions(scheme):
     np.testing.assert_array_equal(r_un, w[2 : n + 2][::-1])
     assert r_u0[0] == w[0] and np.all(r_u0[1:] == 0.0)
     assert l_un[-1] == w[0] and np.all(l_un[:-1] == 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Fast Toeplitz products
-# ---------------------------------------------------------------------------
-
-
-def _random_toeplitz(rng, n):
-    col = rng.standard_normal(n)
-    row = rng.standard_normal(n)
-    row[0] = col[0]
-    return ToeplitzOperator(col, row)
-
-
-def test_fft_matvec_matches_direct_random_trials():
-    rng = np.random.default_rng(2024)
-    for _ in range(100):
-        n = int(rng.integers(1, 300))
-        t = _random_toeplitz(rng, n)
-        v = rng.standard_normal(n)
-        direct = toeplitz_matvec_direct(t, v)
-        fast = toeplitz_product(t)(v)
-        denom = max(1.0, float(np.max(np.abs(direct))))
-        assert np.max(np.abs(direct - fast)) / denom < 1e-12
-        # the direct product itself must match the dense product
-        np.testing.assert_allclose(direct, t.to_dense() @ v, rtol=0, atol=1e-10)
-
-
-def test_fft_matvec_odd_and_single_sizes():
-    rng = np.random.default_rng(9)
-    for n in (1, 2, 257):
-        t = _random_toeplitz(rng, n)
-        v = rng.standard_normal(n)
-        np.testing.assert_allclose(
-            toeplitz_product(t)(v), t.to_dense() @ v, rtol=0, atol=1e-11
-        )
-
-
-def test_fft_matvec_identity():
-    n = 16
-    col = np.zeros(n)
-    col[0] = 1.0
-    t = ToeplitzOperator(col, col.copy())
-    v = np.arange(n, dtype=float)
-    np.testing.assert_allclose(toeplitz_product(t)(v), v, rtol=0, atol=1e-13)
-    with pytest.raises(ParameterError, match="operator order"):
-        toeplitz_product(t)(v[:-1])
 
 
 # ---------------------------------------------------------------------------

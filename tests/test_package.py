@@ -16,7 +16,6 @@ from wsgdiff import errors, operators, problems, solve1d, solve2d, spectral, wei
 from wsgdiff import (
     P1Q0,
     ParameterError,
-    assemble_shifted_pair_matrix,
     assemble_wsgd_matrix,
     boundary_columns,
     grunwald_coefficients,
@@ -52,10 +51,6 @@ _COUNTED = {
     "shifted_pair_weights": ("count", lambda n: shifted_pair_weights(1.5, 1, 0, n)),
     "verify_weight_properties": ("count", lambda n: verify_weight_properties(1.5, P1Q0, n)),
     "assemble_wsgd_matrix": ("n", lambda n: assemble_wsgd_matrix(1.5, P1Q0, n).to_dense()),
-    "assemble_shifted_pair_matrix": (
-        "n",
-        lambda n: assemble_shifted_pair_matrix(1.5, 1, 0, n).to_dense(),
-    ),
     "boundary_columns": ("n", lambda n: boundary_columns(1.5, P1Q0, n)),
     "scan_sign": ("samples", lambda n: scan_sign(1.5, P1Q0, n)),
 }

@@ -1,16 +1,18 @@
-"""Property tests over random orders, shifts and sizes: weights and assembled
-matrices against the log-gamma oracles, the closed-form generating function
-against its defining series, FFT against direct Toeplitz products, the
-documented sign/partial-sum properties, the 1D Gohberg–Semencul step
-system against dense matrices built from the oracle weights, one step of
-each 2D splitting against the dense Kronecker oracle, whole 2D runs in the
-eigenbasis against the dense steppers, and convergence reports through
-their CSV form.
+"""Property tests over random orders, shifts and sizes: weights against the
+log-gamma oracles, the closed-form generating function against its
+defining series, the documented sign/partial-sum properties, the 1D
+Gohberg–Semencul step system against dense matrices built from the oracle
+weights, one step of each 2D splitting against the dense Kronecker oracle,
+whole 2D runs in the eigenbasis against the dense steppers, and
+convergence reports through their CSV form.
 
-Runs are derandomized, so every run draws the same examples."""
+The hypothesis profiles are in ``conftest.py``: the default, ``tier1``, is
+derandomized, so every run draws the same examples; ``HYPOTHESIS_PROFILE=fuzz``
+draws 600 fresh examples a test."""
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import tempfile
 import warnings
@@ -31,8 +33,6 @@ from wsgdiff import (
     SeparableSource,
     SolverConfig1D,
     SolverConfig2D,
-    ToeplitzOperator,
-    assemble_shifted_pair_matrix,
     build_directional_operators,
     generating_function,
     lod_stepper,
@@ -40,10 +40,9 @@ from wsgdiff import (
     pr_adi_stepper,
     run_2d,
     shifted_pair_weights,
-    toeplitz_product,
     verify_weight_properties,
 )
-from wsgdiff.cli import ExampleId, StudyConfig, _study_blocks, cmd_converge, read_report_csv
+from wsgdiff.cli import ExampleId, StudyConfig, _study_blocks, cmd_converge
 from wsgdiff import solve1d, solve2d
 from wsgdiff.solve1d import SOURCE_SAMPLING
 
@@ -53,11 +52,9 @@ from oracles import (
     kron_two_level_step,
     pair_weights_from_binomial,
     series_generating_function,
-    toeplitz_matvec_direct,
+    report_records,
     triple_weights_from_binomial,
 )
-
-_PROFILE = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 
 #: Orders in (0, 2]; pairs tagged for the solvers take [1, 2].
 _ORDERS = st.floats(0.0, 2.0, exclude_min=True, allow_subnormal=False)
@@ -74,7 +71,6 @@ def _tag_oracle(alpha, scheme, count):
     return pair_weights_from_binomial(alpha, p, q, count)
 
 
-@_PROFILE
 @given(alpha=_ORDERS, pq=_SHIFT_PAIRS, extra=st.integers(0, 60))
 def test_shifted_pair_weights_match_oracle(alpha, pq, extra):
     p, q = pq
@@ -84,7 +80,6 @@ def test_shifted_pair_weights_match_oracle(alpha, pq, extra):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-@_PROFILE
 @given(alpha=_ORDERS, pq=_SHIFT_PAIRS, count=st.integers(1, 40), extra=st.integers(1, 8))
 def test_pair_oracle_is_prefix_stable(alpha, pq, count, extra):
     # every weight is complete at any length, also the last q - p ones when
@@ -95,16 +90,6 @@ def test_pair_oracle_is_prefix_stable(alpha, pq, count, extra):
     np.testing.assert_allclose(short, longer[:count], rtol=0, atol=1e-14)
 
 
-@_PROFILE
-@given(alpha=_ORDERS, pq=_SHIFT_PAIRS, n=st.integers(2, 24))
-def test_shifted_pair_matrix_matches_double_loop(alpha, pq, n):
-    p, q = pq
-    v = pair_weights_from_binomial(alpha, p, q, n + abs(p) + abs(p - q) + 3)
-    got = assemble_shifted_pair_matrix(alpha, p, q, n).to_dense()
-    np.testing.assert_allclose(got, dense_shift_matrix(v, n, p), rtol=0, atol=1e-12)
-
-
-@_PROFILE
 @given(
     scheme_alpha=st.one_of(
         st.tuples(st.sampled_from((GL, PQR)), _ORDERS),
@@ -118,7 +103,6 @@ def test_operator_weights_match_oracle_for_every_tag(scheme_alpha, count):
     np.testing.assert_allclose(got, _tag_oracle(alpha, scheme, count), rtol=0, atol=1e-12)
 
 
-@_PROFILE
 @given(
     scheme=st.sampled_from((P1Q0, P1QM1, PQR)),
     alpha=st.floats(1.1, 1.9),
@@ -131,22 +115,6 @@ def test_generating_function_matches_series(scheme, alpha, xs):
     np.testing.assert_allclose(closed, series, rtol=0, atol=1e-8)
 
 
-_UNIT = st.floats(-1.0, 1.0, allow_subnormal=False)
-
-
-@_PROFILE
-@given(data=st.data(), n=st.integers(1, 300))
-def test_fft_matvec_matches_direct(data, n):
-    col, row, v = (data.draw(hnp.arrays(float, n, elements=_UNIT)) for _ in range(3))
-    row[0] = col[0]
-    t = ToeplitzOperator(col, row)
-    direct = toeplitz_matvec_direct(t, v)
-    fast = toeplitz_product(t)(v)
-    assert np.max(np.abs(direct - fast)) / max(1.0, float(np.max(np.abs(direct)))) < 1e-12
-    np.testing.assert_allclose(direct, t.to_dense() @ v, rtol=0, atol=1e-10)
-
-
-@_PROFILE
 @given(
     scheme=st.sampled_from((GL, P1Q0, P1QM1)),
     alpha=st.floats(1.0, 2.0, exclude_min=True),
@@ -158,9 +126,9 @@ def test_weight_properties_hold_above_order_one(scheme, alpha, count):
 
 
 _SHIFT_PAIR_OF = {P1Q0: (1, 0), P1QM1: (1, -1)}
+_UNIT = st.floats(-1.0, 1.0, allow_subnormal=False)
 
 
-@_PROFILE
 @given(
     data=st.data(),
     big_n=st.integers(4, 70),
@@ -209,7 +177,6 @@ def test_gs_step_system_matches_dense_oracle(data, big_n, scheme, alpha, theta):
     assert max(gaps) <= 1e-10, gaps
 
 
-@_PROFILE
 @given(data=st.data())
 def test_split_run_matches_the_full_dense_run(data):
     # mirrored diffusivities (equal constants, or f(x) and f(1 - x) on a
@@ -303,7 +270,6 @@ def _split_step_gap(data, stepper, nx, ny, bx, by, **oracle) -> float:
 _SIDES = st.floats(0.5, 2.0)
 
 
-@_PROFILE
 @given(data=st.data(), nx=st.integers(4, 12), ny=st.integers(4, 12), bx=_SIDES, by=_SIDES)
 def test_pr_step_matches_kron_oracle(data, nx, ny, bx, by):
     # unequal spacings and unequal left/right diffusivities make both
@@ -311,7 +277,6 @@ def test_pr_step_matches_kron_oracle(data, nx, ny, bx, by):
     assert _split_step_gap(data, pr_adi_stepper, nx, ny, bx, by) <= 1e-12
 
 
-@_PROFILE
 @given(data=st.data(), n=st.integers(4, 12), side=_SIDES)
 def test_lod_step_matches_corrected_kron_oracle(data, n, side):
     gap = _split_step_gap(data, lod_stepper, n, n, side, side, lod_source_correction=True)
@@ -346,7 +311,6 @@ def _smooth_source(data) -> SeparableSource:
     )
 
 
-@_PROFILE
 @given(
     data=st.data(),
     splitting=st.sampled_from(("pr", "lod")),
@@ -407,7 +371,7 @@ def test_eigenbasis_and_dense_runs_agree(data, splitting, nx, ny):
     assert gap <= rel * np.max(want.norm_history)
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=25)
+@settings(max_examples=25)
 @given(
     example=st.sampled_from((ExampleId.LEFT_SIDED, ExampleId.TWO_SIDED, ExampleId.VARIABLE_COEFF)),
     alphas=st.lists(st.floats(1.1, 1.9), min_size=1, max_size=2),
@@ -431,4 +395,4 @@ def test_converge_report_round_trips_through_csv(
         path = os.path.join(tmp, "report.csv")
         with open(path, "w", newline="") as fh:
             fh.write(cmd_converge(config))
-        assert read_report_csv(path) == want
+        assert report_records(path) == [dataclasses.asdict(rec) for rec in want]

@@ -18,7 +18,6 @@ from wsgdiff import (
     ParameterError,
     SolverConfig2D,
     ToeplitzOperator,
-    assemble_shifted_pair_matrix,
     assemble_wsgd_matrix,
     build_directional_operators,
     certify_negative_definite,
@@ -28,7 +27,7 @@ from wsgdiff import (
     scan_sign,
 )
 
-from oracles import series_generating_function
+from oracles import dense_shift_matrix, pair_weights_from_binomial, series_generating_function
 
 PAIR_SCHEMES = (P1Q0, P1QM1)
 ALL_SCHEMES = (P1Q0, P1QM1, PQR)
@@ -162,7 +161,8 @@ def test_pair_matrices_certify_negative_definite(scheme, alpha, n):
 def test_downwind_pair_fails_certification():
     # the (0, -1) combination has positive diagonal, so the very first
     # leading minor of the negated symmetric part already fails
-    result = certify_negative_definite(assemble_shifted_pair_matrix(1.5, 0, -1, 32))
+    dense = dense_shift_matrix(pair_weights_from_binomial(1.5, 0, -1, 33), 32, 0)
+    result = certify_negative_definite(ToeplitzOperator(dense[:, 0], dense[0]))
     assert not result.negative_definite
     assert bool(result) is False
     assert result.failing_minor == 1
