@@ -256,20 +256,22 @@ def apply_right_wsgd(u: GridFunction1D, alpha: float, scheme: str) -> np.ndarray
     return full[2:n_nodes][::-1] / u.h**alpha
 
 
-def boundary_columns(alpha: float, scheme: str, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stencil coefficients multiplying the two endpoint values.
+def boundary_columns(
+    alpha: float, scheme: str, n: int, left: float | np.ndarray, right: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stencil coefficients multiplying the two endpoint values, weighted by
+    the diffusivities ``left`` and ``right`` (scalars, or one per row).
 
     For the interior system of size ``n = N - 1``, the left-sided operator
     couples row i to ``u_0`` through ``w_{i+1}`` and to ``u_N`` only in the
     last row through ``w_0``; the right-sided operator mirrors this.
-    Returns ``(left_of_u0, right_of_u0, left_of_uN, right_of_uN)``.
+    Returns ``(c0, cN)``, the columns of ``u_0`` and ``u_N`` in ``left`` times
+    the left-sided operator plus ``right`` times the right-sided one, so
+    ``(1, 0)`` gives the left-sided columns and ``(0, 1)`` the right-sided.
     """
     n = count_at_least("n", n, 1, "interior nodes")
     w = _scheme_weights_for_grid(alpha, scheme, n + 2)
-    left_u0 = w[2:n + 2].copy()
-    right_u0 = np.zeros(n)
-    right_u0[0] = w[0]
-    left_uN = np.zeros(n)
-    left_uN[-1] = w[0]
-    right_uN = w[2:n + 2][::-1].copy()
-    return left_u0, right_u0, left_uN, right_uN
+    # the left-sided column of u_0, and the right-sided one; u_N's mirror them
+    inner, corner = w[2:n + 2], np.zeros(n)
+    corner[0] = w[0]
+    return left * inner + right * corner, left * corner[::-1] + right * inner[::-1]

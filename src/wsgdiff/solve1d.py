@@ -9,10 +9,12 @@ Two entry points cover the 1D catalog, and both return a :class:`Solution`:
 - :func:`cn_wsgd_run` integrates the time-dependent diffusion problem, with
   constant or variable diffusivities, using second-order shifted weights in
   space and a theta-weighted two-level scheme in time (theta = 1/2 is the
-  trapezoidal scheme used for all reference tables).  It is
-  :func:`cn_stepper`, whose block stepper ``steps(U, k)`` yields the levels
-  ``k+1 ... M`` a block at a time, iterated by :func:`march`, the one time
-  loop of every 1D and 2D run.
+  trapezoidal scheme used for all reference tables).  It sets the scheme
+  up once (:func:`_cn_setup`), through the factory of its backend, which
+  returns the backend's step and its :data:`Basis` ``(into, back)``, and
+  iterates the block stepper ``steps(U, k)``, which yields the levels
+  ``k+1 ... M`` a block at a time, by :func:`march`, the one time loop of
+  every 1D and 2D run.
 
 The steady solve is one dense partial-pivoting LU solve.  The time
 stepper sets up its two step matrices ``L = I - theta*B`` (implicit) and
@@ -221,7 +223,7 @@ def steady_solve_3wsgd(problem: Problem1D, N: int) -> Solution:
     h, x, xi = _grid(problem, N)
     n = N - 1
     G = assemble_wsgd_matrix(problem.alpha, wt.PQR, n).to_dense()
-    col_left, _, col_right, _ = boundary_columns(problem.alpha, wt.PQR, n)
+    col_left, col_right = boundary_columns(problem.alpha, wt.PQR, n, 1.0, 0.0)
     ua, ub = problem.boundary_values(np.zeros(1))[:, 0]
     s = on_grid(problem, "source", xi, 0.0)
     rhs = -(h**problem.alpha) * s - col_left * ua - col_right * ub
@@ -365,8 +367,8 @@ def _levinson_ends(col: np.ndarray, row: np.ndarray) -> tuple[np.ndarray, np.nda
     return w[0], w[1, ::-1]
 
 
-def _gs_steps(problem: Problem1D, config: SolverConfig1D) -> Callable[[np.ndarray], np.ndarray]:
-    """The left step matrix's inverse as Toeplitz spectra; constant diffusivities.
+def _gs_steps(problem: Problem1D, config: SolverConfig1D) -> tuple[Advance, Basis]:
+    """The Gohberg–Semencul step for constant diffusivities, on the grid.
 
     With ``x = L^-1 e_1`` and ``y = L^-1 e_n`` from one Levinson recursion,
     the Gohberg–Semencul formula writes the inverse of the left matrix as
@@ -376,8 +378,13 @@ def _gs_steps(problem: Problem1D, config: SolverConfig1D) -> Callable[[np.ndarra
     the four generators are cached at one power-of-two length ``>= 2n - 1``,
     so a solve is six real FFTs.  For ``theta >= 0`` the symmetric part of
     ``L`` is positive definite, so every leading minor is nonsingular and
-    ``x_0 > 0``.  Returns ``inverse(rhs) = L^-1 rhs``; the right matrix is
-    never formed, since :func:`_cn_steps` steps in Cayley form.
+    ``x_0 > 0``.
+
+    The right matrix is never formed: ``theta R = I - (1-theta) L``, so a
+    step is ``U_next = L^-1 (U/theta + v) - ((1-theta)/theta) U``, one solve
+    and an axpy.  Its rounding grows like ``(2-theta)/theta`` units of ``eps
+    |U|`` a step, 3 at ``theta = 1/2``, so :func:`_backend` picks it only
+    inside the stability window ``theta >= 1/2``.
     """
     h, _, _ = _grid(problem, config.N)
     n = config.N - 1
@@ -400,25 +407,7 @@ def _gs_steps(problem: Problem1D, config: SolverConfig1D) -> Callable[[np.ndarra
         up = irfft(rfft(rhs[::-1], size) * upper, size)[:, n - 1 :: -1]
         return irfft((rfft(up, size) * lower).sum(axis=0), size)[:n]
 
-    return inverse
-
-
-def _cn_steps(
-    problem: Problem1D, config: SolverConfig1D, dl: np.ndarray, dr: np.ndarray, backend: str
-) -> tuple[Advance, Basis]:
-    """Set up the step system of the named :func:`_backend` once; return its
-    ``advance`` and the :data:`Basis` it steps in.
-
-    ``theta R = I - (1-theta) L``, so the Gohberg–Semencul step is ``U_next
-    = L^-1 (U/theta + v) - ((1-theta)/theta) U``: one solve, six real FFTs,
-    and no product with ``R``.  Its rounding grows like ``(2-theta)/theta``
-    units of ``eps |U|`` a step, 3 at ``theta = 1/2``, so :func:`_backend`
-    picks it only inside the stability window ``theta >= 1/2``.
-    """
-    if backend != "gs":
-        return _dense_steps(problem, config, dl, dr, backend == "dense-halves")
-    inverse = _gs_steps(problem, config)
-    inv, ratio = 1.0 / config.theta, (1.0 - config.theta) / config.theta
+    inv, ratio = 1.0 / theta, (1.0 - theta) / theta
 
     def advance(U: np.ndarray, terms: np.ndarray) -> np.ndarray:
         out = np.empty(terms.shape)
@@ -473,8 +462,8 @@ def march(
         with np.errstate(over="ignore", invalid="ignore"):
             norm_history[k : k + len(levels)] = norm(levels)
             if exact is not None:
-                block_max = float(np.max(np.abs(levels - expected)))
-                running_max = block_max if running_max is None else max(running_max, block_max)
+                # a NaN level's error stays NaN, whatever block it falls in
+                running_max = float(np.max(np.abs(levels - expected), initial=running_max))
         finite = np.isfinite(norm_history[k : k + len(levels)])
         if not finite.all():
             n = k + int(np.argmin(finite))
@@ -491,30 +480,26 @@ def march(
     return levels[-1], norm_history, running_max, error
 
 
-def cn_stepper(problem: Problem1D, config: SolverConfig1D) -> BlockStepper:
-    """Set up the theta-weighted scheme once; return its ``steps(U, k)``.
+def _cn_setup(problem: Problem1D, config: SolverConfig1D) -> tuple[BlockStepper, np.ndarray, str]:
+    """Set up the theta-weighted scheme once; return its ``steps(U, k)``, the
+    checked Dirichlet data of the final level, left end then right end, and
+    the name of its backend.
 
     Each step solves ``(I - theta*B) U_next = (I + (1-theta)*B) U + tau*F +
-    boundary terms`` with the system set up once by :func:`_cn_steps`.  The
-    boundary data are read once per level ``k*tau``, at setup, and checked
-    there (:meth:`~wsgdiff.problems.Problem1D.boundary_values`).  A block of
-    ``count`` steps from level ``k`` samples its known terms ``tau*F +
-    boundary terms`` at once, the source in one call at levels ``k*tau``
-    (``"average"``) or ``k*tau + tau/2`` (``"midpoint"``), and hands them to
-    the backend's ``advance`` in its basis.  A call of ``steps`` moves ``U``
-    into that basis once and carries the backend's state from block to
-    block; each block returns to the grid once, as the rows of the yielded
-    block.
-    The steps run under ``np.errstate``, so a blow-up is left to
-    :func:`march` to name; the sampling runs outside it, so a problem
-    callable's own warnings still show.
+    boundary terms`` with the system set up once by the factory of the
+    :func:`_backend` it names, :func:`_gs_steps` or :func:`_dense_steps`.
+    The boundary data are read once per level ``k*tau``, at setup, and
+    checked there (:meth:`~wsgdiff.problems.Problem1D.boundary_values`).  A
+    block of ``count`` steps from level ``k`` samples its known terms
+    ``tau*F + boundary terms`` at once, the source in one call at levels
+    ``k*tau`` (``"average"``) or ``k*tau + tau/2`` (``"midpoint"``), and
+    hands them to the backend's ``advance`` in its basis.  A call of
+    ``steps`` moves ``U`` into that basis once and carries the backend's
+    state from block to block; each block returns to the grid once, as the
+    rows of the yielded block.  The steps run under ``np.errstate``, so a
+    blow-up is left to :func:`march` to name; the sampling runs outside it,
+    so a problem callable's own warnings still show.
     """
-    return _cn_setup(problem, config)[0]
-
-
-def _cn_setup(problem: Problem1D, config: SolverConfig1D) -> tuple[BlockStepper, np.ndarray, str]:
-    """:func:`cn_stepper`'s ``steps``, the checked Dirichlet data of the
-    final level, left end then right end, and the name of its backend."""
     if problem.steady:
         raise ParameterError("time stepping expects a time-dependent problem")
     h, _, xi = _grid(problem, config.N)
@@ -523,14 +508,11 @@ def _cn_setup(problem: Problem1D, config: SolverConfig1D) -> tuple[BlockStepper,
     theta = config.theta
     dl, dr = problem.diffusivity_values(xi)
     backend = _backend(problem, config, dl, dr)
-    advance, (into, back) = _cn_steps(problem, config, dl, dr, backend)
-
-    # Known-end-value coefficient columns, diffusivity-weighted per row.
-    left_u0, right_u0, left_uN, right_uN = boundary_columns(
-        problem.alpha, config.scheme, n
-    )
-    col_a = dl * left_u0 + dr * right_u0
-    col_b = dl * left_uN + dr * right_uN
+    if backend == "gs":
+        advance, (into, back) = _gs_steps(problem, config)
+    else:
+        advance, (into, back) = _dense_steps(problem, config, dl, dr, backend == "dense-halves")
+    col_a, col_b = boundary_columns(problem.alpha, config.scheme, n, dl, dr)
     scale = tau / h**problem.alpha
     average = config.source_sampling == "average"
     g = problem.boundary_values(tau * np.arange(config.M + 1))

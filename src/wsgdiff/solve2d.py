@@ -20,7 +20,7 @@ locally-one-dimensional variant:
 Each splitting is one factory ``stepper(problem, config)`` that checks its
 preconditions and does its setup once — directional operators, and each
 direction's half-step matrices — and returns a block stepper ``steps(U, k)``
-of ``solve1d.cn_stepper``'s contract: a generator of the levels ``k+1 ...
+of ``solve1d.BlockStepper``'s contract: a generator of the levels ``k+1 ...
 M`` stepped from ``U`` at level ``k``, as the rows of read-only C-ordered
 ``(count, Nx-1, Ny-1)`` blocks; :func:`run_2d` hands it to
 ``solve1d.march``.  Interior unknowns are stored as C-ordered arrays of
@@ -53,13 +53,16 @@ even and odd halves (Cantoni & Butler, 1976), and assembles ``Qx`` from
 their eigenvectors.  The run marches ``Qx^T U Qy``: the space function is
 transformed once, so both splittings step in one elementwise form with no
 product (:func:`_eigen_stepper`), O(n^2), reading no callable, and each
-level's norm needs no transform.  The state returns to the grid
-once, at the final time.  A step multiplier ``(1 + tau/2 lam)/(1 - tau/2
-lam)`` of modulus above 1, which a positive eigenvalue gives against the
-paper's stability condition unless it rounds to 1, is a ``SolverError`` at
-setup.  Grid callables are read through :func:`~wsgdiff.problems.on_grid`,
-on the broadcast axes ``x[:, None]``, ``y[None, :]`` of the interior or,
-for ``lod``'s y-lines, ``x[None, 1:-1]`` and the column ``[ay, by]``.
+level's norm needs no transform.  Like every backend, 1D and 2D, the
+eigenbasis factory returns its ``(into, back)`` basis beside its stepper,
+and :func:`run_2d` maps the initial state through ``into`` and the final
+state through ``back``; the dense steppers step on the grid.  A step
+multiplier ``(1 + tau/2 lam)/(1 - tau/2 lam)`` of modulus above 1, which a
+positive eigenvalue gives against the paper's stability condition unless
+it rounds to 1, is a ``SolverError`` at setup.  Grid callables are read through :func:`~wsgdiff.problems.on_grid`,
+on the broadcast axes ``x[1:-1, None]``, ``y[None, 1:-1]`` of the interior;
+``lod`` reads its source on ``x[1:-1, None]`` and the row ``[ay, y[1:-1],
+by]``, the interior and its two y-lines in one call.
 
 Boundary handling: the paper proves its 2D schemes stable for homogeneous
 Dirichlet data, and a :class:`~wsgdiff.problems.Problem2D` has no other, so
@@ -82,7 +85,7 @@ from . import weights as wt
 from .errors import ParameterError, SolverError, count_at_least, real_number
 from .operators import _MirrorHalves, assemble_wsgd_matrix, boundary_columns
 from .problems import Problem2D, SeparableSource, _sample, l2_norm, max_norm, on_grid
-from .solve1d import BlockStepper, Solution, _blocks, march, solve
+from .solve1d import _GRID, Basis, BlockStepper, Solution, _blocks, march, solve
 
 __all__ = [
     "SPLITTINGS",
@@ -160,10 +163,10 @@ def build_directional_operators(
 
 def _grid(problem: Problem2D, config: SolverConfig2D, lod: bool):
     """Spacings, all nodes ``x``, ``y``, interior axes ``X = x[1:-1, None]``,
-    ``Y = y[None, 1:-1]`` and the y-lines, the broadcast axes ``x[None,
-    1:-1]`` and ``[[ay], [by]]`` of the two sides ``y = ay, by`` at the
-    interior x-nodes, where ``lod`` reads the source.  ``lod=True`` first
-    checks its one precondition, one spacing for both axes, and raises
+    ``Y = y[None, 1:-1]`` and the row ``[ay, y[1:-1], by]``: with ``X`` it
+    spans the interior and the two y-lines ``y = ay, by`` at the interior
+    x-nodes, where ``lod`` reads the source, in one read.  ``lod=True``
+    first checks its one precondition, one spacing for both axes, and raises
     ``ParameterError`` otherwise."""
     hx = (problem.bx - problem.ax) / config.Nx
     hy = (problem.by - problem.ay) / config.Ny
@@ -173,17 +176,16 @@ def _grid(problem: Problem2D, config: SolverConfig2D, lod: bool):
         )
     x = problem.ax + hx * np.arange(config.Nx + 1)
     y = problem.ay + hy * np.arange(config.Ny + 1)
-    y_lines = (x[None, 1:-1], np.array([[problem.ay], [problem.by]]))
-    return hx, hy, x, y, x[1:-1, None], y[None, 1:-1], y_lines
+    y_row = np.concatenate(([problem.ay], y[1:-1], [problem.by]))[None, :]
+    return hx, hy, x, y, x[1:-1, None], y[None, 1:-1], y_row
 
 
 def _y_columns(problem: Problem2D, config: SolverConfig2D) -> np.ndarray:
     """The y-direction boundary columns ``[cy0, cyN]``, of shape ``(Ny-1, 2)``."""
     hy_beta = ((problem.by - problem.ay) / config.Ny) ** problem.beta
-    left0, right0, left1, right1 = boundary_columns(problem.beta, config.scheme, config.Ny - 1)
-    cy0 = problem.y_left_diffusivity * left0 + problem.y_right_diffusivity * right0
-    cyN = problem.y_left_diffusivity * left1 + problem.y_right_diffusivity * right1
-    return np.column_stack((cy0, cyN)) / hy_beta
+    kl, kr = problem.y_left_diffusivity, problem.y_right_diffusivity
+    cols = boundary_columns(problem.beta, config.scheme, config.Ny - 1, kl, kr)
+    return np.column_stack(cols) / hy_beta
 
 
 def _sweeps(problem: Problem2D, config: SolverConfig2D):
@@ -262,7 +264,7 @@ def lod_stepper(problem: Problem2D, config: SolverConfig2D) -> BlockStepper:
     carrying the ``g`` terms on their two columns.  Requires one spacing
     for both axes.
     """
-    *_, X, Y, y_lines = _grid(problem, config, lod=True)
+    *_, X, _, y_row = _grid(problem, config, lod=True)
     cx, ady = _sweeps(problem, config)
     cols = _y_columns(problem, config)
     iy = np.eye(config.Ny - 1)
@@ -279,9 +281,9 @@ def lod_stepper(problem: Problem2D, config: SolverConfig2D) -> BlockStepper:
         for start, count in _blocks(k, config.M, nx * ny):
             out = np.empty((count, nx, ny))
             for j, row in zip(range(start, start + count), out):
-                t_mid = j * tau + a
-                F = on_grid(problem, "source", X, Y, t_mid)
-                f = on_grid(problem, "source", *y_lines, t_mid).T
+                # the source on the interior and, in its end columns, the y-lines
+                read = on_grid(problem, "source", X, y_row, j * tau + a)
+                F, f = read[:, 1:-1], read[:, [0, -1]]
                 with np.errstate(over="ignore", invalid="ignore"):
                     np.multiply(F, a, out=af)
                     np.add(U, af, out=w_aug[:, :ny])
@@ -334,12 +336,12 @@ def _spectrum(d: np.ndarray, axis: str) -> tuple[np.ndarray, np.ndarray]:
     return lam, halves.join(vectors).T
 
 
-def _eigen_stepper(problem: Problem2D, config: SolverConfig2D, x: np.ndarray, y: np.ndarray):
+def _eigen_stepper(problem: Problem2D, config: SolverConfig2D) -> tuple[BlockStepper, Basis]:
     """Set up the splitting of ``config`` in the eigenbasis of symmetric
-    ``Dx = Qx diag(lam) Qx^T`` and ``Dy = Qy diag(mu) Qy^T``, on the nodes
-    ``x``, ``y``; return ``(steps, Qx, Qy)``, ``steps(V, k)`` the block
-    stepper of the state ``V = Qx^T U Qy``.  The problem's source is a
-    :class:`SeparableSource` (:func:`_backend`).
+    ``Dx = Qx diag(lam) Qx^T`` and ``Dy = Qy diag(mu) Qy^T``; return
+    ``(steps, (into, back))``, ``steps(V, k)`` the block stepper of the state
+    ``V = into(U) = Qx^T U Qy`` and ``back(V) = Qx V Qy^T``.  The problem's
+    source is a :class:`SeparableSource` (:func:`_backend`).
 
     With ``a = tau/2`` and ``c = (1 + a lam)/(1 - a lam)`` (``d`` likewise
     from ``mu``), both splittings step ``V <- G o V + H o F^ + E``, with ``G
@@ -349,10 +351,11 @@ def _eigen_stepper(problem: Problem2D, config: SolverConfig2D, x: np.ndarray, y:
     e^T``, with ``e = (Qy^T [cy0, cyN]) / (1 - a mu)``.  The source is
     ``s_j space``, so setup reads the time factor once on every step's
     midpoint time, giving ``s_j``, and the space function once on the
-    interior (for ``lod`` also on the y-lines), transforms it, and fixes
-    ``P = H o F^ + E`` at ``s_j = 1``.  A step is ``V <- G o V + s_j P``,
-    three elementwise passes: it reads no problem callable and makes no
-    product.
+    interior (for ``lod`` on the row ``[ay, y[1:-1], by]`` of :func:`_grid`,
+    so also on the y-lines, as a dense ``lod`` step reads), transforms it,
+    and fixes ``P = H o F^ + E`` at ``s_j = 1``.  A step is ``V <- G o V +
+    s_j P``, three elementwise passes: it reads no problem callable and
+    makes no product.
 
     Some ``|c|`` or ``|d|`` that is not at most 1 (NaN included) would grow
     the state, and is a :class:`SolverError` naming the axis and its largest
@@ -365,6 +368,7 @@ def _eigen_stepper(problem: Problem2D, config: SolverConfig2D, x: np.ndarray, y:
     problem runs, as on the dense steppers.
     """
     lod = config.splitting == "lod"
+    *_, X, Y, y_row = _grid(problem, config, lod)
     dx, dy = build_directional_operators(problem, config)
     (lam, qx), (mu, qy) = _spectrum(dx, "x"), _spectrum(dy, "y")
     del dx, dy  # freed before the run's arrays are allocated
@@ -382,8 +386,7 @@ def _eigen_stepper(problem: Problem2D, config: SolverConfig2D, x: np.ndarray, y:
     # factor on the interior, for lod's y-lines also on y = ay, by
     source = problem.source
     s = _sample("problem.source time factor", source.time, (tau * np.arange(config.M) + a,))
-    y_read = np.concatenate(([problem.ay], y[1:-1], [problem.by])) if lod else y[1:-1]
-    g = _sample("problem.source space factor", source.space, (x[1:-1, None], y_read[None, :]))
+    g = _sample("problem.source space factor", source.space, (X, y_row if lod else Y))
     # a non-finite factor gives a non-finite state, which march reports, so
     # the setup and the steps raise no numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -406,7 +409,7 @@ def _eigen_stepper(problem: Problem2D, config: SolverConfig2D, x: np.ndarray, y:
             out.flags.writeable = False
             yield out
 
-    return steps, qx, qy
+    return steps, (lambda U: qx.T @ U @ qy, lambda V: qx @ V @ qy.T)
 
 
 def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution:
@@ -420,7 +423,10 @@ def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution:
     steps in the eigenbasis of
     ``Dx``, ``Dy`` (:func:`_eigen_stepper`), any other on the splitting's
     dense stepper; :func:`_backend` picks which, and the solution's
-    ``backend`` names it.  The block stepper goes straight to
+    ``backend`` names it.  Each backend steps in its
+    :data:`~wsgdiff.solve1d.Basis` ``(into, back)``, the grid for the dense
+    steppers: the run maps the initial state through ``into`` and the final
+    state through ``back``.  The block stepper goes straight to
     :func:`~wsgdiff.solve1d.march`, and yields
     blocks of ``B`` levels with ``B (Nx-1)(Ny-1) <= 2**15``: 8 at ``N = 64``,
     2 at 128 and 1 from 256.
@@ -434,21 +440,18 @@ def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution:
     hx, hy, x, y, X, Y, _ = _grid(problem, config, lod)
     backend = _backend(problem)
     if backend == "eigen":
-        steps, qx, qy = _eigen_stepper(problem, config, x, y)
+        steps, (into, back) = _eigen_stepper(problem, config)
     else:
-        steps, qx, qy = (lod_stepper if lod else pr_adi_stepper)(problem, config), None, None
+        steps, (into, back) = (lod_stepper if lod else pr_adi_stepper)(problem, config), _GRID
 
     def initial() -> np.ndarray:
         U = np.array(on_grid(problem, "initial", X, Y))
-        if qx is None:
-            return U
         with np.errstate(over="ignore", invalid="ignore"):  # march reports it
-            return qx.T @ U @ qy
+            return into(U)
 
     norm = lambda V: [np.sqrt(hx * hy * np.vdot(S, S)) for S in V]
     U, norm_history, _, _ = march(steps, initial, config, norm)
-    if qx is not None:
-        U = qx @ U @ qy.T
+    U = back(U)
     t_next = config.M * config.tau
     values = np.zeros((config.Nx + 1, config.Ny + 1))
     values[1:-1, 1:-1] = U

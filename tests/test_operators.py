@@ -231,7 +231,7 @@ def test_apply_includes_boundary_values(scheme):
     u = GridFunction1D(values)
     n = big_n - 1
     a = assemble_wsgd_matrix(alpha, scheme, n).to_dense()
-    l_u0, r_u0, l_un, r_un = boundary_columns(alpha, scheme, n)
+    (l_u0, l_un), (r_u0, r_un) = (boundary_columns(alpha, scheme, n, *k) for k in ((1, 0), (0, 1)))
     scale = u.h**alpha
     want_left = (a @ values[1:-1] + l_u0 * values[0] + l_un * values[-1]) / scale
     want_right = (a.T @ values[1:-1] + r_u0 * values[0] + r_un * values[-1]) / scale
@@ -279,11 +279,16 @@ def test_boundary_columns_definitions(scheme):
     alpha = 1.5
     n = 7
     w = operator_weights(alpha, scheme, n + 2)
-    l_u0, r_u0, l_un, r_un = boundary_columns(alpha, scheme, n)
+    (l_u0, l_un), (r_u0, r_un) = (boundary_columns(alpha, scheme, n, *k) for k in ((1, 0), (0, 1)))
     np.testing.assert_array_equal(l_u0, w[2 : n + 2])
     np.testing.assert_array_equal(r_un, w[2 : n + 2][::-1])
     assert r_u0[0] == w[0] and np.all(r_u0[1:] == 0.0)
     assert l_un[-1] == w[0] and np.all(l_un[:-1] == 0.0)
+    # the diffusivities weight the two sides, one a row or alike
+    dl, dr = np.linspace(0.5, 1.5, n), 0.3
+    c0, cn = boundary_columns(alpha, scheme, n, dl, dr)
+    np.testing.assert_array_equal(c0, dl * l_u0 + dr * r_u0)
+    np.testing.assert_array_equal(cn, dl * l_un + dr * r_un)
 
 
 # ---------------------------------------------------------------------------

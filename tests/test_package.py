@@ -51,7 +51,7 @@ _COUNTED = {
     "shifted_pair_weights": ("count", lambda n: shifted_pair_weights(1.5, 1, 0, n)),
     "verify_weight_properties": ("count", lambda n: verify_weight_properties(1.5, P1Q0, n)),
     "assemble_wsgd_matrix": ("n", lambda n: assemble_wsgd_matrix(1.5, P1Q0, n).to_dense()),
-    "boundary_columns": ("n", lambda n: boundary_columns(1.5, P1Q0, n)),
+    "boundary_columns": ("n", lambda n: boundary_columns(1.5, P1Q0, n, 1.0, 0.5)),
     "scan_sign": ("samples", lambda n: scan_sign(1.5, P1Q0, n)),
 }
 

@@ -167,10 +167,10 @@ def test_gs_step_system_matches_dense_oracle(data, big_n, scheme, alpha, theta):
     v, u, f, g = (data.draw(nonzero) for _ in range(4))
     lhs = np.eye(n) - theta * b
     want_solve = np.linalg.solve(lhs, v)
-    gap_solve = np.max(np.abs(solve1d._gs_steps(problem, cfg)(v) - want_solve))
-    # the whole Cayley-form step against L^-1 (R u + f + g)
-    dl, dr = problem.diffusivity_values(solve1d._grid(problem, cfg.N)[2])
-    advance, _ = solve1d._cn_steps(problem, cfg, dl, dr, "gs")
+    # the solve is a step from zero, and the whole Cayley-form step is
+    # L^-1 (R u + f + g)
+    advance, _ = solve1d._gs_steps(problem, cfg)
+    gap_solve = np.max(np.abs(advance(np.zeros(n), v[None]) - want_solve))
     want_step = np.linalg.solve(lhs, u + (1.0 - theta) * (b @ u) + f + g)
     gap_step = np.max(np.abs(advance(u, (f + g)[None]) - want_step))
     gaps = gap_solve / np.max(np.abs(want_solve)), gap_step / np.max(np.abs(want_step))

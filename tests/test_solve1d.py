@@ -17,6 +17,7 @@ from wsgdiff import operators, solve1d, solve2d
 from wsgdiff import (
     P1Q0,
     P1QM1,
+    ErrorRecord,
     ParameterError,
     Problem1D,
     SolverConfig1D,
@@ -147,6 +148,20 @@ def test_running_max_dominates_final_max():
     assert sol.max_err_running >= sol.max_err_final
     assert sol.norm_history.size == 33
     assert sol.t_final == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("N", [64, 1024])
+def test_a_nan_error_level_makes_the_running_error_nan(N):
+    # the running error was max(running, block), which drops a NaN second
+    # argument: a NaN exact value at t = 1/2, inside the one stepped block
+    # at N=64 or a later one of 32 levels at N=1024, read 0.0 or the clean
+    # run's 4.44e-8
+    base = make_example("ex2", 1.5)
+    exact = lambda x, t: np.where(t == 0.5, np.nan, base.exact(x, t))
+    sol = cn_wsgd_run(dataclasses.replace(base, exact=exact), SolverConfig1D(N=N, M=N))
+    assert np.isnan(sol.max_err_running)
+    with pytest.raises(ParameterError, match="nonnegative and finite"):
+        ErrorRecord(N, N, sol.max_err_running, sol.l2_err_final)
 
 
 def test_boundary_nodes_carry_boundary_data():
@@ -430,25 +445,23 @@ def test_gs_run_matches_dense_run(monkeypatch, name, alpha, theta, sampling):
     assert gs.values[0] == dense.values[0] and gs.values[-1] == dense.values[-1]
 
 
-@pytest.mark.filterwarnings("ignore:theta=0.0 lies outside")
-@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("theta", [0.5, 1.0])
 @pytest.mark.parametrize("N", [4, 5, 9, 33])
 def test_gs_setup_is_the_dense_system(N, theta):
-    # the set-up Toeplitz solve against the dense matrix and, for the
-    # theta >= 1/2 that runs pick it at, the Cayley-form step against the
-    # dense step, below the size where runs pick it
+    # the set-up Toeplitz solve, a step from zero, against the dense matrix,
+    # and the Cayley-form step against the dense step, below the size where
+    # runs pick it; runs pick it only at theta >= 1/2
     rng = np.random.default_rng(N)
     p = _constant_problem("unequal", 0.9, 0.35, 1.7)
     cfg = SolverConfig1D(N=N, M=3, theta=theta, T=0.5)
     lhs, _ = solve1d._full_system(p, cfg, *_diffusivities(p, cfg))
-    solve = solve1d._gs_steps(p, cfg)
+    advance, basis = solve1d._gs_steps(p, cfg)
+    assert basis is solve1d._GRID
     for _ in range(3):
         v = rng.standard_normal(N - 1)
-        np.testing.assert_allclose(solve(v), np.linalg.solve(lhs, v), rtol=0, atol=1e-12)
-    if theta < 0.5:
-        return
-    dense_advance, _ = solve1d._cn_steps(p, cfg, *_diffusivities(p, cfg), "dense")
-    advance, _ = solve1d._cn_steps(p, cfg, *_diffusivities(p, cfg), "gs")
+        (solved,) = advance(np.zeros(N - 1), v[None])
+        np.testing.assert_allclose(solved, np.linalg.solve(lhs, v), rtol=0, atol=1e-12)
+    dense_advance, _ = solve1d._dense_steps(p, cfg, *_diffusivities(p, cfg), False)
     U, f, b = rng.standard_normal((3, N - 1, 4))
     for j, u in enumerate(U.T):
         v = f[:, j] + b[:, j]
@@ -464,7 +477,10 @@ def test_backend_steps_a_block_as_its_slabs_one_at_a_time(backend, theta):
     # of slabs gives the bits of stepping them one slab at a time
     p = _constant_problem("unequal", 0.9, 0.35, 1.7)
     cfg = SolverConfig1D(N=33, M=5, theta=theta)
-    advance, _ = solve1d._cn_steps(p, cfg, *_diffusivities(p, cfg), backend)
+    if backend == "gs":
+        advance, _ = solve1d._gs_steps(p, cfg)
+    else:
+        advance, _ = solve1d._dense_steps(p, cfg, *_diffusivities(p, cfg), False)
     rng = np.random.default_rng(33)
     U, terms = rng.standard_normal(32), rng.standard_normal((5, 32))
     block = advance(U, terms)
@@ -636,7 +652,7 @@ def test_stepper_reuses_its_source_value_only_at_the_slab_end(monkeypatch, sampl
 
     p = dataclasses.replace(base, source=source)
     cfg = SolverConfig1D(N=24, M=4, source_sampling=sampling)
-    steps = solve1d.cn_stepper(p, cfg)
+    steps = solve1d._cn_setup(p, cfg)[0]
     U = np.linspace(0.1, 0.9, cfg.N - 1)
     (whole,) = steps(U, 0)
     assert whole.shape == (4, cfg.N - 1) and whole.flags.c_contiguous
@@ -653,7 +669,7 @@ def test_stepper_steps_only_from_levels(monkeypatch, backend):
     # a level 0 <= k < M
     _force(monkeypatch, backend)
     cfg = SolverConfig1D(N=16, M=4)
-    steps = solve1d.cn_stepper(make_example("ex2", 1.5), cfg)
+    steps = solve1d._cn_setup(make_example("ex2", 1.5), cfg)[0]
     U = np.linspace(0.1, 0.9, cfg.N - 1)
     assert next(steps(U, 3)).shape == (1, cfg.N - 1)
     for k in (4, 5, -1, 0.5, 3.0):

@@ -697,29 +697,30 @@ def test_run_makes_two_triangular_solves_at_setup(dense, monkeypatch, splitting,
 
 @pytest.mark.parametrize("splitting", ["pr", "lod"])
 def test_callables_are_read_only_on_the_nodes_a_splitting_uses(monkeypatch, splitting):
-    # the steps used to read the source on both pairs of sides; now the
-    # factory reads none, and a step reads the source on the interior, for
-    # lod also on its y-lines
+    # the steps used to read the source on both pairs of sides, and a lod
+    # step read its y-lines in a second call; now the factory reads none,
+    # and a step reads the source once, on the interior, for lod also on
+    # its y-lines: one read of all those points a step
     base = make_example("ex4", 1.2, 1.8)
-    points = [0]
+    reads = []
 
     def source(*args):
-        points[0] += np.broadcast(*args).size
+        reads.append(np.broadcast(*args).size)
         return base.source(*args)
 
     p = dataclasses.replace(base, source=source)
     nx, ny = (8, 12) if splitting == "pr" else (8, 8)
     cfg = SolverConfig2D(Nx=nx, Ny=ny, M=3, splitting=splitting)
     steps = _STEPPER[splitting](p, cfg)
-    assert points == [0]
+    assert reads == []
     monkeypatch.setattr(solve1d, "_BLOCK_ENTRIES", (nx - 1) * (ny - 1))
     blocks = steps(np.zeros((nx - 1, ny - 1)), 1)
     y_lines, interior = 2 * (nx - 1), (nx - 1) * (ny - 1)
     step = interior + (y_lines if splitting == "lod" else 0)
     for _ in range(2):
-        points[0] = 0
+        reads.clear()
         next(blocks)
-        assert points == [step]
+        assert reads == [step]
 
 
 @pytest.mark.parametrize("splitting", ["pr", "lod"])
@@ -852,8 +853,7 @@ def test_separable_factors_are_read_once_a_run(splitting, y_nodes):
 
     p = _custom_2d(source=problems.SeparableSource(time, space))
     cfg = SolverConfig2D(Nx=8, Ny=8, M=5, splitting=splitting)
-    x = y = np.linspace(0.0, 1.0, 9)
-    steps, *_ = solve2d._eigen_stepper(p, cfg, x, y)
+    steps, _ = solve2d._eigen_stepper(p, cfg)
     assert sorted(reads) == [("space", (7, 1), (1, y_nodes)), ("time", (5,))]
     assert len(np.concatenate(list(steps(np.ones((7, 7)), 0)))) == 5
     assert len(reads) == 2
@@ -1037,7 +1037,7 @@ def test_block_stepper_contract(monkeypatch, kind):
     if kind in ("dense", "gs"):
         base, cfg = make_example("ex2", 1.5), SolverConfig1D(N=16, M=8)
         p = dataclasses.replace(base, source=counted(base.source))
-        steps, shape = solve1d.cn_stepper(p, cfg), (cfg.N - 1,)
+        steps, shape = solve1d._cn_setup(p, cfg)[0], (cfg.N - 1,)
     else:
         base = _skewed_problem() if kind == "pr" else make_example("ex4", 1.2, 1.8)
         cfg = SolverConfig2D(Nx=8, Ny=12 if kind == "pr" else 8, M=8, splitting=kind)
