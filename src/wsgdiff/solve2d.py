@@ -18,8 +18,9 @@ locally-one-dimensional variant:
                  source handling.
 
 Each splitting is one factory ``stepper(problem, config)`` that checks its
-preconditions and does its setup once — directional operators, and each
-direction's half-step matrices — and returns a block stepper ``steps(U, k)``
+preconditions and does its setup once — the dense directional operators of
+:func:`build_directional_operators`, and each direction's half-step
+matrices — and returns a block stepper ``steps(U, k)``
 of ``solve1d.BlockStepper``'s contract: a generator of the levels ``k+1 ...
 M`` stepped from ``U`` at level ``k``, as the rows of read-only C-ordered
 ``(count, Nx-1, Ny-1)`` blocks; :func:`run_2d` hands it to
@@ -31,9 +32,9 @@ With ``a = tau/2``, setup forms the Cayley factor ``Cx = (I - a Dx)^-1
 (I + a Dx)`` (and ``Cy`` for ``lod``) and, for ``pr``, ``(I - a Dy)^-1``,
 once per run by one solve each through ``solve1d.solve``.  Each Cayley
 factor is a contraction, so these matrices are well conditioned, and a step
-is then two matrix products into C-ordered work arrays allocated once per
-run and its row of the block: no triangular solve.  A ``pr`` call of
-``steps`` makes one more product, before its first step, to seed the
+is then two matrix products into C-ordered work arrays, allocated by each
+call of ``steps``, and its row of the block: no triangular solve.  A ``pr``
+call of ``steps`` makes one more product, before its first step, to seed the
 operand it carries (see :func:`pr_adi_stepper`).  ``lod``'s rank-2
 boundary-column terms ride in a product, on two extra columns of one operand
 and two extra rows of the other.
@@ -47,13 +48,15 @@ times one space function, as in the paper's 2D example; any other problem
 steps in the grid basis with the dense
 Cayley steppers above (``"dense"``).  In the eigenbasis (the fast
 diagonalization method of Lynch, Rice & Thomas, 1964) ``Dx = Qx diag(lam)
-Qx^T`` with ``Qx`` orthogonal.  A symmetric Toeplitz combination is also centrosymmetric, so
-setup takes two half-order ``eigh`` calls per axis, one for each of its
-even and odd halves (Cantoni & Butler, 1976), and assembles ``Qx`` from
-their eigenvectors.  The run marches ``Qx^T U Qy``: the space function is
-transformed once, so both splittings step in one elementwise form with no
-product (:func:`_eigen_stepper`), O(n^2), reading no callable, and each
-level's norm needs no transform.  Like every backend, 1D and 2D, the
+Qx^T`` with ``Qx`` orthogonal.  A symmetric Toeplitz combination is also
+centrosymmetric, so setup reads each axis's operator as its top
+``ceil(n/2)`` rows, off the stencils (:func:`_top_rows`), with no
+``n``-by-``n`` operator, and takes two half-order ``eigh`` calls per axis,
+one for each of its even and odd halves (Cantoni & Butler, 1976), and
+assembles ``Qx`` from their eigenvectors.  The run marches ``Qx^T U Qy``:
+the space function is transformed once, so both splittings step in one
+elementwise form with no product (:func:`_eigen_stepper`), O(n^2), reading
+no callable, and each level's norm needs no transform.  Like every backend, 1D and 2D, the
 eigenbasis factory returns its ``(into, back)`` basis beside its stepper,
 and :func:`run_2d` maps the initial state through ``into`` and the final
 state through ``back``; the dense steppers step on the grid.  A step
@@ -132,10 +135,21 @@ class SolverConfig2D:
         return self.T / self.M
 
 
+def _axes(problem: Problem2D, config: SolverConfig2D):
+    """Per axis, x then y: its order, interval count, length and left and
+    right diffusivities."""
+    p = problem
+    return (
+        (p.alpha, config.Nx, p.bx - p.ax, p.x_left_diffusivity, p.x_right_diffusivity),
+        (p.beta, config.Ny, p.by - p.ay, p.y_left_diffusivity, p.y_right_diffusivity),
+    )
+
+
 def build_directional_operators(
     problem: Problem2D, config: SolverConfig2D
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Dense one-dimensional operators for the x and y directions.
+    """Dense one-dimensional operators for the x and y directions, those of
+    the dense Cayley steppers.
 
     Returns ``(Dx, Dy)`` of orders ``Nx-1`` and ``Ny-1``: each combines the
     left- and right-sided stencil matrices with the direction's
@@ -146,8 +160,9 @@ def build_directional_operators(
     An axis with equal diffusivities ``k`` is ``k (A + A^T)/h**order``, the
     stencils summed before scaling: near order 1 ``A + A^T`` vanishes, and
     ``k A + k A^T`` leaves rounding noise there that can move an eigenbasis
-    step multiplier a few ulps above 1, so that :func:`_eigen_stepper`
-    refuses a problem the dense steppers run.
+    step multiplier a few ulps above 1.  The eigenbasis reads the same
+    rule's top rows (:func:`_top_rows`), so both backends run such a
+    problem.
     """
 
     def axis(order, n, length, left, right):
@@ -155,10 +170,23 @@ def build_directional_operators(
         d = left * (a + a.T) if left == right else left * a + right * a.T
         return d / (length / n) ** order
 
-    p = problem
-    dx = axis(p.alpha, config.Nx, p.bx - p.ax, p.x_left_diffusivity, p.x_right_diffusivity)
-    dy = axis(p.beta, config.Ny, p.by - p.ay, p.y_left_diffusivity, p.y_right_diffusivity)
-    return dx, dy
+    return tuple(axis(*v) for v in _axes(problem, config))
+
+
+def _top_rows(problem: Problem2D, config: SolverConfig2D) -> tuple[np.ndarray, np.ndarray]:
+    """The top ``p = ceil(n/2)`` rows of each symmetric directional operator
+    of order ``n``, x then y: ``k (A.rows(p) + A^T.rows(p))/h**order``, the
+    rows :func:`build_directional_operators` forms of an axis with equal
+    diffusivities ``k``, read off the stencils with no ``n``-by-``n`` array.
+    A centrosymmetric operator's even and odd halves need no more
+    (:class:`~wsgdiff.operators._MirrorHalves`)."""
+
+    def axis(order, n, length, k, _):
+        a = assemble_wsgd_matrix(order, config.scheme, n - 1)
+        p = _MirrorHalves(n - 1).p
+        return k * (a.rows(p) + a.T.rows(p)) / (length / n) ** order
+
+    return tuple(axis(*v) for v in _axes(problem, config))
 
 
 def _grid(problem: Problem2D, config: SolverConfig2D, lod: bool):
@@ -226,13 +254,12 @@ def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> BlockStepper:
     # W2 is carried divided by a, so F joins it unscaled
     seed = ay.T / a
     last = a * solve(ay, iy, "y-direction").T
-    # a step writes w before it reads it, so calls of steps may share it
-    w = np.empty((nx, ny))
 
     def steps(U: np.ndarray, k: int) -> Iterator[np.ndarray]:
         blocks = _blocks(k, config.M, nx * ny)  # checks k before the seed product
         with np.errstate(over="ignore", invalid="ignore"):
             w2 = np.matmul(U, seed)
+        w = np.empty((nx, ny))
         for start, count in blocks:
             out = np.empty((count, nx, ny))
             for j, row in zip(range(start, start + count), out):
@@ -273,11 +300,11 @@ def lod_stepper(problem: Problem2D, config: SolverConfig2D) -> BlockStepper:
     tau = config.tau
     a = 0.5 * tau
     nx, ny = config.Nx - 1, config.Ny - 1
-    af = np.empty((nx, ny))
-    # [U + a F | f^T] swept by Cx into [V | Cx f^T]
-    w_aug, v_aug = np.empty((2, nx, ny + 2))
 
     def steps(U: np.ndarray, k: int) -> Iterator[np.ndarray]:
+        af = np.empty((nx, ny))
+        # [U + a F | f^T] swept by Cx into [V | Cx f^T]
+        w_aug, v_aug = np.empty((2, nx, ny + 2))
         for start, count in _blocks(k, config.M, nx * ny):
             out = np.empty((count, nx, ny))
             for j, row in zip(range(start, start + count), out):
@@ -315,23 +342,24 @@ def _backend(problem: Problem2D) -> str:
     return "eigen" if eigen else "dense"
 
 
-def _spectrum(d: np.ndarray, axis: str) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and orthogonal eigenvectors of a symmetric directional
-    operator, one ``eigh`` for each of its even and odd halves
-    (:class:`~wsgdiff.operators._MirrorHalves`, built from its top rows): a
-    symmetric Toeplitz combination is centrosymmetric.  The eigenvalues come
-    even half first, and the eigenvectors are the columns of the returned
-    matrix."""
-    halves = _MirrorHalves(len(d))
+def _spectrum(top: np.ndarray, axis: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and orthogonal eigenvectors of the symmetric directional
+    operator whose top rows are ``top`` (:func:`_top_rows`), one ``eigh``
+    for each of its even and odd halves
+    (:class:`~wsgdiff.operators._MirrorHalves`): a symmetric Toeplitz
+    combination is centrosymmetric.  The eigenvalues come even half first,
+    and the eigenvectors are the columns of the returned matrix."""
+    n = top.shape[1]
+    halves = _MirrorHalves(n)
     m, p = halves.m, halves.p
-    blocks = halves.blocks(d[:p])
+    blocks = halves.blocks(top)
     try:
         (even, qe), (odd, qo) = np.linalg.eigh(blocks[0]), np.linalg.eigh(blocks[1, :m, :m])
     except np.linalg.LinAlgError:
         raise SolverError(f"{axis}-direction: the eigensolver did not converge") from None
     lam = np.concatenate((even, odd))
     # each eigenvector in the half basis, one a row, back on the grid
-    vectors = np.zeros((len(d), 2, p))
+    vectors = np.zeros((n, 2, p))
     vectors[:p, 0], vectors[p:, 1, :m] = qe.T, qo.T
     return lam, halves.join(vectors).T
 
@@ -363,15 +391,14 @@ def _eigen_stepper(problem: Problem2D, config: SolverConfig2D) -> tuple[BlockSte
     the paper's stability theory makes each symmetric operator negative
     definite for orders in ``(1, 2]``.  Near order 1 the operator vanishes
     and its eigenvalues are rounding noise of either sign, which
-    :func:`build_directional_operators` keeps small by summing the stencils
-    before scaling, so that each multiplier rounds to at most 1 and such a
-    problem runs, as on the dense steppers.
+    :func:`_top_rows` keeps small by summing the stencils before scaling,
+    so that each multiplier rounds to at most 1 and such a problem runs, as
+    on the dense steppers.
     """
     lod = config.splitting == "lod"
     *_, X, Y, y_row = _grid(problem, config, lod)
-    dx, dy = build_directional_operators(problem, config)
-    (lam, qx), (mu, qy) = _spectrum(dx, "x"), _spectrum(dy, "y")
-    del dx, dy  # freed before the run's arrays are allocated
+    # the top rows are freed with the map, before the run's arrays are allocated
+    (lam, qx), (mu, qy) = map(_spectrum, _top_rows(problem, config), "xy")
     nx, ny, tau = config.Nx - 1, config.Ny - 1, config.tau
     a = 0.5 * tau
     c, d = ((1.0 + a * v) / (1.0 - a * v) for v in (lam, mu))
@@ -396,9 +423,9 @@ def _eigen_stepper(problem: Problem2D, config: SolverConfig2D) -> tuple[BlockSte
             P += (a * a * (c - 1.0) * (qx.T @ g[:, [0, -1]])) @ e.T
         else:
             P = a * (c + 1.0) * (qx.T @ g @ qy) / (1.0 - a * mu)
-    w = np.empty((nx, ny))
 
     def steps(V: np.ndarray, k: int) -> Iterator[np.ndarray]:
+        w = np.empty((nx, ny))
         for start, count in _blocks(k, config.M, nx * ny):
             out = np.empty((count, nx, ny))
             for j, row in zip(range(start, start + count), out):
@@ -429,7 +456,8 @@ def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution:
     state through ``back``.  The block stepper goes straight to
     :func:`~wsgdiff.solve1d.march`, and yields
     blocks of ``B`` levels with ``B (Nx-1)(Ny-1) <= 2**15``: 8 at ``N = 64``,
-    2 at 128 and 1 from 256.
+    2 at 128 and 1 from 256.  The run drops the stepper once ``march``
+    returns, so its factors are freed before ``back`` and the error read.
     Each level's norm is the grid-weighted L2 norm of
     :func:`~wsgdiff.problems.l2_norm`, ``sqrt(hx hy sum U^2)``, taken as one
     dot product of the state with itself (in either basis, since ``Qx`` and
@@ -445,12 +473,15 @@ def run_2d(problem: Problem2D, config: SolverConfig2D) -> Solution:
         steps, (into, back) = (lod_stepper if lod else pr_adi_stepper)(problem, config), _GRID
 
     def initial() -> np.ndarray:
-        U = np.array(on_grid(problem, "initial", X, Y))
+        # on_grid's array is fresh, or a constant's broadcast view, which
+        # steps as a C-ordered copy like any other state
+        U = np.ascontiguousarray(on_grid(problem, "initial", X, Y))
         with np.errstate(over="ignore", invalid="ignore"):  # march reports it
             return into(U)
 
     norm = lambda V: [np.sqrt(hx * hy * np.vdot(S, S)) for S in V]
     U, norm_history, _, _ = march(steps, initial, config, norm)
+    del steps  # and its factors, before back and the error read
     U = back(U)
     t_next = config.M * config.tau
     values = np.zeros((config.Nx + 1, config.Ny + 1))

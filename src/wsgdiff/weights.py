@@ -79,12 +79,9 @@ def _check_alpha(alpha: float, low: float, high: float, *, low_open: bool = True
 
 
 def _gl_values(alpha: float, count: int) -> np.ndarray:
-    """GL coefficients by the stable downward recursion."""
-    g = np.empty(count)
-    g[0] = 1.0
-    for k in range(1, count):
-        g[k] = (1.0 - (alpha + 1.0) / k) * g[k - 1]
-    return g
+    """GL coefficients by the stable downward recursion, as the running
+    product of its ratios ``1 - (alpha+1)/k``."""
+    return np.cumprod(np.concatenate(([1.0], 1.0 - (alpha + 1.0) / np.arange(1, count))))
 
 
 def grunwald_coefficients(alpha: float, count: int) -> np.ndarray:

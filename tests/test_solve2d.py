@@ -5,11 +5,12 @@ discrete stability, and the frozen 2D benchmark anchors."""
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from wsgdiff import problems, solve1d, solve2d
+from wsgdiff import operators, problems, solve1d, solve2d
 from wsgdiff import (
     P1Q0,
     ParameterError,
@@ -836,6 +837,65 @@ def test_symmetry_and_a_separable_source_select_the_eigenbasis(
         np.testing.assert_array_equal(sol.values[1:-1, 1:-1], levels[-1])
 
 
+@pytest.mark.parametrize("order", [1.0 + 2.0**-52, 1.3, 1.7, 2.0])
+@pytest.mark.parametrize("nx,ny", [(8, 9), (17, 16), (64, 100)])
+def test_top_rows_are_the_dense_operators_top_rows(nx, ny, order):
+    # the eigenbasis reads each symmetric operator off its stencils, summed
+    # before scaling as the dense operator is, so its halves keep every bit
+    p = dataclasses.replace(_symmetric_spacings(), alpha=order, beta=order)
+    cfg = SolverConfig2D(Nx=nx, Ny=ny, M=1)
+    for top, d in zip(solve2d._top_rows(p, cfg), build_directional_operators(p, cfg)):
+        assert top.shape == ((len(d) + 1) // 2, len(d))
+        np.testing.assert_array_equal(top, d[: len(top)])
+
+
+@pytest.mark.parametrize("splitting", ["pr", "lod"])
+def test_the_eigenbasis_forms_no_square_operator(monkeypatch, splitting):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the eigenbasis must not form an n-by-n operator")
+
+    monkeypatch.setattr(solve2d, "build_directional_operators", forbidden)
+    monkeypatch.setattr(operators.ToeplitzOperator, "to_dense", forbidden)
+    cfg = SolverConfig2D(Nx=16, Ny=16, M=4, splitting=splitting)
+    sol = run_2d(make_example("ex4", 1.2, 1.8), cfg)
+    assert sol.backend == "eigen" and sol.max_err_final < 1e-3
+
+
+@pytest.mark.parametrize("splitting", ["pr", "lod"])
+def test_an_eigenbasis_run_frees_its_factors_before_the_final_state(splitting):
+    # a run used to hold G, P and the work array beside the final transform
+    # and the error read, 9.04 grids at N=256; now the steps' own arrays set
+    # the peak, about 7
+    p = make_example("ex4", 1.2, 1.8)
+    cfg = SolverConfig2D(Nx=256, Ny=256, M=4, splitting=splitting)
+    run_2d(p, cfg)  # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        assert run_2d(p, cfg).backend == "eigen"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid = (cfg.Nx - 1) * (cfg.Ny - 1) * 8
+    assert peak <= 7.25 * grid, peak / grid
+
+
+@pytest.mark.parametrize("backend", ["eigen", "dense"])
+@pytest.mark.parametrize("splitting", ["pr", "lod"])
+def test_a_constant_initial_state_runs_on_both_backends(monkeypatch, splitting, backend):
+    # on_grid returns a constant as a read-only broadcast view; it steps as
+    # the same state filled in does
+    monkeypatch.setattr(solve2d, "_backend", lambda *_: backend)
+    cfg = SolverConfig2D(Nx=12, Ny=12, M=3, splitting=splitting)
+    runs = [
+        run_2d(_custom_2d(source=_sin_cos(), initial=initial), cfg)
+        for initial in (lambda x, y: 0.25, lambda x, y: np.full(np.broadcast(x, y).shape, 0.25))
+    ]
+    assert [r.backend for r in runs] == [backend] * 2
+    np.testing.assert_array_equal(runs[0].values, runs[1].values)
+    np.testing.assert_array_equal(runs[0].norm_history, runs[1].norm_history)
+    assert runs[0].norm_history[0] > 0.0
+
+
 @pytest.mark.parametrize("splitting,y_nodes", [("pr", 7), ("lod", 9)])
 def test_separable_factors_are_read_once_a_run(splitting, y_nodes):
     # the eigenbasis reads each factor once, at setup: the time factor on
@@ -862,18 +922,26 @@ def test_separable_factors_are_read_once_a_run(splitting, y_nodes):
     assert len(reads) == 4
 
 
+def _inject_top_rows(monkeypatch, change):
+    """Step the eigenbasis on ``change(axis, D)`` of each dense directional
+    operator ``D``, handed to it as the top rows it reads."""
+
+    def top_rows(problem, config):
+        ops = map(change, "xy", build_directional_operators(problem, config))
+        return tuple(d[: len(d) - len(d) // 2] for d in ops)
+
+    monkeypatch.setattr(solve2d, "_top_rows", top_rows)
+
+
 @pytest.mark.parametrize("axis", ["x", "y"])
 def test_an_operator_that_is_not_negative_definite_fails_at_setup(monkeypatch, axis):
     # the stability condition, read off the eigenvalues before any step
-    build = solve2d.build_directional_operators
+    def shifted(name, d):
+        if name != axis:
+            return d
+        return d + (0.5 - np.max(np.linalg.eigvalsh(d))) * np.eye(len(d))
 
-    def shifted(problem, config):
-        ops = dict(zip("xy", build(problem, config)))
-        d = ops[axis]
-        ops[axis] = d + (0.5 - np.max(np.linalg.eigvalsh(d))) * np.eye(len(d))
-        return ops["x"], ops["y"]
-
-    monkeypatch.setattr(solve2d, "build_directional_operators", shifted)
+    _inject_top_rows(monkeypatch, shifted)
     reads = []
     time = lambda t: reads.append(t) or np.exp(t)
     space = lambda x, y: reads.append((x, y)) or np.sin(x) * np.cos(y)
@@ -891,21 +959,20 @@ def test_a_non_negative_eigenvalue_of_either_half_fails_at_setup(monkeypatch, ax
     # rank-one lift along w = e_0 +- e_last (J w = +-w) keeps the operator
     # symmetric and centrosymmetric and, by interlacing, makes exactly one
     # eigenvalue positive, in the half of w; x has odd order 7, y even order 8
-    build = solve2d.build_directional_operators
     peaks = []
 
-    def lifted(problem, config):
-        ops = dict(zip("xy", build(problem, config)))
-        d = ops[axis]
+    def lifted(name, d):
+        if name != axis:
+            return d
         w = np.zeros(len(d))
         w[0], w[-1] = 1.0, 1.0 if half == "even" else -1.0
-        ops[axis] = d + np.max(np.sum(np.abs(d), axis=1)) * np.outer(w, w)
-        lam = np.linalg.eigvalsh(ops[axis])
+        d = d + np.max(np.sum(np.abs(d), axis=1)) * np.outer(w, w)
+        lam = np.linalg.eigvalsh(d)
         assert lam[-2] < 0.0 < lam[-1]
         peaks.append(lam[-1])
-        return ops["x"], ops["y"]
+        return d
 
-    monkeypatch.setattr(solve2d, "build_directional_operators", lifted)
+    _inject_top_rows(monkeypatch, lifted)
     p = _custom_2d(source=_sin_cos())
     with pytest.raises(SolverError, match=rf"{axis}-direction: .*not negative definite") as info:
         run_2d(p, SolverConfig2D(Nx=8, Ny=9, M=2))

@@ -46,6 +46,17 @@ def test_recursion_matches_log_gamma_oracle(alpha):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("count", [1, 2, 3, 17, 2049])
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 1.0 + 2.0**-52, 1.5, 2.0])
+def test_coefficients_are_the_recursion_bit_for_bit(alpha, count):
+    # one running product of the ratios keeps every bit of the scalar loop
+    g = [1.0]
+    for k in range(1, count):
+        g.append((1.0 - (alpha + 1.0) / k) * g[-1])
+    got = grunwald_coefficients(alpha, count)
+    np.testing.assert_array_equal(got.view(np.uint64), np.array(g).view(np.uint64))
+
+
 def test_integer_orders_terminate():
     np.testing.assert_array_equal(
         grunwald_coefficients(2.0, 5), [1.0, -2.0, 1.0, 0.0, 0.0]
