@@ -21,7 +21,7 @@ Module map:
   application, boundary columns;
 - :mod:`wsgdiff.spectral`  — one generating-function formula, sign scans,
   negative-definiteness certification;
-- :mod:`wsgdiff.problems`  — benchmark catalog, the 2D source record
+- :mod:`wsgdiff.problems`  — benchmark catalog, the 1D and 2D source record
   ``SeparableSource(time, space)``, norms, convergence rates;
 - :mod:`wsgdiff.solve1d`   — steady third-order solve, the theta-weighted
   stepper, the one time loop ``march`` over a stepper's generator of blocks

@@ -136,8 +136,11 @@ class Problem1D:
     and callable diffusivities broadcast over numpy arrays and follow the one
     shape rule of :func:`on_grid`: the time stepper passes the broadcast
     axes ``x[None, :]`` and ``t[:, None]``, the steady solve the nodes ``x``
-    and ``t = 0``.  The boundary callables take a scalar ``t`` and return a
-    scalar.
+    and ``t = 0``.  A ``source`` given as a :class:`SeparableSource`,
+    ``time(t) space(x)`` (as in ``ex1``-``ex3``), is read by the time
+    stepper once a run instead: ``time`` on the vector of its level (or
+    midpoint) times and ``space`` on ``x[None, :]``.  The boundary callables
+    take a scalar ``t`` and return a scalar.
     """
 
     name: str
@@ -230,24 +233,28 @@ class Problem1D:
 
 @dataclass(frozen=True)
 class SeparableSource:
-    """A 2D source that is one time factor times one space function,
-    ``time(t) * space(x, y)``.
+    """A source that is one time factor times one space function,
+    ``time(t) * space(*axes)``, on any number of space axes: ``space(x)`` in
+    1D, ``space(x, y)`` in 2D.
 
     Both factors broadcast over numpy arrays, like any grid callable, and are
-    read through :func:`on_grid`'s checks: ``time`` on the axis ``t``,
-    ``space`` on the axes ``x``, ``y``, which its result must carry all of.
-    A factor that returns anything but real numbers of that shape is a
-    :class:`ParameterError` naming it.
+    read through :func:`on_grid`'s checks by :func:`_factors`: ``time`` on
+    the axis ``t``, ``space`` on the space axes, which its result must carry
+    all of.  A factor that returns anything but real numbers of that shape
+    is a :class:`ParameterError` naming it.
 
-    The record is itself the callable ``source(x, y, t)``, the product of
+    The record is itself the callable ``source(*axes, t)``, the product of
     its two reads on any broadcast axes, so every reader that does not know
-    the split reads it as any other source.  The eigenbasis steps of
-    :func:`~wsgdiff.solve2d.run_2d` read ``space`` once a run and ``time``
-    once on every step's midpoint time, so a step reads no callable.
+    the split reads it as any other source.  A 1D run
+    (:func:`~wsgdiff.solve1d.cn_wsgd_run`) reads ``time`` once on its level
+    (or midpoint) times and ``space`` once on its interior nodes, and the
+    eigenbasis steps of :func:`~wsgdiff.solve2d.run_2d` read ``space`` once a
+    run and ``time`` once on every step's midpoint time, so a step reads no
+    callable.
     """
 
     time: Callable[[np.ndarray], np.ndarray]
-    space: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    space: Callable[..., np.ndarray]
 
     def __post_init__(self) -> None:
         if not (callable(self.time) and callable(self.space)):
@@ -255,9 +262,19 @@ class SeparableSource:
                 "a separable source needs a callable time factor and a callable space factor"
             )
 
-    def __call__(self, x, y, t) -> np.ndarray:
-        s = _sample("problem.source time factor", self.time, (t,))
-        return s * _sample("problem.source space factor", self.space, (x, y))
+    def __call__(self, *args) -> np.ndarray:
+        *axes, t = args
+        s, g = _factors(self, t, *axes)
+        return s * g
+
+
+def _factors(source: SeparableSource, times, *axes) -> tuple[np.ndarray, np.ndarray]:
+    """``(time(times), space(*axes))`` of ``source``, each read through
+    :func:`on_grid`'s checks; the one read of a separable source's factors."""
+    return (
+        _sample("problem.source time factor", source.time, (times,)),
+        _sample("problem.source space factor", source.space, axes),
+    )
 
 
 @dataclass(frozen=True)
@@ -360,13 +377,18 @@ def _steady_monomial(alpha: float) -> Problem1D:
     )
 
 
+def _decay(t):
+    """``-exp(-t)``, the time factor of every time-dependent catalog source."""
+    return -np.exp(-t)
+
+
 def _left_sided_monomial(alpha: float) -> Problem1D:
     """Left-sided diffusion with exact solution exp(-t) * x**(1+alpha)."""
     c = gamma(2.0 + alpha)
 
-    def source(x, t):
+    def space(x):
         x = np.asarray(x, dtype=float)
-        return -np.exp(-t) * (x ** (1.0 + alpha) + c * x)
+        return x ** (1.0 + alpha) + c * x
 
     def exact(x, t):
         return np.exp(-t) * np.asarray(x, dtype=float) ** (1.0 + alpha)
@@ -376,7 +398,7 @@ def _left_sided_monomial(alpha: float) -> Problem1D:
         alpha=alpha,
         left_diffusivity=1.0,
         right_diffusivity=0.0,
-        source=source,
+        source=SeparableSource(_decay, space),
         initial=lambda x: np.asarray(x, dtype=float) ** (1.0 + alpha),
         left_boundary=lambda t: 0.0,
         right_boundary=lambda t: float(np.exp(-t)),
@@ -412,9 +434,9 @@ def _mirrored_fractional_profile(order: float, shift: float):
     return profile
 
 
-def _cubic_bump_source(profile):
+def _cubic_bump_source(profile) -> SeparableSource:
     """Source of the 1D cubic-bump examples for a given derivative profile."""
-    return lambda x, t: -np.exp(-t) * (_cubic_bump(x) + profile(x))
+    return SeparableSource(_decay, lambda x: _cubic_bump(x) + profile(x))
 
 
 def _two_sided_cubic(alpha: float) -> Problem1D:
@@ -467,7 +489,7 @@ def _two_dim_cubic(alpha: float, beta: float) -> Problem2D:
         x_right_diffusivity=1.0,
         y_left_diffusivity=1.0,
         y_right_diffusivity=1.0,
-        source=SeparableSource(lambda t: -np.exp(-t), space),
+        source=SeparableSource(_decay, space),
         initial=lambda x, y: exact(x, y, 0.0),
         exact=exact,
     )

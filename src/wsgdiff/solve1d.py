@@ -46,10 +46,12 @@ Cayley form.  :func:`_backend` picks it from the input alone, and the
 Everything a step needs besides ``U`` is known before the run starts, so a
 run, 1D or 2D, steps a block of ``B`` levels a pass, with ``B*n <= 2**15``
 on ``n`` unknowns a state (:func:`_blocks`).  A 1D run reads its boundary
-data once per level and samples its source (and, for the running error, the
-exact solution) for a block in one call on the broadcast axes ``x[None, :]``,
-``t[:, None]``, one row a level; the block's states, written into one ``(B,
-n)`` buffer, get their norms and running error in one reduction each.  Every
+data once per level, and a :class:`~wsgdiff.problems.SeparableSource` source
+once a run, each factor in one call.  It samples any other source (and, for
+the running error, the exact solution) for a block in one call on the
+broadcast axes ``x[None, :]``, ``t[:, None]``, one row a level; the block's
+states, written into one ``(B, n)`` buffer, get their norms and running
+error in one reduction each.  Every
 grid callable is read through :func:`~wsgdiff.problems.on_grid`.  All linear
 algebra is numpy's.
 
@@ -64,6 +66,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 from numbers import Integral
 from typing import Callable, Iterator, Optional
 
@@ -72,7 +75,7 @@ import numpy as np
 from . import weights as wt
 from .errors import ParameterError, SolverError, count_at_least, real_number
 from .operators import _MirrorHalves, assemble_wsgd_matrix, boundary_columns
-from .problems import Problem1D, l2_norm, max_norm, on_grid
+from .problems import Problem1D, SeparableSource, _factors, l2_norm, max_norm, on_grid
 
 __all__ = [
     "SolverConfig1D",
@@ -347,24 +350,27 @@ def _levinson_ends(col: np.ndarray, row: np.ndarray) -> tuple[np.ndarray, np.nda
     (``T_m b = e_m``), so both inner products, ``eps``, are one product and
     one pairwise sum, and both updates ``([f; 0] - eps_f [0; b]) / d`` and
     ``([0; b] - eps_b [f; 0]) / d`` are one array expression, where ``d = 1
-    - eps_f eps_b`` is the order's pivot.  A vanishing pivot, the sign of a
-    singular leading minor, is a :class:`SolverError`.
+    - eps_f eps_b`` is the order's pivot.  When ``col`` equals ``row`` (a
+    symmetric ``T``, as equal diffusivities give) the two rows are bitwise
+    equal at every order, so the recursion carries ``f`` alone and ``y`` is
+    ``x`` reversed.  A vanishing pivot, the sign of a singular leading
+    minor, is a :class:`SolverError`.
     """
     n = col.size
-    gen = np.stack((col, row))
-    w = np.zeros((2, n))
+    gen = col[None] if np.array_equal(col, row) else np.stack((col, row))
+    w = np.zeros(gen.shape)
     if col[0] == 0.0:
         raise SolverError("time step: Levinson recursion broke down at order 1")
     w[:, 0] = 1.0 / col[0]
     for m in range(1, n):
         eps = (gen[:, m:0:-1] * w[:, :m]).sum(axis=1)
-        d = 1.0 - eps[0] * eps[1]
+        d = 1.0 - eps[0] * eps[-1]
         if d == 0.0:
             raise SolverError(f"time step: Levinson recursion broke down at order {m + 1}")
         head = w[:, : m + 1]
         head -= eps[:, None] * w[::-1, m::-1]
         head /= d
-    return w[0], w[1, ::-1]
+    return w[0], w[-1, ::-1]
 
 
 def _gs_steps(problem: Problem1D, config: SolverConfig1D) -> tuple[Advance, Basis]:
@@ -384,7 +390,10 @@ def _gs_steps(problem: Problem1D, config: SolverConfig1D) -> tuple[Advance, Basi
     step is ``U_next = L^-1 (U/theta + v) - ((1-theta)/theta) U``, one solve
     and an axpy.  Its rounding grows like ``(2-theta)/theta`` units of ``eps
     |U|`` a step, 3 at ``theta = 1/2``, so :func:`_backend` picks it only
-    inside the stability window ``theta >= 1/2``.
+    inside the stability window ``theta >= 1/2``.  A call of ``advance``
+    allocates its work arrays once, and each step writes its elementwise
+    passes into them through ``out=``; numpy's FFTs take ``out=`` only from
+    numpy 2.0, so the transforms still return their own arrays.
     """
     h, _, _ = _grid(problem, config.N)
     n = config.N - 1
@@ -403,17 +412,20 @@ def _gs_steps(problem: Problem1D, config: SolverConfig1D) -> tuple[Advance, Basi
     upper = rfft(np.stack((y[::-1], np.concatenate(([0.0], x[:0:-1])))), size)
     lower = rfft(np.stack((x, -np.concatenate(([0.0], y[:-1])))) / x[0], size)
 
-    def inverse(rhs: np.ndarray) -> np.ndarray:
-        up = irfft(rfft(rhs[::-1], size) * upper, size)[:, n - 1 :: -1]
-        return irfft((rfft(up, size) * lower).sum(axis=0), size)[:n]
-
     inv, ratio = 1.0 / theta, (1.0 - theta) / theta
 
     def advance(U: np.ndarray, terms: np.ndarray) -> np.ndarray:
         out = np.empty(terms.shape)
+        rhs, kept = np.empty((2, n))
+        spectra = np.empty(upper.shape, upper.dtype)
         for row, v in zip(out, terms):
-            row[:] = inverse(inv * U + v)
-            U = np.subtract(row, ratio * U, out=row)
+            np.add(np.multiply(U, inv, out=rhs), v, out=rhs)
+            # L^-1 rhs: both upper factors, then both lower ones, summed
+            np.multiply(rfft(rhs[::-1], size), upper, out=spectra)
+            low = rfft(irfft(spectra, size)[:, n - 1 :: -1], size)
+            low *= lower
+            solved = irfft(np.add(low[0], low[1], out=spectra[0]), size)[:n]
+            U = np.subtract(solved, np.multiply(U, ratio, out=kept), out=row)
         return out
 
     return advance, _GRID
@@ -489,11 +501,18 @@ def _cn_setup(problem: Problem1D, config: SolverConfig1D) -> tuple[BlockStepper,
     boundary terms`` with the system set up once by the factory of the
     :func:`_backend` it names, :func:`_gs_steps` or :func:`_dense_steps`.
     The boundary data are read once per level ``k*tau``, at setup, and
-    checked there (:meth:`~wsgdiff.problems.Problem1D.boundary_values`).  A
-    block of ``count`` steps from level ``k`` samples its known terms
-    ``tau*F + boundary terms`` at once, the source in one call at levels
-    ``k*tau`` (``"average"``) or ``k*tau + tau/2`` (``"midpoint"``), and
-    hands them to the backend's ``advance`` in its basis.  A call of
+    checked there (:meth:`~wsgdiff.problems.Problem1D.boundary_values`); an
+    end's boundary column enters the known terms only if its data are
+    nonzero at some level.  A :class:`~wsgdiff.problems.SeparableSource`
+    source is read once too, at setup: ``time`` on the ``M + 1`` level
+    times ``k*tau`` (``"average"``) or the ``M`` midpoints ``k*tau + tau/2``
+    (``"midpoint"``), giving ``s``, and ``space`` on ``xi[None, :]``,
+    giving ``S``.  A block of ``count`` steps from level ``k`` forms its
+    known terms ``tau*F + boundary terms`` at once, its source as
+    ``s[k:k+count+1, None] * S`` (``count`` rows at midpoints), which
+    rounds as ``time(t) * space(x)`` does, or, for any other source, from
+    one call at the block's levels or midpoints, and hands them to the
+    backend's ``advance`` in its basis.  A call of
     ``steps`` moves ``U`` into that basis once and carries the backend's
     state from block to block; each block returns to the grid once, as the
     rows of the yielded block.  The steps run under ``np.errstate``, so a
@@ -512,23 +531,32 @@ def _cn_setup(problem: Problem1D, config: SolverConfig1D) -> tuple[BlockStepper,
         advance, (into, back) = _gs_steps(problem, config)
     else:
         advance, (into, back) = _dense_steps(problem, config, dl, dr, backend == "dense-halves")
-    col_a, col_b = boundary_columns(problem.alpha, config.scheme, n, dl, dr)
     scale = tau / h**problem.alpha
     average = config.source_sampling == "average"
-    g = problem.boundary_values(tau * np.arange(config.M + 1))
+    levels = tau * np.arange(config.M + 1)
+    g = problem.boundary_values(levels)
+    # each end's data mixed over every slab, kept with the end's column only
+    # where the data are nonzero at some level
+    mix = theta * g[:, 1:] + (1.0 - theta) * g[:, :-1]
+    columns = boundary_columns(problem.alpha, config.scheme, n, dl, dr)
+    live = [(m, col) for m, data, col in zip(mix, g, columns) if data.any()]
+    separable = isinstance(problem.source, SeparableSource)
+    if separable:
+        times = levels if average else levels[:-1] + 0.5 * tau
+        s, S = _factors(problem.source, times, xi[None, :])
 
     def block(k: int, count: int) -> np.ndarray:
         """``tau*F`` plus the boundary terms of the ``count`` slabs from level
         ``k``, one row a slab."""
-        ends = tau * np.arange(k, k + count + 1)[:, None]
-        if average:
-            f = on_grid(problem, "source", xi[None, :], ends)
-            fv = 0.5 * (f[:-1] + f[1:])
+        if separable:
+            f = s[k : k + count + 1 if average else k + count, None] * S
         else:
-            fv = on_grid(problem, "source", xi[None, :], ends[:-1] + 0.5 * tau)
-        data = g[:, k : k + count + 1]
-        mix = theta * data[:, 1:] + (1.0 - theta) * data[:, :-1]
-        return tau * fv + scale * (mix[0][:, None] * col_a + mix[1][:, None] * col_b)
+            ends = tau * np.arange(k, k + count + 1)[:, None]
+            f = on_grid(problem, "source", xi[None, :], ends if average else ends[:-1] + 0.5 * tau)
+        terms = tau * (0.5 * (f[:-1] + f[1:]) if average else f)
+        if live:
+            terms += scale * reduce(np.add, (m[k : k + count, None] * col for m, col in live))
+        return terms
 
     def steps(U: np.ndarray, k: int) -> Iterator[np.ndarray]:
         blocks = _blocks(k, config.M, n)  # checks k before any read

@@ -87,7 +87,7 @@ import numpy as np
 from . import weights as wt
 from .errors import ParameterError, SolverError, count_at_least, real_number
 from .operators import _MirrorHalves, assemble_wsgd_matrix, boundary_columns
-from .problems import Problem2D, SeparableSource, _sample, l2_norm, max_norm, on_grid
+from .problems import Problem2D, SeparableSource, _factors, l2_norm, max_norm, on_grid
 from .solve1d import _GRID, Basis, BlockStepper, Solution, _blocks, march, solve
 
 __all__ = [
@@ -411,9 +411,7 @@ def _eigen_stepper(problem: Problem2D, config: SolverConfig2D) -> tuple[BlockSte
     G, c = np.outer(c, d), c[:, None]
     # the source's time factor at every step's midpoint, and its space
     # factor on the interior, for lod's y-lines also on y = ay, by
-    source = problem.source
-    s = _sample("problem.source time factor", source.time, (tau * np.arange(config.M) + a,))
-    g = _sample("problem.source space factor", source.space, (X, y_row if lod else Y))
+    s, g = _factors(problem.source, tau * np.arange(config.M) + a, X, y_row if lod else Y)
     # a non-finite factor gives a non-finite state, which march reports, so
     # the setup and the steps raise no numpy warning
     with np.errstate(over="ignore", invalid="ignore"):

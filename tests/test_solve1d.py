@@ -20,6 +20,7 @@ from wsgdiff import (
     ErrorRecord,
     ParameterError,
     Problem1D,
+    SeparableSource,
     SolverConfig1D,
     SolverConfig2D,
     SolverError,
@@ -275,13 +276,17 @@ def test_theta_outside_window_warns():
 @pytest.mark.parametrize("sampling", ["average", "midpoint"])
 def test_non_finite_solution_raises_with_step_and_time(sampling):
     # a source that turns NaN on the third slab must stop the run there
-    # instead of reporting a finite running error
+    # instead of reporting a finite running error, read as a plain callable
+    # or as a separable source whose time factor turns NaN
     base = make_example("ex1", 1.5)
-    p = dataclasses.replace(
-        base, source=lambda x, t: np.where(t > 0.6, np.nan, base.source(x, t))
-    )
-    with pytest.raises(SolverError, match=r"step 3 \(t=0\.75\)"):
-        cn_wsgd_run(p, SolverConfig1D(N=8, M=4, source_sampling=sampling))
+    nan_late = lambda t, value: np.where(t > 0.6, np.nan, value)
+    for source in (
+        lambda x, t: nan_late(t, base.source(x, t)),
+        SeparableSource(lambda t: nan_late(t, base.source.time(t)), base.source.space),
+    ):
+        p = dataclasses.replace(base, source=source)
+        with pytest.raises(SolverError, match=r"step 3 \(t=0\.75\)"):
+            cn_wsgd_run(p, SolverConfig1D(N=8, M=4, source_sampling=sampling))
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +496,9 @@ def test_backend_steps_a_block_as_its_slabs_one_at_a_time(backend, theta):
 
 
 def _left_generators(alpha, scheme, n, kl=0.8, kr=0.3, theta=0.5):
-    """First column and row of ``L = I - theta*B`` for constant unequal
-    diffusivities, with the scale ``tau/h**alpha`` of ``N = tau^-1 = n + 1``."""
+    """First column and row of ``L = I - theta*B`` for constant
+    diffusivities ``kl``, ``kr`` (unequal unless given), with the scale
+    ``tau/h**alpha`` of ``N = tau^-1 = n + 1``."""
     A = assemble_wsgd_matrix(alpha, scheme, max(n, 2))
     scale = (n + 1.0) ** (alpha - 1.0)
     unit = np.zeros(A.n)
@@ -507,14 +513,21 @@ def _left_generators(alpha, scheme, n, kl=0.8, kr=0.3, theta=0.5):
 @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
 def test_levinson_ends_match_scipy_toeplitz_solve(alpha, scheme, n):
     # the Gohberg–Semencul setup's two Levinson solves, L^-1 e_1 and
-    # L^-1 e_n, against scipy's Levinson solver
-    col, row = _left_generators(alpha, scheme, n)
+    # L^-1 e_n, against scipy's Levinson solver, for unequal and for equal
+    # diffusivities; equal ones give a symmetric generator, col == row, whose
+    # recursion carries one vector, so y is x reversed, bit for bit
     ends = np.zeros((n, 2))
     ends[0, 0] = ends[-1, 1] = 1.0
-    want = scipy.linalg.solve_toeplitz((col, row), ends)
-    for got, ref in zip(solve1d._levinson_ends(col, row), want.T):
-        assert got.shape == (n,)
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    for kl, kr in ((0.8, 0.3), (1.0, 1.0)):
+        col, row = _left_generators(alpha, scheme, n, kl, kr)
+        want = scipy.linalg.solve_toeplitz((col, row), ends)
+        x, y = solve1d._levinson_ends(col, row)
+        for got, ref in zip((x, y), want.T):
+            assert got.shape == (n,)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        if kl == kr:
+            assert np.array_equal(col.view(np.uint64), row.view(np.uint64))
+            assert np.array_equal(y.view(np.uint64), x[::-1].view(np.uint64))
 
 
 @pytest.mark.parametrize(
@@ -700,6 +713,48 @@ def test_run_samples_source_and_exact_once_a_block(M):
     assert calls == {"source": -(-M // width), "exact": -(-M // width) + 1}
     assert (width, calls["source"]) == ((7, 1) if M == 7 else (1024, 3))
     np.testing.assert_array_equal(got.values, want.values)
+
+
+_SEPARABLE_RUNS = [
+    ("ex1", "gs"),
+    ("ex2", "gs"),
+    ("ex1", "dense"),
+    ("ex2", "dense"),
+    ("ex2", "dense-halves"),
+]
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("sampling", ["average", "midpoint"])
+@pytest.mark.parametrize("name,backend", _SEPARABLE_RUNS, ids=map("-".join, _SEPARABLE_RUNS))
+def test_separable_source_is_read_once_a_run(monkeypatch, name, backend, sampling, theta):
+    # a 1D run reads a SeparableSource's time factor once, on every level
+    # time (every midpoint time), and its space factor once, on the nodes,
+    # over a run of three blocks, and steps the bits of the same source read
+    # a block at a time as a plain callable; ex1 has nonzero right-end data
+    monkeypatch.setattr(solve1d, "_BLOCK_ENTRIES", 3 * 15)
+    base = make_example(name, 1.5)
+    reads = []
+
+    def time(t):
+        reads.append(("time", np.shape(t)))
+        return base.source.time(t)
+
+    def space(x):
+        reads.append(("space", np.shape(x)))
+        return base.source.space(x)
+
+    cfg = SolverConfig1D(N=16, M=8, theta=theta, source_sampling=sampling)
+    assert len(list(solve1d._blocks(0, cfg.M, cfg.N - 1))) == 3
+    separable = dataclasses.replace(base, source=SeparableSource(time, space))
+    got = _run_with(monkeypatch, backend, separable, cfg)
+    times = cfg.M + 1 if sampling == "average" else cfg.M
+    assert reads == [("time", (times,)), ("space", (1, cfg.N - 1))]
+    plain = dataclasses.replace(base, source=lambda x, t: base.source(x, t))
+    want = _run_with(monkeypatch, backend, plain, cfg)
+    for field in ("values", "norm_history", "max_err_running", "max_err_final", "l2_err_final"):
+        bits = [np.asarray(getattr(sol, field), dtype=float).view(np.uint64) for sol in (got, want)]
+        assert np.array_equal(*bits), field
 
 
 def test_dense_run_solves_once_a_block(monkeypatch):
