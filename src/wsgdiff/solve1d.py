@@ -30,8 +30,8 @@ Cayley form.  :func:`_backend` picks it from the input alone, and the
   diffusivities mirror each other, as in the paper's two-sided examples:
   ``L`` and ``R`` are centrosymmetric, and the run steps in their even/odd
   basis, two half-order blocks of each from the top ``ceil(n/2)`` stencil
-  rows, one half-order solve for each block of ``C``, and two half-order
-  products a step;
+  rows, one half-order solve for each block of ``C`` (:func:`_cayley`, of
+  which the grid is the one-block case), and two half-order products a step;
 - ``"gs"``, Gohberg–Semencul, for constant diffusivities, ``theta >= 1/2``
   and ``N >= 384``, or ``N >= 768`` when they mirror each other: ``L`` is
   then Toeplitz, and, with its symmetric part positive definite, is
@@ -243,22 +243,6 @@ def steady_solve_3wsgd(problem: Problem1D, N: int) -> Solution:
     return sol
 
 
-def _full_system(problem: Problem1D, config: SolverConfig1D, dl: np.ndarray, dr: np.ndarray):
-    """The two time-stepping matrices ``(I - theta*B, I + (1-theta)*B)`` for
-    diffusivities ``dl, dr`` sampled on the interior nodes.
-
-    ``B`` scales the spatial operator by ``tau / h**alpha`` and weights the
-    left/right-sided stencils row-wise by the diffusivities, which covers
-    the constant-coefficient case (rows all weighted alike) and the
-    variable-coefficient case through one code path.
-    """
-    h = _grid(problem, config.N)[0]
-    A = assemble_wsgd_matrix(problem.alpha, config.scheme, config.N - 1).to_dense()
-    B = (config.tau / h**problem.alpha) * (dl[:, None] * A + dr[:, None] * A.T)
-    eye = np.eye(len(B))
-    return eye - config.theta * B, eye + (1.0 - config.theta) * B
-
-
 def _backend(problem: Problem1D, config: SolverConfig1D, dl: np.ndarray, dr: np.ndarray) -> str:
     """The backend a run of ``problem`` steps on, for diffusivities ``dl, dr``
     sampled on the interior nodes; the only place a 1D run picks one.
@@ -277,6 +261,21 @@ def _backend(problem: Problem1D, config: SolverConfig1D, dl: np.ndarray, dr: np.
     return "dense-halves" if mirrored else "dense"
 
 
+def _cayley(blocks: np.ndarray, theta: float, context: str) -> np.ndarray:
+    """Turn each ``(p, p)`` block ``B`` of the stack ``blocks`` into ``C = (I
+    - theta B)^-1 (I + (1-theta) B)`` in place, by one :func:`solve` a block,
+    holding its ``R = I + (1-theta) B`` and the solve beside the stack and no
+    identity; returns ``blocks``.  Forms both 1D dense steps and the 2D ``Cx``."""
+    p = blocks.shape[-1]
+    for block in blocks:
+        rhs_matrix = np.multiply(block, 1.0 - theta)
+        block *= -theta
+        for matrix in (block, rhs_matrix):
+            matrix.reshape(-1)[:: p + 1] += 1.0
+        block[...] = solve(block, rhs_matrix, context)
+    return blocks
+
+
 def _dense_steps(
     problem: Problem1D, config: SolverConfig1D, dl: np.ndarray, dr: np.ndarray, mirrored: bool
 ) -> tuple[Advance, Basis]:
@@ -289,44 +288,33 @@ def _dense_steps(
     ``1-theta`` once, elementwise, so a step is three numpy calls and its
     bits do not depend on the block width.
 
-    When ``dl, dr`` mirror each other (``mirrored``), ``L`` and ``R`` are
-    centrosymmetric, and the step runs in the even/odd basis of
-    :class:`~wsgdiff.operators._MirrorHalves`: the halves of ``B`` come from
-    the top ``ceil(n/2)`` stencil rows, and each becomes its half of ``L``
-    in place, then of ``C`` by one half-order solve, with its half of ``R``
-    made from it; so no order-``n`` matrix and no second stack is formed.  A
-    step is two half-order products, the odd block padded with an identity
-    row to the even one's order.  The halves never mix, so each steps
-    through a whole block before the other starts, and its ``(p, p)`` block
-    of ``C`` stays in cache instead of the stack streaming through every
-    level.  Any other problem assembles the full system.
+    Setup reads the top ``p`` rows of ``B`` off the stencils and turns each
+    block of ``B`` into its block of ``C`` in place (:func:`_cayley`), so it
+    holds no identity and no second stack.  On the grid ``p = n``, and the
+    stack is ``B`` alone.  When ``dl, dr`` mirror each other (``mirrored``),
+    ``L`` and ``R`` are centrosymmetric, ``p = ceil(n/2)``, and the step runs
+    in the even/odd basis of :class:`~wsgdiff.operators._MirrorHalves`: two
+    half-order products, the odd block padded with an identity row.  The
+    halves never mix, so each steps through a whole block before the other
+    starts, and its block of ``C`` stays in cache.
     """
+    h = _grid(problem, config.N)[0]
     n = config.N - 1
     theta = config.theta
+    halves = _MirrorHalves(n)
+    p = halves.p if mirrored else n
+    A = assemble_wsgd_matrix(problem.alpha, config.scheme, n)
+    top = np.multiply(dl[:p, None], A.rows(p))
+    top += dr[:p, None] * A.T.rows(p)
+    c = halves.blocks(top) if mirrored else top[None]
+    del top
+    c *= config.tau / h**problem.alpha
+    _cayley(c, theta, "time step")
+    basis, parts = _GRID, ((c[0], ...),)
     if mirrored:
-        h = _grid(problem, config.N)[0]
-        halves = _MirrorHalves(n)
-        p = halves.p
-        A = assemble_wsgd_matrix(problem.alpha, config.scheme, n)
-        top = np.multiply(dl[:p, None], A.rows(p))
-        top += dr[:p, None] * A.T.rows(p)
-        c = halves.blocks(top)
-        del top
-        c *= config.tau / h**problem.alpha
-        # each block of B becomes that of L = I - theta B, then of C
-        for block in c:
-            rhs_matrix = np.multiply(block, 1.0 - theta)
-            block *= -theta
-            for matrix in (block, rhs_matrix):
-                matrix.reshape(-1)[:: p + 1] += 1.0
-            block[...] = solve(block, rhs_matrix, "time step")
         # states and terms as (2, p, 1) columns, stepped one half at a time
         basis = (lambda v: halves.split(v)[..., None], lambda s: halves.join(s[..., 0]))
         parts = ((c[0], 0), (c[1], 1))
-    else:
-        c = solve(*_full_system(problem, config, dl, dr), "time step")
-        basis = _GRID
-        parts = ((c, ...),)
 
     def advance(U: np.ndarray, terms: np.ndarray) -> np.ndarray:
         lifted = np.multiply(terms, theta, order="C")

@@ -30,7 +30,8 @@ varying fastest corresponds to column-major flattening.
 
 With ``a = tau/2``, setup forms the Cayley factor ``Cx = (I - a Dx)^-1
 (I + a Dx)`` (and ``Cy`` for ``lod``) and, for ``pr``, ``(I - a Dy)^-1``,
-once per run by one solve each through ``solve1d.solve``.  Each Cayley
+once per run by one solve each through ``solve1d.solve``, ``Cx`` in place
+on ``tau Dx`` by the 1D dense setup ``solve1d._cayley``.  Each Cayley
 factor is a contraction, so these matrices are well conditioned, and a step
 is then two matrix products into C-ordered work arrays, allocated by each
 call of ``steps``, and its row of the block: no triangular solve.  A ``pr``
@@ -88,7 +89,7 @@ from . import weights as wt
 from .errors import ParameterError, SolverError, count_at_least, real_number
 from .operators import _MirrorHalves, assemble_wsgd_matrix, boundary_columns
 from .problems import Problem2D, SeparableSource, _factors, l2_norm, max_norm, on_grid
-from .solve1d import _GRID, Basis, BlockStepper, Solution, _blocks, march, solve
+from .solve1d import _GRID, Basis, BlockStepper, Solution, _blocks, _cayley, march, solve
 
 __all__ = [
     "SPLITTINGS",
@@ -218,13 +219,12 @@ def _y_columns(problem: Problem2D, config: SolverConfig2D) -> np.ndarray:
 
 def _sweeps(problem: Problem2D, config: SolverConfig2D):
     """Setup shared by both dense steppers, with ``a = tau/2``: the
-    x-direction Cayley factor ``Cx = (I - a Dx)^-1 (I + a Dx)``, formed by
-    one solve, and ``a Dy``."""
+    x-direction Cayley factor ``Cx = (I - a Dx)^-1 (I + a Dx)``, formed in
+    place on ``tau Dx`` by ``solve1d._cayley`` at ``theta = 1/2``, since ``a
+    Dx`` is ``tau Dx`` halved, exactly; and ``a Dy``."""
     dx, dy = build_directional_operators(problem, config)
-    a = 0.5 * config.tau
-    ix = np.eye(config.Nx - 1)
-    cx = solve(ix - a * dx, ix + a * dx, "x-direction")
-    return cx, a * dy
+    dx *= config.tau
+    return _cayley(dx[None], 0.5, "x-direction")[0], 0.5 * config.tau * dy
 
 
 def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> BlockStepper:

@@ -109,6 +109,27 @@ def dense_shift_matrix(weights: np.ndarray, n: int, shift: int) -> np.ndarray:
     return a
 
 
+def theta_scheme_matrices(
+    alpha: float,
+    shifts: tuple[int, int],
+    diffusivities: tuple[float, float],
+    n: int,
+    scale: float,
+    theta: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The step matrices ``(I - theta B, I + (1-theta) B)`` of the
+    theta-weighted 1D scheme on ``n`` interior nodes, for constant
+    diffusivities ``(kl, kr)``: ``B = scale (kl A + kr A^T)``, ``scale =
+    tau/h**alpha``, with ``A`` the double-loop fill of the log-gamma weights
+    of the shift pair ``(p, q)``, diagonal shift 1."""
+    p, q = shifts
+    a = dense_shift_matrix(pair_weights_from_binomial(alpha, p, q, n + 2), n, 1)
+    kl, kr = diffusivities
+    b = scale * (kl * a + kr * a.T)
+    eye = np.eye(n)
+    return eye - theta * b, eye + (1.0 - theta) * b
+
+
 def dense_triple_sum_matrix(alpha: float, n: int) -> np.ndarray:
     """Three shifted coefficient Toeplitz matrices combined explicitly."""
     lam1, lam2, lam3 = triple_lambdas(alpha)

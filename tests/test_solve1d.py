@@ -32,7 +32,7 @@ from wsgdiff import (
     steady_solve_3wsgd,
 )
 
-from oracles import classical_cn_heat_run
+from oracles import classical_cn_heat_run, theta_scheme_matrices
 from _tables import STEADY
 
 
@@ -222,17 +222,38 @@ def test_order_two_matches_classical_heat_stepping():
     np.testing.assert_allclose(sol.values[1:-1], want, rtol=0, atol=1e-11)
 
 
+def _theta_matrices(problem, config):
+    """The oracle's ``(I - theta B, I + (1-theta) B)`` of a run of a
+    constant-coefficient ``problem``, assembled apart from the solver."""
+    h = (problem.b - problem.a) / config.N
+    shifts = {P1Q0: (1, 0), P1QM1: (1, -1)}[config.scheme]
+    diffusivities = (problem.left_diffusivity, problem.right_diffusivity)
+    return theta_scheme_matrices(
+        problem.alpha, shifts, diffusivities, config.N - 1, config.tau / h**problem.alpha, config.theta
+    )
+
+
 def test_assemble_cn_system_theta_identities():
     p = make_example("ex2", 1.5)
     cfg = SolverConfig1D(N=12, M=6, theta=0.5)
-    lhs_half, rhs_half = solve1d._full_system(p, cfg, *_diffusivities(p, cfg))
+    lhs_half, rhs_half = _theta_matrices(p, cfg)
     np.testing.assert_allclose(lhs_half + rhs_half, 2.0 * np.eye(11), atol=1e-13)
     cfg = SolverConfig1D(N=12, M=6, theta=1.0)
-    lhs_full, rhs_full = solve1d._full_system(p, cfg, *_diffusivities(p, cfg))
+    lhs_full, rhs_full = _theta_matrices(p, cfg)
     np.testing.assert_allclose(rhs_full, np.eye(11), rtol=0, atol=0)
     np.testing.assert_allclose(
         lhs_full - np.eye(11), 2.0 * (lhs_half - np.eye(11)), atol=1e-13
     )
+    # the dense step's factor, stepped from each unit state with no known
+    # terms, is the oracle's L^-1 R
+    for theta, (lhs, rhs) in ((0.5, (lhs_half, rhs_half)), (1.0, (lhs_full, rhs_full))):
+        cfg = SolverConfig1D(N=12, M=6, theta=theta)
+        for mirrored in (True, False):
+            advance, (into, back) = solve1d._dense_steps(p, cfg, *_diffusivities(p, cfg), mirrored)
+            columns = [back(advance(into(e), into(np.zeros((1, 11)))))[0] for e in np.eye(11)]
+            np.testing.assert_allclose(
+                np.transpose(columns), np.linalg.solve(lhs, rhs), rtol=0, atol=1e-13
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +480,7 @@ def test_gs_setup_is_the_dense_system(N, theta):
     rng = np.random.default_rng(N)
     p = _constant_problem("unequal", 0.9, 0.35, 1.7)
     cfg = SolverConfig1D(N=N, M=3, theta=theta, T=0.5)
-    lhs, _ = solve1d._full_system(p, cfg, *_diffusivities(p, cfg))
+    lhs, _ = _theta_matrices(p, cfg)
     advance, basis = solve1d._gs_steps(p, cfg)
     assert basis is solve1d._GRID
     for _ in range(3):
@@ -848,6 +869,41 @@ def test_mirrored_setup_holds_no_two_stacks_beside_a_solve(name):
     assert peak <= 2.75 * stack, peak / stack
 
 
+@pytest.mark.parametrize("name", ["ex1", "unequal"])
+def test_grid_setup_holds_no_identity_and_no_second_system(name):
+    # the grid setup used to hold B, I, L and R beside the solve, 5.0
+    # matrices at N=256; it now turns its one block of B into C in place,
+    # as the halves do, and holds C alone afterwards
+    problem = make_example("ex1", 1.5) if name == "ex1" else _constant_problem(name, 0.9, 0.35, 1.5)
+    cfg = SolverConfig1D(N=256, M=4)
+    dl, dr = _diffusivities(problem, cfg)
+    assert solve1d._backend(problem, cfg, dl, dr) == "dense"
+    solve1d._dense_steps(problem, cfg, dl, dr, False)  # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        kept = solve1d._dense_steps(problem, cfg, dl, dr, False)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    matrix = (cfg.N - 1) ** 2 * 8
+    assert peak <= 3.25 * matrix, peak / matrix
+    assert held <= 1.05 * matrix, held / matrix
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("count", [1, 2])
+def test_cayley_is_the_solve_of_the_two_step_matrices(count, theta):
+    # each block of the stack becomes (I - theta B)^-1 (I + (1-theta) B), in
+    # place and bit for bit as the solve of the two matrices formed apart
+    rng = np.random.default_rng(count)
+    blocks = rng.standard_normal((count, 9, 9))
+    want = [np.linalg.solve(np.eye(9) - theta * b, np.eye(9) + (1.0 - theta) * b) for b in blocks]
+    got = solve1d._cayley(blocks, theta, "test")
+    assert got is blocks
+    for c, w in zip(got, want):
+        assert np.array_equal(c.view(np.uint64), w.view(np.uint64))
+
+
 @pytest.mark.parametrize("theta", [0.5, 1.0])
 @pytest.mark.parametrize("scheme", [P1Q0, P1QM1])
 def test_mirrored_run_below_twice_the_crossover_steps_on_the_halves(monkeypatch, scheme, theta):
@@ -964,7 +1020,7 @@ def test_toeplitz_path_forms_no_dense_matrix_and_is_not_capped(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the Toeplitz path must not form dense matrices")
 
-    monkeypatch.setattr(solve1d, "_full_system", forbidden)
+    monkeypatch.setattr(solve1d, "_cayley", forbidden)
     monkeypatch.setattr(solve1d, "solve", forbidden)
     monkeypatch.setattr(operators.ToeplitzOperator, "to_dense", forbidden)
     n_big = operators.DENSE_MAX_ORDER + 2

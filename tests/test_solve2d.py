@@ -679,19 +679,27 @@ def test_observed_order_in_band():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("M", [1, 7])
-@pytest.mark.parametrize("splitting", ["pr", "lod"])
-def test_run_makes_two_triangular_solves_at_setup(dense, monkeypatch, splitting, M):
-    # setup forms the half-step matrices with one solve per direction; a
-    # step is products only
+def _record_solves(monkeypatch) -> list[str]:
+    """Record the context of each dense solve a 2D run makes: ``solve2d``'s
+    own, and the x-direction one, which ``solve1d._cayley`` makes."""
     calls = []
-    solve = solve2d.solve
+    solve = solve1d.solve
 
     def spy(*args, **kwargs):
         calls.append(args[-1])
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(solve2d, "solve", spy)
+    for module in (solve1d, solve2d):
+        monkeypatch.setattr(module, "solve", spy)
+    return calls
+
+
+@pytest.mark.parametrize("M", [1, 7])
+@pytest.mark.parametrize("splitting", ["pr", "lod"])
+def test_run_makes_two_triangular_solves_at_setup(dense, monkeypatch, splitting, M):
+    # setup forms the half-step matrices with one solve per direction; a
+    # step is products only
+    calls = _record_solves(monkeypatch)
     run_2d(make_example("ex4", 1.2, 1.8), SolverConfig2D(Nx=8, Ny=8, M=M, splitting=splitting))
     assert calls == ["x-direction", "y-direction"]
 
@@ -825,9 +833,7 @@ def test_symmetry_and_a_separable_source_select_the_eigenbasis(
         **{f"{k}_diffusivity": v for k, v in zip(names, diffusivities)},
     )
     cfg = SolverConfig2D(Nx=8, Ny=8, M=3, splitting=splitting)
-    calls = []
-    solve = solve2d.solve
-    monkeypatch.setattr(solve2d, "solve", lambda *args: calls.append(args[-1]) or solve(*args))
+    calls = _record_solves(monkeypatch)
     sol = run_2d(p, cfg)
     assert sol.backend == ("eigen" if eigenbasis else "dense")
     assert calls == ([] if eigenbasis else ["x-direction", "y-direction"])
@@ -877,6 +883,24 @@ def test_an_eigenbasis_run_frees_its_factors_before_the_final_state(splitting):
         tracemalloc.stop()
     grid = (cfg.Nx - 1) * (cfg.Ny - 1) * 8
     assert peak <= 7.25 * grid, peak / grid
+
+
+@pytest.mark.parametrize("x_right", [1.0, 0.5], ids=["ex4", "unequal-x"])
+def test_dense_setup_forms_the_x_factor_in_place(x_right):
+    # the x-direction setup used to hold Dx, Dy, an identity, both half-step
+    # matrices and the solve, 6.0 grids at N=256; it now turns tau Dx into Cx
+    # in place, so Dx, Dy, the right-hand matrix and the solve set the peak
+    p = dataclasses.replace(make_example("ex4", 1.2, 1.8), x_right_diffusivity=x_right)
+    cfg = SolverConfig2D(Nx=256, Ny=256, M=4)
+    solve2d._sweeps(p, cfg)  # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        solve2d._sweeps(p, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid = (cfg.Nx - 1) * (cfg.Ny - 1) * 8
+    assert peak <= 4.25 * grid, peak / grid
 
 
 @pytest.mark.parametrize("backend", ["eigen", "dense"])
