@@ -265,7 +265,8 @@ def _cayley(blocks: np.ndarray, theta: float, context: str) -> np.ndarray:
     """Turn each ``(p, p)`` block ``B`` of the stack ``blocks`` into ``C = (I
     - theta B)^-1 (I + (1-theta) B)`` in place, by one :func:`solve` a block,
     holding its ``R = I + (1-theta) B`` and the solve beside the stack and no
-    identity; returns ``blocks``.  Forms both 1D dense steps and the 2D ``Cx``."""
+    identity; returns ``blocks``.  Forms both 1D dense steps and both 2D
+    Cayley factors, ``Cx`` and ``Cy``."""
     p = blocks.shape[-1]
     for block in blocks:
         rhs_matrix = np.multiply(block, 1.0 - theta)

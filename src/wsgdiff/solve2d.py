@@ -28,14 +28,15 @@ M`` stepped from ``U`` at level ``k``, as the rows of read-only C-ordered
 shape ``(Nx-1, Ny-1)`` with the x index on axis 0, so a vectorization with x
 varying fastest corresponds to column-major flattening.
 
-With ``a = tau/2``, setup forms the Cayley factor ``Cx = (I - a Dx)^-1
-(I + a Dx)`` (and ``Cy`` for ``lod``) and, for ``pr``, ``(I - a Dy)^-1``,
-once per run by one solve each through ``solve1d.solve``, ``Cx`` in place
-on ``tau Dx`` by the 1D dense setup ``solve1d._cayley``.  Each Cayley
-factor is a contraction, so these matrices are well conditioned, and a step
-is then two matrix products into C-ordered work arrays, allocated by each
-call of ``steps``, and its row of the block: no triangular solve.  A ``pr``
-call of ``steps`` makes one more product, before its first step, to seed the
+With ``a = tau/2``, setup forms both Cayley factors ``Cx = (I - a Dx)^-1
+(I + a Dx)`` and ``Cy``, once per run, each in place on ``tau Dx`` or ``tau
+Dy`` by one solve in the 1D dense setup ``solve1d._cayley``, with no
+identity.  A stepper reads ``(I - a Dy)^-1 = (Cy + I)/2`` off ``Cy``, so a
+run makes these two solves and no other.  Each Cayley factor is a
+contraction, so these matrices are well conditioned, and a step is then two
+matrix products into C-ordered work arrays, allocated by each call of
+``steps``, and its row of the block: no triangular solve.  A ``pr`` call of
+``steps`` makes one more product, before its first step, to seed the
 operand it carries (see :func:`pr_adi_stepper`).  ``lod``'s rank-2
 boundary-column terms ride in a product, on two extra columns of one operand
 and two extra rows of the other.
@@ -89,7 +90,7 @@ from . import weights as wt
 from .errors import ParameterError, SolverError, count_at_least, real_number
 from .operators import _MirrorHalves, assemble_wsgd_matrix, boundary_columns
 from .problems import Problem2D, SeparableSource, _factors, l2_norm, max_norm, on_grid
-from .solve1d import _GRID, Basis, BlockStepper, Solution, _blocks, _cayley, march, solve
+from .solve1d import _GRID, Basis, BlockStepper, Solution, _blocks, _cayley, march
 
 __all__ = [
     "SPLITTINGS",
@@ -221,10 +222,15 @@ def _sweeps(problem: Problem2D, config: SolverConfig2D):
     """Setup shared by both dense steppers, with ``a = tau/2``: the
     x-direction Cayley factor ``Cx = (I - a Dx)^-1 (I + a Dx)``, formed in
     place on ``tau Dx`` by ``solve1d._cayley`` at ``theta = 1/2``, since ``a
-    Dx`` is ``tau Dx`` halved, exactly; and ``a Dy``."""
+    Dx`` is ``tau Dx`` halved, exactly; and ``tau Dy``, scaled in place.
+
+    Each stepper turns ``tau Dy`` into ``Cy`` in place the same way, and
+    reads the inverse it needs off it: ``(I + a Dy) + (I - a Dy) = 2I``, so
+    ``(I - a Dy)^-1 = (Cy + I)/2``."""
     dx, dy = build_directional_operators(problem, config)
     dx *= config.tau
-    return _cayley(dx[None], 0.5, "x-direction")[0], 0.5 * config.tau * dy
+    dy *= config.tau
+    return _cayley(dx[None], 0.5, "x-direction")[0], dy
 
 
 def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> BlockStepper:
@@ -243,17 +249,24 @@ def pr_adi_stepper(problem: Problem2D, config: SolverConfig2D) -> BlockStepper:
     the ``W2/a`` of the step before, so a step is two products.  Each call
     of ``steps`` seeds ``W2/a = U (I - a Dy)^T / a`` from its ``U`` by one
     product, and carries ``W2/a`` from step to step.
+
+    Setup takes the seed's ``(I - a Dy)^T / a`` off ``tau Dy`` by a diagonal
+    add, then turns ``tau Dy`` into ``Cy`` in place and ``Cy`` into ``a (I -
+    a Dy)^-T = (a/2)(Cy + I)^T``: no identity and no solve of its own.
     """
     *_, X, Y, _ = _grid(problem, config, lod=False)
-    cx, ady = _sweeps(problem, config)
+    cx, tdy = _sweeps(problem, config)
     nx, ny = config.Nx - 1, config.Ny - 1
     tau = config.tau
     a = 0.5 * tau
-    iy = np.eye(ny)
-    ay = iy - ady
-    # W2 is carried divided by a, so F joins it unscaled
-    seed = ay.T / a
-    last = a * solve(ay, iy, "y-direction").T
+    # W2 is carried divided by a, so F joins it unscaled: seed = (I - a Dy)^T / a
+    seed = np.multiply(tdy.T, -0.5)
+    seed.flat[:: ny + 1] += 1.0
+    seed /= a
+    # last = a (I - a Dy)^-T = (a/2) (Cy + I)^T
+    last = _cayley(tdy[None], 0.5, "y-direction")[0].T
+    last.flat[:: ny + 1] += 1.0
+    last *= 0.5 * a
 
     def steps(U: np.ndarray, k: int) -> Iterator[np.ndarray]:
         blocks = _blocks(k, config.M, nx * ny)  # checks k before the seed product
@@ -288,15 +301,16 @@ def lod_stepper(problem: Problem2D, config: SolverConfig2D) -> BlockStepper:
     + g_low (x) (I - a Dy)^-1 cy0 + g_high (x) (I - a Dy)^-1 cyN``, where
     ``g = a^2 (Cx f - f)`` on each boundary line: two products, the first
     sweeping the two lines ``f^T`` along with ``U + a F`` and the second
-    carrying the ``g`` terms on their two columns.  Requires one spacing
-    for both axes.
+    carrying the ``g`` terms on their two columns.  Setup forms ``Cy`` in
+    place on ``tau Dy`` and reads ``(I - a Dy)^-1 [cy0, cyN] = (Cy [cy0, cyN]
+    + [cy0, cyN])/2`` off it.  Requires one spacing for both axes.
     """
     *_, X, _, y_row = _grid(problem, config, lod=True)
-    cx, ady = _sweeps(problem, config)
+    cx, tdy = _sweeps(problem, config)
     cols = _y_columns(problem, config)
-    iy = np.eye(config.Ny - 1)
-    # last = [Cy^T; (Ay^-1 cols)^T], Cy = Ay^-1 Ey, with Ay, Ey = I -/+ a Dy
-    last = solve(iy - ady, np.hstack((iy + ady, cols)), "y-direction").T
+    cy = _cayley(tdy[None], 0.5, "y-direction")[0]
+    # last = [Cy^T; ((I - a Dy)^-1 cols)^T], with (I - a Dy)^-1 = (Cy + I)/2
+    last = np.vstack((cy.T, (0.5 * (cy @ cols + cols)).T))
     tau = config.tau
     a = 0.5 * tau
     nx, ny = config.Nx - 1, config.Ny - 1
